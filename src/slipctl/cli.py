@@ -329,8 +329,6 @@ def cmd_optimize(rc: RunConfig):
         if np.abs(normal_trace(y0) - ctrl0.a[0]).max() > 1e-9:
             raise ConfigError("initial controls are incompatible with the "
                               "initial state's normal trace at t = 0")
-    except ConfigError:
-        raise
     except (ValueError, IncompatibleFlux) as exc:
         log.error("configuration rejected: %s", exc)
         return EXIT_CONFIG
@@ -454,11 +452,7 @@ def cmd_verify(rc: RunConfig):
 
 def cmd_lift(rc: RunConfig):
     _prepare_out(rc)
-    try:
-        ctrl = rc.controls()
-    except ConfigError:
-        raise
-    a_final = ctrl.a[-1]
+    a_final = rc.controls().a[-1]
     try:
         res = solve_neumann_lifting(rc.grid, a_final)
     except IncompatibleFlux as exc:

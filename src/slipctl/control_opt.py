@@ -100,6 +100,8 @@ class GradientEngine:
         self._cache = {}
         self.state_solves = 0
         self.adjoint_solves = 0
+        self.state_seconds = 0.0
+        self.adjoint_seconds = 0.0
 
     def _key(self, controls):
         h = hashlib.sha256()
@@ -110,16 +112,21 @@ class GradientEngine:
 
     def _entry(self, controls):
         key = self._key(controls)
-        if key not in self._cache:
+        entry = self._cache.get(key)
+        if entry is None:
             if len(self._cache) > 8:
                 self._cache.clear()
             prob = StateProblem(controls.grid, controls.time_grid, self.y0, controls,
                                 self.friction, self.nu, validate=False)
+            t0 = time.perf_counter()
             traj = solve_state(prob)
+            self.state_seconds += time.perf_counter() - t0
             self.state_solves += 1
             J = evaluate_cost(controls, traj, self.params)
-            self._cache[key] = {"problem": prob, "trajectory": traj, "J": J}
-        return self._cache[key]
+            # another thread may clear the shared cache before we return
+            entry = {"problem": prob, "trajectory": traj, "J": J}
+            self._cache[key] = entry
+        return entry
 
     def cost(self, controls):
         return self._entry(controls)["J"]
@@ -134,7 +141,9 @@ class GradientEngine:
                 yk = traj.velocities[k].to_vec()
                 yd = self.params.target_vec(g, k)
                 source.append(yk if yd is None else yk - yd)
+            t0 = time.perf_counter()
             adj = solve_adjoint(AdjointProblem(prob, traj, source))
+            self.adjoint_seconds += time.perf_counter() - t0
             self.adjoint_solves += 1
             dt = tg.dt
             wg = g.boundary_weight
@@ -383,6 +392,8 @@ def optimize(y0, params: CostParams, controls0=None, friction=None, nu=1.0,
 
     report.final_controls = c
     report.wall_clock["total"] = time.perf_counter() - t_start
+    report.wall_clock["state"] = engine.state_seconds
+    report.wall_clock["adjoint"] = engine.adjoint_seconds
     report.wall_clock["state_solves"] = engine.state_solves
     report.wall_clock["adjoint_solves"] = engine.adjoint_solves
     return report

@@ -20,6 +20,3 @@ class SolverDivergence(SlipctlError):
 class BaseTrajectoryMissing(SlipctlError):
     """Linearized/adjoint solve requested without a complete base state trajectory."""
 
-
-class LineSearchFailure(SlipctlError):
-    """Armijo backtracking exhausted its budget without sufficient decrease."""

@@ -45,20 +45,7 @@ class _NeumannSolver:
     def _interior_gradient(grid):
         """Cell potential -> face gradient; zero at the wall faces."""
         ops = grid.ops
-        nx, ny = grid.nx, grid.ny
-        rows, cols, data = [], [], []
-        cell = np.arange(ops.ncell).reshape(nx, ny)
-        for i in range(1, nx):
-            for j in range(ny):
-                r = ops.iu(i, j)
-                rows += [r, r]; cols += [cell[i, j], cell[i - 1, j]]
-                data += [1.0 / grid.hx, -1.0 / grid.hx]
-        for i in range(nx):
-            for j in range(1, ny):
-                r = ops.iv(i, j)
-                rows += [r, r]; cols += [cell[i, j], cell[i, j - 1]]
-                data += [1.0 / grid.hy, -1.0 / grid.hy]
-        return sp.csr_matrix((data, (rows, cols)), shape=(ops.N, ops.ncell))
+        return -(sp.diags(ops.free.astype(float)) @ ops.Dmat.T).tocsr()
 
     def solve(self, a_nodes):
         grid, ops = self.grid, self.grid.ops

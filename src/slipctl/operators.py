@@ -67,12 +67,6 @@ class DiscreteOperators:
         self.free_idx = np.flatnonzero(self.free)
         self.cons_idx = np.flatnonzero(constrained)
 
-    def iu(self, i, j):
-        return self._iu[i, j]
-
-    def iv(self, i, j):
-        return self._iv[i, j]
-
     # -- quadrature weights --------------------------------------------------
 
     def _build_weights(self):
@@ -213,98 +207,37 @@ class DiscreteOperators:
     def _build_advection_stencils(self):
         g = self.grid
         nx, ny, hx, hy = g.nx, g.ny, g.hx, g.hy
-        rows, cols, data = [], [], []
+        NU, NV = self.NU, self.NV
+        # Gx, Gy: derivative of each component at its own points
+        self.Gx = sp.block_diag([sp.kron(_centred_diff(nx + 1, hx), sp.eye(ny)),
+                                 sp.kron(_centred_diff(nx, hx), sp.eye(ny + 1))],
+                                format="csr")
+        self.Gy = sp.block_diag([sp.kron(sp.eye(nx + 1), _centred_diff(ny, hy)),
+                                 sp.kron(sp.eye(nx), _centred_diff(ny + 1, hy))],
+                                format="csr")
+        # Px, Py: each component of the advecting field at every unknown's location
+        u_at_v = sp.kron(_pair_average(nx), _edge_to_node(ny))
+        v_at_u = sp.kron(_edge_to_node(nx), _pair_average(ny))
+        self.Px = sp.bmat([[sp.eye(NU), sp.csr_matrix((NU, NV))], [u_at_v, None]],
+                          format="csr")
+        self.Py = sp.bmat([[sp.csr_matrix((NU, NU)), v_at_u], [None, sp.eye(NV)]],
+                          format="csr")
 
-        def put(r, cs, vs):
-            for c, v in zip(cs, vs):
-                rows.append(r); cols.append(c); data.append(v)
+    def step_matrix(self, dt, nu, alpha_nodes, w_vec):
+        """The implicit step operator W/dt + nu*A_strain + Fric(alpha) + K(w).
 
-        # Gx: x-derivative of each component at its own points
-        for i in range(nx + 1):
-            for j in range(ny):
-                r = self._iu[i, j]
-                if i == 0:
-                    put(r, [self._iu[1, j], self._iu[0, j]], [1 / hx, -1 / hx])
-                elif i == nx:
-                    put(r, [self._iu[nx, j], self._iu[nx - 1, j]], [1 / hx, -1 / hx])
-                else:
-                    put(r, [self._iu[i + 1, j], self._iu[i - 1, j]], [0.5 / hx, -0.5 / hx])
-        for i in range(nx):
-            for j in range(ny + 1):
-                r = self._iv[i, j]
-                if i == 0:
-                    put(r, [self._iv[1, j], self._iv[0, j]], [1 / hx, -1 / hx])
-                elif i == nx - 1:
-                    put(r, [self._iv[nx - 1, j], self._iv[nx - 2, j]], [1 / hx, -1 / hx])
-                else:
-                    put(r, [self._iv[i + 1, j], self._iv[i - 1, j]], [0.5 / hx, -0.5 / hx])
-        self.Gx = sp.csr_matrix((data, (rows, cols)), shape=(self.N, self.N))
-
-        rows, cols, data = [], [], []
-        for i in range(nx + 1):
-            for j in range(ny):
-                r = self._iu[i, j]
-                if j == 0:
-                    put(r, [self._iu[i, 1], self._iu[i, 0]], [1 / hy, -1 / hy])
-                elif j == ny - 1:
-                    put(r, [self._iu[i, ny - 1], self._iu[i, ny - 2]], [1 / hy, -1 / hy])
-                else:
-                    put(r, [self._iu[i, j + 1], self._iu[i, j - 1]], [0.5 / hy, -0.5 / hy])
-        for i in range(nx):
-            for j in range(ny + 1):
-                r = self._iv[i, j]
-                if j == 0:
-                    put(r, [self._iv[i, 1], self._iv[i, 0]], [1 / hy, -1 / hy])
-                elif j == ny:
-                    put(r, [self._iv[i, ny], self._iv[i, ny - 1]], [1 / hy, -1 / hy])
-                else:
-                    put(r, [self._iv[i, j + 1], self._iv[i, j - 1]], [0.5 / hy, -0.5 / hy])
-        self.Gy = sp.csr_matrix((data, (rows, cols)), shape=(self.N, self.N))
-
-        # Px: x-velocity of the advecting field at every unknown's location
-        rows, cols, data = [], [], []
-        for i in range(nx + 1):
-            for j in range(ny):
-                r = self._iu[i, j]
-                put(r, [r], [1.0])
-        for i in range(nx):
-            for j in range(ny + 1):
-                r = self._iv[i, j]
-                if j == 0:
-                    put(r, [self._iu[i, 0], self._iu[i + 1, 0]], [0.5, 0.5])
-                elif j == ny:
-                    put(r, [self._iu[i, ny - 1], self._iu[i + 1, ny - 1]], [0.5, 0.5])
-                else:
-                    put(r, [self._iu[i, j - 1], self._iu[i + 1, j - 1],
-                            self._iu[i, j], self._iu[i + 1, j]], [0.25] * 4)
-        self.Px = sp.csr_matrix((data, (rows, cols)), shape=(self.N, self.N))
-
-        rows, cols, data = [], [], []
-        for i in range(nx + 1):
-            for j in range(ny):
-                r = self._iu[i, j]
-                if i == 0:
-                    put(r, [self._iv[0, j], self._iv[0, j + 1]], [0.5, 0.5])
-                elif i == nx:
-                    put(r, [self._iv[nx - 1, j], self._iv[nx - 1, j + 1]], [0.5, 0.5])
-                else:
-                    put(r, [self._iv[i - 1, j], self._iv[i - 1, j + 1],
-                            self._iv[i, j], self._iv[i, j + 1]], [0.25] * 4)
-        for i in range(nx):
-            for j in range(ny + 1):
-                r = self._iv[i, j]
-                put(r, [r], [1.0])
-        self.Py = sp.csr_matrix((data, (rows, cols)), shape=(self.N, self.N))
-
-    def adv_matrix(self, w_vec):
-        """Skew-symmetrized advection matrix K(w) in integrated (weighted) form."""
+        K(w) is the skew-symmetrized advection 0.5*(N - N^T) plus half the
+        boundary flux form; the tangential half of that flux is folded into
+        the friction trace term.
+        """
         wx = self.Px @ w_vec
         wy = self.Py @ w_vec
         Nmat = sp.diags(self.Wvec * wx) @ self.Gx + sp.diags(self.Wvec * wy) @ self.Gy
-        an = self.w_gamma * (self.Tn @ w_vec)
-        S = (self.Tn.T @ sp.diags(an) @ self.Tn
-             + self.Ttau.T @ sp.diags(an) @ self.Ttau)
-        return (0.5 * (Nmat - Nmat.T) + 0.5 * S).tocsr()
+        wn = self.Tn @ w_vec
+        S_n = self.Tn.T @ sp.diags(0.5 * self.w_gamma * wn) @ self.Tn
+        return (sp.diags(self.Wvec / dt) + nu * self.A_strain
+                + self.fric_matrix(alpha_nodes + 0.5 * wn) + S_n
+                + 0.5 * (Nmat - Nmat.T)).tocsr()
 
     def apply_adv_cross(self, y_vec, w_vec):
         """Matrix-free X(y) w = K(w) y (derivative of advection in w)."""
@@ -330,22 +263,6 @@ class DiscreteOperators:
         tty = self.w_gamma * (self.Ttau @ y_vec)
         xst = self.Tn.T @ (tny * (self.Tn @ lam_vec) + tty * (self.Ttau @ lam_vec))
         return 0.5 * (x1t - x2t) + 0.5 * xst
-
-    def adv_boundary_matrix(self, w_vec):
-        """The symmetric boundary-flux part S(w) alone (for energy bookkeeping)."""
-        an = self.w_gamma * (self.Tn @ w_vec)
-        return (self.Tn.T @ sp.diags(an) @ self.Tn
-                + self.Ttau.T @ sp.diags(an) @ self.Ttau).tocsr()
-
-    def adv_cross(self, y_vec):
-        """Matrix X(y) with X(y) w = K(w) y: derivative of advection in w."""
-        X1 = (sp.diags(self.Wvec * (self.Gx @ y_vec)) @ self.Px
-              + sp.diags(self.Wvec * (self.Gy @ y_vec)) @ self.Py)
-        X2 = (self.Gx.T @ sp.diags(self.Wvec * y_vec) @ self.Px
-              + self.Gy.T @ sp.diags(self.Wvec * y_vec) @ self.Py)
-        XS = (self.Tn.T @ sp.diags(self.w_gamma * (self.Tn @ y_vec))
-              + self.Ttau.T @ sp.diags(self.w_gamma * (self.Ttau @ y_vec))) @ self.Tn
-        return (0.5 * (X1 - X2) + 0.5 * XS).tocsr()
 
     def fric_matrix(self, alpha_nodes):
         return (self.Ttau.T @ sp.diags(self.w_gamma * alpha_nodes) @ self.Ttau).tocsr()
@@ -380,27 +297,34 @@ class DiscreteOperators:
         return self._fourier
 
 
+def _centred_diff(n, h):
+    """Centred first difference on n points, one-sided at both ends."""
+    D = sp.diags([np.full(n - 1, 0.5 / h), np.full(n - 1, -0.5 / h)], [1, -1],
+                 shape=(n, n), format="lil")
+    D[0, :2] = [-1 / h, 1 / h]
+    D[n - 1, n - 2:] = [-1 / h, 1 / h]
+    return D.tocsr()
+
+
+def _pair_average(n):
+    """Midpoint average, n+1 points -> n."""
+    return sp.diags([np.full(n, 0.5), np.full(n, 0.5)], [0, 1], shape=(n, n + 1))
+
+
+def _edge_to_node(n):
+    """n cell values -> n+1 nodes: neighbour average, nearest value at the ends."""
+    E = sp.diags([np.full(n, 0.5), np.full(n, 0.5)], [0, -1], shape=(n + 1, n),
+                 format="lil")
+    E[0, 0] = E[n, n - 1] = 1.0
+    return E.tocsr()
+
+
 class _ReducedBlocks:
     """Constant sub-blocks of the step system on the free/constrained split."""
 
     def __init__(self, ops):
-        N = ops.N
-        F, C = ops.free_idx, ops.cons_idx
-        P_F = sp.csr_matrix((np.ones(F.size), (np.arange(F.size), F)), shape=(F.size, N))
-        P_C = sp.csr_matrix((np.ones(C.size), (np.arange(C.size), C)), shape=(C.size, N))
-        self.P_F, self.P_C = P_F, P_C
-        self.A_s_FF = (P_F @ ops.A_strain @ P_F.T).tocsr()
-        self.A_s_FC = (P_F @ ops.A_strain @ P_C.T).tocsr()
-        self.GxFF = (P_F @ ops.Gx @ P_F.T).tocsr()
-        self.GyFF = (P_F @ ops.Gy @ P_F.T).tocsr()
-        self.GxFC = (P_F @ ops.Gx @ P_C.T).tocsr()
-        self.GyFC = (P_F @ ops.Gy @ P_C.T).tocsr()
-        self.GxCF = (P_C @ ops.Gx @ P_F.T).tocsr()
-        self.GyCF = (P_C @ ops.Gy @ P_F.T).tocsr()
-        self.TtF = (ops.Ttau @ P_F.T).tocsr()
-        self.TtC = (ops.Ttau @ P_C.T).tocsr()
-        self.Df = (ops.Dmat @ P_F.T).tocsr()
-        self.Dc = (ops.Dmat @ P_C.T).tocsr()
+        self.Df = ops.Dmat[:, ops.free_idx].tocsr()
+        self.Dc = ops.Dmat[:, ops.cons_idx].tocsr()
         self.Gf = ((-ops.grid.cell_area) * self.Df.T).tocsr()
         self.ones_c = np.ones((ops.ncell, 1))
         self.mean_row = ops.grid.cell_area * np.ones((1, ops.ncell))
@@ -457,22 +381,9 @@ class StepSolver:
         self.F, self.C = F, C
         self.nf = F.size
 
-        wx = ops.Px @ w_adv_vec
-        wy = ops.Py @ w_adv_vec
-        Wwx = ops.Wvec * wx
-        Wwy = ops.Wvec * wy
-        an = ops.w_gamma * (ops.Tn @ w_adv_vec)
-        fric = ops.w_gamma * alpha_nodes
-
-        K1 = sp.diags(Wwx[F]) @ rb.GxFF + sp.diags(Wwy[F]) @ rb.GyFF
-        bnd_FF = rb.TtF.T @ sp.diags(0.5 * an + fric) @ rb.TtF
-        A_ff = (sp.diags(ops.Wvec[F] / dt) + nu * rb.A_s_FF
-                + 0.5 * (K1 - K1.T) + bnd_FF)
-
-        K1_fc = sp.diags(Wwx[F]) @ rb.GxFC + sp.diags(Wwy[F]) @ rb.GyFC
-        K2_fc = (sp.diags(Wwx[C]) @ rb.GxCF + sp.diags(Wwy[C]) @ rb.GyCF).T
-        self.M_fc = (nu * rb.A_s_FC + 0.5 * (K1_fc - K2_fc)
-                     + rb.TtF.T @ sp.diags(0.5 * an + fric) @ rb.TtC).tocsr()
+        L = ops.step_matrix(dt, nu, alpha_nodes, w_adv_vec)[F]
+        A_ff = L[:, F]
+        self.M_fc = L[:, C]
         self.Dc = rb.Dc
         big = rb.assemble_big(A_ff)
         try:

@@ -118,18 +118,15 @@ def energy_identity_terms(trajectory: StateTrajectory, problem: StateProblem, k)
     kinetic = (np.dot(W, y * y) - np.dot(W, yo * yo)) / (2 * dt)
     numdiss = np.dot(W, (y - yo) ** 2) / (2 * dt)
     strain = problem.nu * np.dot(y, ops.A_strain @ y)
-    fric_mat = ops.fric_matrix(alpha)
-    friction = np.dot(y, fric_mat @ y)
-    Smat = ops.adv_boundary_matrix(w_adv)
-    adv_flux = 0.5 * np.dot(y, Smat @ y)
+    friction = np.dot(y, ops.fric_matrix(alpha) @ y)
+    an = ops.w_gamma * (ops.Tn @ w_adv)
+    adv_flux = 0.5 * np.dot(an, (ops.Tn @ y) ** 2 + (ops.Ttau @ y) ** 2)
     Gp = -(g.cell_area) * (ops.Dmat.T @ p)
     pressure_work = np.dot(y, Gp)
     load = ops.b_load(b)
     slip_work = -np.dot(y, load)
 
-    Kmat = ops.adv_matrix(w_adv)
-    R = (W * (y - yo) / dt + problem.nu * (ops.A_strain @ y) + fric_mat @ y
-         + Kmat @ y + Gp - load)
+    R = ops.step_matrix(dt, problem.nu, alpha, w_adv) @ y - W * yo / dt + Gp - load
     C = ops.cons_idx
     boundary_supply = -np.dot(y[C], R[C])
 

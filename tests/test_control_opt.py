@@ -244,3 +244,35 @@ def test_remainder_monitor_logged(small):
     rep = optimize(y0, params, grid=grid, time_grid=tg, tol=0.0, max_iters=5, seed=3)
     assert len(rep.remainder_log) >= 1
     assert all(np.isfinite(r) for r in rep.remainder_log)
+
+
+class _ClearOnStore(dict):
+    """A cache that another thread empties right after every store."""
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.clear()
+
+
+def test_engine_entry_survives_concurrent_cache_clear(small):
+    grid, tg = small
+    ctrl = random_admissible_control(grid, tg, np.random.default_rng(13), amplitude=0.3)
+    engine = GradientEngine(VelocityField(grid), CostParams(lam1=0.5, lam2=0.5))
+    engine._cache = _ClearOnStore()
+    J = engine.cost(ctrl)
+    assert np.isfinite(J)
+    grad, _ = engine.gradient(ctrl)
+    assert np.isfinite(grad.norm())
+
+
+def test_optimize_records_state_and_adjoint_time(small):
+    grid, tg = small
+    y0 = VelocityField(grid)
+    c_star = random_admissible_control(grid, tg, np.random.default_rng(12), amplitude=0.3)
+    traj = solve_state(StateProblem(grid, tg, y0, c_star, validate=False))
+    params = CostParams(y_d=traj.velocities, radius=25.0)
+    rep = optimize(y0, params, grid=grid, time_grid=tg, tol=0.0, max_iters=1, seed=3)
+    assert len(rep.iterations) == 1
+    assert rep.wall_clock["state"] > 0.0
+    assert rep.wall_clock["adjoint"] > 0.0
+    assert rep.wall_clock["state"] + rep.wall_clock["adjoint"] <= rep.wall_clock["total"]

@@ -45,17 +45,23 @@ def test_normal_trace_roundtrip(grid):
     assert np.allclose(ops.Tn @ (ops.Mbc @ a), a)
 
 
+def _advection_part(ops, w, dt=0.05, nu=1.0, alpha=1.3):
+    """Advection part K(w) of the step operator."""
+    a = np.full(ops.grid.n_boundary, alpha)
+    return ops.step_matrix(dt, nu, a, w) - ops.step_matrix(dt, nu, a, np.zeros(ops.N))
+
+
 def test_advection_cross_identity(grid):
     ops = grid.ops
     rng = np.random.default_rng(3)
     for _ in range(4):
         w = rng.standard_normal(ops.N)
         y = rng.standard_normal(ops.N)
-        K = ops.adv_matrix(w)
+        K = _advection_part(ops, w)
         assert np.abs(K @ y - ops.apply_adv_cross(y, w)).max() < 1e-13
         lam = rng.standard_normal(ops.N)
-        X = ops.adv_cross(y)
-        assert np.abs(X.T @ lam - ops.apply_adv_cross_T(y, lam)).max() < 1e-13
+        assert abs(ops.apply_adv_cross(y, w) @ lam
+                   - w @ ops.apply_adv_cross_T(y, lam)) < 1e-13
 
 
 def test_advection_energy_reduces_to_boundary_flux(grid):
@@ -64,9 +70,10 @@ def test_advection_energy_reduces_to_boundary_flux(grid):
     for _ in range(4):
         w = rng.standard_normal(ops.N)
         y = rng.standard_normal(ops.N)
-        K = ops.adv_matrix(w)
-        S = ops.adv_boundary_matrix(w)
-        assert abs(y @ (K @ y) - 0.5 * y @ (S @ y)) < 1e-10
+        K = _advection_part(ops, w)
+        an = ops.w_gamma * (ops.Tn @ w)
+        flux = 0.5 * an @ ((ops.Tn @ y) ** 2 + (ops.Ttau @ y) ** 2)
+        assert abs(y @ (K @ y) - flux) < 1e-10
 
 
 def test_shear_profile_is_exact_steady_state(grid):
@@ -77,8 +84,8 @@ def test_shear_profile_is_exact_steady_state(grid):
     y, ctrl, fric = shear_oracle(grid, tg, c1=0.37, c2=2.1, alpha_value=alpha)
     ops = grid.ops
     yv = y.to_vec()
-    resid = (ops.A_strain @ yv + ops.fric_matrix(fric.alpha[0]) @ yv
-             + ops.adv_matrix(yv) @ yv - ops.b_load(ctrl.b[0]))
+    resid = (ops.step_matrix(tg.dt, 1.0, fric.alpha[0], yv) @ yv
+             - ops.Wvec * yv / tg.dt - ops.b_load(ctrl.b[0]))
     assert np.abs(resid[ops.free_idx]).max() < 1e-12
 
 
@@ -102,6 +109,35 @@ def test_strain_matrices_match_hand_stencils(grid):
     dyu = _one_sided_pad(((u[:, 1:] - u[:, :-1]) / hy).T).T
     dxv = _one_sided_pad((v[1:, :] - v[:-1, :]) / hx)
     assert np.allclose(d12, 0.5 * (dyu + dxv))
+
+
+def _node_average(c, axis):
+    """Cell values to nodes along axis: neighbour mean, nearest value at the ends."""
+    c = np.moveaxis(c, axis, 0)
+    mid = 0.5 * (c[1:] + c[:-1])
+    return np.moveaxis(np.concatenate([c[:1], mid, c[-1:]], axis=0), 0, axis)
+
+
+def test_advection_stencils_match_hand_stencils(grid):
+    """Independent slicing-based evaluation of Gx, Gy, Px and Py."""
+    ops = grid.ops
+    rng = np.random.default_rng(10)
+    y = VelocityField(grid, rng.standard_normal(grid.shape_u),
+                      rng.standard_normal(grid.shape_v))
+    u, v = y.u, y.v
+    yv = y.to_vec()
+    hx, hy = grid.hx, grid.hy
+    # centred differences, one-sided at the ends
+    for G, h, axis in ((ops.Gx, hx, 0), (ops.Gy, hy, 1)):
+        got = VelocityField.from_vec(grid, G @ yv)
+        assert np.allclose(got.u, np.gradient(u, h, axis=axis))
+        assert np.allclose(got.v, np.gradient(v, h, axis=axis))
+    px = VelocityField.from_vec(grid, ops.Px @ yv)
+    assert np.array_equal(px.u, u)
+    assert np.allclose(px.v, _node_average(0.5 * (u[1:, :] + u[:-1, :]), 1))
+    py = VelocityField.from_vec(grid, ops.Py @ yv)
+    assert np.array_equal(py.v, v)
+    assert np.allclose(py.u, _node_average(0.5 * (v[:, 1:] + v[:, :-1]), 0))
 
 
 def test_quadrature_weights_integrate_constants(grid):
