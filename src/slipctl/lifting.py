@@ -2,9 +2,10 @@
 
 Solves the cell-centered Neumann problem for a potential whose gradient is
 the divergence-free lifting of the prescribed wall-normal velocity.  The
-potential is determined up to a constant; the mean is pinned through a
-bordered row rather than by fixing one cell, which keeps the system
-symmetric.
+potential is determined up to a constant, so cell 0 is pinned to zero and
+its row dropped (the rows sum to the net wall flux, which is checked to be
+zero); the factored Laplacian stays symmetric and sparse, and the potential
+is shifted to mean zero after the solve.
 """
 
 import numpy as np
@@ -28,18 +29,14 @@ class LiftingResult:
 
 
 class _NeumannSolver:
-    """Cached factorization of the bordered Neumann Laplacian on one grid."""
+    """Cached factorization of the Neumann Laplacian with cell 0 pinned."""
 
     def __init__(self, grid):
         self.grid = grid
         ops = grid.ops
         self.Gint = self._interior_gradient(grid)
-        area = grid.cell_area
-        L = (area * ops.Dmat) @ self.Gint
-        ones_c = np.ones((ops.ncell, 1))
-        big = sp.bmat([[L, ones_c], [area * ones_c.T, None]], format="csc")
-        self.big = big
-        self.lu = spla.splu(big)
+        self.L_pin = ((grid.cell_area * ops.Dmat) @ self.Gint).tocsc()[1:, 1:]
+        self.lu = spla.splu(self.L_pin)
 
     @staticmethod
     def _interior_gradient(grid):
@@ -56,12 +53,13 @@ class _NeumannSolver:
                 "net boundary flux %.3e violates the zero-mean compatibility "
                 "condition on the normal data" % flux)
         bc = ops.bc_vec(a_nodes)
-        rhs = np.concatenate([-(grid.cell_area * (ops.Dmat @ bc)), [0.0]])
+        rhs = -(grid.cell_area * (ops.Dmat @ bc))[1:]
         sol = self.lu.solve(rhs)
-        res = np.linalg.norm(self.big @ sol - rhs)
+        res = np.linalg.norm(self.L_pin @ sol - rhs)
         if not np.isfinite(res) or res > RESIDUAL_TOL * max(1.0, np.linalg.norm(rhs)):
             raise SolverDivergence("Neumann solve residual %.3e above tolerance" % res)
-        h = sol[:ops.ncell]
+        h = np.concatenate([[0.0], sol])
+        h -= h.mean()
         grad_vec = self.Gint @ h + bc
         return (PressureField(grid, h.reshape(grid.shape_p), mean_zero=True),
                 VelocityField.from_vec(grid, grad_vec))

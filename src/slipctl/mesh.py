@@ -42,34 +42,29 @@ class Grid:
     def _build_loop(self):
         nx, ny, hx, hy = self.nx, self.ny, self.hx, self.hy
         Lx, Ly = self.Lx, self.Ly
-        pos, nrm, s, wall, widx, wlen = [], [], [], [], [], []
-        # bottom, left to right
-        for i in range(nx):
-            pos.append(((i + 0.5) * hx, 0.0)); nrm.append((0.0, -1.0))
-            s.append((i + 0.5) * hx); wall.append(WALL_BOTTOM); widx.append(i); wlen.append(hx)
-        # right, bottom to top
-        for j in range(ny):
-            pos.append((Lx, (j + 0.5) * hy)); nrm.append((1.0, 0.0))
-            s.append(Lx + (j + 0.5) * hy); wall.append(WALL_RIGHT); widx.append(j); wlen.append(hy)
-        # top, right to left
-        for k in range(nx):
-            i = nx - 1 - k
-            pos.append(((i + 0.5) * hx, Ly)); nrm.append((0.0, 1.0))
-            s.append(Lx + Ly + (k + 0.5) * hx); wall.append(WALL_TOP); widx.append(i); wlen.append(hx)
-        # left, top to bottom
-        for k in range(ny):
-            j = ny - 1 - k
-            pos.append((0.0, (j + 0.5) * hy)); nrm.append((-1.0, 0.0))
-            s.append(2 * Lx + Ly + (k + 0.5) * hy); wall.append(WALL_LEFT); widx.append(j); wlen.append(hy)
-        self.boundary_pos = np.asarray(pos)
-        self.boundary_normal = np.asarray(nrm)
+        # per wall, in loop order: wall-local cell index of each node, edge
+        # length, arc length at the wall's start, outward normal
+        walls = ((np.arange(nx), hx, 0.0, (0.0, -1.0)),               # bottom, left to right
+                 (np.arange(ny), hy, Lx, (1.0, 0.0)),                  # right, bottom to top
+                 (np.arange(nx)[::-1], hx, Lx + Ly, (0.0, 1.0)),       # top, right to left
+                 (np.arange(ny)[::-1], hy, 2 * Lx + Ly, (-1.0, 0.0)))  # left, top to bottom
+        mid = [(idx + 0.5) * h for idx, h, _, _ in walls]
+        self.boundary_pos = np.concatenate([
+            np.column_stack([mid[0], np.zeros(nx)]),
+            np.column_stack([np.full(ny, Lx), mid[1]]),
+            np.column_stack([mid[2], np.full(nx, Ly)]),
+            np.column_stack([np.zeros(ny), mid[3]])])
+        self.boundary_normal = np.concatenate(
+            [np.tile(w[3], (w[0].size, 1)) for w in walls])
         # tau = n rotated by +90 degrees
         self.boundary_tangent = np.column_stack(
             [-self.boundary_normal[:, 1], self.boundary_normal[:, 0]])
-        self.boundary_s = np.asarray(s)
-        self.boundary_wall = np.asarray(wall, dtype=np.int64)
-        self.boundary_wall_index = np.asarray(widx, dtype=np.int64)
-        self.boundary_weight = np.asarray(wlen)
+        self.boundary_s = np.concatenate(
+            [start + (np.arange(idx.size) + 0.5) * h for idx, h, start, _ in walls])
+        self.boundary_wall = np.repeat([WALL_BOTTOM, WALL_RIGHT, WALL_TOP, WALL_LEFT],
+                                       [w[0].size for w in walls])
+        self.boundary_wall_index = np.concatenate([w[0] for w in walls])
+        self.boundary_weight = np.concatenate([np.full(w[0].size, w[1]) for w in walls])
         self.loop_length = 2.0 * (self.Lx + self.Ly)
 
     def wall_slice(self, wall):

@@ -154,53 +154,30 @@ class DiscreteOperators:
     # -- boundary traces -------------------------------------------------------
 
     def _build_traces(self):
-        g = self.grid
-        nx, ny = g.nx, g.ny
-        ngb = g.n_boundary
+        nx, ny = self.grid.nx, self.grid.ny
+        iu, iv = self._iu, self._iv
+        ngb = self.grid.n_boundary
+        # per wall, in loop order: the wall-normal faces, the tangential faces
+        # next to the wall and one row in, each ordered along the loop, and
+        # the signs of y.n and of y.tau in those components
+        walls = ((iv[:, 0], iu[:, 0], iu[:, 1], -1.0, 1.0),                     # bottom
+                 (iu[nx, :], iv[nx - 1, :], iv[nx - 2, :], 1.0, 1.0),           # right
+                 (iv[::-1, ny], iu[::-1, ny - 1], iu[::-1, ny - 2], 1.0, -1.0),  # top
+                 (iu[0, ::-1], iv[0, ::-1], iv[1, ::-1], -1.0, -1.0))           # left
+        rows = np.arange(ngb)
         # normal trace: one signed face unknown per node
-        rows, cols, data = [], [], []
-
-        def put(r, c, v):
-            rows.append(r); cols.append(c); data.append(v)
-
-        for k in range(nx):                       # bottom: y.n = -v
-            put(k, self._iv[k, 0], -1.0)
-        off = nx
-        for k in range(ny):                       # right: y.n = +u
-            put(off + k, self._iu[nx, k], 1.0)
-        off = nx + ny
-        for k in range(nx):                       # top: y.n = +v
-            put(off + k, self._iv[nx - 1 - k, ny], 1.0)
-        off = 2 * nx + ny
-        for k in range(ny):                       # left: y.n = -u
-            put(off + k, self._iu[0, ny - 1 - k], -1.0)
-        self.Tn = sp.csr_matrix((data, (rows, cols)), shape=(ngb, self.N))
+        cols = np.concatenate([w[0] for w in walls])
+        sn = np.concatenate([np.full(w[0].size, w[3]) for w in walls])
+        self.Tn = sp.csr_matrix((sn, (rows, cols)), shape=(ngb, self.N))
         self.Mbc = self.Tn.T.tocsr()              # Tn @ Mbc = identity
 
         # tangential trace: linear wall extrapolation averaged to midpoints
-        rows, cols, data = [], [], []
-        for k in range(nx):                       # bottom, tau = (+1, 0)
-            for i, s in ((k, 1.0), (k + 1, 1.0)):
-                put(k, self._iu[i, 0], 0.75 * s)
-                put(k, self._iu[i, 1], -0.25 * s)
-        off = nx
-        for k in range(ny):                       # right, tau = (0, +1)
-            for j in (k, k + 1):
-                put(off + k, self._iv[nx - 1, j], 0.75)
-                put(off + k, self._iv[nx - 2, j], -0.25)
-        off = nx + ny
-        for k in range(nx):                       # top, tau = (-1, 0)
-            i0 = nx - 1 - k
-            for i in (i0, i0 + 1):
-                put(off + k, self._iu[i, ny - 1], -0.75)
-                put(off + k, self._iu[i, ny - 2], 0.25)
-        off = 2 * nx + ny
-        for k in range(ny):                       # left, tau = (0, -1)
-            j0 = ny - 1 - k
-            for j in (j0, j0 + 1):
-                put(off + k, self._iv[0, j], -0.75)
-                put(off + k, self._iv[1, j], 0.25)
-        self.Ttau = sp.csr_matrix((data, (rows, cols)), shape=(ngb, self.N))
+        cols = np.concatenate([np.column_stack([w[1][:-1], w[1][1:], w[2][:-1], w[2][1:]])
+                               for w in walls])
+        st = np.concatenate([np.full(w[1].size - 1, w[4]) for w in walls])
+        data = np.column_stack([0.75 * st, 0.75 * st, -0.25 * st, -0.25 * st])
+        self.Ttau = sp.csr_matrix((data.ravel(), (np.repeat(rows, 4), cols.ravel())),
+                                  shape=(ngb, self.N))
 
     # -- advection -------------------------------------------------------------
 
@@ -326,12 +303,18 @@ class _ReducedBlocks:
         self.Df = ops.Dmat[:, ops.free_idx].tocsr()
         self.Dc = ops.Dmat[:, ops.cons_idx].tocsr()
         self.Gf = ((-ops.grid.cell_area) * self.Df.T).tocsr()
-        self.ones_c = np.ones((ops.ncell, 1))
-        self.mean_row = ops.grid.cell_area * np.ones((1, ops.ncell))
         self._template = None
 
     def assemble_big(self, A_ff):
-        """Bordered saddle matrix; reuses the sparsity template across steps."""
+        """Saddle matrix [[A_ff, Gf[:, 1:]], [Df[1:], 0]] with cell 0 pinned.
+
+        The pressure of cell 0 is fixed to zero, which removes the constant
+        null space of Gf, and the divergence row of cell 0 is dropped.  That
+        row is redundant: Df.T @ 1 = 0 on free faces, so the cell rows sum to
+        the net wall flux of the data, which callers keep at zero.  Every row
+        and column stays short, so COLAMD orders the matrix well.  The
+        sparsity pattern is reused across steps whose A_ff pattern matches.
+        """
         A = A_ff.tocsc()
         A.sort_indices()
         if self._template is not None:
@@ -343,34 +326,29 @@ class _ReducedBlocks:
                 data[amap] = A.data
                 return sp.csc_matrix((data, indices, indptr), shape=(indptr.size - 1,
                                                                      indptr.size - 1))
-        big = sp.bmat([[A, self.Gf, None],
-                       [self.Df, None, self.ones_c],
-                       [None, self.mean_row, None]], format="csc")
+        big = sp.bmat([[A, self.Gf[:, 1:]], [self.Df[1:], None]], format="csc")
         big.sort_indices()
         nf = A.shape[0]
-        sel = []
-        for j in range(nf):
-            start, end = big.indptr[j], big.indptr[j + 1]
-            rows = big.indices[start:end]
-            sel.append(start + np.flatnonzero(rows < nf))
-        amap = np.concatenate(sel) if sel else np.empty(0, dtype=np.int64)
-        base = big.data.copy()
-        self._template = (big.indptr.copy(), big.indices.copy(), base, amap,
+        amap = np.flatnonzero(big.indices[:big.indptr[nf]] < nf)
+        self._template = (big.indptr.copy(), big.indices.copy(), big.data.copy(), amap,
                           A.indptr.copy(), A.indices.copy())
         return big
 
 
 class StepSolver:
-    """One implicit slip-Stokes step: bordered saddle system and its LU.
+    """One implicit slip-Stokes step: pinned-pressure saddle system and its LU.
 
-    Solves, for the free face unknowns y_f, pressure p and a mean
-    multiplier mu,
+    Solves, for the free face unknowns y_f and the cell pressure p,
 
         (W/dt + nu*A_strain + Fric(alpha) + K(w)) y + G p = rhs_mom
-        div y + mu = 0 per cell,   sum(p) * cell_area = 0
+        div y = 0 in cells 1..ncell-1,   p[0] = 0
 
-    with the wall-normal faces of y fixed to the supplied data.  The same
-    factorization solves the transposed system for adjoint sweeps.
+    with the wall-normal faces of y fixed to the supplied data.  There is no
+    mean multiplier: the divergence of cell 0 follows from the others
+    because the data carry zero net flux, and a constant pressure shift
+    leaves the momentum rows unchanged, so p is returned shifted to mean
+    zero.  The same factorization solves the transposed system for adjoint
+    sweeps.
     """
 
     def __init__(self, ops, dt, nu, alpha_nodes, w_adv_vec):
@@ -392,12 +370,19 @@ class StepSolver:
             raise SolverDivergence("step matrix factorization failed: %s" % exc)
         self._big = big
 
-    def _check(self, sol, rhs):
-        res = self._big @ sol - rhs
+    def _check(self, sol, rhs, trans=False):
+        big = self._big.T if trans else self._big
+        res = big @ sol - rhs
         scale = max(np.linalg.norm(rhs), 1e-30)
         rel = np.linalg.norm(res) / scale
         if not np.isfinite(rel) or rel > LINEAR_RESIDUAL_TOL:
-            raise SolverDivergence("linear step residual %.3e above tolerance" % rel)
+            raise SolverDivergence("%s step residual %.3e above tolerance"
+                                   % ("adjoint" if trans else "linear", rel))
+
+    def _split(self, sol):
+        """Free-face block and mean-zero cell block, the pinned cell put back."""
+        cell = np.concatenate([[0.0], sol[self.nf:]])
+        return sol[:self.nf], cell - cell.mean()
 
     def solve(self, rhs_mom_full, a_nodes):
         """Forward/linearized step.  rhs_mom_full excludes boundary coupling."""
@@ -405,26 +390,20 @@ class StepSolver:
         y_c = (ops.Mbc @ a_nodes)[self.C]
         rhs_f = rhs_mom_full[self.F] - self.M_fc @ y_c
         rhs_div = -(self.Dc @ y_c)
-        rhs = np.concatenate([rhs_f, rhs_div, [0.0]])
+        rhs = np.concatenate([rhs_f, rhs_div[1:]])
         sol = self.lu.solve(rhs)
         self._check(sol, rhs)
         y = np.empty(ops.N)
-        y[self.F] = sol[:self.nf]
+        y[self.F], p = self._split(sol)
         y[self.C] = y_c
-        p = sol[self.nf:self.nf + ops.ncell]
         return y, p
 
     def solve_transpose(self, rhs_free):
-        """Adjoint step: solve Big^T (lam, q, eta) = (rhs_free, 0, 0)."""
+        """Adjoint step: solve Big^T (lam, q) = (rhs_free, 0)."""
         ops = self.ops
-        rhs = np.concatenate([rhs_free, np.zeros(ops.ncell), [0.0]])
+        rhs = np.concatenate([rhs_free, np.zeros(ops.ncell - 1)])
         sol = self.lu.solve(rhs, trans="T")
-        res = self._big.T @ sol - rhs
-        scale = max(np.linalg.norm(rhs), 1e-30)
-        rel = np.linalg.norm(res) / scale
-        if not np.isfinite(rel) or rel > LINEAR_RESIDUAL_TOL:
-            raise SolverDivergence("adjoint step residual %.3e above tolerance" % rel)
+        self._check(sol, rhs, trans=True)
         lam_full = np.zeros(ops.N)
-        lam_full[self.F] = sol[:self.nf]
-        q = sol[self.nf:self.nf + ops.ncell]
+        lam_full[self.F], q = self._split(sol)
         return lam_full, q

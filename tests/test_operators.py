@@ -149,16 +149,45 @@ def test_quadrature_weights_integrate_constants(grid):
     assert ops.w_vert.sum() == pytest.approx(area, rel=1e-14)
 
 
-def test_step_solver_residual_guard(grid):
+def test_step_solver_residual_guard(grid, monkeypatch):
     ops = grid.ops
     rng = np.random.default_rng(5)
-    from slipctl.operators import StepSolver
-    step = StepSolver(ops, 0.05, 1.0, np.ones(grid.n_boundary),
-                      rng.standard_normal(ops.N))
+    from slipctl import operators
+    from slipctl.errors import SolverDivergence
+    step = operators.StepSolver(ops, 0.05, 1.0, np.ones(grid.n_boundary),
+                                rng.standard_normal(ops.N))
     a = rng.standard_normal(grid.n_boundary)
     a -= (a @ grid.boundary_weight) / grid.loop_length
     rhs = rng.standard_normal(ops.N)
     y, p = step.solve(rhs, a)
     assert np.abs(ops.Tn @ y - a).max() < 1e-13
     assert np.abs(ops.Dmat @ y).max() < 1e-9
+    assert abs((ops.Dmat @ y)[0]) < 1e-9          # the pinned cell's dropped row
     assert abs(p.sum() * grid.cell_area) < 1e-9
+
+    F = ops.free_idx
+    lam, q = step.solve_transpose(rng.standard_normal(F.size))
+    assert np.all(lam[ops.cons_idx] == 0.0)
+    assert np.abs(ops.Dmat[:, F] @ lam[F]).max() <= 1e-9
+    assert abs(q.sum()) < 1e-9
+
+    monkeypatch.setattr(operators, "LINEAR_RESIDUAL_TOL", -1.0)
+    with pytest.raises(SolverDivergence, match="linear step residual"):
+        step.solve(rhs, a)
+    with pytest.raises(SolverDivergence, match="adjoint step residual"):
+        step.solve_transpose(rng.standard_normal(F.size))
+
+
+def test_step_saddle_stays_sparse_at_128():
+    """No dense row or column in the step matrix, and bounded LU fill."""
+    from slipctl.operators import StepSolver
+    grid = build_grid(128, 128, 1.0, 1.0)
+    ops = grid.ops
+    rng = np.random.default_rng(9)
+    step = StepSolver(ops, 0.05, 1.0, np.ones(grid.n_boundary),
+                      rng.standard_normal(ops.N))
+    big = step._big.tocsc()
+    assert big.shape == (ops.free_idx.size + ops.ncell - 1,) * 2
+    assert np.diff(big.indptr).max() <= 16
+    assert np.bincount(big.indices, minlength=big.shape[0]).max() <= 16
+    assert step.lu.L.nnz + step.lu.U.nnz < 10_000_000
