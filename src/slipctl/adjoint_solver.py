@@ -108,7 +108,7 @@ def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
         pair = np.zeros(ops.N)
         pair[ops.cons_idx] = (dt * (ops.Wvec * U[k])[ops.cons_idx]
                               - step.M_fc.T @ lam_full[ops.free_idx]
-                              - step.Dc.T @ q)
+                              - ops.Dc.T @ q)
         kernel_a[k] += ops.Mbc.T @ pair
         kernel_b[k] = ops.w_gamma * (ops.Ttau @ lam_full)
 

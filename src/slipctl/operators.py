@@ -48,6 +48,8 @@ class DiscreteOperators:
         self._build_traces()
         self._build_advection_stencils()
         self.A_strain = self._assemble_strain_form()
+        self._build_step_map()
+        self._build_step_gathers()
         self._gagliardo = {}
         self._fourier = None
 
@@ -100,6 +102,7 @@ class DiscreteOperators:
         self.Dmat = sp.csr_matrix(
             (np.concatenate(data), (np.concatenate(rr), np.concatenate(cc))),
             shape=(self.ncell, self.N))
+        self.Dc = self.Dmat[:, self.cons_idx].tocsr()
 
     # -- gradient / strain sample matrices ------------------------------------
 
@@ -200,21 +203,102 @@ class DiscreteOperators:
         self.Py = sp.bmat([[sp.csr_matrix((NU, NU)), v_at_u], [None, sp.eye(NV)]],
                           format="csr")
 
+    def _build_step_map(self):
+        """Fixed CSR pattern of the step operator and the linear map onto its data.
+
+        With x = [alpha_nodes; w_vec; 1/dt; nu], W/dt and nu*A_strain each
+        scale one source, and every other term of step_matrix has the form
+        L^T diag(c * (S @ x)) R, which expands row by row into (row, col,
+        source, coefficient) triplets.  The triplets are summed into a sparse
+        map from x to the data of the union pattern.
+        """
+        N, nb = self.N, self.grid.n_boundary
+        nsrc = nb + N + 2
+        # wall terms Ttau^T diag(w_gamma (alpha + 0.5 wn)) Ttau + Tn^T diag(0.5 w_gamma wn) Tn
+        T = sp.vstack([self.Ttau, self.Tn])
+        wall = _face_split(T, T, np.concatenate([self.w_gamma, 0.5 * self.w_gamma]),
+                           sp.bmat([[sp.eye(nb), 0.5 * self.Tn, None],
+                                    [None, self.Tn, sp.csr_matrix((nb, 2))]]))
+        # advection N = diag(W Px w) Gx + diag(W Py w) Gy, entered as 0.5*(N - N^T),
+        # whose diagonal cancels exactly
+        eye = sp.eye(N)
+        i, j, k, c = _face_split(
+            sp.vstack([eye, eye]), sp.vstack([self.Gx, self.Gy]),
+            np.concatenate([0.5 * self.Wvec, 0.5 * self.Wvec]),
+            sp.hstack([sp.csr_matrix((2 * N, nb)), sp.vstack([self.Px, self.Py]),
+                       sp.csr_matrix((2 * N, 2))]))
+        off = i != j
+        i, j, k, c = i[off], j[off], k[off], c[off]
+        A = self.A_strain.tocoo()
+        diag = np.arange(N)
+        rows, cols, src, coef = (np.concatenate(t) for t in zip(
+            wall, (i, j, k, c), (j, i, k, -c),
+            (diag, diag, np.full(N, nsrc - 2), self.Wvec),                # W/dt
+            (A.row, A.col, np.full(A.nnz, nsrc - 1), A.data)))            # nu*A_strain
+        keys = rows.astype(np.int64) * N + cols
+        pattern = np.unique(keys)
+        self.step_indices = (pattern % N).astype(np.int32)
+        self.step_indptr = np.searchsorted(pattern, np.arange(N + 1) * N).astype(np.int32)
+        self._step_map = sp.csr_matrix((coef, (np.searchsorted(pattern, keys), src)),
+                                       shape=(pattern.size, nsrc))
+
+    def _build_step_gathers(self):
+        """Positions of L[F][:, C] and of the pinned saddle in the step pattern.
+
+        The saddle is [[L[F][:, F], Gf[:, 1:]], [Df[1:], 0]] in CSC form,
+        with Gf = -cell_area * Df^T; its data is gathered from L.data followed
+        by the constant Gf/Df entries.  Cell 0's pressure column and
+        divergence row are left out (see StepSolver).  Every row and column
+        stays short, so COLAMD orders the matrix well.
+        """
+        F, C = self.free_idx, self.cons_idx
+        nf = F.size
+        local = np.empty(self.N, dtype=np.int32)
+        local[F] = np.arange(nf)
+        local[C] = np.arange(C.size)
+        rows = np.repeat(np.arange(self.N), np.diff(self.step_indptr))
+        cols = self.step_indices
+        free_row = self.free[rows]
+        # L[F][:, C] in CSR: the pattern is row-major with sorted columns
+        fc = np.flatnonzero(free_row & self.constrained[cols])
+        self.fc_src = fc.astype(np.int32)
+        self.fc_indices = local[cols[fc]]
+        self.fc_indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(local[rows[fc]], minlength=nf))]).astype(np.int32)
+
+        ff = np.flatnonzero(free_row & self.free[cols])
+        Df = self.Dmat[:, F].tocoo()
+        pinned = Df.row > 0
+        dr, dc, dv = Df.row[pinned] - 1, Df.col[pinned], Df.data[pinned]
+        self.saddle_const = np.concatenate([(-self.grid.cell_area) * dv, dv])
+        r = np.concatenate([local[rows[ff]], dc, nf + dr])
+        c = np.concatenate([local[cols[ff]], nf + dr, dc])
+        order = np.lexsort((r, c))
+        self.saddle_src = np.concatenate(
+            [ff, self.step_indices.size + np.arange(2 * dv.size)])[order].astype(np.int32)
+        self.saddle_indices = r[order].astype(np.int32)
+        self.saddle_indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(c, minlength=nf + self.ncell - 1))]).astype(np.int32)
+
     def step_matrix(self, dt, nu, alpha_nodes, w_vec):
         """The implicit step operator W/dt + nu*A_strain + Fric(alpha) + K(w).
 
         K(w) is the skew-symmetrized advection 0.5*(N - N^T) plus half the
         boundary flux form; the tangential half of that flux is folded into
-        the friction trace term.
+        the friction trace term:
+
+            Fric(alpha + 0.5 wn) + Tn^T diag(0.5 w_gamma wn) Tn + 0.5 (N - N^T),
+            wn = Tn w,   N = diag(W Px w) Gx + diag(W Py w) Gy.
+
+        The operator is affine in (alpha, w) and linear in (1/dt, nu), so it
+        is stored on one fixed pattern (the union of all terms, explicit zeros
+        included) whose data is one sparse mat-vec M @ [alpha; w; 1/dt; nu],
+        with M built once per grid.  StepSolver gathers its blocks from this
+        data.
         """
-        wx = self.Px @ w_vec
-        wy = self.Py @ w_vec
-        Nmat = sp.diags(self.Wvec * wx) @ self.Gx + sp.diags(self.Wvec * wy) @ self.Gy
-        wn = self.Tn @ w_vec
-        S_n = self.Tn.T @ sp.diags(0.5 * self.w_gamma * wn) @ self.Tn
-        return (sp.diags(self.Wvec / dt) + nu * self.A_strain
-                + self.fric_matrix(alpha_nodes + 0.5 * wn) + S_n
-                + 0.5 * (Nmat - Nmat.T)).tocsr()
+        data = self._step_map @ np.concatenate([alpha_nodes, w_vec, [1.0 / dt, nu]])
+        return sp.csr_matrix((data, self.step_indices, self.step_indptr),
+                             shape=(self.N, self.N))
 
     def apply_adv_cross(self, y_vec, w_vec):
         """Matrix-free X(y) w = K(w) y (derivative of advection in w)."""
@@ -244,13 +328,6 @@ class DiscreteOperators:
     def fric_matrix(self, alpha_nodes):
         return (self.Ttau.T @ sp.diags(self.w_gamma * alpha_nodes) @ self.Ttau).tocsr()
 
-    @property
-    def reduced(self):
-        """Free/constrained sub-blocks shared by every step factorization."""
-        if not hasattr(self, "_reduced"):
-            self._reduced = _ReducedBlocks(self)
-        return self._reduced
-
     def b_load(self, b_nodes):
         """Momentum load of the tangential stress data, integrated form."""
         return self.Ttau.T @ (self.w_gamma * b_nodes)
@@ -272,6 +349,25 @@ class DiscreteOperators:
             from .fields import _fourier_matrix
             self._fourier = _fourier_matrix(self.grid)
         return self._fourier
+
+
+def _face_split(Lm, Rm, c, Sm):
+    """Triplets (i, j, k, coef) of L^T diag(c * (S @ x)) R.
+
+    Entry (i, j) of the product gains coef * x[k] for each triplet; row b of
+    L, R and S contributes every combination of one entry from each.
+    """
+    Lm, Rm, Sm = (sp.csr_matrix(m) for m in (Lm, Rm, Sm))
+    nl, nr, ns = (np.diff(m.indptr) for m in (Lm, Rm, Sm))
+    cnt = nl * nr * ns
+    b = np.repeat(np.arange(cnt.size), cnt)
+    t = np.arange(b.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    ps = Sm.indptr[b] + t % ns[b]
+    t //= ns[b]
+    pr = Rm.indptr[b] + t % nr[b]
+    pl = Lm.indptr[b] + t // nr[b]
+    return (Lm.indices[pl], Rm.indices[pr], Sm.indices[ps],
+            Lm.data[pl] * c[b] * Rm.data[pr] * Sm.data[ps])
 
 
 def _centred_diff(n, h):
@@ -296,45 +392,6 @@ def _edge_to_node(n):
     return E.tocsr()
 
 
-class _ReducedBlocks:
-    """Constant sub-blocks of the step system on the free/constrained split."""
-
-    def __init__(self, ops):
-        self.Df = ops.Dmat[:, ops.free_idx].tocsr()
-        self.Dc = ops.Dmat[:, ops.cons_idx].tocsr()
-        self.Gf = ((-ops.grid.cell_area) * self.Df.T).tocsr()
-        self._template = None
-
-    def assemble_big(self, A_ff):
-        """Saddle matrix [[A_ff, Gf[:, 1:]], [Df[1:], 0]] with cell 0 pinned.
-
-        The pressure of cell 0 is fixed to zero, which removes the constant
-        null space of Gf, and the divergence row of cell 0 is dropped.  That
-        row is redundant: Df.T @ 1 = 0 on free faces, so the cell rows sum to
-        the net wall flux of the data, which callers keep at zero.  Every row
-        and column stays short, so COLAMD orders the matrix well.  The
-        sparsity pattern is reused across steps whose A_ff pattern matches.
-        """
-        A = A_ff.tocsc()
-        A.sort_indices()
-        if self._template is not None:
-            indptr, indices, base, amap, pat_indptr, pat_indices = self._template
-            if (A.indptr.size == pat_indptr.size
-                    and np.array_equal(A.indptr, pat_indptr)
-                    and np.array_equal(A.indices, pat_indices)):
-                data = base.copy()
-                data[amap] = A.data
-                return sp.csc_matrix((data, indices, indptr), shape=(indptr.size - 1,
-                                                                     indptr.size - 1))
-        big = sp.bmat([[A, self.Gf[:, 1:]], [self.Df[1:], None]], format="csc")
-        big.sort_indices()
-        nf = A.shape[0]
-        amap = np.flatnonzero(big.indices[:big.indptr[nf]] < nf)
-        self._template = (big.indptr.copy(), big.indices.copy(), big.data.copy(), amap,
-                          A.indptr.copy(), A.indices.copy())
-        return big
-
-
 class StepSolver:
     """One implicit slip-Stokes step: pinned-pressure saddle system and its LU.
 
@@ -354,16 +411,16 @@ class StepSolver:
     def __init__(self, ops, dt, nu, alpha_nodes, w_adv_vec):
         self.ops = ops
         self.dt = dt
-        rb = ops.reduced
         F, C = ops.free_idx, ops.cons_idx
         self.F, self.C = F, C
         self.nf = F.size
 
-        L = ops.step_matrix(dt, nu, alpha_nodes, w_adv_vec)[F]
-        A_ff = L[:, F]
-        self.M_fc = L[:, C]
-        self.Dc = rb.Dc
-        big = rb.assemble_big(A_ff)
+        data = ops.step_matrix(dt, nu, alpha_nodes, w_adv_vec).data
+        self.M_fc = sp.csr_matrix((data[ops.fc_src], ops.fc_indices, ops.fc_indptr),
+                                  shape=(self.nf, C.size))
+        n = ops.saddle_indptr.size - 1
+        big = sp.csc_matrix((np.concatenate([data, ops.saddle_const])[ops.saddle_src],
+                             ops.saddle_indices, ops.saddle_indptr), shape=(n, n))
         try:
             self.lu = spla.splu(big)
         except RuntimeError as exc:
@@ -389,7 +446,7 @@ class StepSolver:
         ops = self.ops
         y_c = (ops.Mbc @ a_nodes)[self.C]
         rhs_f = rhs_mom_full[self.F] - self.M_fc @ y_c
-        rhs_div = -(self.Dc @ y_c)
+        rhs_div = -(ops.Dc @ y_c)
         rhs = np.concatenate([rhs_f, rhs_div[1:]])
         sol = self.lu.solve(rhs)
         self._check(sol, rhs)

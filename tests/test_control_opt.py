@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import slipctl
 
 from slipctl.control_opt import (CostParams, GradientEngine, cost_gradient,
                                  evaluate_cost, fd_gradient_oracle,
@@ -276,3 +282,38 @@ def test_optimize_records_state_and_adjoint_time(small):
     assert rep.wall_clock["state"] > 0.0
     assert rep.wall_clock["adjoint"] > 0.0
     assert rep.wall_clock["state"] + rep.wall_clock["adjoint"] <= rep.wall_clock["total"]
+
+
+_GRADIENT_64X4 = """
+import resource
+import numpy as np
+from slipctl.control_opt import CostParams, GradientEngine, random_admissible_control
+from slipctl.fields import VelocityField
+from slipctl.mesh import TimeGrid, build_grid
+grid = build_grid(64, 64, 1.0, 1.0)
+tg = TimeGrid(0.5, 4)
+ctrl = random_admissible_control(grid, tg, np.random.default_rng(0), amplitude=0.4)
+target = [VelocityField(grid, 0.1 * np.ones(grid.shape_u), np.zeros(grid.shape_v))
+          for _ in range(tg.nt + 1)]
+engine = GradientEngine(VelocityField(grid), CostParams(y_d=target, lam1=0.05, lam2=0.02))
+grad, _ = engine.gradient(ctrl)
+assert np.isfinite(grad.ga).all() and np.isfinite(grad.gb).all()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+# A 64x64, nt = 4 gradient peaks at 115-119 MB (Linux, numpy/scipy with one
+# BLAS thread); the ceiling is that plus 25%.  Fill or memory kept across
+# steps or sweeps shows up here first.
+GRADIENT_64X4_RSS_CEILING_MB = 150.0
+
+
+@pytest.mark.slow
+def test_gradient_64x4_peak_rss_under_ceiling():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(slipctl.__file__)))
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _GRADIENT_64X4], env=env, check=True,
+                         capture_output=True, text=True, timeout=600)
+    peak_mb = int(out.stdout.split()[-1]) / 1024.0    # ru_maxrss is in KiB on Linux
+    assert peak_mb < GRADIENT_64X4_RSS_CEILING_MB

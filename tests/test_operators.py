@@ -7,6 +7,7 @@ identity, and the wall telescoping that makes linear shear profiles exact.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from slipctl.fields import VelocityField
 from slipctl.mesh import build_grid
@@ -49,6 +50,51 @@ def _advection_part(ops, w, dt=0.05, nu=1.0, alpha=1.3):
     """Advection part K(w) of the step operator."""
     a = np.full(ops.grid.n_boundary, alpha)
     return ops.step_matrix(dt, nu, a, w) - ops.step_matrix(dt, nu, a, np.zeros(ops.N))
+
+
+def _step_matrix_oracle(ops, dt, nu, alpha_nodes, w_vec):
+    """Term-by-term sp.diags assembly of the step operator, the reference."""
+    wx = ops.Px @ w_vec
+    wy = ops.Py @ w_vec
+    Nmat = sp.diags(ops.Wvec * wx) @ ops.Gx + sp.diags(ops.Wvec * wy) @ ops.Gy
+    wn = ops.Tn @ w_vec
+    S_n = ops.Tn.T @ sp.diags(0.5 * ops.w_gamma * wn) @ ops.Tn
+    return (sp.diags(ops.Wvec / dt) + nu * ops.A_strain
+            + ops.fric_matrix(alpha_nodes + 0.5 * wn) + S_n
+            + 0.5 * (Nmat - Nmat.T)).tocsr()
+
+
+def _same_arrays(a, b, fmt):
+    a, b = a.asformat(fmt), b.asformat(fmt)
+    return all(np.array_equal(getattr(a, k), getattr(b, k))
+               for k in ("indptr", "indices", "data"))
+
+
+def test_step_matrix_matches_term_by_term_oracle():
+    """The affine data map reproduces the sp.diags assembly on a fixed
+    pattern, and StepSolver's gathered blocks equal the sliced ones."""
+    from slipctl.operators import StepSolver
+    grid = build_grid(7, 9, 1.2, 0.8)
+    ops = grid.ops
+    rng = np.random.default_rng(11)
+    F, C = ops.free_idx, ops.cons_idx
+    for w in (rng.standard_normal(ops.N), np.zeros(ops.N)):
+        alpha = rng.uniform(0.2, 2.0, grid.n_boundary)
+        L = ops.step_matrix(0.05, 0.7, alpha, w)
+        ref = _step_matrix_oracle(ops, 0.05, 0.7, alpha, w)
+        assert abs(L - ref).max() <= 1e-14 * abs(ref).max()
+        # the pattern does not depend on the data; at w = 0 it holds zeros
+        assert np.array_equal(L.indptr, ops.step_indptr)
+        assert np.array_equal(L.indices, ops.step_indices)
+
+        step = StepSolver(ops, 0.05, 0.7, alpha, w)
+        LF = L[F]
+        Df = ops.Dmat[:, F]
+        Gf = (-grid.cell_area) * Df.T
+        big = sp.bmat([[LF[:, F], Gf[:, 1:]], [Df[1:], None]], format="csc")
+        big.sort_indices()
+        assert _same_arrays(step._big, big, "csc")
+        assert _same_arrays(step.M_fc, LF[:, C], "csr")
 
 
 def test_advection_cross_identity(grid):
