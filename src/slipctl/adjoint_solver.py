@@ -97,11 +97,12 @@ def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
     pi_slices = [None] * tg.nt
     p_slices[tg.nt] = VelocityField(g)
 
+    ref = sp_.reference_lu()
     lam_next = np.zeros(ops.N)   # lambda_{k+1}, extended by zero on the walls
     cross_next = np.zeros(ops.N)  # X(y_{k+1})^T lambda_{k+1}
     for k in range(tg.nt, 0, -1):
         rhs_full = dt * (ops.Wvec * U[k]) + ops.Wvec * lam_next / dt - cross_next
-        step = StepSolver(ops, dt, sp_.nu, sp_.friction.alpha[k], yvec[k - 1])
+        step = StepSolver(ops, dt, sp_.nu, sp_.friction.alpha[k], yvec[k - 1], lu=ref)
         lam_full, q = step.solve_transpose(rhs_full[ops.free_idx])
 
         # pairing against f_k: direct cost term, implicit coupling, divergence

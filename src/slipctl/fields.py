@@ -236,40 +236,13 @@ def spatial_mean(y: VelocityField):
 # control norm
 
 
-def _gagliardo_kernel(grid, p):
-    """Pairwise kernel w_e w_e' / d(e,e')^p with geodesic loop distance."""
-    s = grid.boundary_s
-    L = grid.loop_length
-    ds = np.abs(s[:, None] - s[None, :])
-    d = np.minimum(ds, L - ds)
-    np.fill_diagonal(d, 1.0)
-    w = grid.boundary_weight
-    ker = (w[:, None] * w[None, :]) / d ** p
-    np.fill_diagonal(ker, 0.0)
-    return ker
-
-
-def _fourier_matrix(grid):
-    """Quadrature DFT onto loop modes exp(2 pi i k s / L), k = 0..n//2."""
-    s = grid.boundary_s
-    L = grid.loop_length
-    kmax = grid.n_boundary // 2
-    k = np.arange(kmax + 1)
-    F = np.exp(-2j * np.pi * np.outer(k, s) / L) * grid.boundary_weight[None, :]
-    mu = (1.0 + k) ** (-0.5)
-    mult = np.full(kmax + 1, 2.0)
-    mult[0] = 1.0
-    return F, mu, mult
-
-
 def boundary_wp_norm(grid, a_slice, p):
     """Discrete W_p^{1-1/p}(Gamma) surrogate: L_p norm plus Gagliardo seminorm.
 
     For fractional order s = 1-1/p the Gagliardo exponent 1+sp collapses
     to p, so the double sum uses |a_e - a_e'|^p / d^p.
     """
-    ops = grid.ops
-    ker = ops.gagliardo_kernel(p)
+    ker = grid.gagliardo_kernel(p)
     lp = np.dot(grid.boundary_weight, np.abs(a_slice) ** p) ** (1.0 / p)
     diff = np.abs(a_slice[:, None] - a_slice[None, :]) ** p
     semi = float((ker * diff).sum()) ** (1.0 / p)
@@ -278,7 +251,7 @@ def boundary_wp_norm(grid, a_slice, p):
 
 def boundary_hminus_half_norm(grid, q_slice):
     """Spectrally weighted H^{-1/2}(Gamma) surrogate via loop Fourier modes."""
-    F, mu, mult = grid.ops.fourier_matrix()
+    F, mu, mult = grid.fourier_matrix()
     c = F @ q_slice
     return float(np.sqrt((mult * mu * np.abs(c) ** 2).sum() / grid.loop_length))
 

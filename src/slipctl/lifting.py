@@ -29,10 +29,12 @@ class LiftingResult:
 
 
 class _NeumannSolver:
-    """Cached factorization of the Neumann Laplacian with cell 0 pinned."""
+    """Cached factorization of the Neumann Laplacian with cell 0 pinned.
+
+    Cached on its grid, so it keeps no reference back to it.
+    """
 
     def __init__(self, grid):
-        self.grid = grid
         ops = grid.ops
         self.Gint = self._interior_gradient(grid)
         self.L_pin = ((grid.cell_area * ops.Dmat) @ self.Gint).tocsc()[1:, 1:]
@@ -44,8 +46,8 @@ class _NeumannSolver:
         ops = grid.ops
         return -(sp.diags(ops.free.astype(float)) @ ops.Dmat.T).tocsr()
 
-    def solve(self, a_nodes):
-        grid, ops = self.grid, self.grid.ops
+    def solve(self, grid, a_nodes):
+        ops = grid.ops
         flux = integrate_boundary(grid, a_nodes)
         scale = max(1.0, float(np.abs(a_nodes).max()))
         if abs(flux) > FLUX_TOL * scale:
@@ -77,7 +79,7 @@ def solve_neumann_lifting(grid, a_nodes) -> LiftingResult:
     The returned gradient has normal trace exactly equal to a on every wall
     face; the interior faces carry the potential differences.
     """
-    h, grad = _solver_for(grid).solve(np.asarray(a_nodes, dtype=float))
+    h, grad = _solver_for(grid).solve(grid, np.asarray(a_nodes, dtype=float))
     return LiftingResult(h, grad)
 
 
@@ -87,7 +89,7 @@ def time_lifting(grid, a_slices):
     out = []
     for k, a_k in enumerate(a_slices):
         try:
-            h, grad = solver.solve(np.asarray(a_k, dtype=float))
+            h, grad = solver.solve(grid, np.asarray(a_k, dtype=float))
         except (IncompatibleFlux, SolverDivergence) as exc:
             raise type(exc)("time slice %d: %s" % (k, exc))
         out.append(LiftingResult(h, grad))

@@ -49,8 +49,9 @@ def solve_linearized(problem: LinearizedProblem):
     pis = []
     z_prev = np.zeros(ops.N)
     yvec = base.velocity_vecs()
+    ref = sp_.reference_lu()
     for k in range(1, tg.nt + 1):
-        step = StepSolver(ops, dt, sp_.nu, sp_.friction.alpha[k], yvec[k - 1])
+        step = StepSolver(ops, dt, sp_.nu, sp_.friction.alpha[k], yvec[k - 1], lu=ref)
         rhs = (ops.Wvec * z_prev / dt - ops.apply_adv_cross(yvec[k], z_prev)
                + ops.b_load(problem.g[k]))
         try:
@@ -73,7 +74,7 @@ def linearized_step_apply(ops, dt, nu, alpha_nodes, w_adv_vec, y_new_vec, xi_fre
     xi_full = np.zeros(ops.N)
     xi_full[ops.free_idx] = xi_free
     rhs = ops.Wvec * xi_full / dt - ops.apply_adv_cross(y_new_vec, xi_full)
-    z_vec, _ = step.solve(rhs, np.zeros(ops.grid.n_boundary))
+    z_vec, _ = step.solve(rhs, np.zeros(ops.n_boundary))
     return z_vec[ops.free_idx]
 
 

@@ -38,6 +38,8 @@ class Grid:
         self.corner_cells = (
             (0, 0), (self.nx - 1, 0), (self.nx - 1, self.ny - 1), (0, self.ny - 1))
         self._ops = None
+        self._gagliardo = {}
+        self._fourier = None
 
     def _build_loop(self):
         nx, ny, hx, hy = self.nx, self.ny, self.hx, self.hy
@@ -117,6 +119,32 @@ class Grid:
             from . import operators
             self._ops = operators.DiscreteOperators(self)
         return self._ops
+
+    def gagliardo_kernel(self, p):
+        """Pairwise kernel w_e w_e' / d(e,e')^p with geodesic loop distance (cached)."""
+        if p not in self._gagliardo:
+            s, L = self.boundary_s, self.loop_length
+            ds = np.abs(s[:, None] - s[None, :])
+            d = np.minimum(ds, L - ds)
+            np.fill_diagonal(d, 1.0)
+            w = self.boundary_weight
+            ker = (w[:, None] * w[None, :]) / d ** p
+            np.fill_diagonal(ker, 0.0)
+            self._gagliardo[p] = ker
+        return self._gagliardo[p]
+
+    def fourier_matrix(self):
+        """Quadrature DFT onto loop modes exp(2 pi i k s / L), k = 0..n//2 (cached)."""
+        if self._fourier is None:
+            kmax = self.n_boundary // 2
+            k = np.arange(kmax + 1)
+            F = (np.exp(-2j * np.pi * np.outer(k, self.boundary_s) / self.loop_length)
+                 * self.boundary_weight[None, :])
+            mu = (1.0 + k) ** (-0.5)
+            mult = np.full(kmax + 1, 2.0)
+            mult[0] = 1.0
+            self._fourier = (F, mu, mult)
+        return self._fourier
 
     def key(self):
         return (self.nx, self.ny, self.Lx, self.Ly)

@@ -28,35 +28,43 @@ import scipy.sparse.linalg as spla
 from .errors import SolverDivergence
 
 LINEAR_RESIDUAL_TOL = 1e-9
+# iterative refinement against a nearby factor: a correction is kept while it
+# cuts the residual norm by at least REFINE_RATE, for at most REFINE_MAX_STEPS
+REFINE_RATE = 0.5
+REFINE_MAX_STEPS = 20
 
 
 class DiscreteOperators:
-    """Per-grid operator cache; built once, shared read-only."""
+    """Per-grid operator cache; built once, shared read-only.
+
+    No reference to the grid is kept: the grid owns its operators, and
+    without a cycle between them both are freed by reference count.  The
+    one mutable member is the reference-factor slot (see reference_lu).
+    """
 
     def __init__(self, grid):
-        self.grid = grid
         nx, ny = grid.nx, grid.ny
         self.NU = (nx + 1) * ny
         self.NV = nx * (ny + 1)
         self.N = self.NU + self.NV
         self.ncell = nx * ny
         self.nvert = (nx + 1) * (ny + 1)
-        self._build_indexing()
-        self._build_weights()
-        self._build_divergence()
-        self._build_gradients()
-        self._build_traces()
-        self._build_advection_stencils()
+        self.n_boundary = grid.n_boundary
+        self._build_indexing(grid)
+        self._build_weights(grid)
+        self._build_divergence(grid)
+        self._build_gradients(grid)
+        self._build_traces(grid)
+        self._build_advection_stencils(grid)
         self.A_strain = self._assemble_strain_form()
         self._build_step_map()
-        self._build_step_gathers()
-        self._gagliardo = {}
-        self._fourier = None
+        self._build_step_gathers(grid.cell_area)
+        self._reference = None
 
     # -- indexing ----------------------------------------------------------
 
-    def _build_indexing(self):
-        nx, ny = self.grid.nx, self.grid.ny
+    def _build_indexing(self, grid):
+        nx, ny = grid.nx, grid.ny
         self._iu = np.arange(self.NU).reshape(nx + 1, ny)
         self._iv = self.NU + np.arange(self.NV).reshape(nx, ny + 1)
         constrained = np.zeros(self.N, dtype=bool)
@@ -71,8 +79,7 @@ class DiscreteOperators:
 
     # -- quadrature weights --------------------------------------------------
 
-    def _build_weights(self):
-        g = self.grid
+    def _build_weights(self, g):
         nx, ny = g.nx, g.ny
         area = g.cell_area
         W = np.full(self.N, area)
@@ -89,8 +96,7 @@ class DiscreteOperators:
 
     # -- divergence ----------------------------------------------------------
 
-    def _build_divergence(self):
-        g = self.grid
+    def _build_divergence(self, g):
         nx, ny = g.nx, g.ny
         ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
         rows = (ii * ny + jj).ravel()
@@ -106,8 +112,7 @@ class DiscreteOperators:
 
     # -- gradient / strain sample matrices ------------------------------------
 
-    def _build_gradients(self):
-        g = self.grid
+    def _build_gradients(self, g):
         nx, ny, hx, hy = g.nx, g.ny, g.hx, g.hy
 
         # du/dx at cell centers
@@ -156,10 +161,10 @@ class DiscreteOperators:
 
     # -- boundary traces -------------------------------------------------------
 
-    def _build_traces(self):
-        nx, ny = self.grid.nx, self.grid.ny
+    def _build_traces(self, grid):
+        nx, ny = grid.nx, grid.ny
         iu, iv = self._iu, self._iv
-        ngb = self.grid.n_boundary
+        ngb = grid.n_boundary
         # per wall, in loop order: the wall-normal faces, the tangential faces
         # next to the wall and one row in, each ordered along the loop, and
         # the signs of y.n and of y.tau in those components
@@ -184,8 +189,7 @@ class DiscreteOperators:
 
     # -- advection -------------------------------------------------------------
 
-    def _build_advection_stencils(self):
-        g = self.grid
+    def _build_advection_stencils(self, g):
         nx, ny, hx, hy = g.nx, g.ny, g.hx, g.hy
         NU, NV = self.NU, self.NV
         # Gx, Gy: derivative of each component at its own points
@@ -212,7 +216,7 @@ class DiscreteOperators:
         source, coefficient) triplets.  The triplets are summed into a sparse
         map from x to the data of the union pattern.
         """
-        N, nb = self.N, self.grid.n_boundary
+        N, nb = self.N, self.n_boundary
         nsrc = nb + N + 2
         # wall terms Ttau^T diag(w_gamma (alpha + 0.5 wn)) Ttau + Tn^T diag(0.5 w_gamma wn) Tn
         T = sp.vstack([self.Ttau, self.Tn])
@@ -242,7 +246,7 @@ class DiscreteOperators:
         self._step_map = sp.csr_matrix((coef, (np.searchsorted(pattern, keys), src)),
                                        shape=(pattern.size, nsrc))
 
-    def _build_step_gathers(self):
+    def _build_step_gathers(self, cell_area):
         """Positions of L[F][:, C] and of the pinned saddle in the step pattern.
 
         The saddle is [[L[F][:, F], Gf[:, 1:]], [Df[1:], 0]] in CSC form,
@@ -270,7 +274,7 @@ class DiscreteOperators:
         Df = self.Dmat[:, F].tocoo()
         pinned = Df.row > 0
         dr, dc, dv = Df.row[pinned] - 1, Df.col[pinned], Df.data[pinned]
-        self.saddle_const = np.concatenate([(-self.grid.cell_area) * dv, dv])
+        self.saddle_const = np.concatenate([(-cell_area) * dv, dv])
         r = np.concatenate([local[rows[ff]], dc, nf + dr])
         c = np.concatenate([local[cols[ff]], nf + dr, dc])
         order = np.lexsort((r, c))
@@ -299,6 +303,29 @@ class DiscreteOperators:
         data = self._step_map @ np.concatenate([alpha_nodes, w_vec, [1.0 / dt, nu]])
         return sp.csr_matrix((data, self.step_indices, self.step_indptr),
                              shape=(self.N, self.N))
+
+    def step_saddle(self, data):
+        """Pinned saddle matrix (CSC) gathered from step_matrix data."""
+        n = self.saddle_indptr.size - 1
+        return sp.csc_matrix((np.concatenate([data, self.saddle_const])[self.saddle_src],
+                              self.saddle_indices, self.saddle_indptr), shape=(n, n))
+
+    def reference_lu(self, dt, nu, alpha_nodes, w_vec):
+        """LU of the step saddle at (dt, nu, alpha, w), kept in a one-entry slot.
+
+        The slot is keyed by the exact entries of the saddle matrix, so a hit
+        returns the same factor a fresh factorization would, and no result
+        depends on what was solved before.  The (key, LU) pair is replaced
+        in one assignment, so threads sharing the operators see either the
+        old pair or the new one.
+        """
+        big = self.step_saddle(self.step_matrix(dt, nu, alpha_nodes, w_vec).data)
+        slot = self._reference
+        if slot is not None and np.array_equal(slot[0], big.data):
+            return slot[1]
+        lu = _factor(big)
+        self._reference = (big.data, lu)
+        return lu
 
     def apply_adv_cross(self, y_vec, w_vec):
         """Matrix-free X(y) w = K(w) y (derivative of advection in w)."""
@@ -336,19 +363,12 @@ class DiscreteOperators:
         """Full velocity vector with the wall-normal faces set from a."""
         return self.Mbc @ a_nodes
 
-    # -- control-norm helpers ---------------------------------------------------
 
-    def gagliardo_kernel(self, p):
-        if p not in self._gagliardo:
-            from .fields import _gagliardo_kernel
-            self._gagliardo[p] = _gagliardo_kernel(self.grid, p)
-        return self._gagliardo[p]
-
-    def fourier_matrix(self):
-        if self._fourier is None:
-            from .fields import _fourier_matrix
-            self._fourier = _fourier_matrix(self.grid)
-        return self._fourier
+def _factor(big):
+    try:
+        return spla.splu(big)
+    except RuntimeError as exc:
+        raise SolverDivergence("step matrix factorization failed: %s" % exc)
 
 
 def _face_split(Lm, Rm, c, Sm):
@@ -393,7 +413,7 @@ def _edge_to_node(n):
 
 
 class StepSolver:
-    """One implicit slip-Stokes step: pinned-pressure saddle system and its LU.
+    """One implicit slip-Stokes step: pinned-pressure saddle system and its solves.
 
     Solves, for the free face unknowns y_f and the cell pressure p,
 
@@ -404,11 +424,16 @@ class StepSolver:
     mean multiplier: the divergence of cell 0 follows from the others
     because the data carry zero net flux, and a constant pressure shift
     leaves the momentum rows unchanged, so p is returned shifted to mean
-    zero.  The same factorization solves the transposed system for adjoint
-    sweeps.
+    zero.  The transposed system is solved for adjoint sweeps.
+
+    Every solve is refined iteratively against this step's own matrix.  Given
+    the LU of a nearby step (the sweeps pass the problem's reference factor,
+    see DiscreteOperators.reference_lu), refinement replaces a factorization
+    per step; when it does not reach LINEAR_RESIDUAL_TOL, the step factors
+    its own matrix and solves again.
     """
 
-    def __init__(self, ops, dt, nu, alpha_nodes, w_adv_vec):
+    def __init__(self, ops, dt, nu, alpha_nodes, w_adv_vec, lu=None):
         self.ops = ops
         self.dt = dt
         F, C = ops.free_idx, ops.cons_idx
@@ -418,23 +443,40 @@ class StepSolver:
         data = ops.step_matrix(dt, nu, alpha_nodes, w_adv_vec).data
         self.M_fc = sp.csr_matrix((data[ops.fc_src], ops.fc_indices, ops.fc_indptr),
                                   shape=(self.nf, C.size))
-        n = ops.saddle_indptr.size - 1
-        big = sp.csc_matrix((np.concatenate([data, ops.saddle_const])[ops.saddle_src],
-                             ops.saddle_indices, ops.saddle_indptr), shape=(n, n))
-        try:
-            self.lu = spla.splu(big)
-        except RuntimeError as exc:
-            raise SolverDivergence("step matrix factorization failed: %s" % exc)
-        self._big = big
+        self._big = ops.step_saddle(data)
+        self._own = lu is None
+        self.lu = _factor(self._big) if lu is None else lu
 
-    def _check(self, sol, rhs, trans=False):
+    def _refine(self, rhs, trans):
+        """Refined solution against self.lu and its relative residual."""
         big = self._big.T if trans else self._big
-        res = big @ sol - rhs
-        scale = max(np.linalg.norm(rhs), 1e-30)
-        rel = np.linalg.norm(res) / scale
+        mode = "T" if trans else "N"
+        sol = self.lu.solve(rhs, trans=mode)
+        res = rhs - big @ sol
+        rn = np.linalg.norm(res)
+        for _ in range(REFINE_MAX_STEPS):
+            if not rn > 0.0:
+                break
+            cand = sol + self.lu.solve(res, trans=mode)
+            cres = rhs - big @ cand
+            cn = np.linalg.norm(cres)
+            if not cn <= REFINE_RATE * rn:
+                break
+            sol, res, rn = cand, cres, cn
+        return sol, rn / max(np.linalg.norm(rhs), 1e-30)
+
+    def _check(self, rel, trans):
         if not np.isfinite(rel) or rel > LINEAR_RESIDUAL_TOL:
             raise SolverDivergence("%s step residual %.3e above tolerance"
                                    % ("adjoint" if trans else "linear", rel))
+
+    def _solve(self, rhs, trans=False):
+        sol, rel = self._refine(rhs, trans)
+        if not rel <= LINEAR_RESIDUAL_TOL and not self._own:
+            self.lu, self._own = _factor(self._big), True
+            sol, rel = self._refine(rhs, trans)
+        self._check(rel, trans)
+        return sol
 
     def _split(self, sol):
         """Free-face block and mean-zero cell block, the pinned cell put back."""
@@ -447,9 +489,7 @@ class StepSolver:
         y_c = (ops.Mbc @ a_nodes)[self.C]
         rhs_f = rhs_mom_full[self.F] - self.M_fc @ y_c
         rhs_div = -(ops.Dc @ y_c)
-        rhs = np.concatenate([rhs_f, rhs_div[1:]])
-        sol = self.lu.solve(rhs)
-        self._check(sol, rhs)
+        sol = self._solve(np.concatenate([rhs_f, rhs_div[1:]]))
         y = np.empty(ops.N)
         y[self.F], p = self._split(sol)
         y[self.C] = y_c
@@ -458,9 +498,7 @@ class StepSolver:
     def solve_transpose(self, rhs_free):
         """Adjoint step: solve Big^T (lam, q) = (rhs_free, 0)."""
         ops = self.ops
-        rhs = np.concatenate([rhs_free, np.zeros(ops.ncell - 1)])
-        sol = self.lu.solve(rhs, trans="T")
-        self._check(sol, rhs, trans=True)
+        sol = self._solve(np.concatenate([rhs_free, np.zeros(ops.ncell - 1)]), trans=True)
         lam_full = np.zeros(ops.N)
         lam_full[self.F], q = self._split(sol)
         return lam_full, q

@@ -50,6 +50,15 @@ class StateProblem:
             raise ValueError("controls leave the admissible ball: %.3e > %.3e"
                              % (n, self.controls.radius))
 
+    def reference_lu(self):
+        """The problem's reference step factor: step 1, advected by y0.
+
+        It depends on (dt, nu, alpha[1], y0) and not on the controls, so the
+        state, tangent and adjoint sweeps of every control share it.
+        """
+        return self.grid.ops.reference_lu(self.time_grid.dt, self.nu,
+                                          self.friction.alpha[1], self.y0.to_vec())
+
     def content_hash(self):
         h = hashlib.sha256()
         h.update(repr(self.grid.key()).encode())
@@ -61,11 +70,14 @@ class StateProblem:
 
 
 def stokes_slip_solve(grid, advecting: VelocityField, y_prev: VelocityField,
-                      a_next, b_next, alpha_next, dt, nu=1.0):
-    """One implicit step of the linearized (Picard) slip system."""
+                      a_next, b_next, alpha_next, dt, nu=1.0, lu=None):
+    """One implicit step of the linearized (Picard) slip system.
+
+    lu, if given, is the nearby factor the step refines against.
+    """
     ops = grid.ops
     step = StepSolver(ops, dt, nu, np.asarray(alpha_next, dtype=float),
-                      advecting.to_vec())
+                      advecting.to_vec(), lu=lu)
     rhs = ops.Wvec * y_prev.to_vec() / dt + ops.b_load(np.asarray(b_next, dtype=float))
     y_vec, p = step.solve(rhs, np.asarray(a_next, dtype=float))
     return (VelocityField.from_vec(grid, y_vec),
@@ -80,10 +92,11 @@ def solve_state(problem: StateProblem) -> StateTrajectory:
     ys = [problem.y0.copy()]
     ps = []
     y_prev = problem.y0
+    ref = problem.reference_lu()
     for k in range(1, tg.nt + 1):
         try:
             y_k, p_k = stokes_slip_solve(g, y_prev, y_prev, ctrl.a[k], ctrl.b[k],
-                                         fric.alpha[k], tg.dt, problem.nu)
+                                         fric.alpha[k], tg.dt, problem.nu, lu=ref)
         except SolverDivergence as exc:
             raise SolverDivergence("state step %d: %s" % (k, exc))
         dv = np.abs(divergence(y_k)).max()

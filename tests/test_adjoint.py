@@ -193,3 +193,43 @@ def test_export_kernels_csv(tmp_path, setup):
         lines = (tmp_path / name).read_text().strip().splitlines()
         assert lines[0] == "t,s,value"
         assert len(lines) == 1 + tg.nt * grid.n_boundary
+
+
+def test_sweeps_share_one_reference_factor(setup, splu_spy):
+    """Once a problem's reference factor is in the slot, a state solve, an
+    adjoint sweep and a tangent sweep at other controls factor nothing."""
+    grid, tg, prob, traj = setup
+    rng = np.random.default_rng(31)
+    ctrl = random_admissible_control(grid, tg, rng, amplitude=0.3)
+    other = StateProblem(grid, tg, prob.y0, ctrl, prob.friction, validate=False)
+    splu_spy.calls = 0
+    for p in (prob, other):
+        base = solve_state(p)
+        solve_adjoint(AdjointProblem(p, base, random_source(grid, tg, 32)))
+        d = random_admissible_control(grid, tg, rng, amplitude=0.3)
+        solve_linearized(LinearizedProblem(p, base, d.a, d.b))
+    assert splu_spy.calls == 0
+
+
+def test_sweeps_bitwise_equal_for_cold_warm_and_fresh_slots(setup):
+    """The reference factor is a pure function of the problem: a cold slot,
+    a warm one and a fresh grid with the same key give the same bits."""
+    grid, tg, prob, traj = setup
+    U = random_source(grid, tg, 33)
+
+    def run(p):
+        t = solve_state(p)
+        adj = solve_adjoint(AdjointProblem(p, t, U))
+        return ([y.to_vec() for y in t.velocities] + [q.q for q in t.pressures]
+                + [adj.kernel_a, adj.kernel_b])
+
+    warm = run(prob)
+    grid.ops._reference = None
+    cold = run(prob)
+    g2 = build_grid(8, 8, 1.0, 1.0)
+    c = prob.controls
+    fresh = run(StateProblem(g2, tg, VelocityField(g2),
+                             BoundaryControl(g2, tg, c.a, c.b, c.p_exponent, c.radius),
+                             validate=False))
+    for other in (cold, fresh):
+        assert all(np.array_equal(x, y) for x, y in zip(warm, other))

@@ -261,3 +261,17 @@ def test_config_hash_stable(tmp_path):
     assert rc1.config_hash() == rc2.config_hash()
     rc3 = RunConfig(cfg, seed_override=99)
     assert rc3.config_hash() != rc1.config_hash()
+
+
+def test_grad_check_workers_byte_identical(tmp_path):
+    """Two worker threads share the engine cache, the operators and their
+    reference factor; the artifacts match a one-worker run byte for byte.
+    Four directions make 17 engine entries, so the cache clears mid-run."""
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("samples = 3", "samples = 4"))
+    outs = [str(tmp_path / ("w" + n)) for n in ("1", "2")]
+    for out, n in zip(outs, ("1", "2")):
+        assert main(["grad-check", "--config", cfg, "--out", out, "--workers", n]) == EXIT_OK
+    for name in ("gradcheck.csv", "kernels_normal.csv", "kernels_tangent.csv"):
+        b1 = open(os.path.join(outs[0], name), "rb").read()
+        b2 = open(os.path.join(outs[1], name), "rb").read()
+        assert b1 == b2, name

@@ -103,3 +103,25 @@ def test_integrate_shape_errors():
         integrate_boundary(g, np.ones(7))
     with pytest.raises(ValueError):
         integrate_interior(g, np.ones((3, 3)))
+
+
+def test_grid_operators_freed_by_reference_count():
+    """Grid and operators hold no cycle: with the collector off, dropping
+    the last reference to a grid that has solved frees its operators."""
+    import gc
+    import weakref
+    from slipctl.fields import BoundaryControl, VelocityField
+    from slipctl.lifting import solve_neumann_lifting
+    from slipctl.state_solver import StateProblem, solve_state
+    gc.disable()
+    try:
+        grid = build_grid(8, 8, 1.0, 1.0)
+        tg = TimeGrid(0.2, 2)
+        solve_state(StateProblem(grid, tg, VelocityField(grid), BoundaryControl(grid, tg)))
+        solve_neumann_lifting(grid, np.zeros(grid.n_boundary))
+        ops = weakref.ref(grid.ops)
+        assert ops()._reference is not None
+        del grid
+        assert ops() is None
+    finally:
+        gc.enable()

@@ -48,7 +48,7 @@ def test_normal_trace_roundtrip(grid):
 
 def _advection_part(ops, w, dt=0.05, nu=1.0, alpha=1.3):
     """Advection part K(w) of the step operator."""
-    a = np.full(ops.grid.n_boundary, alpha)
+    a = np.full(ops.n_boundary, alpha)
     return ops.step_matrix(dt, nu, a, w) - ops.step_matrix(dt, nu, a, np.zeros(ops.N))
 
 
@@ -200,8 +200,8 @@ def test_step_solver_residual_guard(grid, monkeypatch):
     rng = np.random.default_rng(5)
     from slipctl import operators
     from slipctl.errors import SolverDivergence
-    step = operators.StepSolver(ops, 0.05, 1.0, np.ones(grid.n_boundary),
-                                rng.standard_normal(ops.N))
+    w = rng.standard_normal(ops.N)
+    step = operators.StepSolver(ops, 0.05, 1.0, np.ones(grid.n_boundary), w)
     a = rng.standard_normal(grid.n_boundary)
     a -= (a @ grid.boundary_weight) / grid.loop_length
     rhs = rng.standard_normal(ops.N)
@@ -217,11 +217,17 @@ def test_step_solver_residual_guard(grid, monkeypatch):
     assert np.abs(ops.Dmat[:, F] @ lam[F]).max() <= 1e-9
     assert abs(q.sum()) < 1e-9
 
+    # a step refined against another step's factor falls back to its own
+    # factor and then hits the same guard
+    ref_lu = ops.reference_lu(0.05, 1.0, np.ones(grid.n_boundary), np.zeros(ops.N))
     monkeypatch.setattr(operators, "LINEAR_RESIDUAL_TOL", -1.0)
-    with pytest.raises(SolverDivergence, match="linear step residual"):
-        step.solve(rhs, a)
-    with pytest.raises(SolverDivergence, match="adjoint step residual"):
-        step.solve_transpose(rng.standard_normal(F.size))
+    for lu in (None, ref_lu):
+        step = operators.StepSolver(ops, 0.05, 1.0, np.ones(grid.n_boundary), w, lu=lu)
+        with pytest.raises(SolverDivergence, match="linear step residual"):
+            step.solve(rhs, a)
+        step = operators.StepSolver(ops, 0.05, 1.0, np.ones(grid.n_boundary), w, lu=lu)
+        with pytest.raises(SolverDivergence, match="adjoint step residual"):
+            step.solve_transpose(rng.standard_normal(F.size))
 
 
 def test_step_saddle_stays_sparse_at_128():
@@ -237,3 +243,93 @@ def test_step_saddle_stays_sparse_at_128():
     assert np.diff(big.indptr).max() <= 16
     assert np.bincount(big.indices, minlength=big.shape[0]).max() <= 16
     assert step.lu.L.nnz + step.lu.U.nnz < 10_000_000
+
+
+def _step_case(seed, n=16):
+    grid = build_grid(n, n, 1.0, 1.0)
+    ops = grid.ops
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(grid.n_boundary)
+    a -= (a @ grid.boundary_weight) / grid.loop_length
+    return (grid, ops, rng, rng.uniform(0.5, 1.5, grid.n_boundary), a,
+            rng.standard_normal(ops.N), rng.standard_normal(ops.free_idx.size))
+
+
+def _rel(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+def test_refined_solves_match_direct_lu(splu_spy):
+    """Forward and transpose solves refined against the factor of a nearby
+    step (w = 0) agree with the step's own LU, without factoring it."""
+    from slipctl.operators import StepSolver
+    grid, ops, rng, alpha, a, rhs, rhs_t = _step_case(13)
+    w = rng.standard_normal(ops.N)
+    ref_lu = ops.reference_lu(0.05, 1.0, np.ones(grid.n_boundary), np.zeros(ops.N))
+    direct = StepSolver(ops, 0.05, 1.0, alpha, w)
+    splu_spy.calls = 0
+    refined = StepSolver(ops, 0.05, 1.0, alpha, w, lu=ref_lu)
+    for got, want in zip(refined.solve(rhs, a) + refined.solve_transpose(rhs_t),
+                         direct.solve(rhs, a) + direct.solve_transpose(rhs_t)):
+        assert _rel(got, want) <= 1e-12
+    assert splu_spy.calls == 0
+    assert refined.lu is ref_lu
+
+
+def test_far_reference_falls_back_to_own_factor(splu_spy):
+    """Refinement against a far factor (dt x 100, large w) misses the
+    residual guard; the step then factors its own matrix and still meets it."""
+    from slipctl.operators import StepSolver
+    grid, ops, rng, alpha, a, rhs, rhs_t = _step_case(17)
+    w = rng.standard_normal(ops.N)
+    direct = StepSolver(ops, 0.05, 1.0, alpha, w)
+    far = ops.reference_lu(5.0, 1.0, alpha, 300.0 * rng.standard_normal(ops.N))
+    for transpose in (False, True):
+        step = StepSolver(ops, 0.05, 1.0, alpha, w, lu=far)
+        splu_spy.calls = 0
+        if transpose:
+            got, want = step.solve_transpose(rhs_t), direct.solve_transpose(rhs_t)
+        else:
+            got, want = step.solve(rhs, a), direct.solve(rhs, a)
+        assert splu_spy.calls == 1
+        assert step.lu is not far
+        for x, y in zip(got, want):
+            assert _rel(x, y) <= 1e-12
+
+
+def test_reference_slot_keyed_by_exact_matrix(splu_spy):
+    """A hit returns the stored factor; a change of the matrix refactors."""
+    grid, ops, rng, alpha, *_ = _step_case(19, n=8)
+    w = rng.standard_normal(ops.N)
+    lu = ops.reference_lu(0.05, 1.0, alpha, w)
+    assert ops.reference_lu(0.05, 1.0, alpha.copy(), w.copy()) is lu
+    assert splu_spy.calls == 1
+    w[ops.free_idx[5]] += 1e-9
+    assert ops.reference_lu(0.05, 1.0, alpha, w) is not lu
+    assert splu_spy.calls == 2
+
+
+def test_reference_slot_under_threads():
+    """Four threads alternate two reference keys on one operator set, with a
+    short switch interval; every factor they get solves its own key's
+    matrix to the bits a serial run gives."""
+    import concurrent.futures
+    import sys
+    grid, ops, rng, alpha, *_ = _step_case(23, n=8)
+    keys = [(0.05, np.zeros(ops.N)), (0.02, rng.standard_normal(ops.N))]
+    rhs = rng.standard_normal(ops.saddle_indptr.size - 1)
+
+    def solve(i):
+        dt, w = keys[i % 2]
+        return ops.reference_lu(dt, 1.0, alpha, w).solve(rhs)
+
+    serial = [solve(i) for i in range(2)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(4) as ex:
+            futures = [ex.submit(solve, i) for i in range(400)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert all(np.array_equal(r, serial[i % 2]) for i, r in enumerate(results))
