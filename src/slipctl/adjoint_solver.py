@@ -16,7 +16,7 @@ import csv
 
 import numpy as np
 
-from .errors import BaseTrajectoryMissing
+from .errors import BaseTrajectoryMissing, SolverDivergence
 from .fields import PressureField, StateTrajectory, VelocityField, l2_norm
 from .operators import StepSolver
 from .state_solver import StateProblem
@@ -97,13 +97,19 @@ def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
     pi_slices = [None] * tg.nt
     p_slices[tg.nt] = VelocityField(g)
 
-    ref = sp_.reference_lu()
+    try:
+        ref = sp_.reference_lu()
+    except SolverDivergence as exc:
+        raise SolverDivergence("adjoint step 1 (reference factor): %s" % exc)
     lam_next = np.zeros(ops.N)   # lambda_{k+1}, extended by zero on the walls
     cross_next = np.zeros(ops.N)  # X(y_{k+1})^T lambda_{k+1}
     for k in range(tg.nt, 0, -1):
         rhs_full = dt * (ops.Wvec * U[k]) + ops.Wvec * lam_next / dt - cross_next
-        step = StepSolver(ops, dt, sp_.nu, sp_.friction.alpha[k], yvec[k - 1], lu=ref)
-        lam_full, q = step.solve_transpose(rhs_full[ops.free_idx])
+        try:
+            step = StepSolver(ops, dt, sp_.nu, sp_.friction.alpha[k], yvec[k - 1], lu=ref)
+            lam_full, q = step.solve_transpose(rhs_full[ops.free_idx])
+        except SolverDivergence as exc:
+            raise SolverDivergence("adjoint step %d: %s" % (k, exc))
 
         # pairing against f_k: direct cost term, implicit coupling, divergence
         pair = np.zeros(ops.N)

@@ -49,12 +49,15 @@ def solve_linearized(problem: LinearizedProblem):
     pis = []
     z_prev = np.zeros(ops.N)
     yvec = base.velocity_vecs()
-    ref = sp_.reference_lu()
+    try:
+        ref = sp_.reference_lu()
+    except SolverDivergence as exc:
+        raise SolverDivergence("linearized step 1 (reference factor): %s" % exc)
     for k in range(1, tg.nt + 1):
-        step = StepSolver(ops, dt, sp_.nu, sp_.friction.alpha[k], yvec[k - 1], lu=ref)
         rhs = (ops.Wvec * z_prev / dt - ops.apply_adv_cross(yvec[k], z_prev)
                + ops.b_load(problem.g[k]))
         try:
+            step = StepSolver(ops, dt, sp_.nu, sp_.friction.alpha[k], yvec[k - 1], lu=ref)
             z_vec, pi = step.solve(rhs, problem.f[k])
         except SolverDivergence as exc:
             raise SolverDivergence("linearized step %d: %s" % (k, exc))

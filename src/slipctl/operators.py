@@ -28,8 +28,9 @@ import scipy.sparse.linalg as spla
 from .errors import SolverDivergence
 
 LINEAR_RESIDUAL_TOL = 1e-9
-# iterative refinement against a nearby factor: a correction is kept while it
-# cuts the residual norm by at least REFINE_RATE, for at most REFINE_MAX_STEPS
+# iterative refinement against a nearby factor (StepSolver._refine): each
+# correction must cut the residual norm by REFINE_RATE, and the average rate
+# must bring it to round-off within REFINE_MAX_STEPS corrections
 REFINE_RATE = 0.5
 REFINE_MAX_STEPS = 20
 
@@ -426,11 +427,12 @@ class StepSolver:
     leaves the momentum rows unchanged, so p is returned shifted to mean
     zero.  The transposed system is solved for adjoint sweeps.
 
-    Every solve is refined iteratively against this step's own matrix.  Given
-    the LU of a nearby step (the sweeps pass the problem's reference factor,
-    see DiscreteOperators.reference_lu), refinement replaces a factorization
-    per step; when it does not reach LINEAR_RESIDUAL_TOL, the step factors
-    its own matrix and solves again.
+    Given the LU of a nearby step (the sweeps pass the problem's reference
+    factor, see DiscreteOperators.reference_lu), each solve is refined
+    iteratively against this step's own matrix, which replaces a
+    factorization per step.  When refinement does not reach round-off, the
+    step factors its own matrix and solves directly, as it does without a
+    nearby factor.
     """
 
     def __init__(self, ops, dt, nu, alpha_nodes, w_adv_vec, lu=None):
@@ -447,36 +449,45 @@ class StepSolver:
         self._own = lu is None
         self.lu = _factor(self._big) if lu is None else lu
 
-    def _refine(self, rhs, trans):
-        """Refined solution against self.lu and its relative residual."""
+    def _refine(self, rhs, big, mode):
+        """Solution refined against the nearby factor self.lu and its
+        residual norm, or None.
+
+        The solve is accepted once its residual is at round-off, that is at
+        most eps * || |big| |x| + |rhs| || (the bound a backward-stable direct
+        solve meets).  It is abandoned as soon as a correction fails to cut
+        the residual by REFINE_RATE or the average rate so far could not
+        reach round-off within the corrections left.
+        """
+        sol = self.lu.solve(rhs, trans=mode)
+        floor = np.finfo(float).eps * np.linalg.norm(abs(big) @ abs(sol) + abs(rhs))
+        res = rhs - big @ sol
+        rn0 = rn = np.linalg.norm(res)
+        k = 0
+        while not rn <= floor:
+            k += 1
+            sol = sol + self.lu.solve(res, trans=mode)
+            res = rhs - big @ sol
+            rn, last = np.linalg.norm(res), rn
+            if not (rn <= REFINE_RATE * last
+                    and rn * (rn / rn0) ** ((REFINE_MAX_STEPS - k) / k) <= floor):
+                return None
+        return sol, rn
+
+    def _solve(self, rhs, trans=False):
         big = self._big.T if trans else self._big
         mode = "T" if trans else "N"
-        sol = self.lu.solve(rhs, trans=mode)
-        res = rhs - big @ sol
-        rn = np.linalg.norm(res)
-        for _ in range(REFINE_MAX_STEPS):
-            if not rn > 0.0:
-                break
-            cand = sol + self.lu.solve(res, trans=mode)
-            cres = rhs - big @ cand
-            cn = np.linalg.norm(cres)
-            if not cn <= REFINE_RATE * rn:
-                break
-            sol, res, rn = cand, cres, cn
-        return sol, rn / max(np.linalg.norm(rhs), 1e-30)
-
-    def _check(self, rel, trans):
+        out = None if self._own else self._refine(rhs, big, mode)
+        if out is None:
+            if not self._own:
+                self.lu, self._own = _factor(self._big), True
+            sol = self.lu.solve(rhs, trans=mode)
+            out = sol, np.linalg.norm(rhs - big @ sol)
+        rel = out[1] / max(np.linalg.norm(rhs), 1e-30)
         if not np.isfinite(rel) or rel > LINEAR_RESIDUAL_TOL:
             raise SolverDivergence("%s step residual %.3e above tolerance"
                                    % ("adjoint" if trans else "linear", rel))
-
-    def _solve(self, rhs, trans=False):
-        sol, rel = self._refine(rhs, trans)
-        if not rel <= LINEAR_RESIDUAL_TOL and not self._own:
-            self.lu, self._own = _factor(self._big), True
-            sol, rel = self._refine(rhs, trans)
-        self._check(rel, trans)
-        return sol
+        return out[0]
 
     def _split(self, sol):
         """Free-face block and mean-zero cell block, the pinned cell put back."""

@@ -70,14 +70,15 @@ class StateProblem:
 
 
 def stokes_slip_solve(grid, advecting: VelocityField, y_prev: VelocityField,
-                      a_next, b_next, alpha_next, dt, nu=1.0, lu=None):
-    """One implicit step of the linearized (Picard) slip system.
+                      a_next, b_next, alpha_next, dt, nu=1.0):
+    """One implicit step of the linearized (Picard) slip system."""
+    step = StepSolver(grid.ops, dt, nu, np.asarray(alpha_next, dtype=float),
+                      advecting.to_vec())
+    return _slip_step(grid, step, y_prev, a_next, b_next, dt)
 
-    lu, if given, is the nearby factor the step refines against.
-    """
+
+def _slip_step(grid, step, y_prev, a_next, b_next, dt):
     ops = grid.ops
-    step = StepSolver(ops, dt, nu, np.asarray(alpha_next, dtype=float),
-                      advecting.to_vec(), lu=lu)
     rhs = ops.Wvec * y_prev.to_vec() / dt + ops.b_load(np.asarray(b_next, dtype=float))
     y_vec, p = step.solve(rhs, np.asarray(a_next, dtype=float))
     return (VelocityField.from_vec(grid, y_vec),
@@ -87,16 +88,19 @@ def stokes_slip_solve(grid, advecting: VelocityField, y_prev: VelocityField,
 def solve_state(problem: StateProblem) -> StateTrajectory:
     """March the state forward; the full trajectory is kept for the adjoint."""
     g, tg = problem.grid, problem.time_grid
-    ops = g.ops
     ctrl, fric = problem.controls, problem.friction
     ys = [problem.y0.copy()]
     ps = []
     y_prev = problem.y0
-    ref = problem.reference_lu()
+    try:
+        ref = problem.reference_lu()
+    except SolverDivergence as exc:
+        raise SolverDivergence("state step 1 (reference factor): %s" % exc)
     for k in range(1, tg.nt + 1):
         try:
-            y_k, p_k = stokes_slip_solve(g, y_prev, y_prev, ctrl.a[k], ctrl.b[k],
-                                         fric.alpha[k], tg.dt, problem.nu, lu=ref)
+            step = StepSolver(g.ops, tg.dt, problem.nu, fric.alpha[k], y_prev.to_vec(),
+                              lu=ref)
+            y_k, p_k = _slip_step(g, step, y_prev, ctrl.a[k], ctrl.b[k], tg.dt)
         except SolverDivergence as exc:
             raise SolverDivergence("state step %d: %s" % (k, exc))
         dv = np.abs(divergence(y_k)).max()

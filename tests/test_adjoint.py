@@ -233,3 +233,29 @@ def test_sweeps_bitwise_equal_for_cold_warm_and_fresh_slots(setup):
                              validate=False))
     for other in (cold, fresh):
         assert all(np.array_equal(x, y) for x, y in zip(warm, other))
+
+
+def test_reference_factor_failure_names_its_sweep(setup, monkeypatch):
+    """A reference step that fails to factor is reported with its sweep and
+    step, as a failure inside the step loop is."""
+    from slipctl import operators
+    from slipctl.errors import SolverDivergence
+    grid, tg, prob, traj = setup
+    d = random_admissible_control(grid, tg, np.random.default_rng(34), amplitude=0.3)
+    sweeps = {
+        "state": lambda: solve_state(prob),
+        "adjoint": lambda: solve_adjoint(
+            AdjointProblem(prob, traj, random_source(grid, tg, 35))),
+        "linearized": lambda: solve_linearized(LinearizedProblem(prob, traj, d.a, d.b)),
+    }
+
+    class Singular:
+        def splu(self, *args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+    grid.ops._reference = None
+    monkeypatch.setattr(operators, "spla", Singular())
+    for name, run in sweeps.items():
+        with pytest.raises(SolverDivergence, match=r"^%s step 1 \(reference factor\): "
+                           "step matrix factorization failed" % name):
+            run()

@@ -217,8 +217,7 @@ def test_step_solver_residual_guard(grid, monkeypatch):
     assert np.abs(ops.Dmat[:, F] @ lam[F]).max() <= 1e-9
     assert abs(q.sum()) < 1e-9
 
-    # a step refined against another step's factor falls back to its own
-    # factor and then hits the same guard
+    # a step refined against another step's factor meets the same guard
     ref_lu = ops.reference_lu(0.05, 1.0, np.ones(grid.n_boundary), np.zeros(ops.N))
     monkeypatch.setattr(operators, "LINEAR_RESIDUAL_TOL", -1.0)
     for lu in (None, ref_lu):
@@ -295,6 +294,76 @@ def test_far_reference_falls_back_to_own_factor(splu_spy):
         assert step.lu is not far
         for x, y in zip(got, want):
             assert _rel(x, y) <= 1e-12
+
+
+class _CountingLU:
+    """Wraps an LU and counts its solves."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, rhs, trans="N"):
+        self.solves += 1
+        return self.lu.solve(rhs, trans=trans)
+
+
+def _saddle_lu(ops, dt, alpha, w):
+    import scipy.sparse.linalg as spla
+    return _CountingLU(spla.splu(ops.step_saddle(ops.step_matrix(dt, 1.0, alpha, w).data)))
+
+
+def test_slowly_converging_reference_reaches_round_off(splu_spy):
+    """Against a moderately far reference (advection x 6) refinement needs
+    over ten corrections; it is still accepted only at round-off, and the
+    answer matches the step's own LU to round-off."""
+    from slipctl.operators import StepSolver
+    grid, ops, rng, alpha, *_ = _step_case(13)
+    w = rng.standard_normal(ops.N)
+    direct = StepSolver(ops, 0.05, 1.0, alpha, w)
+    b = rng.standard_normal(direct._big.shape[0])
+    for trans in (False, True):
+        ref = _saddle_lu(ops, 0.05, alpha, 6.0 * w)
+        splu_spy.calls = 0
+        step = StepSolver(ops, 0.05, 1.0, alpha, w, lu=ref)
+        got, want = step._solve(b, trans), direct._solve(b, trans)
+        assert splu_spy.calls == 0
+        assert ref.solves >= 10
+        big = step._big.T if trans else step._big
+        round_off = np.finfo(float).eps * np.linalg.norm(abs(big) @ abs(got) + abs(b))
+        res = np.linalg.norm(big @ got - b)
+        assert res <= round_off
+        assert res <= 2.0 * np.linalg.norm(big @ want - b)
+        assert _rel(got, want) <= 1e-13
+
+
+def test_hopeless_reference_falls_back_at_once(splu_spy):
+    """Against the factor at 2.5 times the step, every correction cuts the
+    residual by about 0.38: each halves it, but REFINE_MAX_STEPS of them
+    cannot reach round-off.  The step sees that after a few corrections,
+    not REFINE_MAX_STEPS, and factors its own matrix."""
+    from slipctl.operators import StepSolver
+    grid, ops, rng, alpha, *_ = _step_case(13)
+    w = rng.standard_normal(ops.N)
+    direct = StepSolver(ops, 0.05, 1.0, alpha, w)
+    b = rng.standard_normal(direct._big.shape[0])
+    for trans in (False, True):
+        ref = _saddle_lu(ops, 0.125, alpha, w)
+        splu_spy.calls = 0
+        step = StepSolver(ops, 0.05, 1.0, alpha, w, lu=ref)
+        assert _rel(step._solve(b, trans), direct._solve(b, trans)) == 0.0
+        assert splu_spy.calls == 1
+        assert ref.solves <= 8
+
+
+def test_own_factor_solves_once():
+    """A step holding its own factor solves directly, without refinement."""
+    from slipctl.operators import StepSolver
+    grid, ops, rng, alpha, a, rhs, rhs_t = _step_case(13)
+    step = StepSolver(ops, 0.05, 1.0, alpha, rng.standard_normal(ops.N))
+    step.lu = _CountingLU(step.lu)
+    step.solve(rhs, a)
+    step.solve_transpose(rhs_t)
+    assert step.lu.solves == 2
 
 
 def test_reference_slot_keyed_by_exact_matrix(splu_spy):
