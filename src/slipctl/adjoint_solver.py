@@ -16,9 +16,8 @@ import csv
 
 import numpy as np
 
-from .errors import BaseTrajectoryMissing, SolverDivergence
+from .errors import BaseTrajectoryMissing
 from .fields import PressureField, StateTrajectory, VelocityField, l2_norm
-from .operators import StepSolver
 from .state_solver import StateProblem
 
 
@@ -97,32 +96,26 @@ def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
     pi_slices = [None] * tg.nt
     p_slices[tg.nt] = VelocityField(g)
 
-    try:
-        ref = sp_.reference_lu()
-    except SolverDivergence as exc:
-        raise SolverDivergence("adjoint step 1 (reference factor): %s" % exc)
+    solver = sp_.step_solver("adjoint")
     lam_next = np.zeros(ops.N)   # lambda_{k+1}, extended by zero on the walls
     cross_next = np.zeros(ops.N)  # X(y_{k+1})^T lambda_{k+1}
     for k in range(tg.nt, 0, -1):
         rhs_full = dt * (ops.Wvec * U[k]) + ops.Wvec * lam_next / dt - cross_next
-        try:
-            step = StepSolver(ops, dt, sp_.nu, sp_.friction.alpha[k], yvec[k - 1], lu=ref)
+        with solver.at(k, sp_.friction.alpha[k], yvec[k - 1]) as step:
             lam_full, q = step.solve_transpose(rhs_full[ops.free_idx])
-        except SolverDivergence as exc:
-            raise SolverDivergence("adjoint step %d: %s" % (k, exc))
 
         # pairing against f_k: direct cost term, implicit coupling, divergence
         pair = np.zeros(ops.N)
         pair[ops.cons_idx] = (dt * (ops.Wvec * U[k])[ops.cons_idx]
-                              - step.M_fc.T @ lam_full[ops.free_idx]
-                              - ops.Dc.T @ q)
-        kernel_a[k] += ops.Mbc.T @ pair
+                              - step.M_fc_T @ lam_full[ops.free_idx]
+                              - ops.DcT @ q)
+        kernel_a[k] += ops.Tn @ pair
         kernel_b[k] = ops.w_gamma * (ops.Ttau @ lam_full)
 
         # pairing of f_{k-1} through the frozen-advection derivative of step k
         cross = ops.apply_adv_cross_T(yvec[k], lam_full)
         if k >= 2:
-            kernel_a[k - 1] += -(ops.Mbc.T @ cross)
+            kernel_a[k - 1] += -(ops.Tn @ cross)
 
         p_slices[k - 1] = VelocityField.from_vec(g, lam_full / dt)
         pi_slices[k - 1] = PressureField(

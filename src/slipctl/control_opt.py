@@ -84,10 +84,6 @@ class ControlGradient:
     def norm(self):
         return float(np.sqrt(self.pair(self.ga, self.gb)))
 
-    def as_control(self, like: BoundaryControl):
-        return BoundaryControl(like.grid, like.time_grid, self.ga.copy(), self.gb.copy(),
-                               like.p_exponent, like.radius)
-
 
 class GradientEngine:
     """Caches state/adjoint solves per control content for reuse in line searches."""

@@ -9,7 +9,7 @@ Gradients computed against this solver are exact at the discrete level.
 
 import numpy as np
 
-from .errors import BaseTrajectoryMissing, SolverDivergence
+from .errors import BaseTrajectoryMissing
 from .fields import PressureField, StateTrajectory, VelocityField, l2_norm
 from .mesh import integrate_boundary
 from .operators import StepSolver
@@ -49,18 +49,12 @@ def solve_linearized(problem: LinearizedProblem):
     pis = []
     z_prev = np.zeros(ops.N)
     yvec = base.velocity_vecs()
-    try:
-        ref = sp_.reference_lu()
-    except SolverDivergence as exc:
-        raise SolverDivergence("linearized step 1 (reference factor): %s" % exc)
+    solver = sp_.step_solver("linearized")
     for k in range(1, tg.nt + 1):
         rhs = (ops.Wvec * z_prev / dt - ops.apply_adv_cross(yvec[k], z_prev)
                + ops.b_load(problem.g[k]))
-        try:
-            step = StepSolver(ops, dt, sp_.nu, sp_.friction.alpha[k], yvec[k - 1], lu=ref)
+        with solver.at(k, sp_.friction.alpha[k], yvec[k - 1]) as step:
             z_vec, pi = step.solve(rhs, problem.f[k])
-        except SolverDivergence as exc:
-            raise SolverDivergence("linearized step %d: %s" % (k, exc))
         z.append(VelocityField.from_vec(g, z_vec))
         pis.append(PressureField(g, pi.reshape(g.shape_p), mean_zero=True))
         z_prev = z_vec
@@ -73,7 +67,7 @@ def linearized_step_apply(ops, dt, nu, alpha_nodes, w_adv_vec, y_new_vec, xi_fre
     This is the single-step propagator L whose transpose the adjoint sweep
     applies; used directly by the transpose-exactness checks.
     """
-    step = StepSolver(ops, dt, nu, alpha_nodes, w_adv_vec)
+    step = StepSolver(ops, dt, nu).step(alpha_nodes, w_adv_vec)
     xi_full = np.zeros(ops.N)
     xi_full[ops.free_idx] = xi_free
     rhs = ops.Wvec * xi_full / dt - ops.apply_adv_cross(y_new_vec, xi_full)
@@ -83,7 +77,7 @@ def linearized_step_apply(ops, dt, nu, alpha_nodes, w_adv_vec, y_new_vec, xi_fre
 
 def adjoint_step_apply(ops, dt, nu, alpha_nodes, w_adv_vec, y_new_vec, eta_free):
     """Transpose of linearized_step_apply under the Euclidean pairing."""
-    step = StepSolver(ops, dt, nu, alpha_nodes, w_adv_vec)
+    step = StepSolver(ops, dt, nu).step(alpha_nodes, w_adv_vec)
     lam_full, _ = step.solve_transpose(eta_free)
     out_full = ops.Wvec * lam_full / dt - ops.apply_adv_cross_T(y_new_vec, lam_full)
     return out_full[ops.free_idx]

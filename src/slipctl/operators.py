@@ -21,6 +21,8 @@ extrapolated boundary traces; this makes profiles linear in the
 wall-normal coordinate exact steady states of the stepper.
 """
 
+import contextlib
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -110,6 +112,7 @@ class DiscreteOperators:
             (np.concatenate(data), (np.concatenate(rr), np.concatenate(cc))),
             shape=(self.ncell, self.N))
         self.Dc = self.Dmat[:, self.cons_idx].tocsr()
+        self.DcT = self.Dc.T
 
     # -- gradient / strain sample matrices ------------------------------------
 
@@ -178,7 +181,7 @@ class DiscreteOperators:
         cols = np.concatenate([w[0] for w in walls])
         sn = np.concatenate([np.full(w[0].size, w[3]) for w in walls])
         self.Tn = sp.csr_matrix((sn, (rows, cols)), shape=(ngb, self.N))
-        self.Mbc = self.Tn.T.tocsr()              # Tn @ Mbc = identity
+        self.Mbc = self.Tn.T.tocsr()              # Tn @ Mbc = identity; Mbc is Tn^T
 
         # tangential trace: linear wall extrapolation averaged to midpoints
         cols = np.concatenate([np.column_stack([w[1][:-1], w[1][1:], w[2][:-1], w[2][1:]])
@@ -187,6 +190,7 @@ class DiscreteOperators:
         data = np.column_stack([0.75 * st, 0.75 * st, -0.25 * st, -0.25 * st])
         self.Ttau = sp.csr_matrix((data.ravel(), (np.repeat(rows, 4), cols.ravel())),
                                   shape=(ngb, self.N))
+        self.TtauT = self.Ttau.T
 
     # -- advection -------------------------------------------------------------
 
@@ -207,6 +211,10 @@ class DiscreteOperators:
                           format="csr")
         self.Py = sp.bmat([[sp.csr_matrix((NU, NU)), v_at_u], [None, sp.eye(NV)]],
                           format="csr")
+        # transposes (CSC views on the same arrays) for the matrix-free
+        # advection derivatives, built once rather than at every product
+        self.GxT, self.GyT, self.PxT, self.PyT = (
+            m.T for m in (self.Gx, self.Gy, self.Px, self.Py))
 
     def _build_step_map(self):
         """Fixed CSR pattern of the step operator and the linear map onto its data.
@@ -335,22 +343,22 @@ class DiscreteOperators:
         wx = self.Px @ w_vec
         wy = self.Py @ w_vec
         n_wy = self.Wvec * (wx * gx_y + wy * gy_y)
-        nt_wy = self.Gx.T @ (self.Wvec * wx * y_vec) + self.Gy.T @ (self.Wvec * wy * y_vec)
+        nt_wy = self.GxT @ (self.Wvec * wx * y_vec) + self.GyT @ (self.Wvec * wy * y_vec)
         an = self.w_gamma * (self.Tn @ w_vec)
-        s_wy = self.Tn.T @ (an * (self.Tn @ y_vec)) + self.Ttau.T @ (an * (self.Ttau @ y_vec))
+        s_wy = self.Mbc @ (an * (self.Tn @ y_vec)) + self.TtauT @ (an * (self.Ttau @ y_vec))
         return 0.5 * (n_wy - nt_wy) + 0.5 * s_wy
 
     def apply_adv_cross_T(self, y_vec, lam_vec):
         """Matrix-free X(y)^T lam."""
         gx_y = self.Gx @ y_vec
         gy_y = self.Gy @ y_vec
-        x1t = self.Px.T @ (self.Wvec * gx_y * lam_vec) \
-            + self.Py.T @ (self.Wvec * gy_y * lam_vec)
-        x2t = self.Px.T @ (self.Wvec * y_vec * (self.Gx @ lam_vec)) \
-            + self.Py.T @ (self.Wvec * y_vec * (self.Gy @ lam_vec))
+        x1t = self.PxT @ (self.Wvec * gx_y * lam_vec) \
+            + self.PyT @ (self.Wvec * gy_y * lam_vec)
+        x2t = self.PxT @ (self.Wvec * y_vec * (self.Gx @ lam_vec)) \
+            + self.PyT @ (self.Wvec * y_vec * (self.Gy @ lam_vec))
         tny = self.w_gamma * (self.Tn @ y_vec)
         tty = self.w_gamma * (self.Ttau @ y_vec)
-        xst = self.Tn.T @ (tny * (self.Tn @ lam_vec) + tty * (self.Ttau @ lam_vec))
+        xst = self.Mbc @ (tny * (self.Tn @ lam_vec) + tty * (self.Ttau @ lam_vec))
         return 0.5 * (x1t - x2t) + 0.5 * xst
 
     def fric_matrix(self, alpha_nodes):
@@ -358,7 +366,7 @@ class DiscreteOperators:
 
     def b_load(self, b_nodes):
         """Momentum load of the tangential stress data, integrated form."""
-        return self.Ttau.T @ (self.w_gamma * b_nodes)
+        return self.TtauT @ (self.w_gamma * b_nodes)
 
     def bc_vec(self, a_nodes):
         """Full velocity vector with the wall-normal faces set from a."""
@@ -414,7 +422,8 @@ def _edge_to_node(n):
 
 
 class StepSolver:
-    """One implicit slip-Stokes step: pinned-pressure saddle system and its solves.
+    """The implicit slip-Stokes steps of one sweep: pinned-pressure saddle
+    systems and their solves.
 
     Solves, for the free face unknowns y_f and the cell pressure p,
 
@@ -427,29 +436,66 @@ class StepSolver:
     leaves the momentum rows unchanged, so p is returned shifted to mean
     zero.  The transposed system is solved for adjoint sweeps.
 
+    One solver serves a whole sweep at fixed (dt, nu).  It holds the saddle
+    matrix, |saddle| (for the round-off floor), the coupling block M_fc and
+    their transposes, which share the data arrays; step(alpha, w) refills
+    that data in place for the next step, so no sparse matrix is built per
+    step.  Call step() (or at()) before solving.
+
     Given the LU of a nearby step (the sweeps pass the problem's reference
     factor, see DiscreteOperators.reference_lu), each solve is refined
-    iteratively against this step's own matrix, which replaces a
+    iteratively against the current step's own matrix, which replaces a
     factorization per step.  When refinement does not reach round-off, the
-    step factors its own matrix and solves directly, as it does without a
-    nearby factor.
+    step factors its own matrix and solves directly; the next step() goes
+    back to the nearby factor.  Without a nearby factor (lu=None) every
+    step factors its own matrix.
     """
 
-    def __init__(self, ops, dt, nu, alpha_nodes, w_adv_vec, lu=None):
+    def __init__(self, ops, dt, nu, lu=None, sweep="step"):
         self.ops = ops
-        self.dt = dt
+        self.dt, self.nu = dt, nu
+        self.sweep = sweep
         F, C = ops.free_idx, ops.cons_idx
         self.F, self.C = F, C
         self.nf = F.size
-
-        data = ops.step_matrix(dt, nu, alpha_nodes, w_adv_vec).data
-        self.M_fc = sp.csr_matrix((data[ops.fc_src], ops.fc_indices, ops.fc_indptr),
+        self.ref = lu
+        self.lu = None
+        nb = ops.n_boundary
+        # sources [alpha; w; 1/dt; nu] of the step map, and the step data
+        # followed by the constant saddle entries, which the blocks gather
+        self._src = np.concatenate([np.zeros(nb + ops.N), [1.0 / dt, nu]])
+        self._data = np.concatenate([np.zeros(ops.step_indices.size), ops.saddle_const])
+        n = ops.saddle_indptr.size - 1
+        self.saddle, self.abs_saddle = (
+            sp.csc_matrix((np.zeros(ops.saddle_src.size), ops.saddle_indices,
+                           ops.saddle_indptr), shape=(n, n)) for _ in range(2))
+        self.M_fc = sp.csr_matrix((np.zeros(ops.fc_src.size), ops.fc_indices, ops.fc_indptr),
                                   shape=(self.nf, C.size))
-        self._big = ops.step_saddle(data)
-        self._own = lu is None
-        self.lu = _factor(self._big) if lu is None else lu
+        self.saddle_T, self.abs_saddle_T, self.M_fc_T = (
+            self.saddle.T, self.abs_saddle.T, self.M_fc.T)
 
-    def _refine(self, rhs, big, mode):
+    def step(self, alpha_nodes, w_adv_vec):
+        """Refill the blocks with the step operator at (alpha, w); returns self."""
+        ops, src, nb = self.ops, self._src, self.ops.n_boundary
+        src[:nb] = alpha_nodes
+        src[nb:-2] = w_adv_vec
+        self._data[:ops.step_indices.size] = ops._step_map @ src
+        np.take(self._data, ops.saddle_src, out=self.saddle.data)
+        np.abs(self.saddle.data, out=self.abs_saddle.data)
+        np.take(self._data, ops.fc_src, out=self.M_fc.data)
+        self.lu = _factor(self.saddle) if self.ref is None else self.ref
+        return self
+
+    @contextlib.contextmanager
+    def at(self, k, alpha_nodes, w_adv_vec):
+        """Step k of the sweep: step(alpha, w), and a SolverDivergence raised
+        in the block reported as '<sweep> step k: ...'."""
+        try:
+            yield self.step(alpha_nodes, w_adv_vec)
+        except SolverDivergence as exc:
+            raise SolverDivergence("%s step %d: %s" % (self.sweep, k, exc))
+
+    def _refine(self, rhs, big, abs_big, mode):
         """Solution refined against the nearby factor self.lu and its
         residual norm, or None.
 
@@ -460,7 +506,7 @@ class StepSolver:
         reach round-off within the corrections left.
         """
         sol = self.lu.solve(rhs, trans=mode)
-        floor = np.finfo(float).eps * np.linalg.norm(abs(big) @ abs(sol) + abs(rhs))
+        floor = np.finfo(float).eps * np.linalg.norm(abs_big @ abs(sol) + abs(rhs))
         res = rhs - big @ sol
         rn0 = rn = np.linalg.norm(res)
         k = 0
@@ -475,12 +521,14 @@ class StepSolver:
         return sol, rn
 
     def _solve(self, rhs, trans=False):
-        big = self._big.T if trans else self._big
-        mode = "T" if trans else "N"
-        out = None if self._own else self._refine(rhs, big, mode)
+        if trans:
+            big, abs_big, mode = self.saddle_T, self.abs_saddle_T, "T"
+        else:
+            big, abs_big, mode = self.saddle, self.abs_saddle, "N"
+        out = None if self.lu is not self.ref else self._refine(rhs, big, abs_big, mode)
         if out is None:
-            if not self._own:
-                self.lu, self._own = _factor(self._big), True
+            if self.lu is self.ref:
+                self.lu = _factor(self.saddle)
             sol = self.lu.solve(rhs, trans=mode)
             out = sol, np.linalg.norm(rhs - big @ sol)
         rel = out[1] / max(np.linalg.norm(rhs), 1e-30)

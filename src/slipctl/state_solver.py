@@ -50,14 +50,19 @@ class StateProblem:
             raise ValueError("controls leave the admissible ball: %.3e > %.3e"
                              % (n, self.controls.radius))
 
-    def reference_lu(self):
-        """The problem's reference step factor: step 1, advected by y0.
+    def step_solver(self, sweep):
+        """The StepSolver of one sweep ("state", "linearized" or "adjoint"),
+        on the problem's reference step factor: step 1, advected by y0.
 
-        It depends on (dt, nu, alpha[1], y0) and not on the controls, so the
-        state, tangent and adjoint sweeps of every control share it.
+        The factor depends on (dt, nu, alpha[1], y0) and not on the controls,
+        so the state, tangent and adjoint sweeps of every control share it.
         """
-        return self.grid.ops.reference_lu(self.time_grid.dt, self.nu,
-                                          self.friction.alpha[1], self.y0.to_vec())
+        ops, dt = self.grid.ops, self.time_grid.dt
+        try:
+            lu = ops.reference_lu(dt, self.nu, self.friction.alpha[1], self.y0.to_vec())
+        except SolverDivergence as exc:
+            raise SolverDivergence("%s step 1 (reference factor): %s" % (sweep, exc))
+        return StepSolver(ops, dt, self.nu, lu, sweep)
 
     def content_hash(self):
         h = hashlib.sha256()
@@ -69,46 +74,26 @@ class StateProblem:
         return h.hexdigest()[:16]
 
 
-def stokes_slip_solve(grid, advecting: VelocityField, y_prev: VelocityField,
-                      a_next, b_next, alpha_next, dt, nu=1.0):
-    """One implicit step of the linearized (Picard) slip system."""
-    step = StepSolver(grid.ops, dt, nu, np.asarray(alpha_next, dtype=float),
-                      advecting.to_vec())
-    return _slip_step(grid, step, y_prev, a_next, b_next, dt)
-
-
-def _slip_step(grid, step, y_prev, a_next, b_next, dt):
-    ops = grid.ops
-    rhs = ops.Wvec * y_prev.to_vec() / dt + ops.b_load(np.asarray(b_next, dtype=float))
-    y_vec, p = step.solve(rhs, np.asarray(a_next, dtype=float))
-    return (VelocityField.from_vec(grid, y_vec),
-            PressureField(grid, p.reshape(grid.shape_p), mean_zero=True))
-
-
 def solve_state(problem: StateProblem) -> StateTrajectory:
     """March the state forward; the full trajectory is kept for the adjoint."""
     g, tg = problem.grid, problem.time_grid
+    ops = g.ops
     ctrl, fric = problem.controls, problem.friction
     ys = [problem.y0.copy()]
     ps = []
-    y_prev = problem.y0
-    try:
-        ref = problem.reference_lu()
-    except SolverDivergence as exc:
-        raise SolverDivergence("state step 1 (reference factor): %s" % exc)
+    y_prev = problem.y0.to_vec()
+    solver = problem.step_solver("state")
     for k in range(1, tg.nt + 1):
-        try:
-            step = StepSolver(g.ops, tg.dt, problem.nu, fric.alpha[k], y_prev.to_vec(),
-                              lu=ref)
-            y_k, p_k = _slip_step(g, step, y_prev, ctrl.a[k], ctrl.b[k], tg.dt)
-        except SolverDivergence as exc:
-            raise SolverDivergence("state step %d: %s" % (k, exc))
-        dv = np.abs(divergence(y_k)).max()
-        if dv > 1e-9 * max(1.0, l2_norm(y_k)):
-            raise SolverDivergence("state step %d: divergence %.3e" % (k, dv))
+        rhs = ops.Wvec * y_prev / tg.dt + ops.b_load(ctrl.b[k])
+        with solver.at(k, fric.alpha[k], y_prev) as step:
+            y_vec, p_vec = step.solve(rhs, ctrl.a[k])
+            y_k = VelocityField.from_vec(g, y_vec)
+            dv = np.abs(divergence(y_k)).max()
+            if dv > 1e-9 * max(1.0, l2_norm(y_k)):
+                raise SolverDivergence("divergence %.3e" % dv)
         ys.append(y_k)
-        ps.append(p_k)
-        y_prev = y_k
+        ps.append(PressureField(g, p_vec.reshape(g.shape_p), mean_zero=True))
+        y_prev = y_vec
     return StateTrajectory(g, tg, ys, ps, config_hash=problem.content_hash())
 
 

@@ -139,7 +139,7 @@ def test_stokes_semigroup_self_adjoint():
     adj = solve_adjoint(AdjointProblem(prob, traj, U))
     x_prev = np.zeros(ops.N)
     for m in range(1, tg.nt + 1):
-        step = StepSolver(ops, tg.dt, 1.0, prob.friction.alpha[0], np.zeros(ops.N))
+        step = StepSolver(ops, tg.dt, 1.0).step(prob.friction.alpha[0], np.zeros(ops.N))
         rhs = ops.Wvec * x_prev / tg.dt + ops.Wvec * U[tg.nt + 1 - m].to_vec()
         x, _ = step.solve(rhs, np.zeros(grid.n_boundary))
         ref = max(1.0, l2_norm(adj.p[tg.nt - m]))
@@ -233,6 +233,56 @@ def test_sweeps_bitwise_equal_for_cold_warm_and_fresh_slots(setup):
                              validate=False))
     for other in (cold, fresh):
         assert all(np.array_equal(x, y) for x, y in zip(warm, other))
+
+
+def _sweep_outputs(p, U, d):
+    """Every array the state, adjoint and tangent sweeps of p return."""
+    t = solve_state(p)
+    adj = solve_adjoint(AdjointProblem(p, t, U))
+    z, pis = solve_linearized(LinearizedProblem(p, t, d.a, d.b))
+    return ([y.to_vec() for y in t.velocities] + [q.q for q in t.pressures]
+            + [adj.kernel_a, adj.kernel_b] + [x.to_vec() for x in z] + [q.q for q in pis])
+
+
+def test_one_solver_per_sweep_matches_a_fresh_solver_per_step(setup, monkeypatch,
+                                                               splu_spy):
+    """Each sweep builds one StepSolver and refreshes it in place; the state,
+    adjoint and tangent sweeps give the bits of a fresh StepSolver per step.
+    The large controls make most steps fall back to their own factor, and in
+    the adjoint sweep a fallback is followed by refined steps."""
+    grid, tg, prob, traj = setup
+    rng = np.random.default_rng(36)
+    ctrl = random_admissible_control(grid, tg, rng, amplitude=10.0)
+    p = StateProblem(grid, tg, prob.y0, ctrl, prob.friction, validate=False)
+    U = random_source(grid, tg, 37)
+    d = random_admissible_control(grid, tg, rng, amplitude=0.3)
+
+    built = []
+    real_init, real_at = StepSolver.__init__, StepSolver.at
+
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self.sweep)
+
+    def fresh_at(self, k, alpha, w):
+        return real_at(StepSolver(self.ops, self.dt, self.nu, self.ref, self.sweep),
+                       k, alpha, w)
+
+    monkeypatch.setattr(StepSolver, "__init__", counting_init)
+    splu_spy.calls = 0
+    workspace = _sweep_outputs(p, U, d)
+    assert built == ["state", "adjoint", "linearized"]
+    fallbacks = splu_spy.calls
+    assert fallbacks > 0
+
+    monkeypatch.setattr(StepSolver, "at", fresh_at)
+    built.clear()
+    splu_spy.calls = 0
+    fresh = _sweep_outputs(p, U, d)
+    assert len(built) == 3 * (tg.nt + 1)
+    assert splu_spy.calls == fallbacks
+    assert len(fresh) == len(workspace)
+    assert all(np.array_equal(x, y) for x, y in zip(workspace, fresh))
 
 
 def test_reference_factor_failure_names_its_sweep(setup, monkeypatch):

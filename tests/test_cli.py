@@ -1,9 +1,10 @@
+import logging
 import os
 
 import pytest
 
 from slipctl.cli import (EXIT_BUDGET, EXIT_CHECK, EXIT_CONFIG, EXIT_OK,
-                         RunConfig, main)
+                         EXIT_SOLVER, RunConfig, main)
 from slipctl.errors import ConfigError
 
 BASE_CONFIG = """
@@ -67,6 +68,19 @@ def test_solve_writes_artifacts(tmp_path):
     rows = open(os.path.join(out, "energy_residual.csv")).read().splitlines()
     assert rows[0] == "step,relative_imbalance"
     assert max(float(r.split(",")[1]) for r in rows[1:]) < 1e-8
+
+
+def test_linear_solve_failure_is_solver_exit(tmp_path, monkeypatch, caplog):
+    """A step solve that misses the residual guard ends the run with
+    EXIT_SOLVER and a log line naming the sweep and the step."""
+    from slipctl import operators
+    monkeypatch.setattr(operators, "LINEAR_RESIDUAL_TOL", -1.0)
+    cfg = write_config(tmp_path)
+    with caplog.at_level(logging.ERROR, logger="slipctl"):
+        code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == EXIT_SOLVER
+    assert any("state step 1: linear step residual" in r.getMessage()
+               for r in caplog.records)
 
 
 def test_nonzero_flux_rejected_with_named_condition(tmp_path, caplog):

@@ -6,7 +6,7 @@ from slipctl.fields import (BoundaryControl, VelocityField, divergence,
 from slipctl.linearized_solver import (LinearizedProblem, gateaux_discrepancy,
                                        solve_linearized)
 from slipctl.mesh import TimeGrid, build_grid
-from slipctl.state_solver import StateProblem, solve_state, stokes_slip_solve
+from slipctl.state_solver import StateProblem, solve_state
 from slipctl.control_opt import random_admissible_control
 
 
@@ -57,7 +57,7 @@ def test_slices_satisfy_constraints(setup):
         assert np.abs(normal_trace(z[k]) - d.a[k]).max() < 1e-12
 
 
-def test_matches_stokes_solver_around_null_state():
+def test_matches_stokes_solver_around_null_state(stokes_slip_solve):
     """Around y == 0 the tangent step and the state step are the same map."""
     grid = build_grid(8, 8, 1.0, 1.0)
     tg = TimeGrid(0.4, 6)

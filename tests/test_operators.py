@@ -72,12 +72,14 @@ def _same_arrays(a, b, fmt):
 
 def test_step_matrix_matches_term_by_term_oracle():
     """The affine data map reproduces the sp.diags assembly on a fixed
-    pattern, and StepSolver's gathered blocks equal the sliced ones."""
+    pattern, and StepSolver's gathered blocks, refreshed in place from one
+    step to the next, equal the sliced ones."""
     from slipctl.operators import StepSolver
     grid = build_grid(7, 9, 1.2, 0.8)
     ops = grid.ops
     rng = np.random.default_rng(11)
     F, C = ops.free_idx, ops.cons_idx
+    solver = StepSolver(ops, 0.05, 0.7)
     for w in (rng.standard_normal(ops.N), np.zeros(ops.N)):
         alpha = rng.uniform(0.2, 2.0, grid.n_boundary)
         L = ops.step_matrix(0.05, 0.7, alpha, w)
@@ -87,13 +89,13 @@ def test_step_matrix_matches_term_by_term_oracle():
         assert np.array_equal(L.indptr, ops.step_indptr)
         assert np.array_equal(L.indices, ops.step_indices)
 
-        step = StepSolver(ops, 0.05, 0.7, alpha, w)
+        step = solver.step(alpha, w)
         LF = L[F]
         Df = ops.Dmat[:, F]
         Gf = (-grid.cell_area) * Df.T
         big = sp.bmat([[LF[:, F], Gf[:, 1:]], [Df[1:], None]], format="csc")
         big.sort_indices()
-        assert _same_arrays(step._big, big, "csc")
+        assert _same_arrays(step.saddle, big, "csc")
         assert _same_arrays(step.M_fc, LF[:, C], "csr")
 
 
@@ -201,7 +203,7 @@ def test_step_solver_residual_guard(grid, monkeypatch):
     from slipctl import operators
     from slipctl.errors import SolverDivergence
     w = rng.standard_normal(ops.N)
-    step = operators.StepSolver(ops, 0.05, 1.0, np.ones(grid.n_boundary), w)
+    step = operators.StepSolver(ops, 0.05, 1.0).step(np.ones(grid.n_boundary), w)
     a = rng.standard_normal(grid.n_boundary)
     a -= (a @ grid.boundary_weight) / grid.loop_length
     rhs = rng.standard_normal(ops.N)
@@ -221,10 +223,10 @@ def test_step_solver_residual_guard(grid, monkeypatch):
     ref_lu = ops.reference_lu(0.05, 1.0, np.ones(grid.n_boundary), np.zeros(ops.N))
     monkeypatch.setattr(operators, "LINEAR_RESIDUAL_TOL", -1.0)
     for lu in (None, ref_lu):
-        step = operators.StepSolver(ops, 0.05, 1.0, np.ones(grid.n_boundary), w, lu=lu)
+        step = operators.StepSolver(ops, 0.05, 1.0, lu=lu).step(np.ones(grid.n_boundary), w)
         with pytest.raises(SolverDivergence, match="linear step residual"):
             step.solve(rhs, a)
-        step = operators.StepSolver(ops, 0.05, 1.0, np.ones(grid.n_boundary), w, lu=lu)
+        step = operators.StepSolver(ops, 0.05, 1.0, lu=lu).step(np.ones(grid.n_boundary), w)
         with pytest.raises(SolverDivergence, match="adjoint step residual"):
             step.solve_transpose(rng.standard_normal(F.size))
 
@@ -235,9 +237,9 @@ def test_step_saddle_stays_sparse_at_128():
     grid = build_grid(128, 128, 1.0, 1.0)
     ops = grid.ops
     rng = np.random.default_rng(9)
-    step = StepSolver(ops, 0.05, 1.0, np.ones(grid.n_boundary),
-                      rng.standard_normal(ops.N))
-    big = step._big.tocsc()
+    step = StepSolver(ops, 0.05, 1.0).step(np.ones(grid.n_boundary),
+                                           rng.standard_normal(ops.N))
+    big = step.saddle.tocsc()
     assert big.shape == (ops.free_idx.size + ops.ncell - 1,) * 2
     assert np.diff(big.indptr).max() <= 16
     assert np.bincount(big.indices, minlength=big.shape[0]).max() <= 16
@@ -265,9 +267,9 @@ def test_refined_solves_match_direct_lu(splu_spy):
     grid, ops, rng, alpha, a, rhs, rhs_t = _step_case(13)
     w = rng.standard_normal(ops.N)
     ref_lu = ops.reference_lu(0.05, 1.0, np.ones(grid.n_boundary), np.zeros(ops.N))
-    direct = StepSolver(ops, 0.05, 1.0, alpha, w)
+    direct = StepSolver(ops, 0.05, 1.0).step(alpha, w)
     splu_spy.calls = 0
-    refined = StepSolver(ops, 0.05, 1.0, alpha, w, lu=ref_lu)
+    refined = StepSolver(ops, 0.05, 1.0, lu=ref_lu).step(alpha, w)
     for got, want in zip(refined.solve(rhs, a) + refined.solve_transpose(rhs_t),
                          direct.solve(rhs, a) + direct.solve_transpose(rhs_t)):
         assert _rel(got, want) <= 1e-12
@@ -281,10 +283,10 @@ def test_far_reference_falls_back_to_own_factor(splu_spy):
     from slipctl.operators import StepSolver
     grid, ops, rng, alpha, a, rhs, rhs_t = _step_case(17)
     w = rng.standard_normal(ops.N)
-    direct = StepSolver(ops, 0.05, 1.0, alpha, w)
+    direct = StepSolver(ops, 0.05, 1.0).step(alpha, w)
     far = ops.reference_lu(5.0, 1.0, alpha, 300.0 * rng.standard_normal(ops.N))
     for transpose in (False, True):
-        step = StepSolver(ops, 0.05, 1.0, alpha, w, lu=far)
+        step = StepSolver(ops, 0.05, 1.0, lu=far).step(alpha, w)
         splu_spy.calls = 0
         if transpose:
             got, want = step.solve_transpose(rhs_t), direct.solve_transpose(rhs_t)
@@ -294,6 +296,28 @@ def test_far_reference_falls_back_to_own_factor(splu_spy):
         assert step.lu is not far
         for x, y in zip(got, want):
             assert _rel(x, y) <= 1e-12
+
+
+def test_workspace_views_follow_every_step():
+    """After every step() of one solver the transposes share the refreshed
+    data, |saddle| holds its absolute values, and the blocks equal a fresh
+    gather of that step's matrix."""
+    from slipctl.operators import StepSolver
+    grid, ops, rng, *_ = _step_case(29, n=8)
+    step = StepSolver(ops, 0.05, 1.0)
+    F, C = ops.free_idx, ops.cons_idx
+    for scale in (1.0, 0.0, 5.0):
+        alpha = rng.uniform(0.5, 1.5, grid.n_boundary)
+        w = scale * rng.standard_normal(ops.N)
+        step.step(alpha, w)
+        for m, t in ((step.saddle, step.saddle_T), (step.abs_saddle, step.abs_saddle_T),
+                     (step.M_fc, step.M_fc_T)):
+            assert t.shape == m.shape[::-1]
+            assert np.shares_memory(t.data, m.data)
+        assert np.array_equal(step.abs_saddle.data, np.abs(step.saddle.data))
+        L = ops.step_matrix(0.05, 1.0, alpha, w)
+        assert _same_arrays(step.saddle, ops.step_saddle(L.data), "csc")
+        assert _same_arrays(step.M_fc, L[F][:, C], "csr")
 
 
 class _CountingLU:
@@ -312,6 +336,33 @@ def _saddle_lu(ops, dt, alpha, w):
     return _CountingLU(spla.splu(ops.step_saddle(ops.step_matrix(dt, 1.0, alpha, w).data)))
 
 
+def test_fallback_lasts_one_step(splu_spy):
+    """A step that falls back keeps its own factor for that step only (its
+    transposed solve reuses it); the next step() refines against the
+    reference again.  With the far reference of
+    test_far_reference_falls_back_to_own_factor and the workspace at its dt,
+    a step at the reference's own matrix refines without factoring."""
+    from slipctl.operators import StepSolver
+    grid, ops, rng, alpha, a, rhs, rhs_t = _step_case(17)
+    w = rng.standard_normal(ops.N)
+    far_w = 300.0 * rng.standard_normal(ops.N)
+    far = _CountingLU(ops.reference_lu(5.0, 1.0, alpha, far_w))
+    direct = StepSolver(ops, 5.0, 1.0)
+    cases = [(w_k, direct.step(alpha, w_k).solve(rhs, a) + direct.solve_transpose(rhs_t))
+             for w_k in (w, far_w, w)]
+    step = StepSolver(ops, 5.0, 1.0, lu=far)
+    splu_spy.calls = 0
+    for (w_k, want), factors in zip(cases, (1, 1, 2)):
+        step.step(alpha, w_k)
+        assert step.lu is far
+        solves = far.solves
+        got = step.solve(rhs, a) + step.solve_transpose(rhs_t)
+        assert far.solves > solves
+        assert splu_spy.calls == factors
+        for x, y in zip(got, want):
+            assert _rel(x, y) <= 1e-12
+
+
 def test_slowly_converging_reference_reaches_round_off(splu_spy):
     """Against a moderately far reference (advection x 6) refinement needs
     over ten corrections; it is still accepted only at round-off, and the
@@ -319,16 +370,16 @@ def test_slowly_converging_reference_reaches_round_off(splu_spy):
     from slipctl.operators import StepSolver
     grid, ops, rng, alpha, *_ = _step_case(13)
     w = rng.standard_normal(ops.N)
-    direct = StepSolver(ops, 0.05, 1.0, alpha, w)
-    b = rng.standard_normal(direct._big.shape[0])
+    direct = StepSolver(ops, 0.05, 1.0).step(alpha, w)
+    b = rng.standard_normal(direct.saddle.shape[0])
     for trans in (False, True):
         ref = _saddle_lu(ops, 0.05, alpha, 6.0 * w)
         splu_spy.calls = 0
-        step = StepSolver(ops, 0.05, 1.0, alpha, w, lu=ref)
+        step = StepSolver(ops, 0.05, 1.0, lu=ref).step(alpha, w)
         got, want = step._solve(b, trans), direct._solve(b, trans)
         assert splu_spy.calls == 0
         assert ref.solves >= 10
-        big = step._big.T if trans else step._big
+        big = step.saddle.T if trans else step.saddle
         round_off = np.finfo(float).eps * np.linalg.norm(abs(big) @ abs(got) + abs(b))
         res = np.linalg.norm(big @ got - b)
         assert res <= round_off
@@ -344,12 +395,12 @@ def test_hopeless_reference_falls_back_at_once(splu_spy):
     from slipctl.operators import StepSolver
     grid, ops, rng, alpha, *_ = _step_case(13)
     w = rng.standard_normal(ops.N)
-    direct = StepSolver(ops, 0.05, 1.0, alpha, w)
-    b = rng.standard_normal(direct._big.shape[0])
+    direct = StepSolver(ops, 0.05, 1.0).step(alpha, w)
+    b = rng.standard_normal(direct.saddle.shape[0])
     for trans in (False, True):
         ref = _saddle_lu(ops, 0.125, alpha, w)
         splu_spy.calls = 0
-        step = StepSolver(ops, 0.05, 1.0, alpha, w, lu=ref)
+        step = StepSolver(ops, 0.05, 1.0, lu=ref).step(alpha, w)
         assert _rel(step._solve(b, trans), direct._solve(b, trans)) == 0.0
         assert splu_spy.calls == 1
         assert ref.solves <= 8
@@ -359,7 +410,7 @@ def test_own_factor_solves_once():
     """A step holding its own factor solves directly, without refinement."""
     from slipctl.operators import StepSolver
     grid, ops, rng, alpha, a, rhs, rhs_t = _step_case(13)
-    step = StepSolver(ops, 0.05, 1.0, alpha, rng.standard_normal(ops.N))
+    step = StepSolver(ops, 0.05, 1.0).step(alpha, rng.standard_normal(ops.N))
     step.lu = _CountingLU(step.lu)
     step.solve(rhs, a)
     step.solve_transpose(rhs_t)

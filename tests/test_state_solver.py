@@ -8,7 +8,7 @@ from slipctl.state_solver import (StateProblem, energy_bound_report,
                                   energy_identity_residual,
                                   energy_identity_terms, load_trajectory,
                                   save_trajectory, shear_oracle, solve_state,
-                                  stokes_slip_solve, trajectory_sup_l2)
+                                  trajectory_sup_l2)
 from slipctl.control_opt import random_admissible_control
 
 
@@ -35,7 +35,7 @@ def test_null_data_gives_null_solution(grid, tg):
     assert max(abs(p.q).max() for p in traj.pressures) < 1e-12
 
 
-def test_single_step_zero(grid):
+def test_single_step_zero(grid, stokes_slip_solve):
     y, p = stokes_slip_solve(grid, VelocityField(grid), VelocityField(grid),
                              np.zeros(grid.n_boundary), np.zeros(grid.n_boundary),
                              np.ones(grid.n_boundary), 0.1)
@@ -50,7 +50,7 @@ def test_shear_profile_is_fixed_point(grid, tg):
         assert l2_norm(traj.velocities[k] - y0) < 1e-9
 
 
-def test_single_shear_step_returns_profile(grid):
+def test_single_shear_step_returns_profile(grid, stokes_slip_solve):
     tg = TimeGrid(1.0, 4)
     y0, ctrl, fric = shear_oracle(grid, tg, c1=-0.2, c2=0.9, alpha_value=2.0)
     y1, p1 = stokes_slip_solve(grid, y0, y0, ctrl.a[1], ctrl.b[1],
