@@ -6,12 +6,11 @@ per-wall term lists (polynomial/trigonometric in the normalized wall
 coordinate, with an optional time factor), so runs are reproducible
 bit-for-bit from the file plus the seed.
 
-Exit codes: 0 ok, 1 config error, 2 solver failure, 3 budget exhausted,
-4 check failed.
+Exit codes: 0 ok, 1 config or usage error, 2 solver failure, 3 budget
+exhausted, 4 check failed.
 """
 
 import argparse
-import concurrent.futures
 import configparser
 import hashlib
 import json
@@ -25,7 +24,7 @@ from . import __version__
 from .adjoint_solver import duality_residual
 from .control_opt import (CostParams, GradientEngine, fd_gradient_oracle,
                           optimize, random_admissible_control)
-from .errors import ConfigError, IncompatibleFlux, SlipctlError, SolverDivergence
+from .errors import ConfigError, IncompatibleFlux, SlipctlError
 from .fields import (BoundaryControl, FrictionField, VelocityField,
                      save_pressure, save_velocity)
 from .lifting import solve_neumann_lifting
@@ -95,7 +94,7 @@ def _time_factor(cfg, section, prefix, time_grid):
 class RunConfig:
     """Parsed and validated run configuration."""
 
-    def __init__(self, path, out_override=None, seed_override=None, workers=None):
+    def __init__(self, path, out_override=None, seed_override=None):
         if not os.path.exists(path):
             raise ConfigError("config file %r does not exist" % path)
         cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -124,8 +123,6 @@ class RunConfig:
             self.cadence = cfg.getint("output", "snapshot_cadence", fallback=1)
             self.seed = int(seed_override if seed_override is not None
                             else cfg.getint("run", "seed", fallback=1234))
-            self.workers = int(workers if workers is not None
-                               else cfg.getint("run", "workers", fallback=1))
             self.samples = cfg.getint("run", "samples", fallback=5)
             self.refine = cfg.getboolean("run", "refine", fallback=False)
         except ValueError as exc:
@@ -299,11 +296,7 @@ def cmd_solve(rc: RunConfig):
     except (ValueError, IncompatibleFlux) as exc:
         log.error("configuration rejected: %s", exc)
         return EXIT_CONFIG
-    try:
-        traj = solve_state(prob)
-    except SolverDivergence as exc:
-        log.error("solver failure: %s", exc)
-        return EXIT_SOLVER
+    traj = solve_state(prob)
     tdir = os.path.join(rc.out_dir, "trajectory")
     save_trajectory(tdir, traj, rc.cadence)
     res = energy_identity_residual(traj, prob)
@@ -334,17 +327,12 @@ def cmd_optimize(rc: RunConfig):
         return EXIT_CONFIG
     params = CostParams(y_d=y_d, lam1=rc.lam1, lam2=rc.lam2,
                         radius=rc.radius, p_exponent=rc.p_exponent)
-    try:
-        report = optimize(y0, params, controls0=ctrl0,
-                          friction=friction, nu=rc.nu, tol=rc.tol,
-                          max_iters=rc.max_iters, armijo_c1=rc.armijo_c1,
-                          max_backtracks=rc.max_backtracks,
-                          probe_count=rc.probe_count, seed=rc.seed,
-                          grid=rc.grid, time_grid=rc.time_grid)
-    except SolverDivergence as exc:
-        log.error("solver failure: %s", exc)
-        return EXIT_SOLVER
-
+    report = optimize(y0, params, controls0=ctrl0,
+                      friction=friction, nu=rc.nu, tol=rc.tol,
+                      max_iters=rc.max_iters, armijo_c1=rc.armijo_c1,
+                      max_backtracks=rc.max_backtracks,
+                      probe_count=rc.probe_count, seed=rc.seed,
+                      grid=rc.grid, time_grid=rc.time_grid)
     payload = report.to_dict()
     payload["config_hash"] = rc.config_hash()
     _write_json(os.path.join(rc.out_dir, "report.json"), payload)
@@ -379,43 +367,33 @@ def cmd_grad_check(rc: RunConfig, corrupt_adjoint=False):
                         radius=rc.radius, p_exponent=rc.p_exponent)
     engine = GradientEngine(prob.y0, params, prob.friction, rc.nu)
     ctrl = prob.controls
-    try:
-        grad, entry = engine.gradient(ctrl)
-        traj = entry["trajectory"]
-        rng = np.random.default_rng(rc.seed)
-        dirs = [random_admissible_control(rc.grid, rc.time_grid, rng, amplitude=1.0)
-                for _ in range(rc.samples)]
+    grad, entry = engine.gradient(ctrl)
+    traj = entry["trajectory"]
+    rng = np.random.default_rng(rc.seed)
+    dirs = [random_admissible_control(rc.grid, rc.time_grid, rng, amplitude=1.0)
+            for _ in range(rc.samples)]
+    results = []
+    for d in dirs:
+        adj_dd = grad.pair(d.a, d.b)
+        if corrupt_adjoint:
+            adj_dd *= 1.01  # test hook: deliberately broken pairing
+        fd = fd_gradient_oracle(ctrl, (d.a, d.b), [2e-3, 1e-3], params,
+                                prob.y0, prob.friction, rc.nu, engine=engine)
+        denom = max(abs(adj_dd), abs(fd["richardson"]), 1e-300)
+        results.append((adj_dd, fd["richardson"],
+                        abs(adj_dd - fd["richardson"]) / denom))
 
-        def one_direction(d):
-            adj_dd = grad.pair(d.a, d.b)
-            if corrupt_adjoint:
-                adj_dd *= 1.01  # test hook: deliberately broken pairing
-            fd = fd_gradient_oracle(ctrl, (d.a, d.b), [2e-3, 1e-3], params,
-                                    prob.y0, prob.friction, rc.nu,
-                                    engine=engine)
-            denom = max(abs(adj_dd), abs(fd["richardson"]), 1e-300)
-            return adj_dd, fd["richardson"], abs(adj_dd - fd["richardson"]) / denom
-
-        if rc.workers > 1:
-            with concurrent.futures.ThreadPoolExecutor(rc.workers) as ex:
-                results = list(ex.map(one_direction, dirs))
-        else:
-            results = [one_direction(d) for d in dirs]
-
-        source = []
-        for k in range(rc.nt + 1):
-            yd = params.target_vec(rc.grid, k)
-            yk = traj.velocities[k].to_vec()
-            source.append(yk if yd is None else yk - yd)
-        adj = entry["adjoint"]
-        dres = []
-        for d in dirs[:3]:
-            z, _ = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
-            dres.append(duality_residual(z, adj, source, d.a, d.b,
-                                         base_hash=traj.config_hash))
-    except SolverDivergence as exc:
-        log.error("solver failure: %s", exc)
-        return EXIT_SOLVER
+    source = []
+    for k in range(rc.nt + 1):
+        yd = params.target_vec(rc.grid, k)
+        yk = traj.velocities[k].to_vec()
+        source.append(yk if yd is None else yk - yd)
+    adj = entry["adjoint"]
+    dres = []
+    for d in dirs[:3]:
+        z, _ = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
+        dres.append(duality_residual(z, adj, source, d.a, d.b,
+                                     base_hash=traj.config_hash))
 
     entry["adjoint"].export_kernels_csv(os.path.join(rc.out_dir, "kernels"))
     rows = [("direction", "adjoint", "fd_richardson", "rel_error")]
@@ -441,7 +419,7 @@ def cmd_verify(rc: RunConfig):
     reports = run_estimate_suite({
         "nx": rc.nx, "ny": rc.ny, "Lx": rc.Lx, "Ly": rc.Ly, "T": rc.T,
         "nt": rc.nt, "samples": rc.samples, "seed": rc.seed,
-        "workers": rc.workers, "refine": rc.refine,
+        "refine": rc.refine,
         "config_hash": rc.config_hash()})
     with open(os.path.join(rc.out_dir, "verify.json"), "w") as fh:
         fh.write(reports_to_json(reports))
@@ -458,9 +436,6 @@ def cmd_lift(rc: RunConfig):
     except IncompatibleFlux as exc:
         log.error("lifting rejected: %s", exc)
         return EXIT_CONFIG
-    except SolverDivergence as exc:
-        log.error("solver failure: %s", exc)
-        return EXIT_SOLVER
     save_pressure(os.path.join(rc.out_dir, "potential.snap"), res.h, rc.T)
     save_velocity(os.path.join(rc.out_dir, "lifting.snap"), res.grad, rc.T)
     from .fields import divergence
@@ -486,17 +461,19 @@ def main(argv=None):
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--log-level", default="INFO")
         if name == "grad-check":
             p.add_argument("--corrupt-adjoint", action="store_true",
                            help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 after --help
+        return EXIT_CONFIG if exc.code else EXIT_OK
     logging.basicConfig(stream=sys.stderr,
                         level=getattr(logging, args.log_level.upper(), logging.INFO),
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        rc = RunConfig(args.config, args.out, args.seed, args.workers)
+        rc = RunConfig(args.config, args.out, args.seed)
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return EXIT_CONFIG
@@ -515,7 +492,7 @@ def main(argv=None):
         log.error("config error: %s", exc)
         return EXIT_CONFIG
     except SlipctlError as exc:
-        log.error("%s", exc)
+        log.error("solver failure: %s", exc)
         return EXIT_SOLVER
     return EXIT_CONFIG
 

@@ -119,7 +119,6 @@ class GradientEngine:
             self.state_seconds += time.perf_counter() - t0
             self.state_solves += 1
             J = evaluate_cost(controls, traj, self.params)
-            # another thread may clear the shared cache before we return
             entry = {"problem": prob, "trajectory": traj, "J": J}
             self._cache[key] = entry
         return entry

@@ -12,7 +12,6 @@ import numpy as np
 from .errors import BaseTrajectoryMissing
 from .fields import PressureField, StateTrajectory, VelocityField, l2_norm
 from .mesh import integrate_boundary
-from .operators import StepSolver
 from .state_solver import StateProblem, solve_state
 
 
@@ -61,25 +60,27 @@ def solve_linearized(problem: LinearizedProblem):
     return z, pis
 
 
-def linearized_step_apply(ops, dt, nu, alpha_nodes, w_adv_vec, y_new_vec, xi_free):
+def linearized_step_apply(step, y_new_vec, xi_free):
     """One homogeneous tangent step on the free unknowns: xi -> z_f.
 
-    This is the single-step propagator L whose transpose the adjoint sweep
-    applies; used directly by the transpose-exactness checks.
+    step is a StepSolver already stepped at (alpha, w) of the step; y_new_vec
+    is the state it produced.  This is the single-step propagator L whose
+    transpose the adjoint sweep applies; used directly by the
+    transpose-exactness checks.
     """
-    step = StepSolver(ops, dt, nu).step(alpha_nodes, w_adv_vec)
+    ops = step.ops
     xi_full = np.zeros(ops.N)
     xi_full[ops.free_idx] = xi_free
-    rhs = ops.Wvec * xi_full / dt - ops.apply_adv_cross(y_new_vec, xi_full)
+    rhs = ops.Wvec * xi_full / step.dt - ops.apply_adv_cross(y_new_vec, xi_full)
     z_vec, _ = step.solve(rhs, np.zeros(ops.n_boundary))
     return z_vec[ops.free_idx]
 
 
-def adjoint_step_apply(ops, dt, nu, alpha_nodes, w_adv_vec, y_new_vec, eta_free):
+def adjoint_step_apply(step, y_new_vec, eta_free):
     """Transpose of linearized_step_apply under the Euclidean pairing."""
-    step = StepSolver(ops, dt, nu).step(alpha_nodes, w_adv_vec)
+    ops = step.ops
     lam_full, _ = step.solve_transpose(eta_free)
-    out_full = ops.Wvec * lam_full / dt - ops.apply_adv_cross_T(y_new_vec, lam_full)
+    out_full = ops.Wvec * lam_full / step.dt - ops.apply_adv_cross_T(y_new_vec, lam_full)
     return out_full[ops.free_idx]
 
 

@@ -313,28 +313,30 @@ class DiscreteOperators:
         return sp.csr_matrix((data, self.step_indices, self.step_indptr),
                              shape=(self.N, self.N))
 
+    def saddle_entries(self, data):
+        """Entries of the pinned saddle, in CSC order, gathered from step_matrix data."""
+        return np.concatenate([data, self.saddle_const])[self.saddle_src]
+
     def step_saddle(self, data):
         """Pinned saddle matrix (CSC) gathered from step_matrix data."""
         n = self.saddle_indptr.size - 1
-        return sp.csc_matrix((np.concatenate([data, self.saddle_const])[self.saddle_src],
-                              self.saddle_indices, self.saddle_indptr), shape=(n, n))
+        return sp.csc_matrix((self.saddle_entries(data), self.saddle_indices,
+                              self.saddle_indptr), shape=(n, n))
 
     def reference_lu(self, dt, nu, alpha_nodes, w_vec):
         """LU of the step saddle at (dt, nu, alpha, w), kept in a one-entry slot.
 
         The slot is keyed by the exact entries of the saddle matrix, so a hit
         returns the same factor a fresh factorization would, and no result
-        depends on what was solved before.  The (key, LU) pair is replaced
-        in one assignment, so threads sharing the operators see either the
-        old pair or the new one.
+        depends on what was solved before.  A hit compares the gathered
+        entries only; the saddle matrix is built just to be factored.
         """
-        big = self.step_saddle(self.step_matrix(dt, nu, alpha_nodes, w_vec).data)
-        slot = self._reference
-        if slot is not None and np.array_equal(slot[0], big.data):
-            return slot[1]
-        lu = _factor(big)
-        self._reference = (big.data, lu)
-        return lu
+        data = self._step_map @ np.concatenate([alpha_nodes, w_vec, [1.0 / dt, nu]])
+        if self._reference is None or not np.array_equal(
+                self._reference[0], self.saddle_entries(data)):
+            big = self.step_saddle(data)
+            self._reference = (big.data, _factor(big))
+        return self._reference[1]
 
     def apply_adv_cross(self, y_vec, w_vec):
         """Matrix-free X(y) w = K(w) y (derivative of advection in w)."""

@@ -227,15 +227,6 @@ def fit_energy_bound_constant(rows):
     return float(max(c_for(r) for r in rows))
 
 
-def _parallel_map(fn, items, workers):
-    """Order-preserving map; threads only when more than one worker."""
-    if workers and workers > 1:
-        import concurrent.futures
-        with concurrent.futures.ThreadPoolExecutor(workers) as ex:
-            return list(ex.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def run_estimate_suite(config):
     """Orchestrated measurement of the solver-level estimates.
 
@@ -249,7 +240,6 @@ def run_estimate_suite(config):
     nsamp = config.get("samples", 5)
     seed = config.get("seed", 1234)
     chash = config.get("config_hash", "")
-    workers = config.get("workers", 1)
     grid = build_grid(nx, ny, Lx, Ly)
     tg = TimeGrid(T, nt)
     rng = np.random.default_rng(seed)
@@ -313,7 +303,7 @@ def run_estimate_suite(config):
         reports.append(InequalityReport("lipschitz", [], 0, 2.0, False, chash,
                                         details={"error": str(exc)}))
 
-    # linearized energy estimate; directions drawn up front, solves parallel
+    # linearized energy estimate; directions drawn up front
     try:
         prob = _suite_problem(grid, tg, rng)
         traj = solve_state(prob)
@@ -329,7 +319,7 @@ def run_estimate_suite(config):
                 lhs += tg.dt * float(zv @ (ops.fric_matrix(prob.friction.alpha[k]) @ zv))
             return lhs / hp_norm(d) ** 2
 
-        ratios = _parallel_map(lin_ratio, dirs, workers)
+        ratios = [lin_ratio(d) for d in dirs]
         passed = np.all(np.isfinite(ratios)) and max(ratios) <= 3.0 * min(ratios)
         reports.append(InequalityReport("linearized_energy", ratios, 0, 3.0,
                                         passed, chash))
@@ -348,7 +338,7 @@ def run_estimate_suite(config):
             adj = solve_adjoint(AdjointProblem(prob, traj, U))
             return adjoint_energy_check(adj, U, prob.friction)
 
-        ratios = _parallel_map(adj_ratio, sources, workers)
+        ratios = [adj_ratio(U) for U in sources]
         passed = np.all(np.isfinite(ratios)) and max(ratios) <= 3.0 * min(ratios)
         reports.append(InequalityReport("adjoint_energy", ratios, 0, 3.0,
                                         passed, chash))
@@ -387,7 +377,7 @@ def run_estimate_suite(config):
             adj = solve_adjoint(AdjointProblem(prob, traj, U))
             return duality_residual(z, adj, U, d.a, d.b, base_hash=traj.config_hash)
 
-        residuals = _parallel_map(dual_res, pairs, workers)
+        residuals = [dual_res(pair) for pair in pairs]
         passed = max(residuals) <= 1e-9
         reports.append(InequalityReport("duality", residuals, 0, 1e-9, passed, chash,
                                         details={"tolerance": 1e-9}))

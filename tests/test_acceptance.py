@@ -23,6 +23,7 @@ from slipctl.linearized_solver import (LinearizedProblem, adjoint_step_apply,
                                        gateaux_discrepancy,
                                        linearized_step_apply, solve_linearized)
 from slipctl.mesh import TimeGrid, build_grid
+from slipctl.operators import StepSolver
 from slipctl.state_solver import (StateProblem, energy_identity_residual,
                                   shear_oracle, solve_state)
 from slipctl.verify import (check_gns, check_korn, check_mean_zero,
@@ -190,15 +191,13 @@ def test_05_transpose_exactness():
         traj = solve_state(prob)
         ops = grid.ops
         yk = traj.velocity_vecs()
-        alpha = prob.friction.alpha[4]
+        step = StepSolver(ops, tg.dt, 1.0).step(prob.friction.alpha[4], yk[3])
         worst = 0.0
         for _ in range(20):
             xi = rng.standard_normal(ops.free_idx.size)
             eta = rng.standard_normal(ops.free_idx.size)
-            lhs = np.dot(linearized_step_apply(ops, tg.dt, 1.0, alpha,
-                                               yk[3], yk[4], xi), eta)
-            rhs = np.dot(xi, adjoint_step_apply(ops, tg.dt, 1.0, alpha,
-                                                yk[3], yk[4], eta))
+            lhs = np.dot(linearized_step_apply(step, yk[4], xi), eta)
+            rhs = np.dot(xi, adjoint_step_apply(step, yk[4], eta))
             worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300))
         assert worst <= 1e-10
 

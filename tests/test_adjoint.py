@@ -68,12 +68,12 @@ def test_transpose_exactness_single_step(setup):
     ops = grid.ops
     yk = traj.velocity_vecs()
     rng = np.random.default_rng(3)
-    alpha = prob.friction.alpha[4]
+    step = StepSolver(ops, tg.dt, 1.0).step(prob.friction.alpha[4], yk[3])
     for _ in range(20):
         xi = rng.standard_normal(ops.free_idx.size)
         eta = rng.standard_normal(ops.free_idx.size)
-        lhs = np.dot(linearized_step_apply(ops, tg.dt, 1.0, alpha, yk[3], yk[4], xi), eta)
-        rhs = np.dot(xi, adjoint_step_apply(ops, tg.dt, 1.0, alpha, yk[3], yk[4], eta))
+        lhs = np.dot(linearized_step_apply(step, yk[4], xi), eta)
+        rhs = np.dot(xi, adjoint_step_apply(step, yk[4], eta))
         assert abs(lhs - rhs) <= 1e-10 * (abs(lhs) + abs(rhs) + 1e-30)
 
 

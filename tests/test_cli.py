@@ -58,6 +58,27 @@ def test_missing_config_is_config_error(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
 
 
+def test_usage_errors_are_config_errors(tmp_path, capsys):
+    """Usage errors exit 1 like other config errors, not argparse's 2,
+    which is EXIT_SOLVER; --help and --version still exit 0."""
+    cfg = write_config(tmp_path)
+    assert main(["solve"]) == EXIT_CONFIG
+    assert main(["bogus", "--config", cfg]) == EXIT_CONFIG
+    assert main(["solve", "--config", cfg, "--workers", "2"]) == EXIT_CONFIG
+    assert main(["solve", "--help"]) == EXIT_OK
+    assert "--workers" not in capsys.readouterr().out
+    assert main(["--version"]) == EXIT_OK
+
+
+def test_run_workers_key_is_ignored(tmp_path):
+    """Configs written for the removed thread pool still run; the key is
+    kept in the resolved config, so their config hash is unchanged."""
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("[run]\n", "[run]\nworkers = 4\n"))
+    out = str(tmp_path / "o")
+    assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
+    assert "workers = 4" in open(os.path.join(out, "config.resolved")).read()
+
+
 def test_solve_writes_artifacts(tmp_path):
     cfg = write_config(tmp_path)
     out = str(tmp_path / "solve_out")
@@ -76,11 +97,13 @@ def test_linear_solve_failure_is_solver_exit(tmp_path, monkeypatch, caplog):
     from slipctl import operators
     monkeypatch.setattr(operators, "LINEAR_RESIDUAL_TOL", -1.0)
     cfg = write_config(tmp_path)
-    with caplog.at_level(logging.ERROR, logger="slipctl"):
-        code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert code == EXIT_SOLVER
-    assert any("state step 1: linear step residual" in r.getMessage()
-               for r in caplog.records)
+    for command in ("solve", "grad-check"):
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="slipctl"):
+            code = main([command, "--config", cfg, "--out", str(tmp_path / command)])
+        assert code == EXIT_SOLVER
+        assert any("state step 1: linear step residual" in r.getMessage()
+                   for r in caplog.records)
 
 
 def test_nonzero_flux_rejected_with_named_condition(tmp_path, caplog):
@@ -141,25 +164,24 @@ def test_verify_command(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "verify.json"))
 
 
-def test_determinism_byte_identical(tmp_path):
-    cfg = write_config(tmp_path)
-    out1, out2 = str(tmp_path / "d1"), str(tmp_path / "d2")
-    assert main(["optimize", "--config", cfg, "--out", out1]) in (EXIT_OK, EXIT_BUDGET)
-    assert main(["optimize", "--config", cfg, "--out", out2]) in (EXIT_OK, EXIT_BUDGET)
-    for name in ("history.csv", "report.json", "controls_a.csv", "controls_b.csv"):
+def _assert_same_bytes(out1, out2, names):
+    for name in names:
         b1 = open(os.path.join(out1, name), "rb").read()
         b2 = open(os.path.join(out2, name), "rb").read()
         assert b1 == b2, name
 
 
-def test_verify_workers_deterministic(tmp_path):
+def test_determinism_byte_identical(tmp_path):
     cfg = write_config(tmp_path)
-    out1, out2 = str(tmp_path / "w1"), str(tmp_path / "w2")
-    assert main(["verify", "--config", cfg, "--out", out1, "--workers", "1"]) == EXIT_OK
-    assert main(["verify", "--config", cfg, "--out", out2, "--workers", "2"]) == EXIT_OK
-    b1 = open(os.path.join(out1, "verify.json"), "rb").read()
-    b2 = open(os.path.join(out2, "verify.json"), "rb").read()
-    assert b1 == b2
+    out1, out2 = str(tmp_path / "d1"), str(tmp_path / "d2")
+    assert main(["optimize", "--config", cfg, "--out", out1]) in (EXIT_OK, EXIT_BUDGET)
+    assert main(["optimize", "--config", cfg, "--out", out2]) in (EXIT_OK, EXIT_BUDGET)
+    _assert_same_bytes(out1, out2, ("history.csv", "report.json", "controls_a.csv",
+                                    "controls_b.csv"))
+    out1, out2 = str(tmp_path / "v1"), str(tmp_path / "v2")
+    assert main(["verify", "--config", cfg, "--out", out1]) == EXIT_OK
+    assert main(["verify", "--config", cfg, "--out", out2]) == EXIT_OK
+    _assert_same_bytes(out1, out2, ("verify.json",))
 
 
 def test_target_from_file(tmp_path):
@@ -277,15 +299,12 @@ def test_config_hash_stable(tmp_path):
     assert rc3.config_hash() != rc1.config_hash()
 
 
-def test_grad_check_workers_byte_identical(tmp_path):
-    """Two worker threads share the engine cache, the operators and their
-    reference factor; the artifacts match a one-worker run byte for byte.
-    Four directions make 17 engine entries, so the cache clears mid-run."""
+def test_grad_check_byte_identical(tmp_path):
+    """Two grad-check runs write the same artifacts byte for byte.  Four
+    directions make 17 engine entries, so the engine cache clears mid-run."""
     cfg = write_config(tmp_path, BASE_CONFIG.replace("samples = 3", "samples = 4"))
-    outs = [str(tmp_path / ("w" + n)) for n in ("1", "2")]
-    for out, n in zip(outs, ("1", "2")):
-        assert main(["grad-check", "--config", cfg, "--out", out, "--workers", n]) == EXIT_OK
-    for name in ("gradcheck.csv", "kernels_normal.csv", "kernels_tangent.csv"):
-        b1 = open(os.path.join(outs[0], name), "rb").read()
-        b2 = open(os.path.join(outs[1], name), "rb").read()
-        assert b1 == b2, name
+    out1, out2 = str(tmp_path / "g1"), str(tmp_path / "g2")
+    for out in (out1, out2):
+        assert main(["grad-check", "--config", cfg, "--out", out]) == EXIT_OK
+    _assert_same_bytes(out1, out2, ("gradcheck.csv", "gradcheck.json",
+                                    "kernels_normal.csv", "kernels_tangent.csv"))

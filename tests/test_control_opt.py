@@ -252,25 +252,6 @@ def test_remainder_monitor_logged(small):
     assert all(np.isfinite(r) for r in rep.remainder_log)
 
 
-class _ClearOnStore(dict):
-    """A cache that another thread empties right after every store."""
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.clear()
-
-
-def test_engine_entry_survives_concurrent_cache_clear(small):
-    grid, tg = small
-    ctrl = random_admissible_control(grid, tg, np.random.default_rng(13), amplitude=0.3)
-    engine = GradientEngine(VelocityField(grid), CostParams(lam1=0.5, lam2=0.5))
-    engine._cache = _ClearOnStore()
-    J = engine.cost(ctrl)
-    assert np.isfinite(J)
-    grad, _ = engine.gradient(ctrl)
-    assert np.isfinite(grad.norm())
-
-
 def test_optimize_records_state_and_adjoint_time(small):
     grid, tg = small
     y0 = VelocityField(grid)
