@@ -292,6 +292,10 @@ class DiscreteOperators:
         self.saddle_indices = r[order].astype(np.int32)
         self.saddle_indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(c, minlength=nf + self.ncell - 1))]).astype(np.int32)
+        # P of the similarity A^T = P A P^-1 of an advection-free saddle A
+        # (see reference_lu): 1 on the free faces, -cell_area on cells 1..
+        self.saddle_similarity = np.concatenate([np.ones(nf),
+                                                 np.full(self.ncell - 1, -cell_area)])
 
     def step_matrix(self, dt, nu, alpha_nodes, w_vec):
         """The implicit step operator W/dt + nu*A_strain + Fric(alpha) + K(w).
@@ -323,15 +327,23 @@ class DiscreteOperators:
         return sp.csc_matrix((self.saddle_entries(data), self.saddle_indices,
                               self.saddle_indptr), shape=(n, n))
 
-    def reference_lu(self, dt, nu, alpha_nodes, w_vec):
-        """LU of the step saddle at (dt, nu, alpha, w), kept in a one-entry slot.
+    def reference_lu(self, dt, nu, alpha_nodes):
+        """LU of the advection-free step saddle at (dt, nu, alpha), kept in a
+        one-entry slot.
+
+        Without advection the velocity block W/dt + nu*A_strain + Fric(alpha)
+        is symmetric and the coupling blocks are Gf = -cell_area * Df^T, so
+        the saddle A satisfies A^T = P A P^-1 with P = saddle_similarity.
+        StepSolver therefore solves with A as well as with A^T through
+        SuperLU's transposed kernel, the faster of its two.
 
         The slot is keyed by the exact entries of the saddle matrix, so a hit
         returns the same factor a fresh factorization would, and no result
         depends on what was solved before.  A hit compares the gathered
         entries only; the saddle matrix is built just to be factored.
         """
-        data = self._step_map @ np.concatenate([alpha_nodes, w_vec, [1.0 / dt, nu]])
+        data = self._step_map @ np.concatenate([alpha_nodes, np.zeros(self.N),
+                                                [1.0 / dt, nu]])
         if self._reference is None or not np.array_equal(
                 self._reference[0], self.saddle_entries(data)):
             big = self.step_saddle(data)
@@ -401,6 +413,15 @@ def _face_split(Lm, Rm, c, Sm):
             Lm.data[pl] * c[b] * Rm.data[pr] * Sm.data[ps])
 
 
+def _extrapolate(hist):
+    """Next term of the polynomial through the last 1-3 solutions, oldest first."""
+    if len(hist) == 1:
+        return hist[0]
+    if len(hist) == 2:
+        return 2.0 * hist[1] - hist[0]
+    return 3.0 * (hist[2] - hist[1]) + hist[0]
+
+
 def _centred_diff(n, h):
     """Centred first difference on n points, one-sided at both ends."""
     D = sp.diags([np.full(n - 1, 0.5 / h), np.full(n - 1, -0.5 / h)], [1, -1],
@@ -444,13 +465,18 @@ class StepSolver:
     that data in place for the next step, so no sparse matrix is built per
     step.  Call step() (or at()) before solving.
 
-    Given the LU of a nearby step (the sweeps pass the problem's reference
-    factor, see DiscreteOperators.reference_lu), each solve is refined
-    iteratively against the current step's own matrix, which replaces a
-    factorization per step.  When refinement does not reach round-off, the
-    step factors its own matrix and solves directly; the next step() goes
-    back to the nearby factor.  Without a nearby factor (lu=None) every
-    step factors its own matrix.
+    Given the LU of an advection-free step saddle (the sweeps pass the
+    problem's reference factor, see DiscreteOperators.reference_lu), each
+    solve is refined iteratively against the current step's own matrix,
+    which replaces a factorization per step.  The reference is applied in
+    both directions through SuperLU's transposed kernel, forward solves via
+    the similarity A^T = P A P^-1.  Refinement starts from the polynomial
+    extrapolation of the sweep's last three accepted solutions in that
+    direction (history; seed() starts the forward one), if that guess's
+    residual is below |rhs|, and from zero otherwise.  When refinement does
+    not reach round-off, the step factors its own matrix and solves
+    directly; the next step() goes back to the reference.  Without a
+    reference (lu=None) every step factors its own matrix.
     """
 
     def __init__(self, ops, dt, nu, lu=None, sweep="step"):
@@ -475,6 +501,12 @@ class StepSolver:
                                   shape=(self.nf, C.size))
         self.saddle_T, self.abs_saddle_T, self.M_fc_T = (
             self.saddle.T, self.abs_saddle.T, self.M_fc.T)
+        # accepted solutions of the forward and the transposed solves, oldest first
+        self.history = ([], [])
+
+    def seed(self, y_vec):
+        """Start the forward history at velocity y_vec with zero pressure."""
+        self.history[0][:] = [np.concatenate([y_vec[self.F], np.zeros(self.ops.ncell - 1)])]
 
     def step(self, alpha_nodes, w_adv_vec):
         """Refill the blocks with the step operator at (alpha, w); returns self."""
@@ -497,24 +529,41 @@ class StepSolver:
         except SolverDivergence as exc:
             raise SolverDivergence("%s step %d: %s" % (self.sweep, k, exc))
 
-    def _refine(self, rhs, big, abs_big, mode):
-        """Solution refined against the nearby factor self.lu and its
-        residual norm, or None.
+    def _ref_solve(self, r, trans):
+        """The reference saddle A, or A^T, solved for r; both through the
+        transposed kernel, since A^-1 r = P^-1 A^-T (P r)."""
+        if trans:
+            return self.ref.solve(r, trans="T")
+        P = self.ops.saddle_similarity
+        return self.ref.solve(P * r, trans="T") / P
 
-        The solve is accepted once its residual is at round-off, that is at
-        most eps * || |big| |x| + |rhs| || (the bound a backward-stable direct
-        solve meets).  It is abandoned as soon as a correction fails to cut
-        the residual by REFINE_RATE or the average rate so far could not
-        reach round-off within the corrections left.
+    def _refine(self, rhs, rhs_norm, big, abs_big, trans):
+        """Solution refined against the reference factor and its residual
+        norm, or None.
+
+        The first solve corrects the extrapolated guess, if its residual is
+        below |rhs|, and zero otherwise.  The solve is accepted once its
+        residual is at round-off, that is at most eps * || |big| |x| + |rhs| ||
+        (the bound a backward-stable direct solve meets).  It is abandoned as
+        soon as a correction fails to cut the residual by REFINE_RATE or the
+        average rate so far could not reach round-off within the corrections
+        left.
         """
-        sol = self.lu.solve(rhs, trans=mode)
+        sol, hist = None, self.history[trans]
+        if hist:
+            guess = _extrapolate(hist)
+            res = rhs - big @ guess
+            if np.linalg.norm(res) < rhs_norm:
+                sol = guess + self._ref_solve(res, trans)
+        if sol is None:
+            sol = self._ref_solve(rhs, trans)
         floor = np.finfo(float).eps * np.linalg.norm(abs_big @ abs(sol) + abs(rhs))
         res = rhs - big @ sol
         rn0 = rn = np.linalg.norm(res)
         k = 0
         while not rn <= floor:
             k += 1
-            sol = sol + self.lu.solve(res, trans=mode)
+            sol = sol + self._ref_solve(res, trans)
             res = rhs - big @ sol
             rn, last = np.linalg.norm(res), rn
             if not (rn <= REFINE_RATE * last
@@ -527,16 +576,21 @@ class StepSolver:
             big, abs_big, mode = self.saddle_T, self.abs_saddle_T, "T"
         else:
             big, abs_big, mode = self.saddle, self.abs_saddle, "N"
-        out = None if self.lu is not self.ref else self._refine(rhs, big, abs_big, mode)
+        rhs_norm = np.linalg.norm(rhs)
+        out = None if self.lu is not self.ref else self._refine(rhs, rhs_norm, big,
+                                                                 abs_big, trans)
         if out is None:
             if self.lu is self.ref:
                 self.lu = _factor(self.saddle)
             sol = self.lu.solve(rhs, trans=mode)
             out = sol, np.linalg.norm(rhs - big @ sol)
-        rel = out[1] / max(np.linalg.norm(rhs), 1e-30)
+        rel = out[1] / max(rhs_norm, 1e-30)
         if not np.isfinite(rel) or rel > LINEAR_RESIDUAL_TOL:
             raise SolverDivergence("%s step residual %.3e above tolerance"
                                    % ("adjoint" if trans else "linear", rel))
+        hist = self.history[trans]
+        hist.append(out[0])
+        del hist[:-3]
         return out[0]
 
     def _split(self, sol):

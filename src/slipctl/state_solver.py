@@ -52,14 +52,15 @@ class StateProblem:
 
     def step_solver(self, sweep):
         """The StepSolver of one sweep ("state", "linearized" or "adjoint"),
-        on the problem's reference step factor: step 1, advected by y0.
+        on the problem's reference step factor: step 1 without advection.
 
-        The factor depends on (dt, nu, alpha[1], y0) and not on the controls,
-        so the state, tangent and adjoint sweeps of every control share it.
+        The factor depends on (dt, nu, alpha[1]) only, not on y0 or the
+        controls, so the state, tangent and adjoint sweeps of every control
+        share it.
         """
         ops, dt = self.grid.ops, self.time_grid.dt
         try:
-            lu = ops.reference_lu(dt, self.nu, self.friction.alpha[1], self.y0.to_vec())
+            lu = ops.reference_lu(dt, self.nu, self.friction.alpha[1])
         except SolverDivergence as exc:
             raise SolverDivergence("%s step 1 (reference factor): %s" % (sweep, exc))
         return StepSolver(ops, dt, self.nu, lu, sweep)
@@ -83,6 +84,7 @@ def solve_state(problem: StateProblem) -> StateTrajectory:
     ps = []
     y_prev = problem.y0.to_vec()
     solver = problem.step_solver("state")
+    solver.seed(y_prev)
     for k in range(1, tg.nt + 1):
         rhs = ops.Wvec * y_prev / tg.dt + ops.b_load(ctrl.b[k])
         with solver.at(k, fric.alpha[k], y_prev) as step:

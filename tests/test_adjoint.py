@@ -247,7 +247,8 @@ def _sweep_outputs(p, U, d):
 def test_one_solver_per_sweep_matches_a_fresh_solver_per_step(setup, monkeypatch,
                                                                splu_spy):
     """Each sweep builds one StepSolver and refreshes it in place; the state,
-    adjoint and tangent sweeps give the bits of a fresh StepSolver per step.
+    adjoint and tangent sweeps give the bits of a fresh StepSolver per step
+    that is handed the sweep's solution history.
     The large controls make most steps fall back to their own factor, and in
     the adjoint sweep a fallback is followed by refined steps."""
     grid, tg, prob, traj = setup
@@ -265,8 +266,9 @@ def test_one_solver_per_sweep_matches_a_fresh_solver_per_step(setup, monkeypatch
         built.append(self.sweep)
 
     def fresh_at(self, k, alpha, w):
-        return real_at(StepSolver(self.ops, self.dt, self.nu, self.ref, self.sweep),
-                       k, alpha, w)
+        fresh = StepSolver(self.ops, self.dt, self.nu, self.ref, self.sweep)
+        fresh.history = self.history
+        return real_at(fresh, k, alpha, w)
 
     monkeypatch.setattr(StepSolver, "__init__", counting_init)
     splu_spy.calls = 0

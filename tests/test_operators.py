@@ -220,7 +220,7 @@ def test_step_solver_residual_guard(grid, monkeypatch):
     assert abs(q.sum()) < 1e-9
 
     # a step refined against another step's factor meets the same guard
-    ref_lu = ops.reference_lu(0.05, 1.0, np.ones(grid.n_boundary), np.zeros(ops.N))
+    ref_lu = ops.reference_lu(0.05, 1.0, np.ones(grid.n_boundary))
     monkeypatch.setattr(operators, "LINEAR_RESIDUAL_TOL", -1.0)
     for lu in (None, ref_lu):
         step = operators.StepSolver(ops, 0.05, 1.0, lu=lu).step(np.ones(grid.n_boundary), w)
@@ -266,7 +266,7 @@ def test_refined_solves_match_direct_lu(splu_spy):
     from slipctl.operators import StepSolver
     grid, ops, rng, alpha, a, rhs, rhs_t = _step_case(13)
     w = rng.standard_normal(ops.N)
-    ref_lu = ops.reference_lu(0.05, 1.0, np.ones(grid.n_boundary), np.zeros(ops.N))
+    ref_lu = ops.reference_lu(0.05, 1.0, np.ones(grid.n_boundary))
     direct = StepSolver(ops, 0.05, 1.0).step(alpha, w)
     splu_spy.calls = 0
     refined = StepSolver(ops, 0.05, 1.0, lu=ref_lu).step(alpha, w)
@@ -278,13 +278,14 @@ def test_refined_solves_match_direct_lu(splu_spy):
 
 
 def test_far_reference_falls_back_to_own_factor(splu_spy):
-    """Refinement against a far factor (dt x 100, large w) misses the
-    residual guard; the step then factors its own matrix and still meets it."""
+    """Refinement against a far factor (dt x 100, alpha x 300, no
+    advection) misses the residual guard; the step then factors its own
+    matrix and still meets it."""
     from slipctl.operators import StepSolver
     grid, ops, rng, alpha, a, rhs, rhs_t = _step_case(17)
     w = rng.standard_normal(ops.N)
     direct = StepSolver(ops, 0.05, 1.0).step(alpha, w)
-    far = ops.reference_lu(5.0, 1.0, alpha, 300.0 * rng.standard_normal(ops.N))
+    far = ops.reference_lu(5.0, 1.0, 300.0 * alpha)
     for transpose in (False, True):
         step = StepSolver(ops, 0.05, 1.0, lu=far).step(alpha, w)
         splu_spy.calls = 0
@@ -296,6 +297,31 @@ def test_far_reference_falls_back_to_own_factor(splu_spy):
         assert step.lu is not far
         for x, y in zip(got, want):
             assert _rel(x, y) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(7, 5, 1.2, 0.8), (9, 4, 1.0, 1.0), (16, 16, 1.0, 1.0)])
+def test_reference_saddle_is_similar_to_its_transpose(shape):
+    """Without advection the velocity block is exactly symmetric and the
+    coupling blocks are Gf = -cell_area Df^T, so A^T = P A P^-1 with
+    P = saddle_similarity to round-off (exactly where cell_area is a power
+    of two), and a forward solve through the transposed kernel matches the
+    plain one."""
+    grid = build_grid(*shape)
+    ops = grid.ops
+    rng = np.random.default_rng(41)
+    nf, eps = ops.free_idx.size, np.finfo(float).eps
+    P = ops.saddle_similarity
+    for dt, nu in ((0.05, 1.0), (0.0137, 0.01)):
+        alpha = rng.uniform(0.2, 2.0, grid.n_boundary)
+        A = ops.step_saddle(ops.step_matrix(dt, nu, alpha, np.zeros(ops.N)).data).toarray()
+        assert np.array_equal(A[:nf, :nf], A[:nf, :nf].T)
+        similar = P[:, None] * A / P[None, :]
+        assert np.all(abs(similar - A.T) <= 2 * eps * abs(A.T))
+        if np.log2(grid.cell_area).is_integer():
+            assert np.array_equal(similar, A.T)
+        lu = ops.reference_lu(dt, nu, alpha)
+        b = rng.standard_normal(A.shape[0])
+        assert _rel(lu.solve(P * b, trans="T") / P, lu.solve(b)) <= 1e-13
 
 
 def test_workspace_views_follow_every_step():
@@ -321,19 +347,23 @@ def test_workspace_views_follow_every_step():
 
 
 class _CountingLU:
-    """Wraps an LU and counts its solves."""
+    """Wraps an LU and counts its solves; trans records each solve's mode."""
 
     def __init__(self, lu):
-        self.lu, self.solves = lu, 0
+        self.lu, self.solves, self.trans = lu, 0, []
 
     def solve(self, rhs, trans="N"):
         self.solves += 1
+        self.trans.append(trans)
         return self.lu.solve(rhs, trans=trans)
 
 
-def _saddle_lu(ops, dt, alpha, w):
+def _saddle_lu(ops, dt, nu, alpha):
+    """Counting LU of the advection-free step saddle, the only kind of
+    reference the sweeps make."""
     import scipy.sparse.linalg as spla
-    return _CountingLU(spla.splu(ops.step_saddle(ops.step_matrix(dt, 1.0, alpha, w).data)))
+    data = ops.step_matrix(dt, nu, alpha, np.zeros(ops.N)).data
+    return _CountingLU(spla.splu(ops.step_saddle(data)))
 
 
 def test_fallback_lasts_one_step(splu_spy):
@@ -341,19 +371,21 @@ def test_fallback_lasts_one_step(splu_spy):
     transposed solve reuses it); the next step() refines against the
     reference again.  With the far reference of
     test_far_reference_falls_back_to_own_factor and the workspace at its dt,
-    a step at the reference's own matrix refines without factoring."""
+    a step at the reference's own matrix (alpha x 300, no advection)
+    refines without factoring."""
     from slipctl.operators import StepSolver
     grid, ops, rng, alpha, a, rhs, rhs_t = _step_case(17)
     w = rng.standard_normal(ops.N)
-    far_w = 300.0 * rng.standard_normal(ops.N)
-    far = _CountingLU(ops.reference_lu(5.0, 1.0, alpha, far_w))
+    far_alpha, far_w = 300.0 * alpha, np.zeros(ops.N)
+    far = _CountingLU(ops.reference_lu(5.0, 1.0, far_alpha))
     direct = StepSolver(ops, 5.0, 1.0)
-    cases = [(w_k, direct.step(alpha, w_k).solve(rhs, a) + direct.solve_transpose(rhs_t))
-             for w_k in (w, far_w, w)]
+    cases = [((alpha_k, w_k), direct.step(alpha_k, w_k).solve(rhs, a)
+              + direct.solve_transpose(rhs_t))
+             for alpha_k, w_k in ((alpha, w), (far_alpha, far_w), (alpha, w))]
     step = StepSolver(ops, 5.0, 1.0, lu=far)
     splu_spy.calls = 0
-    for (w_k, want), factors in zip(cases, (1, 1, 2)):
-        step.step(alpha, w_k)
+    for (at, want), factors in zip(cases, (1, 1, 2)):
+        step.step(*at)
         assert step.lu is far
         solves = far.solves
         got = step.solve(rhs, a) + step.solve_transpose(rhs_t)
@@ -364,16 +396,17 @@ def test_fallback_lasts_one_step(splu_spy):
 
 
 def test_slowly_converging_reference_reaches_round_off(splu_spy):
-    """Against a moderately far reference (advection x 6) refinement needs
-    over ten corrections; it is still accepted only at round-off, and the
-    answer matches the step's own LU to round-off."""
+    """Against a moderately far reference (no advection, 0.7 times the
+    step's dt) refinement needs over ten corrections; it is still accepted
+    only at round-off, and the answer matches the step's own LU to
+    round-off."""
     from slipctl.operators import StepSolver
     grid, ops, rng, alpha, *_ = _step_case(13)
     w = rng.standard_normal(ops.N)
     direct = StepSolver(ops, 0.05, 1.0).step(alpha, w)
     b = rng.standard_normal(direct.saddle.shape[0])
     for trans in (False, True):
-        ref = _saddle_lu(ops, 0.05, alpha, 6.0 * w)
+        ref = _saddle_lu(ops, 0.035, 1.0, alpha)
         splu_spy.calls = 0
         step = StepSolver(ops, 0.05, 1.0, lu=ref).step(alpha, w)
         got, want = step._solve(b, trans), direct._solve(b, trans)
@@ -388,17 +421,18 @@ def test_slowly_converging_reference_reaches_round_off(splu_spy):
 
 
 def test_hopeless_reference_falls_back_at_once(splu_spy):
-    """Against the factor at 2.5 times the step, every correction cuts the
-    residual by about 0.38: each halves it, but REFINE_MAX_STEPS of them
-    cannot reach round-off.  The step sees that after a few corrections,
-    not REFINE_MAX_STEPS, and factors its own matrix."""
+    """Against the advection-free factor at 2.5 times the step's dt, the
+    corrections settle at cutting the residual by about 0.38: each halves
+    it, but REFINE_MAX_STEPS of them cannot reach round-off.  The step sees
+    that after a few corrections, not REFINE_MAX_STEPS, and factors its own
+    matrix."""
     from slipctl.operators import StepSolver
     grid, ops, rng, alpha, *_ = _step_case(13)
     w = rng.standard_normal(ops.N)
     direct = StepSolver(ops, 0.05, 1.0).step(alpha, w)
     b = rng.standard_normal(direct.saddle.shape[0])
     for trans in (False, True):
-        ref = _saddle_lu(ops, 0.125, alpha, w)
+        ref = _saddle_lu(ops, 0.125, 1.0, alpha)
         splu_spy.calls = 0
         step = StepSolver(ops, 0.05, 1.0, lu=ref).step(alpha, w)
         assert _rel(step._solve(b, trans), direct._solve(b, trans)) == 0.0
@@ -420,12 +454,11 @@ def test_own_factor_solves_once():
 def test_reference_slot_keyed_by_exact_matrix(splu_spy):
     """A hit returns the stored factor; a change of the matrix refactors."""
     grid, ops, rng, alpha, *_ = _step_case(19, n=8)
-    w = rng.standard_normal(ops.N)
-    lu = ops.reference_lu(0.05, 1.0, alpha, w)
-    assert ops.reference_lu(0.05, 1.0, alpha.copy(), w.copy()) is lu
+    lu = ops.reference_lu(0.05, 1.0, alpha)
+    assert ops.reference_lu(0.05, 1.0, alpha.copy()) is lu
     assert splu_spy.calls == 1
-    w[ops.free_idx[5]] += 1e-9
-    assert ops.reference_lu(0.05, 1.0, alpha, w) is not lu
+    alpha[5] += 1e-9
+    assert ops.reference_lu(0.05, 1.0, alpha) is not lu
     assert splu_spy.calls == 2
 
 
@@ -433,8 +466,7 @@ def test_reference_slot_hit_builds_no_matrix(monkeypatch):
     """A hit compares the gathered saddle entries; no sparse matrix is built."""
     from scipy.sparse._compressed import _cs_matrix
     grid, ops, rng, alpha, *_ = _step_case(23, n=8)
-    w = rng.standard_normal(ops.N)
-    lu = ops.reference_lu(0.05, 1.0, alpha, w)
+    lu = ops.reference_lu(0.05, 1.0, alpha)
     built = []
     init = _cs_matrix.__init__
 
@@ -443,5 +475,103 @@ def test_reference_slot_hit_builds_no_matrix(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(_cs_matrix, "__init__", counting_init)
-    assert ops.reference_lu(0.05, 1.0, alpha, w) is lu
+    assert ops.reference_lu(0.05, 1.0, alpha) is lu
     assert built == []
+
+
+def test_refined_solves_use_the_transposed_kernel(splu_spy):
+    """Every reference solve of a refined forward or transposed solve goes
+    through SuperLU's transposed kernel."""
+    from slipctl.operators import StepSolver
+    grid, ops, rng, alpha, a, rhs, rhs_t = _step_case(13)
+    ref = _CountingLU(ops.reference_lu(0.05, 1.0, np.ones(grid.n_boundary)))
+    splu_spy.calls = 0
+    step = StepSolver(ops, 0.05, 1.0, lu=ref).step(alpha, rng.standard_normal(ops.N))
+    step.solve(rhs, a)
+    forward = ref.solves
+    step.solve_transpose(rhs_t)
+    assert splu_spy.calls == 0
+    assert 0 < forward < ref.solves
+    assert ref.trans == ["T"] * ref.solves
+
+
+def _refined_step(seed):
+    """A step refined against a counting reference, its own direct solver
+    and a saddle right-hand side."""
+    from slipctl.operators import StepSolver
+    grid, ops, rng, alpha, *_ = _step_case(seed)
+    w = rng.standard_normal(ops.N)
+    ref = _CountingLU(ops.reference_lu(0.05, 1.0, alpha))
+    direct = StepSolver(ops, 0.05, 1.0).step(alpha, w)
+    step = StepSolver(ops, 0.05, 1.0, lu=ref).step(alpha, w)
+    return ref, direct, step, rng.standard_normal(direct.saddle.shape[0])
+
+
+def test_history_at_the_solution_is_accepted_after_one_solve(splu_spy):
+    """Started from a history that holds the step's exact solution, a
+    refined solve is accepted after one reference solve."""
+    for trans in (False, True):
+        ref, direct, step, b = _refined_step(43)
+        exact = direct._solve(b, trans)
+        step.history[trans][:] = [exact]
+        splu_spy.calls = 0
+        got = step._solve(b, trans)
+        assert splu_spy.calls == 0
+        assert ref.solves == 1
+        assert _rel(got, exact) <= 1e-13
+
+
+def test_guess_no_better_than_zero_is_ignored():
+    """An extrapolated guess whose residual is not below |rhs| is ignored:
+    the solve gives the bits and solve count of one without history."""
+    for trans in (False, True):
+        ref, direct, step, b = _refined_step(47)
+        want = step._solve(b, trans)
+        solves = ref.solves
+        ref, direct, step, b = _refined_step(47)
+        exact = direct._solve(b, trans)
+        # history (-x, -x, -x) extrapolates to -x, whose residual is 2 b
+        step.history[trans][:] = [-exact] * 3
+        ref.solves = 0
+        assert np.array_equal(step._solve(b, trans), want)
+        assert ref.solves == solves
+
+
+def test_steady_shear_sweep_refines_once_per_step(monkeypatch):
+    """The state sweep seeds its history with y0, so a steady shear start
+    is accepted after one reference solve per step, although the reference
+    has no advection and every step is advected by the profile."""
+    from slipctl.state_solver import StateProblem, solve_state
+    from slipctl.fields import l2_norm
+    grid = build_grid(16, 16, 1.0, 1.0)
+    tg = TimeGrid(0.5, 8)
+    y0, ctrl, fric = shear_oracle(grid, tg)
+    ops = grid.ops
+    ref = _CountingLU(ops.reference_lu(tg.dt, 1.0, fric.alpha[1]))
+    monkeypatch.setattr(ops, "reference_lu", lambda *args: ref)
+    traj = solve_state(StateProblem(grid, tg, y0, ctrl, fric))
+    assert ref.solves == tg.nt
+    assert max(l2_norm(y - y0) for y in traj.velocities) < 1e-9
+
+
+def test_guess_extrapolates_the_last_three_solutions():
+    """The starting guess continues the polynomial through the history:
+    constant from one solution, linear from two, quadratic from three."""
+    from slipctl.operators import _extrapolate
+    rng = np.random.default_rng(53)
+    c = rng.standard_normal((3, 5))
+    for degree in range(3):
+        seq = [sum(c[d] * k ** d for d in range(degree + 1)) for k in range(degree + 2)]
+        assert np.allclose(_extrapolate(seq[:-1]), seq[-1], rtol=0, atol=1e-13)
+
+
+def test_history_keeps_the_last_three_solutions():
+    """Each direction's history holds its last three accepted solutions."""
+    from slipctl.operators import StepSolver
+    grid, ops, rng, alpha, *_ = _step_case(59, n=8)
+    step = StepSolver(ops, 0.05, 1.0).step(alpha, rng.standard_normal(ops.N))
+    n = step.saddle.shape[0]
+    for trans in (False, True):
+        sols = [step._solve(rng.standard_normal(n), trans) for _ in range(4)]
+        assert len(step.history[trans]) == 3
+        assert all(h is s for h, s in zip(step.history[trans], sols[1:]))
