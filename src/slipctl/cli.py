@@ -29,7 +29,7 @@ from .fields import (BoundaryControl, FrictionField, VelocityField,
                      save_pressure, save_velocity)
 from .lifting import solve_neumann_lifting
 from .linearized_solver import LinearizedProblem, solve_linearized
-from .mesh import TimeGrid, build_grid, integrate_boundary
+from .mesh import WALL_NAMES, TimeGrid, build_grid, integrate_boundary
 from .state_solver import (StateProblem, energy_identity_residual,
                            load_trajectory, save_trajectory, solve_state)
 from .verify import format_table, reports_to_json, run_estimate_suite
@@ -37,8 +37,6 @@ from .verify import format_table, reports_to_json, run_estimate_suite
 log = logging.getLogger("slipctl")
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_BUDGET, EXIT_CHECK = 0, 1, 2, 3, 4
-
-WALL_KEYS = ("bottom", "right", "top", "left")
 
 
 def _eval_terms(spec, xi):
@@ -73,7 +71,7 @@ def _eval_terms(spec, xi):
 def _wall_profile(cfg, section, prefix, grid):
     """Per-wall spatial profile at the boundary nodes (loop order)."""
     vals = np.zeros(grid.n_boundary)
-    for wall, name in enumerate(WALL_KEYS):
+    for wall, name in enumerate(WALL_NAMES):
         key = "%s.%s" % (prefix, name)
         if cfg.has_option(section, key):
             sl = grid.wall_slice(wall)
@@ -135,6 +133,8 @@ class RunConfig:
             raise ConfigError("p_exponent must exceed 2")
         if self.lam1 < 0 or self.lam2 < 0:
             raise ConfigError("penalty weights must be nonnegative")
+        if self.samples < 1:
+            raise ConfigError("samples must be at least 1")
         try:
             self.grid = build_grid(self.nx, self.ny, self.Lx, self.Ly)
             self.time_grid = TimeGrid(self.T, self.nt)
@@ -192,22 +192,25 @@ class RunConfig:
     def friction(self):
         spec = self._cfg.get("physics", "alpha", fallback="constant:1.0")
         nslice = self.nt + 1
-        if spec.startswith("constant:"):
-            val = float(spec.split(":")[1])
-            alpha = np.full((nslice, self.grid.n_boundary), val)
-        elif spec.startswith("walls:"):
-            vals = [float(v) for v in spec[6:].split(",")]
-            if len(vals) != 4:
-                raise ConfigError("walls: friction needs 4 values (bottom,right,top,left)")
-            alpha = np.empty((nslice, self.grid.n_boundary))
-            for wall in range(4):
-                alpha[:, self.grid.wall_slice(wall)] = vals[wall]
-        elif spec == "table":
-            prof = _wall_profile(self._cfg, "physics", "alpha", self.grid)
-            tmod = _time_factor(self._cfg, "physics", "alpha", self.time_grid)
-            alpha = tmod[:, None] * prof[None, :]
-        else:
-            raise ConfigError("unknown friction specification %r" % spec)
+        try:
+            if spec.startswith("constant:"):
+                val = float(spec.split(":")[1])
+                alpha = np.full((nslice, self.grid.n_boundary), val)
+            elif spec.startswith("walls:"):
+                vals = [float(v) for v in spec[6:].split(",")]
+                if len(vals) != 4:
+                    raise ConfigError("walls: friction needs 4 values (bottom,right,top,left)")
+                alpha = np.empty((nslice, self.grid.n_boundary))
+                for wall in range(4):
+                    alpha[:, self.grid.wall_slice(wall)] = vals[wall]
+            elif spec == "table":
+                prof = _wall_profile(self._cfg, "physics", "alpha", self.grid)
+                tmod = _time_factor(self._cfg, "physics", "alpha", self.time_grid)
+                alpha = tmod[:, None] * prof[None, :]
+            else:
+                raise ConfigError("unknown friction specification %r" % spec)
+        except ValueError as exc:
+            raise ConfigError("malformed friction spec alpha = %s: %s" % (spec, exc))
         if alpha.min() < self.alpha_min:
             raise ConfigError("friction coefficient below alpha_min=%g" % self.alpha_min)
         return FrictionField(self.grid, self.time_grid, alpha, self.alpha_min)
@@ -252,9 +255,10 @@ class RunConfig:
 
     def state_problem(self):
         ctrl = self.controls()
+        friction = self.friction()
         try:
             return StateProblem(self.grid, self.time_grid, self.initial_state(),
-                                ctrl, self.friction(), self.nu)
+                                ctrl, friction, self.nu)
         except ValueError as exc:
             raise ConfigError(
                 "%s (the initial state must be divergence-free with normal "
@@ -383,11 +387,7 @@ def cmd_grad_check(rc: RunConfig, corrupt_adjoint=False):
         results.append((adj_dd, fd["richardson"],
                         abs(adj_dd - fd["richardson"]) / denom))
 
-    source = []
-    for k in range(rc.nt + 1):
-        yd = params.target_vec(rc.grid, k)
-        yk = traj.velocities[k].to_vec()
-        source.append(yk if yd is None else yk - yd)
+    source = [params.misfit(traj, k) for k in range(rc.nt + 1)]
     adj = entry["adjoint"]
     dres = []
     for d in dirs[:3]:

@@ -6,7 +6,6 @@ derivative agrees with central finite differences of the cost up to
 truncation of the differences themselves.
 """
 
-import hashlib
 import time
 
 import numpy as np
@@ -30,20 +29,13 @@ class CostParams:
         self.radius = float(radius)
         self.p_exponent = float(p_exponent)
 
-    def target_vec(self, grid, k):
+    def misfit(self, trajectory, k):
+        """Tracking misfit y(t_k) - y_d(t_k) as a face vector."""
+        yk = trajectory.velocities[k].to_vec()
         if self.y_d is None:
-            return None
+            return yk
         yd = self.y_d[k]
-        return yd.to_vec() if isinstance(yd, VelocityField) else np.asarray(yd, float)
-
-    def content_hash(self):
-        h = hashlib.sha256()
-        h.update(repr((self.lam1, self.lam2, self.radius, self.p_exponent)).encode())
-        if self.y_d is not None:
-            for yd in self.y_d:
-                arr = yd.to_vec() if isinstance(yd, VelocityField) else np.asarray(yd)
-                h.update(np.ascontiguousarray(arr).tobytes())
-        return h.hexdigest()[:16]
+        return yk - (yd.to_vec() if isinstance(yd, VelocityField) else np.asarray(yd, float))
 
 
 def evaluate_cost(controls: BoundaryControl, trajectory, params: CostParams):
@@ -53,9 +45,7 @@ def evaluate_cost(controls: BoundaryControl, trajectory, params: CostParams):
     dt = tg.dt
     J = 0.0
     for k in range(1, tg.nt + 1):
-        yk = trajectory.velocities[k].to_vec()
-        yd = params.target_vec(g, k)
-        diff = yk if yd is None else yk - yd
+        diff = params.misfit(trajectory, k)
         J += 0.5 * dt * np.dot(ops.Wvec * diff, diff)
         pen = (0.5 * params.lam1 * controls.a[k] ** 2
                + 0.5 * params.lam2 * controls.b[k] ** 2)
@@ -86,32 +76,30 @@ class ControlGradient:
 
 
 class GradientEngine:
-    """Caches state/adjoint solves per control content for reuse in line searches."""
+    """Keeps the state and adjoint solves of the latest controls for reuse.
+
+    Line searches and finite differences only revisit the controls they
+    evaluated last, so one entry serves every reuse.  It is matched on the
+    exact bytes of both control arrays; the cost parameters are fixed per
+    engine.
+    """
 
     def __init__(self, y0: VelocityField, params: CostParams, friction=None, nu=1.0):
         self.y0 = y0
         self.params = params
         self.friction = friction
         self.nu = float(nu)
-        self._cache = {}
+        self._last_key = None
+        self._last = None
         self.state_solves = 0
         self.adjoint_solves = 0
         self.state_seconds = 0.0
         self.adjoint_seconds = 0.0
 
-    def _key(self, controls):
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(controls.a).tobytes())
-        h.update(np.ascontiguousarray(controls.b).tobytes())
-        h.update(self.params.content_hash().encode())
-        return h.hexdigest()
-
     def _entry(self, controls):
-        key = self._key(controls)
-        entry = self._cache.get(key)
-        if entry is None:
-            if len(self._cache) > 8:
-                self._cache.clear()
+        key = (controls.a.tobytes(), controls.b.tobytes())
+        if key != self._last_key:
+            self._last_key = self._last = None  # free the old solve before the new one
             prob = StateProblem(controls.grid, controls.time_grid, self.y0, controls,
                                 self.friction, self.nu, validate=False)
             t0 = time.perf_counter()
@@ -119,9 +107,9 @@ class GradientEngine:
             self.state_seconds += time.perf_counter() - t0
             self.state_solves += 1
             J = evaluate_cost(controls, traj, self.params)
-            entry = {"problem": prob, "trajectory": traj, "J": J}
-            self._cache[key] = entry
-        return entry
+            self._last = {"problem": prob, "trajectory": traj, "J": J}
+            self._last_key = key
+        return self._last
 
     def cost(self, controls):
         return self._entry(controls)["J"]
@@ -131,11 +119,7 @@ class GradientEngine:
         if "gradient" not in entry:
             prob, traj = entry["problem"], entry["trajectory"]
             g, tg = controls.grid, controls.time_grid
-            source = []
-            for k in range(tg.nt + 1):
-                yk = traj.velocities[k].to_vec()
-                yd = self.params.target_vec(g, k)
-                source.append(yk if yd is None else yk - yd)
+            source = [self.params.misfit(traj, k) for k in range(tg.nt + 1)]
             t0 = time.perf_counter()
             adj = solve_adjoint(AdjointProblem(prob, traj, source))
             self.adjoint_seconds += time.perf_counter() - t0
@@ -304,7 +288,7 @@ class OptimizationReport:
 
 def optimize(y0, params: CostParams, controls0=None, friction=None, nu=1.0,
              tol=1e-8, max_iters=100, armijo_c1=1e-4, max_backtracks=30,
-             sigma0=None, probe_count=8, seed=1234,
+             probe_count=8, seed=1234,
              grid=None, time_grid=None, iterate_callback=None) -> OptimizationReport:
     """Projected gradient with Armijo backtracking over the admissible set.
 
@@ -336,8 +320,7 @@ def optimize(y0, params: CostParams, controls0=None, friction=None, nu=1.0,
 
         # initial trial step
         if sigma_prev is None:
-            sigma = sigma0 if sigma0 is not None else (
-                2.0 * J / max(gnorm ** 2, 1e-300))
+            sigma = 2.0 * J / max(gnorm ** 2, 1e-300)
         else:
             sigma = 2.0 * sigma_prev
             if prev is not None:

@@ -50,12 +50,6 @@ class Grid:
                  (np.arange(ny), hy, Lx, (1.0, 0.0)),                  # right, bottom to top
                  (np.arange(nx)[::-1], hx, Lx + Ly, (0.0, 1.0)),       # top, right to left
                  (np.arange(ny)[::-1], hy, 2 * Lx + Ly, (-1.0, 0.0)))  # left, top to bottom
-        mid = [(idx + 0.5) * h for idx, h, _, _ in walls]
-        self.boundary_pos = np.concatenate([
-            np.column_stack([mid[0], np.zeros(nx)]),
-            np.column_stack([np.full(ny, Lx), mid[1]]),
-            np.column_stack([mid[2], np.full(nx, Ly)]),
-            np.column_stack([np.zeros(ny), mid[3]])])
         self.boundary_normal = np.concatenate(
             [np.tile(w[3], (w[0].size, 1)) for w in walls])
         # tau = n rotated by +90 degrees

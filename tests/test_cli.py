@@ -290,6 +290,28 @@ def test_runconfig_validation(tmp_path):
         rc.friction()
 
 
+def test_zero_samples_is_config_error(tmp_path):
+    """grad-check and verify need at least one sample direction."""
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("samples = 3", "samples = 0"))
+    with pytest.raises(ConfigError, match="samples"):
+        RunConfig(cfg)
+    for command in ("grad-check", "verify"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("spec", ["constant:abc", "walls:1,1,x,1"])
+def test_malformed_friction_is_blamed_on_alpha(tmp_path, caplog, spec):
+    """A friction spec that does not parse is reported as such, not as an
+    incompatible initial state."""
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("alpha = constant:1.0", "alpha = " + spec))
+    with caplog.at_level(logging.ERROR, logger="slipctl"):
+        code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    messages = [r.getMessage() for r in caplog.records]
+    assert any("alpha = " + spec in m for m in messages)
+    assert not any("initial state" in m for m in messages)
+
+
 def test_config_hash_stable(tmp_path):
     cfg = write_config(tmp_path)
     rc1 = RunConfig(cfg)
@@ -301,7 +323,7 @@ def test_config_hash_stable(tmp_path):
 
 def test_grad_check_byte_identical(tmp_path):
     """Two grad-check runs write the same artifacts byte for byte.  Four
-    directions make 17 engine entries, so the engine cache clears mid-run."""
+    directions make 17 state solves, each replacing the engine's one entry."""
     cfg = write_config(tmp_path, BASE_CONFIG.replace("samples = 3", "samples = 4"))
     out1, out2 = str(tmp_path / "g1"), str(tmp_path / "g2")
     for out in (out1, out2):

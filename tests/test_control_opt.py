@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -88,6 +90,30 @@ def test_gradient_matches_fd(small):
         fd = fd_gradient_oracle(ctrl, (d.a, d.b), [2e-3, 1e-3], params,
                                 VelocityField(grid), engine=engine)
         assert abs(adj_val - fd["richardson"]) <= 1e-6 * max(abs(adj_val), 1e-12)
+
+
+def test_engine_keeps_only_the_latest_solve(small):
+    """cost then gradient at one control is one state and one adjoint solve;
+    a new control releases the previous solve without the cycle collector."""
+    grid, tg = small
+    rng = np.random.default_rng(21)
+    ctrl_a = random_admissible_control(grid, tg, rng, amplitude=0.3)
+    ctrl_b = random_admissible_control(grid, tg, rng, amplitude=0.3)
+    engine = GradientEngine(VelocityField(grid), CostParams(lam1=0.1, lam2=0.1))
+    gc.disable()
+    try:
+        J_a = engine.cost(ctrl_a)
+        _, entry = engine.gradient(ctrl_a.copy())
+        assert (engine.state_solves, engine.adjoint_solves) == (1, 1)
+        assert entry["J"] == J_a
+        traj_a = weakref.ref(entry["trajectory"])
+        del entry
+        engine.cost(ctrl_b)
+        assert traj_a() is None
+        assert engine.cost(ctrl_a) == J_a
+        assert engine.state_solves == 3
+    finally:
+        gc.enable()
 
 
 def test_fd_oracle_zero_direction_and_descent(small):
@@ -265,6 +291,55 @@ def test_optimize_records_state_and_adjoint_time(small):
     assert rep.wall_clock["state"] + rep.wall_clock["adjoint"] <= rep.wall_clock["total"]
 
 
+def _run_child(script):
+    """Standard output of a script run on this package in a fresh interpreter
+    with one BLAS thread."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(slipctl.__file__)))
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True, timeout=600).stdout
+
+
+# The child reads its own peak RSS (VmHWM) because Linux carries ru_maxrss
+# across exec: there it would start at the size of the test runner.
+_GRADIENTS_16X32_RSS = """
+import numpy as np
+from slipctl.control_opt import CostParams, GradientEngine, random_admissible_control
+from slipctl.fields import VelocityField
+from slipctl.mesh import TimeGrid, build_grid
+
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+grid = build_grid(16, 16, 1.0, 1.0)
+tg = TimeGrid(0.5, 32)
+rng = np.random.default_rng(3)
+target = [VelocityField(grid, 0.1 * np.ones(grid.shape_u), np.zeros(grid.shape_v))
+          for _ in range(tg.nt + 1)]
+engine = GradientEngine(VelocityField(grid), CostParams(y_d=target, lam1=0.05, lam2=0.02))
+peaks = []
+for _ in range(20):
+    ctrl = random_admissible_control(grid, tg, rng, amplitude=0.4)
+    engine.cost(ctrl)
+    engine.gradient(ctrl)
+    peaks.append(peak_kib())
+print(peaks[1], peaks[19])
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM")
+def test_gradient_peak_rss_flat_over_fresh_controls():
+    """Peak RSS after 20 gradients at distinct 16x16, nt = 32 controls is
+    within 2 MB of the peak after 2: the engine keeps no older solves."""
+    out = _run_child(_GRADIENTS_16X32_RSS)
+    after_2, after_20 = (int(v) / 1024.0 for v in out.split()[-2:])  # KiB
+    assert after_20 - after_2 <= 2.0
+
+
 _GRADIENT_64X4 = """
 import resource
 import numpy as np
@@ -290,11 +365,5 @@ GRADIENT_64X4_RSS_CEILING_MB = 150.0
 
 @pytest.mark.slow
 def test_gradient_64x4_peak_rss_under_ceiling():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(slipctl.__file__)))
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _GRADIENT_64X4], env=env, check=True,
-                         capture_output=True, text=True, timeout=600)
-    peak_mb = int(out.stdout.split()[-1]) / 1024.0    # ru_maxrss is in KiB on Linux
+    peak_mb = int(_run_child(_GRADIENT_64X4).split()[-1]) / 1024.0    # ru_maxrss is in KiB on Linux
     assert peak_mb < GRADIENT_64X4_RSS_CEILING_MB

@@ -96,11 +96,11 @@ def test_mean_zero_check_and_counterexample(grid):
 
 def test_suite_runs_and_serializes():
     reports = run_estimate_suite({"nx": 8, "ny": 8, "T": 0.3, "nt": 6,
-                                  "samples": 2, "seed": 11})
+                                  "samples": 2, "seed": 11, "refine": True})
     names = [r.name for r in reports]
     for expected in ("gns_q3", "gns_q4", "gns_q6", "trace", "korn", "mean_zero",
                      "state_energy_bound", "lipschitz", "linearized_energy",
-                     "adjoint_energy", "gateaux_limit", "duality"):
+                     "adjoint_energy", "gateaux_limit", "duality", "refinement_drift"):
         assert expected in names
     assert all(r.passed for r in reports)
     txt = reports_to_json(reports)
