@@ -220,24 +220,28 @@ class RunConfig:
         g, tg = self.grid, self.time_grid
         if spec == "zero":
             return [VelocityField(g) for _ in range(tg.nt + 1)]
-        if spec.startswith("uniform:"):
-            cx, cy = (float(v) for v in spec[8:].split(":"))
-            fld = VelocityField(g, cx * np.ones(g.shape_u), cy * np.ones(g.shape_v))
-            return [fld for _ in range(tg.nt + 1)]
-        if spec.startswith("stream:"):
-            k, amp = (float(v) for v in spec[7:].split(":"))
-            X, Y = g.vertex_points()
-            psi = amp * np.sin(np.pi * k * X / g.Lx) * np.sin(np.pi * k * Y / g.Ly)
-            u = (psi[:, 1:] - psi[:, :-1]) / g.hy
-            v = -(psi[1:, :] - psi[:-1, :]) / g.hx
-            fld = VelocityField(g, u, v)
-            return [fld for _ in range(tg.nt + 1)]
         if spec.startswith("file:"):
             traj = load_trajectory(spec[5:])
             if traj.grid.key() != g.key() or traj.time_grid.nt != tg.nt:
                 raise ConfigError("target trajectory does not match the run grids")
             return traj.velocities
-        raise ConfigError("unknown target specification %r" % spec)
+        kind = spec.split(":", 1)[0]
+        if kind not in ("uniform", "stream"):
+            raise ConfigError("unknown target specification %r" % spec)
+        try:
+            c1, c2 = (float(v) for v in spec.split(":")[1:])
+        except ValueError as exc:
+            raise ConfigError("malformed target spec y_d = %s: %s" % (spec, exc))
+        if kind == "uniform":
+            fld = VelocityField(g, c1 * np.ones(g.shape_u), c2 * np.ones(g.shape_v))
+        else:
+            k, amp = c1, c2
+            X, Y = g.vertex_points()
+            psi = amp * np.sin(np.pi * k * X / g.Lx) * np.sin(np.pi * k * Y / g.Ly)
+            u = (psi[:, 1:] - psi[:, :-1]) / g.hy
+            v = -(psi[1:, :] - psi[:-1, :]) / g.hx
+            fld = VelocityField(g, u, v)
+        return [fld for _ in range(tg.nt + 1)]
 
     def initial_state(self):
         spec = self.initial_spec

@@ -114,17 +114,16 @@ class Grid:
             self._ops = operators.DiscreteOperators(self)
         return self._ops
 
-    def gagliardo_kernel(self, p):
-        """Pairwise kernel w_e w_e' / d(e,e')^p with geodesic loop distance (cached)."""
+    def gagliardo_pairs(self, p):
+        """Node pairs e < e' and the doubled kernel 2 w_e w_e' / d(e,e')^p with
+        geodesic loop distance d (cached): the symmetric double sum of the
+        Gagliardo seminorm taken over the upper triangle."""
         if p not in self._gagliardo:
-            s, L = self.boundary_s, self.loop_length
-            ds = np.abs(s[:, None] - s[None, :])
+            i, j = np.triu_indices(self.n_boundary, 1)
+            s, L, w = self.boundary_s, self.loop_length, self.boundary_weight
+            ds = np.abs(s[i] - s[j])
             d = np.minimum(ds, L - ds)
-            np.fill_diagonal(d, 1.0)
-            w = self.boundary_weight
-            ker = (w[:, None] * w[None, :]) / d ** p
-            np.fill_diagonal(ker, 0.0)
-            self._gagliardo[p] = ker
+            self._gagliardo[p] = (i, j, 2.0 * (w[i] * w[j]) / d ** p)
         return self._gagliardo[p]
 
     def fourier_matrix(self):

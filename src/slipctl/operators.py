@@ -22,6 +22,7 @@ wall-normal coordinate exact steady states of the stepper.
 """
 
 import contextlib
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,6 +36,7 @@ LINEAR_RESIDUAL_TOL = 1e-9
 # must bring it to round-off within REFINE_MAX_STEPS corrections
 REFINE_RATE = 0.5
 REFINE_MAX_STEPS = 20
+_EPS = np.finfo(float).eps
 
 
 class DiscreteOperators:
@@ -180,17 +182,24 @@ class DiscreteOperators:
         # normal trace: one signed face unknown per node
         cols = np.concatenate([w[0] for w in walls])
         sn = np.concatenate([np.full(w[0].size, w[3]) for w in walls])
-        self.Tn = sp.csr_matrix((sn, (rows, cols)), shape=(ngb, self.N))
-        self.Mbc = self.Tn.T.tocsr()              # Tn @ Mbc = identity; Mbc is Tn^T
+        Tn = sp.csr_matrix((sn, (rows, cols)), shape=(ngb, self.N))
 
         # tangential trace: linear wall extrapolation averaged to midpoints
         cols = np.concatenate([np.column_stack([w[1][:-1], w[1][1:], w[2][:-1], w[2][1:]])
                                for w in walls])
         st = np.concatenate([np.full(w[1].size - 1, w[4]) for w in walls])
         data = np.column_stack([0.75 * st, 0.75 * st, -0.25 * st, -0.25 * st])
-        self.Ttau = sp.csr_matrix((data.ravel(), (np.repeat(rows, 4), cols.ravel())),
-                                  shape=(ngb, self.N))
-        self.TtauT = self.Ttau.T
+        Ttau = sp.csr_matrix((data.ravel(), (np.repeat(rows, 4), cols.ravel())),
+                             shape=(ngb, self.N))
+        # T = [Tn; Ttau]; Tn and Ttau are views on its rows
+        self.T = sp.vstack([Tn, Ttau], format="csr")
+        self.Tn, self.Ttau = _row_blocks(self.T, (ngb, ngb))
+        self.TT, self.TtauT = self.T.T, self.Ttau.T
+        self.Mbc = self.Tn.T.tocsr()              # Tn @ Mbc = identity; Mbc is Tn^T
+        # Mbc is a signed permutation: wall-normal face cons_idx[i] takes
+        # wall_sign[i] * a[wall_node[i]]
+        Mc = self.Mbc[self.cons_idx]
+        self.wall_node, self.wall_sign = Mc.indices, Mc.data
 
     # -- advection -------------------------------------------------------------
 
@@ -198,23 +207,24 @@ class DiscreteOperators:
         nx, ny, hx, hy = g.nx, g.ny, g.hx, g.hy
         NU, NV = self.NU, self.NV
         # Gx, Gy: derivative of each component at its own points
-        self.Gx = sp.block_diag([sp.kron(_centred_diff(nx + 1, hx), sp.eye(ny)),
-                                 sp.kron(_centred_diff(nx, hx), sp.eye(ny + 1))],
-                                format="csr")
-        self.Gy = sp.block_diag([sp.kron(sp.eye(nx + 1), _centred_diff(ny, hy)),
-                                 sp.kron(sp.eye(nx), _centred_diff(ny + 1, hy))],
-                                format="csr")
+        Gx = sp.block_diag([sp.kron(_centred_diff(nx + 1, hx), sp.eye(ny)),
+                            sp.kron(_centred_diff(nx, hx), sp.eye(ny + 1))], format="csr")
+        Gy = sp.block_diag([sp.kron(sp.eye(nx + 1), _centred_diff(ny, hy)),
+                            sp.kron(sp.eye(nx), _centred_diff(ny + 1, hy))], format="csr")
         # Px, Py: each component of the advecting field at every unknown's location
         u_at_v = sp.kron(_pair_average(nx), _edge_to_node(ny))
         v_at_u = sp.kron(_edge_to_node(nx), _pair_average(ny))
-        self.Px = sp.bmat([[sp.eye(NU), sp.csr_matrix((NU, NV))], [u_at_v, None]],
-                          format="csr")
-        self.Py = sp.bmat([[sp.csr_matrix((NU, NU)), v_at_u], [None, sp.eye(NV)]],
-                          format="csr")
-        # transposes (CSC views on the same arrays) for the matrix-free
-        # advection derivatives, built once rather than at every product
-        self.GxT, self.GyT, self.PxT, self.PyT = (
-            m.T for m in (self.Gx, self.Gy, self.Px, self.Py))
+        Px = sp.bmat([[sp.eye(NU), sp.csr_matrix((NU, NV))], [u_at_v, None]], format="csr")
+        Py = sp.bmat([[sp.csr_matrix((NU, NU)), v_at_u], [None, sp.eye(NV)]], format="csr")
+        # the matrix-free advection derivatives apply the stacks G = [Gx; Gy]
+        # and P = [Px; Py] and their transposes (CSC views on the same
+        # arrays), one product for both components; Gx, Gy, Px and Py are
+        # views on the rows of the stacks
+        self.G = sp.vstack([Gx, Gy], format="csr")
+        self.P = sp.vstack([Px, Py], format="csr")
+        self.Gx, self.Gy = _row_blocks(self.G, (self.N, self.N))
+        self.Px, self.Py = _row_blocks(self.P, (self.N, self.N))
+        self.GT, self.PT = self.G.T, self.P.T
 
     def _build_step_map(self):
         """Fixed CSR pattern of the step operator and the linear map onto its data.
@@ -236,10 +246,8 @@ class DiscreteOperators:
         # whose diagonal cancels exactly
         eye = sp.eye(N)
         i, j, k, c = _face_split(
-            sp.vstack([eye, eye]), sp.vstack([self.Gx, self.Gy]),
-            np.concatenate([0.5 * self.Wvec, 0.5 * self.Wvec]),
-            sp.hstack([sp.csr_matrix((2 * N, nb)), sp.vstack([self.Px, self.Py]),
-                       sp.csr_matrix((2 * N, 2))]))
+            sp.vstack([eye, eye]), self.G, np.concatenate([0.5 * self.Wvec, 0.5 * self.Wvec]),
+            sp.hstack([sp.csr_matrix((2 * N, nb)), self.P, sp.csr_matrix((2 * N, 2))]))
         off = i != j
         i, j, k, c = i[off], j[off], k[off], c[off]
         A = self.A_strain.tocoo()
@@ -249,11 +257,12 @@ class DiscreteOperators:
             (diag, diag, np.full(N, nsrc - 2), self.Wvec),                # W/dt
             (A.row, A.col, np.full(A.nnz, nsrc - 1), A.data)))            # nu*A_strain
         keys = rows.astype(np.int64) * N + cols
-        pattern = np.unique(keys)
+        # with return_inverse, np.unique sorts and gives each key's position
+        # in the pattern; without it, numpy 2.4 hashes, slower on these keys
+        pattern, pos = np.unique(keys, return_inverse=True)
         self.step_indices = (pattern % N).astype(np.int32)
         self.step_indptr = np.searchsorted(pattern, np.arange(N + 1) * N).astype(np.int32)
-        self._step_map = sp.csr_matrix((coef, (np.searchsorted(pattern, keys), src)),
-                                       shape=(pattern.size, nsrc))
+        self._step_map = sp.csr_matrix((coef, (pos, src)), shape=(pattern.size, nsrc))
 
     def _build_step_gathers(self, cell_area):
         """Positions of L[F][:, C] and of the pinned saddle in the step pattern.
@@ -352,28 +361,31 @@ class DiscreteOperators:
 
     def apply_adv_cross(self, y_vec, w_vec):
         """Matrix-free X(y) w = K(w) y (derivative of advection in w)."""
-        gx_y = self.Gx @ y_vec
-        gy_y = self.Gy @ y_vec
-        wx = self.Px @ w_vec
-        wy = self.Py @ w_vec
-        n_wy = self.Wvec * (wx * gx_y + wy * gy_y)
-        nt_wy = self.GxT @ (self.Wvec * wx * y_vec) + self.GyT @ (self.Wvec * wy * y_vec)
-        an = self.w_gamma * (self.Tn @ w_vec)
-        s_wy = self.Mbc @ (an * (self.Tn @ y_vec)) + self.TtauT @ (an * (self.Ttau @ y_vec))
-        return 0.5 * (n_wy - nt_wy) + 0.5 * s_wy
+        N, nb, W = self.N, self.n_boundary, self.Wvec
+        g_y = (self.G @ y_vec).reshape(2, N)             # Gx y, Gy y
+        w_xy = (self.P @ w_vec).reshape(2, N)            # Px w, Py w
+        n_wy = W * (w_xy[0] * g_y[0] + w_xy[1] * g_y[1])
+        # columns Gx^T (W wx y), Gy^T (W wy y)
+        nt_wy = self.GT @ _split_columns(W * w_xy * y_vec)
+        t = self.T @ np.column_stack([w_vec, y_vec])     # [Tn; Ttau] w, [Tn; Ttau] y
+        an = self.w_gamma * t[:nb, 0]
+        # columns Tn^T (an Tn y), Ttau^T (an Ttau y)
+        s_wy = self.TT @ _split_columns(an * t[:, 1].reshape(2, nb))
+        return 0.5 * (n_wy - (nt_wy[:, 0] + nt_wy[:, 1])) + 0.5 * (s_wy[:, 0] + s_wy[:, 1])
 
     def apply_adv_cross_T(self, y_vec, lam_vec):
         """Matrix-free X(y)^T lam."""
-        gx_y = self.Gx @ y_vec
-        gy_y = self.Gy @ y_vec
-        x1t = self.PxT @ (self.Wvec * gx_y * lam_vec) \
-            + self.PyT @ (self.Wvec * gy_y * lam_vec)
-        x2t = self.PxT @ (self.Wvec * y_vec * (self.Gx @ lam_vec)) \
-            + self.PyT @ (self.Wvec * y_vec * (self.Gy @ lam_vec))
-        tny = self.w_gamma * (self.Tn @ y_vec)
-        tty = self.w_gamma * (self.Ttau @ y_vec)
-        xst = self.Mbc @ (tny * (self.Tn @ lam_vec) + tty * (self.Ttau @ lam_vec))
-        return 0.5 * (x1t - x2t) + 0.5 * xst
+        N, nb, W = self.N, self.n_boundary, self.Wvec
+        yl = np.column_stack([y_vec, lam_vec])
+        g = (self.G @ yl).reshape(2, N, 2)               # [Gx; Gy] y, [Gx; Gy] lam
+        # Px^T (.) + Py^T (.) of both terms in one product; the sum is exact,
+        # since Px^T is nonzero only in the u rows and Py^T only in the v rows
+        x = self.PT @ np.stack([W * g[..., 0] * lam_vec, W * y_vec * g[..., 1]],
+                               axis=-1).reshape(2 * N, 2)
+        t = self.T @ yl                                  # [Tn; Ttau] y, [Tn; Ttau] lam
+        tw = self.w_gamma * t[:, 0].reshape(2, nb)
+        xst = self.Mbc @ (tw[0] * t[:nb, 1] + tw[1] * t[nb:, 1])
+        return 0.5 * (x[:, 0] - x[:, 1]) + 0.5 * xst
 
     def fric_matrix(self, alpha_nodes):
         return (self.Ttau.T @ sp.diags(self.w_gamma * alpha_nodes) @ self.Ttau).tocsr()
@@ -394,6 +406,38 @@ def _factor(big):
         raise SolverDivergence("step matrix factorization failed: %s" % exc)
 
 
+def _row_blocks(stack, sizes):
+    """CSR views on consecutive row blocks of a CSR matrix, sharing its data
+    and indices.
+
+    The arrays are set after construction: the constructor would copy a
+    view that holds less than half of the array it views.
+    """
+    out, r = [], 0
+    for n in sizes:
+        lo, hi = stack.indptr[r], stack.indptr[r + n]
+        m = sp.csr_matrix((n, stack.shape[1]))
+        m.data, m.indices = stack.data[lo:hi], stack.indices[lo:hi]
+        m.indptr = stack.indptr[r:r + n + 1] - lo
+        out.append(m)
+        r += n
+    return out
+
+
+def _split_columns(x):
+    """The rows x[0], x[1] as the two columns of [[x[0], 0], [0, x[1]]].
+
+    One product of a stacked transpose [A; B]^T with this block gives
+    A^T x[0] and B^T x[1] as separate columns (the zero halves add exact
+    zeros), so their sum is rounded as the two products summed would be.
+    """
+    n = x.shape[1]
+    out = np.zeros((2 * n, 2))
+    out[:n, 0] = x[0]
+    out[n:, 1] = x[1]
+    return out
+
+
 def _face_split(Lm, Rm, c, Sm):
     """Triplets (i, j, k, coef) of L^T diag(c * (S @ x)) R.
 
@@ -411,6 +455,12 @@ def _face_split(Lm, Rm, c, Sm):
     pl = Lm.indptr[b] + t // nr[b]
     return (Lm.indices[pl], Rm.indices[pr], Sm.indices[ps],
             Lm.data[pl] * c[b] * Rm.data[pr] * Sm.data[ps])
+
+
+def _norm(x):
+    """Euclidean norm of a vector: sqrt(x . x), as np.linalg.norm computes
+    it, without that function's dispatch."""
+    return math.sqrt(x @ x)
 
 
 def _extrapolate(hist):
@@ -514,9 +564,11 @@ class StepSolver:
         src[:nb] = alpha_nodes
         src[nb:-2] = w_adv_vec
         self._data[:ops.step_indices.size] = ops._step_map @ src
-        np.take(self._data, ops.saddle_src, out=self.saddle.data)
+        # the gathers are in range by construction; mode="clip" writes
+        # straight into out, where the default mode buffers
+        np.take(self._data, ops.saddle_src, out=self.saddle.data, mode="clip")
         np.abs(self.saddle.data, out=self.abs_saddle.data)
-        np.take(self._data, ops.fc_src, out=self.M_fc.data)
+        np.take(self._data, ops.fc_src, out=self.M_fc.data, mode="clip")
         self.lu = _factor(self.saddle) if self.ref is None else self.ref
         return self
 
@@ -535,7 +587,9 @@ class StepSolver:
         if trans:
             return self.ref.solve(r, trans="T")
         P = self.ops.saddle_similarity
-        return self.ref.solve(P * r, trans="T") / P
+        x = self.ref.solve(P * r, trans="T")
+        x /= P
+        return x
 
     def _refine(self, rhs, rhs_norm, big, abs_big, trans):
         """Solution refined against the reference factor and its residual
@@ -553,19 +607,20 @@ class StepSolver:
         if hist:
             guess = _extrapolate(hist)
             res = rhs - big @ guess
-            if np.linalg.norm(res) < rhs_norm:
-                sol = guess + self._ref_solve(res, trans)
+            if _norm(res) < rhs_norm:
+                sol = self._ref_solve(res, trans)
+                sol += guess
         if sol is None:
             sol = self._ref_solve(rhs, trans)
-        floor = np.finfo(float).eps * np.linalg.norm(abs_big @ abs(sol) + abs(rhs))
+        floor = _EPS * _norm(abs_big @ abs(sol) + abs(rhs))
         res = rhs - big @ sol
-        rn0 = rn = np.linalg.norm(res)
+        rn0 = rn = _norm(res)
         k = 0
         while not rn <= floor:
             k += 1
-            sol = sol + self._ref_solve(res, trans)
-            res = rhs - big @ sol
-            rn, last = np.linalg.norm(res), rn
+            sol += self._ref_solve(res, trans)
+            np.subtract(rhs, big @ sol, out=res)
+            rn, last = _norm(res), rn
             if not (rn <= REFINE_RATE * last
                     and rn * (rn / rn0) ** ((REFINE_MAX_STEPS - k) / k) <= floor):
                 return None
@@ -576,14 +631,14 @@ class StepSolver:
             big, abs_big, mode = self.saddle_T, self.abs_saddle_T, "T"
         else:
             big, abs_big, mode = self.saddle, self.abs_saddle, "N"
-        rhs_norm = np.linalg.norm(rhs)
+        rhs_norm = _norm(rhs)
         out = None if self.lu is not self.ref else self._refine(rhs, rhs_norm, big,
                                                                  abs_big, trans)
         if out is None:
             if self.lu is self.ref:
                 self.lu = _factor(self.saddle)
             sol = self.lu.solve(rhs, trans=mode)
-            out = sol, np.linalg.norm(rhs - big @ sol)
+            out = sol, _norm(rhs - big @ sol)
         rel = out[1] / max(rhs_norm, 1e-30)
         if not np.isfinite(rel) or rel > LINEAR_RESIDUAL_TOL:
             raise SolverDivergence("%s step residual %.3e above tolerance"
@@ -596,12 +651,16 @@ class StepSolver:
     def _split(self, sol):
         """Free-face block and mean-zero cell block, the pinned cell put back."""
         cell = np.concatenate([[0.0], sol[self.nf:]])
-        return sol[:self.nf], cell - cell.mean()
+        cell -= cell.sum() / cell.size       # cell.mean(), without its dispatch
+        return sol[:self.nf], cell
 
     def solve(self, rhs_mom_full, a_nodes):
         """Forward/linearized step.  rhs_mom_full excludes boundary coupling."""
         ops = self.ops
-        y_c = (ops.Mbc @ a_nodes)[self.C]
+        # (Mbc @ a)[C], read off the signed permutation that Mbc is; adding
+        # 0.0 turns a -0.0 into 0.0, as the product does
+        y_c = ops.wall_sign * a_nodes[ops.wall_node]
+        y_c += 0.0
         rhs_f = rhs_mom_full[self.F] - self.M_fc @ y_c
         rhs_div = -(ops.Dc @ y_c)
         sol = self._solve(np.concatenate([rhs_f, rhs_div[1:]]))

@@ -312,6 +312,18 @@ def test_malformed_friction_is_blamed_on_alpha(tmp_path, caplog, spec):
     assert not any("initial state" in m for m in messages)
 
 
+@pytest.mark.parametrize("spec", ["uniform:1:x", "uniform:1", "stream:1:2:3"])
+def test_malformed_target_is_blamed_on_y_d(tmp_path, caplog, spec):
+    """A target spec that does not parse is a config error naming y_d."""
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("y_d = zero", "y_d = " + spec))
+    with caplog.at_level(logging.ERROR, logger="slipctl"):
+        code = main(["grad-check", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert any("y_d = " + spec in r.getMessage() for r in caplog.records)
+    with pytest.raises(ConfigError, match="y_d"):
+        RunConfig(cfg).target()
+
+
 def test_config_hash_stable(tmp_path):
     cfg = write_config(tmp_path)
     rc1 = RunConfig(cfg)

@@ -160,6 +160,50 @@ def test_hp_norm_definiteness(grid):
     assert hp_norm(ctrl) > 0.0
 
 
+def _hp_norm_per_slice(control):
+    """hp_norm evaluated one time slice at a time, with the full pairwise
+    Gagliardo kernel and |x|^p taken directly."""
+    grid, tg, p = control.grid, control.time_grid, control.p_exponent
+    s, L, w = grid.boundary_s, grid.loop_length, grid.boundary_weight
+    ds = np.abs(s[:, None] - s[None, :])
+    d = np.minimum(ds, L - ds)
+    np.fill_diagonal(d, 1.0)
+    ker = (w[:, None] * w[None, :]) / d ** p
+    np.fill_diagonal(ker, 0.0)
+    F, mu, mult = grid.fourier_matrix()
+    theta = np.full(tg.nt + 1, tg.dt)
+    theta[[0, -1]] *= 0.5
+
+    def wp(a):
+        lp = np.dot(w, np.abs(a) ** p) ** (1.0 / p)
+        return lp + float((ker * np.abs(a[:, None] - a[None, :]) ** p).sum()) ** (1.0 / p)
+
+    def hminus_half(q):
+        return np.sqrt((mult * mu * np.abs(F @ q) ** 2).sum() / L)
+
+    a = control.a
+    da = (a[1:] - a[:-1]) / tg.dt
+    term1 = np.sqrt(sum(theta[k] * wp(a[k]) ** 2 for k in range(tg.nt + 1)))
+    term2 = np.sqrt(sum(tg.dt * hminus_half(da[k]) ** 2 for k in range(tg.nt)))
+    term3 = np.sqrt(np.dot(theta, (control.b ** 2) @ w))
+    return term1 + term2 + term3
+
+
+@pytest.mark.parametrize("p", [4.0, 3.0, 2.5])
+@pytest.mark.parametrize("shape", [(8, 8, 1.0, 1.0, 8), (12, 6, 1.5, 0.8, 5)])
+def test_hp_norm_matches_per_slice_oracle(p, shape):
+    nx, ny, Lx, Ly, nt = shape
+    grid = build_grid(nx, ny, Lx, Ly)
+    tg = TimeGrid(0.6, nt)
+    rng = np.random.default_rng(nx * ny + int(10 * p))
+    for scale in (1e-3, 1.0, 40.0):
+        a = scale * rng.standard_normal((tg.nt + 1, grid.n_boundary))
+        a -= (a @ grid.boundary_weight)[:, None] / grid.loop_length
+        b = scale * rng.standard_normal((tg.nt + 1, grid.n_boundary))
+        ctrl = BoundaryControl(grid, tg, a, b, p_exponent=p)
+        assert hp_norm(ctrl) == pytest.approx(_hp_norm_per_slice(ctrl), rel=1e-13)
+
+
 def test_friction_positivity(grid):
     tg = TimeGrid(1.0, 4)
     with pytest.raises(ValueError):

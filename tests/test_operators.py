@@ -112,6 +112,40 @@ def test_advection_cross_identity(grid):
                    - w @ ops.apply_adv_cross_T(y, lam)) < 1e-13
 
 
+@pytest.mark.parametrize("shape", [(7, 5, 1.2, 0.8), (4, 9, 1.0, 2.0)])
+def test_stacked_advection_products_sum_as_per_component_products(shape):
+    """apply_adv_cross and apply_adv_cross_T apply the stacks G = [Gx; Gy],
+    P = [Px; Py] and T = [Tn; Ttau] in one product each, and still round
+    exactly like the per-component products summed in order."""
+    ops = build_grid(*shape).ops
+    rng = np.random.default_rng(4)
+    W, wg = ops.Wvec, ops.w_gamma
+    for _ in range(3):
+        y, w, lam = (rng.standard_normal(ops.N) for _ in range(3))
+        y[ops.cons_idx[::3]] = 0.0
+        wx, wy = ops.Px @ w, ops.Py @ w
+        an = wg * (ops.Tn @ w)
+        cross = (0.5 * (W * (wx * (ops.Gx @ y) + wy * (ops.Gy @ y))
+                        - (ops.Gx.T @ (W * wx * y) + ops.Gy.T @ (W * wy * y)))
+                 + 0.5 * (ops.Mbc @ (an * (ops.Tn @ y)) + ops.Ttau.T @ (an * (ops.Ttau @ y))))
+        assert np.array_equal(ops.apply_adv_cross(y, w), cross)
+        x1 = ops.Px.T @ (W * (ops.Gx @ y) * lam) + ops.Py.T @ (W * (ops.Gy @ y) * lam)
+        x2 = ops.Px.T @ (W * y * (ops.Gx @ lam)) + ops.Py.T @ (W * y * (ops.Gy @ lam))
+        xs = ops.Mbc @ (wg * (ops.Tn @ y) * (ops.Tn @ lam)
+                        + wg * (ops.Ttau @ y) * (ops.Ttau @ lam))
+        assert np.array_equal(ops.apply_adv_cross_T(y, lam), 0.5 * (x1 - x2) + 0.5 * xs)
+
+
+def test_component_operators_are_views_on_the_stacks(grid):
+    ops = grid.ops
+    for stack, parts in ((ops.G, (ops.Gx, ops.Gy)), (ops.P, (ops.Px, ops.Py)),
+                         (ops.T, (ops.Tn, ops.Ttau))):
+        assert _same_arrays(sp.vstack(parts, format="csr"), stack, "csr")
+        for m in parts:
+            assert np.shares_memory(m.data, stack.data)
+            assert np.shares_memory(m.indices, stack.indices)
+
+
 def test_advection_energy_reduces_to_boundary_flux(grid):
     ops = grid.ops
     rng = np.random.default_rng(4)
@@ -229,6 +263,22 @@ def test_step_solver_residual_guard(grid, monkeypatch):
         step = operators.StepSolver(ops, 0.05, 1.0, lu=lu).step(np.ones(grid.n_boundary), w)
         with pytest.raises(SolverDivergence, match="adjoint step residual"):
             step.solve_transpose(rng.standard_normal(F.size))
+
+
+def test_solve_sets_wall_faces_as_the_boundary_product(grid):
+    """StepSolver.solve reads the wall-normal faces off the signed
+    permutation Mbc; they equal (Mbc @ a)[C] bit for bit, signed zeros
+    included."""
+    from slipctl.operators import StepSolver
+    ops = grid.ops
+    rng = np.random.default_rng(8)
+    w = rng.standard_normal(ops.N)
+    step = StepSolver(ops, 0.05, 1.0).step(np.ones(grid.n_boundary), w)
+    a = rng.standard_normal(grid.n_boundary)
+    a -= (a @ grid.boundary_weight) / grid.loop_length
+    for data in (a, np.zeros(grid.n_boundary), -np.zeros(grid.n_boundary)):
+        y, _ = step.solve(rng.standard_normal(ops.N), data)
+        assert y[ops.cons_idx].tobytes() == (ops.Mbc @ data)[ops.cons_idx].tobytes()
 
 
 def test_step_saddle_stays_sparse_at_128():
