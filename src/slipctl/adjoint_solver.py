@@ -97,6 +97,9 @@ def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
     p_slices[tg.nt] = VelocityField(g)
 
     solver = sp_.step_solver("adjoint")
+    # Tn is a signed permutation, one entry per row: Tn @ x is the gather
+    # sign * x[face], and adding 0.0 turns a -0.0 into 0.0, as the product does
+    face, sign = ops.Tn.indices, ops.Tn.data
     lam_next = np.zeros(ops.N)   # lambda_{k+1}, extended by zero on the walls
     cross_next = np.zeros(ops.N)  # X(y_{k+1})^T lambda_{k+1}
     for k in range(tg.nt, 0, -1):
@@ -109,13 +112,13 @@ def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
         pair[ops.cons_idx] = (dt * (ops.Wvec * U[k])[ops.cons_idx]
                               - step.M_fc_T @ lam_full[ops.free_idx]
                               - ops.DcT @ q)
-        kernel_a[k] += ops.Tn @ pair
+        kernel_a[k] += sign * pair[face] + 0.0
         kernel_b[k] = ops.w_gamma * (ops.Ttau @ lam_full)
 
         # pairing of f_{k-1} through the frozen-advection derivative of step k
         cross = ops.apply_adv_cross_T(yvec[k], lam_full)
         if k >= 2:
-            kernel_a[k - 1] += -(ops.Tn @ cross)
+            kernel_a[k - 1] -= sign * cross[face] + 0.0
 
         p_slices[k - 1] = VelocityField.from_vec(g, lam_full / dt)
         pi_slices[k - 1] = PressureField(
@@ -165,49 +168,10 @@ def adjoint_energy_check(adjoint: AdjointTrajectory, source, friction):
     for k in range(1, tg.nt + 1):
         pv = adjoint.p[k - 1].to_vec()
         diss += dt * 0.5 * np.dot(pv, ops.A_strain @ pv)
-        fr = ops.fric_matrix(friction.alpha[k])
-        fric += dt * np.dot(pv, fr @ pv)
+        fric += dt * np.dot(ops.w_gamma * friction.alpha[k], (ops.Ttau @ pv) ** 2)
         Uk = source[k].to_vec() if isinstance(source[k], VelocityField) else source[k]
         usq += dt * np.dot(ops.Wvec * Uk, Uk)
     if usq == 0.0:
         return 0.0
     return (sup_sq + diss + fric) / usq
 
-
-def continuum_normal_kernel(adjoint: AdjointTrajectory, base: StateTrajectory, k):
-    """Direct discretization of pi - p.y - 2(D(p)n).n at slice k.
-
-    Diagnostic only: the gradient uses the exact transpose kernels; this
-    evaluates the same density from field quantities so the two can be
-    compared on one configuration (agreement at discretization order).
-    """
-    g = adjoint.grid
-    ops = g.ops
-    p_vec = adjoint.p[k - 1].to_vec() if k >= 1 else adjoint.p[0].to_vec()
-    y_vec = base.velocities[k].to_vec()
-    pi = adjoint.pi[k - 1].q
-
-    # pi at the boundary nodes: one-sided (nearest cell) values
-    nx, ny = g.nx, g.ny
-    pi_b = np.empty(g.n_boundary)
-    sl = g.wall_slice
-    pi_b[sl(0)] = pi[:, 0]
-    pi_b[sl(1)] = pi[nx - 1, :]
-    pi_b[sl(2)] = pi[::-1, ny - 1]
-    pi_b[sl(3)] = pi[0, ::-1]
-
-    # p.y on the walls from the traces (p.n = 0, so only tangential parts)
-    p_tau = ops.Ttau @ p_vec
-    y_tau = ops.Ttau @ y_vec
-    py = p_tau * y_tau
-
-    # (D(p)n).n is D22 on horizontal walls and D11 on vertical walls,
-    # evaluated one-sidedly just inside the wall
-    dpn = np.empty(g.n_boundary)
-    pu = adjoint.p[k - 1].u
-    pv = adjoint.p[k - 1].v
-    dpn[sl(0)] = (pv[:, 1] - pv[:, 0]) / g.hy
-    dpn[sl(2)] = ((pv[:, ny] - pv[:, ny - 1]) / g.hy)[::-1]
-    dpn[sl(1)] = (pu[nx, :] - pu[nx - 1, :]) / g.hx
-    dpn[sl(3)] = ((pu[1, :] - pu[0, :]) / g.hx)[::-1]
-    return pi_b - py - 2.0 * dpn

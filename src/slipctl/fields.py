@@ -163,20 +163,6 @@ def divergence(y: VelocityField):
     return (y.u[1:, :] - y.u[:-1, :]) / g.hx + (y.v[:, 1:] - y.v[:, :-1]) / g.hy
 
 
-def strain_tensor(y: VelocityField):
-    """Strain components: D11, D22 at cell centers, D12 at grid vertices.
-
-    Uses the same one-sided wall stencils as the assembled viscous operator.
-    """
-    ops = y.grid.ops
-    vec = y.to_vec()
-    d11 = (ops.Gxu_cell @ vec).reshape(y.grid.shape_p)
-    d22 = (ops.Gyv_cell @ vec).reshape(y.grid.shape_p)
-    d12 = 0.5 * ((ops.Gyu_vert + ops.Gxv_vert) @ vec).reshape(
-        (y.grid.nx + 1, y.grid.ny + 1))
-    return d11, d22, d12
-
-
 def l2_norm(field, grid=None):
     """Quadrature-weighted L2 norm of a velocity, pressure or boundary field."""
     if isinstance(field, VelocityField):

@@ -83,19 +83,6 @@ def solve_neumann_lifting(grid, a_nodes) -> LiftingResult:
     return LiftingResult(h, grad)
 
 
-def time_lifting(grid, a_slices):
-    """Slice-wise lifting of time-indexed data; reuses the factorization."""
-    solver = _solver_for(grid)
-    out = []
-    for k, a_k in enumerate(a_slices):
-        try:
-            h, grad = solver.solve(grid, np.asarray(a_k, dtype=float))
-        except (IncompatibleFlux, SolverDivergence) as exc:
-            raise type(exc)("time slice %d: %s" % (k, exc))
-        out.append(LiftingResult(h, grad))
-    return out
-
-
 def discrete_curl(y: VelocityField):
     """Vorticity samples at interior vertices: dv/dx - du/dy."""
     g = y.grid

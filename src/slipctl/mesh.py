@@ -179,11 +179,3 @@ def integrate_boundary(grid, f):
         raise ValueError(
             "expected %d boundary samples, got shape %r" % (grid.n_boundary, f.shape))
     return float(np.dot(grid.boundary_weight, f))
-
-
-def integrate_interior(grid, f):
-    """Midpoint-rule integral of a cell-centered sample array."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != grid.shape_p:
-        raise ValueError("expected cell array of shape %r, got %r" % (grid.shape_p, f.shape))
-    return float(f.sum() * grid.cell_area)

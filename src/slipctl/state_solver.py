@@ -122,9 +122,11 @@ def energy_identity_terms(trajectory: StateTrajectory, problem: StateProblem, k)
     kinetic = (np.dot(W, y * y) - np.dot(W, yo * yo)) / (2 * dt)
     numdiss = np.dot(W, (y - yo) ** 2) / (2 * dt)
     strain = problem.nu * np.dot(y, ops.A_strain @ y)
-    friction = np.dot(y, ops.fric_matrix(alpha) @ y)
+    # y . Fric(alpha) y = sum(w_gamma alpha (Ttau y)^2), no matrix built
+    t_tau_sq = (ops.Ttau @ y) ** 2
+    friction = np.dot(ops.w_gamma * alpha, t_tau_sq)
     an = ops.w_gamma * (ops.Tn @ w_adv)
-    adv_flux = 0.5 * np.dot(an, (ops.Tn @ y) ** 2 + (ops.Ttau @ y) ** 2)
+    adv_flux = 0.5 * np.dot(an, (ops.Tn @ y) ** 2 + t_tau_sq)
     Gp = -(g.cell_area) * (ops.Dmat.T @ p)
     pressure_work = np.dot(y, Gp)
     load = ops.b_load(b)
@@ -159,11 +161,6 @@ def energy_identity_residual(trajectory: StateTrajectory, problem: StateProblem)
     return out
 
 
-def trajectory_sup_l2(trajectory: StateTrajectory):
-    """max over time of the velocity L2 norm (C([0,T];L2) surrogate)."""
-    return max(l2_norm(y) for y in trajectory.velocities)
-
-
 def energy_bound_report(problem: StateProblem, trajectory: StateTrajectory):
     """Measured quantities of the a-priori energy bound.
 
@@ -180,8 +177,7 @@ def energy_bound_report(problem: StateProblem, trajectory: StateTrajectory):
     for k in range(1, tg.nt + 1):
         yv = trajectory.velocities[k].to_vec()
         diss += dt * np.dot(yv, ops.A_strain @ yv)
-        fr = ops.fric_matrix(problem.friction.alpha[k])
-        fric += dt * np.dot(yv, fr @ yv)
+        fric += dt * np.dot(ops.w_gamma * problem.friction.alpha[k], (ops.Ttau @ yv) ** 2)
     lhs = sup_sq + diss + fric
     hp = hp_norm(problem.controls)
     rhs_base = l2_norm(problem.y0) ** 2 + hp ** 2 + 1.0
@@ -235,26 +231,3 @@ def load_trajectory(directory):
             ps.append(p)
     return StateTrajectory(grid, tg, ys, ps, config_hash=man.get("config_hash", ""))
 
-
-def shear_oracle(grid, time_grid, c1=0.4, c2=1.0, alpha_value=1.0, nu=1.0):
-    """Slip-consistent linear profile and the matching boundary data.
-
-    y = (c1 + c2*x2, 0) solves the steady problem exactly when the normal
-    data equals its wall flux and the tangential stress data is computed
-    per wall from 2 nu D(y)n.tau + alpha y.tau.
-    """
-    from .mesh import WALL_BOTTOM, WALL_RIGHT, WALL_TOP, WALL_LEFT
-    y = VelocityField.from_functions(grid, lambda X, Y: c1 + c2 * Y, lambda X, Y: 0.0 * X)
-    ops = grid.ops
-    a_nodes = ops.Tn @ y.to_vec()
-    b_nodes = np.empty(grid.n_boundary)
-    sl = grid.wall_slice
-    b_nodes[sl(WALL_BOTTOM)] = -nu * c2 + alpha_value * c1
-    b_nodes[sl(WALL_TOP)] = -nu * c2 - alpha_value * (c1 + c2 * grid.Ly)
-    b_nodes[sl(WALL_RIGHT)] = nu * c2
-    b_nodes[sl(WALL_LEFT)] = nu * c2
-    nsl = time_grid.nt + 1
-    controls = BoundaryControl(grid, time_grid,
-                               np.tile(a_nodes, (nsl, 1)), np.tile(b_nodes, (nsl, 1)))
-    friction = FrictionField.constant(grid, time_grid, alpha_value)
-    return y, controls, friction

@@ -316,7 +316,8 @@ def run_estimate_suite(config):
             for k in range(1, tg.nt + 1):
                 zv = z[k].to_vec()
                 lhs += tg.dt * 0.5 * float(zv @ (ops.A_strain @ zv))
-                lhs += tg.dt * float(zv @ (ops.fric_matrix(prob.friction.alpha[k]) @ zv))
+                lhs += tg.dt * float(np.dot(ops.w_gamma * prob.friction.alpha[k],
+                                            (ops.Ttau @ zv) ** 2))
             return lhs / hp_norm(d) ** 2
 
         ratios = [lin_ratio(d) for d in dirs]

@@ -3,7 +3,7 @@ import pytest
 
 from slipctl.adjoint_solver import (AdjointProblem,
                                     adjoint_energy_check,
-                                    continuum_normal_kernel, duality_residual,
+                                    duality_residual,
                                     solve_adjoint)
 from slipctl.fields import BoundaryControl, VelocityField, divergence, l2_norm
 from slipctl.linearized_solver import (LinearizedProblem, adjoint_step_apply,
@@ -12,6 +12,8 @@ from slipctl.mesh import TimeGrid, build_grid
 from slipctl.operators import StepSolver
 from slipctl.state_solver import StateProblem, solve_state
 from slipctl.control_opt import random_admissible_control
+
+from oracles import continuum_normal_kernel
 
 
 @pytest.fixture

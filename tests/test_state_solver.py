@@ -7,9 +7,10 @@ from slipctl.mesh import TimeGrid, build_grid
 from slipctl.state_solver import (StateProblem, energy_bound_report,
                                   energy_identity_residual,
                                   energy_identity_terms, load_trajectory,
-                                  save_trajectory, shear_oracle, solve_state,
-                                  trajectory_sup_l2)
+                                  save_trajectory, solve_state)
 from slipctl.control_opt import random_admissible_control
+
+from oracles import shear_oracle, trajectory_sup_l2
 
 
 @pytest.fixture
