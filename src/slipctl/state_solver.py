@@ -122,7 +122,7 @@ def energy_identity_terms(trajectory: StateTrajectory, problem: StateProblem, k)
     kinetic = (np.dot(W, y * y) - np.dot(W, yo * yo)) / (2 * dt)
     numdiss = np.dot(W, (y - yo) ** 2) / (2 * dt)
     strain = problem.nu * np.dot(y, ops.A_strain @ y)
-    # y . Fric(alpha) y = sum(w_gamma alpha (Ttau y)^2), no matrix built
+    # y . Fric(alpha) y = sum(w_gamma alpha (Ttau y)^2)
     t_tau_sq = (ops.Ttau @ y) ** 2
     friction = np.dot(ops.w_gamma * alpha, t_tau_sq)
     an = ops.w_gamma * (ops.Tn @ w_adv)
