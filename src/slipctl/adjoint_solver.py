@@ -12,12 +12,11 @@ normal-component kernel pi - p.y - 2(D(p)n).n and the tangential kernel
 p.tau, and they feed the cost gradient directly.
 """
 
-import csv
-
 import numpy as np
 
 from .errors import BaseTrajectoryMissing
-from .fields import PressureField, StateTrajectory, VelocityField, l2_norm
+from .fields import (PressureField, StateTrajectory, VelocityField, l2_norm,
+                     save_boundary_table)
 from .state_solver import StateProblem
 
 
@@ -69,14 +68,8 @@ class AdjointTrajectory:
         times = self.time_grid.times()
         for name, kern in (("normal", self.normal_kernel),
                            ("tangent", self.tangent_kernel)):
-            with open("%s_%s.csv" % (prefix, name), "w", newline="") as fh:
-                wr = csv.writer(fh)
-                wr.writerow(["t", "s", "value"])
-                for k in range(1, self.time_grid.nt + 1):
-                    for e in range(self.grid.n_boundary):
-                        wr.writerow(["%.17g" % times[k],
-                                     "%.17g" % self.grid.boundary_s[e],
-                                     "%.17g" % kern[k, e]])
+            save_boundary_table("%s_%s.csv" % (prefix, name), "value",
+                                times[1:], self.grid.boundary_s, kern[1:])
 
 
 def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:

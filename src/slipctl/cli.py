@@ -25,9 +25,10 @@ from .adjoint_solver import duality_residual
 from .control_opt import (CostParams, GradientEngine, fd_gradient_oracle,
                           optimize, random_admissible_control)
 from .errors import ConfigError, IncompatibleFlux, SlipctlError
-from .fields import (BoundaryControl, FrictionField, VelocityField,
-                     save_pressure, save_velocity)
-from .lifting import solve_neumann_lifting
+from .fields import (BoundaryControl, FrictionField, VelocityField, divergence,
+                     normal_trace, save_boundary_table, save_pressure,
+                     save_velocity)
+from .lifting import discrete_curl, solve_neumann_lifting
 from .linearized_solver import LinearizedProblem, solve_linearized
 from .mesh import WALL_NAMES, TimeGrid, build_grid, integrate_boundary
 from .state_solver import (StateProblem, energy_identity_residual,
@@ -96,10 +97,12 @@ class RunConfig:
         if not os.path.exists(path):
             raise ConfigError("config file %r does not exist" % path)
         cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
-        cfg.read(path)
         self._cfg = cfg
         self.path = path
         try:
+            cfg.read(path)
+            for section in cfg.sections():  # interpolate every value once
+                cfg.items(section)
             self.nx = cfg.getint("domain", "nx", fallback=16)
             self.ny = cfg.getint("domain", "ny", fallback=16)
             self.Lx = cfg.getfloat("domain", "Lx", fallback=1.0)
@@ -123,6 +126,8 @@ class RunConfig:
                             else cfg.getint("run", "seed", fallback=1234))
             self.samples = cfg.getint("run", "samples", fallback=5)
             self.refine = cfg.getboolean("run", "refine", fallback=False)
+        except configparser.Error as exc:
+            raise ConfigError("unreadable config file %r: %s" % (path, exc))
         except ValueError as exc:
             raise ConfigError("invalid numeric value: %s" % exc)
         if self.nt < 1:
@@ -221,7 +226,11 @@ class RunConfig:
         if spec == "zero":
             return [VelocityField(g) for _ in range(tg.nt + 1)]
         if spec.startswith("file:"):
-            traj = load_trajectory(spec[5:])
+            try:
+                traj = load_trajectory(spec[5:])
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                raise ConfigError("unreadable target trajectory y_d = %s: %s"
+                                  % (spec, exc))
             if traj.grid.key() != g.key() or traj.time_grid.nt != tg.nt:
                 raise ConfigError("target trajectory does not match the run grids")
             return traj.velocities
@@ -299,11 +308,7 @@ def _prepare_out(rc: RunConfig):
 
 def cmd_solve(rc: RunConfig):
     _prepare_out(rc)
-    try:
-        prob = rc.state_problem()
-    except (ValueError, IncompatibleFlux) as exc:
-        log.error("configuration rejected: %s", exc)
-        return EXIT_CONFIG
+    prob = rc.state_problem()
     traj = solve_state(prob)
     tdir = os.path.join(rc.out_dir, "trajectory")
     save_trajectory(tdir, traj, rc.cadence)
@@ -321,18 +326,13 @@ def cmd_solve(rc: RunConfig):
 
 def cmd_optimize(rc: RunConfig):
     _prepare_out(rc)
-    try:
-        y_d = rc.target()
-        friction = rc.friction()
-        ctrl0 = rc.controls()
-        y0 = rc.initial_state()
-        from .fields import normal_trace
-        if np.abs(normal_trace(y0) - ctrl0.a[0]).max() > 1e-9:
-            raise ConfigError("initial controls are incompatible with the "
-                              "initial state's normal trace at t = 0")
-    except (ValueError, IncompatibleFlux) as exc:
-        log.error("configuration rejected: %s", exc)
-        return EXIT_CONFIG
+    y_d = rc.target()
+    friction = rc.friction()
+    ctrl0 = rc.controls()
+    y0 = rc.initial_state()
+    if np.abs(normal_trace(y0) - ctrl0.a[0]).max() > 1e-9:
+        raise ConfigError("initial controls are incompatible with the "
+                          "initial state's normal trace at t = 0")
     params = CostParams(y_d=y_d, lam1=rc.lam1, lam2=rc.lam2,
                         radius=rc.radius, p_exponent=rc.p_exponent)
     report = optimize(y0, params, controls0=ctrl0,
@@ -347,15 +347,9 @@ def cmd_optimize(rc: RunConfig):
     _write_json(os.path.join(rc.out_dir, "timings.json"), report.wall_clock)
     _write_csv(os.path.join(rc.out_dir, "history.csv"), report.history_rows())
     final = report.final_controls
-    rows_a = [("t", "s", "a")]
-    rows_b = [("t", "s", "b")]
-    times = rc.time_grid.times()
-    for k in range(rc.nt + 1):
-        for e in range(rc.grid.n_boundary):
-            rows_a.append((float(times[k]), float(rc.grid.boundary_s[e]), float(final.a[k, e])))
-            rows_b.append((float(times[k]), float(rc.grid.boundary_s[e]), float(final.b[k, e])))
-    _write_csv(os.path.join(rc.out_dir, "controls_a.csv"), rows_a)
-    _write_csv(os.path.join(rc.out_dir, "controls_b.csv"), rows_b)
+    for name, values in (("a", final.a), ("b", final.b)):
+        save_boundary_table(os.path.join(rc.out_dir, "controls_%s.csv" % name), name,
+                            rc.time_grid.times(), rc.grid.boundary_s, values)
     log.info("optimizer finished: %s after %d iterations",
              report.status, len(report.iterations))
     if report.status == "converged":
@@ -365,12 +359,8 @@ def cmd_optimize(rc: RunConfig):
 
 def cmd_grad_check(rc: RunConfig, corrupt_adjoint=False):
     _prepare_out(rc)
-    try:
-        prob = rc.state_problem()
-        y_d = rc.target()
-    except (ConfigError, ValueError, IncompatibleFlux) as exc:
-        log.error("configuration rejected: %s", exc)
-        return EXIT_CONFIG
+    prob = rc.state_problem()
+    y_d = rc.target()
     params = CostParams(y_d=y_d, lam1=rc.lam1, lam2=rc.lam2,
                         radius=rc.radius, p_exponent=rc.p_exponent)
     engine = GradientEngine(prob.y0, params, prob.friction, rc.nu)
@@ -435,15 +425,9 @@ def cmd_verify(rc: RunConfig):
 def cmd_lift(rc: RunConfig):
     _prepare_out(rc)
     a_final = rc.controls().a[-1]
-    try:
-        res = solve_neumann_lifting(rc.grid, a_final)
-    except IncompatibleFlux as exc:
-        log.error("lifting rejected: %s", exc)
-        return EXIT_CONFIG
+    res = solve_neumann_lifting(rc.grid, a_final)
     save_pressure(os.path.join(rc.out_dir, "potential.snap"), res.h, rc.T)
     save_velocity(os.path.join(rc.out_dir, "lifting.snap"), res.grad, rc.T)
-    from .fields import divergence
-    from .lifting import discrete_curl
     _write_json(os.path.join(rc.out_dir, "lift.json"), {
         "config_hash": rc.config_hash(),
         "flux": float(integrate_boundary(rc.grid, a_final)),
@@ -478,10 +462,6 @@ def main(argv=None):
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         rc = RunConfig(args.config, args.out, args.seed)
-    except ConfigError as exc:
-        log.error("config error: %s", exc)
-        return EXIT_CONFIG
-    try:
         if args.command == "solve":
             return cmd_solve(rc)
         if args.command == "optimize":
@@ -490,15 +470,13 @@ def main(argv=None):
             return cmd_grad_check(rc, corrupt_adjoint=args.corrupt_adjoint)
         if args.command == "verify":
             return cmd_verify(rc)
-        if args.command == "lift":
-            return cmd_lift(rc)
-    except ConfigError as exc:
-        log.error("config error: %s", exc)
+        return cmd_lift(rc)  # argparse admits no other command
+    except (ConfigError, IncompatibleFlux) as exc:
+        log.error("configuration rejected: %s", exc)
         return EXIT_CONFIG
     except SlipctlError as exc:
         log.error("solver failure: %s", exc)
         return EXIT_SOLVER
-    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

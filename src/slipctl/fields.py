@@ -317,3 +317,11 @@ def save_pressure(path, p: PressureField, t=0.0):
 def load_pressure(path, grid: Grid):
     header, raw = read_snapshot(path)
     return PressureField(grid, raw.reshape(grid.shape_p).copy()), header["t"]
+
+
+def save_boundary_table(path, column, times, s, values):
+    """CSV with header t,s,<column> and one %.17g row per (time, boundary node)."""
+    with open(path, "w") as fh:
+        fh.write("t,s,%s\n" % column)
+        for t, row in zip(times, values):
+            fh.write("".join("%.17g,%.17g,%.17g\n" % (t, se, v) for se, v in zip(s, row)))

@@ -57,8 +57,6 @@ class Grid:
             [-self.boundary_normal[:, 1], self.boundary_normal[:, 0]])
         self.boundary_s = np.concatenate(
             [start + (np.arange(idx.size) + 0.5) * h for idx, h, start, _ in walls])
-        self.boundary_wall = np.repeat([WALL_BOTTOM, WALL_RIGHT, WALL_TOP, WALL_LEFT],
-                                       [w[0].size for w in walls])
         self.boundary_wall_index = np.concatenate([w[0] for w in walls])
         self.boundary_weight = np.concatenate([np.full(w[0].size, w[1]) for w in walls])
         self.loop_length = 2.0 * (self.Lx + self.Ly)

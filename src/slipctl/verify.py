@@ -196,9 +196,25 @@ def _stable(ratios, factor):
 
 def _suite_problem(grid, tg, rng, amplitude=0.3):
     ctrl = random_admissible_control(grid, tg, rng, amplitude=amplitude)
-    prob = StateProblem(grid, tg, VelocityField(grid), ctrl,
+    return StateProblem(grid, tg, VelocityField(grid), ctrl,
                         FrictionField.constant(grid, tg), validate=False)
-    return prob
+
+
+def _solved_suite_problem(grid, tg, rng):
+    prob = _suite_problem(grid, tg, rng)
+    return prob, solve_state(prob)
+
+
+def _line_item(name, bound, chash, measure):
+    """Report one solver-level estimate; measure() returns (ratios, passed,
+    details), and an item that fails to solve is reported failed."""
+    try:
+        ratios, passed, details = measure()
+    except Exception as exc:  # keep the suite alive per line item
+        logging.getLogger("slipctl").warning("line item %s failed", name, exc_info=True)
+        return InequalityReport(name, [], 0, bound, False, chash,
+                                details={"error": str(exc)})
+    return InequalityReport(name, ratios, 0, bound, passed, chash, details=details)
 
 
 def fit_energy_bound_constant(rows):
@@ -238,23 +254,22 @@ def run_estimate_suite(config):
     Lx = config.get("Lx", 1.0); Ly = config.get("Ly", 1.0)
     T = config.get("T", 0.5); nt = config.get("nt", 32)
     nsamp = config.get("samples", 5)
+    nfield = max(nsamp, 10)
     seed = config.get("seed", 1234)
     chash = config.get("config_hash", "")
     grid = build_grid(nx, ny, Lx, Ly)
     tg = TimeGrid(T, nt)
     rng = np.random.default_rng(seed)
-    reports = []
 
-    h1_samples = [random_h1_field(grid, rng) for _ in range(max(nsamp, 10))]
-    sol_samples = [random_solenoidal_field(grid, rng) for _ in range(max(nsamp, 10))]
-    for q in (3, 4, 6):
-        reports.append(check_gns(h1_samples, q=q, config_hash=chash))
-    reports.append(check_trace(h1_samples, config_hash=chash))
-    reports.append(check_korn(sol_samples, config_hash=chash))
-    reports.append(check_mean_zero(sol_samples, config_hash=chash))
+    h1_samples = [random_h1_field(grid, rng) for _ in range(nfield)]
+    sol_samples = [random_solenoidal_field(grid, rng) for _ in range(nfield)]
+    reports = [check_gns(h1_samples, q=q, config_hash=chash) for q in (3, 4, 6)]
+    reports += [check_trace(h1_samples, config_hash=chash),
+                check_korn(sol_samples, config_hash=chash),
+                check_mean_zero(sol_samples, config_hash=chash)]
 
-    # state energy bound shape under control scaling
-    try:
+    def state_energy_bound():
+        """Energy bound shape under control scaling."""
         base = _suite_problem(grid, tg, rng)
         rows = []
         for c in (0.5, 1.0, 2.0):
@@ -273,18 +288,12 @@ def run_estimate_suite(config):
         cstar = fit_energy_bound_constant(rows)
         passed = all(np.isfinite(ratios)) and monotone and np.isfinite(cstar) and \
             max(r["energy_residual"] for r in rows) <= 1e-8
-        reports.append(InequalityReport("state_energy_bound", ratios, 0, np.inf,
-                                        passed, chash,
-                                        details={"rows": rows, "monotone": monotone,
-                                                 "fitted_constant": cstar}))
-    except Exception as exc:  # keep the suite alive per line item
-        reports.append(InequalityReport("state_energy_bound", [], 0, np.inf, False,
-                                        chash, details={"error": str(exc)}))
+        return ratios, passed, {"rows": rows, "monotone": monotone,
+                                "fitted_constant": cstar}
 
-    # Lipschitz continuity of the control-to-state map
-    try:
-        prob = _suite_problem(grid, tg, rng)
-        traj = solve_state(prob)
+    def lipschitz():
+        """Lipschitz continuity of the control-to-state map."""
+        prob, traj = _solved_suite_problem(grid, tg, rng)
         d = random_admissible_control(grid, tg, rng, amplitude=1.0)
         ratios = []
         for delta in (1e-1, 1e-2, 1e-3):
@@ -297,119 +306,80 @@ def run_estimate_suite(config):
                        for k in range(tg.nt + 1))
             dctrl = BoundaryControl(grid, tg, delta * d.a, delta * d.b)
             ratios.append(dist / hp_norm(dctrl))
-        passed = np.all(np.isfinite(ratios)) and max(ratios) <= 2.0 * min(ratios)
-        reports.append(InequalityReport("lipschitz", ratios, 0, 2.0, passed, chash))
-    except Exception as exc:
-        reports.append(InequalityReport("lipschitz", [], 0, 2.0, False, chash,
-                                        details={"error": str(exc)}))
+        return ratios, np.all(np.isfinite(ratios)) and max(ratios) <= 2.0 * min(ratios), None
 
-    # linearized energy estimate; directions drawn up front
-    try:
-        prob = _suite_problem(grid, tg, rng)
-        traj = solve_state(prob)
-        dirs = [balanced_direction(grid, tg, rng) for _ in range(max(nsamp, 10))]
-
-        def lin_ratio(d):
+    def linearized_energy():
+        """Linearized energy estimate; directions drawn up front."""
+        prob, traj = _solved_suite_problem(grid, tg, rng)
+        dirs = [balanced_direction(grid, tg, rng) for _ in range(nfield)]
+        ops = grid.ops
+        ratios = []
+        for d in dirs:
             z, _ = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
             lhs = max(l2_norm(zk) ** 2 for zk in z)
-            ops = grid.ops
             for k in range(1, tg.nt + 1):
                 zv = z[k].to_vec()
                 lhs += tg.dt * 0.5 * float(zv @ (ops.A_strain @ zv))
                 lhs += tg.dt * float(np.dot(ops.w_gamma * prob.friction.alpha[k],
                                             (ops.Ttau @ zv) ** 2))
-            return lhs / hp_norm(d) ** 2
+            ratios.append(lhs / hp_norm(d) ** 2)
+        return ratios, np.all(np.isfinite(ratios)) and max(ratios) <= 3.0 * min(ratios), None
 
-        ratios = [lin_ratio(d) for d in dirs]
-        passed = np.all(np.isfinite(ratios)) and max(ratios) <= 3.0 * min(ratios)
-        reports.append(InequalityReport("linearized_energy", ratios, 0, 3.0,
-                                        passed, chash))
-    except Exception as exc:
-        reports.append(InequalityReport("linearized_energy", [], 0, 3.0, False,
-                                        chash, details={"error": str(exc)}))
-
-    # adjoint energy estimate
-    try:
-        prob = _suite_problem(grid, tg, rng)
-        traj = solve_state(prob)
+    def adjoint_energy():
+        """Adjoint energy estimate."""
+        prob, traj = _solved_suite_problem(grid, tg, rng)
         sources = [[random_h1_field(grid, rng) for _ in range(tg.nt + 1)]
-                   for _ in range(max(nsamp, 10))]
+                   for _ in range(nfield)]
+        ratios = [adjoint_energy_check(solve_adjoint(AdjointProblem(prob, traj, U)),
+                                       U, prob.friction) for U in sources]
+        return ratios, np.all(np.isfinite(ratios)) and max(ratios) <= 3.0 * min(ratios), None
 
-        def adj_ratio(U):
-            adj = solve_adjoint(AdjointProblem(prob, traj, U))
-            return adjoint_energy_check(adj, U, prob.friction)
-
-        ratios = [adj_ratio(U) for U in sources]
-        passed = np.all(np.isfinite(ratios)) and max(ratios) <= 3.0 * min(ratios)
-        reports.append(InequalityReport("adjoint_energy", ratios, 0, 3.0,
-                                        passed, chash))
-    except Exception as exc:
-        reports.append(InequalityReport("adjoint_energy", [], 0, 3.0, False,
-                                        chash, details={"error": str(exc)}))
-
-    # tangent consistency of the state map
-    try:
-        prob = _suite_problem(grid, tg, rng)
-        traj = solve_state(prob)
+    def gateaux_limit():
+        """Tangent consistency of the state map."""
+        prob, traj = _solved_suite_problem(grid, tg, rng)
         d = random_admissible_control(grid, tg, rng, amplitude=1.0)
         rows, _ = gateaux_discrepancy(prob, traj, d.a, d.b, [1e-1, 1e-2, 1e-3])
         descending = all(rows[i][1] > rows[i + 1][1] for i in range(len(rows) - 1))
         ratios = [disc / eps for eps, disc in rows]
-        passed = descending and np.all(np.isfinite(ratios))
-        reports.append(InequalityReport("gateaux_limit", ratios, 0, np.inf, passed,
-                                        chash, details={"rows": rows}))
-    except Exception as exc:
-        reports.append(InequalityReport("gateaux_limit", [], 0, np.inf, False,
-                                        chash, details={"error": str(exc)}))
+        return ratios, descending and np.all(np.isfinite(ratios)), {"rows": rows}
 
-    # duality relation residuals
-    try:
-        prob = _suite_problem(grid, tg, rng)
-        traj = solve_state(prob)
-        pairs = []
-        for _ in range(nsamp):
-            d = random_admissible_control(grid, tg, rng, amplitude=1.0)
-            U = [random_h1_field(grid, rng) for _ in range(tg.nt + 1)]
-            pairs.append((d, U))
-
-        def dual_res(pair):
-            d, U = pair
+    def duality():
+        """Duality relation residuals."""
+        prob, traj = _solved_suite_problem(grid, tg, rng)
+        pairs = [(random_admissible_control(grid, tg, rng, amplitude=1.0),
+                  [random_h1_field(grid, rng) for _ in range(tg.nt + 1)])
+                 for _ in range(nsamp)]
+        residuals = []
+        for d, U in pairs:
             z, _ = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
             adj = solve_adjoint(AdjointProblem(prob, traj, U))
-            return duality_residual(z, adj, U, d.a, d.b, base_hash=traj.config_hash)
+            residuals.append(duality_residual(z, adj, U, d.a, d.b,
+                                              base_hash=traj.config_hash))
+        return residuals, max(residuals) <= 1e-9, {"tolerance": 1e-9}
 
-        residuals = [dual_res(pair) for pair in pairs]
-        passed = max(residuals) <= 1e-9
-        reports.append(InequalityReport("duality", residuals, 0, 1e-9, passed, chash,
-                                        details={"tolerance": 1e-9}))
-    except Exception as exc:
-        reports.append(InequalityReport("duality", [], 0, 1e-9, False, chash,
-                                        details={"error": str(exc)}))
+    def refinement_drift():
+        """Inequality constants must drift mildly under one refinement."""
+        fine = build_grid(2 * nx, 2 * ny, Lx, Ly)
+        rng_f = np.random.default_rng(seed)
+        h1_f = [random_h1_field(fine, rng_f) for _ in range(nfield)]
+        sol_f = [random_solenoidal_field(fine, rng_f) for _ in range(nfield)]
+        coarse = {r.name: r for r in reports}
+        drifts = {}
+        for fine_rep in (check_gns(h1_f, q=4), check_trace(h1_f), check_korn(sol_f)):
+            c = max(coarse[fine_rep.name].ratios)
+            drifts[fine_rep.name] = abs(max(fine_rep.ratios) - c) / c
+        return list(drifts.values()), max(drifts.values()) < 0.5, {"drifts": drifts}
 
-    # optional refinement pair: inequality constants must drift mildly
+    items = [("state_energy_bound", np.inf, state_energy_bound),
+             ("lipschitz", 2.0, lipschitz),
+             ("linearized_energy", 3.0, linearized_energy),
+             ("adjoint_energy", 3.0, adjoint_energy),
+             ("gateaux_limit", np.inf, gateaux_limit),
+             ("duality", 1e-9, duality)]
     if config.get("refine", False):
-        try:
-            fine = build_grid(2 * nx, 2 * ny, Lx, Ly)
-            rng_f = np.random.default_rng(seed)
-            h1_f = [random_h1_field(fine, rng_f) for _ in range(max(nsamp, 10))]
-            sol_f = [random_solenoidal_field(fine, rng_f) for _ in range(max(nsamp, 10))]
-            drifts = {}
-            coarse_vals = {"gns_q4": max(check_gns(h1_samples, q=4).ratios),
-                           "trace": max(check_trace(h1_samples).ratios),
-                           "korn": max(check_korn(sol_samples).ratios)}
-            fine_vals = {"gns_q4": max(check_gns(h1_f, q=4).ratios),
-                         "trace": max(check_trace(h1_f).ratios),
-                         "korn": max(check_korn(sol_f).ratios)}
-            for name in coarse_vals:
-                drifts[name] = abs(fine_vals[name] - coarse_vals[name]) / coarse_vals[name]
-            passed = max(drifts.values()) < 0.5
-            reports.append(InequalityReport("refinement_drift",
-                                            list(drifts.values()), 0, 0.5,
-                                            passed, chash,
-                                            details={"drifts": drifts}))
-        except Exception as exc:
-            reports.append(InequalityReport("refinement_drift", [], 0, 0.5, False,
-                                            chash, details={"error": str(exc)}))
+        items.append(("refinement_drift", 0.5, refinement_drift))
+    for name, bound, measure in items:
+        reports.append(_line_item(name, bound, chash, measure))
 
     # wall clock is logged, never serialized: reports must be byte-stable
     logging.getLogger("slipctl").info(

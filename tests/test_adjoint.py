@@ -191,10 +191,14 @@ def test_export_kernels_csv(tmp_path, setup):
     grid, tg, prob, traj = setup
     adj = solve_adjoint(AdjointProblem(prob, traj, random_source(grid, tg, 7)))
     adj.export_kernels_csv(str(tmp_path / "kernels"))
-    for name in ("kernels_normal.csv", "kernels_tangent.csv"):
-        lines = (tmp_path / name).read_text().strip().splitlines()
+    t1 = tg.times()[1]
+    for name, kern in (("normal", adj.normal_kernel), ("tangent", adj.tangent_kernel)):
+        raw = (tmp_path / ("kernels_%s.csv" % name)).read_bytes()
+        assert b"\r" not in raw
+        lines = raw.decode().strip().splitlines()
         assert lines[0] == "t,s,value"
         assert len(lines) == 1 + tg.nt * grid.n_boundary
+        assert lines[1] == "%.17g,%.17g,%.17g" % (t1, grid.boundary_s[0], kern[1, 0])
 
 
 def test_sweeps_share_one_reference_factor(setup, splu_spy):

@@ -1,11 +1,13 @@
+import json
 import logging
 import os
+import shutil
 
 import pytest
 
 from slipctl.cli import (EXIT_BUDGET, EXIT_CHECK, EXIT_CONFIG, EXIT_OK,
                          EXIT_SOLVER, RunConfig, main)
-from slipctl.errors import ConfigError
+from slipctl.errors import ConfigError, IncompatibleFlux, SolverDivergence
 
 BASE_CONFIG = """
 [domain]
@@ -129,6 +131,38 @@ def test_lift_roundtrip_and_incompatible(tmp_path):
     assert main(["lift", "--config", cfg2, "--out", str(tmp_path / "l2")]) == EXIT_CONFIG
 
 
+def test_lifting_incompatible_flux_is_config_exit(tmp_path, monkeypatch):
+    """Flux the lifting solve rejects exits 1 through main, like a config error."""
+    from slipctl import cli
+
+    def reject(grid, a):
+        raise IncompatibleFlux("boundary data has net flux")
+    monkeypatch.setattr(cli, "solve_neumann_lifting", reject)
+    cfg = write_config(tmp_path)
+    assert main(["lift", "--config", cfg, "--out", str(tmp_path / "l")]) == EXIT_CONFIG
+
+
+def test_failed_verify_item_is_check_exit(tmp_path, monkeypatch):
+    """A line item whose solve fails is reported failed with its error, the
+    other items still run and pass, and verify writes verify.json and exits 4."""
+    from slipctl import verify
+
+    def diverge(problem):
+        raise SolverDivergence("adjoint step 2: linear step residual above guard")
+    monkeypatch.setattr(verify, "solve_adjoint", diverge)
+    cfg = write_config(tmp_path)
+    out = str(tmp_path / "verify")
+    assert main(["verify", "--config", cfg, "--out", out]) == EXIT_CHECK
+    with open(os.path.join(out, "verify.json")) as fh:
+        items = {r["name"]: r for r in json.load(fh)}
+    failed = {"adjoint_energy", "duality"}
+    assert failed < set(items)
+    for name, item in items.items():
+        assert item["pass"] == (name not in failed), name
+    for name in failed:
+        assert "linear step residual" in items[name]["details"]["error"]
+
+
 def test_grad_check_pass_and_corrupt_hook(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["grad-check", "--config", cfg,
@@ -200,6 +234,37 @@ def test_target_from_file(tmp_path):
     first = float(hist[1].split(",")[1])
     last = float(hist[-1].split(",")[1])
     assert last < first
+
+
+def test_unreadable_target_file_is_blamed_on_y_d(tmp_path, caplog):
+    """A y_d = file: trajectory with a missing snapshot, a truncated
+    manifest or a mistyped manifest entry is a config error naming y_d, in
+    optimize and grad-check."""
+    cfg = write_config(tmp_path)
+    out = str(tmp_path / "solve_for_target")
+    assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
+    missing = tmp_path / "missing_snapshot"
+    shutil.copytree(os.path.join(out, "trajectory"), missing)
+    os.remove(missing / "y_0005.snap")
+    truncated = tmp_path / "truncated_manifest"
+    shutil.copytree(os.path.join(out, "trajectory"), truncated)
+    manifest = (truncated / "manifest.json").read_text()
+    (truncated / "manifest.json").write_text(manifest[:len(manifest) // 2])
+    mistyped = tmp_path / "mistyped_manifest"
+    shutil.copytree(os.path.join(out, "trajectory"), mistyped)
+    entries = json.loads(manifest)
+    entries["nx"] = str(entries["nx"])
+    (mistyped / "manifest.json").write_text(json.dumps(entries))
+    for tdir in (missing, truncated, mistyped):
+        spec = "y_d = file:%s" % tdir
+        cfg2 = write_config(tmp_path, BASE_CONFIG.replace("y_d = zero", spec),
+                            name="target.ini")
+        for command in ("optimize", "grad-check"):
+            caplog.clear()
+            with caplog.at_level(logging.ERROR, logger="slipctl"):
+                code = main([command, "--config", cfg2, "--out", str(tmp_path / command)])
+            assert code == EXIT_CONFIG
+            assert any(spec in r.getMessage() for r in caplog.records)
 
 
 SHEAR_CONFIG = """
@@ -288,6 +353,17 @@ def test_runconfig_validation(tmp_path):
     rc = RunConfig(write_config(tmp_path, bad3, name="bad3.ini"))
     with pytest.raises(ConfigError):
         rc.friction()
+
+
+@pytest.mark.parametrize("text", [
+    "nx = 8\n",
+    BASE_CONFIG.replace("b.top = cos:1:0.3", "b.top = cos:1:0.3%"),
+], ids=["no_section_header", "bad_interpolation"])
+def test_unparsable_config_file_is_config_error(tmp_path, text):
+    cfg = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match="unreadable config file"):
+        RunConfig(cfg)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
 def test_zero_samples_is_config_error(tmp_path):
