@@ -57,11 +57,10 @@ class DiscreteOperators:
         self.n_boundary = grid.n_boundary
         self._build_indexing(grid)
         self._build_weights(grid)
-        self._build_divergence(grid)
-        self._build_gradients(grid)
+        strain = self._build_gradients(grid)
         self._build_traces(grid)
         self._build_advection_stencils(grid)
-        self.A_strain = self._assemble_strain_form()
+        self.A_strain = self._assemble_strain_form(*strain)
         self._build_step_map()
         self._build_step_gathers(grid.cell_area)
         self._reference = None
@@ -99,71 +98,44 @@ class DiscreteOperators:
         self.w_vert = (area * np.outer(fx, fy)).ravel()
         self.w_gamma = g.boundary_weight
 
-    # -- divergence ----------------------------------------------------------
-
-    def _build_divergence(self, g):
-        nx, ny = g.nx, g.ny
-        ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-        rows = (ii * ny + jj).ravel()
-        data, rr, cc = [], [], []
-        for col, coef in (
-                (self._iu[ii + 1, jj], 1.0 / g.hx), (self._iu[ii, jj], -1.0 / g.hx),
-                (self._iv[ii, jj + 1], 1.0 / g.hy), (self._iv[ii, jj], -1.0 / g.hy)):
-            rr.append(rows); cc.append(col.ravel()); data.append(np.full(rows.size, coef))
-        self.Dmat = sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rr), np.concatenate(cc))),
-            shape=(self.ncell, self.N))
-        self.Dc = self.Dmat[:, self.cons_idx].tocsr()
-        self.DcT = self.Dc.T
-
-    # -- gradient / strain sample matrices ------------------------------------
+    # -- stencils: each matrix one CSR from index arithmetic (see _csr) ---------
 
     def _build_gradients(self, g):
-        nx, ny, hx, hy = g.nx, g.ny, g.hx, g.hy
+        """Cell and vertex strain samples and the divergence; returns the row
+        stencils of the three terms of the strain form."""
+        nx, ny, hx, hy, iu, iv, N = g.nx, g.ny, g.hx, g.hy, self._iu, self._iv, self.N
+        # du/dx and dv/dy at cell centers, du/dy and dv/dx at vertices (where
+        # wall rows copy the nearest interior stencil): x[lo + 1] - x[lo] over h
+        lx, ly = np.arange(nx), np.arange(ny)
+        dux = _tensor(iu, _two(lx, lx + 1, -1 / hx, 1 / hx), _eye(ny))
+        dvy = _tensor(iv, _eye(nx), _two(ly, ly + 1, -1 / hy, 1 / hy))
+        lx, ly = np.clip(np.arange(-1, nx), 0, nx - 2), np.clip(np.arange(-1, ny), 0, ny - 2)
+        duy = _tensor(iu, _eye(nx + 1), _two(ly, ly + 1, -1 / hy, 1 / hy))
+        dvx = _tensor(iv, _two(lx, lx + 1, -1 / hx, 1 / hx), _eye(ny + 1))
+        self.Gxu_cell, self.Gyv_cell, self.Gyu_vert, self.Gxv_vert = (
+            _csr([st], N) for st in (dux, dvy, duy, dvx))
+        div = tuple(np.hstack(a) for a in zip(dux, dvy))
+        self.Dmat = _csr([div], N)
+        self.Dc = self.Dmat[:, self.cons_idx].tocsr()
+        self.DcT = self.Dc.T
+        return dux, dvy, tuple(np.hstack(a) for a in zip(duy, dvx))
 
-        # du/dx at cell centers
-        ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-        rows = (ii * ny + jj).ravel()
-        self.Gxu_cell = sp.csr_matrix(
-            (np.concatenate([np.full(rows.size, 1 / hx), np.full(rows.size, -1 / hx)]),
-             (np.concatenate([rows, rows]),
-              np.concatenate([self._iu[ii + 1, jj].ravel(), self._iu[ii, jj].ravel()]))),
-            shape=(self.ncell, self.N))
-        # dv/dy at cell centers
-        self.Gyv_cell = sp.csr_matrix(
-            (np.concatenate([np.full(rows.size, 1 / hy), np.full(rows.size, -1 / hy)]),
-             (np.concatenate([rows, rows]),
-              np.concatenate([self._iv[ii, jj + 1].ravel(), self._iv[ii, jj].ravel()]))),
-            shape=(self.ncell, self.N))
+    def _assemble_strain_form(self, dux, dvy, mix):
+        """Symmetric PSD matrix of the form 2 int D(y):D(psi) dx.
 
-        # du/dy at vertices; one row per vertex (i, j), j = 0..ny
-        vi, vj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="ij")
-        vrows = (vi * (ny + 1) + vj).ravel()
-        jhi = np.clip(vj, 1, ny - 1)          # wall rows copy the nearest interior stencil
-        chi = self._iu[vi, jhi]
-        clo = self._iu[vi, jhi - 1]
-        self.Gyu_vert = sp.csr_matrix(
-            (np.concatenate([np.full(vrows.size, 1 / hy), np.full(vrows.size, -1 / hy)]),
-             (np.concatenate([vrows, vrows]),
-              np.concatenate([chi.ravel(), clo.ravel()]))),
-            shape=(self.nvert, self.N))
-        # dv/dx at vertices
-        ihi = np.clip(vi, 1, nx - 1)
-        chi = self._iv[ihi, vj]
-        clo = self._iv[ihi - 1, vj]
-        self.Gxv_vert = sp.csr_matrix(
-            (np.concatenate([np.full(vrows.size, 1 / hx), np.full(vrows.size, -1 / hx)]),
-             (np.concatenate([vrows, vrows]),
-              np.concatenate([chi.ravel(), clo.ravel()]))),
-            shape=(self.nvert, self.N))
-
-    def _assemble_strain_form(self):
-        """Symmetric PSD matrix of the form 2 int D(y):D(psi) dx."""
-        mix = self.Gyu_vert + self.Gxv_vert
-        A = 2.0 * (self.Gxu_cell.T @ sp.diags(self.w_cell) @ self.Gxu_cell)
-        A = A + 2.0 * (self.Gyv_cell.T @ sp.diags(self.w_cell) @ self.Gyv_cell)
-        A = A + mix.T @ sp.diags(self.w_vert) @ mix
-        return A.tocsr()
+        Entry (p, q) of L^T diag(w) L sums L[k, q] * (w[k] L[k, p]) over
+        increasing rows k; the cell terms are doubled, the vertex terms added
+        and exact zeros dropped, which is how the sp.diags products round.
+        """
+        p, q, v = (np.concatenate(t) for t in zip(
+            _outer(dux, self.w_cell), _outer(dvy, self.w_cell), _outer(mix, self.w_vert)))
+        indptr, indices, pos = self._pattern(p, q)
+        n = 2 * dux[0].size * dux[0].shape[1]               # cell triplets come first
+        data = 2.0 * np.bincount(pos[:n], v[:n], minlength=indices.size)
+        data += np.bincount(pos[n:], v[n:], minlength=indices.size)
+        keep = data != 0
+        indptr = np.concatenate([[0], np.cumsum(keep)])[indptr]
+        return sp.csr_matrix((data[keep], indices[keep], indptr), shape=(self.N, self.N))
 
     # -- boundary traces -------------------------------------------------------
 
@@ -178,50 +150,48 @@ class DiscreteOperators:
                  (iu[nx, :], iv[nx - 1, :], iv[nx - 2, :], 1.0, 1.0),           # right
                  (iv[::-1, ny], iu[::-1, ny - 1], iu[::-1, ny - 2], 1.0, -1.0),  # top
                  (iu[0, ::-1], iv[0, ::-1], iv[1, ::-1], -1.0, -1.0))           # left
-        rows = np.arange(ngb)
         # normal trace: one signed face unknown per node
-        cols = np.concatenate([w[0] for w in walls])
+        face = np.concatenate([w[0] for w in walls])
         sn = np.concatenate([np.full(w[0].size, w[3]) for w in walls])
-        Tn = sp.csr_matrix((sn, (rows, cols)), shape=(ngb, self.N))
-
         # tangential trace: linear wall extrapolation averaged to midpoints
         cols = np.concatenate([np.column_stack([w[1][:-1], w[1][1:], w[2][:-1], w[2][1:]])
                                for w in walls])
         st = np.concatenate([np.full(w[1].size - 1, w[4]) for w in walls])
         data = np.column_stack([0.75 * st, 0.75 * st, -0.25 * st, -0.25 * st])
-        Ttau = sp.csr_matrix((data.ravel(), (np.repeat(rows, 4), cols.ravel())),
-                             shape=(ngb, self.N))
+        order = np.argsort(cols, axis=1)
+        tau = np.take_along_axis(cols, order, 1), np.take_along_axis(data, order, 1)
         # T = [Tn; Ttau]; Tn and Ttau are views on its rows
-        self.T = sp.vstack([Tn, Ttau], format="csr")
+        self.T = _csr([(face[:, None], sn[:, None]), tau], self.N)
         self.Tn, self.Ttau = _row_blocks(self.T, (ngb, ngb))
         self.TT, self.TtauT = self.T.T, self.Ttau.T
         self.Mbc = self.Tn.T.tocsr()              # Tn @ Mbc = identity; Mbc is Tn^T
-        # Mbc is a signed permutation: wall-normal face cons_idx[i] takes
-        # wall_sign[i] * a[wall_node[i]]
-        Mc = self.Mbc[self.cons_idx]
-        self.wall_node, self.wall_sign = Mc.indices, Mc.data
+        # Mbc is a signed permutation, one entry in each constrained row:
+        # wall-normal face cons_idx[i] takes wall_sign[i] * a[wall_node[i]]
+        self.wall_node, self.wall_sign = self.Mbc.indices, self.Mbc.data
 
     # -- advection -------------------------------------------------------------
 
     def _build_advection_stencils(self, g):
-        nx, ny, hx, hy = g.nx, g.ny, g.hx, g.hy
-        NU, NV = self.NU, self.NV
-        # Gx, Gy: derivative of each component at its own points
-        Gx = sp.block_diag([sp.kron(_centred_diff(nx + 1, hx), sp.eye(ny)),
-                            sp.kron(_centred_diff(nx, hx), sp.eye(ny + 1))], format="csr")
-        Gy = sp.block_diag([sp.kron(sp.eye(nx + 1), _centred_diff(ny, hy)),
-                            sp.kron(sp.eye(nx), _centred_diff(ny + 1, hy))], format="csr")
-        # Px, Py: each component of the advecting field at every unknown's location
-        u_at_v = sp.kron(_pair_average(nx), _edge_to_node(ny))
-        v_at_u = sp.kron(_edge_to_node(nx), _pair_average(ny))
-        Px = sp.bmat([[sp.eye(NU), sp.csr_matrix((NU, NV))], [u_at_v, None]], format="csr")
-        Py = sp.bmat([[sp.csr_matrix((NU, NU)), v_at_u], [None, sp.eye(NV)]], format="csr")
+        nx, ny, hx, hy, iu, iv = g.nx, g.ny, g.hx, g.hy, self._iu, self._iv
+        ex, ey, ex1, ey1 = _eye(nx), _eye(ny), _eye(nx + 1), _eye(ny + 1)
         # the matrix-free advection derivatives apply the stacks G = [Gx; Gy]
         # and P = [Px; Py] and their transposes (CSC views on the same
         # arrays), one product for both components; Gx, Gy, Px and Py are
-        # views on the rows of the stacks
-        self.G = sp.vstack([Gx, Gy], format="csr")
-        self.P = sp.vstack([Px, Py], format="csr")
+        # views on the rows of the stacks.  Gx, Gy: centred derivative of
+        # each component at its own points, one-sided at the ends
+        uy = _centred(ny, hy)
+        if ny == 4:     # sp.kron kept this half-full factor dense; its zeros stay
+            full = np.zeros((4, 4))
+            np.put_along_axis(full, *uy, axis=1)
+            uy = np.tile(np.arange(4), (4, 1)), full
+        self.G = _csr([_tensor(iu, _centred(nx + 1, hx), ey), _tensor(iv, _centred(nx, hx), ey1),
+                       _tensor(iu, ex1, uy), _tensor(iv, ex, _centred(ny + 1, hy))], self.N)
+        # Px, Py: each component of the advecting field at every unknown's
+        # location, averaged over the nearest faces of that component
+        rx, ry = np.arange(nx), np.arange(ny)
+        self.P = _csr([_tensor(iu, ex1, ey), _tensor(iu, _two(rx, rx + 1, 0.5, 0.5), _node(ny)),
+                       _tensor(iv, _node(nx), _two(ry, ry + 1, 0.5, 0.5)), _tensor(iv, ex, ey1)],
+                      self.N)
         self.Gx, self.Gy = _row_blocks(self.G, (self.N, self.N))
         self.Px, self.Py = _row_blocks(self.P, (self.N, self.N))
         self.GT, self.PT = self.G.T, self.P.T
@@ -233,36 +203,33 @@ class DiscreteOperators:
         scale one source, and every other term of step_matrix has the form
         L^T diag(c * (S @ x)) R, which expands row by row into (row, col,
         source, coefficient) triplets.  The triplets are summed into a sparse
-        map from x to the data of the union pattern.
+        map from x to the data of the union pattern; no (row, col, source)
+        gets more than two, so their order does not change the sums.
         """
         N, nb = self.N, self.n_boundary
         nsrc = nb + N + 2
-        # wall terms Ttau^T diag(w_gamma (alpha + 0.5 wn)) Ttau + Tn^T diag(0.5 w_gamma wn) Tn
-        T = sp.vstack([self.Ttau, self.Tn])
-        wall = _face_split(T, T, np.concatenate([self.w_gamma, 0.5 * self.w_gamma]),
-                           sp.bmat([[sp.eye(nb), 0.5 * self.Tn, None],
-                                    [None, self.Tn, sp.csr_matrix((nb, 2))]]))
+        # wall terms Tn^T diag(0.5 w_gamma wn) Tn + Ttau^T diag(w_gamma (alpha + 0.5 wn)) Ttau
+        face, sn = nb + self.Tn.indices, self.Tn.data
+        S = _csr([(face[:, None], sn[:, None]), (np.column_stack([np.arange(nb), face]),
+                                                 np.column_stack([np.ones(nb), 0.5 * sn]))], nsrc)
+        wall = _face_split(self.T, self.T, np.concatenate([0.5 * self.w_gamma, self.w_gamma]), S)
         # advection N = diag(W Px w) Gx + diag(W Py w) Gy, entered as 0.5*(N - N^T),
         # whose diagonal cancels exactly
-        eye = sp.eye(N)
-        i, j, k, c = _face_split(
-            sp.vstack([eye, eye]), self.G, np.concatenate([0.5 * self.Wvec, 0.5 * self.Wvec]),
-            sp.hstack([sp.csr_matrix((2 * N, nb)), self.P, sp.csr_matrix((2 * N, 2))]))
+        eye = sp.csr_matrix((np.ones(2 * N), np.tile(np.arange(N), 2), np.arange(2 * N + 1)),
+                            shape=(2 * N, N))
+        P = sp.csr_matrix((self.P.data, nb + self.P.indices, self.P.indptr), shape=(2 * N, nsrc))
+        i, j, k, c = _face_split(eye, self.G, np.tile(0.5 * self.Wvec, 2), P)
         off = i != j
         i, j, k, c = i[off], j[off], k[off], c[off]
-        A = self.A_strain.tocoo()
-        diag = np.arange(N)
+        A, diag = self.A_strain, np.arange(N, dtype=np.int32)
         rows, cols, src, coef = (np.concatenate(t) for t in zip(
             wall, (i, j, k, c), (j, i, k, -c),
-            (diag, diag, np.full(N, nsrc - 2), self.Wvec),                # W/dt
-            (A.row, A.col, np.full(A.nnz, nsrc - 1), A.data)))            # nu*A_strain
-        keys = rows.astype(np.int64) * N + cols
-        # with return_inverse, np.unique sorts and gives each key's position
-        # in the pattern; without it, numpy 2.4 hashes, slower on these keys
-        pattern, pos = np.unique(keys, return_inverse=True)
-        self.step_indices = (pattern % N).astype(np.int32)
-        self.step_indptr = np.searchsorted(pattern, np.arange(N + 1) * N).astype(np.int32)
-        self._step_map = sp.csr_matrix((coef, (pos, src)), shape=(pattern.size, nsrc))
+            (diag, diag, np.full(N, nsrc - 2, dtype=np.int32), self.Wvec),          # W/dt
+            (np.repeat(diag, np.diff(A.indptr)), A.indices,
+             np.full(A.nnz, nsrc - 1, dtype=np.int32), A.data)))                   # nu*A_strain
+        self.step_indptr, self.step_indices, pos = self._pattern(rows, cols)
+        self._step_map = sp.csr_matrix((coef, (pos, src)),
+                                       shape=(self.step_indices.size, nsrc))
 
     def _build_step_gathers(self, cell_area):
         """Positions of L[F][:, C] and of the pinned saddle in the step pattern.
@@ -289,9 +256,10 @@ class DiscreteOperators:
             [[0], np.cumsum(np.bincount(local[rows[fc]], minlength=nf))]).astype(np.int32)
 
         ff = np.flatnonzero(free_row & self.free[cols])
-        Df = self.Dmat[:, F].tocoo()
-        pinned = Df.row > 0
-        dr, dc, dv = Df.row[pinned] - 1, Df.col[pinned], Df.data[pinned]
+        # Df = Dmat[:, F] in row-major order, rows 1.. (cell 0 is pinned)
+        drow, D = np.repeat(np.arange(self.ncell), 4), self.Dmat
+        pinned = self.free[D.indices] & (drow > 0)
+        dr, dc, dv = drow[pinned] - 1, local[D.indices[pinned]], D.data[pinned]
         self.saddle_const = np.concatenate([(-cell_area) * dv, dv])
         r = np.concatenate([local[rows[ff]], dc, nf + dr])
         c = np.concatenate([local[cols[ff]], nf + dr, dc])
@@ -305,6 +273,25 @@ class DiscreteOperators:
         # (see reference_lu): 1 on the free faces, -cell_area on cells 1..
         self.saddle_similarity = np.concatenate([np.ones(nf),
                                                  np.full(self.ncell - 1, -cell_area)])
+
+    def _pattern(self, rows, cols):
+        """CSR pattern (indptr, indices) of the distinct (row, col) pairs and
+        the position of each pair in it.  No operator couples faces more than
+        two cells apart, so a column is keyed by its offset (type, dx, dy)
+        from the row's face, in column order: flags at row * 50 + offset."""
+        N = self.N
+        xy = np.concatenate([(5 * x + y).ravel() for x, y in
+                             (np.indices(self._iu.shape), np.indices(self._iv.shape))])
+        box = xy + 25 * (np.arange(N) >= self.NU)
+        key = box[cols] + (50 * np.arange(N, dtype=np.int32) - xy + 12)[rows]
+        slots = np.zeros(50 * N, dtype=np.int32)
+        slots[key] = 1
+        flat = np.flatnonzero(slots)
+        slots[key] = cols
+        indices = slots[flat]
+        slots[flat] = np.arange(flat.size)
+        return (np.searchsorted(flat, 50 * np.arange(N + 1)).astype(np.int32), indices,
+                slots[key])
 
     def step_matrix(self, dt, nu, alpha_nodes, w_vec):
         """The implicit step operator W/dt + nu*A_strain + Fric(alpha) + K(w).
@@ -448,12 +435,11 @@ def _split_columns(x):
 
 
 def _face_split(Lm, Rm, c, Sm):
-    """Triplets (i, j, k, coef) of L^T diag(c * (S @ x)) R.
+    """Triplets (i, j, k, coef) of L^T diag(c * (S @ x)) R, for CSR L, R, S.
 
     Entry (i, j) of the product gains coef * x[k] for each triplet; row b of
     L, R and S contributes every combination of one entry from each.
     """
-    Lm, Rm, Sm = (sp.csr_matrix(m) for m in (Lm, Rm, Sm))
     nl, nr, ns = (np.diff(m.indptr) for m in (Lm, Rm, Sm))
     cnt = nl * nr * ns
     b = np.repeat(np.arange(cnt.size), cnt)
@@ -464,6 +450,66 @@ def _face_split(Lm, Rm, c, Sm):
     pl = Lm.indptr[b] + t // nr[b]
     return (Lm.indices[pl], Rm.indices[pr], Sm.indices[ps],
             Lm.data[pl] * c[b] * Rm.data[pr] * Sm.data[ps])
+
+
+def _csr(blocks, ncol):
+    """CSR matrix of row stencils stacked in order.
+
+    A row stencil is a pair of 2-D arrays (cols, data), one row per matrix
+    row, each row's columns increasing and -1 marking an absent entry.
+    """
+    data, cols, count = zip(*((d[c >= 0], c[c >= 0], (c >= 0).sum(axis=1))
+                              for c, d in blocks))
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(count))])
+    return sp.csr_matrix((np.concatenate(data), np.concatenate(cols), indptr),
+                         shape=(indptr.size - 1, ncol))
+
+
+def _tensor(idx, sx, sy):
+    """Row stencil of the tensor product of 1-D stencils sx, sy on the index
+    table idx: row (a, b) holds idx[sx columns of a, sy columns of b] with
+    the products of their weights, x-major (as sp.kron orders them)."""
+    (cx, dx), (cy, dy) = sx, sy
+    X, Y = np.s_[:, None, :, None], np.s_[None, :, None, :]
+    cols = np.where((cx[X] >= 0) & (cy[Y] >= 0), idx[cx[X], cy[Y]], -1)
+    n = cols.shape[0] * cols.shape[1]
+    return cols.reshape(n, -1), (dx[X] * dy[Y]).reshape(n, -1)
+
+
+def _outer(stencil, w):
+    """Triplets (p, q, L[k, q] * (w[k] L[k, p])) of L^T diag(w) L, from a row
+    stencil of L, in increasing k."""
+    cols, data = stencil
+    m = cols.shape[1]
+    return (np.repeat(cols, m, axis=1).ravel(), np.tile(cols, m).ravel(),
+            (data[:, None, :] * (w[:, None, None] * data[:, :, None])).ravel())
+
+
+# 1-D stencils for _tensor, one row per point
+
+
+def _eye(n):
+    return np.arange(n)[:, None], np.ones((n, 1))
+
+
+def _two(lo, hi, a, b):
+    """a * x[lo] + b * x[hi] per row (a column of -1: no entry)."""
+    lo, hi, a, b = np.broadcast_arrays(lo, hi, a, b)
+    return np.column_stack([lo, hi]), np.column_stack([a, b])
+
+
+def _centred(n, h):
+    """Centred first difference on n points, one-sided at both ends."""
+    lo, hi = np.clip(np.arange(-1, n - 1), 0, n - 2), np.clip(np.arange(1, n + 1), 1, n - 1)
+    d = np.where(hi - lo == 2, 0.5 / h, 1 / h)
+    return _two(lo, hi, -d, d)
+
+
+def _node(n):
+    """n cell values -> n+1 nodes: neighbour average, nearest value at the ends."""
+    r = np.arange(n + 1)
+    w = np.where((r > 0) & (r < n), 0.5, 1.0)
+    return _two(r - 1, np.where(r < n, r, -1), w, w)
 
 
 def _norm(x):
@@ -479,28 +525,6 @@ def _extrapolate(hist):
     if len(hist) == 2:
         return 2.0 * hist[1] - hist[0]
     return 3.0 * (hist[2] - hist[1]) + hist[0]
-
-
-def _centred_diff(n, h):
-    """Centred first difference on n points, one-sided at both ends."""
-    D = sp.diags([np.full(n - 1, 0.5 / h), np.full(n - 1, -0.5 / h)], [1, -1],
-                 shape=(n, n), format="lil")
-    D[0, :2] = [-1 / h, 1 / h]
-    D[n - 1, n - 2:] = [-1 / h, 1 / h]
-    return D.tocsr()
-
-
-def _pair_average(n):
-    """Midpoint average, n+1 points -> n."""
-    return sp.diags([np.full(n, 0.5), np.full(n, 0.5)], [0, 1], shape=(n, n + 1))
-
-
-def _edge_to_node(n):
-    """n cell values -> n+1 nodes: neighbour average, nearest value at the ends."""
-    E = sp.diags([np.full(n, 0.5), np.full(n, 0.5)], [0, -1], shape=(n + 1, n),
-                 format="lil")
-    E[0, 0] = E[n, n - 1] = 1.0
-    return E.tocsr()
 
 
 class StepSolver:

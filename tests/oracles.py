@@ -13,11 +13,280 @@ from slipctl.fields import (BoundaryControl, FrictionField, VelocityField,
                             l2_norm)
 from slipctl.lifting import LiftingResult, _solver_for
 from slipctl.mesh import WALL_BOTTOM, WALL_LEFT, WALL_RIGHT, WALL_TOP
+from slipctl.operators import DiscreteOperators, _row_blocks
 
 
 def fric_matrix(ops, alpha_nodes):
     """Friction form Ttau^T diag(w_gamma alpha) Ttau, assembled."""
     return (ops.Ttau.T @ sp.diags(ops.w_gamma * alpha_nodes) @ ops.Ttau).tocsr()
+
+
+class ReferenceOperators(DiscreteOperators):
+    """DiscreteOperators built by sparse algebra: Kronecker products, block
+    stacks, lil edits and sp.diags products, each stencil summed by scipy.
+
+    DiscreteOperators builds the same matrices from index arithmetic; every
+    attribute of the two must agree bit for bit.
+    """
+
+    def __init__(self, grid):
+        nx, ny = grid.nx, grid.ny
+        self.NU = (nx + 1) * ny
+        self.NV = nx * (ny + 1)
+        self.N = self.NU + self.NV
+        self.ncell = nx * ny
+        self.nvert = (nx + 1) * (ny + 1)
+        self.n_boundary = grid.n_boundary
+        self._build_indexing(grid)
+        self._build_weights(grid)
+        self._build_divergence(grid)
+        self._build_gradients(grid)
+        self._build_traces(grid)
+        self._build_advection_stencils(grid)
+        self.A_strain = self._assemble_strain_form()
+        self._build_step_map()
+        self._build_step_gathers(grid.cell_area)
+        self._reference = None
+
+    def _build_divergence(self, g):
+        nx, ny = g.nx, g.ny
+        ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+        rows = (ii * ny + jj).ravel()
+        data, rr, cc = [], [], []
+        for col, coef in (
+                (self._iu[ii + 1, jj], 1.0 / g.hx), (self._iu[ii, jj], -1.0 / g.hx),
+                (self._iv[ii, jj + 1], 1.0 / g.hy), (self._iv[ii, jj], -1.0 / g.hy)):
+            rr.append(rows); cc.append(col.ravel()); data.append(np.full(rows.size, coef))
+        self.Dmat = sp.csr_matrix(
+            (np.concatenate(data), (np.concatenate(rr), np.concatenate(cc))),
+            shape=(self.ncell, self.N))
+        self.Dc = self.Dmat[:, self.cons_idx].tocsr()
+        self.DcT = self.Dc.T
+
+    def _build_gradients(self, g):
+        nx, ny, hx, hy = g.nx, g.ny, g.hx, g.hy
+
+        # du/dx at cell centers
+        ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+        rows = (ii * ny + jj).ravel()
+        self.Gxu_cell = sp.csr_matrix(
+            (np.concatenate([np.full(rows.size, 1 / hx), np.full(rows.size, -1 / hx)]),
+             (np.concatenate([rows, rows]),
+              np.concatenate([self._iu[ii + 1, jj].ravel(), self._iu[ii, jj].ravel()]))),
+            shape=(self.ncell, self.N))
+        # dv/dy at cell centers
+        self.Gyv_cell = sp.csr_matrix(
+            (np.concatenate([np.full(rows.size, 1 / hy), np.full(rows.size, -1 / hy)]),
+             (np.concatenate([rows, rows]),
+              np.concatenate([self._iv[ii, jj + 1].ravel(), self._iv[ii, jj].ravel()]))),
+            shape=(self.ncell, self.N))
+
+        # du/dy at vertices; one row per vertex (i, j), j = 0..ny
+        vi, vj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="ij")
+        vrows = (vi * (ny + 1) + vj).ravel()
+        jhi = np.clip(vj, 1, ny - 1)          # wall rows copy the nearest interior stencil
+        chi = self._iu[vi, jhi]
+        clo = self._iu[vi, jhi - 1]
+        self.Gyu_vert = sp.csr_matrix(
+            (np.concatenate([np.full(vrows.size, 1 / hy), np.full(vrows.size, -1 / hy)]),
+             (np.concatenate([vrows, vrows]),
+              np.concatenate([chi.ravel(), clo.ravel()]))),
+            shape=(self.nvert, self.N))
+        # dv/dx at vertices
+        ihi = np.clip(vi, 1, nx - 1)
+        chi = self._iv[ihi, vj]
+        clo = self._iv[ihi - 1, vj]
+        self.Gxv_vert = sp.csr_matrix(
+            (np.concatenate([np.full(vrows.size, 1 / hx), np.full(vrows.size, -1 / hx)]),
+             (np.concatenate([vrows, vrows]),
+              np.concatenate([chi.ravel(), clo.ravel()]))),
+            shape=(self.nvert, self.N))
+
+    def _assemble_strain_form(self):
+        """Symmetric PSD matrix of the form 2 int D(y):D(psi) dx."""
+        mix = self.Gyu_vert + self.Gxv_vert
+        A = 2.0 * (self.Gxu_cell.T @ sp.diags(self.w_cell) @ self.Gxu_cell)
+        A = A + 2.0 * (self.Gyv_cell.T @ sp.diags(self.w_cell) @ self.Gyv_cell)
+        A = A + mix.T @ sp.diags(self.w_vert) @ mix
+        return A.tocsr()
+
+    def _build_traces(self, grid):
+        nx, ny = grid.nx, grid.ny
+        iu, iv = self._iu, self._iv
+        ngb = grid.n_boundary
+        # per wall, in loop order: the wall-normal faces, the tangential faces
+        # next to the wall and one row in, each ordered along the loop, and
+        # the signs of y.n and of y.tau in those components
+        walls = ((iv[:, 0], iu[:, 0], iu[:, 1], -1.0, 1.0),                     # bottom
+                 (iu[nx, :], iv[nx - 1, :], iv[nx - 2, :], 1.0, 1.0),           # right
+                 (iv[::-1, ny], iu[::-1, ny - 1], iu[::-1, ny - 2], 1.0, -1.0),  # top
+                 (iu[0, ::-1], iv[0, ::-1], iv[1, ::-1], -1.0, -1.0))           # left
+        rows = np.arange(ngb)
+        # normal trace: one signed face unknown per node
+        cols = np.concatenate([w[0] for w in walls])
+        sn = np.concatenate([np.full(w[0].size, w[3]) for w in walls])
+        Tn = sp.csr_matrix((sn, (rows, cols)), shape=(ngb, self.N))
+
+        # tangential trace: linear wall extrapolation averaged to midpoints
+        cols = np.concatenate([np.column_stack([w[1][:-1], w[1][1:], w[2][:-1], w[2][1:]])
+                               for w in walls])
+        st = np.concatenate([np.full(w[1].size - 1, w[4]) for w in walls])
+        data = np.column_stack([0.75 * st, 0.75 * st, -0.25 * st, -0.25 * st])
+        Ttau = sp.csr_matrix((data.ravel(), (np.repeat(rows, 4), cols.ravel())),
+                             shape=(ngb, self.N))
+        # T = [Tn; Ttau]; Tn and Ttau are views on its rows
+        self.T = sp.vstack([Tn, Ttau], format="csr")
+        self.Tn, self.Ttau = _row_blocks(self.T, (ngb, ngb))
+        self.TT, self.TtauT = self.T.T, self.Ttau.T
+        self.Mbc = self.Tn.T.tocsr()              # Tn @ Mbc = identity; Mbc is Tn^T
+        # Mbc is a signed permutation: wall-normal face cons_idx[i] takes
+        # wall_sign[i] * a[wall_node[i]]
+        Mc = self.Mbc[self.cons_idx]
+        self.wall_node, self.wall_sign = Mc.indices, Mc.data
+
+    def _build_advection_stencils(self, g):
+        nx, ny, hx, hy = g.nx, g.ny, g.hx, g.hy
+        NU, NV = self.NU, self.NV
+        # Gx, Gy: derivative of each component at its own points
+        Gx = sp.block_diag([sp.kron(_centred_diff(nx + 1, hx), sp.eye(ny)),
+                            sp.kron(_centred_diff(nx, hx), sp.eye(ny + 1))], format="csr")
+        Gy = sp.block_diag([sp.kron(sp.eye(nx + 1), _centred_diff(ny, hy)),
+                            sp.kron(sp.eye(nx), _centred_diff(ny + 1, hy))], format="csr")
+        # Px, Py: each component of the advecting field at every unknown's location
+        u_at_v = sp.kron(_pair_average(nx), _edge_to_node(ny))
+        v_at_u = sp.kron(_edge_to_node(nx), _pair_average(ny))
+        Px = sp.bmat([[sp.eye(NU), sp.csr_matrix((NU, NV))], [u_at_v, None]], format="csr")
+        Py = sp.bmat([[sp.csr_matrix((NU, NU)), v_at_u], [None, sp.eye(NV)]], format="csr")
+        # the matrix-free advection derivatives apply the stacks G = [Gx; Gy]
+        # and P = [Px; Py] and their transposes (CSC views on the same
+        # arrays), one product for both components; Gx, Gy, Px and Py are
+        # views on the rows of the stacks
+        self.G = sp.vstack([Gx, Gy], format="csr")
+        self.P = sp.vstack([Px, Py], format="csr")
+        self.Gx, self.Gy = _row_blocks(self.G, (self.N, self.N))
+        self.Px, self.Py = _row_blocks(self.P, (self.N, self.N))
+        self.GT, self.PT = self.G.T, self.P.T
+
+    def _build_step_map(self):
+        """Fixed CSR pattern of the step operator and the linear map onto its data.
+
+        With x = [alpha_nodes; w_vec; 1/dt; nu], W/dt and nu*A_strain each
+        scale one source, and every other term of step_matrix has the form
+        L^T diag(c * (S @ x)) R, which expands row by row into (row, col,
+        source, coefficient) triplets.  The triplets are summed into a sparse
+        map from x to the data of the union pattern.
+        """
+        N, nb = self.N, self.n_boundary
+        nsrc = nb + N + 2
+        # wall terms Ttau^T diag(w_gamma (alpha + 0.5 wn)) Ttau + Tn^T diag(0.5 w_gamma wn) Tn
+        T = sp.vstack([self.Ttau, self.Tn])
+        wall = _face_split(T, T, np.concatenate([self.w_gamma, 0.5 * self.w_gamma]),
+                           sp.bmat([[sp.eye(nb), 0.5 * self.Tn, None],
+                                    [None, self.Tn, sp.csr_matrix((nb, 2))]]))
+        # advection N = diag(W Px w) Gx + diag(W Py w) Gy, entered as 0.5*(N - N^T),
+        # whose diagonal cancels exactly
+        eye = sp.eye(N)
+        i, j, k, c = _face_split(
+            sp.vstack([eye, eye]), self.G, np.concatenate([0.5 * self.Wvec, 0.5 * self.Wvec]),
+            sp.hstack([sp.csr_matrix((2 * N, nb)), self.P, sp.csr_matrix((2 * N, 2))]))
+        off = i != j
+        i, j, k, c = i[off], j[off], k[off], c[off]
+        A = self.A_strain.tocoo()
+        diag = np.arange(N)
+        rows, cols, src, coef = (np.concatenate(t) for t in zip(
+            wall, (i, j, k, c), (j, i, k, -c),
+            (diag, diag, np.full(N, nsrc - 2), self.Wvec),                # W/dt
+            (A.row, A.col, np.full(A.nnz, nsrc - 1), A.data)))            # nu*A_strain
+        keys = rows.astype(np.int64) * N + cols
+        # with return_inverse, np.unique sorts and gives each key's position
+        # in the pattern; without it, numpy 2.4 hashes, slower on these keys
+        pattern, pos = np.unique(keys, return_inverse=True)
+        self.step_indices = (pattern % N).astype(np.int32)
+        self.step_indptr = np.searchsorted(pattern, np.arange(N + 1) * N).astype(np.int32)
+        self._step_map = sp.csr_matrix((coef, (pos, src)), shape=(pattern.size, nsrc))
+
+    def _build_step_gathers(self, cell_area):
+        """Positions of L[F][:, C] and of the pinned saddle in the step pattern.
+
+        The saddle is [[L[F][:, F], Gf[:, 1:]], [Df[1:], 0]] in CSC form,
+        with Gf = -cell_area * Df^T; its data is gathered from L.data followed
+        by the constant Gf/Df entries.  Cell 0's pressure column and
+        divergence row are left out (see StepSolver).  Every row and column
+        stays short, so a fill-reducing ordering works well (see _factor).
+        """
+        F, C = self.free_idx, self.cons_idx
+        nf = F.size
+        local = np.empty(self.N, dtype=np.int32)
+        local[F] = np.arange(nf)
+        local[C] = np.arange(C.size)
+        rows = np.repeat(np.arange(self.N), np.diff(self.step_indptr))
+        cols = self.step_indices
+        free_row = self.free[rows]
+        # L[F][:, C] in CSR: the pattern is row-major with sorted columns
+        fc = np.flatnonzero(free_row & self.constrained[cols])
+        self.fc_src = fc.astype(np.int32)
+        self.fc_indices = local[cols[fc]]
+        self.fc_indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(local[rows[fc]], minlength=nf))]).astype(np.int32)
+
+        ff = np.flatnonzero(free_row & self.free[cols])
+        Df = self.Dmat[:, F].tocoo()
+        pinned = Df.row > 0
+        dr, dc, dv = Df.row[pinned] - 1, Df.col[pinned], Df.data[pinned]
+        self.saddle_const = np.concatenate([(-cell_area) * dv, dv])
+        r = np.concatenate([local[rows[ff]], dc, nf + dr])
+        c = np.concatenate([local[cols[ff]], nf + dr, dc])
+        order = np.lexsort((r, c))
+        self.saddle_src = np.concatenate(
+            [ff, self.step_indices.size + np.arange(2 * dv.size)])[order].astype(np.int32)
+        self.saddle_indices = r[order].astype(np.int32)
+        self.saddle_indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(c, minlength=nf + self.ncell - 1))]).astype(np.int32)
+        # P of the similarity A^T = P A P^-1 of an advection-free saddle A
+        # (see reference_lu): 1 on the free faces, -cell_area on cells 1..
+        self.saddle_similarity = np.concatenate([np.ones(nf),
+                                                 np.full(self.ncell - 1, -cell_area)])
+
+
+def _face_split(Lm, Rm, c, Sm):
+    """Triplets (i, j, k, coef) of L^T diag(c * (S @ x)) R.
+
+    Entry (i, j) of the product gains coef * x[k] for each triplet; row b of
+    L, R and S contributes every combination of one entry from each.
+    """
+    Lm, Rm, Sm = (sp.csr_matrix(m) for m in (Lm, Rm, Sm))
+    nl, nr, ns = (np.diff(m.indptr) for m in (Lm, Rm, Sm))
+    cnt = nl * nr * ns
+    b = np.repeat(np.arange(cnt.size), cnt)
+    t = np.arange(b.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    ps = Sm.indptr[b] + t % ns[b]
+    t //= ns[b]
+    pr = Rm.indptr[b] + t % nr[b]
+    pl = Lm.indptr[b] + t // nr[b]
+    return (Lm.indices[pl], Rm.indices[pr], Sm.indices[ps],
+            Lm.data[pl] * c[b] * Rm.data[pr] * Sm.data[ps])
+
+
+def _centred_diff(n, h):
+    """Centred first difference on n points, one-sided at both ends."""
+    D = sp.diags([np.full(n - 1, 0.5 / h), np.full(n - 1, -0.5 / h)], [1, -1],
+                 shape=(n, n), format="lil")
+    D[0, :2] = [-1 / h, 1 / h]
+    D[n - 1, n - 2:] = [-1 / h, 1 / h]
+    return D.tocsr()
+
+
+def _pair_average(n):
+    """Midpoint average, n+1 points -> n."""
+    return sp.diags([np.full(n, 0.5), np.full(n, 0.5)], [0, 1], shape=(n, n + 1))
+
+
+def _edge_to_node(n):
+    """n cell values -> n+1 nodes: neighbour average, nearest value at the ends."""
+    E = sp.diags([np.full(n, 0.5), np.full(n, 0.5)], [0, -1], shape=(n + 1, n),
+                 format="lil")
+    E[0, 0] = E[n, n - 1] = 1.0
+    return E.tocsr()
 
 
 def integrate_interior(grid, f):

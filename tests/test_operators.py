@@ -11,8 +11,9 @@ import scipy.sparse as sp
 
 from slipctl.fields import VelocityField
 from slipctl.mesh import TimeGrid, build_grid
+from slipctl.operators import DiscreteOperators
 
-from oracles import fric_matrix, shear_oracle, strain_tensor
+from oracles import ReferenceOperators, fric_matrix, shear_oracle, strain_tensor
 
 
 @pytest.fixture
@@ -97,6 +98,31 @@ def test_step_matrix_matches_term_by_term_oracle():
         big.sort_indices()
         assert _same_arrays(step.saddle, big, "csc")
         assert _same_arrays(step.M_fc, LF[:, C], "csr")
+
+
+def _bits(value):
+    """What two builds of one operator attribute must share bit for bit:
+    type, format, shape, sorted-index flag, and dtype and bytes of every
+    array."""
+    if sp.issparse(value):
+        return ((type(value), value.format, value.shape, value.has_sorted_indices)
+                + tuple(_bits(getattr(value, k)) for k in ("indptr", "indices", "data")))
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.shape, value.tobytes()
+    return type(value), value
+
+
+@pytest.mark.parametrize("lengths", [(1.0, 1.0), (1.3, 0.7)])
+@pytest.mark.parametrize("shape", [(4, 4), (7, 5), (4, 9), (16, 16), (64, 64)])
+def test_operators_bit_identical_to_sparse_algebra_build(shape, lengths):
+    """Every attribute (stencils, strain form, traces, step map and pattern,
+    saddle and M_fc gathers, views and transposes) equals the one built by
+    Kronecker products, block stacks and sp.diags products."""
+    grid = build_grid(*shape, *lengths)
+    ops, ref = DiscreteOperators(grid), ReferenceOperators(grid)
+    assert vars(ops).keys() == vars(ref).keys()
+    for name, value in vars(ref).items():
+        assert _bits(getattr(ops, name)) == _bits(value), name
 
 
 def test_advection_cross_identity(grid):
