@@ -106,10 +106,11 @@ def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
                               - step.M_fc_T @ lam_full[ops.free_idx]
                               - ops.DcT @ q)
         kernel_a[k] += sign * pair[face] + 0.0
-        kernel_b[k] = ops.w_gamma * (ops.Ttau @ lam_full)
+        t = ops.T @ np.column_stack([yvec[k], lam_full])   # [Tn; Ttau] y, [Tn; Ttau] lam
+        kernel_b[k] = ops.w_gamma * t[g.n_boundary:, 1]
 
         # pairing of f_{k-1} through the frozen-advection derivative of step k
-        cross = ops.apply_adv_cross_T(yvec[k], lam_full)
+        cross = ops.apply_adv_cross_T(yvec[k], lam_full, t)
         if k >= 2:
             kernel_a[k - 1] -= sign * cross[face] + 0.0
 

@@ -300,6 +300,7 @@ def _fmt(v):
 
 
 def _prepare_out(rc: RunConfig):
+    """Output directory and config.resolved, written once no input can reject the run."""
     os.makedirs(rc.out_dir, exist_ok=True)
     with open(os.path.join(rc.out_dir, "config.resolved"), "w") as fh:
         fh.write(rc.resolved_text())
@@ -307,8 +308,8 @@ def _prepare_out(rc: RunConfig):
 
 
 def cmd_solve(rc: RunConfig):
-    _prepare_out(rc)
     prob = rc.state_problem()
+    _prepare_out(rc)
     traj = solve_state(prob)
     tdir = os.path.join(rc.out_dir, "trajectory")
     save_trajectory(tdir, traj, rc.cadence)
@@ -325,7 +326,6 @@ def cmd_solve(rc: RunConfig):
 
 
 def cmd_optimize(rc: RunConfig):
-    _prepare_out(rc)
     y_d = rc.target()
     friction = rc.friction()
     ctrl0 = rc.controls()
@@ -333,6 +333,7 @@ def cmd_optimize(rc: RunConfig):
     if np.abs(normal_trace(y0) - ctrl0.a[0]).max() > 1e-9:
         raise ConfigError("initial controls are incompatible with the "
                           "initial state's normal trace at t = 0")
+    _prepare_out(rc)
     params = CostParams(y_d=y_d, lam1=rc.lam1, lam2=rc.lam2,
                         radius=rc.radius, p_exponent=rc.p_exponent)
     report = optimize(y0, params, controls0=ctrl0,
@@ -358,9 +359,9 @@ def cmd_optimize(rc: RunConfig):
 
 
 def cmd_grad_check(rc: RunConfig, corrupt_adjoint=False):
-    _prepare_out(rc)
     prob = rc.state_problem()
     y_d = rc.target()
+    _prepare_out(rc)
     params = CostParams(y_d=y_d, lam1=rc.lam1, lam2=rc.lam2,
                         radius=rc.radius, p_exponent=rc.p_exponent)
     engine = GradientEngine(prob.y0, params, prob.friction, rc.nu)
@@ -423,9 +424,9 @@ def cmd_verify(rc: RunConfig):
 
 
 def cmd_lift(rc: RunConfig):
-    _prepare_out(rc)
     a_final = rc.controls().a[-1]
     res = solve_neumann_lifting(rc.grid, a_final)
+    _prepare_out(rc)
     save_pressure(os.path.join(rc.out_dir, "potential.snap"), res.h, rc.T)
     save_velocity(os.path.join(rc.out_dir, "lifting.snap"), res.grad, rc.T)
     _write_json(os.path.join(rc.out_dir, "lift.json"), {

@@ -215,9 +215,8 @@ class DiscreteOperators:
         wall = _face_split(self.T, self.T, np.concatenate([0.5 * self.w_gamma, self.w_gamma]), S)
         # advection N = diag(W Px w) Gx + diag(W Py w) Gy, entered as 0.5*(N - N^T),
         # whose diagonal cancels exactly
-        eye = sp.csr_matrix((np.ones(2 * N), np.tile(np.arange(N), 2), np.arange(2 * N + 1)),
-                            shape=(2 * N, N))
         P = sp.csr_matrix((self.P.data, nb + self.P.indices, self.P.indptr), shape=(2 * N, nsrc))
+        eye = _csr([_eye(N), _eye(N)], N)
         i, j, k, c = _face_split(eye, self.G, np.tile(0.5 * self.Wvec, 2), P)
         off = i != j
         i, j, k, c = i[off], j[off], k[off], c[off]
@@ -360,8 +359,8 @@ class DiscreteOperators:
         s_wy = self.TT @ _split_columns(an * t[:, 1].reshape(2, nb))
         return 0.5 * (n_wy - (nt_wy[:, 0] + nt_wy[:, 1])) + 0.5 * (s_wy[:, 0] + s_wy[:, 1])
 
-    def apply_adv_cross_T(self, y_vec, lam_vec):
-        """Matrix-free X(y)^T lam."""
+    def apply_adv_cross_T(self, y_vec, lam_vec, t=None):
+        """Matrix-free X(y)^T lam; t is T @ [y, lam], if the caller formed it."""
         N, nb, W = self.N, self.n_boundary, self.Wvec
         yl = np.column_stack([y_vec, lam_vec])
         g = (self.G @ yl).reshape(2, N, 2)               # [Gx; Gy] y, [Gx; Gy] lam
@@ -369,7 +368,8 @@ class DiscreteOperators:
         # since Px^T is nonzero only in the u rows and Py^T only in the v rows
         x = self.PT @ np.stack([W * g[..., 0] * lam_vec, W * y_vec * g[..., 1]],
                                axis=-1).reshape(2 * N, 2)
-        t = self.T @ yl                                  # [Tn; Ttau] y, [Tn; Ttau] lam
+        if t is None:
+            t = self.T @ yl                              # [Tn; Ttau] y, [Tn; Ttau] lam
         tw = self.w_gamma * t[:, 0].reshape(2, nb)
         xst = self.Mbc @ (tw[0] * t[:nb, 1] + tw[1] * t[nb:, 1])
         return 0.5 * (x[:, 0] - x[:, 1]) + 0.5 * xst
@@ -453,11 +453,8 @@ def _face_split(Lm, Rm, c, Sm):
 
 
 def _csr(blocks, ncol):
-    """CSR matrix of row stencils stacked in order.
-
-    A row stencil is a pair of 2-D arrays (cols, data), one row per matrix
-    row, each row's columns increasing and -1 marking an absent entry.
-    """
+    """CSR matrix of row stencils stacked in order: 2-D arrays (cols, data),
+    a row per matrix row, columns increasing, -1 marking an absent entry."""
     data, cols, count = zip(*((d[c >= 0], c[c >= 0], (c >= 0).sum(axis=1))
                               for c, d in blocks))
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(count))])
@@ -466,9 +463,8 @@ def _csr(blocks, ncol):
 
 
 def _tensor(idx, sx, sy):
-    """Row stencil of the tensor product of 1-D stencils sx, sy on the index
-    table idx: row (a, b) holds idx[sx columns of a, sy columns of b] with
-    the products of their weights, x-major (as sp.kron orders them)."""
+    """Row stencil of the tensor product of 1-D stencils on the index table
+    idx: row (a, b) holds idx[sx columns of a, sy columns of b], x-major."""
     (cx, dx), (cy, dy) = sx, sy
     X, Y = np.s_[:, None, :, None], np.s_[None, :, None, :]
     cols = np.where((cx[X] >= 0) & (cy[Y] >= 0), idx[cx[X], cy[Y]], -1)

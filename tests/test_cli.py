@@ -129,6 +129,7 @@ def test_lift_roundtrip_and_incompatible(tmp_path):
     bad = BASE_CONFIG.replace("a.bottom = sin:1:0.2", "a.bottom = const:0.2")
     cfg2 = write_config(tmp_path, bad, name="bad.ini")
     assert main(["lift", "--config", cfg2, "--out", str(tmp_path / "l2")]) == EXIT_CONFIG
+    assert not (tmp_path / "l2").exists()
 
 
 def test_lifting_incompatible_flux_is_config_exit(tmp_path, monkeypatch):
@@ -386,6 +387,17 @@ def test_malformed_friction_is_blamed_on_alpha(tmp_path, caplog, spec):
     messages = [r.getMessage() for r in caplog.records]
     assert any("alpha = " + spec in m for m in messages)
     assert not any("initial state" in m for m in messages)
+
+
+@pytest.mark.parametrize("command", ["solve", "optimize", "grad-check"])
+def test_rejected_run_writes_no_output(tmp_path, command):
+    """A run rejected with exit 1 creates no output directory, so no
+    config.resolved claims it ran."""
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("alpha = constant:1.0",
+                                                     "alpha = constant:abc"))
+    out = tmp_path / "rejected"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("spec", ["uniform:1:x", "uniform:1", "stream:1:2:3"])
