@@ -180,7 +180,9 @@ class DiscreteOperators:
         # views on the rows of the stacks.  Gx, Gy: centred derivative of
         # each component at its own points, one-sided at the ends
         uy = _centred(ny, hy)
-        if ny == 4:     # sp.kron kept this half-full factor dense; its zeros stay
+        if ny == 4:
+            # stored dense, explicit zeros included, as sp.kron stores a
+            # factor at least half full; the zeros stay in the step pattern
             full = np.zeros((4, 4))
             np.put_along_axis(full, *uy, axis=1)
             uy = np.tile(np.arange(4), (4, 1)), full
@@ -260,14 +262,13 @@ class DiscreteOperators:
         pinned = self.free[D.indices] & (drow > 0)
         dr, dc, dv = drow[pinned] - 1, local[D.indices[pinned]], D.data[pinned]
         self.saddle_const = np.concatenate([(-cell_area) * dv, dv])
-        r = np.concatenate([local[rows[ff]], dc, nf + dr])
-        c = np.concatenate([local[cols[ff]], nf + dr, dc])
-        order = np.lexsort((r, c))
-        self.saddle_src = np.concatenate(
-            [ff, self.step_indices.size + np.arange(2 * dv.size)])[order].astype(np.int32)
-        self.saddle_indices = r[order].astype(np.int32)
-        self.saddle_indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(c, minlength=nf + self.ncell - 1))]).astype(np.int32)
+        # each column's rows come in increasing order, so the stable
+        # conversion to CSC sorts the sources of the entries
+        src = np.concatenate([ff, self.step_indices.size + np.arange(2 * dv.size)])
+        big = sp.coo_matrix((src, (np.concatenate([local[rows[ff]], dc, nf + dr]),
+                                   np.concatenate([local[cols[ff]], nf + dr, dc])))).tocsc()
+        self.saddle_src = big.data.astype(np.int32)
+        self.saddle_indices, self.saddle_indptr = big.indices, big.indptr
         # P of the similarity A^T = P A P^-1 of an advection-free saddle A
         # (see reference_lu): 1 on the free faces, -cell_area on cells 1..
         self.saddle_similarity = np.concatenate([np.ones(nf),
@@ -283,9 +284,10 @@ class DiscreteOperators:
                              (np.indices(self._iu.shape), np.indices(self._iv.shape))])
         box = xy + 25 * (np.arange(N) >= self.NU)
         key = box[cols] + (50 * np.arange(N, dtype=np.int32) - xy + 12)[rows]
-        slots = np.zeros(50 * N, dtype=np.int32)
-        slots[key] = 1
-        flat = np.flatnonzero(slots)
+        flags = np.zeros(50 * N, dtype=bool)
+        flags[key] = True
+        flat = np.flatnonzero(flags)
+        slots = np.empty(50 * N, dtype=np.int32)
         slots[key] = cols
         indices = slots[flat]
         slots[flat] = np.arange(flat.size)

@@ -1,13 +1,9 @@
 import gc
-import os
-import subprocess
 import sys
 import weakref
 
 import numpy as np
 import pytest
-
-import slipctl
 
 from slipctl.control_opt import (CostParams, GradientEngine, cost_gradient,
                                  evaluate_cost, fd_gradient_oracle,
@@ -17,6 +13,8 @@ from slipctl.control_opt import (CostParams, GradientEngine, cost_gradient,
 from slipctl.fields import BoundaryControl, VelocityField, hp_norm
 from slipctl.mesh import TimeGrid, build_grid
 from slipctl.state_solver import StateProblem, solve_state
+
+from child import run_child
 
 
 @pytest.fixture
@@ -291,27 +289,6 @@ def test_optimize_records_state_and_adjoint_time(small):
     assert rep.wall_clock["state"] + rep.wall_clock["adjoint"] <= rep.wall_clock["total"]
 
 
-# The child reads its own peak RSS (VmHWM) because Linux carries ru_maxrss
-# across exec: there it would start at the size of the test runner.
-_PEAK_KIB = """
-def peak_kib():
-    with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-"""
-
-
-def _run_child(script):
-    """Standard output of a script run on this package in a fresh interpreter
-    with one BLAS thread; the script can call peak_kib(), its own peak RSS
-    in KiB."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(slipctl.__file__)))
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", _PEAK_KIB + script], env=env, check=True,
-                          capture_output=True, text=True, timeout=600).stdout
-
-
 _GRADIENTS_16X32_RSS = """
 import numpy as np
 from slipctl.control_opt import CostParams, GradientEngine, random_admissible_control
@@ -339,7 +316,7 @@ print(peaks[1], peaks[19])
 def test_gradient_peak_rss_flat_over_fresh_controls():
     """Peak RSS after 20 gradients at distinct 16x16, nt = 32 controls is
     within 2 MB of the peak after 2: the engine keeps no older solves."""
-    out = _run_child(_GRADIENTS_16X32_RSS)
+    out = run_child(_GRADIENTS_16X32_RSS)
     after_2, after_20 = (int(v) / 1024.0 for v in out.split()[-2:])  # KiB
     assert after_20 - after_2 <= 2.0
 
@@ -370,5 +347,5 @@ GRADIENT_64X4_RSS_CEILING_MB = 150.0
 @pytest.mark.slow
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM")
 def test_gradient_64x4_peak_rss_under_ceiling():
-    peak_mb = int(_run_child(_GRADIENT_64X4).split()[-1]) / 1024.0    # KiB
+    peak_mb = int(run_child(_GRADIENT_64X4).split()[-1]) / 1024.0    # KiB
     assert peak_mb < GRADIENT_64X4_RSS_CEILING_MB

@@ -5,6 +5,8 @@ skew-reduction of the advection quadratic form, the advection cross
 identity, and the wall telescoping that makes linear shear profiles exact.
 """
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,6 +15,7 @@ from slipctl.fields import VelocityField
 from slipctl.mesh import TimeGrid, build_grid
 from slipctl.operators import DiscreteOperators
 
+from child import run_child
 from oracles import ReferenceOperators, fric_matrix, shear_oracle, strain_tensor
 
 
@@ -319,6 +322,29 @@ def test_step_saddle_stays_sparse_at_128():
     assert np.diff(big.indptr).max() <= 16
     assert np.bincount(big.indices, minlength=big.shape[0]).max() <= 16
     assert step.lu.L.nnz + step.lu.U.nnz < 10_000_000
+
+
+_BUILD_128 = """
+from slipctl.mesh import build_grid
+from slipctl.operators import DiscreteOperators
+grid = build_grid(128, 128, 1.0, 1.0)
+before = peak_kib()
+grid.ops
+print(before, peak_kib())
+"""
+
+# Building the 128x128 operators raises the child's peak RSS (VmHWM) 69 MB
+# above its post-import peak, against 107 MB for the construction by sparse
+# products, stacks and a sort of the step-pattern keys (Linux, numpy 2.4,
+# scipy 1.17); the ceiling is the former plus ~25%.
+BUILD_128_RSS_RISE_CEILING_MB = 85.0
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM")
+def test_operator_build_128_peak_rss_rise_under_ceiling():
+    before, after = (int(v) / 1024.0 for v in run_child(_BUILD_128).split()[-2:])  # KiB
+    assert after - before < BUILD_128_RSS_RISE_CEILING_MB
 
 
 def _step_case(seed, n=16):
