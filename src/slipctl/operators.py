@@ -130,7 +130,7 @@ class DiscreteOperators:
         p, q, v = (np.concatenate(t) for t in zip(
             _outer(dux, self.w_cell), _outer(dvy, self.w_cell), _outer(mix, self.w_vert)))
         indptr, indices, pos = self._pattern(p, q)
-        n = 2 * dux[0].size * dux[0].shape[1]               # cell triplets come first
+        n = 8 * self.ncell              # the cell triplets, 2 x 2 per cell from each
         data = 2.0 * np.bincount(pos[:n], v[:n], minlength=indices.size)
         data += np.bincount(pos[n:], v[n:], minlength=indices.size)
         keep = data != 0

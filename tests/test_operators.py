@@ -326,14 +326,14 @@ def test_step_saddle_stays_sparse_at_128():
 
 _BUILD_128 = """
 from slipctl.mesh import build_grid
-from slipctl.operators import DiscreteOperators
+from slipctl.operators import DiscreteOperators      # imported before the baseline
 grid = build_grid(128, 128, 1.0, 1.0)
 before = peak_kib()
 grid.ops
 print(before, peak_kib())
 """
 
-# Building the 128x128 operators raises the child's peak RSS (VmHWM) 69 MB
+# Building the 128x128 operators raises the child's peak RSS (VmHWM) 70 MB
 # above its post-import peak, against 107 MB for the construction by sparse
 # products, stacks and a sort of the step-pattern keys (Linux, numpy 2.4,
 # scipy 1.17); the ceiling is the former plus ~25%.
