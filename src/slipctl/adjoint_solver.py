@@ -15,15 +15,14 @@ p.tau, and they feed the cost gradient directly.
 import numpy as np
 
 from .errors import BaseTrajectoryMissing
-from .fields import (PressureField, StateTrajectory, VelocityField, l2_norm,
-                     save_boundary_table)
+from .fields import StateTrajectory, face_l2, save_boundary_table
 from .state_solver import StateProblem
 
 
 class AdjointProblem:
     def __init__(self, state_problem: StateProblem, base: StateTrajectory, source):
-        """source: list of nt+1 VelocityFields (slice 0 unused)."""
-        if base is None or len(base.velocities) != state_problem.time_grid.nt + 1:
+        """source: face vectors of shape (nt+1, N) (slice 0 unused)."""
+        if base is None or len(base.y) != state_problem.time_grid.nt + 1:
             raise BaseTrajectoryMissing("complete base trajectory required")
         self.state_problem = state_problem
         self.base = base
@@ -31,19 +30,19 @@ class AdjointProblem:
 
 
 class AdjointTrajectory:
-    """Adjoint velocity/pressure slices plus integrated boundary kernels.
+    """Adjoint velocity/pressure plus integrated boundary kernels.
 
-    p has nt+1 slices with p(T) identically zero and p.n = 0 on the walls;
+    p of shape (nt+1, N) holds face vectors, with p(T) identically zero and
+    p.n = 0 on the walls; pi of shape (nt, ncell) the adjoint pressures.
     kernel_a/kernel_b hold the integrated pairings (slice 0 is zero), and
     normal_kernel/tangent_kernel the pointwise densities on Gamma.
     """
 
-    def __init__(self, grid, time_grid, p_slices, pi_slices,
-                 kernel_a, kernel_b, config_hash):
+    def __init__(self, grid, time_grid, p, pi, kernel_a, kernel_b, config_hash):
         self.grid = grid
         self.time_grid = time_grid
-        self.p = p_slices
-        self.pi = pi_slices
+        self.p = p
+        self.pi = pi
         self.kernel_a = kernel_a
         self.kernel_b = kernel_b
         self.config_hash = config_hash
@@ -78,16 +77,13 @@ def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
     g, tg = sp_.grid, sp_.time_grid
     ops = g.ops
     dt = tg.dt
-    yvec = problem.base.velocity_vecs()
-    U = [s.to_vec() if isinstance(s, VelocityField) else np.asarray(s, dtype=float)
-         for s in problem.source]
+    yvec, U = problem.base.y, problem.source
 
     nslice = tg.nt + 1
     kernel_a = np.zeros((nslice, g.n_boundary))
     kernel_b = np.zeros((nslice, g.n_boundary))
-    p_slices = [None] * nslice
-    pi_slices = [None] * tg.nt
-    p_slices[tg.nt] = VelocityField(g)
+    p = np.zeros((nslice, ops.N))
+    pi = np.empty((tg.nt, ops.ncell))
 
     solver = sp_.step_solver("adjoint")
     # Tn is a signed permutation, one entry per row: Tn @ x is the gather
@@ -114,19 +110,18 @@ def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
         if k >= 2:
             kernel_a[k - 1] -= sign * cross[face] + 0.0
 
-        p_slices[k - 1] = VelocityField.from_vec(g, lam_full / dt)
-        pi_slices[k - 1] = PressureField(
-            g, (-q / (dt * g.cell_area)).reshape(g.shape_p), mean_zero=True)
+        p[k - 1] = lam_full / dt
+        pi[k - 1] = -q / (dt * g.cell_area)
         lam_next = lam_full
         cross_next = cross
 
-    return AdjointTrajectory(g, tg, p_slices, pi_slices, kernel_a, kernel_b,
-                             problem.base.config_hash)
+    return AdjointTrajectory(g, tg, p, pi, kernel_a, kernel_b, problem.base.config_hash)
 
 
-def duality_residual(z_slices, adjoint: AdjointTrajectory, source, f, g_dir,
+def duality_residual(z, adjoint: AdjointTrajectory, source, f, g_dir,
                      base_hash=None):
-    """Relative gap between the volume pairing of (z, U) and the boundary pairing.
+    """Relative gap between the volume pairing of (z, U) and the boundary pairing;
+    z and source are face vectors of shape (nt+1, N).
 
     Exact (up to linear-solve residuals) for the transpose construction.
     """
@@ -137,8 +132,7 @@ def duality_residual(z_slices, adjoint: AdjointTrajectory, source, f, g_dir,
     dt = tg.dt
     lhs = 0.0
     for k in range(1, tg.nt + 1):
-        Uk = source[k].to_vec() if isinstance(source[k], VelocityField) else source[k]
-        lhs += dt * np.dot(ops.Wvec * Uk, z_slices[k].to_vec())
+        lhs += dt * np.dot(ops.Wvec * source[k], z[k])
     rhs = 0.0
     for k in range(1, tg.nt + 1):
         rhs += np.dot(adjoint.kernel_a[k], f[k]) + np.dot(adjoint.kernel_b[k], g_dir[k])
@@ -150,21 +144,21 @@ def adjoint_energy_check(adjoint: AdjointTrajectory, source, friction):
     """Measured constant of the adjoint energy estimate.
 
     Ratio of sup-in-time kinetic energy plus strain and friction
-    dissipation of p against the space-time L2 norm of the source.
+    dissipation of p against the space-time L2 norm of the source, given as
+    face vectors of shape (nt+1, N).
     """
     g, tg = adjoint.grid, adjoint.time_grid
     ops = g.ops
     dt = tg.dt
-    sup_sq = max(l2_norm(p) ** 2 for p in adjoint.p)
+    sup_sq = max(face_l2(g, p) ** 2 for p in adjoint.p)
     diss = 0.0
     fric = 0.0
     usq = 0.0
     for k in range(1, tg.nt + 1):
-        pv = adjoint.p[k - 1].to_vec()
+        pv = adjoint.p[k - 1]
         diss += dt * 0.5 * np.dot(pv, ops.A_strain @ pv)
         fric += dt * np.dot(ops.w_gamma * friction.alpha[k], (ops.Ttau @ pv) ** 2)
-        Uk = source[k].to_vec() if isinstance(source[k], VelocityField) else source[k]
-        usq += dt * np.dot(ops.Wvec * Uk, Uk)
+        usq += dt * np.dot(ops.Wvec * source[k], source[k])
     if usq == 0.0:
         return 0.0
     return (sup_sq + diss + fric) / usq

@@ -221,10 +221,11 @@ class RunConfig:
         return FrictionField(self.grid, self.time_grid, alpha, self.alpha_min)
 
     def target(self):
+        """The target y_d as face vectors of shape (nt+1, N)."""
         spec = self.target_spec
         g, tg = self.grid, self.time_grid
         if spec == "zero":
-            return [VelocityField(g) for _ in range(tg.nt + 1)]
+            return np.zeros((tg.nt + 1, g.ops.N))
         if spec.startswith("file:"):
             try:
                 traj = load_trajectory(spec[5:])
@@ -233,7 +234,7 @@ class RunConfig:
                                   % (spec, exc))
             if traj.grid.key() != g.key() or traj.time_grid.nt != tg.nt:
                 raise ConfigError("target trajectory does not match the run grids")
-            return traj.velocities
+            return traj.y
         kind = spec.split(":", 1)[0]
         if kind not in ("uniform", "stream"):
             raise ConfigError("unknown target specification %r" % spec)
@@ -250,7 +251,7 @@ class RunConfig:
             u = (psi[:, 1:] - psi[:, :-1]) / g.hy
             v = -(psi[1:, :] - psi[:-1, :]) / g.hx
             fld = VelocityField(g, u, v)
-        return [fld for _ in range(tg.nt + 1)]
+        return np.tile(fld.to_vec(), (tg.nt + 1, 1))
 
     def initial_state(self):
         spec = self.initial_spec
@@ -382,7 +383,7 @@ def cmd_grad_check(rc: RunConfig, corrupt_adjoint=False):
         results.append((adj_dd, fd["richardson"],
                         abs(adj_dd - fd["richardson"]) / denom))
 
-    source = [params.misfit(traj, k) for k in range(rc.nt + 1)]
+    source = params.misfit(traj)
     adj = entry["adjoint"]
     dres = []
     for d in dirs[:3]:

@@ -23,19 +23,15 @@ class CostParams:
             raise ValueError("penalty weights must be nonnegative")
         if radius <= 0:
             raise ValueError("admissible radius must be positive")
-        self.y_d = y_d           # list of nt+1 VelocityFields or None (zero target)
+        self.y_d = y_d           # face vectors of shape (nt+1, N), or None (zero target)
         self.lam1 = float(lam1)
         self.lam2 = float(lam2)
         self.radius = float(radius)
         self.p_exponent = float(p_exponent)
 
-    def misfit(self, trajectory, k):
-        """Tracking misfit y(t_k) - y_d(t_k) as a face vector."""
-        yk = trajectory.velocities[k].to_vec()
-        if self.y_d is None:
-            return yk
-        yd = self.y_d[k]
-        return yk - (yd.to_vec() if isinstance(yd, VelocityField) else np.asarray(yd, float))
+    def misfit(self, trajectory):
+        """Tracking misfit y - y_d as face vectors of shape (nt+1, N)."""
+        return trajectory.y if self.y_d is None else trajectory.y - self.y_d
 
 
 def evaluate_cost(controls: BoundaryControl, trajectory, params: CostParams):
@@ -43,9 +39,10 @@ def evaluate_cost(controls: BoundaryControl, trajectory, params: CostParams):
     g, tg = controls.grid, controls.time_grid
     ops = g.ops
     dt = tg.dt
+    misfit = params.misfit(trajectory)
     J = 0.0
     for k in range(1, tg.nt + 1):
-        diff = params.misfit(trajectory, k)
+        diff = misfit[k]
         J += 0.5 * dt * np.dot(ops.Wvec * diff, diff)
         pen = (0.5 * params.lam1 * controls.a[k] ** 2
                + 0.5 * params.lam2 * controls.b[k] ** 2)
@@ -118,21 +115,18 @@ class GradientEngine:
         entry = self._entry(controls)
         if "gradient" not in entry:
             prob, traj = entry["problem"], entry["trajectory"]
-            g, tg = controls.grid, controls.time_grid
-            source = [self.params.misfit(traj, k) for k in range(tg.nt + 1)]
+            g = controls.grid
             t0 = time.perf_counter()
-            adj = solve_adjoint(AdjointProblem(prob, traj, source))
+            adj = solve_adjoint(AdjointProblem(prob, traj, self.params.misfit(traj)))
             self.adjoint_seconds += time.perf_counter() - t0
             self.adjoint_solves += 1
-            dt = tg.dt
-            wg = g.boundary_weight
             ga = np.zeros_like(controls.a)
             gb = np.zeros_like(controls.b)
-            ga[1:] = adj.kernel_a[1:] / (dt * wg[None, :]) + self.params.lam1 * controls.a[1:]
-            gb[1:] = adj.kernel_b[1:] / (dt * wg[None, :]) + self.params.lam2 * controls.b[1:]
+            ga[1:] = adj.normal_kernel[1:] + self.params.lam1 * controls.a[1:]
+            gb[1:] = adj.tangent_kernel[1:] + self.params.lam2 * controls.b[1:]
             # admissible variations of a carry no boundary mean
-            ga[1:] -= (ga[1:] @ wg)[:, None] / g.loop_length
-            entry["gradient"] = ControlGradient(g, tg, ga, gb)
+            ga[1:] -= (ga[1:] @ g.boundary_weight)[:, None] / g.loop_length
+            entry["gradient"] = ControlGradient(g, controls.time_grid, ga, gb)
             entry["adjoint"] = adj
         return entry["gradient"], entry
 

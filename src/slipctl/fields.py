@@ -52,27 +52,15 @@ class VelocityField:
         xv, yv = grid.v_points()
         return cls(grid, fu(xu, yu), fv(xv, yv))
 
-    def __add__(self, other):
-        return VelocityField(self.grid, self.u + other.u, self.v + other.v)
-
-    def __sub__(self, other):
-        return VelocityField(self.grid, self.u - other.u, self.v - other.v)
-
-    def __mul__(self, c):
-        return VelocityField(self.grid, c * self.u, c * self.v)
-
-    __rmul__ = __mul__
-
 
 class PressureField:
-    """Cell-centered scalar; mean_zero marks the pinned-gauge representative."""
+    """Cell-centered scalar q of shape (nx, ny)."""
 
-    def __init__(self, grid, q=None, mean_zero=False):
+    def __init__(self, grid, q=None):
         self.grid = grid
         self.q = np.zeros(grid.shape_p) if q is None else np.asarray(q, dtype=float)
         if self.q.shape != grid.shape_p:
             raise ValueError("pressure shape %r does not match grid" % (self.q.shape,))
-        self.mean_zero = mean_zero
 
 
 class BoundaryControl:
@@ -138,19 +126,21 @@ class FrictionField:
 
 
 class StateTrajectory:
-    """Full space-time storage of the state: nt+1 velocity slices, nt pressures."""
+    """Full space-time storage of the state: y of shape (nt+1, N) holds the
+    face vectors of every slice, p of shape (nt, ncell) the pressure of every
+    step (row k-1 belongs to step k)."""
 
-    def __init__(self, grid, time_grid, velocities, pressures, config_hash=""):
-        if len(velocities) != time_grid.nt + 1 or len(pressures) != time_grid.nt:
-            raise ValueError("trajectory slice counts do not match the time grid")
+    def __init__(self, grid, time_grid, y, p, config_hash=""):
+        nt, ncell = time_grid.nt, grid.nx * grid.ny
+        nface = (grid.nx + 1) * grid.ny + grid.nx * (grid.ny + 1)
+        if np.shape(y) != (nt + 1, nface) or np.shape(p) != (nt, ncell):
+            raise ValueError("trajectory shapes %r, %r do not match (%d, %d), (%d, %d)"
+                             % (np.shape(y), np.shape(p), nt + 1, nface, nt, ncell))
         self.grid = grid
         self.time_grid = time_grid
-        self.velocities = velocities
-        self.pressures = pressures
+        self.y = y
+        self.p = p
         self.config_hash = config_hash
-
-    def velocity_vecs(self):
-        return [y.to_vec() for y in self.velocities]
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +153,15 @@ def divergence(y: VelocityField):
     return (y.u[1:, :] - y.u[:-1, :]) / g.hx + (y.v[:, 1:] - y.v[:, :-1]) / g.hy
 
 
+def face_l2(grid, vec):
+    """Quadrature-weighted L2 norm of a face vector (u then v)."""
+    return float(np.sqrt(np.dot(grid.ops.Wvec, vec * vec)))
+
+
 def l2_norm(field, grid=None):
     """Quadrature-weighted L2 norm of a velocity, pressure or boundary field."""
     if isinstance(field, VelocityField):
-        ops = field.grid.ops
-        vec = field.to_vec()
-        return float(np.sqrt(np.dot(ops.Wvec, vec * vec)))
+        return face_l2(field.grid, field.to_vec())
     if isinstance(field, PressureField):
         return float(np.sqrt((field.q ** 2).sum() * field.grid.cell_area))
     # boundary scalar as plain array
@@ -196,21 +189,19 @@ def strain_l2(y: VelocityField):
     return float(np.sqrt(0.5 * np.dot(vec, ops.A_strain @ vec)))
 
 
-def tangential_trace(y: VelocityField, grid=None):
+def tangential_trace(y: VelocityField):
     """Wall-parallel velocity dotted with tau at the boundary nodes.
 
     Linear extrapolation of the parallel component onto the wall, averaged
     onto the edge midpoints; exact for profiles linear in the wall-normal
     coordinate.
     """
-    grid = grid or y.grid
-    return grid.ops.Ttau @ y.to_vec()
+    return y.grid.ops.Ttau @ y.to_vec()
 
 
-def normal_trace(y: VelocityField, grid=None):
+def normal_trace(y: VelocityField):
     """y·n at the boundary nodes (reads the wall face unknowns directly)."""
-    grid = grid or y.grid
-    return grid.ops.Tn @ y.to_vec()
+    return y.grid.ops.Tn @ y.to_vec()
 
 
 def spatial_mean(y: VelocityField):
@@ -296,18 +287,23 @@ def read_snapshot(path):
     return header, raw
 
 
+def read_payload(path, grid: Grid):
+    """Payload and time of a snapshot, which must have been written on grid's
+    (nx, ny).  A velocity payload is the face vector (u then v, row-major),
+    a pressure payload the cell values (row-major)."""
+    header, raw = read_snapshot(path)
+    if (header["nx"], header["ny"]) != (grid.nx, grid.ny):
+        raise ValueError("snapshot grid %r does not match" % ((header["nx"], header["ny"]),))
+    return raw, header["t"]
+
+
 def save_velocity(path, y: VelocityField, t=0.0):
     write_snapshot(path, "velocity", y.grid, t, [y.u, y.v])
 
 
 def load_velocity(path, grid: Grid):
-    header, raw = read_snapshot(path)
-    if (header["nx"], header["ny"]) != (grid.nx, grid.ny):
-        raise ValueError("snapshot grid %r does not match" % ((header["nx"], header["ny"]),))
-    nu = (grid.nx + 1) * grid.ny
-    u = raw[:nu].reshape(grid.shape_u)
-    v = raw[nu:].reshape(grid.shape_v)
-    return VelocityField(grid, u.copy(), v.copy()), header["t"]
+    raw, t = read_payload(path, grid)
+    return VelocityField.from_vec(grid, raw), t
 
 
 def save_pressure(path, p: PressureField, t=0.0):
@@ -315,8 +311,8 @@ def save_pressure(path, p: PressureField, t=0.0):
 
 
 def load_pressure(path, grid: Grid):
-    header, raw = read_snapshot(path)
-    return PressureField(grid, raw.reshape(grid.shape_p).copy()), header["t"]
+    raw, t = read_payload(path, grid)
+    return PressureField(grid, raw.reshape(grid.shape_p).copy()), t
 
 
 def save_boundary_table(path, column, times, s, values):

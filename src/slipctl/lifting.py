@@ -63,7 +63,7 @@ class _NeumannSolver:
         h = np.concatenate([[0.0], sol])
         h -= h.mean()
         grad_vec = self.Gint @ h + bc
-        return (PressureField(grid, h.reshape(grid.shape_p), mean_zero=True),
+        return (PressureField(grid, h.reshape(grid.shape_p)),
                 VelocityField.from_vec(grid, grad_vec))
 
 

@@ -10,7 +10,7 @@ Gradients computed against this solver are exact at the discrete level.
 import numpy as np
 
 from .errors import BaseTrajectoryMissing
-from .fields import PressureField, StateTrajectory, VelocityField, l2_norm
+from .fields import StateTrajectory, face_l2
 from .mesh import integrate_boundary
 from .state_solver import StateProblem, solve_state
 
@@ -26,7 +26,7 @@ class LinearizedProblem:
         self.g = np.asarray(g, dtype=float)
         if self.f.shape != (tg.nt + 1, grid.n_boundary) or self.g.shape != self.f.shape:
             raise ValueError("direction arrays must have shape (nt+1, n_boundary)")
-        if base is None or len(base.velocities) != tg.nt + 1:
+        if base is None or len(base.y) != tg.nt + 1:
             raise BaseTrajectoryMissing("complete base trajectory required")
         for k in range(tg.nt + 1):
             flux = integrate_boundary(grid, self.f[k])
@@ -35,29 +35,24 @@ class LinearizedProblem:
 
 
 def solve_linearized(problem: LinearizedProblem):
-    """March the tangent system; returns (velocity slices, pressure slices).
+    """March the tangent system; returns z of shape (nt+1, N) and pi of shape
+    (nt, ncell), laid out as StateTrajectory's y and p.
 
     The first slice is identically zero; slice k satisfies z.n = f(t_k)
     strongly and the same implicit operator as the forward step k.
     """
-    sp_, base = problem.state_problem, problem.base
-    g, tg = sp_.grid, sp_.time_grid
-    ops = g.ops
+    sp_, y = problem.state_problem, problem.base.y
+    tg, ops = sp_.time_grid, sp_.grid.ops
     dt = tg.dt
-    z = [VelocityField(g)]
-    pis = []
-    z_prev = np.zeros(ops.N)
-    yvec = base.velocity_vecs()
+    z = np.zeros((tg.nt + 1, ops.N))
+    pi = np.empty((tg.nt, ops.ncell))
     solver = sp_.step_solver("linearized")
     for k in range(1, tg.nt + 1):
-        rhs = (ops.Wvec * z_prev / dt - ops.apply_adv_cross(yvec[k], z_prev)
+        rhs = (ops.Wvec * z[k - 1] / dt - ops.apply_adv_cross(y[k], z[k - 1])
                + ops.b_load(problem.g[k]))
-        with solver.at(k, sp_.friction.alpha[k], yvec[k - 1]) as step:
-            z_vec, pi = step.solve(rhs, problem.f[k])
-        z.append(VelocityField.from_vec(g, z_vec))
-        pis.append(PressureField(g, pi.reshape(g.shape_p), mean_zero=True))
-        z_prev = z_vec
-    return z, pis
+        with solver.at(k, sp_.friction.alpha[k], y[k - 1]) as step:
+            z[k], pi[k - 1] = step.solve(rhs, problem.f[k])
+    return z, pi
 
 
 def linearized_step_apply(step, y_new_vec, xi_free):
@@ -108,7 +103,7 @@ def gateaux_discrepancy(state_problem: StateProblem, base: StateTrajectory,
         traj = solve_state(pert)
         disc = 0.0
         for k in range(state_problem.time_grid.nt + 1):
-            diff = (traj.velocities[k] - base.velocities[k]) * (1.0 / eps) - z[k]
-            disc = max(disc, l2_norm(diff))
+            diff = (traj.y[k] - base.y[k]) * (1.0 / eps) - z[k]
+            disc = max(disc, face_l2(state_problem.grid, diff))
         rows.append((float(eps), disc))
     return rows, z

@@ -35,8 +35,6 @@ class Grid:
         self.hy = self.Ly / self.ny
         self.n_boundary = 2 * (self.nx + self.ny)
         self._build_loop()
-        self.corner_cells = (
-            (0, 0), (self.nx - 1, 0), (self.nx - 1, self.ny - 1), (0, self.ny - 1))
         self._ops = None
         self._gagliardo = {}
         self._fourier = None

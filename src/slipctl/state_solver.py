@@ -13,9 +13,9 @@ import hashlib
 import numpy as np
 
 from .errors import SolverDivergence
-from .fields import (BoundaryControl, FrictionField, PressureField,
-                     StateTrajectory, VelocityField, divergence,
-                     hp_norm, l2_norm, normal_trace)
+from .fields import (BoundaryControl, FrictionField, StateTrajectory,
+                     VelocityField, divergence, face_l2, hp_norm, l2_norm,
+                     normal_trace)
 from .operators import StepSolver
 
 DIV_TOL = 1e-10
@@ -80,23 +80,19 @@ def solve_state(problem: StateProblem) -> StateTrajectory:
     g, tg = problem.grid, problem.time_grid
     ops = g.ops
     ctrl, fric = problem.controls, problem.friction
-    ys = [problem.y0.copy()]
-    ps = []
-    y_prev = problem.y0.to_vec()
+    y = np.empty((tg.nt + 1, ops.N))
+    p = np.empty((tg.nt, ops.ncell))
+    y[0] = problem.y0.to_vec()
     solver = problem.step_solver("state")
-    solver.seed(y_prev)
+    solver.seed(y[0])
     for k in range(1, tg.nt + 1):
-        rhs = ops.Wvec * y_prev / tg.dt + ops.b_load(ctrl.b[k])
-        with solver.at(k, fric.alpha[k], y_prev) as step:
-            y_vec, p_vec = step.solve(rhs, ctrl.a[k])
-            y_k = VelocityField.from_vec(g, y_vec)
-            dv = np.abs(divergence(y_k)).max()
-            if dv > 1e-9 * max(1.0, l2_norm(y_k)):
+        rhs = ops.Wvec * y[k - 1] / tg.dt + ops.b_load(ctrl.b[k])
+        with solver.at(k, fric.alpha[k], y[k - 1]) as step:
+            y[k], p[k - 1] = step.solve(rhs, ctrl.a[k])
+            dv = np.abs(ops.Dmat @ y[k]).max()
+            if dv > 1e-9 * max(1.0, face_l2(g, y[k])):
                 raise SolverDivergence("divergence %.3e" % dv)
-        ys.append(y_k)
-        ps.append(PressureField(g, p_vec.reshape(g.shape_p), mean_zero=True))
-        y_prev = y_vec
-    return StateTrajectory(g, tg, ys, ps, config_hash=problem.content_hash())
+    return StateTrajectory(g, tg, y, p, config_hash=problem.content_hash())
 
 
 def energy_identity_terms(trajectory: StateTrajectory, problem: StateProblem, k):
@@ -111,9 +107,9 @@ def energy_identity_terms(trajectory: StateTrajectory, problem: StateProblem, k)
     g, tg = trajectory.grid, trajectory.time_grid
     ops = g.ops
     dt = tg.dt
-    y = trajectory.velocities[k].to_vec()
-    yo = trajectory.velocities[k - 1].to_vec()
-    p = trajectory.pressures[k - 1].q.ravel()
+    y = trajectory.y[k]
+    yo = trajectory.y[k - 1]
+    p = trajectory.p[k - 1]
     w_adv = yo
     alpha = problem.friction.alpha[k]
     b = problem.controls.b[k]
@@ -171,11 +167,11 @@ def energy_bound_report(problem: StateProblem, trajectory: StateTrajectory):
     g, tg = problem.grid, problem.time_grid
     ops = g.ops
     dt = tg.dt
-    sup_sq = max(l2_norm(y) ** 2 for y in trajectory.velocities)
+    sup_sq = max(face_l2(g, y) ** 2 for y in trajectory.y)
     diss = 0.0
     fric = 0.0
     for k in range(1, tg.nt + 1):
-        yv = trajectory.velocities[k].to_vec()
+        yv = trajectory.y[k]
         diss += dt * np.dot(yv, ops.A_strain @ yv)
         fric += dt * np.dot(ops.w_gamma * problem.friction.alpha[k], (ops.Ttau @ yv) ** 2)
     lhs = sup_sq + diss + fric
@@ -188,7 +184,7 @@ def save_trajectory(directory, trajectory: StateTrajectory, cadence=1):
     """Persist a trajectory as snapshot files plus a JSON manifest."""
     import json
     import os
-    from .fields import save_pressure, save_velocity
+    from .fields import write_snapshot
     os.makedirs(directory, exist_ok=True)
     g, tg = trajectory.grid, trajectory.time_grid
     times = tg.times()
@@ -197,12 +193,12 @@ def save_trajectory(directory, trajectory: StateTrajectory, cadence=1):
         if k % cadence and k != tg.nt:
             continue
         name = "y_%04d.snap" % k
-        save_velocity(os.path.join(directory, name), trajectory.velocities[k], times[k])
+        write_snapshot(os.path.join(directory, name), "velocity", g, times[k],
+                       [trajectory.y[k]])
         saved.append(name)
         if k >= 1:
-            pname = "p_%04d.snap" % k
-            save_pressure(os.path.join(directory, pname),
-                          trajectory.pressures[k - 1], times[k])
+            write_snapshot(os.path.join(directory, "p_%04d.snap" % k), "pressure", g,
+                           times[k], [trajectory.p[k - 1]])
     manifest = {
         "kind": "trajectory", "nx": g.nx, "ny": g.ny, "Lx": g.Lx, "Ly": g.Ly,
         "T": tg.T, "nt": tg.nt, "cadence": cadence,
@@ -216,18 +212,16 @@ def load_trajectory(directory):
     """Read back a trajectory directory written with cadence 1."""
     import json
     import os
-    from .fields import load_pressure, load_velocity
+    from .fields import read_payload
     from .mesh import TimeGrid, build_grid
     with open(os.path.join(directory, "manifest.json")) as fh:
         man = json.load(fh)
     grid = build_grid(man["nx"], man["ny"], man["Lx"], man["Ly"])
     tg = TimeGrid(man["T"], man["nt"])
-    ys, ps = [], []
-    for k in range(tg.nt + 1):
-        y, _ = load_velocity(os.path.join(directory, "y_%04d.snap" % k), grid)
-        ys.append(y)
-        if k >= 1:
-            p, _ = load_pressure(os.path.join(directory, "p_%04d.snap" % k), grid)
-            ps.append(p)
-    return StateTrajectory(grid, tg, ys, ps, config_hash=man.get("config_hash", ""))
+    y = [read_payload(os.path.join(directory, "y_%04d.snap" % k), grid)[0]
+         for k in range(tg.nt + 1)]
+    p = [read_payload(os.path.join(directory, "p_%04d.snap" % k), grid)[0]
+         for k in range(1, tg.nt + 1)]
+    return StateTrajectory(grid, tg, np.array(y), np.array(p),
+                           config_hash=man.get("config_hash", ""))
 

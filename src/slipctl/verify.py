@@ -15,8 +15,8 @@ import numpy as np
 from .adjoint_solver import (AdjointProblem, adjoint_energy_check,
                              duality_residual, solve_adjoint)
 from .fields import (BoundaryControl, FrictionField, VelocityField, divergence,
-                     h1_seminorm, hp_norm, l2_norm, normal_trace, spatial_mean,
-                     strain_l2, tangential_trace)
+                     face_l2, h1_seminorm, hp_norm, l2_norm, normal_trace,
+                     spatial_mean, strain_l2, tangential_trace)
 from .linearized_solver import LinearizedProblem, gateaux_discrepancy, solve_linearized
 from .mesh import TimeGrid, build_grid
 from .state_solver import (StateProblem, energy_bound_report,
@@ -302,8 +302,7 @@ def run_estimate_suite(config):
             ctrl2.b = ctrl2.b + delta * d.b
             prob2 = StateProblem(grid, tg, prob.y0, ctrl2, prob.friction, validate=False)
             traj2 = solve_state(prob2)
-            dist = max(l2_norm(traj2.velocities[k] - traj.velocities[k])
-                       for k in range(tg.nt + 1))
+            dist = max(face_l2(grid, traj2.y[k] - traj.y[k]) for k in range(tg.nt + 1))
             dctrl = BoundaryControl(grid, tg, delta * d.a, delta * d.b)
             ratios.append(dist / hp_norm(dctrl))
         return ratios, np.all(np.isfinite(ratios)) and max(ratios) <= 2.0 * min(ratios), None
@@ -316,20 +315,22 @@ def run_estimate_suite(config):
         ratios = []
         for d in dirs:
             z, _ = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
-            lhs = max(l2_norm(zk) ** 2 for zk in z)
+            lhs = max(face_l2(grid, zk) ** 2 for zk in z)
             for k in range(1, tg.nt + 1):
-                zv = z[k].to_vec()
+                zv = z[k]
                 lhs += tg.dt * 0.5 * float(zv @ (ops.A_strain @ zv))
                 lhs += tg.dt * float(np.dot(ops.w_gamma * prob.friction.alpha[k],
                                             (ops.Ttau @ zv) ** 2))
             ratios.append(lhs / hp_norm(d) ** 2)
         return ratios, np.all(np.isfinite(ratios)) and max(ratios) <= 3.0 * min(ratios), None
 
+    def random_source():
+        return np.array([random_h1_field(grid, rng).to_vec() for _ in range(tg.nt + 1)])
+
     def adjoint_energy():
         """Adjoint energy estimate."""
         prob, traj = _solved_suite_problem(grid, tg, rng)
-        sources = [[random_h1_field(grid, rng) for _ in range(tg.nt + 1)]
-                   for _ in range(nfield)]
+        sources = [random_source() for _ in range(nfield)]
         ratios = [adjoint_energy_check(solve_adjoint(AdjointProblem(prob, traj, U)),
                                        U, prob.friction) for U in sources]
         return ratios, np.all(np.isfinite(ratios)) and max(ratios) <= 3.0 * min(ratios), None
@@ -346,8 +347,7 @@ def run_estimate_suite(config):
     def duality():
         """Duality relation residuals."""
         prob, traj = _solved_suite_problem(grid, tg, rng)
-        pairs = [(random_admissible_control(grid, tg, rng, amplitude=1.0),
-                  [random_h1_field(grid, rng) for _ in range(tg.nt + 1)])
+        pairs = [(random_admissible_control(grid, tg, rng, amplitude=1.0), random_source())
                  for _ in range(nsamp)]
         residuals = []
         for d, U in pairs:

@@ -39,5 +39,5 @@ def stokes_slip_solve():
         rhs = ops.Wvec * y_prev.to_vec() / dt + ops.b_load(np.asarray(b_next, dtype=float))
         y_vec, p = step.solve(rhs, np.asarray(a_next, dtype=float))
         return (VelocityField.from_vec(grid, y_vec),
-                PressureField(grid, p.reshape(grid.shape_p), mean_zero=True))
+                PressureField(grid, p.reshape(grid.shape_p)))
     return solve

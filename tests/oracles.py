@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from slipctl.errors import IncompatibleFlux, SolverDivergence
 from slipctl.fields import (BoundaryControl, FrictionField, VelocityField,
-                            l2_norm)
+                            face_l2)
 from slipctl.lifting import LiftingResult, _solver_for
 from slipctl.mesh import WALL_BOTTOM, WALL_LEFT, WALL_RIGHT, WALL_TOP
 from slipctl.operators import DiscreteOperators, _row_blocks
@@ -326,7 +326,7 @@ def time_lifting(grid, a_slices):
 
 def trajectory_sup_l2(trajectory):
     """max over time of the velocity L2 norm (C([0,T];L2) surrogate)."""
-    return max(l2_norm(y) for y in trajectory.velocities)
+    return max(face_l2(trajectory.grid, y) for y in trajectory.y)
 
 
 def shear_oracle(grid, time_grid, c1=0.4, c2=1.0, alpha_value=1.0, nu=1.0):
@@ -361,9 +361,9 @@ def continuum_normal_kernel(adjoint, base, k):
     """
     g = adjoint.grid
     ops = g.ops
-    p_vec = adjoint.p[k - 1].to_vec() if k >= 1 else adjoint.p[0].to_vec()
-    y_vec = base.velocities[k].to_vec()
-    pi = adjoint.pi[k - 1].q
+    p_vec = adjoint.p[k - 1] if k >= 1 else adjoint.p[0]
+    y_vec = base.y[k]
+    pi = adjoint.pi[k - 1].reshape(g.shape_p)
 
     # pi at the boundary nodes: one-sided (nearest cell) values
     nx, ny = g.nx, g.ny
@@ -382,8 +382,8 @@ def continuum_normal_kernel(adjoint, base, k):
     # (D(p)n).n is D22 on horizontal walls and D11 on vertical walls,
     # evaluated one-sidedly just inside the wall
     dpn = np.empty(g.n_boundary)
-    pu = adjoint.p[k - 1].u
-    pv = adjoint.p[k - 1].v
+    p_field = VelocityField.from_vec(g, adjoint.p[k - 1])
+    pu, pv = p_field.u, p_field.v
     dpn[sl(0)] = (pv[:, 1] - pv[:, 0]) / g.hy
     dpn[sl(2)] = ((pv[:, ny] - pv[:, ny - 1]) / g.hy)[::-1]
     dpn[sl(1)] = (pu[nx, :] - pu[nx - 1, :]) / g.hx

@@ -17,7 +17,7 @@ from slipctl.control_opt import (CostParams, GradientEngine,
                                  balanced_direction, fd_gradient_oracle,
                                  optimize, project_admissible,
                                  random_admissible_control)
-from slipctl.fields import BoundaryControl, VelocityField, hp_norm, l2_norm
+from slipctl.fields import BoundaryControl, VelocityField, face_l2, hp_norm
 from slipctl.lifting import solve_neumann_lifting
 from slipctl.linearized_solver import (LinearizedProblem, adjoint_step_apply,
                                        gateaux_discrepancy,
@@ -82,7 +82,7 @@ def recovery():
     y0 = VelocityField(grid)
     c_star = smooth_target_control(grid, tg)
     traj_star = solve_state(StateProblem(grid, tg, y0, c_star, validate=False))
-    params = CostParams(y_d=traj_star.velocities, lam1=0.0, lam2=0.0, radius=50.0)
+    params = CostParams(y_d=traj_star.y, lam1=0.0, lam2=0.0, radius=50.0)
 
     probe = optimize(y0, params, grid=grid, time_grid=tg, tol=np.inf,
                      max_iters=1, seed=5)
@@ -114,7 +114,7 @@ def test_01_null_solution_uniqueness():
         prob = StateProblem(grid, tg, VelocityField(grid), BoundaryControl(grid, tg))
         traj = solve_state(prob)
         elapsed = time.perf_counter() - t0
-        sup = max(l2_norm(y) for y in traj.velocities)
+        sup = max(face_l2(grid, y) for y in traj.y)
         assert sup <= 1e-12
         assert elapsed < 5.0
 
@@ -127,9 +127,9 @@ def test_02_shear_steady_state():
         t0 = time.perf_counter()
         traj = solve_state(StateProblem(grid, tg, y0, ctrl, fric))
         elapsed = time.perf_counter() - t0
-        step_err = max(l2_norm(traj.velocities[k] - traj.velocities[k - 1])
+        step_err = max(face_l2(grid, traj.y[k] - traj.y[k - 1])
                        for k in range(1, tg.nt + 1))
-        profile_err = max(l2_norm(traj.velocities[k] - y0)
+        profile_err = max(face_l2(grid, traj.y[k] - y0.to_vec())
                           for k in range(tg.nt + 1))
         assert step_err <= 1e-9
         assert profile_err <= 1e-9
@@ -156,7 +156,7 @@ def test_04_lifting_convergence():
             res = solve_neumann_lifting(g, a)
             exact = VelocityField.from_functions(g, lambda X, Y: 2 * X,
                                                  lambda X, Y: -2 * Y)
-            quad_errs.append(l2_norm(res.grad - exact))
+            quad_errs.append(face_l2(g, res.grad.to_vec() - exact.to_vec()))
         at_floor = max(quad_errs) <= 1e-10
         if not at_floor:
             orders = [np.log2(quad_errs[i] / quad_errs[i + 1]) for i in range(2)]
@@ -177,7 +177,7 @@ def test_04_lifting_convergence():
             exact = VelocityField.from_functions(
                 g, lambda X, Y: -k * np.sin(k * X) * np.cosh(k * Y),
                 lambda X, Y: k * np.cos(k * X) * np.sinh(k * Y))
-            trig_errs.append(l2_norm(res.grad - exact))
+            trig_errs.append(face_l2(g, res.grad.to_vec() - exact.to_vec()))
         orders = [np.log2(trig_errs[i] / trig_errs[i + 1]) for i in range(2)]
         assert trig_errs[0] > trig_errs[1] > trig_errs[2]
         assert min(orders) >= 1.0
@@ -192,7 +192,7 @@ def test_05_transpose_exactness():
         prob = StateProblem(grid, tg, VelocityField(grid), ctrl, validate=False)
         traj = solve_state(prob)
         ops = grid.ops
-        yk = traj.velocity_vecs()
+        yk = traj.y
         step = StepSolver(ops, tg.dt, 1.0).step(prob.friction.alpha[4], yk[3])
         worst = 0.0
         for _ in range(20):
@@ -214,9 +214,9 @@ def test_06_duality_relation(desk):
                                           amplitude=1.0)
             z, _ = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
             rng = np.random.default_rng(400 + seed)
-            U = [VelocityField(grid, rng.standard_normal(grid.shape_u),
-                               rng.standard_normal(grid.shape_v))
-                 for _ in range(tg.nt + 1)]
+            U = np.array([VelocityField(grid, rng.standard_normal(grid.shape_u),
+                                        rng.standard_normal(grid.shape_v)).to_vec()
+                          for _ in range(tg.nt + 1)])
             adj = solve_adjoint(AdjointProblem(prob, traj, U))
             worst = max(worst, duality_residual(z, adj, U, d.a, d.b,
                                                 base_hash=traj.config_hash))
@@ -228,8 +228,8 @@ def test_06_duality_relation(desk):
 def test_07_gradient_validation(desk):
     with criterion(7, "adjoint gradient matches Richardson FD to 1e-6 (10 dirs)"):
         grid, tg, prob, traj = desk
-        target = [VelocityField(grid, 0.1 * np.ones(grid.shape_u),
-                                np.zeros(grid.shape_v)) for _ in range(tg.nt + 1)]
+        target = np.tile(VelocityField(grid, 0.1 * np.ones(grid.shape_u),
+                                       np.zeros(grid.shape_v)).to_vec(), (tg.nt + 1, 1))
         params = CostParams(y_d=target, lam1=0.02, lam2=0.01)
         engine = GradientEngine(VelocityField(grid), params)
         grad, _ = engine.gradient(prob.controls)
@@ -270,8 +270,7 @@ def test_09_lipschitz_bound(desk):
             prob2 = StateProblem(grid, tg, prob.y0, ctrl2, prob.friction,
                                  validate=False)
             traj2 = solve_state(prob2)
-            dist = max(l2_norm(traj2.velocities[k] - traj.velocities[k])
-                       for k in range(tg.nt + 1))
+            dist = max(face_l2(grid, traj2.y[k] - traj.y[k]) for k in range(tg.nt + 1))
             ratios.append(dist / hp_norm(BoundaryControl(grid, tg, delta * d.a,
                                                          delta * d.b)))
         assert all(np.isfinite(r) for r in ratios)
@@ -286,9 +285,9 @@ def test_10_linearized_and_adjoint_estimates(desk):
         for seed in range(10):
             d = balanced_direction(grid, tg, np.random.default_rng(800 + seed))
             z, _ = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
-            lhs = max(l2_norm(zk) ** 2 for zk in z)
+            lhs = max(face_l2(grid, zk) ** 2 for zk in z)
             for k in range(1, tg.nt + 1):
-                zv = z[k].to_vec()
+                zv = z[k]
                 lhs += tg.dt * 0.5 * float(zv @ (ops.A_strain @ zv))
                 lhs += tg.dt * float(zv @ (fric_matrix(ops, prob.friction.alpha[k]) @ zv))
             lin_ratios.append(lhs / hp_norm(d) ** 2)
@@ -298,7 +297,7 @@ def test_10_linearized_and_adjoint_estimates(desk):
         adj_ratios = []
         for seed in range(10):
             rng = np.random.default_rng(900 + seed)
-            U = [random_h1_field(grid, rng) for _ in range(tg.nt + 1)]
+            U = np.array([random_h1_field(grid, rng).to_vec() for _ in range(tg.nt + 1)])
             adj = solve_adjoint(AdjointProblem(prob, traj, U))
             adj_ratios.append(adjoint_energy_check(adj, U, prob.friction))
         assert all(np.isfinite(r) for r in adj_ratios)

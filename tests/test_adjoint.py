@@ -5,7 +5,7 @@ from slipctl.adjoint_solver import (AdjointProblem,
                                     adjoint_energy_check,
                                     duality_residual,
                                     solve_adjoint)
-from slipctl.fields import BoundaryControl, VelocityField, divergence, l2_norm
+from slipctl.fields import BoundaryControl, VelocityField, divergence, face_l2
 from slipctl.linearized_solver import (LinearizedProblem, adjoint_step_apply,
                                        linearized_step_apply, solve_linearized)
 from slipctl.mesh import TimeGrid, build_grid
@@ -29,16 +29,16 @@ def setup():
 
 def random_source(grid, tg, seed):
     rng = np.random.default_rng(seed)
-    return [VelocityField(grid, rng.standard_normal(grid.shape_u),
-                          rng.standard_normal(grid.shape_v))
-            for _ in range(tg.nt + 1)]
+    return np.array([VelocityField(grid, rng.standard_normal(grid.shape_u),
+                                   rng.standard_normal(grid.shape_v)).to_vec()
+                     for _ in range(tg.nt + 1)])
 
 
 def test_zero_source_zero_adjoint(setup):
     grid, tg, prob, traj = setup
-    U = [VelocityField(grid) for _ in range(tg.nt + 1)]
+    U = np.zeros((tg.nt + 1, grid.ops.N))
     adj = solve_adjoint(AdjointProblem(prob, traj, U))
-    assert max(l2_norm(p) for p in adj.p) == 0.0
+    assert max(face_l2(grid, p) for p in adj.p) == 0.0
     assert np.abs(adj.kernel_a).max() == 0.0
     assert np.abs(adj.kernel_b).max() == 0.0
 
@@ -47,10 +47,10 @@ def test_linearity_in_source(setup):
     grid, tg, prob, traj = setup
     U = random_source(grid, tg, 1)
     adj1 = solve_adjoint(AdjointProblem(prob, traj, U))
-    U3 = [u * 3.0 for u in U]
-    adj3 = solve_adjoint(AdjointProblem(prob, traj, U3))
+    adj3 = solve_adjoint(AdjointProblem(prob, traj, U * 3.0))
     for k in range(tg.nt + 1):
-        assert l2_norm(adj3.p[k] - adj1.p[k] * 3.0) < 1e-10 * max(1.0, l2_norm(adj3.p[k]))
+        assert face_l2(grid, adj3.p[k] - adj1.p[k] * 3.0) < \
+            1e-10 * max(1.0, face_l2(grid, adj3.p[k]))
     assert np.allclose(adj3.kernel_a, 3.0 * adj1.kernel_a, atol=1e-12)
 
 
@@ -58,17 +58,17 @@ def test_structural_invariants(setup):
     grid, tg, prob, traj = setup
     adj = solve_adjoint(AdjointProblem(prob, traj, random_source(grid, tg, 2)))
     ops = grid.ops
-    assert l2_norm(adj.p[tg.nt]) == 0.0                      # terminal condition
+    assert face_l2(grid, adj.p[tg.nt]) == 0.0                # terminal condition
     for k in range(tg.nt):
-        assert np.abs(ops.Tn @ adj.p[k].to_vec()).max() == 0.0
-        assert np.abs(divergence(adj.p[k])).max() < 1e-9
-        assert abs(adj.pi[k].q.sum() * grid.cell_area) < 1e-10
+        assert np.abs(ops.Tn @ adj.p[k]).max() == 0.0
+        assert np.abs(divergence(VelocityField.from_vec(grid, adj.p[k]))).max() < 1e-9
+        assert abs(adj.pi[k].sum() * grid.cell_area) < 1e-10
 
 
 def test_transpose_exactness_single_step(setup):
     grid, tg, prob, traj = setup
     ops = grid.ops
-    yk = traj.velocity_vecs()
+    yk = traj.y
     rng = np.random.default_rng(3)
     step = StepSolver(ops, tg.dt, 1.0).step(prob.friction.alpha[4], yk[3])
     for _ in range(20):
@@ -95,7 +95,7 @@ def test_duality_zero_over_zero_guarded(setup):
     grid, tg, prob, traj = setup
     zero_f = np.zeros((tg.nt + 1, grid.n_boundary))
     z, _ = solve_linearized(LinearizedProblem(prob, traj, zero_f, zero_f))
-    U0 = [VelocityField(grid) for _ in range(tg.nt + 1)]
+    U0 = np.zeros((tg.nt + 1, grid.ops.N))
     adj = solve_adjoint(AdjointProblem(prob, traj, U0))
     assert duality_residual(z, adj, U0, zero_f, zero_f) == 0.0
 
@@ -142,10 +142,10 @@ def test_stokes_semigroup_self_adjoint():
     x_prev = np.zeros(ops.N)
     for m in range(1, tg.nt + 1):
         step = StepSolver(ops, tg.dt, 1.0).step(prob.friction.alpha[0], np.zeros(ops.N))
-        rhs = ops.Wvec * x_prev / tg.dt + ops.Wvec * U[tg.nt + 1 - m].to_vec()
+        rhs = ops.Wvec * x_prev / tg.dt + ops.Wvec * U[tg.nt + 1 - m]
         x, _ = step.solve(rhs, np.zeros(grid.n_boundary))
-        ref = max(1.0, l2_norm(adj.p[tg.nt - m]))
-        assert l2_norm(VelocityField.from_vec(grid, x) - adj.p[tg.nt - m]) <= 1e-9 * ref
+        ref = max(1.0, face_l2(grid, adj.p[tg.nt - m]))
+        assert face_l2(grid, x - adj.p[tg.nt - m]) <= 1e-9 * ref
         x_prev = x
 
 
@@ -154,11 +154,11 @@ def test_energy_check_homogeneous_and_stable(setup):
     U = random_source(grid, tg, 6)
     adj = solve_adjoint(AdjointProblem(prob, traj, U))
     r1 = adjoint_energy_check(adj, U, prob.friction)
-    U2 = [u * 2.0 for u in U]
+    U2 = U * 2.0
     adj2 = solve_adjoint(AdjointProblem(prob, traj, U2))
     r2 = adjoint_energy_check(adj2, U2, prob.friction)
     assert r1 == pytest.approx(r2, rel=1e-9)
-    zeroU = [VelocityField(grid) for _ in range(tg.nt + 1)]
+    zeroU = np.zeros((tg.nt + 1, grid.ops.N))
     adj0 = solve_adjoint(AdjointProblem(prob, traj, zeroU))
     assert adjoint_energy_check(adj0, zeroU, prob.friction) == 0.0
 
@@ -174,11 +174,9 @@ def test_normal_kernel_consistent_with_field_formula(setup):
     """The exact-transpose kernel agrees with the direct discretization of
     the normal-component density at discretization order."""
     grid, tg, prob, traj = setup
-    U = []
-    for k in range(tg.nt + 1):
-        U.append(VelocityField.from_functions(
-            grid, lambda X, Y: np.sin(2 * np.pi * X) * np.cos(np.pi * Y),
-            lambda X, Y: np.cos(np.pi * X) * np.sin(2 * np.pi * Y)))
+    U = np.tile(VelocityField.from_functions(
+        grid, lambda X, Y: np.sin(2 * np.pi * X) * np.cos(np.pi * Y),
+        lambda X, Y: np.cos(np.pi * X) * np.sin(2 * np.pi * Y)).to_vec(), (tg.nt + 1, 1))
     adj = solve_adjoint(AdjointProblem(prob, traj, U))
     k = tg.nt // 2
     direct = continuum_normal_kernel(adj, traj, k)
@@ -226,8 +224,7 @@ def test_sweeps_bitwise_equal_for_cold_warm_and_fresh_slots(setup):
     def run(p):
         t = solve_state(p)
         adj = solve_adjoint(AdjointProblem(p, t, U))
-        return ([y.to_vec() for y in t.velocities] + [q.q for q in t.pressures]
-                + [adj.kernel_a, adj.kernel_b])
+        return [t.y, t.p, adj.kernel_a, adj.kernel_b]
 
     warm = run(prob)
     grid.ops._reference = None
@@ -245,9 +242,8 @@ def _sweep_outputs(p, U, d):
     """Every array the state, adjoint and tangent sweeps of p return."""
     t = solve_state(p)
     adj = solve_adjoint(AdjointProblem(p, t, U))
-    z, pis = solve_linearized(LinearizedProblem(p, t, d.a, d.b))
-    return ([y.to_vec() for y in t.velocities] + [q.q for q in t.pressures]
-            + [adj.kernel_a, adj.kernel_b] + [x.to_vec() for x in z] + [q.q for q in pis])
+    z, pi = solve_linearized(LinearizedProblem(p, t, d.a, d.b))
+    return [t.y, t.p, adj.kernel_a, adj.kernel_b, z, pi]
 
 
 def test_one_solver_per_sweep_matches_a_fresh_solver_per_step(setup, monkeypatch,

@@ -314,9 +314,9 @@ def test_null_data_solve(tmp_path):
     out = str(tmp_path / "null_out")
     assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
     from slipctl.state_solver import load_trajectory
-    from slipctl.fields import l2_norm
+    from slipctl.fields import face_l2
     traj = load_trajectory(os.path.join(out, "trajectory"))
-    assert max(l2_norm(y) for y in traj.velocities) == 0.0
+    assert max(face_l2(traj.grid, y) for y in traj.y) == 0.0
 
 
 def test_shear_oracle_config_is_steady(tmp_path):
@@ -324,10 +324,9 @@ def test_shear_oracle_config_is_steady(tmp_path):
     out = str(tmp_path / "shear_out")
     assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
     from slipctl.state_solver import load_trajectory
-    from slipctl.fields import l2_norm
+    from slipctl.fields import face_l2
     traj = load_trajectory(os.path.join(out, "trajectory"))
-    drift = max(l2_norm(traj.velocities[k] - traj.velocities[0])
-                for k in range(len(traj.velocities)))
+    drift = max(face_l2(traj.grid, traj.y[k] - traj.y[0]) for k in range(len(traj.y)))
     assert drift < 1e-9
 
 

@@ -32,8 +32,8 @@ def test_cost_examples(small):
     traj = solve_state(prob)
 
     # tracking a uniform unit target from the zero state: J = 1/2
-    target = [VelocityField(grid, np.ones(grid.shape_u), np.zeros(grid.shape_v))
-              for _ in range(tg1.nt + 1)]
+    target = np.tile(VelocityField(grid, np.ones(grid.shape_u),
+                                   np.zeros(grid.shape_v)).to_vec(), (tg1.nt + 1, 1))
     params = CostParams(y_d=target)
     assert evaluate_cost(zero_ctrl, traj, params) == pytest.approx(0.5, rel=1e-12)
 
@@ -43,7 +43,7 @@ def test_cost_examples(small):
     assert evaluate_cost(ctrl_b, traj, params2) == pytest.approx(4.0, rel=1e-12)
 
     # perfect tracking with zero controls costs nothing
-    params3 = CostParams(y_d=traj.velocities)
+    params3 = CostParams(y_d=traj.y)
     assert evaluate_cost(zero_ctrl, traj, params3) == 0.0
 
 
@@ -51,7 +51,7 @@ def test_gradient_vanishes_at_realizable_target(small):
     grid, tg = small
     ctrl = random_admissible_control(grid, tg, np.random.default_rng(0), amplitude=0.3)
     traj = solve_state(StateProblem(grid, tg, VelocityField(grid), ctrl, validate=False))
-    params = CostParams(y_d=traj.velocities, lam1=0.0, lam2=0.0)
+    params = CostParams(y_d=traj.y, lam1=0.0, lam2=0.0)
     grad = cost_gradient(ctrl, params, VelocityField(grid))
     assert grad.norm() < 1e-12
 
@@ -60,7 +60,7 @@ def test_penalty_only_gradient_exact(small):
     grid, tg = small
     ctrl = random_admissible_control(grid, tg, np.random.default_rng(1), amplitude=0.3)
     traj = solve_state(StateProblem(grid, tg, VelocityField(grid), ctrl, validate=False))
-    params = CostParams(y_d=traj.velocities, lam1=0.7, lam2=0.3)
+    params = CostParams(y_d=traj.y, lam1=0.7, lam2=0.3)
     grad = cost_gradient(ctrl, params, VelocityField(grid))
     wg = grid.boundary_weight
     exp_a = 0.7 * ctrl.a.copy()
@@ -76,8 +76,8 @@ def test_gradient_matches_fd(small):
     grid, tg = small
     rng = np.random.default_rng(2)
     ctrl = random_admissible_control(grid, tg, rng, amplitude=0.4)
-    target = [VelocityField(grid, 0.1 * np.ones(grid.shape_u), np.zeros(grid.shape_v))
-              for _ in range(tg.nt + 1)]
+    target = np.tile(VelocityField(grid, 0.1 * np.ones(grid.shape_u),
+                                   np.zeros(grid.shape_v)).to_vec(), (tg.nt + 1, 1))
     params = CostParams(y_d=target, lam1=0.05, lam2=0.02)
     engine = GradientEngine(VelocityField(grid), params)
     grad, _ = engine.gradient(ctrl)
@@ -170,7 +170,7 @@ def test_optimality_residual_zero_at_stationary_point(small):
     grid, tg = small
     ctrl = random_admissible_control(grid, tg, np.random.default_rng(6), amplitude=0.3)
     traj = solve_state(StateProblem(grid, tg, VelocityField(grid), ctrl, validate=False))
-    params = CostParams(y_d=traj.velocities)
+    params = CostParams(y_d=traj.y)
     res = optimality_residual(ctrl, params, VelocityField(grid), probe_count=4)
     assert res < 1e-10
     # a generic non-optimal point has positive residual
@@ -191,7 +191,7 @@ def test_optimize_already_stationary(small):
     grid, tg = small
     ctrl = random_admissible_control(grid, tg, np.random.default_rng(9), amplitude=0.3)
     traj = solve_state(StateProblem(grid, tg, VelocityField(grid), ctrl, validate=False))
-    params = CostParams(y_d=traj.velocities)
+    params = CostParams(y_d=traj.y)
     rep = optimize(VelocityField(grid), params, controls0=ctrl, tol=1e-8, max_iters=5)
     assert rep.status == "converged"
     assert len(rep.iterations) == 1
@@ -202,7 +202,7 @@ def test_optimize_small_recovery(small):
     y0 = VelocityField(grid)
     c_star = random_admissible_control(grid, tg, np.random.default_rng(10), amplitude=0.4)
     traj = solve_state(StateProblem(grid, tg, y0, c_star, validate=False))
-    params = CostParams(y_d=traj.velocities, radius=25.0)
+    params = CostParams(y_d=traj.y, radius=25.0)
     rep = optimize(y0, params, grid=grid, time_grid=tg, tol=0.0, max_iters=25, seed=3)
     Js = [it["J"] for it in rep.iterations]
     assert Js[-1] <= 1e-2 * Js[0]
@@ -219,7 +219,7 @@ def test_penalty_monotonicity(small):
     traj = solve_state(StateProblem(grid, tg, y0, c_star, validate=False))
 
     def solve_with(lam1):
-        params = CostParams(y_d=traj.velocities, lam1=lam1, radius=25.0)
+        params = CostParams(y_d=traj.y, lam1=lam1, radius=25.0)
         rep = optimize(y0, params, grid=grid, time_grid=tg, tol=1e-10, max_iters=20,
                        seed=3)
         a = rep.final_controls.a
@@ -236,8 +236,8 @@ def test_fd_error_curve_truncation_vs_roundoff(small):
     until round-off takes over: a V-shaped curve over the sweep."""
     grid, tg = small
     ctrl = random_admissible_control(grid, tg, np.random.default_rng(2), amplitude=0.4)
-    target = [VelocityField(grid, 0.1 * np.ones(grid.shape_u), np.zeros(grid.shape_v))
-              for _ in range(tg.nt + 1)]
+    target = np.tile(VelocityField(grid, 0.1 * np.ones(grid.shape_u),
+                                   np.zeros(grid.shape_v)).to_vec(), (tg.nt + 1, 1))
     params = CostParams(y_d=target, lam1=0.05, lam2=0.02)
     engine = GradientEngine(VelocityField(grid), params)
     grad, _ = engine.gradient(ctrl)
@@ -270,7 +270,7 @@ def test_remainder_monitor_logged(small):
     y0 = VelocityField(grid)
     c_star = random_admissible_control(grid, tg, np.random.default_rng(12), amplitude=0.3)
     traj = solve_state(StateProblem(grid, tg, y0, c_star, validate=False))
-    params = CostParams(y_d=traj.velocities, radius=25.0)
+    params = CostParams(y_d=traj.y, radius=25.0)
     rep = optimize(y0, params, grid=grid, time_grid=tg, tol=0.0, max_iters=5, seed=3)
     assert len(rep.remainder_log) >= 1
     assert all(np.isfinite(r) for r in rep.remainder_log)
@@ -281,7 +281,7 @@ def test_optimize_records_state_and_adjoint_time(small):
     y0 = VelocityField(grid)
     c_star = random_admissible_control(grid, tg, np.random.default_rng(12), amplitude=0.3)
     traj = solve_state(StateProblem(grid, tg, y0, c_star, validate=False))
-    params = CostParams(y_d=traj.velocities, radius=25.0)
+    params = CostParams(y_d=traj.y, radius=25.0)
     rep = optimize(y0, params, grid=grid, time_grid=tg, tol=0.0, max_iters=1, seed=3)
     assert len(rep.iterations) == 1
     assert rep.wall_clock["state"] > 0.0
@@ -298,8 +298,8 @@ from slipctl.mesh import TimeGrid, build_grid
 grid = build_grid(16, 16, 1.0, 1.0)
 tg = TimeGrid(0.5, 32)
 rng = np.random.default_rng(3)
-target = [VelocityField(grid, 0.1 * np.ones(grid.shape_u), np.zeros(grid.shape_v))
-          for _ in range(tg.nt + 1)]
+target = np.tile(VelocityField(grid, 0.1 * np.ones(grid.shape_u),
+                               np.zeros(grid.shape_v)).to_vec(), (tg.nt + 1, 1))
 engine = GradientEngine(VelocityField(grid), CostParams(y_d=target, lam1=0.05, lam2=0.02))
 peaks = []
 for _ in range(20):
@@ -329,8 +329,8 @@ from slipctl.mesh import TimeGrid, build_grid
 grid = build_grid(64, 64, 1.0, 1.0)
 tg = TimeGrid(0.5, 4)
 ctrl = random_admissible_control(grid, tg, np.random.default_rng(0), amplitude=0.4)
-target = [VelocityField(grid, 0.1 * np.ones(grid.shape_u), np.zeros(grid.shape_v))
-          for _ in range(tg.nt + 1)]
+target = np.tile(VelocityField(grid, 0.1 * np.ones(grid.shape_u),
+                               np.zeros(grid.shape_v)).to_vec(), (tg.nt + 1, 1))
 engine = GradientEngine(VelocityField(grid), CostParams(y_d=target, lam1=0.05, lam2=0.02))
 grad, _ = engine.gradient(ctrl)
 assert np.isfinite(grad.ga).all() and np.isfinite(grad.gb).all()

@@ -47,11 +47,6 @@ def test_boundary_s_is_increasing_and_closed():
     assert g.loop_length == pytest.approx(2 * (2.0 + 3.0))
 
 
-def test_corner_cells_flagged():
-    g = build_grid(6, 4, 1.0, 1.0)
-    assert (0, 0) in g.corner_cells and (5, 3) in g.corner_cells
-
-
 def test_reject_bad_arguments():
     with pytest.raises(ValueError):
         build_grid(3, 8, 1.0, 1.0)

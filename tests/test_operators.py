@@ -678,7 +678,7 @@ def test_steady_shear_sweep_refines_once_per_step(monkeypatch):
     is accepted after one reference solve per step, although the reference
     has no advection and every step is advected by the profile."""
     from slipctl.state_solver import StateProblem, solve_state
-    from slipctl.fields import l2_norm
+    from slipctl.fields import face_l2
     grid = build_grid(16, 16, 1.0, 1.0)
     tg = TimeGrid(0.5, 8)
     y0, ctrl, fric = shear_oracle(grid, tg)
@@ -687,7 +687,7 @@ def test_steady_shear_sweep_refines_once_per_step(monkeypatch):
     monkeypatch.setattr(ops, "reference_lu", lambda *args: ref)
     traj = solve_state(StateProblem(grid, tg, y0, ctrl, fric))
     assert ref.solves == tg.nt
-    assert max(l2_norm(y - y0) for y in traj.velocities) < 1e-9
+    assert max(face_l2(grid, y - y0.to_vec()) for y in traj.y) < 1e-9
 
 
 def test_guess_extrapolates_the_last_three_solutions():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from slipctl.fields import (BoundaryControl, FrictionField, VelocityField,
-                            divergence, hp_norm, l2_norm, normal_trace)
+from slipctl.fields import (BoundaryControl, FrictionField, StateTrajectory,
+                            VelocityField, divergence, face_l2, hp_norm, l2_norm,
+                            normal_trace, read_snapshot, save_velocity)
 from slipctl.mesh import TimeGrid, build_grid
 from slipctl.state_solver import (StateProblem, energy_bound_report,
                                   energy_identity_residual,
@@ -32,8 +33,8 @@ def random_problem(grid, tg, seed=0, amplitude=0.3):
 def test_null_data_gives_null_solution(grid, tg):
     prob = StateProblem(grid, tg, VelocityField(grid), BoundaryControl(grid, tg))
     traj = solve_state(prob)
-    assert max(l2_norm(y) for y in traj.velocities) == 0.0
-    assert max(abs(p.q).max() for p in traj.pressures) < 1e-12
+    assert max(face_l2(grid, y) for y in traj.y) == 0.0
+    assert max(abs(p).max() for p in traj.p) < 1e-12
 
 
 def test_single_step_zero(grid, stokes_slip_solve):
@@ -48,7 +49,7 @@ def test_shear_profile_is_fixed_point(grid, tg):
     prob = StateProblem(grid, tg, y0, ctrl, fric)
     traj = solve_state(prob)
     for k in range(tg.nt + 1):
-        assert l2_norm(traj.velocities[k] - y0) < 1e-9
+        assert face_l2(grid, traj.y[k] - y0.to_vec()) < 1e-9
 
 
 def test_single_shear_step_returns_profile(grid, stokes_slip_solve):
@@ -56,7 +57,7 @@ def test_single_shear_step_returns_profile(grid, stokes_slip_solve):
     y0, ctrl, fric = shear_oracle(grid, tg, c1=-0.2, c2=0.9, alpha_value=2.0)
     y1, p1 = stokes_slip_solve(grid, y0, y0, ctrl.a[1], ctrl.b[1],
                                fric.alpha[1], tg.dt)
-    assert l2_norm(y1 - y0) < 1e-10
+    assert face_l2(grid, y1.to_vec() - y0.to_vec()) < 1e-10
     assert abs(p1.q).max() < 1e-9
 
 
@@ -84,7 +85,7 @@ def test_divergence_and_normal_trace_every_slice(grid, tg):
     prob = random_problem(grid, tg, seed=3)
     traj = solve_state(prob)
     for k in range(tg.nt + 1):
-        y = traj.velocities[k]
+        y = VelocityField.from_vec(grid, traj.y[k])
         assert np.abs(divergence(y)).max() < 1e-9
         assert np.abs(normal_trace(y) - prob.controls.a[k]).max() < 1e-12
 
@@ -93,7 +94,7 @@ def test_global_mass_balance(grid, tg):
     prob = random_problem(grid, tg, seed=4)
     traj = solve_state(prob)
     for k in range(1, tg.nt + 1):
-        total_div = divergence(traj.velocities[k]).sum() * grid.cell_area
+        total_div = divergence(VelocityField.from_vec(grid, traj.y[k])).sum() * grid.cell_area
         flux = np.dot(grid.boundary_weight, prob.controls.a[k])
         assert abs(total_div) < 1e-10
         assert abs(flux) < 1e-10
@@ -104,9 +105,7 @@ def test_determinism_bit_identical(grid, tg):
     prob2 = random_problem(grid, tg, seed=5)
     t1 = solve_state(prob1)
     t2 = solve_state(prob2)
-    for k in range(tg.nt + 1):
-        assert np.array_equal(t1.velocities[k].u, t2.velocities[k].u)
-        assert np.array_equal(t1.velocities[k].v, t2.velocities[k].v)
+    assert np.array_equal(t1.y, t2.y) and np.array_equal(t1.p, t2.p)
     assert t1.config_hash == t2.config_hash
 
 
@@ -135,8 +134,7 @@ def test_lipschitz_ratio_stable(grid, tg):
         ctrl2.b = ctrl2.b + delta * d.b
         prob2 = StateProblem(grid, tg, prob.y0, ctrl2, prob.friction, validate=False)
         traj2 = solve_state(prob2)
-        dist = max(l2_norm(traj2.velocities[k] - traj.velocities[k])
-                   for k in range(tg.nt + 1))
+        dist = max(face_l2(grid, traj2.y[k] - traj.y[k]) for k in range(tg.nt + 1))
         ratios.append(dist / hp_norm(BoundaryControl(grid, tg, delta * d.a, delta * d.b)))
     assert max(ratios) <= 2.0 * min(ratios)
 
@@ -162,7 +160,7 @@ def test_inadmissible_controls_rejected(grid, tg):
 def test_sup_norm_monitor(grid, tg):
     prob = random_problem(grid, tg, seed=8)
     traj = solve_state(prob)
-    assert trajectory_sup_l2(traj) >= l2_norm(traj.velocities[-1])
+    assert trajectory_sup_l2(traj) >= face_l2(grid, traj.y[-1])
 
 
 def continuum_controls(grid, tg, amp=0.3):
@@ -186,10 +184,10 @@ def test_time_stepping_first_order():
         tg = TimeGrid(T, nt)
         ctrl = continuum_controls(grid, tg)
         prob = StateProblem(grid, tg, VelocityField(grid), ctrl, validate=False)
-        return solve_state(prob).velocities[-1]
+        return solve_state(prob).y[-1]
 
     ref = final_slice(128)
-    errs = [l2_norm(final_slice(nt) - ref) for nt in (8, 16, 32)]
+    errs = [face_l2(grid, final_slice(nt) - ref) for nt in (8, 16, 32)]
     assert errs[0] > errs[1] > errs[2]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert 0.7 <= min(orders)
@@ -205,7 +203,8 @@ def test_larger_grid_smoke():
     prob = StateProblem(grid, tg, VelocityField(grid), ctrl, validate=False)
     traj = solve_state(prob)
     assert energy_identity_residual(traj, prob).max() < 1e-8
-    assert max(np.abs(divergence(y)).max() for y in traj.velocities) < 1e-9
+    assert max(np.abs(divergence(VelocityField.from_vec(grid, y))).max()
+               for y in traj.y) < 1e-9
 
 
 def test_potential_flow_steady_oracle():
@@ -235,10 +234,10 @@ def test_potential_flow_steady_oracle():
                             FrictionField.constant(g, tgn, alpha))
         traj = solve_state(prob)
         # transient settled: consecutive slices nearly identical
-        assert l2_norm(traj.velocities[-1] - traj.velocities[-2]) < 1e-6
+        assert face_l2(g, traj.y[-1] - traj.y[-2]) < 1e-6
         exact = VelocityField.from_functions(g, lambda X, Y: 2 * X,
                                              lambda X, Y: -2 * Y)
-        errs.append(l2_norm(traj.velocities[-1] - exact))
+        errs.append(face_l2(g, traj.y[-1] - exact.to_vec()))
     assert errs[0] > errs[1] > errs[2]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.0
@@ -250,7 +249,30 @@ def test_trajectory_roundtrip(tmp_path, grid, tg):
     save_trajectory(tmp_path / "traj", traj)
     back = load_trajectory(tmp_path / "traj")
     assert back.config_hash == traj.config_hash
-    for k in range(tg.nt + 1):
-        assert np.array_equal(back.velocities[k].u, traj.velocities[k].u)
-    for k in range(tg.nt):
-        assert np.array_equal(back.pressures[k].q, traj.pressures[k].q)
+    assert back.y.shape == traj.y.shape and back.p.shape == traj.p.shape
+    assert back.y.tobytes() == traj.y.tobytes()
+    assert back.p.tobytes() == traj.p.tobytes()
+
+
+def test_trajectory_snapshot_is_the_velocity_snapshot(tmp_path, grid, tg):
+    """A y_####.snap written from the face vector is byte for byte the file
+    save_velocity writes for the same slice."""
+    traj = solve_state(random_problem(grid, tg, seed=10))
+    save_trajectory(tmp_path / "traj", traj)
+    times = tg.times()
+    for k in (0, 1, tg.nt):
+        save_velocity(tmp_path / "ref.snap", VelocityField.from_vec(grid, traj.y[k]), times[k])
+        written = (tmp_path / "traj" / ("y_%04d.snap" % k)).read_bytes()
+        assert written == (tmp_path / "ref.snap").read_bytes()
+    header, raw = read_snapshot(tmp_path / "traj" / ("p_%04d.snap" % tg.nt))
+    assert header["kind"] == "pressure" and raw.tobytes() == traj.p[-1].tobytes()
+
+
+def test_trajectory_rejects_wrong_shapes(grid, tg):
+    traj = solve_state(random_problem(grid, tg, seed=11))
+    StateTrajectory(grid, tg, traj.y, traj.p)
+    for y, p in ((traj.y[1:], traj.p), (traj.y[:, 1:], traj.p),
+                 (traj.y, traj.p[1:]), (traj.y, traj.p[:, 1:]),
+                 (traj.y, traj.p.reshape(tg.nt, grid.nx, grid.ny))):
+        with pytest.raises(ValueError, match="trajectory shapes"):
+            StateTrajectory(grid, tg, y, p)
