@@ -32,9 +32,6 @@ class VelocityField:
             raise ValueError("velocity component shapes %r, %r do not match grid %r"
                              % (self.u.shape, self.v.shape, grid))
 
-    def copy(self):
-        return VelocityField(self.grid, self.u.copy(), self.v.copy())
-
     def to_vec(self):
         return np.concatenate([self.u.ravel(), self.v.ravel()])
 
