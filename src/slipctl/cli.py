@@ -25,9 +25,8 @@ from .adjoint_solver import duality_residual
 from .control_opt import (CostParams, GradientEngine, fd_gradient_oracle,
                           optimize, random_admissible_control)
 from .errors import ConfigError, IncompatibleFlux, SlipctlError
-from .fields import (BoundaryControl, FrictionField, VelocityField, divergence,
-                     normal_trace, save_boundary_table, save_pressure,
-                     save_velocity)
+from .fields import (BoundaryControl, FrictionField, divergence, face_vector,
+                     sample_faces, save_boundary_table, write_snapshot)
 from .lifting import discrete_curl, solve_neumann_lifting
 from .linearized_solver import LinearizedProblem, solve_linearized
 from .mesh import WALL_NAMES, TimeGrid, build_grid, integrate_boundary
@@ -243,28 +242,27 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError("malformed target spec y_d = %s: %s" % (spec, exc))
         if kind == "uniform":
-            fld = VelocityField(g, c1 * np.ones(g.shape_u), c2 * np.ones(g.shape_v))
+            y = face_vector(g, c1 * np.ones(g.shape_u), c2 * np.ones(g.shape_v))
         else:
             k, amp = c1, c2
             X, Y = g.vertex_points()
             psi = amp * np.sin(np.pi * k * X / g.Lx) * np.sin(np.pi * k * Y / g.Ly)
             u = (psi[:, 1:] - psi[:, :-1]) / g.hy
             v = -(psi[1:, :] - psi[:-1, :]) / g.hx
-            fld = VelocityField(g, u, v)
-        return np.tile(fld.to_vec(), (tg.nt + 1, 1))
+            y = face_vector(g, u, v)
+        return np.tile(y, (tg.nt + 1, 1))
 
     def initial_state(self):
         spec = self.initial_spec
         if spec == "zero":
-            return VelocityField(self.grid)
+            return np.zeros(self.grid.ops.N)
         if spec.startswith("shear:"):
             try:
                 c1, c2 = (float(v) for v in spec[6:].split(":"))
             except ValueError as exc:
                 raise ConfigError("malformed initial state %r: %s" % (spec, exc))
-            return VelocityField.from_functions(self.grid,
-                                                lambda X, Y: c1 + c2 * Y,
-                                                lambda X, Y: 0.0 * X)
+            return sample_faces(self.grid, lambda X, Y: c1 + c2 * Y,
+                                lambda X, Y: 0.0 * X)
         raise ConfigError("unknown initial state %r" % spec)
 
     def state_problem(self):
@@ -331,7 +329,7 @@ def cmd_optimize(rc: RunConfig):
     friction = rc.friction()
     ctrl0 = rc.controls()
     y0 = rc.initial_state()
-    if np.abs(normal_trace(y0) - ctrl0.a[0]).max() > 1e-9:
+    if np.abs(rc.grid.ops.Tn @ y0 - ctrl0.a[0]).max() > 1e-9:
         raise ConfigError("initial controls are incompatible with the "
                           "initial state's normal trace at t = 0")
     _prepare_out(rc)
@@ -426,15 +424,15 @@ def cmd_verify(rc: RunConfig):
 
 def cmd_lift(rc: RunConfig):
     a_final = rc.controls().a[-1]
-    res = solve_neumann_lifting(rc.grid, a_final)
+    h, grad = solve_neumann_lifting(rc.grid, a_final)
     _prepare_out(rc)
-    save_pressure(os.path.join(rc.out_dir, "potential.snap"), res.h, rc.T)
-    save_velocity(os.path.join(rc.out_dir, "lifting.snap"), res.grad, rc.T)
+    write_snapshot(os.path.join(rc.out_dir, "potential.snap"), "pressure", rc.grid, rc.T, [h])
+    write_snapshot(os.path.join(rc.out_dir, "lifting.snap"), "velocity", rc.grid, rc.T, [grad])
     _write_json(os.path.join(rc.out_dir, "lift.json"), {
         "config_hash": rc.config_hash(),
         "flux": float(integrate_boundary(rc.grid, a_final)),
-        "max_divergence": float(np.abs(divergence(res.grad)).max()),
-        "max_curl": float(np.abs(discrete_curl(res.grad)).max())})
+        "max_divergence": float(np.abs(divergence(rc.grid, grad)).max()),
+        "max_curl": float(np.abs(discrete_curl(rc.grid, grad)).max())})
     log.info("lifting solve complete")
     return EXIT_OK
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from .adjoint_solver import AdjointProblem, solve_adjoint
-from .fields import BoundaryControl, VelocityField, hp_norm
+from .fields import BoundaryControl, hp_norm
 from .state_solver import StateProblem, solve_state
 
 
@@ -81,7 +81,7 @@ class GradientEngine:
     engine.
     """
 
-    def __init__(self, y0: VelocityField, params: CostParams, friction=None, nu=1.0):
+    def __init__(self, y0, params: CostParams, friction=None, nu=1.0):
         self.y0 = y0
         self.params = params
         self.friction = friction
@@ -131,7 +131,7 @@ class GradientEngine:
         return entry["gradient"], entry
 
 
-def cost_gradient(controls: BoundaryControl, params: CostParams, y0: VelocityField,
+def cost_gradient(controls: BoundaryControl, params: CostParams, y0,
                   friction=None, nu=1.0, engine=None):
     """Adjoint gradient of the cost at the given controls."""
     engine = engine or GradientEngine(y0, params, friction, nu)
@@ -180,24 +180,23 @@ def project_admissible(controls: BoundaryControl) -> BoundaryControl:
 
 
 def random_admissible_control(grid, time_grid, rng, p_exponent=4.0, radius=1e6,
-                              kmax=3, amplitude=1.0, zero_initial_a=True):
-    """Band-limited random control pair, zero-mean a, inside the ball."""
+                              amplitude=1.0):
+    """Band-limited random control pair, zero-mean a with a(0) = 0, inside the ball."""
     s = grid.boundary_s / grid.loop_length
     t = time_grid.times()[:, None] / time_grid.T
     a = np.zeros((time_grid.nt + 1, grid.n_boundary))
     b = np.zeros_like(a)
-    for k in range(1, kmax + 1):
+    for k in (1, 2, 3):
         ck = 1.0 / k
         a += ck * (rng.normal() * np.sin(2 * np.pi * k * s)[None, :]
                    + rng.normal() * np.cos(2 * np.pi * k * s)[None, :]) \
-            * (t * np.cos(0.5 * np.pi * k * t) if zero_initial_a else np.cos(np.pi * k * t))
+            * (t * np.cos(0.5 * np.pi * k * t))
         b += ck * (rng.normal() * np.sin(2 * np.pi * k * s)[None, :]
                    + rng.normal() * np.cos(2 * np.pi * k * s)[None, :]) * np.sin(np.pi * k * t + k)
     a *= amplitude
     b *= amplitude
     a -= (a @ grid.boundary_weight)[:, None] / grid.loop_length
-    if zero_initial_a:
-        a[0] = 0.0
+    a[0] = 0.0
     ctrl = BoundaryControl(grid, time_grid, a, b, p_exponent, radius)
     return project_admissible(ctrl)
 
@@ -240,12 +239,6 @@ def optimality_parts(controls, grad: ControlGradient, probe_count=8, seed=1234):
     return {"step_norm": float(step_norm), "worst_probe": float(worst),
             "violation": float(violation),
             "residual": float(max(step_norm, violation))}
-
-
-def optimality_residual(controls, params, y0, friction=None, nu=1.0,
-                        probe_count=8, seed=1234, engine=None):
-    grad = cost_gradient(controls, params, y0, friction, nu, engine)
-    return optimality_parts(controls, grad, probe_count, seed)["residual"]
 
 
 class OptimizationReport:

@@ -1,9 +1,11 @@
-"""Discrete fields, norms and traces on the staggered grid.
+"""Discrete fields, norms and snapshots on the staggered grid.
 
-Velocity components sit at face midpoints (u on vertical faces, v on
-horizontal faces), pressures at cell centers, boundary scalars at wall-edge
-midpoints in loop order.  All quadratures here are the same ones used
-inside the solvers, so energy identities close to round-off.
+A velocity is one face vector: u on the vertical faces then v on the
+horizontal faces, each row-major, length ops.N.  A pressure is one cell
+vector (row-major, length ncell), and boundary scalars sit at wall-edge
+midpoints in loop order.  This module alone knows the u/v layout
+(face_vector, sample_faces, components).  All quadratures here are the same
+ones used inside the solvers, so energy identities close to round-off.
 """
 
 import json
@@ -21,43 +23,26 @@ DEFAULT_ALPHA_MIN = 1e-3
 _GAGLIARDO_BLOCK = 4096
 
 
-class VelocityField:
-    """Staggered velocity: u of shape (nx+1, ny), v of shape (nx, ny+1)."""
-
-    def __init__(self, grid, u=None, v=None):
-        self.grid = grid
-        self.u = np.zeros(grid.shape_u) if u is None else np.asarray(u, dtype=float)
-        self.v = np.zeros(grid.shape_v) if v is None else np.asarray(v, dtype=float)
-        if self.u.shape != grid.shape_u or self.v.shape != grid.shape_v:
-            raise ValueError("velocity component shapes %r, %r do not match grid %r"
-                             % (self.u.shape, self.v.shape, grid))
-
-    def to_vec(self):
-        return np.concatenate([self.u.ravel(), self.v.ravel()])
-
-    @classmethod
-    def from_vec(cls, grid, vec):
-        nu = (grid.nx + 1) * grid.ny
-        u = vec[:nu].reshape(grid.shape_u)
-        v = vec[nu:].reshape(grid.shape_v)
-        return cls(grid, u.copy(), v.copy())
-
-    @classmethod
-    def from_functions(cls, grid, fu, fv):
-        """Sample callables fu(x, y), fv(x, y) at the staggered points."""
-        xu, yu = grid.u_points()
-        xv, yv = grid.v_points()
-        return cls(grid, fu(xu, yu), fv(xv, yv))
+def face_vector(grid, u, v):
+    """Face vector (u then v, row-major) of components u of shape (nx+1, ny)
+    and v of shape (nx, ny+1)."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.shape != grid.shape_u or v.shape != grid.shape_v:
+        raise ValueError("velocity component shapes %r, %r do not match grid %r"
+                         % (u.shape, v.shape, grid))
+    return np.concatenate([u.ravel(), v.ravel()])
 
 
-class PressureField:
-    """Cell-centered scalar q of shape (nx, ny)."""
+def sample_faces(grid, fu, fv):
+    """Face vector of callables fu(x, y), fv(x, y) sampled at the staggered points."""
+    return face_vector(grid, fu(*grid.u_points()), fv(*grid.v_points()))
 
-    def __init__(self, grid, q=None):
-        self.grid = grid
-        self.q = np.zeros(grid.shape_p) if q is None else np.asarray(q, dtype=float)
-        if self.q.shape != grid.shape_p:
-            raise ValueError("pressure shape %r does not match grid" % (self.q.shape,))
+
+def components(grid, y):
+    """Views u of shape (nx+1, ny) and v of shape (nx, ny+1) of a face vector."""
+    nu = (grid.nx + 1) * grid.ny
+    return y[:nu].reshape(grid.shape_u), y[nu:].reshape(grid.shape_v)
 
 
 class BoundaryControl:
@@ -90,10 +75,10 @@ class BoundaryControl:
         """Net boundary flux of a per time slice (all must vanish)."""
         return self.a @ self.grid.boundary_weight
 
-    def check_flux(self, tol=1e-10):
+    def check_flux(self):
         res = np.abs(self.flux_residuals()).max()
         scale = max(1.0, np.abs(self.a).max())
-        if res > tol * scale:
+        if res > 1e-10 * scale:
             raise IncompatibleFlux(
                 "normal control violates the zero net flux condition: max |flux| = %.3e" % res)
 
@@ -141,13 +126,13 @@ class StateTrajectory:
 
 
 # ---------------------------------------------------------------------------
-# differential operators and traces
+# differential operators and norms
 
 
-def divergence(y: VelocityField):
+def divergence(grid, y):
     """MAC cell divergence (u_{i+1,j}-u_{i,j})/hx + (v_{i,j+1}-v_{i,j})/hy."""
-    g = y.grid
-    return (y.u[1:, :] - y.u[:-1, :]) / g.hx + (y.v[:, 1:] - y.v[:, :-1]) / g.hy
+    u, v = components(grid, y)
+    return (u[1:, :] - u[:-1, :]) / grid.hx + (v[:, 1:] - v[:, :-1]) / grid.hy
 
 
 def face_l2(grid, vec):
@@ -155,59 +140,27 @@ def face_l2(grid, vec):
     return float(np.sqrt(np.dot(grid.ops.Wvec, vec * vec)))
 
 
-def l2_norm(field, grid=None):
-    """Quadrature-weighted L2 norm of a velocity, pressure or boundary field."""
-    if isinstance(field, VelocityField):
-        return face_l2(field.grid, field.to_vec())
-    if isinstance(field, PressureField):
-        return float(np.sqrt((field.q ** 2).sum() * field.grid.cell_area))
-    # boundary scalar as plain array
-    f = np.asarray(field, dtype=float)
-    if grid is None:
-        raise ValueError("boundary scalars need an explicit grid")
-    return float(np.sqrt(np.dot(grid.boundary_weight, f * f)))
-
-
-def h1_seminorm(y: VelocityField):
+def h1_seminorm(grid, y):
     """Discrete ||grad y||_{L2} with the staggered gradient samples."""
-    ops = y.grid.ops
-    vec = y.to_vec()
-    acc = np.dot(ops.w_cell, (ops.Gxu_cell @ vec) ** 2)
-    acc += np.dot(ops.w_cell, (ops.Gyv_cell @ vec) ** 2)
-    acc += np.dot(ops.w_vert, (ops.Gyu_vert @ vec) ** 2)
-    acc += np.dot(ops.w_vert, (ops.Gxv_vert @ vec) ** 2)
+    ops = grid.ops
+    acc = np.dot(ops.w_cell, (ops.Gxu_cell @ y) ** 2)
+    acc += np.dot(ops.w_cell, (ops.Gyv_cell @ y) ** 2)
+    acc += np.dot(ops.w_vert, (ops.Gyu_vert @ y) ** 2)
+    acc += np.dot(ops.w_vert, (ops.Gxv_vert @ y) ** 2)
     return float(np.sqrt(acc))
 
 
-def strain_l2(y: VelocityField):
+def strain_l2(grid, y):
     """||D(y)||_{L2}: Frobenius norm of the strain with vertex quadrature."""
-    ops = y.grid.ops
-    vec = y.to_vec()
-    return float(np.sqrt(0.5 * np.dot(vec, ops.A_strain @ vec)))
+    return float(np.sqrt(0.5 * np.dot(y, grid.ops.A_strain @ y)))
 
 
-def tangential_trace(y: VelocityField):
-    """Wall-parallel velocity dotted with tau at the boundary nodes.
-
-    Linear extrapolation of the parallel component onto the wall, averaged
-    onto the edge midpoints; exact for profiles linear in the wall-normal
-    coordinate.
-    """
-    return y.grid.ops.Ttau @ y.to_vec()
-
-
-def normal_trace(y: VelocityField):
-    """y·n at the boundary nodes (reads the wall face unknowns directly)."""
-    return y.grid.ops.Tn @ y.to_vec()
-
-
-def spatial_mean(y: VelocityField):
+def spatial_mean(grid, y):
     """Component-wise interior integral of the velocity."""
-    ops = y.grid.ops
-    nu = (y.grid.nx + 1) * y.grid.ny
-    vec = y.to_vec()
-    wu = np.dot(ops.Wvec[:nu], vec[:nu])
-    wv = np.dot(ops.Wvec[nu:], vec[nu:])
+    ops = grid.ops
+    nu = (grid.nx + 1) * grid.ny
+    wu = np.dot(ops.Wvec[:nu], y[:nu])
+    wv = np.dot(ops.Wvec[nu:], y[nu:])
     return np.array([wu, wv])
 
 
@@ -292,24 +245,6 @@ def read_payload(path, grid: Grid):
     if (header["nx"], header["ny"]) != (grid.nx, grid.ny):
         raise ValueError("snapshot grid %r does not match" % ((header["nx"], header["ny"]),))
     return raw, header["t"]
-
-
-def save_velocity(path, y: VelocityField, t=0.0):
-    write_snapshot(path, "velocity", y.grid, t, [y.u, y.v])
-
-
-def load_velocity(path, grid: Grid):
-    raw, t = read_payload(path, grid)
-    return VelocityField.from_vec(grid, raw), t
-
-
-def save_pressure(path, p: PressureField, t=0.0):
-    write_snapshot(path, "pressure", p.grid, t, [p.q])
-
-
-def load_pressure(path, grid: Grid):
-    raw, t = read_payload(path, grid)
-    return PressureField(grid, raw.reshape(grid.shape_p).copy()), t
 
 
 def save_boundary_table(path, column, times, s, values):

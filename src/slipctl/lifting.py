@@ -13,19 +13,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import IncompatibleFlux, SolverDivergence
-from .fields import PressureField, VelocityField
+from .fields import components
 from .mesh import integrate_boundary
 
 FLUX_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
-
-
-class LiftingResult:
-    """Mean-zero potential h and its staggered gradient."""
-
-    def __init__(self, h: PressureField, grad: VelocityField):
-        self.h = h
-        self.grad = grad
 
 
 class _NeumannSolver:
@@ -62,9 +54,7 @@ class _NeumannSolver:
             raise SolverDivergence("Neumann solve residual %.3e above tolerance" % res)
         h = np.concatenate([[0.0], sol])
         h -= h.mean()
-        grad_vec = self.Gint @ h + bc
-        return (PressureField(grid, h.reshape(grid.shape_p)),
-                VelocityField.from_vec(grid, grad_vec))
+        return h, self.Gint @ h + bc
 
 
 def _solver_for(grid):
@@ -73,19 +63,19 @@ def _solver_for(grid):
     return grid._neumann_solver
 
 
-def solve_neumann_lifting(grid, a_nodes) -> LiftingResult:
+def solve_neumann_lifting(grid, a_nodes):
     """Lift normal data a into a curl-free, divergence-free velocity field.
 
-    The returned gradient has normal trace exactly equal to a on every wall
-    face; the interior faces carry the potential differences.
+    Returns the mean-zero potential h (cell vector) and its staggered
+    gradient (face vector), whose normal trace equals a exactly on every
+    wall face; the interior faces carry the potential differences.
     """
-    h, grad = _solver_for(grid).solve(grid, np.asarray(a_nodes, dtype=float))
-    return LiftingResult(h, grad)
+    return _solver_for(grid).solve(grid, np.asarray(a_nodes, dtype=float))
 
 
-def discrete_curl(y: VelocityField):
+def discrete_curl(grid, y):
     """Vorticity samples at interior vertices: dv/dx - du/dy."""
-    g = y.grid
-    dvdx = (y.v[1:, 1:-1] - y.v[:-1, 1:-1]) / g.hx
-    dudy = (y.u[1:-1, 1:] - y.u[1:-1, :-1]) / g.hy
+    u, v = components(grid, y)
+    dvdx = (v[1:, 1:-1] - v[:-1, 1:-1]) / grid.hx
+    dudy = (u[1:-1, 1:] - u[1:-1, :-1]) / grid.hy
     return dvdx - dudy

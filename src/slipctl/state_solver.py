@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import SolverDivergence
 from .fields import (BoundaryControl, FrictionField, StateTrajectory,
-                     VelocityField, divergence, face_l2, hp_norm, l2_norm,
-                     normal_trace)
+                     divergence, face_l2, hp_norm)
 from .operators import StepSolver
 
 DIV_TOL = 1e-10
@@ -24,7 +23,7 @@ DIV_TOL = 1e-10
 class StateProblem:
     """Data of one forward solve: grid, time grid, initial state, controls."""
 
-    def __init__(self, grid, time_grid, y0: VelocityField, controls: BoundaryControl,
+    def __init__(self, grid, time_grid, y0, controls: BoundaryControl,
                  friction: FrictionField = None, nu=1.0, validate=True):
         self.grid = grid
         self.time_grid = time_grid
@@ -36,12 +35,11 @@ class StateProblem:
             self.validate()
 
     def validate(self):
-        scale = max(1.0, float(np.abs(self.y0.u).max()), float(np.abs(self.y0.v).max()))
-        div0 = np.abs(divergence(self.y0)).max()
+        scale = max(1.0, float(np.abs(self.y0).max()))
+        div0 = np.abs(divergence(self.grid, self.y0)).max()
         if div0 > DIV_TOL * scale:
             raise ValueError("initial velocity is not divergence-free: %.3e" % div0)
-        tr = normal_trace(self.y0)
-        mism = np.abs(tr - self.controls.a[0]).max()
+        mism = np.abs(self.grid.ops.Tn @ self.y0 - self.controls.a[0]).max()
         if mism > 1e-9 * scale:
             raise ValueError("initial normal trace does not match a(0): %.3e" % mism)
         self.controls.check_flux()
@@ -69,7 +67,7 @@ class StateProblem:
         h = hashlib.sha256()
         h.update(repr(self.grid.key()).encode())
         h.update(repr((self.time_grid.T, self.time_grid.nt, self.nu)).encode())
-        for arr in (self.y0.u, self.y0.v, self.controls.a, self.controls.b,
+        for arr in (self.y0, self.controls.a, self.controls.b,
                     self.friction.alpha):
             h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()[:16]
@@ -82,7 +80,7 @@ def solve_state(problem: StateProblem) -> StateTrajectory:
     ctrl, fric = problem.controls, problem.friction
     y = np.empty((tg.nt + 1, ops.N))
     p = np.empty((tg.nt, ops.ncell))
-    y[0] = problem.y0.to_vec()
+    y[0] = problem.y0
     solver = problem.step_solver("state")
     solver.seed(y[0])
     for k in range(1, tg.nt + 1):
@@ -176,7 +174,7 @@ def energy_bound_report(problem: StateProblem, trajectory: StateTrajectory):
         fric += dt * np.dot(ops.w_gamma * problem.friction.alpha[k], (ops.Ttau @ yv) ** 2)
     lhs = sup_sq + diss + fric
     hp = hp_norm(problem.controls)
-    rhs_base = l2_norm(problem.y0) ** 2 + hp ** 2 + 1.0
+    rhs_base = face_l2(g, problem.y0) ** 2 + hp ** 2 + 1.0
     return {"lhs": lhs, "data": rhs_base, "hp": hp}
 
 

@@ -14,9 +14,9 @@ import numpy as np
 
 from .adjoint_solver import (AdjointProblem, adjoint_energy_check,
                              duality_residual, solve_adjoint)
-from .fields import (BoundaryControl, FrictionField, VelocityField, divergence,
-                     face_l2, h1_seminorm, hp_norm, l2_norm, normal_trace,
-                     spatial_mean, strain_l2, tangential_trace)
+from .fields import (BoundaryControl, FrictionField, components, divergence,
+                     face_l2, face_vector, h1_seminorm, hp_norm, spatial_mean,
+                     strain_l2)
 from .linearized_solver import LinearizedProblem, gateaux_discrepancy, solve_linearized
 from .mesh import TimeGrid, build_grid
 from .state_solver import (StateProblem, energy_bound_report,
@@ -24,6 +24,11 @@ from .state_solver import (StateProblem, energy_bound_report,
 from .control_opt import balanced_direction, random_admissible_control
 
 ZERO_LHS_TOL = 1e-12
+# a check passes when its largest ratio stays within this factor of the median
+STABILITY_FACTOR = 5.0
+MEAN_ZERO_TOL = 1e-10
+# highest wavenumber per direction of the random velocity samples
+SAMPLE_KMAX = 3
 
 
 class InequalityReport:
@@ -57,16 +62,16 @@ class InequalityReport:
 # sample generators
 
 
-def random_h1_field(grid, rng, kmax=3, amplitude=1.0):
-    """Band-limited velocity sample; no boundary or divergence constraint."""
+def random_h1_field(grid, rng):
+    """Band-limited face vector; no boundary or divergence constraint."""
     def component(pts):
         X, Y = pts
         out = np.zeros_like(X)
-        for kx in range(kmax + 1):
-            for ky in range(kmax + 1):
+        for kx in range(SAMPLE_KMAX + 1):
+            for ky in range(SAMPLE_KMAX + 1):
                 if kx == ky == 0:
                     continue
-                c = amplitude / (1.0 + kx * kx + ky * ky)
+                c = 1.0 / (1.0 + kx * kx + ky * ky)
                 out += c * rng.normal() * np.cos(2 * np.pi * (kx * X / grid.Lx)) \
                     * np.cos(2 * np.pi * (ky * Y / grid.Ly))
                 out += c * rng.normal() * np.sin(2 * np.pi * (kx * X / grid.Lx)) \
@@ -74,120 +79,118 @@ def random_h1_field(grid, rng, kmax=3, amplitude=1.0):
         return out
     u = component(grid.u_points())
     v = component(grid.v_points())
-    return VelocityField(grid, u, v)
+    return face_vector(grid, u, v)
 
 
-def random_solenoidal_field(grid, rng, kmax=3, amplitude=1.0):
-    """Exactly divergence-free sample with zero wall flux (stream function)."""
+def random_solenoidal_field(grid, rng):
+    """Exactly divergence-free face vector with zero wall flux (stream function)."""
     X, Y = grid.vertex_points()
     psi = np.zeros_like(X)
-    for kx in range(1, kmax + 1):
-        for ky in range(1, kmax + 1):
-            c = amplitude / (kx * kx + ky * ky)
+    for kx in range(1, SAMPLE_KMAX + 1):
+        for ky in range(1, SAMPLE_KMAX + 1):
+            c = 1.0 / (kx * kx + ky * ky)
             psi += c * rng.normal() * np.sin(np.pi * kx * X / grid.Lx) \
                 * np.sin(np.pi * ky * Y / grid.Ly)
     u = (psi[:, 1:] - psi[:, :-1]) / grid.hy
     v = -(psi[1:, :] - psi[:-1, :]) / grid.hx
-    return VelocityField(grid, u, v)
+    return face_vector(grid, u, v)
 
 
-def _cell_speed_norm(y, q):
+def _cell_speed_norm(grid, y, q):
     """L_q norm of |y| with cell-centered component averages."""
-    g = y.grid
-    uc = 0.5 * (y.u[1:, :] + y.u[:-1, :])
-    vc = 0.5 * (y.v[:, 1:] + y.v[:, :-1])
+    u, v = components(grid, y)
+    uc = 0.5 * (u[1:, :] + u[:-1, :])
+    vc = 0.5 * (v[:, 1:] + v[:, :-1])
     speed = np.sqrt(uc * uc + vc * vc)
-    return float((np.sum(speed ** q) * g.cell_area) ** (1.0 / q))
+    return float((np.sum(speed ** q) * grid.cell_area) ** (1.0 / q))
 
 
-def _subtract_mean(y):
-    g = y.grid
-    mean = spatial_mean(y) / (g.Lx * g.Ly)
-    return VelocityField(g, y.u - mean[0], y.v - mean[1]), mean
+def _subtract_mean(grid, y):
+    mean = spatial_mean(grid, y) / (grid.Lx * grid.Ly)
+    u, v = components(grid, y)
+    return face_vector(grid, u - mean[0], v - mean[1])
 
 
 # ---------------------------------------------------------------------------
 # inequality checks
 
 
-def check_gns(samples, q=4, stability_factor=5.0, config_hash=""):
+def check_gns(grid, samples, q=4, config_hash=""):
     """Interpolation inequality: ||v - mean||_Lq vs ||v||^(2/q) ||grad v||^(1-2/q)."""
     if q < 2:
         raise ValueError("exponent q must be at least 2")
     ratios, trivial = [], 0
     for y in samples:
-        centered, _ = _subtract_mean(y)
-        lhs = _cell_speed_norm(centered, q)
-        scale = max(1.0, l2_norm(y))
+        lhs = _cell_speed_norm(grid, _subtract_mean(grid, y), q)
+        scale = max(1.0, face_l2(grid, y))
         if lhs <= ZERO_LHS_TOL * scale:
             trivial += 1
             continue
-        rhs = l2_norm(y) ** (2.0 / q) * h1_seminorm(y) ** (1.0 - 2.0 / q)
+        rhs = face_l2(grid, y) ** (2.0 / q) * h1_seminorm(grid, y) ** (1.0 - 2.0 / q)
         ratios.append(lhs / rhs)
-    passed = _stable(ratios, stability_factor)
-    return InequalityReport("gns_q%d" % q, ratios, trivial, stability_factor,
+    passed = _stable(ratios)
+    return InequalityReport("gns_q%d" % q, ratios, trivial, STABILITY_FACTOR,
                             passed, config_hash)
 
 
-def check_trace(samples, stability_factor=5.0, config_hash=""):
+def check_trace(grid, samples, config_hash=""):
     """Trace interpolation: boundary L2 of v - mean vs ||v||^1/2 ||grad v||^1/2."""
     ratios, trivial = [], 0
     for y in samples:
-        g = y.grid
-        centered, _ = _subtract_mean(y)
-        tn = normal_trace(centered)
-        tt = tangential_trace(centered)
-        lhs = float(np.sqrt(np.dot(g.boundary_weight, tn * tn + tt * tt)))
-        scale = max(1.0, l2_norm(y))
+        centered = _subtract_mean(grid, y)
+        tn = grid.ops.Tn @ centered
+        tt = grid.ops.Ttau @ centered
+        lhs = float(np.sqrt(np.dot(grid.boundary_weight, tn * tn + tt * tt)))
+        scale = max(1.0, face_l2(grid, y))
         if lhs <= ZERO_LHS_TOL * scale:
             trivial += 1
             continue
-        rhs = np.sqrt(l2_norm(y) * h1_seminorm(y))
+        rhs = np.sqrt(face_l2(grid, y) * h1_seminorm(grid, y))
         ratios.append(lhs / rhs)
-    passed = _stable(ratios, stability_factor)
-    return InequalityReport("trace", ratios, trivial, stability_factor,
+    passed = _stable(ratios)
+    return InequalityReport("trace", ratios, trivial, STABILITY_FACTOR,
                             passed, config_hash)
 
 
-def check_korn(samples, stability_factor=5.0, config_hash=""):
+def check_korn(grid, samples, config_hash=""):
     """Full H1 norm against the strain norm on the discrete slip space."""
     ratios, trivial = [], 0
     for y in samples:
-        dv = np.abs(divergence(y)).max()
-        vn = np.abs(normal_trace(y)).max()
-        scale = max(1.0, np.abs(y.u).max(), np.abs(y.v).max())
+        dv = np.abs(divergence(grid, y)).max()
+        vn = np.abs(grid.ops.Tn @ y).max()
+        scale = max(1.0, np.abs(y).max())
         if dv > 1e-9 * scale or vn > 1e-9 * scale:
             raise ValueError("Korn sample is not divergence-free with zero wall flux")
-        lhs = np.sqrt(l2_norm(y) ** 2 + h1_seminorm(y) ** 2)
+        lhs = np.sqrt(face_l2(grid, y) ** 2 + h1_seminorm(grid, y) ** 2)
         if lhs <= ZERO_LHS_TOL:
             trivial += 1
             continue
-        ratios.append(lhs / strain_l2(y))
-    passed = _stable(ratios, stability_factor)
-    return InequalityReport("korn", ratios, trivial, stability_factor,
+        ratios.append(lhs / strain_l2(grid, y))
+    passed = _stable(ratios)
+    return InequalityReport("korn", ratios, trivial, STABILITY_FACTOR,
                             passed, config_hash)
 
 
-def check_mean_zero(samples, tol=1e-10, config_hash=""):
+def check_mean_zero(grid, samples, config_hash=""):
     """Velocity mean of discretely solenoidal zero-flux fields vanishes."""
     residuals, trivial = [], 0
     for y in samples:
-        m = spatial_mean(y)
-        scale = max(1.0, l2_norm(y))
+        m = spatial_mean(grid, y)
+        scale = max(1.0, face_l2(grid, y))
         residuals.append(float(np.abs(m).max() / scale))
-    passed = all(r <= tol for r in residuals)
-    return InequalityReport("mean_zero", residuals, trivial, tol, passed,
-                            config_hash, details={"tolerance": tol})
+    passed = all(r <= MEAN_ZERO_TOL for r in residuals)
+    return InequalityReport("mean_zero", residuals, trivial, MEAN_ZERO_TOL, passed,
+                            config_hash, details={"tolerance": MEAN_ZERO_TOL})
 
 
-def _stable(ratios, factor):
+def _stable(ratios):
     if not ratios:
         return True
     arr = np.asarray(ratios)
     if not np.all(np.isfinite(arr)):
         return False
     med = np.median(arr)
-    return bool(arr.max() <= factor * max(med, 1e-300))
+    return bool(arr.max() <= STABILITY_FACTOR * max(med, 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +199,7 @@ def _stable(ratios, factor):
 
 def _suite_problem(grid, tg, rng, amplitude=0.3):
     ctrl = random_admissible_control(grid, tg, rng, amplitude=amplitude)
-    return StateProblem(grid, tg, VelocityField(grid), ctrl,
+    return StateProblem(grid, tg, np.zeros(grid.ops.N), ctrl,
                         FrictionField.constant(grid, tg), validate=False)
 
 
@@ -263,10 +266,10 @@ def run_estimate_suite(config):
 
     h1_samples = [random_h1_field(grid, rng) for _ in range(nfield)]
     sol_samples = [random_solenoidal_field(grid, rng) for _ in range(nfield)]
-    reports = [check_gns(h1_samples, q=q, config_hash=chash) for q in (3, 4, 6)]
-    reports += [check_trace(h1_samples, config_hash=chash),
-                check_korn(sol_samples, config_hash=chash),
-                check_mean_zero(sol_samples, config_hash=chash)]
+    reports = [check_gns(grid, h1_samples, q=q, config_hash=chash) for q in (3, 4, 6)]
+    reports += [check_trace(grid, h1_samples, config_hash=chash),
+                check_korn(grid, sol_samples, config_hash=chash),
+                check_mean_zero(grid, sol_samples, config_hash=chash)]
 
     def state_energy_bound():
         """Energy bound shape under control scaling."""
@@ -325,7 +328,7 @@ def run_estimate_suite(config):
         return ratios, np.all(np.isfinite(ratios)) and max(ratios) <= 3.0 * min(ratios), None
 
     def random_source():
-        return np.array([random_h1_field(grid, rng).to_vec() for _ in range(tg.nt + 1)])
+        return np.array([random_h1_field(grid, rng) for _ in range(tg.nt + 1)])
 
     def adjoint_energy():
         """Adjoint energy estimate."""
@@ -365,7 +368,8 @@ def run_estimate_suite(config):
         sol_f = [random_solenoidal_field(fine, rng_f) for _ in range(nfield)]
         coarse = {r.name: r for r in reports}
         drifts = {}
-        for fine_rep in (check_gns(h1_f, q=4), check_trace(h1_f), check_korn(sol_f)):
+        for fine_rep in (check_gns(fine, h1_f, q=4), check_trace(fine, h1_f),
+                         check_korn(fine, sol_f)):
             c = max(coarse[fine_rep.name].ratios)
             drifts[fine_rep.name] = abs(max(fine_rep.ratios) - c) / c
         return list(drifts.values()), max(drifts.values()) < 0.5, {"drifts": drifts}

@@ -29,15 +29,12 @@ def splu_spy(monkeypatch):
 def stokes_slip_solve():
     """One implicit step of the linearized (Picard) slip system, solved on
     the step's own factor: (grid, advecting, y_prev, a_next, b_next,
-    alpha_next, dt, nu=1.0) -> (velocity, mean-zero pressure)."""
-    from slipctl.fields import PressureField, VelocityField
+    alpha_next, dt, nu=1.0) -> (face vector, mean-zero cell pressure)."""
     from slipctl.operators import StepSolver
 
     def solve(grid, advecting, y_prev, a_next, b_next, alpha_next, dt, nu=1.0):
         ops = grid.ops
-        step = StepSolver(ops, dt, nu).step(alpha_next, advecting.to_vec())
-        rhs = ops.Wvec * y_prev.to_vec() / dt + ops.b_load(np.asarray(b_next, dtype=float))
-        y_vec, p = step.solve(rhs, np.asarray(a_next, dtype=float))
-        return (VelocityField.from_vec(grid, y_vec),
-                PressureField(grid, p.reshape(grid.shape_p)))
+        step = StepSolver(ops, dt, nu).step(alpha_next, advecting)
+        rhs = ops.Wvec * y_prev / dt + ops.b_load(np.asarray(b_next, dtype=float))
+        return step.solve(rhs, np.asarray(a_next, dtype=float))
     return solve

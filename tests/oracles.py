@@ -9,9 +9,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from slipctl.errors import IncompatibleFlux, SolverDivergence
-from slipctl.fields import (BoundaryControl, FrictionField, VelocityField,
-                            face_l2)
-from slipctl.lifting import LiftingResult, _solver_for
+from slipctl.fields import (BoundaryControl, FrictionField, components,
+                            face_l2, sample_faces)
+from slipctl.lifting import _solver_for
 from slipctl.mesh import WALL_BOTTOM, WALL_LEFT, WALL_RIGHT, WALL_TOP
 from slipctl.operators import DiscreteOperators, _row_blocks
 
@@ -297,22 +297,23 @@ def integrate_interior(grid, f):
     return float(f.sum() * grid.cell_area)
 
 
-def strain_tensor(y: VelocityField):
-    """Strain components: D11, D22 at cell centers, D12 at grid vertices.
+def strain_tensor(grid, vec):
+    """Strain components of a face vector: D11, D22 at cell centers, D12 at
+    grid vertices.
 
     Uses the same one-sided wall stencils as the assembled viscous operator.
     """
-    ops = y.grid.ops
-    vec = y.to_vec()
-    d11 = (ops.Gxu_cell @ vec).reshape(y.grid.shape_p)
-    d22 = (ops.Gyv_cell @ vec).reshape(y.grid.shape_p)
+    ops = grid.ops
+    d11 = (ops.Gxu_cell @ vec).reshape(grid.shape_p)
+    d22 = (ops.Gyv_cell @ vec).reshape(grid.shape_p)
     d12 = 0.5 * ((ops.Gyu_vert + ops.Gxv_vert) @ vec).reshape(
-        (y.grid.nx + 1, y.grid.ny + 1))
+        (grid.nx + 1, grid.ny + 1))
     return d11, d22, d12
 
 
 def time_lifting(grid, a_slices):
-    """Slice-wise lifting of time-indexed data; reuses the factorization."""
+    """Slice-wise lifting of time-indexed data, as (h, grad) pairs; reuses
+    the factorization."""
     solver = _solver_for(grid)
     out = []
     for k, a_k in enumerate(a_slices):
@@ -320,7 +321,7 @@ def time_lifting(grid, a_slices):
             h, grad = solver.solve(grid, np.asarray(a_k, dtype=float))
         except (IncompatibleFlux, SolverDivergence) as exc:
             raise type(exc)("time slice %d: %s" % (k, exc))
-        out.append(LiftingResult(h, grad))
+        out.append((h, grad))
     return out
 
 
@@ -336,9 +337,9 @@ def shear_oracle(grid, time_grid, c1=0.4, c2=1.0, alpha_value=1.0, nu=1.0):
     data equals its wall flux and the tangential stress data is computed
     per wall from 2 nu D(y)n.tau + alpha y.tau.
     """
-    y = VelocityField.from_functions(grid, lambda X, Y: c1 + c2 * Y, lambda X, Y: 0.0 * X)
+    y = sample_faces(grid, lambda X, Y: c1 + c2 * Y, lambda X, Y: 0.0 * X)
     ops = grid.ops
-    a_nodes = ops.Tn @ y.to_vec()
+    a_nodes = ops.Tn @ y
     b_nodes = np.empty(grid.n_boundary)
     sl = grid.wall_slice
     b_nodes[sl(WALL_BOTTOM)] = -nu * c2 + alpha_value * c1
@@ -382,8 +383,7 @@ def continuum_normal_kernel(adjoint, base, k):
     # (D(p)n).n is D22 on horizontal walls and D11 on vertical walls,
     # evaluated one-sidedly just inside the wall
     dpn = np.empty(g.n_boundary)
-    p_field = VelocityField.from_vec(g, adjoint.p[k - 1])
-    pu, pv = p_field.u, p_field.v
+    pu, pv = components(g, adjoint.p[k - 1])
     dpn[sl(0)] = (pv[:, 1] - pv[:, 0]) / g.hy
     dpn[sl(2)] = ((pv[:, ny] - pv[:, ny - 1]) / g.hy)[::-1]
     dpn[sl(1)] = (pu[nx, :] - pu[nx - 1, :]) / g.hx

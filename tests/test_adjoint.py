@@ -5,7 +5,8 @@ from slipctl.adjoint_solver import (AdjointProblem,
                                     adjoint_energy_check,
                                     duality_residual,
                                     solve_adjoint)
-from slipctl.fields import BoundaryControl, VelocityField, divergence, face_l2
+from slipctl.fields import (BoundaryControl, divergence, face_l2, face_vector,
+                            sample_faces)
 from slipctl.linearized_solver import (LinearizedProblem, adjoint_step_apply,
                                        linearized_step_apply, solve_linearized)
 from slipctl.mesh import TimeGrid, build_grid
@@ -22,15 +23,15 @@ def setup():
     tg = TimeGrid(0.5, 8)
     rng = np.random.default_rng(21)
     ctrl = random_admissible_control(grid, tg, rng, amplitude=0.3)
-    prob = StateProblem(grid, tg, VelocityField(grid), ctrl, validate=False)
+    prob = StateProblem(grid, tg, np.zeros(grid.ops.N), ctrl, validate=False)
     traj = solve_state(prob)
     return grid, tg, prob, traj
 
 
 def random_source(grid, tg, seed):
     rng = np.random.default_rng(seed)
-    return np.array([VelocityField(grid, rng.standard_normal(grid.shape_u),
-                                   rng.standard_normal(grid.shape_v)).to_vec()
+    return np.array([face_vector(grid, rng.standard_normal(grid.shape_u),
+                                 rng.standard_normal(grid.shape_v))
                      for _ in range(tg.nt + 1)])
 
 
@@ -61,7 +62,7 @@ def test_structural_invariants(setup):
     assert face_l2(grid, adj.p[tg.nt]) == 0.0                # terminal condition
     for k in range(tg.nt):
         assert np.abs(ops.Tn @ adj.p[k]).max() == 0.0
-        assert np.abs(divergence(VelocityField.from_vec(grid, adj.p[k]))).max() < 1e-9
+        assert np.abs(divergence(grid, adj.p[k])).max() < 1e-9
         assert abs(adj.pi[k].sum() * grid.cell_area) < 1e-10
 
 
@@ -135,7 +136,7 @@ def test_stokes_semigroup_self_adjoint():
     grid = build_grid(8, 8, 1.0, 1.0)
     tg = TimeGrid(0.4, 6)
     ops = grid.ops
-    prob = StateProblem(grid, tg, VelocityField(grid), BoundaryControl(grid, tg))
+    prob = StateProblem(grid, tg, np.zeros(grid.ops.N), BoundaryControl(grid, tg))
     traj = solve_state(prob)
     U = random_source(grid, tg, 5)
     adj = solve_adjoint(AdjointProblem(prob, traj, U))
@@ -174,9 +175,9 @@ def test_normal_kernel_consistent_with_field_formula(setup):
     """The exact-transpose kernel agrees with the direct discretization of
     the normal-component density at discretization order."""
     grid, tg, prob, traj = setup
-    U = np.tile(VelocityField.from_functions(
+    U = np.tile(sample_faces(
         grid, lambda X, Y: np.sin(2 * np.pi * X) * np.cos(np.pi * Y),
-        lambda X, Y: np.cos(np.pi * X) * np.sin(2 * np.pi * Y)).to_vec(), (tg.nt + 1, 1))
+        lambda X, Y: np.cos(np.pi * X) * np.sin(2 * np.pi * Y)), (tg.nt + 1, 1))
     adj = solve_adjoint(AdjointProblem(prob, traj, U))
     k = tg.nt // 2
     direct = continuum_normal_kernel(adj, traj, k)
@@ -231,7 +232,7 @@ def test_sweeps_bitwise_equal_for_cold_warm_and_fresh_slots(setup):
     cold = run(prob)
     g2 = build_grid(8, 8, 1.0, 1.0)
     c = prob.controls
-    fresh = run(StateProblem(g2, tg, VelocityField(g2),
+    fresh = run(StateProblem(g2, tg, np.zeros(g2.ops.N),
                              BoundaryControl(g2, tg, c.a, c.b, c.p_exponent, c.radius),
                              validate=False))
     for other in (cold, fresh):

@@ -238,15 +238,19 @@ def test_target_from_file(tmp_path):
 
 
 def test_unreadable_target_file_is_blamed_on_y_d(tmp_path, caplog):
-    """A y_d = file: trajectory with a missing snapshot, a truncated
-    manifest or a mistyped manifest entry is a config error naming y_d, in
-    optimize and grad-check."""
+    """A y_d = file: trajectory with a missing snapshot, a damaged
+    snapshot, a truncated manifest or a mistyped manifest entry is a config
+    error naming y_d, in optimize and grad-check."""
     cfg = write_config(tmp_path)
     out = str(tmp_path / "solve_for_target")
     assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
     missing = tmp_path / "missing_snapshot"
     shutil.copytree(os.path.join(out, "trajectory"), missing)
     os.remove(missing / "y_0005.snap")
+    damaged = tmp_path / "damaged_snapshot"
+    shutil.copytree(os.path.join(out, "trajectory"), damaged)
+    for snap in damaged.glob("y_*.snap"):   # every slice one face value short
+        snap.write_bytes(snap.read_bytes()[:-8])
     truncated = tmp_path / "truncated_manifest"
     shutil.copytree(os.path.join(out, "trajectory"), truncated)
     manifest = (truncated / "manifest.json").read_text()
@@ -256,7 +260,7 @@ def test_unreadable_target_file_is_blamed_on_y_d(tmp_path, caplog):
     entries = json.loads(manifest)
     entries["nx"] = str(entries["nx"])
     (mistyped / "manifest.json").write_text(json.dumps(entries))
-    for tdir in (missing, truncated, mistyped):
+    for tdir in (missing, damaged, truncated, mistyped):
         spec = "y_d = file:%s" % tdir
         cfg2 = write_config(tmp_path, BASE_CONFIG.replace("y_d = zero", spec),
                             name="target.ini")
@@ -336,10 +340,10 @@ def test_lift_zero_data(tmp_path):
     cfg = write_config(tmp_path, cfg_text, name="zl.ini")
     out = str(tmp_path / "zl_out")
     assert main(["lift", "--config", cfg, "--out", out]) == EXIT_OK
-    from slipctl.fields import load_velocity
+    from slipctl.fields import read_payload
     from slipctl.mesh import build_grid
-    y, _ = load_velocity(os.path.join(out, "lifting.snap"), build_grid(8, 8, 1.0, 1.0))
-    assert abs(y.u).max() == 0.0 and abs(y.v).max() == 0.0
+    y, _ = read_payload(os.path.join(out, "lifting.snap"), build_grid(8, 8, 1.0, 1.0))
+    assert abs(y).max() == 0.0
 
 
 def test_runconfig_validation(tmp_path):

@@ -7,10 +7,10 @@ import pytest
 
 from slipctl.control_opt import (CostParams, GradientEngine, cost_gradient,
                                  evaluate_cost, fd_gradient_oracle,
-                                 optimality_residual, optimize,
+                                 optimality_parts, optimize,
                                  project_admissible,
                                  random_admissible_control)
-from slipctl.fields import BoundaryControl, VelocityField, hp_norm
+from slipctl.fields import BoundaryControl, face_vector, hp_norm
 from slipctl.mesh import TimeGrid, build_grid
 from slipctl.state_solver import StateProblem, solve_state
 
@@ -28,12 +28,12 @@ def test_cost_examples(small):
     grid, tg = small
     tg1 = TimeGrid(1.0, 8)
     zero_ctrl = BoundaryControl(grid, tg1)
-    prob = StateProblem(grid, tg1, VelocityField(grid), zero_ctrl)
+    prob = StateProblem(grid, tg1, np.zeros(grid.ops.N), zero_ctrl)
     traj = solve_state(prob)
 
     # tracking a uniform unit target from the zero state: J = 1/2
-    target = np.tile(VelocityField(grid, np.ones(grid.shape_u),
-                                   np.zeros(grid.shape_v)).to_vec(), (tg1.nt + 1, 1))
+    target = np.tile(face_vector(grid, np.ones(grid.shape_u),
+                                 np.zeros(grid.shape_v)), (tg1.nt + 1, 1))
     params = CostParams(y_d=target)
     assert evaluate_cost(zero_ctrl, traj, params) == pytest.approx(0.5, rel=1e-12)
 
@@ -50,18 +50,18 @@ def test_cost_examples(small):
 def test_gradient_vanishes_at_realizable_target(small):
     grid, tg = small
     ctrl = random_admissible_control(grid, tg, np.random.default_rng(0), amplitude=0.3)
-    traj = solve_state(StateProblem(grid, tg, VelocityField(grid), ctrl, validate=False))
+    traj = solve_state(StateProblem(grid, tg, np.zeros(grid.ops.N), ctrl, validate=False))
     params = CostParams(y_d=traj.y, lam1=0.0, lam2=0.0)
-    grad = cost_gradient(ctrl, params, VelocityField(grid))
+    grad = cost_gradient(ctrl, params, np.zeros(grid.ops.N))
     assert grad.norm() < 1e-12
 
 
 def test_penalty_only_gradient_exact(small):
     grid, tg = small
     ctrl = random_admissible_control(grid, tg, np.random.default_rng(1), amplitude=0.3)
-    traj = solve_state(StateProblem(grid, tg, VelocityField(grid), ctrl, validate=False))
+    traj = solve_state(StateProblem(grid, tg, np.zeros(grid.ops.N), ctrl, validate=False))
     params = CostParams(y_d=traj.y, lam1=0.7, lam2=0.3)
-    grad = cost_gradient(ctrl, params, VelocityField(grid))
+    grad = cost_gradient(ctrl, params, np.zeros(grid.ops.N))
     wg = grid.boundary_weight
     exp_a = 0.7 * ctrl.a.copy()
     exp_a[1:] -= (exp_a[1:] @ wg)[:, None] / grid.loop_length
@@ -76,17 +76,17 @@ def test_gradient_matches_fd(small):
     grid, tg = small
     rng = np.random.default_rng(2)
     ctrl = random_admissible_control(grid, tg, rng, amplitude=0.4)
-    target = np.tile(VelocityField(grid, 0.1 * np.ones(grid.shape_u),
-                                   np.zeros(grid.shape_v)).to_vec(), (tg.nt + 1, 1))
+    target = np.tile(face_vector(grid, 0.1 * np.ones(grid.shape_u),
+                                 np.zeros(grid.shape_v)), (tg.nt + 1, 1))
     params = CostParams(y_d=target, lam1=0.05, lam2=0.02)
-    engine = GradientEngine(VelocityField(grid), params)
+    engine = GradientEngine(np.zeros(grid.ops.N), params)
     grad, _ = engine.gradient(ctrl)
     for seed in range(3):
         d = random_admissible_control(grid, tg, np.random.default_rng(30 + seed),
                                       amplitude=1.0)
         adj_val = grad.pair(d.a, d.b)
         fd = fd_gradient_oracle(ctrl, (d.a, d.b), [2e-3, 1e-3], params,
-                                VelocityField(grid), engine=engine)
+                                np.zeros(grid.ops.N), engine=engine)
         assert abs(adj_val - fd["richardson"]) <= 1e-6 * max(abs(adj_val), 1e-12)
 
 
@@ -97,7 +97,7 @@ def test_engine_keeps_only_the_latest_solve(small):
     rng = np.random.default_rng(21)
     ctrl_a = random_admissible_control(grid, tg, rng, amplitude=0.3)
     ctrl_b = random_admissible_control(grid, tg, rng, amplitude=0.3)
-    engine = GradientEngine(VelocityField(grid), CostParams(lam1=0.1, lam2=0.1))
+    engine = GradientEngine(np.zeros(grid.ops.N), CostParams(lam1=0.1, lam2=0.1))
     gc.disable()
     try:
         J_a = engine.cost(ctrl_a)
@@ -118,14 +118,14 @@ def test_fd_oracle_zero_direction_and_descent(small):
     grid, tg = small
     ctrl = random_admissible_control(grid, tg, np.random.default_rng(3), amplitude=0.3)
     params = CostParams(y_d=None, lam1=0.0, lam2=0.0)
-    engine = GradientEngine(VelocityField(grid), params)
+    engine = GradientEngine(np.zeros(grid.ops.N), params)
     zero_dir = (np.zeros_like(ctrl.a), np.zeros_like(ctrl.b))
     fd = fd_gradient_oracle(ctrl, zero_dir, [1e-2, 1e-3], params,
-                            VelocityField(grid), engine=engine)
+                            np.zeros(grid.ops.N), engine=engine)
     assert all(d == 0.0 for _, d in fd["estimates"])
     grad, _ = engine.gradient(ctrl)
     fd2 = fd_gradient_oracle(ctrl, (grad.ga, grad.gb), [1e-3], params,
-                             VelocityField(grid), engine=engine)
+                             np.zeros(grid.ops.N), engine=engine)
     assert fd2["estimates"][0][1] > 0.0  # the gradient is an ascent direction
 
 
@@ -169,13 +169,15 @@ def test_projection_nonexpansive_radial(small):
 def test_optimality_residual_zero_at_stationary_point(small):
     grid, tg = small
     ctrl = random_admissible_control(grid, tg, np.random.default_rng(6), amplitude=0.3)
-    traj = solve_state(StateProblem(grid, tg, VelocityField(grid), ctrl, validate=False))
+    traj = solve_state(StateProblem(grid, tg, np.zeros(grid.ops.N), ctrl, validate=False))
     params = CostParams(y_d=traj.y)
-    res = optimality_residual(ctrl, params, VelocityField(grid), probe_count=4)
+    y0 = np.zeros(grid.ops.N)
+    res = optimality_parts(ctrl, cost_gradient(ctrl, params, y0), probe_count=4)["residual"]
     assert res < 1e-10
     # a generic non-optimal point has positive residual
     other = random_admissible_control(grid, tg, np.random.default_rng(7), amplitude=0.3)
-    res2 = optimality_residual(other, params, VelocityField(grid), probe_count=4)
+    res2 = optimality_parts(other, cost_gradient(other, params, y0),
+                            probe_count=4)["residual"]
     assert res2 > 1e-6
 
 
@@ -183,23 +185,23 @@ def test_gradient_slices_have_zero_boundary_mean(small):
     grid, tg = small
     ctrl = random_admissible_control(grid, tg, np.random.default_rng(8), amplitude=0.4)
     params = CostParams(y_d=None, lam1=0.1)
-    grad = cost_gradient(ctrl, params, VelocityField(grid))
+    grad = cost_gradient(ctrl, params, np.zeros(grid.ops.N))
     assert np.abs(grad.ga @ grid.boundary_weight).max() < 1e-12
 
 
 def test_optimize_already_stationary(small):
     grid, tg = small
     ctrl = random_admissible_control(grid, tg, np.random.default_rng(9), amplitude=0.3)
-    traj = solve_state(StateProblem(grid, tg, VelocityField(grid), ctrl, validate=False))
+    traj = solve_state(StateProblem(grid, tg, np.zeros(grid.ops.N), ctrl, validate=False))
     params = CostParams(y_d=traj.y)
-    rep = optimize(VelocityField(grid), params, controls0=ctrl, tol=1e-8, max_iters=5)
+    rep = optimize(np.zeros(grid.ops.N), params, controls0=ctrl, tol=1e-8, max_iters=5)
     assert rep.status == "converged"
     assert len(rep.iterations) == 1
 
 
 def test_optimize_small_recovery(small):
     grid, tg = small
-    y0 = VelocityField(grid)
+    y0 = np.zeros(grid.ops.N)
     c_star = random_admissible_control(grid, tg, np.random.default_rng(10), amplitude=0.4)
     traj = solve_state(StateProblem(grid, tg, y0, c_star, validate=False))
     params = CostParams(y_d=traj.y, radius=25.0)
@@ -214,7 +216,7 @@ def test_optimize_small_recovery(small):
 
 def test_penalty_monotonicity(small):
     grid, tg = small
-    y0 = VelocityField(grid)
+    y0 = np.zeros(grid.ops.N)
     c_star = random_admissible_control(grid, tg, np.random.default_rng(11), amplitude=0.4)
     traj = solve_state(StateProblem(grid, tg, y0, c_star, validate=False))
 
@@ -236,17 +238,17 @@ def test_fd_error_curve_truncation_vs_roundoff(small):
     until round-off takes over: a V-shaped curve over the sweep."""
     grid, tg = small
     ctrl = random_admissible_control(grid, tg, np.random.default_rng(2), amplitude=0.4)
-    target = np.tile(VelocityField(grid, 0.1 * np.ones(grid.shape_u),
-                                   np.zeros(grid.shape_v)).to_vec(), (tg.nt + 1, 1))
+    target = np.tile(face_vector(grid, 0.1 * np.ones(grid.shape_u),
+                                 np.zeros(grid.shape_v)), (tg.nt + 1, 1))
     params = CostParams(y_d=target, lam1=0.05, lam2=0.02)
-    engine = GradientEngine(VelocityField(grid), params)
+    engine = GradientEngine(np.zeros(grid.ops.N), params)
     grad, _ = engine.gradient(ctrl)
     d = random_admissible_control(grid, tg, np.random.default_rng(31), amplitude=1.0)
     adj = grad.pair(d.a, d.b)
     errs = {}
     for eps in (1e-3, 1e-4, 1e-7):
         fd = fd_gradient_oracle(ctrl, (d.a, d.b), [eps], params,
-                                VelocityField(grid), engine=engine)
+                                np.zeros(grid.ops.N), engine=engine)
         errs[eps] = abs(fd["estimates"][0][1] - adj) / abs(adj)
     assert errs[1e-3] > errs[1e-4]     # truncation branch
     assert errs[1e-7] > errs[1e-4]     # round-off branch
@@ -256,7 +258,7 @@ def test_optimality_zero_for_outward_descent_on_ball(small):
     """On the norm sphere with the descent direction pointing radially
     outward, the projected step returns the same point."""
     grid, tg = small
-    from slipctl.control_opt import ControlGradient, optimality_parts
+    from slipctl.control_opt import ControlGradient
     c = random_admissible_control(grid, tg, np.random.default_rng(12), amplitude=1.0)
     c.radius = hp_norm(c)              # place the iterate on the sphere
     grad = ControlGradient(grid, tg, -0.5 * c.a, -0.5 * c.b)
@@ -267,7 +269,7 @@ def test_optimality_zero_for_outward_descent_on_ball(small):
 
 def test_remainder_monitor_logged(small):
     grid, tg = small
-    y0 = VelocityField(grid)
+    y0 = np.zeros(grid.ops.N)
     c_star = random_admissible_control(grid, tg, np.random.default_rng(12), amplitude=0.3)
     traj = solve_state(StateProblem(grid, tg, y0, c_star, validate=False))
     params = CostParams(y_d=traj.y, radius=25.0)
@@ -278,7 +280,7 @@ def test_remainder_monitor_logged(small):
 
 def test_optimize_records_state_and_adjoint_time(small):
     grid, tg = small
-    y0 = VelocityField(grid)
+    y0 = np.zeros(grid.ops.N)
     c_star = random_admissible_control(grid, tg, np.random.default_rng(12), amplitude=0.3)
     traj = solve_state(StateProblem(grid, tg, y0, c_star, validate=False))
     params = CostParams(y_d=traj.y, radius=25.0)
@@ -292,15 +294,15 @@ def test_optimize_records_state_and_adjoint_time(small):
 _GRADIENTS_16X32_RSS = """
 import numpy as np
 from slipctl.control_opt import CostParams, GradientEngine, random_admissible_control
-from slipctl.fields import VelocityField
+from slipctl.fields import face_vector
 from slipctl.mesh import TimeGrid, build_grid
 
 grid = build_grid(16, 16, 1.0, 1.0)
 tg = TimeGrid(0.5, 32)
 rng = np.random.default_rng(3)
-target = np.tile(VelocityField(grid, 0.1 * np.ones(grid.shape_u),
-                               np.zeros(grid.shape_v)).to_vec(), (tg.nt + 1, 1))
-engine = GradientEngine(VelocityField(grid), CostParams(y_d=target, lam1=0.05, lam2=0.02))
+target = np.tile(face_vector(grid, 0.1 * np.ones(grid.shape_u),
+                             np.zeros(grid.shape_v)), (tg.nt + 1, 1))
+engine = GradientEngine(np.zeros(grid.ops.N), CostParams(y_d=target, lam1=0.05, lam2=0.02))
 peaks = []
 for _ in range(20):
     ctrl = random_admissible_control(grid, tg, rng, amplitude=0.4)
@@ -324,14 +326,14 @@ def test_gradient_peak_rss_flat_over_fresh_controls():
 _GRADIENT_64X4 = """
 import numpy as np
 from slipctl.control_opt import CostParams, GradientEngine, random_admissible_control
-from slipctl.fields import VelocityField
+from slipctl.fields import face_vector
 from slipctl.mesh import TimeGrid, build_grid
 grid = build_grid(64, 64, 1.0, 1.0)
 tg = TimeGrid(0.5, 4)
 ctrl = random_admissible_control(grid, tg, np.random.default_rng(0), amplitude=0.4)
-target = np.tile(VelocityField(grid, 0.1 * np.ones(grid.shape_u),
-                               np.zeros(grid.shape_v)).to_vec(), (tg.nt + 1, 1))
-engine = GradientEngine(VelocityField(grid), CostParams(y_d=target, lam1=0.05, lam2=0.02))
+target = np.tile(face_vector(grid, 0.1 * np.ones(grid.shape_u),
+                             np.zeros(grid.shape_v)), (tg.nt + 1, 1))
+engine = GradientEngine(np.zeros(grid.ops.N), CostParams(y_d=target, lam1=0.05, lam2=0.02))
 grad, _ = engine.gradient(ctrl)
 assert np.isfinite(grad.ga).all() and np.isfinite(grad.gb).all()
 print(peak_kib())

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from slipctl import fields
-from slipctl.fields import (BoundaryControl, FrictionField, PressureField,
-                            VelocityField, divergence, h1_seminorm, hp_norm,
-                            l2_norm, normal_trace, spatial_mean, strain_l2,
-                            tangential_trace)
+from slipctl.fields import (BoundaryControl, FrictionField, components,
+                            divergence, face_l2, face_vector, h1_seminorm,
+                            hp_norm, sample_faces, spatial_mean, strain_l2)
 from slipctl.mesh import TimeGrid, build_grid
 
 from oracles import strain_tensor
@@ -26,101 +25,111 @@ def solenoidal_sample(grid, seed=0, kmax=3):
                 np.sin(np.pi * kx * X / grid.Lx) * np.sin(np.pi * ky * Y / grid.Ly)
     u = (psi[:, 1:] - psi[:, :-1]) / grid.hy
     v = -(psi[1:, :] - psi[:-1, :]) / grid.hx
-    return VelocityField(grid, u, v)
+    return face_vector(grid, u, v)
+
+
+def test_face_vector_rejects_component_shapes(grid):
+    u, v = np.zeros(grid.shape_u), np.zeros(grid.shape_v)
+    with pytest.raises(ValueError, match="do not match"):
+        face_vector(grid, v, v)
+    with pytest.raises(ValueError, match="do not match"):
+        face_vector(grid, u, u)
+    with pytest.raises(ValueError, match="do not match"):
+        face_vector(grid, u.ravel(), v.ravel())
+
+
+def test_face_vector_of_components_is_the_vector(grid):
+    rng = np.random.default_rng(4)
+    y = rng.standard_normal(grid.ops.N)
+    u, v = components(grid, y)
+    assert u.shape == grid.shape_u and v.shape == grid.shape_v
+    assert np.shares_memory(u, y) and np.shares_memory(v, y)
+    back = face_vector(grid, *components(grid, y))
+    assert back.dtype == y.dtype and np.array_equal(back, y)
+    assert back.tobytes() == y.tobytes()
 
 
 def test_divergence_constant_and_linear(grid):
-    y = VelocityField.from_functions(grid, lambda X, Y: 1.0 + 0 * X, lambda X, Y: 0 * X)
-    assert np.abs(divergence(y)).max() == 0.0
-    y2 = VelocityField.from_functions(grid, lambda X, Y: X, lambda X, Y: -Y)
-    assert np.abs(divergence(y2)).max() < 1e-14
-    y3 = VelocityField.from_functions(grid, lambda X, Y: X, lambda X, Y: 0 * X)
-    assert np.allclose(divergence(y3), 1.0)
+    y = sample_faces(grid, lambda X, Y: 1.0 + 0 * X, lambda X, Y: 0 * X)
+    assert np.abs(divergence(grid, y)).max() == 0.0
+    y2 = sample_faces(grid, lambda X, Y: X, lambda X, Y: -Y)
+    assert np.abs(divergence(grid, y2)).max() < 1e-14
+    y3 = sample_faces(grid, lambda X, Y: X, lambda X, Y: 0 * X)
+    assert np.allclose(divergence(grid, y3), 1.0)
 
 
 def test_strain_examples(grid):
-    y = VelocityField.from_functions(grid, lambda X, Y: 2.0 + 0 * X, lambda X, Y: 3.0 + 0 * X)
-    d11, d22, d12 = strain_tensor(y)
+    y = sample_faces(grid, lambda X, Y: 2.0 + 0 * X, lambda X, Y: 3.0 + 0 * X)
+    d11, d22, d12 = strain_tensor(grid, y)
     assert np.abs(d11).max() == 0 and np.abs(d22).max() == 0 and np.abs(d12).max() == 0
 
     gamma = 1.8
-    shear = VelocityField.from_functions(grid, lambda X, Y: gamma * Y, lambda X, Y: 0 * X)
-    d11, d22, d12 = strain_tensor(shear)
+    shear = sample_faces(grid, lambda X, Y: gamma * Y, lambda X, Y: 0 * X)
+    d11, d22, d12 = strain_tensor(grid, shear)
     assert np.abs(d11).max() < 1e-14
     assert np.allclose(d12, gamma / 2)
 
-    lin = VelocityField.from_functions(grid, lambda X, Y: X, lambda X, Y: -Y)
-    d11, d22, d12 = strain_tensor(lin)
+    lin = sample_faces(grid, lambda X, Y: X, lambda X, Y: -Y)
+    d11, d22, d12 = strain_tensor(grid, lin)
     assert np.allclose(d11, 1.0) and np.allclose(d22, -1.0)
     assert np.abs(d12).max() < 1e-13
 
 
 def test_norms(grid):
-    zero = VelocityField(grid)
-    assert l2_norm(zero) == 0.0
-    const = VelocityField.from_functions(grid, lambda X, Y: -2.0 + 0 * X, lambda X, Y: 0 * X)
-    assert l2_norm(const) == pytest.approx(2.0, rel=1e-14)
-    shear = VelocityField.from_functions(grid, lambda X, Y: Y, lambda X, Y: 0 * X)
-    assert strain_l2(shear) ** 2 == pytest.approx(0.5, rel=1e-13)
-    assert h1_seminorm(shear) == pytest.approx(1.0, rel=1e-13)
-
-
-def test_boundary_scalar_norm(grid):
-    f = np.ones(grid.n_boundary)
-    assert l2_norm(f, grid) == pytest.approx(2.0, rel=1e-14)  # sqrt(perimeter)
-    with pytest.raises(ValueError):
-        l2_norm(f)
+    zero = np.zeros(grid.ops.N)
+    assert face_l2(grid, zero) == 0.0
+    const = sample_faces(grid, lambda X, Y: -2.0 + 0 * X, lambda X, Y: 0 * X)
+    assert face_l2(grid, const) == pytest.approx(2.0, rel=1e-14)
+    shear = sample_faces(grid, lambda X, Y: Y, lambda X, Y: 0 * X)
+    assert strain_l2(grid, shear) ** 2 == pytest.approx(0.5, rel=1e-13)
+    assert h1_seminorm(grid, shear) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_norm_homogeneity_and_triangle(grid):
     rng = np.random.default_rng(3)
     for _ in range(5):
-        y1 = VelocityField(grid, rng.standard_normal(grid.shape_u),
-                           rng.standard_normal(grid.shape_v))
-        y2 = VelocityField(grid, rng.standard_normal(grid.shape_u),
-                           rng.standard_normal(grid.shape_v))
+        y1 = face_vector(grid, rng.standard_normal(grid.shape_u),
+                         rng.standard_normal(grid.shape_v))
+        y2 = face_vector(grid, rng.standard_normal(grid.shape_u),
+                         rng.standard_normal(grid.shape_v))
         c = rng.normal()
-        v1, v2 = y1.to_vec(), y2.to_vec()
-        assert l2_norm(VelocityField.from_vec(grid, v1 * c)) == \
-            pytest.approx(abs(c) * l2_norm(y1), rel=1e-12)
-        assert l2_norm(VelocityField.from_vec(grid, v1 + v2)) <= \
-            l2_norm(y1) + l2_norm(y2) + 1e-12
-        assert fields.face_l2(grid, v1) == l2_norm(y1)
+        assert face_l2(grid, y1 * c) == pytest.approx(abs(c) * face_l2(grid, y1), rel=1e-12)
+        assert face_l2(grid, y1 + y2) <= face_l2(grid, y1) + face_l2(grid, y2) + 1e-12
 
 
 def test_traces(grid):
-    ex = VelocityField.from_functions(grid, lambda X, Y: 1.0 + 0 * X, lambda X, Y: 0 * X)
-    tt = tangential_trace(ex)
+    ex = sample_faces(grid, lambda X, Y: 1.0 + 0 * X, lambda X, Y: 0 * X)
+    tt = grid.ops.Ttau @ ex
     # tau follows the counterclockwise loop: +x on the bottom, -x on the top
     assert np.allclose(tt[grid.wall_slice(0)], 1.0)
     assert np.allclose(tt[grid.wall_slice(2)], -1.0)
     assert np.allclose(tt[grid.wall_slice(1)], 0.0)
     assert np.allclose(tt[grid.wall_slice(3)], 0.0)
-    tn = normal_trace(ex)
+    tn = grid.ops.Tn @ ex
     assert np.allclose(tn[grid.wall_slice(1)], 1.0)
     assert np.allclose(tn[grid.wall_slice(3)], -1.0)
 
 
 def test_trace_linearity(grid):
     rng = np.random.default_rng(1)
-    y1 = VelocityField(grid, rng.standard_normal(grid.shape_u),
-                       rng.standard_normal(grid.shape_v))
-    y2 = VelocityField(grid, rng.standard_normal(grid.shape_u),
-                       rng.standard_normal(grid.shape_v))
-    lhs = tangential_trace(VelocityField.from_vec(grid, y1.to_vec() + 2.0 * y2.to_vec()))
-    rhs = tangential_trace(y1) + 2.0 * tangential_trace(y2)
+    y1 = face_vector(grid, rng.standard_normal(grid.shape_u),
+                     rng.standard_normal(grid.shape_v))
+    y2 = face_vector(grid, rng.standard_normal(grid.shape_u),
+                     rng.standard_normal(grid.shape_v))
+    Ttau = grid.ops.Ttau
+    lhs = Ttau @ (y1 + 2.0 * y2)
+    rhs = Ttau @ y1 + 2.0 * (Ttau @ y2)
     assert np.allclose(lhs, rhs, atol=1e-13)
 
 
 def test_spatial_mean(grid):
-    assert np.allclose(spatial_mean(VelocityField(grid)), 0.0)
-    const = VelocityField.from_functions(grid, lambda X, Y: 1.0 + 0 * X,
-                                         lambda X, Y: 2.0 + 0 * X)
-    assert np.allclose(spatial_mean(const), [1.0, 2.0])
+    assert np.allclose(spatial_mean(grid, np.zeros(grid.ops.N)), 0.0)
+    const = sample_faces(grid, lambda X, Y: 1.0 + 0 * X, lambda X, Y: 2.0 + 0 * X)
+    assert np.allclose(spatial_mean(grid, const), [1.0, 2.0])
     # solenoidal fields with zero wall flux integrate to zero exactly
     for seed in range(5):
         y = solenoidal_sample(grid, seed)
-        assert np.abs(spatial_mean(y)).max() < 1e-10 * max(1.0, l2_norm(y))
+        assert np.abs(spatial_mean(grid, y)).max() < 1e-10 * max(1.0, face_l2(grid, y))
 
 
 def test_hp_norm_examples(grid):
@@ -229,30 +238,30 @@ def test_control_flux_check(grid):
 
 def test_snapshot_roundtrip(tmp_path, grid):
     rng = np.random.default_rng(8)
-    y = VelocityField(grid, rng.standard_normal(grid.shape_u),
-                      rng.standard_normal(grid.shape_v))
+    y = face_vector(grid, rng.standard_normal(grid.shape_u),
+                    rng.standard_normal(grid.shape_v))
     path = tmp_path / "y.snap"
-    fields.save_velocity(path, y, t=0.25)
-    back, t = fields.load_velocity(path, grid)
+    fields.write_snapshot(path, "velocity", grid, 0.25, [y])
+    back, t = fields.read_payload(path, grid)
     assert t == 0.25
-    assert np.array_equal(back.u, y.u) and np.array_equal(back.v, y.v)
+    assert np.array_equal(back, y)
     header, _ = fields.read_snapshot(path)
     assert header["kind"] == "velocity" and header["nx"] == grid.nx
 
-    p = PressureField(grid, rng.standard_normal(grid.shape_p))
+    p = rng.standard_normal(grid.nx * grid.ny)
     ppath = tmp_path / "p.snap"
-    fields.save_pressure(ppath, p, t=0.5)
-    pback, _ = fields.load_pressure(ppath, grid)
-    assert np.array_equal(pback.q, p.q)
+    fields.write_snapshot(ppath, "pressure", grid, 0.5, [p])
+    pback, _ = fields.read_payload(ppath, grid)
+    assert np.array_equal(pback, p)
 
 
 def test_snapshots_rejected_on_a_transposed_grid(tmp_path):
     # an 8x4 snapshot has as many cells as a 4x8 grid, so only the header
     # check tells them apart
     wide, tall = build_grid(8, 4, 1.0, 1.0), build_grid(4, 8, 1.0, 1.0)
-    fields.save_pressure(tmp_path / "p.snap", PressureField(wide, np.ones(wide.shape_p)))
-    fields.save_velocity(tmp_path / "y.snap", VelocityField(wide))
+    fields.write_snapshot(tmp_path / "p.snap", "pressure", wide, 0.0, [np.ones(wide.nx * wide.ny)])
+    fields.write_snapshot(tmp_path / "y.snap", "velocity", wide, 0.0, [np.zeros(wide.ops.N)])
     with pytest.raises(ValueError, match="does not match"):
-        fields.load_pressure(tmp_path / "p.snap", tall)
+        fields.read_payload(tmp_path / "p.snap", tall)
     with pytest.raises(ValueError, match="does not match"):
-        fields.load_velocity(tmp_path / "y.snap", tall)
+        fields.read_payload(tmp_path / "y.snap", tall)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from slipctl.fields import VelocityField
+from slipctl.fields import components, face_vector
 from slipctl.mesh import TimeGrid, build_grid
 from slipctl.operators import DiscreteOperators
 
@@ -37,13 +37,13 @@ def test_strain_form_symmetric_psd(grid):
 def test_divergence_matrix_matches_field_op(grid):
     ops = grid.ops
     rng = np.random.default_rng(1)
-    y = VelocityField(grid, rng.standard_normal(grid.shape_u),
-                      rng.standard_normal(grid.shape_v))
+    y = face_vector(grid, rng.standard_normal(grid.shape_u),
+                    rng.standard_normal(grid.shape_v))
     from slipctl.fields import divergence
-    assert np.allclose((ops.Dmat @ y.to_vec()).reshape(grid.shape_p), divergence(y))
+    assert np.allclose((ops.Dmat @ y).reshape(grid.shape_p), divergence(grid, y))
 
 
-def test_normal_trace_roundtrip(grid):
+def test_wall_normal_faces_roundtrip(grid):
     ops = grid.ops
     rng = np.random.default_rng(2)
     a = rng.standard_normal(grid.n_boundary)
@@ -194,9 +194,8 @@ def test_shear_profile_is_exact_steady_state(grid):
     alpha = 1.3
     y, ctrl, fric = shear_oracle(grid, tg, c1=0.37, c2=2.1, alpha_value=alpha)
     ops = grid.ops
-    yv = y.to_vec()
-    resid = (ops.step_matrix(tg.dt, 1.0, fric.alpha[0], yv) @ yv
-             - ops.Wvec * yv / tg.dt - ops.b_load(ctrl.b[0]))
+    resid = (ops.step_matrix(tg.dt, 1.0, fric.alpha[0], y) @ y
+             - ops.Wvec * y / tg.dt - ops.b_load(ctrl.b[0]))
     assert np.abs(resid[ops.free_idx]).max() < 1e-12
 
 
@@ -208,11 +207,9 @@ def _one_sided_pad(diff):
 def test_strain_matrices_match_hand_stencils(grid):
     """Independent slicing-based evaluation of every strain sample."""
     rng = np.random.default_rng(9)
-    y = VelocityField(grid, rng.standard_normal(grid.shape_u),
-                      rng.standard_normal(grid.shape_v))
-    d11, d22, d12 = strain_tensor(y)
+    u, v = rng.standard_normal(grid.shape_u), rng.standard_normal(grid.shape_v)
+    d11, d22, d12 = strain_tensor(grid, face_vector(grid, u, v))
     hx, hy = grid.hx, grid.hy
-    u, v = y.u, y.v
     assert np.allclose(d11, (u[1:, :] - u[:-1, :]) / hx)
     assert np.allclose(d22, (v[:, 1:] - v[:, :-1]) / hy)
     # vertex samples: centered inside, nearest-stencil copies on the walls
@@ -232,29 +229,27 @@ def test_advection_stencils_match_hand_stencils(grid):
     """Independent slicing-based evaluation of Gx, Gy, Px and Py."""
     ops = grid.ops
     rng = np.random.default_rng(10)
-    y = VelocityField(grid, rng.standard_normal(grid.shape_u),
-                      rng.standard_normal(grid.shape_v))
-    u, v = y.u, y.v
-    yv = y.to_vec()
+    u, v = rng.standard_normal(grid.shape_u), rng.standard_normal(grid.shape_v)
+    y = face_vector(grid, u, v)
     hx, hy = grid.hx, grid.hy
     # centred differences, one-sided at the ends
     for G, h, axis in ((ops.Gx, hx, 0), (ops.Gy, hy, 1)):
-        got = VelocityField.from_vec(grid, G @ yv)
-        assert np.allclose(got.u, np.gradient(u, h, axis=axis))
-        assert np.allclose(got.v, np.gradient(v, h, axis=axis))
-    px = VelocityField.from_vec(grid, ops.Px @ yv)
-    assert np.array_equal(px.u, u)
-    assert np.allclose(px.v, _node_average(0.5 * (u[1:, :] + u[:-1, :]), 1))
-    py = VelocityField.from_vec(grid, ops.Py @ yv)
-    assert np.array_equal(py.v, v)
-    assert np.allclose(py.u, _node_average(0.5 * (v[:, 1:] + v[:, :-1]), 0))
+        got_u, got_v = components(grid, G @ y)
+        assert np.allclose(got_u, np.gradient(u, h, axis=axis))
+        assert np.allclose(got_v, np.gradient(v, h, axis=axis))
+    px_u, px_v = components(grid, ops.Px @ y)
+    assert np.array_equal(px_u, u)
+    assert np.allclose(px_v, _node_average(0.5 * (u[1:, :] + u[:-1, :]), 1))
+    py_u, py_v = components(grid, ops.Py @ y)
+    assert np.array_equal(py_v, v)
+    assert np.allclose(py_u, _node_average(0.5 * (v[:, 1:] + v[:, :-1]), 0))
 
 
 def test_quadrature_weights_integrate_constants(grid):
     ops = grid.ops
-    ones_u = VelocityField(grid, np.ones(grid.shape_u), np.zeros(grid.shape_v))
+    ones_u = face_vector(grid, np.ones(grid.shape_u), np.zeros(grid.shape_v))
     area = grid.Lx * grid.Ly
-    assert np.dot(ops.Wvec, ones_u.to_vec() ** 2) == pytest.approx(area, rel=1e-14)
+    assert np.dot(ops.Wvec, ones_u ** 2) == pytest.approx(area, rel=1e-14)
     assert ops.w_cell.sum() == pytest.approx(area, rel=1e-14)
     assert ops.w_vert.sum() == pytest.approx(area, rel=1e-14)
 
@@ -687,7 +682,7 @@ def test_steady_shear_sweep_refines_once_per_step(monkeypatch):
     monkeypatch.setattr(ops, "reference_lu", lambda *args: ref)
     traj = solve_state(StateProblem(grid, tg, y0, ctrl, fric))
     assert ref.solves == tg.nt
-    assert max(face_l2(grid, y - y0.to_vec()) for y in traj.y) < 1e-9
+    assert max(face_l2(grid, y - y0) for y in traj.y) < 1e-9
 
 
 def test_guess_extrapolates_the_last_three_solutions():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from slipctl.fields import (BoundaryControl, FrictionField, StateTrajectory,
-                            VelocityField, divergence, face_l2, hp_norm, l2_norm,
-                            normal_trace, read_snapshot, save_velocity)
+                            divergence, face_l2, hp_norm, read_snapshot,
+                            sample_faces)
 from slipctl.mesh import TimeGrid, build_grid
 from slipctl.state_solver import (StateProblem, energy_bound_report,
                                   energy_identity_residual,
@@ -27,21 +27,21 @@ def tg():
 def random_problem(grid, tg, seed=0, amplitude=0.3):
     rng = np.random.default_rng(seed)
     ctrl = random_admissible_control(grid, tg, rng, amplitude=amplitude)
-    return StateProblem(grid, tg, VelocityField(grid), ctrl, validate=False)
+    return StateProblem(grid, tg, np.zeros(grid.ops.N), ctrl, validate=False)
 
 
 def test_null_data_gives_null_solution(grid, tg):
-    prob = StateProblem(grid, tg, VelocityField(grid), BoundaryControl(grid, tg))
+    prob = StateProblem(grid, tg, np.zeros(grid.ops.N), BoundaryControl(grid, tg))
     traj = solve_state(prob)
     assert max(face_l2(grid, y) for y in traj.y) == 0.0
     assert max(abs(p).max() for p in traj.p) < 1e-12
 
 
 def test_single_step_zero(grid, stokes_slip_solve):
-    y, p = stokes_slip_solve(grid, VelocityField(grid), VelocityField(grid),
+    y, p = stokes_slip_solve(grid, np.zeros(grid.ops.N), np.zeros(grid.ops.N),
                              np.zeros(grid.n_boundary), np.zeros(grid.n_boundary),
                              np.ones(grid.n_boundary), 0.1)
-    assert l2_norm(y) == 0.0 and abs(p.q).max() < 1e-13
+    assert face_l2(grid, y) == 0.0 and abs(p).max() < 1e-13
 
 
 def test_shear_profile_is_fixed_point(grid, tg):
@@ -49,7 +49,7 @@ def test_shear_profile_is_fixed_point(grid, tg):
     prob = StateProblem(grid, tg, y0, ctrl, fric)
     traj = solve_state(prob)
     for k in range(tg.nt + 1):
-        assert face_l2(grid, traj.y[k] - y0.to_vec()) < 1e-9
+        assert face_l2(grid, traj.y[k] - y0) < 1e-9
 
 
 def test_single_shear_step_returns_profile(grid, stokes_slip_solve):
@@ -57,8 +57,8 @@ def test_single_shear_step_returns_profile(grid, stokes_slip_solve):
     y0, ctrl, fric = shear_oracle(grid, tg, c1=-0.2, c2=0.9, alpha_value=2.0)
     y1, p1 = stokes_slip_solve(grid, y0, y0, ctrl.a[1], ctrl.b[1],
                                fric.alpha[1], tg.dt)
-    assert face_l2(grid, y1.to_vec() - y0.to_vec()) < 1e-10
-    assert abs(p1.q).max() < 1e-9
+    assert face_l2(grid, y1 - y0) < 1e-10
+    assert abs(p1).max() < 1e-9
 
 
 def test_energy_identity_random_controls(grid, tg):
@@ -73,7 +73,7 @@ def test_energy_identity_random_controls(grid, tg):
 
 
 def test_energy_identity_null_and_shear(grid, tg):
-    null = StateProblem(grid, tg, VelocityField(grid), BoundaryControl(grid, tg))
+    null = StateProblem(grid, tg, np.zeros(grid.ops.N), BoundaryControl(grid, tg))
     assert energy_identity_residual(solve_state(null), null).max() == 0.0
     y0, ctrl, fric = shear_oracle(grid, tg)
     prob = StateProblem(grid, tg, y0, ctrl, fric)
@@ -81,20 +81,20 @@ def test_energy_identity_null_and_shear(grid, tg):
     assert energy_identity_residual(traj, prob).max() < 1e-9
 
 
-def test_divergence_and_normal_trace_every_slice(grid, tg):
+def test_divergence_and_wall_flux_every_slice(grid, tg):
     prob = random_problem(grid, tg, seed=3)
     traj = solve_state(prob)
     for k in range(tg.nt + 1):
-        y = VelocityField.from_vec(grid, traj.y[k])
-        assert np.abs(divergence(y)).max() < 1e-9
-        assert np.abs(normal_trace(y) - prob.controls.a[k]).max() < 1e-12
+        y = traj.y[k]
+        assert np.abs(divergence(grid, y)).max() < 1e-9
+        assert np.abs(grid.ops.Tn @ y - prob.controls.a[k]).max() < 1e-12
 
 
 def test_global_mass_balance(grid, tg):
     prob = random_problem(grid, tg, seed=4)
     traj = solve_state(prob)
     for k in range(1, tg.nt + 1):
-        total_div = divergence(VelocityField.from_vec(grid, traj.y[k])).sum() * grid.cell_area
+        total_div = divergence(grid, traj.y[k]).sum() * grid.cell_area
         flux = np.dot(grid.boundary_weight, prob.controls.a[k])
         assert abs(total_div) < 1e-10
         assert abs(flux) < 1e-10
@@ -140,11 +140,10 @@ def test_lipschitz_ratio_stable(grid, tg):
 
 
 def test_invalid_initial_data_rejected(grid, tg):
-    bad = VelocityField.from_functions(grid, lambda X, Y: X, lambda X, Y: 0 * X)
+    bad = sample_faces(grid, lambda X, Y: X, lambda X, Y: 0 * X)
     with pytest.raises(ValueError, match="divergence"):
         StateProblem(grid, tg, bad, BoundaryControl(grid, tg))
-    mismatch = VelocityField.from_functions(grid, lambda X, Y: 1.0 + 0 * X,
-                                            lambda X, Y: 0 * X)
+    mismatch = sample_faces(grid, lambda X, Y: 1.0 + 0 * X, lambda X, Y: 0 * X)
     with pytest.raises(ValueError, match="normal trace"):
         StateProblem(grid, tg, mismatch, BoundaryControl(grid, tg))
 
@@ -154,7 +153,7 @@ def test_inadmissible_controls_rejected(grid, tg):
     ctrl = random_admissible_control(grid, tg, rng, amplitude=1.0)
     ctrl.radius = 0.5 * hp_norm(ctrl)
     with pytest.raises(ValueError, match="admissible"):
-        StateProblem(grid, tg, VelocityField(grid), ctrl)
+        StateProblem(grid, tg, np.zeros(grid.ops.N), ctrl)
 
 
 def test_sup_norm_monitor(grid, tg):
@@ -183,7 +182,7 @@ def test_time_stepping_first_order():
     def final_slice(nt):
         tg = TimeGrid(T, nt)
         ctrl = continuum_controls(grid, tg)
-        prob = StateProblem(grid, tg, VelocityField(grid), ctrl, validate=False)
+        prob = StateProblem(grid, tg, np.zeros(grid.ops.N), ctrl, validate=False)
         return solve_state(prob).y[-1]
 
     ref = final_slice(128)
@@ -200,11 +199,10 @@ def test_larger_grid_smoke():
     tg = TimeGrid(0.1, 4)
     ctrl = random_admissible_control(grid, tg, np.random.default_rng(3),
                                      amplitude=0.3)
-    prob = StateProblem(grid, tg, VelocityField(grid), ctrl, validate=False)
+    prob = StateProblem(grid, tg, np.zeros(grid.ops.N), ctrl, validate=False)
     traj = solve_state(prob)
     assert energy_identity_residual(traj, prob).max() < 1e-8
-    assert max(np.abs(divergence(VelocityField.from_vec(grid, y))).max()
-               for y in traj.y) < 1e-9
+    assert max(np.abs(divergence(grid, y)).max() for y in traj.y) < 1e-9
 
 
 def test_potential_flow_steady_oracle():
@@ -220,7 +218,7 @@ def test_potential_flow_steady_oracle():
         a = np.zeros(g.n_boundary)
         a[g.wall_slice(1)] = 2.0
         a[g.wall_slice(2)] = -2.0
-        y0 = solve_neumann_lifting(g, a).grad
+        _, y0 = solve_neumann_lifting(g, a)
         xb = (np.arange(g.nx) + 0.5) * g.hx
         yb = (np.arange(g.ny) + 0.5) * g.hy
         b = np.zeros(g.n_boundary)   # 2 D(y)n.tau = 0 here, so b = alpha y.tau
@@ -235,9 +233,8 @@ def test_potential_flow_steady_oracle():
         traj = solve_state(prob)
         # transient settled: consecutive slices nearly identical
         assert face_l2(g, traj.y[-1] - traj.y[-2]) < 1e-6
-        exact = VelocityField.from_functions(g, lambda X, Y: 2 * X,
-                                             lambda X, Y: -2 * Y)
-        errs.append(face_l2(g, traj.y[-1] - exact.to_vec()))
+        exact = sample_faces(g, lambda X, Y: 2 * X, lambda X, Y: -2 * Y)
+        errs.append(face_l2(g, traj.y[-1] - exact))
     assert errs[0] > errs[1] > errs[2]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.0
@@ -255,17 +252,28 @@ def test_trajectory_roundtrip(tmp_path, grid, tg):
 
 
 def test_trajectory_snapshot_is_the_velocity_snapshot(tmp_path, grid, tg):
-    """A y_####.snap written from the face vector is byte for byte the file
-    save_velocity writes for the same slice."""
-    traj = solve_state(random_problem(grid, tg, seed=10))
-    save_trajectory(tmp_path / "traj", traj)
+    """A y_####.snap payload is u at the u points, row-major, then v at the
+    v points, row-major; a p_####.snap payload is the cell pressure."""
+    def fu(X, Y, t):
+        return 1.0 + X + 3.0 * Y * Y + t
+
+    def fv(X, Y, t):
+        return X * Y - 2.0 * t
+
     times = tg.times()
+    y = np.array([sample_faces(grid, lambda X, Y: fu(X, Y, t), lambda X, Y: fv(X, Y, t))
+                  for t in times])
+    p = np.random.default_rng(10).standard_normal((tg.nt, grid.nx * grid.ny))
+    save_trajectory(tmp_path / "traj", StateTrajectory(grid, tg, y, p))
     for k in (0, 1, tg.nt):
-        save_velocity(tmp_path / "ref.snap", VelocityField.from_vec(grid, traj.y[k]), times[k])
-        written = (tmp_path / "traj" / ("y_%04d.snap" % k)).read_bytes()
-        assert written == (tmp_path / "ref.snap").read_bytes()
+        header, raw = read_snapshot(tmp_path / "traj" / ("y_%04d.snap" % k))
+        assert header["kind"] == "velocity" and header["t"] == times[k]
+        u = fu(*grid.u_points(), times[k])
+        v = fv(*grid.v_points(), times[k])
+        assert u.shape == grid.shape_u and v.shape == grid.shape_v
+        assert raw.tobytes() == u.tobytes() + v.tobytes()
     header, raw = read_snapshot(tmp_path / "traj" / ("p_%04d.snap" % tg.nt))
-    assert header["kind"] == "pressure" and raw.tobytes() == traj.p[-1].tobytes()
+    assert header["kind"] == "pressure" and raw.tobytes() == p[-1].tobytes()
 
 
 def test_trajectory_rejects_wrong_shapes(grid, tg):

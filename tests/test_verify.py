@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slipctl.fields import VelocityField, spatial_mean
+from slipctl.fields import face_vector, sample_faces, spatial_mean
 from slipctl.mesh import build_grid
 from slipctl.verify import (check_gns, check_korn, check_mean_zero,
                             check_trace, format_table, random_h1_field,
@@ -15,8 +15,8 @@ def grid():
 
 
 def test_constant_field_is_trivial_sample(grid):
-    const = VelocityField(grid, 2.0 * np.ones(grid.shape_u), np.zeros(grid.shape_v))
-    rep = check_gns([const], q=4)
+    const = face_vector(grid, 2.0 * np.ones(grid.shape_u), np.zeros(grid.shape_v))
+    rep = check_gns(grid, [const], q=4)
     assert rep.trivial_count == 1
     assert rep.passed
 
@@ -25,7 +25,7 @@ def test_gns_ensemble(grid):
     rng = np.random.default_rng(0)
     samples = [random_h1_field(grid, rng) for _ in range(20)]
     for q in (3, 4, 6):
-        rep = check_gns(samples, q=q)
+        rep = check_gns(grid, samples, q=q)
         assert rep.passed
         assert all(np.isfinite(r) for r in rep.ratios)
         assert max(rep.ratios) <= 5.0 * np.median(rep.ratios)
@@ -33,42 +33,42 @@ def test_gns_ensemble(grid):
 
 def test_gns_rejects_bad_exponent(grid):
     with pytest.raises(ValueError):
-        check_gns([], q=1)
+        check_gns(grid, [], q=1)
 
 
 def test_gns_single_mode_stable_under_refinement():
     ratios = []
     for n in (16, 32):
         g = build_grid(n, n, 1.0, 1.0)
-        y = VelocityField.from_functions(
+        y = sample_faces(
             g, lambda X, Y: np.sin(2 * np.pi * X) * np.sin(2 * np.pi * Y),
             lambda X, Y: 0 * X)
-        rep = check_gns([y], q=4)
+        rep = check_gns(g, [y], q=4)
         ratios.append(rep.ratios[0])
     assert abs(ratios[1] - ratios[0]) <= 0.1 * ratios[0]
 
 
 def test_trace_ensemble_and_linear_field(grid):
     rng = np.random.default_rng(1)
-    rep = check_trace([random_h1_field(grid, rng) for _ in range(15)])
+    rep = check_trace(grid, [random_h1_field(grid, rng) for _ in range(15)])
     assert rep.passed
-    lin = VelocityField.from_functions(grid, lambda X, Y: X, lambda X, Y: -Y)
-    rep2 = check_trace([lin])
+    lin = sample_faces(grid, lambda X, Y: X, lambda X, Y: -Y)
+    rep2 = check_trace(grid, [lin])
     assert rep2.passed and np.isfinite(rep2.ratios[0])
 
 
 def test_korn_ensemble(grid):
     rng = np.random.default_rng(2)
     samples = [random_solenoidal_field(grid, rng) for _ in range(20)]
-    rep = check_korn(samples)
+    rep = check_korn(grid, samples)
     assert rep.passed
     assert all(np.isfinite(r) for r in rep.ratios)
 
 
 def test_korn_rejects_nonsolenoidal(grid):
-    bad = VelocityField(grid, np.ones(grid.shape_u), np.zeros(grid.shape_v))
+    bad = face_vector(grid, np.ones(grid.shape_u), np.zeros(grid.shape_v))
     with pytest.raises(ValueError):
-        check_korn([bad])
+        check_korn(grid, [bad])
 
 
 def test_korn_stable_under_refinement():
@@ -77,7 +77,7 @@ def test_korn_stable_under_refinement():
         g = build_grid(n, n, 1.0, 1.0)
         rng = np.random.default_rng(3)
         samples = [random_solenoidal_field(g, rng) for _ in range(10)]
-        rep = check_korn(samples)
+        rep = check_korn(g, samples)
         vals.append(max(rep.ratios))
     assert abs(vals[1] - vals[0]) <= 0.2 * vals[0]
 
@@ -85,12 +85,12 @@ def test_korn_stable_under_refinement():
 def test_mean_zero_check_and_counterexample(grid):
     rng = np.random.default_rng(4)
     good = [random_solenoidal_field(grid, rng) for _ in range(10)]
-    rep = check_mean_zero(good)
+    rep = check_mean_zero(grid, good)
     assert rep.passed
     # a field with nonzero wall flux has a nonzero mean, and the check sees it
-    leak = VelocityField.from_functions(grid, lambda X, Y: X * (1 - Y), lambda X, Y: 0 * X)
-    assert np.abs(spatial_mean(leak)).max() > 1e-3
-    rep2 = check_mean_zero([leak])
+    leak = sample_faces(grid, lambda X, Y: X * (1 - Y), lambda X, Y: 0 * X)
+    assert np.abs(spatial_mean(grid, leak)).max() > 1e-3
+    rep2 = check_mean_zero(grid, [leak])
     assert not rep2.passed
 
 
