@@ -99,7 +99,7 @@ def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
         # pairing against f_k: direct cost term, implicit coupling, divergence
         pair = np.zeros(ops.N)
         pair[ops.cons_idx] = (dt * (ops.Wvec * U[k])[ops.cons_idx]
-                              - step.M_fc_T @ lam_full[ops.free_idx]
+                              - step.LT_lam[ops.cons_idx]
                               - ops.DcT @ q)
         kernel_a[k] += sign * pair[face] + 0.0
         t = ops.T @ np.column_stack([yvec[k], lam_full])   # [Tn; Ttau] y, [Tn; Ttau] lam

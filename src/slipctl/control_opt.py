@@ -14,6 +14,8 @@ from .adjoint_solver import AdjointProblem, solve_adjoint
 from .fields import BoundaryControl, hp_norm
 from .state_solver import StateProblem, solve_state
 
+_EPS = np.finfo(float).eps
+
 
 class CostParams:
     """Target trajectory, penalty weights and admissible-set metadata."""
@@ -34,12 +36,23 @@ class CostParams:
         return trajectory.y if self.y_d is None else trajectory.y - self.y_d
 
 
-def evaluate_cost(controls: BoundaryControl, trajectory, params: CostParams):
-    """Quadrature of the tracking misfit plus the boundary penalties."""
+def evaluate_cost(controls: BoundaryControl, trajectory, params: CostParams,
+                  magnitude=False):
+    """Quadrature of the tracking misfit plus the boundary penalties.
+
+    With magnitude=True, |y| + |y_d| stands in for the misfit y - y_d: the
+    cost of the values the misfit is formed from, which sets the round-off
+    of J (the penalties are sums of squares and cancel nothing).
+    """
     g, tg = controls.grid, controls.time_grid
     ops = g.ops
     dt = tg.dt
-    misfit = params.misfit(trajectory)
+    if not magnitude:
+        misfit = params.misfit(trajectory)
+    elif params.y_d is None:
+        misfit = np.abs(trajectory.y)
+    else:
+        misfit = np.abs(trajectory.y) + np.abs(params.y_d)
     J = 0.0
     for k in range(1, tg.nt + 1):
         diff = misfit[k]
@@ -111,6 +124,11 @@ class GradientEngine:
     def cost(self, controls):
         return self._entry(controls)["J"]
 
+    def cost_magnitude(self, controls):
+        """evaluate_cost with magnitude=True at the controls' state solve."""
+        return evaluate_cost(controls, self._entry(controls)["trajectory"], self.params,
+                             magnitude=True)
+
     def gradient(self, controls):
         entry = self._entry(controls)
         if "gradient" not in entry:
@@ -145,25 +163,34 @@ def fd_gradient_oracle(controls, direction, eps_list, params, y0,
 
     direction is a (f, g) pair of arrays shaped like the controls; f must be
     zero-mean per slice with the initial slice untouched.
+
+    round_off bounds the round-off of the Richardson estimate: each cost
+    value is good to eps_mach times its magnitude (GradientEngine.
+    cost_magnitude), so the difference at step eps to eps_mach times the
+    larger magnitude over eps, and the extrapolation weighs those bounds by
+    its weights' absolute values.
     """
     f, g_dir = direction
     engine = engine or GradientEngine(y0, params, friction, nu)
-    estimates = []
+    estimates, noise = [], {}
     for eps in eps_list:
         cp = controls.copy(); cp.a = cp.a + eps * f; cp.b = cp.b + eps * g_dir
         cm = controls.copy(); cm.a = cm.a - eps * f; cm.b = cm.b - eps * g_dir
-        d = (engine.cost(cp) - engine.cost(cm)) / (2 * eps)
-        estimates.append((float(eps), float(d)))
+        (jp, mp), (jm, mm) = ((engine.cost(c), engine.cost_magnitude(c)) for c in (cp, cm))
+        estimates.append((float(eps), float((jp - jm) / (2 * eps))))
+        noise[float(eps)] = _EPS * max(mp, mm) / eps
     est = sorted(estimates, key=lambda t: t[0])
     if len(est) >= 2:
         e2, d2 = est[0]
         e1, d1 = est[1]
         r = (e1 / e2) ** 2
         richardson = (r * d2 - d1) / (r - 1.0)
+        round_off = (r * noise[e2] + noise[e1]) / (r - 1.0)
     else:
-        richardson = est[0][1]
+        richardson, round_off = est[0][1], noise[est[0][0]]
     best_eps = min(estimates, key=lambda t: abs(t[1] - richardson))[0]
-    return {"estimates": estimates, "richardson": float(richardson), "best_eps": best_eps}
+    return {"estimates": estimates, "richardson": float(richardson), "best_eps": best_eps,
+            "round_off": float(round_off)}
 
 
 def project_admissible(controls: BoundaryControl) -> BoundaryControl:

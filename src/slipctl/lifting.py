@@ -10,7 +10,6 @@ is shifted to mean zero after the solve.
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import IncompatibleFlux, SolverDivergence
 from .fields import components
@@ -21,16 +20,15 @@ RESIDUAL_TOL = 1e-10
 
 
 class _NeumannSolver:
-    """Cached factorization of the Neumann Laplacian with cell 0 pinned.
+    """The Neumann Laplacian with cell 0 pinned, on the grid's shared factor
+    (DiscreteOperators.neumann, which the step solves use too).
 
     Cached on its grid, so it keeps no reference back to it.
     """
 
     def __init__(self, grid):
-        ops = grid.ops
         self.Gint = self._interior_gradient(grid)
-        self.L_pin = ((grid.cell_area * ops.Dmat) @ self.Gint).tocsc()[1:, 1:]
-        self.lu = spla.splu(self.L_pin)
+        self.L_pin, self.lu = grid.ops.neumann()
 
     @staticmethod
     def _interior_gradient(grid):

@@ -35,8 +35,8 @@ class LinearizedProblem:
 
 
 def solve_linearized(problem: LinearizedProblem):
-    """March the tangent system; returns z of shape (nt+1, N) and pi of shape
-    (nt, ncell), laid out as StateTrajectory's y and p.
+    """March the tangent system; returns z of shape (nt+1, N), laid out as
+    StateTrajectory's y.
 
     The first slice is identically zero; slice k satisfies z.n = f(t_k)
     strongly and the same implicit operator as the forward step k.
@@ -45,14 +45,13 @@ def solve_linearized(problem: LinearizedProblem):
     tg, ops = sp_.time_grid, sp_.grid.ops
     dt = tg.dt
     z = np.zeros((tg.nt + 1, ops.N))
-    pi = np.empty((tg.nt, ops.ncell))
     solver = sp_.step_solver("linearized")
     for k in range(1, tg.nt + 1):
         rhs = (ops.Wvec * z[k - 1] / dt - ops.apply_adv_cross(y[k], z[k - 1])
                + ops.b_load(problem.g[k]))
         with solver.at(k, sp_.friction.alpha[k], y[k - 1]) as step:
-            z[k], pi[k - 1] = step.solve(rhs, problem.f[k])
-    return z, pi
+            z[k] = step.solve(rhs, problem.f[k])[0]
+    return z
 
 
 def linearized_step_apply(step, y_new_vec, xi_free):
@@ -91,7 +90,7 @@ def gateaux_discrepancy(state_problem: StateProblem, base: StateTrajectory,
     if np.abs(f[0]).max() > 0:
         raise ValueError("direction must leave the initial slice of a unchanged")
     lp = LinearizedProblem(state_problem, base, f, g_arr)
-    z, _ = solve_linearized(lp)
+    z = solve_linearized(lp)
     rows = []
     for eps in eps_list:
         ctrl = state_problem.controls.copy()

@@ -44,7 +44,8 @@ class DiscreteOperators:
 
     No reference to the grid is kept: the grid owns its operators, and
     without a cycle between them both are freed by reference count.  The
-    one mutable member is the reference-factor slot (see reference_lu).
+    mutable members are the reference-factor slot (see reference_lu) and
+    the Neumann factor, made on first use (see neumann).
     """
 
     def __init__(self, grid):
@@ -62,8 +63,10 @@ class DiscreteOperators:
         self._build_advection_stencils(grid)
         self.A_strain = self._assemble_strain_form(*strain)
         self._build_step_map()
-        self._build_step_gathers(grid.cell_area)
+        self._build_curl(grid)
+        self._build_reduced_map()
         self._reference = None
+        self._neumann = None
 
     # -- indexing ----------------------------------------------------------
 
@@ -97,6 +100,7 @@ class DiscreteOperators:
         fy = np.ones(ny + 1); fy[0] = fy[-1] = 0.5
         self.w_vert = (area * np.outer(fx, fy)).ravel()
         self.w_gamma = g.boundary_weight
+        self.cell_area, self.hy = area, g.hy
 
     # -- stencils: each matrix one CSR from index arithmetic (see _csr) ---------
 
@@ -117,7 +121,7 @@ class DiscreteOperators:
         div = tuple(np.hstack(a) for a in zip(dux, dvy))
         self.Dmat = _csr([div], N)
         self.Dc = self.Dmat[:, self.cons_idx].tocsr()
-        self.DcT = self.Dc.T
+        self.DmatT, self.DcT = self.Dmat.T, self.Dc.T
         return dux, dvy, tuple(np.hstack(a) for a in zip(duy, dvx))
 
     def _assemble_strain_form(self, dux, dvy, mix):
@@ -232,67 +236,86 @@ class DiscreteOperators:
         self._step_map = sp.csr_matrix((coef, (pos, src)),
                                        shape=(self.step_indices.size, nsrc))
 
-    def _build_step_gathers(self, cell_area):
-        """Positions of L[F][:, C] and of the pinned saddle in the step pattern.
+    def _build_curl(self, g):
+        """Discrete curl u = dpsi/dy, v = -dpsi/dx of vertex stream values.
 
-        The saddle is [[L[F][:, F], Gf[:, 1:]], [Df[1:], 0]] in CSC form,
-        with Gf = -cell_area * Df^T; its data is gathered from L.data followed
-        by the constant Gf/Df entries.  Cell 0's pressure column and
-        divergence row are left out (see StepSolver).  Every row and column
-        stays short, so a fill-reducing ordering works well (see _factor).
+        curl acts on all vertices, Ci on the interior ones only (its
+        wall-normal rows are empty); Dmat @ curl is exactly zero, and a
+        divergence-free face vector with zero wall-normal faces is Ci psi.
+        loop_vertex lists the boundary vertices in loop order: boundary node
+        k is the wall edge from loop_vertex[k] to loop_vertex[k + 1].
         """
-        F, C = self.free_idx, self.cons_idx
-        nf = F.size
-        local = np.empty(self.N, dtype=np.int32)
-        local[F] = np.arange(nf)
-        local[C] = np.arange(C.size)
-        rows = np.repeat(np.arange(self.N), np.diff(self.step_indptr))
-        cols = self.step_indices
-        free_row = self.free[rows]
-        # L[F][:, C] in CSR: the pattern is row-major with sorted columns
-        fc = np.flatnonzero(free_row & self.constrained[cols])
-        self.fc_src = fc.astype(np.int32)
-        self.fc_indices = local[cols[fc]]
-        self.fc_indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(local[rows[fc]], minlength=nf))]).astype(np.int32)
+        nx, ny = g.nx, g.ny
+        vert = np.arange(self.nvert).reshape(nx + 1, ny + 1)
+        inner = np.full((nx + 1, ny + 1), -1)
+        inner[1:nx, 1:ny] = np.arange((nx - 1) * (ny - 1)).reshape(nx - 1, ny - 1)
+        lx, ly = np.arange(nx), np.arange(ny)
+        dy, dx = _two(ly, ly + 1, -1 / g.hy, 1 / g.hy), _two(lx, lx + 1, 1 / g.hx, -1 / g.hx)
+        self.curl, self.Ci = (
+            _csr([_tensor(t, _eye(nx + 1), dy), _tensor(t, dx, _eye(ny + 1))], t.max() + 1)
+            for t in (vert, inner))
+        self.CiT = self.Ci.T
+        self.loop_vertex = np.concatenate([vert[:, 0], vert[nx, 1:], vert[nx - 1::-1, ny],
+                                           vert[0, ny - 1:0:-1]])
 
-        ff = np.flatnonzero(free_row & self.free[cols])
-        # Df = Dmat[:, F] in row-major order, rows 1.. (cell 0 is pinned)
-        drow, D = np.repeat(np.arange(self.ncell), 4), self.Dmat
-        pinned = self.free[D.indices] & (drow > 0)
-        dr, dc, dv = drow[pinned] - 1, local[D.indices[pinned]], D.data[pinned]
-        self.saddle_const = np.concatenate([(-cell_area) * dv, dv])
-        # each column's rows come in increasing order, so the stable
-        # conversion to CSC sorts the sources of the entries
-        src = np.concatenate([ff, self.step_indices.size + np.arange(2 * dv.size)])
-        big = sp.coo_matrix((src, (np.concatenate([local[rows[ff]], dc, nf + dr]),
-                                   np.concatenate([local[cols[ff]], nf + dr, dc])))).tocsc()
-        self.saddle_src = big.data.astype(np.int32)
-        self.saddle_indices, self.saddle_indptr = big.indices, big.indptr
-        # P of the similarity A^T = P A P^-1 of an advection-free saddle A
-        # (see reference_lu): 1 on the free faces, -cell_area on cells 1..
-        self.saddle_similarity = np.concatenate([np.ones(nf),
-                                                 np.full(self.ncell - 1, -cell_area)])
+    def _build_reduced_map(self):
+        """Fixed CSR pattern of the reduced step matrix R = Ci^T L Ci and the
+        sparse map onto its data from the step data L.data.
+
+        Entry (a, b) of R sums Ci[i, a] * Ci[j, b] * L[i, j] over the step
+        entries (i, j), and R[b, a] sums the same coefficients times the
+        mirrored entries L[j, i].  So one map Q, a row per entry a <= b of
+        R, gives both: R[a, b] = Q @ L.data at reduced_upper, and R[b, a] at
+        reduced_lower from the same rows with the mirrored columns
+        (_reduced_mirror, sharing Q's data), summed in the same order; R is
+        exactly symmetric whenever L is (no advection).
+        Interior vertices are keyed by their offset (dx, dy), |dx|, |dy| <= 3.
+        """
+        N, C = self.N, self.Ci
+        nnz = self.step_indices.size
+        # the step pattern is symmetric: mirror[s] is the position of (j, i)
+        mirror = sp.csr_matrix((np.arange(nnz, dtype=np.int32), self.step_indices,
+                                self.step_indptr), shape=(N, N)).T.tocsr().data
+        # vertex k of each face (-1: none) and its curl coefficient, k = 0, 1
+        vert, cf = np.full((2, N), -1, dtype=np.int32), np.zeros((2, N))
+        for k in (0, 1):
+            has = np.diff(C.indptr) > k
+            vert[k, has] = C.indices[C.indptr[:-1][has] + k]
+            cf[k, has] = C.data[C.indptr[:-1][has] + k]
+        i = np.repeat(np.arange(N), np.diff(self.step_indptr))
+        j = self.step_indices.astype(np.intp)
+        # the terms of the entries a <= b: vertex ka of face i with vertex kb
+        # of face j, one slot (ka, kb) at a time
+        terms = []
+        for ka, kb in np.ndindex(2, 2):
+            a, b = vert[ka][i], vert[kb][j]
+            q = np.flatnonzero((a >= 0) & (a <= b)).astype(np.int32)
+            terms.append((q, a[q], b[q], cf[ka][i[q]] * cf[kb][j[q]]))
+        del i, a, b
+        q, va, vb, coef = (np.concatenate(t) for t in zip(*terms))
+        del terms
+        nx, ny = self._iv.shape[0], self._iu.shape[1]
+        xy = np.add.outer(7 * np.arange(nx - 1), np.arange(ny - 1)).ravel()
+        up_indptr, up_indices, pos = _keyed_pattern(va, vb, xy, xy + 24, 49)
+        del va, vb
+        # a row of Q holds one term per step entry, sorted by the conversion
+        Q = self._reduced_map = sp.csr_matrix((coef, (pos, q)), shape=(up_indices.size, nnz))
+        self._reduced_mirror = sp.csr_matrix((Q.data, mirror[Q.indices], Q.indptr), shape=Q.shape)
+        del q, coef, pos, mirror
+        # R's pattern: the entries a <= b and their mirrors
+        a = np.repeat(np.arange(xy.size, dtype=np.int32), np.diff(up_indptr))
+        self.reduced_indptr, self.reduced_indices, pos = _keyed_pattern(
+            np.concatenate([a, up_indices]), np.concatenate([up_indices, a]), xy, xy + 24, 49)
+        self.reduced_upper, self.reduced_lower = (x.astype(np.intp)
+                                                  for x in (pos[:a.size], pos[a.size:]))
 
     def _pattern(self, rows, cols):
-        """CSR pattern (indptr, indices) of the distinct (row, col) pairs and
-        the position of each pair in it.  No operator couples faces more than
+        """_keyed_pattern of face pairs.  No operator couples faces more than
         two cells apart, so a column is keyed by its offset (type, dx, dy)
-        from the row's face, in column order: flags at row * 50 + offset."""
-        N = self.N
+        from the row's face, in column order."""
         xy = np.concatenate([(5 * x + y).ravel() for x, y in
                              (np.indices(self._iu.shape), np.indices(self._iv.shape))])
-        box = xy + 25 * (np.arange(N) >= self.NU)
-        key = box[cols] + (50 * np.arange(N, dtype=np.int32) - xy + 12)[rows]
-        flags = np.zeros(50 * N, dtype=bool)
-        flags[key] = True
-        flat = np.flatnonzero(flags)
-        slots = np.empty(50 * N, dtype=np.int32)
-        slots[key] = cols
-        indices = slots[flat]
-        slots[flat] = np.arange(flat.size)
-        return (np.searchsorted(flat, 50 * np.arange(N + 1)).astype(np.int32), indices,
-                slots[key])
+        return _keyed_pattern(rows, cols, xy, xy + 25 * (np.arange(self.N) >= self.NU) + 12, 50)
 
     def step_matrix(self, dt, nu, alpha_nodes, w_vec):
         """The implicit step operator W/dt + nu*A_strain + Fric(alpha) + K(w).
@@ -307,45 +330,82 @@ class DiscreteOperators:
         The operator is affine in (alpha, w) and linear in (1/dt, nu), so it
         is stored on one fixed pattern (the union of all terms, explicit zeros
         included) whose data is one sparse mat-vec M @ [alpha; w; 1/dt; nu],
-        with M built once per grid.  StepSolver gathers its blocks from this
-        data.
+        with M built once per grid.  StepSolver refills its workspace from
+        this data.
         """
         data = self._step_map @ np.concatenate([alpha_nodes, w_vec, [1.0 / dt, nu]])
         return sp.csr_matrix((data, self.step_indices, self.step_indptr),
                              shape=(self.N, self.N))
 
-    def saddle_entries(self, data):
-        """Entries of the pinned saddle, in CSC order, gathered from step_matrix data."""
-        return np.concatenate([data, self.saddle_const])[self.saddle_src]
-
-    def step_saddle(self, data):
-        """Pinned saddle matrix (CSC) gathered from step_matrix data."""
-        n = self.saddle_indptr.size - 1
-        return sp.csc_matrix((self.saddle_entries(data), self.saddle_indices,
-                              self.saddle_indptr), shape=(n, n))
+    def reduced_data(self, data, out=None):
+        """Data of R = Ci^T L Ci from step_matrix data, into out if given."""
+        if out is None:
+            out = np.empty(self.reduced_indices.size)
+        out[self.reduced_lower] = self._reduced_mirror @ data
+        # written last: the diagonal, where both index arrays meet, from L
+        # itself rather than from its mirror
+        out[self.reduced_upper] = self._reduced_map @ data
+        return out
 
     def reference_lu(self, dt, nu, alpha_nodes):
-        """LU of the advection-free step saddle at (dt, nu, alpha), kept in a
-        one-entry slot.
+        """LU of the advection-free reduced step matrix R0 at (dt, nu, alpha),
+        kept in a one-entry slot.
 
-        Without advection the velocity block W/dt + nu*A_strain + Fric(alpha)
-        is symmetric and the coupling blocks are Gf = -cell_area * Df^T, so
-        the saddle A satisfies A^T = P A P^-1 with P = saddle_similarity.
-        StepSolver therefore solves with A as well as with A^T through
+        Without advection the step operator is symmetric, and so is R0, bit
+        for bit (see _build_reduced_map): its CSR arrays are also its CSC
+        arrays, and StepSolver solves with R0 in both directions through
         SuperLU's transposed kernel, the faster of its two.
 
-        The slot is keyed by the exact entries of the saddle matrix, so a hit
-        returns the same factor a fresh factorization would, and no result
-        depends on what was solved before.  A hit compares the gathered
-        entries only; the saddle matrix is built just to be factored.
+        The slot is keyed by the exact entries of R0, so a hit returns the
+        same factor a fresh factorization would, and no result depends on
+        what was solved before.  A hit compares the entries only; the matrix
+        is built just to be factored.
         """
-        data = self._step_map @ np.concatenate([alpha_nodes, np.zeros(self.N),
-                                                [1.0 / dt, nu]])
-        if self._reference is None or not np.array_equal(
-                self._reference[0], self.saddle_entries(data)):
-            big = self.step_saddle(data)
-            self._reference = (big.data, _factor(big))
+        data = self.reduced_data(self._step_map @ np.concatenate(
+            [alpha_nodes, np.zeros(self.N), [1.0 / dt, nu]]))
+        if self._reference is None or not np.array_equal(self._reference[0], data):
+            n = self.reduced_indptr.size - 1
+            R0 = sp.csc_matrix((data, self.reduced_indices, self.reduced_indptr), shape=(n, n))
+            self._reference = (data, _factor(R0))
         return self._reference[1]
+
+    def neumann(self):
+        """The pinned Neumann Laplacian L_pin (CSC) and its LU, made on first
+        use and kept.
+
+        L_pin = -cell_area Df Df^T without cell 0's row and column, which is
+        -Gf^T W_f^-1 Gf for Gf = -cell_area Df^T and W_f = cell_area on the
+        free faces: the normal equations of the pressure gradient.  The step
+        solves recover pressures from it, and lifting solves its potential
+        with it.
+        """
+        if self._neumann is None:
+            grad = -(sp.diags(self.free.astype(float)) @ self.DmatT).tocsr()
+            L = ((self.cell_area * self.Dmat) @ grad).tocsc()[1:, 1:]
+            self._neumann = (L, _factor(L, "Neumann matrix"))
+        return self._neumann
+
+    def boundary_lift(self, a_nodes):
+        """Face vector with the wall-normal faces set from a and the free
+        faces the curl of the loop integral of a at the boundary vertices
+        (zero inside): divergence-free to round-off when a carries no net
+        flux, and y - boundary_lift(Tn y) = Ci psi for every such y."""
+        psi = np.zeros(self.nvert)
+        psi[self.loop_vertex[1:]] = np.cumsum(self.w_gamma[:-1] * a_nodes[:-1])
+        y = self.curl @ psi
+        # (Mbc @ a)[C], read off the signed permutation that Mbc is; adding
+        # 0.0 turns a -0.0 into 0.0, as the product does
+        y[self.cons_idx] = self.wall_sign * a_nodes[self.wall_node] + 0.0
+        return y
+
+    def stream_function(self, y_vec):
+        """Interior stream values psi of a divergence-free face vector y with
+        y = boundary_lift(Tn y) + Ci psi: the loop integral of the normal
+        flux along the bottom wall, then the flux of u upwards."""
+        nx, ny = self._iv.shape[0], self._iu.shape[1]
+        u = y_vec[:self.NU].reshape(nx + 1, ny)
+        bottom = np.cumsum(self.w_gamma[:nx - 1] * -y_vec[self._iv[:nx - 1, 0]])
+        return (bottom[:, None] + self.hy * np.cumsum(u[1:nx, :ny - 1], axis=1)).ravel()
 
     def apply_adv_cross(self, y_vec, w_vec):
         """Matrix-free X(y) w = K(w) y (derivative of advection in w)."""
@@ -385,23 +445,45 @@ class DiscreteOperators:
         return self.Mbc @ a_nodes
 
 
-def _factor(big):
-    """SuperLU factor of a step saddle (CSC): minimum degree ordering on the
-    pattern of big^T big, in symmetric mode.
+def _factor(A, what="step matrix"):
+    """SuperLU factor of a CSC matrix with a symmetric pattern: minimum
+    degree ordering on the pattern of A^T + A, in symmetric mode.
 
-    Every step saddle has a symmetric pattern, and the advection-free
-    reference is similar to its transpose (A^T = P A P^-1, see
-    reference_lu).  Symmetric mode makes SuperLU prefer the diagonal of the
-    reordered matrix as pivot, which keeps that structure; with minimum
-    degree on big^T big the factor then stores fewer entries than under the
-    default COLAMD ordering, both in L + U and in supernodal storage, and
-    every triangular solve reads that much less (on the 64x64 reference
-    saddle of nt = 4, lu.nnz falls from 1.49M to 1.28M).
+    Both matrices factored here have symmetric patterns, and the reduced
+    reference step and the Neumann matrix are symmetric.  Symmetric mode
+    makes SuperLU prefer the diagonal of the reordered matrix as pivot,
+    which keeps that structure, and minimum degree on A^T + A then stores
+    fewer entries than the default COLAMD ordering, so every triangular
+    solve reads less (at 64x64, L + U falls from 573,891 to 402,604 entries
+    on the reduced reference step and from 220,612 to 126,514 on the
+    Neumann matrix).
     """
     try:
-        return spla.splu(big, permc_spec="MMD_ATA", options={"SymmetricMode": True})
+        return spla.splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     except RuntimeError as exc:
-        raise SolverDivergence("step matrix factorization failed: %s" % exc)
+        raise SolverDivergence("%s factorization failed: %s" % (what, exc))
+
+
+def _keyed_pattern(rows, cols, xy, box, span):
+    """CSR pattern (indptr, indices) of the distinct (row, col) pairs and the
+    position of each pair in it.
+
+    A pair is flagged at span * row + box[col] - xy[row]; box[col] - xy[row]
+    must lie in [0, span) and increase with col within a row (box is xy
+    shifted by the offset of the key's origin, plus the type of col, if any).
+    """
+    n = xy.size
+    key = box[cols]
+    key += (span * np.arange(n, dtype=np.int32) - xy)[rows]
+    flags = np.zeros(span * n, dtype=bool)
+    flags[key] = True
+    flat = np.flatnonzero(flags)
+    slots = np.empty(span * n, dtype=np.int32)
+    slots[key] = cols
+    indices = slots[flat]
+    slots[flat] = np.arange(flat.size)
+    return (np.searchsorted(flat, span * np.arange(n + 1)).astype(np.int32), indices,
+            slots[key])
 
 
 def _row_blocks(stack, sizes):
@@ -526,81 +608,78 @@ def _extrapolate(hist):
 
 
 class StepSolver:
-    """The implicit slip-Stokes steps of one sweep: pinned-pressure saddle
-    systems and their solves.
+    """The implicit slip-Stokes steps of one sweep, solved on the discrete
+    stream function.
 
-    Solves, for the free face unknowns y_f and the cell pressure p,
+    Solves, for the face velocity y and the cell pressure p,
 
         (W/dt + nu*A_strain + Fric(alpha) + K(w)) y + G p = rhs_mom
-        div y = 0 in cells 1..ncell-1,   p[0] = 0
+        div y = 0,   y = the supplied data on the wall-normal faces
 
-    with the wall-normal faces of y fixed to the supplied data.  There is no
-    mean multiplier: the divergence of cell 0 follows from the others
-    because the data carry zero net flux, and a constant pressure shift
-    leaves the momentum rows unchanged, so p is returned shifted to mean
-    zero.  The transposed system is solved for adjoint sweeps.
+    on the free rows, with G = -cell_area Dmat^T; the transposed system is
+    solved for adjoint sweeps.  The divergence-free y are exactly
+    y = boundary_lift(a) + Ci psi, and Ci^T G = 0, so each step solves the
+    reduced system R psi = Ci^T (rhs_mom - L boundary_lift(a)) with
+    R = Ci^T L Ci, of one unknown per interior vertex.  The pressure then
+    follows from the momentum rows by the normal equations of G (the
+    Neumann factor of DiscreteOperators.neumann), shifted to mean zero.
+    Every solve is checked on the full residual, momentum with pressure and
+    divergence, against LINEAR_RESIDUAL_TOL.
 
-    One solver serves a whole sweep at fixed (dt, nu).  It holds the saddle
-    matrix, |saddle| (for the round-off floor), the coupling block M_fc and
-    their transposes, which share the data arrays; step(alpha, w) refills
-    that data in place for the next step, so no sparse matrix is built per
-    step.  Call step() (or at()) before solving.
+    One solver serves a whole sweep at fixed (dt, nu).  It holds the step
+    matrix L, R and |R| (for the round-off floor) and their transposes,
+    which share the data arrays; step(alpha, w) refills that data in place
+    for the next step, so no sparse matrix is built per step.  Call step()
+    (or at()) before solving.
 
-    Given the LU of an advection-free step saddle (the sweeps pass the
+    Given the LU of an advection-free reduced step (the sweeps pass the
     problem's reference factor, see DiscreteOperators.reference_lu), each
-    solve is refined iteratively against the current step's own matrix,
-    which replaces a factorization per step.  The reference is applied in
-    both directions through SuperLU's transposed kernel, forward solves via
-    the similarity A^T = P A P^-1.  Refinement starts from the polynomial
-    extrapolation of the sweep's last three accepted solutions in that
-    direction (history; seed() starts the forward one), if that guess's
-    residual is below |rhs|, and from zero otherwise.  When refinement does
-    not reach round-off, the step factors its own matrix and solves
-    directly; the next step() goes back to the reference.  Without a
-    reference (lu=None) every step factors its own matrix.
+    solve is refined iteratively against the current step's own R, which
+    replaces a factorization per step.  The reference is symmetric and is
+    applied in both directions through SuperLU's transposed kernel.
+    Refinement starts from the polynomial extrapolation of the sweep's last
+    three accepted psi in that direction (history; seed() starts the
+    forward one), if that guess's residual is below |rhs|, and from zero
+    otherwise.  When refinement does not reach round-off, the step factors
+    its own R and solves directly; the next step() goes back to the
+    reference.  Without a reference (lu=None) every step factors its own R.
     """
 
     def __init__(self, ops, dt, nu, lu=None, sweep="step"):
         self.ops = ops
         self.dt, self.nu = dt, nu
         self.sweep = sweep
-        F, C = ops.free_idx, ops.cons_idx
-        self.F, self.C = F, C
-        self.nf = F.size
+        self.F, self.C = ops.free_idx, ops.cons_idx
         self.ref = lu
         self.lu = None
-        nb = ops.n_boundary
-        # sources [alpha; w; 1/dt; nu] of the step map, and the step data
-        # followed by the constant saddle entries, which the blocks gather
-        self._src = np.concatenate([np.zeros(nb + ops.N), [1.0 / dt, nu]])
-        self._data = np.concatenate([np.zeros(ops.step_indices.size), ops.saddle_const])
-        n = ops.saddle_indptr.size - 1
-        self.saddle, self.abs_saddle = (
-            sp.csc_matrix((np.zeros(ops.saddle_src.size), ops.saddle_indices,
-                           ops.saddle_indptr), shape=(n, n)) for _ in range(2))
-        self.M_fc = sp.csr_matrix((np.zeros(ops.fc_src.size), ops.fc_indices, ops.fc_indptr),
-                                  shape=(self.nf, C.size))
-        self.saddle_T, self.abs_saddle_T, self.M_fc_T = (
-            self.saddle.T, self.abs_saddle.T, self.M_fc.T)
-        # accepted solutions of the forward and the transposed solves, oldest first
+        self.neumann = ops.neumann()[1]
+        # sources [alpha; w; 1/dt; nu] of the step map
+        self._src = np.concatenate([np.zeros(ops.n_boundary + ops.N), [1.0 / dt, nu]])
+        self.L = sp.csr_matrix((np.zeros(ops.step_indices.size), ops.step_indices,
+                                ops.step_indptr), shape=(ops.N, ops.N))
+        n = ops.reduced_indptr.size - 1
+        self.R, self.abs_R = (
+            sp.csr_matrix((np.zeros(ops.reduced_indices.size), ops.reduced_indices,
+                           ops.reduced_indptr), shape=(n, n)) for _ in range(2))
+        self.LT, self.R_T, self.abs_R_T = self.L.T, self.R.T, self.abs_R.T
+        # accepted psi of the forward and the transposed solves, oldest first
         self.history = ([], [])
 
     def seed(self, y_vec):
-        """Start the forward history at velocity y_vec with zero pressure."""
-        self.history[0][:] = [np.concatenate([y_vec[self.F], np.zeros(self.ops.ncell - 1)])]
+        """Start the forward history at the stream function of velocity y_vec."""
+        self.history[0][:] = [self.ops.stream_function(y_vec)]
 
     def step(self, alpha_nodes, w_adv_vec):
-        """Refill the blocks with the step operator at (alpha, w); returns self."""
+        """Refill L and R with the step at (alpha, w); returns self."""
         ops, src, nb = self.ops, self._src, self.ops.n_boundary
         src[:nb] = alpha_nodes
         src[nb:-2] = w_adv_vec
-        self._data[:ops.step_indices.size] = ops._step_map @ src
-        # the gathers are in range by construction; mode="clip" writes
-        # straight into out, where the default mode buffers
-        np.take(self._data, ops.saddle_src, out=self.saddle.data, mode="clip")
-        np.abs(self.saddle.data, out=self.abs_saddle.data)
-        np.take(self._data, ops.fc_src, out=self.M_fc.data, mode="clip")
-        self.lu = _factor(self.saddle) if self.ref is None else self.ref
+        self.L.data[:] = ops._step_map @ src
+        ops.reduced_data(self.L.data, out=self.R.data)
+        np.abs(self.R.data, out=self.abs_R.data)
+        # R_T is R^T as CSC, so its factor solves with R through the
+        # transposed kernel
+        self.lu = _factor(self.R_T) if self.ref is None else self.ref
         return self
 
     @contextlib.contextmanager
@@ -612,19 +691,8 @@ class StepSolver:
         except SolverDivergence as exc:
             raise SolverDivergence("%s step %d: %s" % (self.sweep, k, exc))
 
-    def _ref_solve(self, r, trans):
-        """The reference saddle A, or A^T, solved for r; both through the
-        transposed kernel, since A^-1 r = P^-1 A^-T (P r)."""
-        if trans:
-            return self.ref.solve(r, trans="T")
-        P = self.ops.saddle_similarity
-        x = self.ref.solve(P * r, trans="T")
-        x /= P
-        return x
-
     def _refine(self, rhs, rhs_norm, big, abs_big, trans):
-        """Solution refined against the reference factor and its residual
-        norm, or None.
+        """Solution refined against the reference factor, or None.
 
         The first solve corrects the extrapolated guess, if its residual is
         below |rhs|, and zero otherwise.  The solve is accepted once its
@@ -639,71 +707,90 @@ class StepSolver:
             guess = _extrapolate(hist)
             res = rhs - big @ guess
             if _norm(res) < rhs_norm:
-                sol = self._ref_solve(res, trans)
+                sol = self.ref.solve(res, trans="T")
                 sol += guess
         if sol is None:
-            sol = self._ref_solve(rhs, trans)
+            sol = self.ref.solve(rhs, trans="T")
         floor = _EPS * _norm(abs_big @ abs(sol) + abs(rhs))
         res = rhs - big @ sol
         rn0 = rn = _norm(res)
         k = 0
         while not rn <= floor:
             k += 1
-            sol += self._ref_solve(res, trans)
+            sol += self.ref.solve(res, trans="T")
             np.subtract(rhs, big @ sol, out=res)
             rn, last = _norm(res), rn
             if not (rn <= REFINE_RATE * last
                     and rn * (rn / rn0) ** ((REFINE_MAX_STEPS - k) / k) <= floor):
                 return None
-        return sol, rn
+        return sol
 
     def _solve(self, rhs, trans=False):
+        """psi with R psi = rhs, or R^T psi = rhs if trans."""
         if trans:
-            big, abs_big, mode = self.saddle_T, self.abs_saddle_T, "T"
+            big, abs_big = self.R_T, self.abs_R_T
         else:
-            big, abs_big, mode = self.saddle, self.abs_saddle, "N"
-        rhs_norm = _norm(rhs)
-        out = None if self.lu is not self.ref else self._refine(rhs, rhs_norm, big,
+            big, abs_big = self.R, self.abs_R
+        sol = None if self.lu is not self.ref else self._refine(rhs, _norm(rhs), big,
                                                                  abs_big, trans)
-        if out is None:
+        if sol is None:
             if self.lu is self.ref:
-                self.lu = _factor(self.saddle)
-            sol = self.lu.solve(rhs, trans=mode)
-            out = sol, _norm(rhs - big @ sol)
-        rel = out[1] / max(rhs_norm, 1e-30)
+                self.lu = _factor(self.R_T)
+            sol = self.lu.solve(rhs, trans="N" if trans else "T")
+        hist = self.history[trans]
+        hist.append(sol)
+        del hist[:-3]
+        return sol
+
+    def _pressure(self, rhs_cells):
+        """Mean-zero x with L_pin x[1:] = rhs_cells[1:] and x[0] = 0 before the shift."""
+        x = np.empty(self.ops.ncell)
+        x[0] = 0.0
+        x[1:] = self.neumann.solve(rhs_cells[1:])
+        x -= x.sum() / x.size       # x.mean(), without its dispatch
+        return x
+
+    def _check(self, res, rhs, trans):
+        rel = _norm(res) / max(_norm(rhs), 1e-30)
         if not np.isfinite(rel) or rel > LINEAR_RESIDUAL_TOL:
             raise SolverDivergence("%s step residual %.3e above tolerance"
                                    % ("adjoint" if trans else "linear", rel))
-        hist = self.history[trans]
-        hist.append(out[0])
-        del hist[:-3]
-        return out[0]
-
-    def _split(self, sol):
-        """Free-face block and mean-zero cell block, the pinned cell put back."""
-        cell = np.concatenate([[0.0], sol[self.nf:]])
-        cell -= cell.sum() / cell.size       # cell.mean(), without its dispatch
-        return sol[:self.nf], cell
 
     def solve(self, rhs_mom_full, a_nodes):
-        """Forward/linearized step.  rhs_mom_full excludes boundary coupling."""
-        ops = self.ops
-        # (Mbc @ a)[C], read off the signed permutation that Mbc is; adding
-        # 0.0 turns a -0.0 into 0.0, as the product does
-        y_c = ops.wall_sign * a_nodes[ops.wall_node]
-        y_c += 0.0
-        rhs_f = rhs_mom_full[self.F] - self.M_fc @ y_c
-        rhs_div = -(ops.Dc @ y_c)
-        sol = self._solve(np.concatenate([rhs_f, rhs_div[1:]]))
-        y = np.empty(ops.N)
-        y[self.F], p = self._split(sol)
-        y[self.C] = y_c
+        """Forward/linearized step.  rhs_mom_full excludes boundary coupling.
+
+        The residual is checked relative to the data of the system for
+        (y - boundary_lift(a), p): the momentum rows left after the lift,
+        and the divergence the wall data put into the wall cells.
+        """
+        ops, C = self.ops, self.C
+        y0 = ops.boundary_lift(a_nodes)
+        r = rhs_mom_full - self.L @ y0
+        r[C] = 0.0
+        dy = ops.Ci @ self._solve(ops.CiT @ r)
+        m = r - self.L @ dy             # rhs_mom - L y on the free rows
+        m[C] = 0.0
+        p = self._pressure(ops.Dmat @ m)
+        m += ops.cell_area * (ops.DmatT @ p)
+        m[C] = 0.0
+        y = y0 + dy
+        self._check(np.concatenate([m, ops.Dmat @ y]),
+                    np.concatenate([r, ops.Dc @ y[C]]), False)
         return y, p
 
     def solve_transpose(self, rhs_free):
-        """Adjoint step: solve Big^T (lam, q) = (rhs_free, 0)."""
-        ops = self.ops
-        sol = self._solve(np.concatenate([rhs_free, np.zeros(ops.ncell - 1)]), trans=True)
-        lam_full = np.zeros(ops.N)
-        lam_full[self.F], q = self._split(sol)
-        return lam_full, q
+        """Adjoint step: solve Big^T (lam, q) = (rhs_free, 0), with Big the
+        step's velocity-pressure system on the free faces.  Keeps L^T lam
+        as LT_lam, whose wall rows the adjoint pairing reads."""
+        ops, C = self.ops, self.C
+        r = np.zeros(ops.N)
+        r[self.F] = rhs_free
+        lam = ops.Ci @ self._solve(ops.CiT @ r, trans=True)
+        self.LT_lam = self.LT @ lam
+        m = r - self.LT_lam             # rhs - L^T lam on the free rows
+        m[C] = 0.0
+        q = self._pressure(-ops.cell_area * (ops.Dmat @ m))
+        m -= ops.DmatT @ q
+        m[C] = 0.0
+        self._check(np.concatenate([m, ops.cell_area * (ops.Dmat @ lam)]), r, True)
+        return lam, q

@@ -1,8 +1,9 @@
 """Forward state solver: semi-implicit slip-Stokes stepping.
 
 Each step freezes the advecting velocity at the previous slice and solves
-one linear saddle-point system with the wall-normal faces set from the
-injection-suction data.  The step operator is assembled from the symmetric
+one linear velocity-pressure system with the wall-normal faces set from
+the injection-suction data (on the discrete stream function, see
+operators.StepSolver).  The step operator is assembled from the symmetric
 strain form and the skew-symmetrized advection, so the scheme satisfies a
 discrete energy identity exactly; energy_identity_residual evaluates it
 term by term.

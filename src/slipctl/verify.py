@@ -317,7 +317,7 @@ def run_estimate_suite(config):
         ops = grid.ops
         ratios = []
         for d in dirs:
-            z, _ = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
+            z = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
             lhs = max(face_l2(grid, zk) ** 2 for zk in z)
             for k in range(1, tg.nt + 1):
                 zv = z[k]
@@ -354,7 +354,7 @@ def run_estimate_suite(config):
                  for _ in range(nsamp)]
         residuals = []
         for d, U in pairs:
-            z, _ = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
+            z = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
             adj = solve_adjoint(AdjointProblem(prob, traj, U))
             residuals.append(duality_residual(z, adj, U, d.a, d.b,
                                               base_hash=traj.config_hash))

@@ -7,6 +7,7 @@ two against each other.  Nothing in slipctl calls them.
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from slipctl.errors import IncompatibleFlux, SolverDivergence
 from slipctl.fields import (BoundaryControl, FrictionField, components,
@@ -16,6 +17,13 @@ from slipctl.mesh import WALL_BOTTOM, WALL_LEFT, WALL_RIGHT, WALL_TOP
 from slipctl.operators import DiscreteOperators, _row_blocks
 
 
+def reduced_matrix(ops, data):
+    """R = Ci^T L Ci (CSR) from step_matrix data, as StepSolver fills it."""
+    n = ops.reduced_indptr.size - 1
+    return sp.csr_matrix((ops.reduced_data(data), ops.reduced_indices, ops.reduced_indptr),
+                         shape=(n, n))
+
+
 def fric_matrix(ops, alpha_nodes):
     """Friction form Ttau^T diag(w_gamma alpha) Ttau, assembled."""
     return (ops.Ttau.T @ sp.diags(ops.w_gamma * alpha_nodes) @ ops.Ttau).tocsr()
@@ -23,7 +31,8 @@ def fric_matrix(ops, alpha_nodes):
 
 class ReferenceOperators(DiscreteOperators):
     """DiscreteOperators built by sparse algebra: Kronecker products, block
-    stacks, lil edits and sp.diags products, each stencil summed by scipy.
+    stacks, lil edits and sp.diags products, each stencil summed by scipy,
+    and the step and reduced patterns found by sorting their keys.
 
     DiscreteOperators builds the same matrices from index arithmetic; every
     attribute of the two must agree bit for bit.
@@ -45,8 +54,10 @@ class ReferenceOperators(DiscreteOperators):
         self._build_advection_stencils(grid)
         self.A_strain = self._assemble_strain_form()
         self._build_step_map()
-        self._build_step_gathers(grid.cell_area)
+        self._build_curl(grid)
+        self._build_reduced_map()
         self._reference = None
+        self._neumann = None
 
     def _build_divergence(self, g):
         nx, ny = g.nx, g.ny
@@ -61,7 +72,7 @@ class ReferenceOperators(DiscreteOperators):
             (np.concatenate(data), (np.concatenate(rr), np.concatenate(cc))),
             shape=(self.ncell, self.N))
         self.Dc = self.Dmat[:, self.cons_idx].tocsr()
-        self.DcT = self.Dc.T
+        self.DmatT, self.DcT = self.Dmat.T, self.Dc.T
 
     def _build_gradients(self, g):
         nx, ny, hx, hy = g.nx, g.ny, g.hx, g.hy
@@ -205,47 +216,103 @@ class ReferenceOperators(DiscreteOperators):
         self.step_indptr = np.searchsorted(pattern, np.arange(N + 1) * N).astype(np.int32)
         self._step_map = sp.csr_matrix((coef, (pos, src)), shape=(pattern.size, nsrc))
 
-    def _build_step_gathers(self, cell_area):
-        """Positions of L[F][:, C] and of the pinned saddle in the step pattern.
+    def _build_curl(self, g):
+        nx, ny = g.nx, g.ny
+        # u = dpsi/dy on each vertical face, v = -dpsi/dx on each horizontal one
+        dy = sp.diags([np.full(ny, -1 / g.hy), np.full(ny, 1 / g.hy)], [0, 1],
+                      shape=(ny, ny + 1))
+        dx = sp.diags([np.full(nx, 1 / g.hx), np.full(nx, -1 / g.hx)], [0, 1],
+                      shape=(nx, nx + 1))
+        self.curl = sp.vstack([sp.kron(sp.eye(nx + 1), dy), sp.kron(dx, sp.eye(ny + 1))],
+                              format="csr")
+        self.curl.eliminate_zeros()
+        inner = np.arange(self.nvert).reshape(nx + 1, ny + 1)[1:nx, 1:ny].ravel()
+        self.Ci = self.curl[:, inner].tocsr()
+        self.Ci.eliminate_zeros()
+        self.CiT = self.Ci.T
+        i = np.concatenate([np.arange(nx + 1), np.full(ny, nx), np.arange(nx - 1, -1, -1),
+                            np.zeros(ny - 1, dtype=int)])
+        j = np.concatenate([np.zeros(nx + 1, dtype=int), np.arange(1, ny + 1), np.full(nx, ny),
+                            np.arange(ny - 1, 0, -1)])
+        self.loop_vertex = i * (ny + 1) + j
 
-        The saddle is [[L[F][:, F], Gf[:, 1:]], [Df[1:], 0]] in CSC form,
-        with Gf = -cell_area * Df^T; its data is gathered from L.data followed
-        by the constant Gf/Df entries.  Cell 0's pressure column and
-        divergence row are left out (see StepSolver).  Every row and column
-        stays short, so a fill-reducing ordering works well (see _factor).
-        """
-        F, C = self.free_idx, self.cons_idx
-        nf = F.size
-        local = np.empty(self.N, dtype=np.int32)
-        local[F] = np.arange(nf)
-        local[C] = np.arange(C.size)
-        rows = np.repeat(np.arange(self.N), np.diff(self.step_indptr))
+    def _build_reduced_map(self):
+        """Pattern of R = Ci^T L Ci and the map Q, a row per entry a <= b,
+        by sorting: every term (a, b, step entry) of R is listed, and the
+        rows of Q and the pattern of R are the distinct (a, b) in order."""
+        N, C = self.N, self.Ci.tocoo()
+        rows = np.repeat(np.arange(N), np.diff(self.step_indptr))
         cols = self.step_indices
-        free_row = self.free[rows]
-        # L[F][:, C] in CSR: the pattern is row-major with sorted columns
-        fc = np.flatnonzero(free_row & self.constrained[cols])
-        self.fc_src = fc.astype(np.int32)
-        self.fc_indices = local[cols[fc]]
-        self.fc_indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(local[rows[fc]], minlength=nf))]).astype(np.int32)
+        keys = rows.astype(np.int64) * N + cols
+        mirror = np.searchsorted(keys, cols.astype(np.int64) * N + rows).astype(np.int32)
+        by_face = [[] for _ in range(N)]
+        for face, vert, val in zip(C.row, C.col, C.data):
+            by_face[face].append((vert, val))
+        a, b, src, coef = [], [], [], []
+        for s_, (i, j) in enumerate(zip(rows, cols)):
+            for va, ca in by_face[i]:
+                for vb, cb in by_face[j]:
+                    if va <= vb:
+                        a.append(va); b.append(vb); src.append(s_); coef.append(ca * cb)
+        a, b, src, coef = (np.array(x) for x in (a, b, src, coef))
+        n = self.Ci.shape[1]
+        upper, pos = np.unique(a * n + b, return_inverse=True)
+        order = np.lexsort((src, pos))
+        self._reduced_map = sp.csr_matrix(
+            (coef[order], src[order].astype(np.int32),
+             np.searchsorted(pos[order], np.arange(upper.size + 1)).astype(np.int32)),
+            shape=(upper.size, rows.size))
+        Q = self._reduced_map
+        self._reduced_mirror = sp.csr_matrix((Q.data, mirror[Q.indices], Q.indptr), shape=Q.shape)
+        ua, ub = np.divmod(upper, n)
+        pattern = np.unique(np.concatenate([upper, ub * n + ua]))
+        self.reduced_indices = (pattern % n).astype(np.int32)
+        self.reduced_indptr = np.searchsorted(pattern, np.arange(n + 1) * n).astype(np.int32)
+        self.reduced_upper = np.searchsorted(pattern, upper)
+        self.reduced_lower = np.searchsorted(pattern, ub * n + ua)
 
-        ff = np.flatnonzero(free_row & self.free[cols])
-        Df = self.Dmat[:, F].tocoo()
-        pinned = Df.row > 0
-        dr, dc, dv = Df.row[pinned] - 1, Df.col[pinned], Df.data[pinned]
-        self.saddle_const = np.concatenate([(-cell_area) * dv, dv])
-        r = np.concatenate([local[rows[ff]], dc, nf + dr])
-        c = np.concatenate([local[cols[ff]], nf + dr, dc])
-        order = np.lexsort((r, c))
-        self.saddle_src = np.concatenate(
-            [ff, self.step_indices.size + np.arange(2 * dv.size)])[order].astype(np.int32)
-        self.saddle_indices = r[order].astype(np.int32)
-        self.saddle_indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(c, minlength=nf + self.ncell - 1))]).astype(np.int32)
-        # P of the similarity A^T = P A P^-1 of an advection-free saddle A
-        # (see reference_lu): 1 on the free faces, -cell_area on cells 1..
-        self.saddle_similarity = np.concatenate([np.ones(nf),
-                                                 np.full(self.ncell - 1, -cell_area)])
+
+class SaddleStep:
+    """One implicit step solved directly on the pinned velocity-pressure
+    saddle, the formulation the stream-function solves replace.
+
+    The saddle is [[L[F][:, F], Gf[:, 1:]], [Df[1:], 0]] with
+    Gf = -cell_area Df^T: cell 0's pressure column and divergence row are
+    left out (the cell rows sum to the net wall flux, which is zero), and
+    the pressures are shifted to mean zero after the solve.  It is factored
+    by minimum degree on A^T A in symmetric mode.
+    """
+
+    def __init__(self, ops, dt, nu, alpha_nodes, w_vec):
+        F, C = ops.free_idx, ops.cons_idx
+        self.ops, self.nf = ops, F.size
+        L = ops.step_matrix(dt, nu, alpha_nodes, w_vec)[F]
+        Df = ops.Dmat[:, F]
+        self.saddle = sp.bmat([[L[:, F], (-ops.cell_area * Df.T)[:, 1:]], [Df[1:], None]],
+                              format="csc")
+        self.M_fc = L[:, C]
+        self.lu = spla.splu(self.saddle, permc_spec="MMD_ATA", options={"SymmetricMode": True})
+
+    def _split(self, sol):
+        cell = np.concatenate([[0.0], sol[self.nf:]])
+        return sol[:self.nf], cell - cell.mean()
+
+    def solve(self, rhs_mom_full, a_nodes):
+        """(y, p) of the forward step with wall-normal data a."""
+        ops = self.ops
+        F, C = ops.free_idx, ops.cons_idx
+        y = ops.bc_vec(a_nodes)
+        rhs = np.concatenate([rhs_mom_full[F] - self.M_fc @ y[C], -(ops.Dc @ y[C])[1:]])
+        y[F], p = self._split(self.lu.solve(rhs))
+        return y, p
+
+    def solve_transpose(self, rhs_free):
+        """(lam, q) of the transposed step, lam zero on the walls."""
+        ops = self.ops
+        lam = np.zeros(ops.N)
+        sol = self.lu.solve(np.concatenate([rhs_free, np.zeros(ops.ncell - 1)]), trans="T")
+        lam[ops.free_idx], q = self._split(sol)
+        return lam, q
 
 
 def _face_split(Lm, Rm, c, Sm):

@@ -212,7 +212,7 @@ def test_06_duality_relation(desk):
         for seed in range(5):
             d = random_admissible_control(grid, tg, np.random.default_rng(300 + seed),
                                           amplitude=1.0)
-            z, _ = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
+            z = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
             rng = np.random.default_rng(400 + seed)
             U = np.array([face_vector(grid, rng.standard_normal(grid.shape_u),
                                       rng.standard_normal(grid.shape_v))
@@ -284,7 +284,7 @@ def test_10_linearized_and_adjoint_estimates(desk):
         lin_ratios = []
         for seed in range(10):
             d = balanced_direction(grid, tg, np.random.default_rng(800 + seed))
-            z, _ = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
+            z = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
             lhs = max(face_l2(grid, zk) ** 2 for zk in z)
             for k in range(1, tg.nt + 1):
                 zv = z[k]

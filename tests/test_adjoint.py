@@ -85,7 +85,7 @@ def test_duality_relation(setup):
     for seed in range(3):
         d = random_admissible_control(grid, tg, np.random.default_rng(40 + seed),
                                       amplitude=1.0)
-        z, _ = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
+        z = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
         U = random_source(grid, tg, 50 + seed)
         adj = solve_adjoint(AdjointProblem(prob, traj, U))
         res = duality_residual(z, adj, U, d.a, d.b, base_hash=traj.config_hash)
@@ -95,7 +95,7 @@ def test_duality_relation(setup):
 def test_duality_zero_over_zero_guarded(setup):
     grid, tg, prob, traj = setup
     zero_f = np.zeros((tg.nt + 1, grid.n_boundary))
-    z, _ = solve_linearized(LinearizedProblem(prob, traj, zero_f, zero_f))
+    z = solve_linearized(LinearizedProblem(prob, traj, zero_f, zero_f))
     U0 = np.zeros((tg.nt + 1, grid.ops.N))
     adj = solve_adjoint(AdjointProblem(prob, traj, U0))
     assert duality_residual(z, adj, U0, zero_f, zero_f) == 0.0
@@ -104,7 +104,7 @@ def test_duality_zero_over_zero_guarded(setup):
 def test_duality_base_mismatch_detected(setup):
     grid, tg, prob, traj = setup
     d = random_admissible_control(grid, tg, np.random.default_rng(60), amplitude=1.0)
-    z, _ = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
+    z = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
     U = random_source(grid, tg, 61)
     adj = solve_adjoint(AdjointProblem(prob, traj, U))
     with pytest.raises(ValueError, match="base"):
@@ -116,7 +116,7 @@ def test_constant_pressure_shift_drops_out(setup):
     constant leaves the boundary pairing unchanged."""
     grid, tg, prob, traj = setup
     d = random_admissible_control(grid, tg, np.random.default_rng(70), amplitude=1.0)
-    z, _ = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
+    z = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
     U = random_source(grid, tg, 71)
     adj = solve_adjoint(AdjointProblem(prob, traj, U))
     rhs0 = sum(np.dot(adj.kernel_a[k], d.a[k]) + np.dot(adj.kernel_b[k], d.b[k])
@@ -243,8 +243,8 @@ def _sweep_outputs(p, U, d):
     """Every array the state, adjoint and tangent sweeps of p return."""
     t = solve_state(p)
     adj = solve_adjoint(AdjointProblem(p, t, U))
-    z, pi = solve_linearized(LinearizedProblem(p, t, d.a, d.b))
-    return [t.y, t.p, adj.kernel_a, adj.kernel_b, z, pi]
+    z = solve_linearized(LinearizedProblem(p, t, d.a, d.b))
+    return [t.y, t.p, adj.kernel_a, adj.kernel_b, z]
 
 
 def test_one_solver_per_sweep_matches_a_fresh_solver_per_step(setup, monkeypatch,

@@ -174,6 +174,26 @@ def test_grad_check_pass_and_corrupt_hook(tmp_path, capsys):
                  "--corrupt-adjoint"]) == EXIT_CHECK
 
 
+def test_grad_check_passes_at_a_stationary_point(tmp_path):
+    """configs/demo.ini tracking its own solve trajectory, with lambda = 0,
+    is a stationary point: the adjoint pairings are 0 and the Richardson
+    estimates round-off, within the bound gradcheck.csv reports, so every
+    direction passes."""
+    demo = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "demo.ini")
+    text = open(demo).read().replace("directory = out", "directory = {out}")
+    sol = tmp_path / "sol"
+    assert main(["solve", "--config", write_config(tmp_path, text), "--out", str(sol)]) == EXIT_OK
+    tracking = text.replace("y_d = zero", "y_d = file:%s" % (sol / "trajectory"))
+    cfg = write_config(tmp_path, tracking, name="track.ini")
+    out = tmp_path / "gc"
+    assert main(["grad-check", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    rows = (out / "gradcheck.csv").read_text().splitlines()
+    assert rows[0] == "direction,adjoint,fd_richardson,fd_round_off,rel_error"
+    for row in rows[1:]:
+        _, adj, fd, bound, err = (float(v) for v in row.split(","))
+        assert adj == 0.0 and 0.0 < abs(fd) <= bound and err <= 1e-6
+
+
 def test_optimize_budget_and_history(tmp_path):
     cfg = write_config(tmp_path)
     out = str(tmp_path / "opt")

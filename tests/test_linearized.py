@@ -29,20 +29,19 @@ def direction(grid, tg, seed, amplitude=1.0):
 
 def test_zero_direction_zero_solution(setup):
     grid, tg, prob, traj = setup
-    z, pi = solve_linearized(LinearizedProblem(
+    z = solve_linearized(LinearizedProblem(
         prob, traj, np.zeros_like(prob.controls.a), np.zeros_like(prob.controls.b)))
-    assert z.shape == traj.y.shape and pi.shape == traj.p.shape
+    assert z.shape == traj.y.shape
     assert max(face_l2(grid, zk) for zk in z) == 0.0
-    assert max(abs(p).max() for p in pi) < 1e-12
 
 
 def test_superposition_exact(setup):
     grid, tg, prob, traj = setup
     d1 = direction(grid, tg, 1)
     d2 = direction(grid, tg, 2)
-    z1, _ = solve_linearized(LinearizedProblem(prob, traj, d1.a, d1.b))
-    z2, _ = solve_linearized(LinearizedProblem(prob, traj, d2.a, d2.b))
-    z12, _ = solve_linearized(LinearizedProblem(
+    z1 = solve_linearized(LinearizedProblem(prob, traj, d1.a, d1.b))
+    z2 = solve_linearized(LinearizedProblem(prob, traj, d2.a, d2.b))
+    z12 = solve_linearized(LinearizedProblem(
         prob, traj, 3.0 * d1.a - 0.5 * d2.a, 3.0 * d1.b - 0.5 * d2.b))
     ref = max(face_l2(grid, zk) for zk in z12)
     err = max(face_l2(grid, z12[k] - (3.0 * z1[k] - 0.5 * z2[k])) for k in range(tg.nt + 1))
@@ -52,7 +51,7 @@ def test_superposition_exact(setup):
 def test_slices_satisfy_constraints(setup):
     grid, tg, prob, traj = setup
     d = direction(grid, tg, 3)
-    z, _ = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
+    z = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
     assert face_l2(grid, z[0]) == 0.0
     for k in range(1, tg.nt + 1):
         assert np.abs(divergence(grid, z[k])).max() < 1e-9
@@ -66,7 +65,7 @@ def test_matches_stokes_solver_around_null_state(stokes_slip_solve):
     zero_prob = StateProblem(grid, tg, np.zeros(grid.ops.N), BoundaryControl(grid, tg))
     traj0 = solve_state(zero_prob)
     d = direction(grid, tg, 4)
-    z, _ = solve_linearized(LinearizedProblem(zero_prob, traj0, d.a, d.b))
+    z = solve_linearized(LinearizedProblem(zero_prob, traj0, d.a, d.b))
     y_prev = np.zeros(grid.ops.N)
     for k in range(1, tg.nt + 1):
         y_k, _ = stokes_slip_solve(grid, np.zeros(grid.ops.N), y_prev, d.a[k],
@@ -111,7 +110,7 @@ def test_energy_estimate_shape(setup):
     from slipctl.control_opt import balanced_direction
     for seed in range(10):
         d = balanced_direction(grid, tg, np.random.default_rng(20 + seed))
-        z, _ = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
+        z = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
         lhs = max(face_l2(grid, zk) ** 2 for zk in z)
         for k in range(1, tg.nt + 1):
             zv = z[k]
