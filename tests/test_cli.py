@@ -191,7 +191,7 @@ def test_grad_check_passes_at_a_stationary_point(tmp_path):
     assert rows[0] == "direction,adjoint,fd_richardson,fd_round_off,rel_error"
     for row in rows[1:]:
         _, adj, fd, bound, err = (float(v) for v in row.split(","))
-        assert adj == 0.0 and 0.0 < abs(fd) <= bound and err <= 1e-6
+        assert adj == 0.0 and abs(fd) <= bound and err <= 1e-6
 
 
 def test_optimize_budget_and_history(tmp_path):
