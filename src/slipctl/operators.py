@@ -751,6 +751,7 @@ class StepSolver:
         return x
 
     def _check(self, res, rhs, trans):
+        """SolverDivergence unless |res| <= LINEAR_RESIDUAL_TOL |rhs|."""
         rel = _norm(res) / max(_norm(rhs), 1e-30)
         if not np.isfinite(rel) or rel > LINEAR_RESIDUAL_TOL:
             raise SolverDivergence("%s step residual %.3e above tolerance"
