@@ -5,11 +5,12 @@ the divergence-free lifting of the prescribed wall-normal velocity.  The
 potential is determined up to a constant, so cell 0 is pinned to zero and
 its row dropped (the rows sum to the net wall flux, which is checked to be
 zero); the factored Laplacian stays symmetric and sparse, and the potential
-is shifted to mean zero after the solve.
+is shifted to mean zero after the solve.  The matrix and its factor are the
+grid's shared ones (DiscreteOperators.neumann), which the step solves use
+to recover pressures.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import IncompatibleFlux, SolverDivergence
 from .fields import components
@@ -19,48 +20,6 @@ FLUX_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
 
 
-class _NeumannSolver:
-    """The Neumann Laplacian with cell 0 pinned, on the grid's shared factor
-    (DiscreteOperators.neumann, which the step solves use too).
-
-    Cached on its grid, so it keeps no reference back to it.
-    """
-
-    def __init__(self, grid):
-        self.Gint = self._interior_gradient(grid)
-        self.L_pin, self.lu = grid.ops.neumann()
-
-    @staticmethod
-    def _interior_gradient(grid):
-        """Cell potential -> face gradient; zero at the wall faces."""
-        ops = grid.ops
-        return -(sp.diags(ops.free.astype(float)) @ ops.Dmat.T).tocsr()
-
-    def solve(self, grid, a_nodes):
-        ops = grid.ops
-        flux = integrate_boundary(grid, a_nodes)
-        scale = max(1.0, float(np.abs(a_nodes).max()))
-        if abs(flux) > FLUX_TOL * scale:
-            raise IncompatibleFlux(
-                "net boundary flux %.3e violates the zero-mean compatibility "
-                "condition on the normal data" % flux)
-        bc = ops.bc_vec(a_nodes)
-        rhs = -(grid.cell_area * (ops.Dmat @ bc))[1:]
-        sol = self.lu.solve(rhs)
-        res = np.linalg.norm(self.L_pin @ sol - rhs)
-        if not np.isfinite(res) or res > RESIDUAL_TOL * max(1.0, np.linalg.norm(rhs)):
-            raise SolverDivergence("Neumann solve residual %.3e above tolerance" % res)
-        h = np.concatenate([[0.0], sol])
-        h -= h.mean()
-        return h, self.Gint @ h + bc
-
-
-def _solver_for(grid):
-    if not hasattr(grid, "_neumann_solver"):
-        grid._neumann_solver = _NeumannSolver(grid)
-    return grid._neumann_solver
-
-
 def solve_neumann_lifting(grid, a_nodes):
     """Lift normal data a into a curl-free, divergence-free velocity field.
 
@@ -68,7 +27,24 @@ def solve_neumann_lifting(grid, a_nodes):
     gradient (face vector), whose normal trace equals a exactly on every
     wall face; the interior faces carry the potential differences.
     """
-    return _solver_for(grid).solve(grid, np.asarray(a_nodes, dtype=float))
+    ops = grid.ops
+    a_nodes = np.asarray(a_nodes, dtype=float)
+    flux = integrate_boundary(grid, a_nodes)
+    scale = max(1.0, float(np.abs(a_nodes).max()))
+    if abs(flux) > FLUX_TOL * scale:
+        raise IncompatibleFlux(
+            "net boundary flux %.3e violates the zero-mean compatibility "
+            "condition on the normal data" % flux)
+    grad, L_pin, lu = ops.neumann()
+    bc = ops.bc_vec(a_nodes)
+    rhs = -(grid.cell_area * (ops.Dmat @ bc))[1:]
+    sol = lu.solve(rhs)
+    res = np.linalg.norm(L_pin @ sol - rhs)
+    if not np.isfinite(res) or res > RESIDUAL_TOL * max(1.0, np.linalg.norm(rhs)):
+        raise SolverDivergence("Neumann solve residual %.3e above tolerance" % res)
+    h = np.concatenate([[0.0], sol])
+    h -= h.mean()
+    return h, grad @ h + bc
 
 
 def discrete_curl(grid, y):

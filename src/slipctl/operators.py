@@ -31,9 +31,12 @@ import scipy.sparse.linalg as spla
 from .errors import SolverDivergence
 
 LINEAR_RESIDUAL_TOL = 1e-9
-# iterative refinement against a nearby factor (StepSolver._refine): each
-# correction must cut the residual norm by REFINE_RATE, and the average rate
-# must bring it to round-off within REFINE_MAX_STEPS corrections
+# iterative refinement against a nearby factor (StepSolver._refine): a solve
+# is accepted at REFINE_TARGET times its round-off bound; each correction
+# must cut the residual norm by REFINE_RATE, unless the residual is already
+# within the bound, and the average rate must reach the target within
+# REFINE_MAX_STEPS corrections
+REFINE_TARGET = 0.5
 REFINE_RATE = 0.5
 REFINE_MAX_STEPS = 20
 _EPS = np.finfo(float).eps
@@ -370,19 +373,20 @@ class DiscreteOperators:
         return self._reference[1]
 
     def neumann(self):
-        """The pinned Neumann Laplacian L_pin (CSC) and its LU, made on first
-        use and kept.
+        """The interior gradient grad (CSR), the pinned Neumann Laplacian
+        L_pin (CSC) and its LU, made on first use and kept.
 
-        L_pin = -cell_area Df Df^T without cell 0's row and column, which is
-        -Gf^T W_f^-1 Gf for Gf = -cell_area Df^T and W_f = cell_area on the
-        free faces: the normal equations of the pressure gradient.  The step
-        solves recover pressures from it, and lifting solves its potential
-        with it.
+        grad = -Dmat^T on the free faces and zero on the wall faces maps a
+        cell potential to its face gradient.  L_pin = cell_area Dmat grad
+        without cell 0's row and column, which is -Gf^T W_f^-1 Gf for
+        Gf = -cell_area Df^T and W_f = cell_area on the free faces: the
+        normal equations of the pressure gradient.  The step solves recover
+        pressures from it, and lifting solves its potential with it.
         """
         if self._neumann is None:
             grad = -(sp.diags(self.free.astype(float)) @ self.DmatT).tocsr()
             L = ((self.cell_area * self.Dmat) @ grad).tocsc()[1:, 1:]
-            self._neumann = (L, _factor(L, "Neumann matrix"))
+            self._neumann = (grad, L, _factor(L, "Neumann matrix"))
         return self._neumann
 
     def boundary_lift(self, a_nodes):
@@ -652,7 +656,7 @@ class StepSolver:
         self.F, self.C = ops.free_idx, ops.cons_idx
         self.ref = lu
         self.lu = None
-        self.neumann = ops.neumann()[1]
+        self.neumann = ops.neumann()[2]
         # sources [alpha; w; 1/dt; nu] of the step map
         self._src = np.concatenate([np.zeros(ops.n_boundary + ops.N), [1.0 / dt, nu]])
         self.L = sp.csr_matrix((np.zeros(ops.step_indices.size), ops.step_indices,
@@ -695,12 +699,14 @@ class StepSolver:
         """Solution refined against the reference factor, or None.
 
         The first solve corrects the extrapolated guess, if its residual is
-        below |rhs|, and zero otherwise.  The solve is accepted once its
-        residual is at round-off, that is at most eps * || |big| |x| + |rhs| ||
-        (the bound a backward-stable direct solve meets).  It is abandoned as
-        soon as a correction fails to cut the residual by REFINE_RATE or the
-        average rate so far could not reach round-off within the corrections
-        left.
+        below |rhs|, and zero otherwise.  The round-off bound is
+        eps * || |big| |x| + |rhs| || (a backward-stable direct solve meets
+        it, the step's own LU of R at about a third of it).  The solve is
+        accepted once its residual is at most REFINE_TARGET times that bound,
+        or when a correction fails to cut a residual already within the
+        bound by REFINE_RATE.  It is abandoned as soon as a correction fails
+        to cut the residual by REFINE_RATE above the bound, or the average
+        rate so far could not reach the target within the corrections left.
         """
         sol, hist = None, self.history[trans]
         if hist:
@@ -712,16 +718,18 @@ class StepSolver:
         if sol is None:
             sol = self.ref.solve(rhs, trans="T")
         floor = _EPS * _norm(abs_big @ abs(sol) + abs(rhs))
+        target = REFINE_TARGET * floor
         res = rhs - big @ sol
         rn0 = rn = _norm(res)
         k = 0
-        while not rn <= floor:
+        while not rn <= target:
             k += 1
             sol += self.ref.solve(res, trans="T")
             np.subtract(rhs, big @ sol, out=res)
             rn, last = _norm(res), rn
-            if not (rn <= REFINE_RATE * last
-                    and rn * (rn / rn0) ** ((REFINE_MAX_STEPS - k) / k) <= floor):
+            if not rn <= REFINE_RATE * last:
+                return sol if rn <= floor else None
+            if not rn * (rn / rn0) ** ((REFINE_MAX_STEPS - k) / k) <= target:
                 return None
         return sol
 

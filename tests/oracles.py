@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 from slipctl.errors import IncompatibleFlux, SolverDivergence
 from slipctl.fields import (BoundaryControl, FrictionField, components,
                             face_l2, sample_faces)
-from slipctl.lifting import _solver_for
+from slipctl.lifting import solve_neumann_lifting
 from slipctl.mesh import WALL_BOTTOM, WALL_LEFT, WALL_RIGHT, WALL_TOP
 from slipctl.operators import DiscreteOperators, _row_blocks
 
@@ -380,12 +380,11 @@ def strain_tensor(grid, vec):
 
 def time_lifting(grid, a_slices):
     """Slice-wise lifting of time-indexed data, as (h, grad) pairs; reuses
-    the factorization."""
-    solver = _solver_for(grid)
+    the grid's Neumann factor."""
     out = []
     for k, a_k in enumerate(a_slices):
         try:
-            h, grad = solver.solve(grid, np.asarray(a_k, dtype=float))
+            h, grad = solve_neumann_lifting(grid, a_k)
         except (IncompatibleFlux, SolverDivergence) as exc:
             raise type(exc)("time slice %d: %s" % (k, exc))
         out.append((h, grad))
