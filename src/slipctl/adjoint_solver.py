@@ -72,18 +72,25 @@ class AdjointTrajectory:
 
 
 def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
-    """Backward transpose sweep k = nt..1 around the stored base state."""
+    """Backward transpose sweep k = nt..1 around the stored base state.
+
+    The march solves the adjoint velocities lam_k; the adjoint pressures of
+    all steps, every step's full residual check and the pressure-dependent
+    pairing against f_k follow in one pass after it, before the trajectory
+    is returned.
+    """
     sp_ = problem.state_problem
     g, tg = sp_.grid, sp_.time_grid
     ops = g.ops
     dt = tg.dt
     yvec, U = problem.base.y, problem.source
+    C = ops.cons_idx
 
     nslice = tg.nt + 1
     kernel_a = np.zeros((nslice, g.n_boundary))
     kernel_b = np.zeros((nslice, g.n_boundary))
     p = np.zeros((nslice, ops.N))
-    pi = np.empty((tg.nt, ops.ncell))
+    lt_wall = np.empty((tg.nt, C.size))     # the wall rows of L^T lam_k, k = 1..nt
 
     solver = sp_.step_solver("adjoint")
     # Tn is a signed permutation, one entry per row: Tn @ x is the gather
@@ -94,14 +101,8 @@ def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
     for k in range(tg.nt, 0, -1):
         rhs_full = dt * (ops.Wvec * U[k]) + ops.Wvec * lam_next / dt - cross_next
         with solver.at(k, sp_.friction.alpha[k], yvec[k - 1]) as step:
-            lam_full, q = step.solve_transpose(rhs_full[ops.free_idx])
-
-        # pairing against f_k: direct cost term, implicit coupling, divergence
-        pair = np.zeros(ops.N)
-        pair[ops.cons_idx] = (dt * (ops.Wvec * U[k])[ops.cons_idx]
-                              - step.LT_lam[ops.cons_idx]
-                              - ops.DcT @ q)
-        kernel_a[k] += sign * pair[face] + 0.0
+            lam_full = step.solve_transpose(rhs_full[ops.free_idx])
+        lt_wall[k - 1] = step.LT_lam[C]
         t = ops.T @ np.column_stack([yvec[k], lam_full])   # [Tn; Ttau] y, [Tn; Ttau] lam
         kernel_b[k] = ops.w_gamma * t[g.n_boundary:, 1]
 
@@ -111,10 +112,16 @@ def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
             kernel_a[k - 1] -= sign * cross[face] + 0.0
 
         p[k - 1] = lam_full / dt
-        pi[k - 1] = -q / (dt * g.cell_area)
         lam_next = lam_full
         cross_next = cross
 
+    q = solver.pressures(trans=True)[::-1]             # rows k = 1..nt
+    # pairing against f_k: direct cost term, implicit coupling, divergence,
+    # on the wall faces C; (Tn @ x)[wall_node] = wall_sign * x[C], and adding
+    # 0.0 turns a -0.0 into 0.0, as the product does
+    pair = dt * (ops.Wvec[C] * U[1:, C]) - lt_wall - (ops.DcT @ q.T).T
+    kernel_a[1:, ops.wall_node] += ops.wall_sign * pair + 0.0
+    pi = -q / (dt * g.cell_area)
     return AdjointTrajectory(g, tg, p, pi, kernel_a, kernel_b, problem.base.config_hash)
 
 

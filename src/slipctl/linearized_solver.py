@@ -45,12 +45,14 @@ def solve_linearized(problem: LinearizedProblem):
     tg, ops = sp_.time_grid, sp_.grid.ops
     dt = tg.dt
     z = np.zeros((tg.nt + 1, ops.N))
+    lifts, loads = ops.boundary_lift(problem.f[1:]), ops.b_load(problem.g[1:])
     solver = sp_.step_solver("linearized")
     for k in range(1, tg.nt + 1):
         rhs = (ops.Wvec * z[k - 1] / dt - ops.apply_adv_cross(y[k], z[k - 1])
-               + ops.b_load(problem.g[k]))
+               + loads[k - 1])
         with solver.at(k, sp_.friction.alpha[k], y[k - 1]) as step:
-            z[k] = step.solve(rhs, problem.f[k])[0]
+            z[k] = step.solve(rhs, lifts[k - 1])
+    solver.pressures()      # the residual checks; no caller reads the tangent pressures
     return z
 
 
@@ -66,14 +68,16 @@ def linearized_step_apply(step, y_new_vec, xi_free):
     xi_full = np.zeros(ops.N)
     xi_full[ops.free_idx] = xi_free
     rhs = ops.Wvec * xi_full / step.dt - ops.apply_adv_cross(y_new_vec, xi_full)
-    z_vec, _ = step.solve(rhs, np.zeros(ops.n_boundary))
+    z_vec = step.solve(rhs, np.zeros(ops.N))      # the lift of zero wall data
+    step.pressures()
     return z_vec[ops.free_idx]
 
 
 def adjoint_step_apply(step, y_new_vec, eta_free):
     """Transpose of linearized_step_apply under the Euclidean pairing."""
     ops = step.ops
-    lam_full, _ = step.solve_transpose(eta_free)
+    lam_full = step.solve_transpose(eta_free)
+    step.pressures(trans=True)
     out_full = ops.Wvec * lam_full / step.dt - ops.apply_adv_cross_T(y_new_vec, lam_full)
     return out_full[ops.free_idx]
 

@@ -186,15 +186,9 @@ class DiscreteOperators:
         # arrays), one product for both components; Gx, Gy, Px and Py are
         # views on the rows of the stacks.  Gx, Gy: centred derivative of
         # each component at its own points, one-sided at the ends
-        uy = _centred(ny, hy)
-        if ny == 4:
-            # stored dense, explicit zeros included, as sp.kron stores a
-            # factor at least half full; the zeros stay in the step pattern
-            full = np.zeros((4, 4))
-            np.put_along_axis(full, *uy, axis=1)
-            uy = np.tile(np.arange(4), (4, 1)), full
         self.G = _csr([_tensor(iu, _centred(nx + 1, hx), ey), _tensor(iv, _centred(nx, hx), ey1),
-                       _tensor(iu, ex1, uy), _tensor(iv, ex, _centred(ny + 1, hy))], self.N)
+                       _tensor(iu, ex1, _centred(ny, hy)), _tensor(iv, ex, _centred(ny + 1, hy))],
+                      self.N)
         # Px, Py: each component of the advecting field at every unknown's
         # location, averaged over the nearest faces of that component
         rx, ry = np.arange(nx), np.arange(ny)
@@ -393,13 +387,17 @@ class DiscreteOperators:
         """Face vector with the wall-normal faces set from a and the free
         faces the curl of the loop integral of a at the boundary vertices
         (zero inside): divergence-free to round-off when a carries no net
-        flux, and y - boundary_lift(Tn y) = Ci psi for every such y."""
-        psi = np.zeros(self.nvert)
-        psi[self.loop_vertex[1:]] = np.cumsum(self.w_gamma[:-1] * a_nodes[:-1])
-        y = self.curl @ psi
+        flux, and y - boundary_lift(Tn y) = Ci psi for every such y.
+
+        An (n, n_boundary) array of wall data gives the (n, N) array of
+        their lifts, each row bit for bit the lift of that row alone.
+        """
+        psi = np.zeros(a_nodes.shape[:-1] + (self.nvert,))
+        psi[..., self.loop_vertex[1:]] = np.cumsum(self.w_gamma[:-1] * a_nodes[..., :-1], axis=-1)
+        y = np.ascontiguousarray((self.curl @ psi.T).T)
         # (Mbc @ a)[C], read off the signed permutation that Mbc is; adding
         # 0.0 turns a -0.0 into 0.0, as the product does
-        y[self.cons_idx] = self.wall_sign * a_nodes[self.wall_node] + 0.0
+        y[..., self.cons_idx] = self.wall_sign * a_nodes[..., self.wall_node] + 0.0
         return y
 
     def stream_function(self, y_vec):
@@ -441,8 +439,9 @@ class DiscreteOperators:
         return 0.5 * (x[:, 0] - x[:, 1]) + 0.5 * xst
 
     def b_load(self, b_nodes):
-        """Momentum load of the tangential stress data, integrated form."""
-        return self.TtauT @ (self.w_gamma * b_nodes)
+        """Momentum load of the tangential stress data, integrated form; an
+        (n, n_boundary) array gives one load per row, as boundary_lift."""
+        return np.ascontiguousarray((self.TtauT @ (self.w_gamma * b_nodes).T).T)
 
     def bc_vec(self, a_nodes):
         """Full velocity vector with the wall-normal faces set from a."""
@@ -624,11 +623,19 @@ class StepSolver:
     solved for adjoint sweeps.  The divergence-free y are exactly
     y = boundary_lift(a) + Ci psi, and Ci^T G = 0, so each step solves the
     reduced system R psi = Ci^T (rhs_mom - L boundary_lift(a)) with
-    R = Ci^T L Ci, of one unknown per interior vertex.  The pressure then
-    follows from the momentum rows by the normal equations of G (the
-    Neumann factor of DiscreteOperators.neumann), shifted to mean zero.
-    Every solve is checked on the full residual, momentum with pressure and
-    divergence, against LINEAR_RESIDUAL_TOL.
+    R = Ci^T L Ci, of one unknown per interior vertex.
+
+    The time recurrence reads only the velocities, so a step (solve or
+    solve_transpose) ends with its velocity: it keeps the momentum residual
+    without the pressure term and the divergence of the velocity for the
+    pass (a forward step also as div, for the state sweep's guard).
+    The sweep-level pass, pressures(), runs once after the march, before
+    the sweep returns.  It recovers the pressures of all the steps solved
+    since the last pass from those residuals by the normal equations of G,
+    in one multi-right-hand-side solve with the Neumann factor of
+    DiscreteOperators.neumann, shifts them to mean zero, and checks every
+    step's full residual, momentum with pressure and divergence, against
+    LINEAR_RESIDUAL_TOL.  A single step is a pass of one row.
 
     One solver serves a whole sweep at fixed (dt, nu).  It holds the step
     matrix L, R and |R| (for the round-off floor) and their transposes,
@@ -668,6 +675,11 @@ class StepSolver:
         self.LT, self.R_T, self.abs_R_T = self.L.T, self.R.T, self.abs_R.T
         # accepted psi of the forward and the transposed solves, oldest first
         self.history = ([], [])
+        # per direction, the steps solved since the last pressures(), in
+        # solve order: (step number, rhs, momentum residual without the
+        # pressure term, divergence, wall-normal velocities)
+        self.pending = ([], [])
+        self.k = None
 
     def seed(self, y_vec):
         """Start the forward history at the stream function of velocity y_vec."""
@@ -688,11 +700,17 @@ class StepSolver:
 
     @contextlib.contextmanager
     def at(self, k, alpha_nodes, w_adv_vec):
-        """Step k of the sweep: step(alpha, w), and a SolverDivergence raised
-        in the block reported as '<sweep> step k: ...'."""
+        """Step k of the sweep: step(alpha, w), the solves in the block
+        numbered k, and a SolverDivergence raised in the block reported as
+        '<sweep> step k: ...', unless a step solved before it fails its
+        residual check, which is reported instead, as the pass would."""
+        self.k = k
         try:
             yield self.step(alpha_nodes, w_adv_vec)
         except SolverDivergence as exc:
+            for trans, rows in enumerate(self.pending):
+                if rows:
+                    self.pressures(trans)
             raise SolverDivergence("%s step %d: %s" % (self.sweep, k, exc))
 
     def _refine(self, rhs, rhs_norm, big, abs_big, trans):
@@ -750,47 +768,31 @@ class StepSolver:
         del hist[:-3]
         return sol
 
-    def _pressure(self, rhs_cells):
-        """Mean-zero x with L_pin x[1:] = rhs_cells[1:] and x[0] = 0 before the shift."""
-        x = np.empty(self.ops.ncell)
-        x[0] = 0.0
-        x[1:] = self.neumann.solve(rhs_cells[1:])
-        x -= x.sum() / x.size       # x.mean(), without its dispatch
-        return x
+    def solve(self, rhs_mom_full, lift):
+        """Forward/linearized step: the velocity y with the wall data of
+        lift = boundary_lift(a).  rhs_mom_full excludes boundary coupling.
 
-    def _check(self, res, rhs, trans):
-        """SolverDivergence unless |res| <= LINEAR_RESIDUAL_TOL |rhs|."""
-        rel = _norm(res) / max(_norm(rhs), 1e-30)
-        if not np.isfinite(rel) or rel > LINEAR_RESIDUAL_TOL:
-            raise SolverDivergence("%s step residual %.3e above tolerance"
-                                   % ("adjoint" if trans else "linear", rel))
-
-    def solve(self, rhs_mom_full, a_nodes):
-        """Forward/linearized step.  rhs_mom_full excludes boundary coupling.
-
-        The residual is checked relative to the data of the system for
-        (y - boundary_lift(a), p): the momentum rows left after the lift,
-        and the divergence the wall data put into the wall cells.
+        Its pressure and residual check follow in pressures(); the residual
+        is relative to the data of the system for (y - lift, p): the
+        momentum rows left after the lift, and the divergence the wall data
+        put into the wall cells.
         """
         ops, C = self.ops, self.C
-        y0 = ops.boundary_lift(a_nodes)
-        r = rhs_mom_full - self.L @ y0
+        r = rhs_mom_full - self.L @ lift
         r[C] = 0.0
         dy = ops.Ci @ self._solve(ops.CiT @ r)
         m = r - self.L @ dy             # rhs_mom - L y on the free rows
         m[C] = 0.0
-        p = self._pressure(ops.Dmat @ m)
-        m += ops.cell_area * (ops.DmatT @ p)
-        m[C] = 0.0
-        y = y0 + dy
-        self._check(np.concatenate([m, ops.Dmat @ y]),
-                    np.concatenate([r, ops.Dc @ y[C]]), False)
-        return y, p
+        y = lift + dy
+        self.div = ops.Dmat @ y
+        self.pending[0].append((self.k, r, m, self.div, y[C]))
+        return y
 
     def solve_transpose(self, rhs_free):
-        """Adjoint step: solve Big^T (lam, q) = (rhs_free, 0), with Big the
-        step's velocity-pressure system on the free faces.  Keeps L^T lam
-        as LT_lam, whose wall rows the adjoint pairing reads."""
+        """Adjoint step: lam of Big^T (lam, q) = (rhs_free, 0), with Big the
+        step's velocity-pressure system on the free faces; q follows in
+        pressures(trans=True).  Keeps L^T lam as LT_lam, whose wall rows the
+        adjoint pairing reads."""
         ops, C = self.ops, self.C
         r = np.zeros(ops.N)
         r[self.F] = rhs_free
@@ -798,8 +800,45 @@ class StepSolver:
         self.LT_lam = self.LT @ lam
         m = r - self.LT_lam             # rhs - L^T lam on the free rows
         m[C] = 0.0
-        q = self._pressure(-ops.cell_area * (ops.Dmat @ m))
-        m -= ops.DmatT @ q
-        m[C] = 0.0
-        self._check(np.concatenate([m, ops.cell_area * (ops.Dmat @ lam)]), r, True)
-        return lam, q
+        self.pending[1].append((self.k, r, m, ops.Dmat @ lam, None))
+        return lam
+
+    def pressures(self, trans=False):
+        """The sweep-level pass over the steps solved since the last pass
+        (transposed ones if trans): their pressures p (q if trans), a row
+        per step in solve order, once every step's full residual is within
+        LINEAR_RESIDUAL_TOL of its data.  Otherwise SolverDivergence names
+        the first failing step in solve order, which is marching order.
+        """
+        ops, area = self.ops, self.ops.cell_area
+        k, r, m, div, wall = zip(*self.pending[trans])
+        self.pending[trans].clear()
+        r, m, div = np.array(r), np.array(m), np.array(div)
+        if trans:
+            x = self._pressure(-area * (ops.Dmat @ m.T))
+            m -= (ops.DmatT @ x.T).T
+            div *= area
+            data = r
+        else:
+            x = self._pressure(ops.Dmat @ m.T)
+            m += area * (ops.DmatT @ x.T).T
+            data = np.hstack([r, (ops.Dc @ np.array(wall).T).T])
+        m[:, self.C] = 0.0
+        rel = (np.linalg.norm(np.hstack([m, div]), axis=1)
+               / np.maximum(np.linalg.norm(data, axis=1), 1e-30))
+        bad = np.flatnonzero(~np.isfinite(rel) | (rel > LINEAR_RESIDUAL_TOL))
+        if bad.size:
+            i = bad[0]
+            msg = "%s step residual %.3e above tolerance" % ("adjoint" if trans else "linear",
+                                                            rel[i])
+            raise SolverDivergence(msg if k[i] is None else
+                                   "%s step %d: %s" % (self.sweep, k[i], msg))
+        return x
+
+    def _pressure(self, rhs_cells):
+        """Mean-zero rows x, one per column of rhs_cells, with
+        L_pin x[1:] = rhs_cells[1:] and x[0] = 0 before the shift."""
+        x = np.zeros(rhs_cells.shape[::-1])
+        x[:, 1:] = self.neumann.solve(rhs_cells[1:]).T
+        x -= x.sum(axis=1, keepdims=True) / x.shape[1]   # the row means, without mean's dispatch
+        return x

@@ -75,23 +75,29 @@ class StateProblem:
 
 
 def solve_state(problem: StateProblem) -> StateTrajectory:
-    """March the state forward; the full trajectory is kept for the adjoint."""
+    """March the state forward; the full trajectory is kept for the adjoint.
+
+    The march solves the velocities, each step guarded on its divergence;
+    the pressures of all steps, and every step's full residual check,
+    follow in one pass (StepSolver.pressures) before the trajectory is
+    returned.
+    """
     g, tg = problem.grid, problem.time_grid
     ops = g.ops
     ctrl, fric = problem.controls, problem.friction
     y = np.empty((tg.nt + 1, ops.N))
-    p = np.empty((tg.nt, ops.ncell))
     y[0] = problem.y0
+    lifts, loads = ops.boundary_lift(ctrl.a[1:]), ops.b_load(ctrl.b[1:])
     solver = problem.step_solver("state")
     solver.seed(y[0])
     for k in range(1, tg.nt + 1):
-        rhs = ops.Wvec * y[k - 1] / tg.dt + ops.b_load(ctrl.b[k])
+        rhs = ops.Wvec * y[k - 1] / tg.dt + loads[k - 1]
         with solver.at(k, fric.alpha[k], y[k - 1]) as step:
-            y[k], p[k - 1] = step.solve(rhs, ctrl.a[k])
-            dv = np.abs(ops.Dmat @ y[k]).max()
+            y[k] = step.solve(rhs, lifts[k - 1])
+            dv = np.abs(step.div).max()
             if dv > 1e-9 * max(1.0, face_l2(g, y[k])):
                 raise SolverDivergence("divergence %.3e" % dv)
-    return StateTrajectory(g, tg, y, p, config_hash=problem.content_hash())
+    return StateTrajectory(g, tg, y, solver.pressures(), config_hash=problem.content_hash())
 
 
 def energy_identity_terms(trajectory: StateTrajectory, problem: StateProblem, k):

@@ -31,10 +31,11 @@ def stokes_slip_solve():
     the step's own factor: (grid, advecting, y_prev, a_next, b_next,
     alpha_next, dt, nu=1.0) -> (face vector, mean-zero cell pressure)."""
     from slipctl.operators import StepSolver
+    from oracles import step_solve
 
     def solve(grid, advecting, y_prev, a_next, b_next, alpha_next, dt, nu=1.0):
         ops = grid.ops
         step = StepSolver(ops, dt, nu).step(alpha_next, advecting)
         rhs = ops.Wvec * y_prev / dt + ops.b_load(np.asarray(b_next, dtype=float))
-        return step.solve(rhs, np.asarray(a_next, dtype=float))
+        return step_solve(step, rhs, a_next)
     return solve

@@ -2,7 +2,9 @@
 
 Each one evaluates something slipctl computes another way (or from field
 quantities instead of the assembled operators), so a test can check the
-two against each other.  Nothing in slipctl calls them.
+two against each other.  Nothing in slipctl calls them.  step_solve and
+step_solve_transpose run one StepSolver step and its one-row pressure pass,
+as a single-step caller does.
 """
 
 import numpy as np
@@ -22,6 +24,19 @@ def reduced_matrix(ops, data):
     n = ops.reduced_indptr.size - 1
     return sp.csr_matrix((ops.reduced_data(data), ops.reduced_indices, ops.reduced_indptr),
                          shape=(n, n))
+
+
+def step_solve(step, rhs_mom_full, a_nodes):
+    """(y, p) of one forward step with wall data a: StepSolver.solve on the
+    lift of a, then the pass over that one step."""
+    y = step.solve(rhs_mom_full, step.ops.boundary_lift(np.asarray(a_nodes, dtype=float)))
+    return y, step.pressures()[0]
+
+
+def step_solve_transpose(step, rhs_free):
+    """(lam, q) of one transposed step, as step_solve."""
+    lam = step.solve_transpose(rhs_free)
+    return lam, step.pressures(trans=True)[0]
 
 
 def fric_matrix(ops, alpha_nodes):
@@ -163,6 +178,9 @@ class ReferenceOperators(DiscreteOperators):
                             sp.kron(_centred_diff(nx, hx), sp.eye(ny + 1))], format="csr")
         Gy = sp.block_diag([sp.kron(sp.eye(nx + 1), _centred_diff(ny, hy)),
                             sp.kron(sp.eye(nx), _centred_diff(ny + 1, hy))], format="csr")
+        # sp.kron stores a factor at least half full as dense blocks, whose
+        # explicit zeros (ny = 4) would stay in the step pattern
+        Gy.eliminate_zeros()
         # Px, Py: each component of the advecting field at every unknown's location
         u_at_v = sp.kron(_pair_average(nx), _edge_to_node(ny))
         v_at_u = sp.kron(_edge_to_node(nx), _pair_average(ny))

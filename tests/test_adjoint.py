@@ -14,7 +14,7 @@ from slipctl.operators import StepSolver
 from slipctl.state_solver import StateProblem, solve_state
 from slipctl.control_opt import random_admissible_control
 
-from oracles import continuum_normal_kernel
+from oracles import continuum_normal_kernel, step_solve
 
 
 @pytest.fixture
@@ -144,7 +144,7 @@ def test_stokes_semigroup_self_adjoint():
     for m in range(1, tg.nt + 1):
         step = StepSolver(ops, tg.dt, 1.0).step(prob.friction.alpha[0], np.zeros(ops.N))
         rhs = ops.Wvec * x_prev / tg.dt + ops.Wvec * U[tg.nt + 1 - m]
-        x, _ = step.solve(rhs, np.zeros(grid.n_boundary))
+        x, _ = step_solve(step, rhs, np.zeros(grid.n_boundary))
         ref = max(1.0, face_l2(grid, adj.p[tg.nt - m]))
         assert face_l2(grid, x - adj.p[tg.nt - m]) <= 1e-9 * ref
         x_prev = x
@@ -240,18 +240,24 @@ def test_sweeps_bitwise_equal_for_cold_warm_and_fresh_slots(setup):
 
 
 def _sweep_outputs(p, U, d):
-    """Every array the state, adjoint and tangent sweeps of p return."""
+    """Every array the state, adjoint and tangent sweeps of p return: those
+    the marches produce (y, lam, z and kernel_b), then those of the passes
+    after them (p, pi and kernel_a)."""
     t = solve_state(p)
     adj = solve_adjoint(AdjointProblem(p, t, U))
     z = solve_linearized(LinearizedProblem(p, t, d.a, d.b))
-    return [t.y, t.p, adj.kernel_a, adj.kernel_b, z]
+    return [t.y, adj.p, z, adj.kernel_b], [t.p, adj.pi, adj.kernel_a]
 
 
 def test_one_solver_per_sweep_matches_a_fresh_solver_per_step(setup, monkeypatch,
                                                                splu_spy):
-    """Each sweep builds one StepSolver and refreshes it in place; the state,
-    adjoint and tangent sweeps give the bits of a fresh StepSolver per step
-    that is handed the sweep's solution history.
+    """Each sweep builds one StepSolver, refreshes it in place and recovers
+    its pressures in one pass after the march.  A fresh StepSolver per step,
+    handed the sweep's solution history, with every step's pressures
+    recovered by a pass of its own (the per-step single solves), gives the
+    bits of the marched arrays, and the pressures and kernel_a to 1e-13
+    relative: a multi-right-hand-side Neumann solve need not round as
+    single solves do.
     The large controls make most steps fall back to their own factor, and in
     the adjoint sweep a fallback is followed by refined steps."""
     grid, tg, prob, traj = setup
@@ -262,7 +268,7 @@ def test_one_solver_per_sweep_matches_a_fresh_solver_per_step(setup, monkeypatch
     d = random_admissible_control(grid, tg, rng, amplitude=0.3)
 
     built = []
-    real_init, real_at = StepSolver.__init__, StepSolver.at
+    real_init, real_at, real_pressures = StepSolver.__init__, StepSolver.at, StepSolver.pressures
 
     def counting_init(self, *args, **kwargs):
         real_init(self, *args, **kwargs)
@@ -270,24 +276,76 @@ def test_one_solver_per_sweep_matches_a_fresh_solver_per_step(setup, monkeypatch
 
     def fresh_at(self, k, alpha, w):
         fresh = StepSolver(self.ops, self.dt, self.nu, self.ref, self.sweep)
-        fresh.history = self.history
+        fresh.history, fresh.pending = self.history, self.pending
         return real_at(fresh, k, alpha, w)
+
+    def per_step_pressures(self, trans=False):
+        rows, out = list(self.pending[trans]), []
+        for row in rows:
+            self.pending[trans][:] = [row]
+            out.append(real_pressures(self, trans))
+        return np.concatenate(out)
 
     monkeypatch.setattr(StepSolver, "__init__", counting_init)
     splu_spy.calls = 0
-    workspace = _sweep_outputs(p, U, d)
+    marched, passed = _sweep_outputs(p, U, d)
     assert built == ["state", "adjoint", "linearized"]
     fallbacks = splu_spy.calls
     assert fallbacks > 0
 
     monkeypatch.setattr(StepSolver, "at", fresh_at)
+    monkeypatch.setattr(StepSolver, "pressures", per_step_pressures)
     built.clear()
     splu_spy.calls = 0
-    fresh = _sweep_outputs(p, U, d)
+    fresh_marched, fresh_passed = _sweep_outputs(p, U, d)
     assert len(built) == 3 * (tg.nt + 1)
     assert splu_spy.calls == fallbacks
-    assert len(fresh) == len(workspace)
-    assert all(np.array_equal(x, y) for x, y in zip(workspace, fresh))
+    assert all(np.array_equal(x, y) for x, y in zip(marched, fresh_marched))
+    assert len(passed) == len(fresh_passed)
+    for x, y in zip(passed, fresh_passed):
+        assert x.shape == y.shape
+        assert np.abs(x - y).max() <= 1e-13 * np.abs(y).max()
+
+
+def test_residual_failure_names_the_first_step_in_marching_order(setup, monkeypatch):
+    """Every step's residual is checked in the pass after the march, and a
+    failure names the first failing step in marching order: step 1 forward,
+    step nt in the adjoint sweep.  A step failing inside the march is
+    reported only if no step before it fails its residual check."""
+    from slipctl import operators
+    from slipctl.errors import SolverDivergence
+    grid, tg, prob, traj = setup
+    d = random_admissible_control(grid, tg, np.random.default_rng(38), amplitude=0.3)
+    U = random_source(grid, tg, 39)
+    sweeps = (
+        ("state", 1, "linear", lambda: solve_state(prob)),
+        ("linearized", 1, "linear",
+         lambda: solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))),
+        ("adjoint", tg.nt, "adjoint", lambda: solve_adjoint(AdjointProblem(prob, traj, U))),
+    )
+    monkeypatch.setattr(operators, "LINEAR_RESIDUAL_TOL", -1.0)
+    for name, k, kind, run in sweeps:
+        with pytest.raises(SolverDivergence, match=r"^%s step %d: %s step residual "
+                           % (name, k, kind)):
+            run()
+
+    real_step = StepSolver.step
+
+    def failing_step(self, alpha, w):
+        if self.k == 3:
+            raise SolverDivergence("step matrix factorization failed")
+        return real_step(self, alpha, w)
+
+    monkeypatch.setattr(StepSolver, "step", failing_step)
+    for name, k, kind, run in sweeps:
+        with pytest.raises(SolverDivergence, match=r"^%s step %d: %s step residual "
+                           % (name, k, kind)):
+            run()
+    monkeypatch.setattr(operators, "LINEAR_RESIDUAL_TOL", 1e-9)
+    for name, k, kind, run in sweeps:
+        with pytest.raises(SolverDivergence, match=r"^%s step 3: step matrix factorization "
+                           % name):
+            run()
 
 
 def test_reference_factor_failure_names_its_sweep(setup, monkeypatch):

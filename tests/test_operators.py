@@ -17,7 +17,7 @@ from slipctl.operators import DiscreteOperators
 
 from child import run_child
 from oracles import (ReferenceOperators, SaddleStep, fric_matrix, reduced_matrix,
-                     shear_oracle, strain_tensor)
+                     shear_oracle, step_solve, step_solve_transpose, strain_tensor)
 
 
 @pytest.fixture
@@ -263,14 +263,14 @@ def test_step_solver_residual_guard(grid, monkeypatch):
     a = rng.standard_normal(grid.n_boundary)
     a -= (a @ grid.boundary_weight) / grid.loop_length
     rhs = rng.standard_normal(ops.N)
-    y, p = step.solve(rhs, a)
+    y, p = step_solve(step, rhs, a)
     assert np.abs(ops.Tn @ y - a).max() < 1e-13
     assert np.abs(ops.Dmat @ y).max() < 1e-9
     assert abs((ops.Dmat @ y)[0]) < 1e-9          # the pinned cell's dropped row
     assert abs(p.sum() * grid.cell_area) < 1e-9
 
     F = ops.free_idx
-    lam, q = step.solve_transpose(rng.standard_normal(F.size))
+    lam, q = step_solve_transpose(step, rng.standard_normal(F.size))
     assert np.all(lam[ops.cons_idx] == 0.0)
     assert np.abs(ops.Dmat[:, F] @ lam[F]).max() <= 1e-9
     assert abs(q.sum()) < 1e-9
@@ -281,10 +281,10 @@ def test_step_solver_residual_guard(grid, monkeypatch):
     for lu in (None, ref_lu):
         step = operators.StepSolver(ops, 0.05, 1.0, lu=lu).step(np.ones(grid.n_boundary), w)
         with pytest.raises(SolverDivergence, match="linear step residual"):
-            step.solve(rhs, a)
+            step_solve(step, rhs, a)
         step = operators.StepSolver(ops, 0.05, 1.0, lu=lu).step(np.ones(grid.n_boundary), w)
         with pytest.raises(SolverDivergence, match="adjoint step residual"):
-            step.solve_transpose(rng.standard_normal(F.size))
+            step_solve_transpose(step, rng.standard_normal(F.size))
 
 
 def test_solve_sets_wall_faces_as_the_boundary_product(grid):
@@ -299,7 +299,7 @@ def test_solve_sets_wall_faces_as_the_boundary_product(grid):
     a = rng.standard_normal(grid.n_boundary)
     a -= (a @ grid.boundary_weight) / grid.loop_length
     for data in (a, np.zeros(grid.n_boundary), -np.zeros(grid.n_boundary)):
-        y, _ = step.solve(rng.standard_normal(ops.N), data)
+        y, _ = step_solve(step, rng.standard_normal(ops.N), data)
         assert y[ops.cons_idx].tobytes() == (ops.Mbc @ data)[ops.cons_idx].tobytes()
 
 
@@ -366,8 +366,8 @@ def test_refined_solves_match_direct_lu(splu_spy):
     direct = StepSolver(ops, 0.05, 1.0).step(alpha, w)
     splu_spy.calls = 0
     refined = StepSolver(ops, 0.05, 1.0, lu=ref_lu).step(alpha, w)
-    for got, want in zip(refined.solve(rhs, a) + refined.solve_transpose(rhs_t),
-                         direct.solve(rhs, a) + direct.solve_transpose(rhs_t)):
+    for got, want in zip(step_solve(refined, rhs, a) + step_solve_transpose(refined, rhs_t),
+                         step_solve(direct, rhs, a) + step_solve_transpose(direct, rhs_t)):
         assert _rel(got, want) <= 1e-12
     assert splu_spy.calls == 0
     assert refined.lu is ref_lu
@@ -386,9 +386,9 @@ def test_far_reference_falls_back_to_own_factor(splu_spy):
         step = StepSolver(ops, 0.05, 1.0, lu=far).step(alpha, w)
         splu_spy.calls = 0
         if transpose:
-            got, want = step.solve_transpose(rhs_t), direct.solve_transpose(rhs_t)
+            got, want = step_solve_transpose(step, rhs_t), step_solve_transpose(direct, rhs_t)
         else:
-            got, want = step.solve(rhs, a), direct.solve(rhs, a)
+            got, want = step_solve(step, rhs, a), step_solve(direct, rhs, a)
         assert splu_spy.calls == 1
         assert step.lu is not far
         for x, y in zip(got, want):
@@ -449,6 +449,30 @@ def test_boundary_lift_and_stream_function(shape):
     assert np.abs(ops.stream_function(y) - psi).max() <= 1e-12 * np.abs(psi).max()
 
 
+def test_stacked_lifts_and_loads_equal_the_per_row_calls():
+    """boundary_lift and b_load of an (nt+1, n_boundary) array, as the
+    sweeps form them, equal the calls on each row bit for bit, signed zeros
+    included."""
+    grid = build_grid(7, 5, 1.2, 0.8)
+    ops = grid.ops
+    rng = np.random.default_rng(43)
+    a = rng.standard_normal((9, grid.n_boundary))
+    a -= (a @ grid.boundary_weight)[:, None] / grid.loop_length
+    a[3], a[4] = 0.0, -0.0
+    for f in (ops.boundary_lift, ops.b_load):
+        stacked = f(a)
+        assert stacked.shape == (9, ops.N)
+        assert stacked.tobytes() == np.array([f(row) for row in a]).tobytes()
+
+
+def test_step_pattern_holds_no_explicit_zeros_at_ny_4():
+    """At ny = 4 the centred y-difference of u is stored without the zeros
+    of a dense block, so the 4x4 step pattern has 428 entries, not 458."""
+    ops = build_grid(4, 4, 1.0, 1.0).ops
+    assert np.all(ops.G.data != 0.0)
+    assert ops.step_indices.size == 428
+
+
 def _saddle_case(shape, nu, w_scale, seed):
     """A step with non-zero wall data: (grid, ops, alpha, w, a, rhs, rhs_t)."""
     grid = build_grid(*shape)
@@ -475,7 +499,7 @@ def test_step_solves_match_the_saddle_oracle(shape, nu, w_scale):
     ref = ops.reference_lu(0.05, nu, alpha)
     for lu in (None, ref):
         step = StepSolver(ops, 0.05, nu, lu=lu).step(alpha, w)
-        got = step.solve(rhs, a) + step.solve_transpose(rhs_t)
+        got = step_solve(step, rhs, a) + step_solve_transpose(step, rhs_t)
         for x, y in zip(got, want):
             assert _rel(x, y) <= 1e-12
 
@@ -588,8 +612,8 @@ def test_fallback_lasts_one_step(splu_spy):
     far_alpha, far_w = 300.0 * alpha, np.zeros(ops.N)
     far = _CountingLU(ops.reference_lu(5.0, 1.0, far_alpha))
     direct = StepSolver(ops, 5.0, 1.0)
-    cases = [((alpha_k, w_k), direct.step(alpha_k, w_k).solve(rhs, a)
-              + direct.solve_transpose(rhs_t))
+    cases = [((alpha_k, w_k), step_solve(direct.step(alpha_k, w_k), rhs, a)
+              + step_solve_transpose(direct, rhs_t))
              for alpha_k, w_k in ((alpha, w), (far_alpha, far_w), (alpha, w))]
     step = StepSolver(ops, 5.0, 1.0, lu=far)
     splu_spy.calls = 0
@@ -597,7 +621,7 @@ def test_fallback_lasts_one_step(splu_spy):
         step.step(*at)
         assert step.lu is far
         solves = far.solves
-        got = step.solve(rhs, a) + step.solve_transpose(rhs_t)
+        got = step_solve(step, rhs, a) + step_solve_transpose(step, rhs_t)
         assert far.solves > solves
         assert splu_spy.calls == factors
         for x, y in zip(got, want):
@@ -696,8 +720,8 @@ def test_own_factor_solves_once():
     grid, ops, rng, alpha, a, rhs, rhs_t = _step_case(13)
     step = StepSolver(ops, 0.05, 1.0).step(alpha, rng.standard_normal(ops.N))
     step.lu = _CountingLU(step.lu)
-    step.solve(rhs, a)
-    step.solve_transpose(rhs_t)
+    step_solve(step, rhs, a)
+    step_solve_transpose(step, rhs_t)
     assert step.lu.solves == 2
 
 
@@ -737,9 +761,9 @@ def test_refined_solves_use_the_transposed_kernel(splu_spy):
     ref = _CountingLU(ops.reference_lu(0.05, 1.0, np.ones(grid.n_boundary)))
     step = StepSolver(ops, 0.05, 1.0, lu=ref).step(alpha, rng.standard_normal(ops.N))
     splu_spy.calls = 0          # after the grid's Neumann factor
-    step.solve(rhs, a)
+    step_solve(step, rhs, a)
     forward = ref.solves
-    step.solve_transpose(rhs_t)
+    step_solve_transpose(step, rhs_t)
     assert splu_spy.calls == 0
     assert 0 < forward < ref.solves
     assert ref.trans == ["T"] * ref.solves
