@@ -626,9 +626,10 @@ class StepSolver:
     R = Ci^T L Ci, of one unknown per interior vertex.
 
     The time recurrence reads only the velocities, so a step (solve or
-    solve_transpose) ends with its velocity: it keeps the momentum residual
-    without the pressure term and the divergence of the velocity for the
-    pass (a forward step also as div, for the state sweep's guard).
+    solve_transpose) ends with its velocity: it keeps for the pass the
+    momentum residual without the pressure term and the squared norms of
+    its data and of the velocity's divergence (a forward step also keeps
+    that divergence as div, which the state sweep's guard reads).
     The sweep-level pass, pressures(), runs once after the march, before
     the sweep returns.  It recovers the pressures of all the steps solved
     since the last pass from those residuals by the normal equations of G,
@@ -676,8 +677,10 @@ class StepSolver:
         # accepted psi of the forward and the transposed solves, oldest first
         self.history = ([], [])
         # per direction, the steps solved since the last pressures(), in
-        # solve order: (step number, rhs, momentum residual without the
-        # pressure term, divergence, wall-normal velocities)
+        # solve order: (step number, |rhs|^2, |divergence|^2, momentum
+        # residual without the pressure term, wall-normal velocities); of the
+        # full-length vectors only the residuals are kept, one trajectory's
+        # worth for a sweep
         self.pending = ([], [])
         self.k = None
 
@@ -785,7 +788,7 @@ class StepSolver:
         m[C] = 0.0
         y = lift + dy
         self.div = ops.Dmat @ y
-        self.pending[0].append((self.k, r, m, self.div, y[C]))
+        self.pending[0].append((self.k, r @ r, self.div @ self.div, m, y[C]))
         return y
 
     def solve_transpose(self, rhs_free):
@@ -800,7 +803,8 @@ class StepSolver:
         self.LT_lam = self.LT @ lam
         m = r - self.LT_lam             # rhs - L^T lam on the free rows
         m[C] = 0.0
-        self.pending[1].append((self.k, r, m, ops.Dmat @ lam, None))
+        div = ops.cell_area * (ops.Dmat @ lam)
+        self.pending[1].append((self.k, r @ r, div @ div, m, None))
         return lam
 
     def pressures(self, trans=False):
@@ -811,21 +815,21 @@ class StepSolver:
         the first failing step in solve order, which is marching order.
         """
         ops, area = self.ops, self.ops.cell_area
-        k, r, m, div, wall = zip(*self.pending[trans])
+        k, rhs_sq, div_sq, m, wall = zip(*self.pending[trans])
         self.pending[trans].clear()
-        r, m, div = np.array(r), np.array(m), np.array(div)
+        rhs_sq, div_sq = np.array(rhs_sq), np.array(div_sq)
+        m = np.column_stack(m)          # a column per step
         if trans:
-            x = self._pressure(-area * (ops.Dmat @ m.T))
-            m -= (ops.DmatT @ x.T).T
-            div *= area
-            data = r
+            x = self._pressure(-area * (ops.Dmat @ m))
+            m -= ops.DmatT @ x.T
         else:
-            x = self._pressure(ops.Dmat @ m.T)
-            m += area * (ops.DmatT @ x.T).T
-            data = np.hstack([r, (ops.Dc @ np.array(wall).T).T])
-        m[:, self.C] = 0.0
-        rel = (np.linalg.norm(np.hstack([m, div]), axis=1)
-               / np.maximum(np.linalg.norm(data, axis=1), 1e-30))
+            x = self._pressure(ops.Dmat @ m)
+            m += area * (ops.DmatT @ x.T)
+            # the divergence the wall data put into the wall cells
+            rhs_sq += np.square(ops.Dc @ np.column_stack(wall)).sum(axis=0)
+        m[self.C] = 0.0
+        rel = (np.sqrt(np.einsum("ij,ij->j", m, m) + div_sq)
+               / np.maximum(np.sqrt(rhs_sq), 1e-30))
         bad = np.flatnonzero(~np.isfinite(rel) | (rel > LINEAR_RESIDUAL_TOL))
         if bad.size:
             i = bad[0]

@@ -323,6 +323,7 @@ def test_residual_failure_names_the_first_step_in_marching_order(setup, monkeypa
          lambda: solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))),
         ("adjoint", tg.nt, "adjoint", lambda: solve_adjoint(AdjointProblem(prob, traj, U))),
     )
+    tol = operators.LINEAR_RESIDUAL_TOL
     monkeypatch.setattr(operators, "LINEAR_RESIDUAL_TOL", -1.0)
     for name, k, kind, run in sweeps:
         with pytest.raises(SolverDivergence, match=r"^%s step %d: %s step residual "
@@ -341,7 +342,7 @@ def test_residual_failure_names_the_first_step_in_marching_order(setup, monkeypa
         with pytest.raises(SolverDivergence, match=r"^%s step %d: %s step residual "
                            % (name, k, kind)):
             run()
-    monkeypatch.setattr(operators, "LINEAR_RESIDUAL_TOL", 1e-9)
+    monkeypatch.setattr(operators, "LINEAR_RESIDUAL_TOL", tol)
     for name, k, kind, run in sweeps:
         with pytest.raises(SolverDivergence, match=r"^%s step 3: step matrix factorization "
                            % name):
