@@ -77,7 +77,10 @@ def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
     The march solves the adjoint velocities lam_k; the adjoint pressures of
     all steps, every step's full residual check and the pressure-dependent
     pairing against f_k follow in one pass after it, before the trajectory
-    is returned.
+    is returned.  Step k transposes the state sweep's step matrices, read
+    from the base trajectory's StepStore where it holds them, and the
+    products of the base state each step needs are formed for all steps
+    before the march.
     """
     sp_ = problem.state_problem
     g, tg = sp_.grid, sp_.time_grid
@@ -92,7 +95,8 @@ def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
     p = np.zeros((nslice, ops.N))
     lt_wall = np.empty((tg.nt, C.size))     # the wall rows of L^T lam_k, k = 1..nt
 
-    solver = sp_.step_solver("adjoint")
+    g_y, t_y = ops.state_products(yvec[1:])   # rows k = 1..nt
+    solver = sp_.step_solver("adjoint", problem.base.steps)
     # Tn is a signed permutation, one entry per row: Tn @ x is the gather
     # sign * x[face], and adding 0.0 turns a -0.0 into 0.0, as the product does
     face, sign = ops.Tn.indices, ops.Tn.data
@@ -103,11 +107,11 @@ def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
         with solver.at(k, sp_.friction.alpha[k], yvec[k - 1]) as step:
             lam_full = step.solve_transpose(rhs_full[ops.free_idx])
         lt_wall[k - 1] = step.LT_lam[C]
-        t = ops.T @ np.column_stack([yvec[k], lam_full])   # [Tn; Ttau] y, [Tn; Ttau] lam
-        kernel_b[k] = ops.w_gamma * t[g.n_boundary:, 1]
+        t_lam = ops.T @ lam_full                  # [Tn; Ttau] lam
+        kernel_b[k] = ops.w_gamma * t_lam[g.n_boundary:]
 
         # pairing of f_{k-1} through the frozen-advection derivative of step k
-        cross = ops.apply_adv_cross_T(yvec[k], lam_full, t)
+        cross = ops.apply_adv_cross_T(yvec[k], lam_full, (g_y[k - 1], t_y[k - 1]), t_lam)
         if k >= 2:
             kernel_a[k - 1] -= sign * cross[face] + 0.0
 

@@ -110,9 +110,15 @@ class FrictionField:
 class StateTrajectory:
     """Full space-time storage of the state: y of shape (nt+1, N) holds the
     face vectors of every slice, p of shape (nt, ncell) the pressure of every
-    step (row k-1 belongs to step k)."""
+    step (row k-1 belongs to step k).
 
-    def __init__(self, grid, time_grid, y, p, config_hash=""):
+    steps is the operators.StepStore of the sweep that solved y, or None:
+    the tangent and adjoint sweeps around y read its step matrices instead
+    of assembling them.  Only solve_state makes one; a trajectory built
+    from arrays, or read back from disk, has none, and its sweeps assemble.
+    """
+
+    def __init__(self, grid, time_grid, y, p, config_hash="", steps=None):
         nt, ncell = time_grid.nt, grid.nx * grid.ny
         nface = (grid.nx + 1) * grid.ny + grid.nx * (grid.ny + 1)
         if np.shape(y) != (nt + 1, nface) or np.shape(p) != (nt, ncell):
@@ -123,6 +129,7 @@ class StateTrajectory:
         self.y = y
         self.p = p
         self.config_hash = config_hash
+        self.steps = steps
 
 
 # ---------------------------------------------------------------------------

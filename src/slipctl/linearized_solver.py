@@ -39,16 +39,19 @@ def solve_linearized(problem: LinearizedProblem):
     StateTrajectory's y.
 
     The first slice is identically zero; slice k satisfies z.n = f(t_k)
-    strongly and the same implicit operator as the forward step k.
+    strongly and the same implicit operator as the forward step k, read
+    from the base trajectory's StepStore where it holds that step.
     """
     sp_, y = problem.state_problem, problem.base.y
     tg, ops = sp_.time_grid, sp_.grid.ops
     dt = tg.dt
     z = np.zeros((tg.nt + 1, ops.N))
     lifts, loads = ops.boundary_lift(problem.f[1:]), ops.b_load(problem.g[1:])
-    solver = sp_.step_solver("linearized")
+    g_y, t_y = ops.state_products(y[1:])     # rows k = 1..nt
+    solver = sp_.step_solver("linearized", problem.base.steps)
     for k in range(1, tg.nt + 1):
-        rhs = (ops.Wvec * z[k - 1] / dt - ops.apply_adv_cross(y[k], z[k - 1])
+        rhs = (ops.Wvec * z[k - 1] / dt
+               - ops.apply_adv_cross(y[k], z[k - 1], (g_y[k - 1], t_y[k - 1]))
                + loads[k - 1])
         with solver.at(k, sp_.friction.alpha[k], y[k - 1]) as step:
             z[k] = step.solve(rhs, lifts[k - 1])

@@ -39,6 +39,9 @@ LINEAR_RESIDUAL_TOL = 1e-9
 REFINE_TARGET = 0.5
 REFINE_RATE = 0.5
 REFINE_MAX_STEPS = 20
+# bytes of step data a state sweep keeps for the later sweeps around its
+# trajectory (StepStore): 62 KB a step at 16x16, 1.0 MB at 64x64
+STEP_STORE_BYTES = 32 * 2 ** 20
 _EPS = np.finfo(float).eps
 
 
@@ -353,17 +356,19 @@ class DiscreteOperators:
         arrays, and StepSolver solves with R0 in both directions through
         SuperLU's transposed kernel, the faster of its two.
 
-        The slot is keyed by the exact entries of R0, so a hit returns the
-        same factor a fresh factorization would, and no result depends on
-        what was solved before.  A hit compares the entries only; the matrix
-        is built just to be factored.
+        The slot is keyed by the exact bits of (dt, nu, alpha), which fix
+        R0's entries bit for bit, so a hit returns the same factor a fresh
+        factorization would, and no result depends on what was solved
+        before.  A hit compares the key only; R0 is assembled just to be
+        factored.
         """
-        data = self.reduced_data(self._step_map @ np.concatenate(
-            [alpha_nodes, np.zeros(self.N), [1.0 / dt, nu]]))
-        if self._reference is None or not np.array_equal(self._reference[0], data):
+        key = _step_key(dt, nu, alpha_nodes)
+        if self._reference is None or self._reference[0] != key:
+            data = self.reduced_data(self._step_map @ np.concatenate(
+                [alpha_nodes, np.zeros(self.N), [1.0 / dt, nu]]))
             n = self.reduced_indptr.size - 1
             R0 = sp.csc_matrix((data, self.reduced_indices, self.reduced_indptr), shape=(n, n))
-            self._reference = (data, _factor(R0))
+            self._reference = (key, _factor(R0))
         return self._reference[1]
 
     def neumann(self):
@@ -409,33 +414,44 @@ class DiscreteOperators:
         bottom = np.cumsum(self.w_gamma[:nx - 1] * -y_vec[self._iv[:nx - 1, 0]])
         return (bottom[:, None] + self.hy * np.cumsum(u[1:nx, :ny - 1], axis=1)).ravel()
 
-    def apply_adv_cross(self, y_vec, w_vec):
-        """Matrix-free X(y) w = K(w) y (derivative of advection in w)."""
+    def state_products(self, y):
+        """(G @ y, T @ y) of a face vector y, the products of the state that
+        apply_adv_cross and apply_adv_cross_T read.  An (n, N) array of face
+        vectors gives both products for every row in one product each, a
+        row per face vector, each bit for bit the product of that row alone
+        (a column of a multi-vector product rounds as the single product)."""
+        return (np.ascontiguousarray((self.G @ y.T).T),
+                np.ascontiguousarray((self.T @ y.T).T))
+
+    def apply_adv_cross(self, y_vec, w_vec, y_products=None):
+        """Matrix-free X(y) w = K(w) y (derivative of advection in w);
+        y_products is state_products(y_vec), if the caller formed it."""
         N, nb, W = self.N, self.n_boundary, self.Wvec
-        g_y = (self.G @ y_vec).reshape(2, N)             # Gx y, Gy y
+        g_y, t_y = self.state_products(y_vec) if y_products is None else y_products
+        g_y = g_y.reshape(2, N)                          # Gx y, Gy y
         w_xy = (self.P @ w_vec).reshape(2, N)            # Px w, Py w
         n_wy = W * (w_xy[0] * g_y[0] + w_xy[1] * g_y[1])
         # columns Gx^T (W wx y), Gy^T (W wy y)
         nt_wy = self.GT @ _split_columns(W * w_xy * y_vec)
-        t = self.T @ np.column_stack([w_vec, y_vec])     # [Tn; Ttau] w, [Tn; Ttau] y
-        an = self.w_gamma * t[:nb, 0]
+        an = self.w_gamma * (self.Tn @ w_vec)
         # columns Tn^T (an Tn y), Ttau^T (an Ttau y)
-        s_wy = self.TT @ _split_columns(an * t[:, 1].reshape(2, nb))
+        s_wy = self.TT @ _split_columns(an * t_y.reshape(2, nb))
         return 0.5 * (n_wy - (nt_wy[:, 0] + nt_wy[:, 1])) + 0.5 * (s_wy[:, 0] + s_wy[:, 1])
 
-    def apply_adv_cross_T(self, y_vec, lam_vec, t=None):
-        """Matrix-free X(y)^T lam; t is T @ [y, lam], if the caller formed it."""
+    def apply_adv_cross_T(self, y_vec, lam_vec, y_products=None, t_lam=None):
+        """Matrix-free X(y)^T lam; y_products is state_products(y_vec) and
+        t_lam is T @ lam_vec, if the caller formed them."""
         N, nb, W = self.N, self.n_boundary, self.Wvec
-        yl = np.column_stack([y_vec, lam_vec])
-        g = (self.G @ yl).reshape(2, N, 2)               # [Gx; Gy] y, [Gx; Gy] lam
+        g_y, t_y = self.state_products(y_vec) if y_products is None else y_products
+        if t_lam is None:
+            t_lam = self.T @ lam_vec                     # [Tn; Ttau] lam
+        g_y, g_lam = g_y.reshape(2, N), (self.G @ lam_vec).reshape(2, N)
         # Px^T (.) + Py^T (.) of both terms in one product; the sum is exact,
         # since Px^T is nonzero only in the u rows and Py^T only in the v rows
-        x = self.PT @ np.stack([W * g[..., 0] * lam_vec, W * y_vec * g[..., 1]],
+        x = self.PT @ np.stack([W * g_y * lam_vec, W * y_vec * g_lam],
                                axis=-1).reshape(2 * N, 2)
-        if t is None:
-            t = self.T @ yl                              # [Tn; Ttau] y, [Tn; Ttau] lam
-        tw = self.w_gamma * t[:, 0].reshape(2, nb)
-        xst = self.Mbc @ (tw[0] * t[:nb, 1] + tw[1] * t[nb:, 1])
+        tw = self.w_gamma * t_y.reshape(2, nb)
+        xst = self.Mbc @ (tw[0] * t_lam[:nb] + tw[1] * t_lam[nb:])
         return 0.5 * (x[:, 0] - x[:, 1]) + 0.5 * xst
 
     def b_load(self, b_nodes):
@@ -465,6 +481,13 @@ def _factor(A, what="step matrix"):
         return spla.splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverDivergence("%s factorization failed: %s" % (what, exc))
+
+
+def _step_key(dt, nu, alpha_nodes):
+    """The exact bits of (dt, nu, alpha): with the advecting field they fix
+    the step's entries bit for bit (see DiscreteOperators.step_matrix)."""
+    return (np.array([dt, nu], dtype=float).tobytes()
+            + np.asarray(alpha_nodes, dtype=float).tobytes())
 
 
 def _keyed_pattern(rows, cols, xy, box, span):
@@ -610,6 +633,54 @@ def _extrapolate(hist):
     return 3.0 * (hist[2] - hist[1]) + hist[0]
 
 
+class StepStore:
+    """The step matrices L_k and R_k of a state sweep, kept for the tangent
+    and adjoint sweeps around its trajectory.
+
+    Step k of all three sweeps has the same L(alpha_k, y_{k-1}) and
+    R = Ci^T L Ci (the adjoint solves with their transposes).  The state
+    sweep keeps the data arrays StepSolver.step assembled for the last steps
+    that fit in STEP_STORE_BYTES, from step first on, as the rows of two
+    preallocated (steps, nnz) arrays: the adjoint sweep, which runs
+    backwards, reads those first.  A later sweep loads step k instead of
+    assembling it only when its operators are the store's and its
+    (dt, nu, alpha_k) are bitwise the ones the step was assembled at; its
+    advecting field is the trajectory's own y_{k-1}.
+    """
+
+    def __init__(self, ops, nt):
+        nnz = ops.step_indices.size, ops.reduced_indices.size
+        n = min(nt, STEP_STORE_BYTES // (8 * sum(nnz)))
+        self.ops = ops
+        self.first = nt + 1 - n
+        # both in one allocation: in a loop of solves on one grid, malloc
+        # then serves each store from the memory the last one freed, where
+        # two allocations went back to the system and were faulted in again
+        # on every solve (~1,200 page faults per 64x64, nt = 4 state solve)
+        buf = np.empty((n, sum(nnz)))
+        self.L, self.R = buf[:, :nnz[0]], buf[:, nnz[0]:]
+        self.keys = [None] * n
+
+    def keep(self, k, step, alpha_nodes):
+        """Keep the data of step k, just assembled by step at alpha."""
+        i = k - self.first
+        if i >= 0:
+            self.L[i] = step.L.data
+            self.R[i] = step.R.data
+            self.keys[i] = _step_key(step.dt, step.nu, alpha_nodes)
+
+    def load(self, k, step, alpha_nodes):
+        """Fill step's L and R with the data of step k, if kept at step's
+        operators, dt and nu and at alpha; returns whether it did."""
+        i = -1 if k is None else k - self.first
+        if (not 0 <= i < len(self.keys) or step.ops is not self.ops
+                or self.keys[i] != _step_key(step.dt, step.nu, alpha_nodes)):
+            return False
+        step.L.data[:] = self.L[i]
+        step.R.data[:] = self.R[i]
+        return True
+
+
 class StepSolver:
     """The implicit slip-Stokes steps of one sweep, solved on the discrete
     stream function.
@@ -641,8 +712,11 @@ class StepSolver:
     One solver serves a whole sweep at fixed (dt, nu).  It holds the step
     matrix L, R and |R| (for the round-off floor) and their transposes,
     which share the data arrays; step(alpha, w) refills that data in place
-    for the next step, so no sparse matrix is built per step.  Call step()
-    (or at()) before solving.
+    for the next step, so no sparse matrix is built per step.  The tangent
+    and adjoint sweeps pass the StepStore of their base trajectory as
+    steps: step() inside at(k, ...) then loads L and R of step k from it,
+    where it holds them at the same (dt, nu, alpha), instead of assembling
+    them.  Call step() (or at()) before solving.
 
     Given the LU of an advection-free reduced step (the sweeps pass the
     problem's reference factor, see DiscreteOperators.reference_lu), each
@@ -657,10 +731,11 @@ class StepSolver:
     reference.  Without a reference (lu=None) every step factors its own R.
     """
 
-    def __init__(self, ops, dt, nu, lu=None, sweep="step"):
+    def __init__(self, ops, dt, nu, lu=None, sweep="step", steps=None):
         self.ops = ops
         self.dt, self.nu = dt, nu
         self.sweep = sweep
+        self.steps = steps
         self.F, self.C = ops.free_idx, ops.cons_idx
         self.ref = lu
         self.lu = None
@@ -689,12 +764,14 @@ class StepSolver:
         self.history[0][:] = [self.ops.stream_function(y_vec)]
 
     def step(self, alpha_nodes, w_adv_vec):
-        """Refill L and R with the step at (alpha, w); returns self."""
-        ops, src, nb = self.ops, self._src, self.ops.n_boundary
-        src[:nb] = alpha_nodes
-        src[nb:-2] = w_adv_vec
-        self.L.data[:] = ops._step_map @ src
-        ops.reduced_data(self.L.data, out=self.R.data)
+        """Refill L and R with the step at (alpha, w), loaded from steps if
+        it holds the current step k there, assembled otherwise; returns self."""
+        if self.steps is None or not self.steps.load(self.k, self, alpha_nodes):
+            ops, src, nb = self.ops, self._src, self.ops.n_boundary
+            src[:nb] = alpha_nodes
+            src[nb:-2] = w_adv_vec
+            self.L.data[:] = ops._step_map @ src
+            ops.reduced_data(self.L.data, out=self.R.data)
         np.abs(self.R.data, out=self.abs_R.data)
         # R_T is R^T as CSC, so its factor solves with R through the
         # transposed kernel

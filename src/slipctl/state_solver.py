@@ -16,7 +16,7 @@ import numpy as np
 from .errors import SolverDivergence
 from .fields import (BoundaryControl, FrictionField, StateTrajectory,
                      divergence, face_l2, hp_norm)
-from .operators import StepSolver
+from .operators import StepSolver, StepStore
 
 DIV_TOL = 1e-10
 
@@ -49,9 +49,11 @@ class StateProblem:
             raise ValueError("controls leave the admissible ball: %.3e > %.3e"
                              % (n, self.controls.radius))
 
-    def step_solver(self, sweep):
+    def step_solver(self, sweep, steps=None):
         """The StepSolver of one sweep ("state", "linearized" or "adjoint"),
-        on the problem's reference step factor: step 1 without advection.
+        on the problem's reference step factor: step 1 without advection;
+        steps is the StepStore of the base trajectory of a tangent or
+        adjoint sweep, if it has one.
 
         The factor depends on (dt, nu, alpha[1]) only, not on y0 or the
         controls, so the state, tangent and adjoint sweeps of every control
@@ -62,7 +64,7 @@ class StateProblem:
             lu = ops.reference_lu(dt, self.nu, self.friction.alpha[1])
         except SolverDivergence as exc:
             raise SolverDivergence("%s step 1 (reference factor): %s" % (sweep, exc))
-        return StepSolver(ops, dt, self.nu, lu, sweep)
+        return StepSolver(ops, dt, self.nu, lu, sweep, steps)
 
     def content_hash(self):
         h = hashlib.sha256()
@@ -80,7 +82,9 @@ def solve_state(problem: StateProblem) -> StateTrajectory:
     The march solves the velocities, each step guarded on its divergence;
     the pressures of all steps, and every step's full residual check,
     follow in one pass (StepSolver.pressures) before the trajectory is
-    returned.
+    returned.  The trajectory carries the step matrices the march assembled
+    (a StepStore, up to STEP_STORE_BYTES), so the tangent and adjoint sweeps
+    around it assemble each step only where the store does not hold it.
     """
     g, tg = problem.grid, problem.time_grid
     ops = g.ops
@@ -90,14 +94,17 @@ def solve_state(problem: StateProblem) -> StateTrajectory:
     lifts, loads = ops.boundary_lift(ctrl.a[1:]), ops.b_load(ctrl.b[1:])
     solver = problem.step_solver("state")
     solver.seed(y[0])
+    steps = StepStore(ops, tg.nt)
     for k in range(1, tg.nt + 1):
         rhs = ops.Wvec * y[k - 1] / tg.dt + loads[k - 1]
         with solver.at(k, fric.alpha[k], y[k - 1]) as step:
+            steps.keep(k, step, fric.alpha[k])
             y[k] = step.solve(rhs, lifts[k - 1])
             dv = np.abs(step.div).max()
             if dv > 1e-9 * max(1.0, face_l2(g, y[k])):
                 raise SolverDivergence("divergence %.3e" % dv)
-    return StateTrajectory(g, tg, y, solver.pressures(), config_hash=problem.content_hash())
+    return StateTrajectory(g, tg, y, solver.pressures(), config_hash=problem.content_hash(),
+                           steps=steps)
 
 
 def energy_identity_terms(trajectory: StateTrajectory, problem: StateProblem, k):

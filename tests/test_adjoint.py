@@ -373,3 +373,116 @@ def test_reference_factor_failure_names_its_sweep(setup, monkeypatch):
         with pytest.raises(SolverDivergence, match=r"^%s step 1 \(reference factor\): "
                            "step matrix factorization failed" % name):
             run()
+
+
+class _CountingMap:
+    """Stands in for one of the sparse maps of DiscreteOperators; counts its
+    products."""
+
+    def __init__(self, m):
+        self.m, self.calls = m, 0
+
+    def __matmul__(self, x):
+        self.calls += 1
+        return self.m @ x
+
+
+def _spy_step_maps(monkeypatch, ops):
+    """Count the products with the step map and the two reduced maps, the
+    maps a step assembly applies once each."""
+    spies = {name: _CountingMap(getattr(ops, name))
+             for name in ("_step_map", "_reduced_map", "_reduced_mirror")}
+    for name, spy in spies.items():
+        monkeypatch.setattr(ops, name, spy)
+    return spies
+
+
+def _later_sweeps(p, t, U, d):
+    """Every array the adjoint and tangent sweeps around t return."""
+    adj = solve_adjoint(AdjointProblem(p, t, U))
+    z = solve_linearized(LinearizedProblem(p, t, d.a, d.b))
+    return [adj.p, adj.pi, adj.kernel_a, adj.kernel_b, z]
+
+
+def _bits_equal(xs, ys):
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(xs, ys))
+
+
+@pytest.mark.parametrize("amplitude", [0.3, 10.0])
+def test_later_sweeps_read_the_state_sweeps_steps(setup, monkeypatch, tmp_path, amplitude):
+    """The adjoint and tangent sweeps around a solved trajectory assemble no
+    step: they load the state sweep's L_k and R_k.  A copy of the
+    trajectory without them, built from its arrays or read back from disk,
+    assembles every step and gives the same bits (at the larger controls
+    most steps fall back to their own factor)."""
+    from slipctl.fields import StateTrajectory
+    from slipctl.state_solver import load_trajectory, save_trajectory
+    grid, tg, prob, _ = setup
+    ctrl = random_admissible_control(grid, tg, np.random.default_rng(41), amplitude=amplitude)
+    p = StateProblem(grid, tg, prob.y0, ctrl, prob.friction, validate=False)
+    traj = solve_state(p)
+    U = random_source(grid, tg, 42)
+    d = random_admissible_control(grid, tg, np.random.default_rng(43), amplitude=0.3)
+    save_trajectory(tmp_path / "traj", traj)
+    bare = [StateTrajectory(grid, tg, traj.y, traj.p, traj.config_hash),
+            load_trajectory(tmp_path / "traj")]
+    assert bare[1].steps is None
+
+    spies = _spy_step_maps(monkeypatch, grid.ops)
+    stored = _later_sweeps(p, traj, U, d)
+    assert [s.calls for s in spies.values()] == [0, 0, 0]
+    for t in bare:
+        assembled = _later_sweeps(p, t, U, d)
+        assert [s.calls for s in spies.values()] == [2 * tg.nt] * 3
+        assert _bits_equal(stored, assembled)
+        for s in spies.values():
+            s.calls = 0
+
+
+@pytest.mark.parametrize("change", ["nu", "alpha"])
+def test_store_is_read_only_at_its_dt_nu_and_alpha(setup, monkeypatch, change):
+    """Paired with a problem of another viscosity, the later sweeps read no
+    kept step; with the friction changed at one step, they assemble that
+    step alone.  Either way they give the bits of a trajectory without
+    kept steps."""
+    from slipctl.fields import FrictionField, StateTrajectory
+    grid, tg, prob, traj = setup
+    nu, alpha = prob.nu, prob.friction.alpha.copy()
+    if change == "nu":
+        nu, assembled = 0.7, tg.nt
+    else:
+        alpha[3] *= 1.5
+        assembled = 1
+    other = StateProblem(grid, tg, prob.y0, prob.controls,
+                         FrictionField(grid, tg, alpha), nu, validate=False)
+    other.step_solver("state")          # its reference factor, into the slot
+    U = random_source(grid, tg, 44)
+    d = random_admissible_control(grid, tg, np.random.default_rng(45), amplitude=0.3)
+
+    spies = _spy_step_maps(monkeypatch, grid.ops)
+    mixed = _later_sweeps(other, traj, U, d)
+    assert [s.calls for s in spies.values()] == [2 * assembled] * 3
+    bare = StateTrajectory(grid, tg, traj.y, traj.p, traj.config_hash)
+    assert _bits_equal(mixed, _later_sweeps(other, bare, U, d))
+
+
+def test_capped_store_keeps_the_last_steps(setup, monkeypatch):
+    """With room for K steps, the state sweep keeps steps nt-K+1..nt; each
+    later sweep loads those K and assembles the other nt-K, with the bits
+    of a full store."""
+    from slipctl import operators
+    grid, tg, prob, traj = setup
+    ops = grid.ops
+    K = 3
+    per_step = 8 * (ops.step_indices.size + ops.reduced_indices.size)
+    monkeypatch.setattr(operators, "STEP_STORE_BYTES", K * per_step + per_step // 2)
+    capped = solve_state(prob)
+    assert capped.steps.first == tg.nt - K + 1
+    assert _bits_equal([capped.y, capped.p], [traj.y, traj.p])
+    U = random_source(grid, tg, 46)
+    d = random_admissible_control(grid, tg, np.random.default_rng(47), amplitude=0.3)
+
+    spies = _spy_step_maps(monkeypatch, ops)
+    out = _later_sweeps(prob, capped, U, d)
+    assert [s.calls for s in spies.values()] == [2 * (tg.nt - K)] * 3
+    assert _bits_equal(out, _later_sweeps(prob, traj, U, d))

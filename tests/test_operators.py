@@ -849,3 +849,18 @@ def test_history_keeps_the_last_three_solutions():
         sols = [step._solve(rng.standard_normal(n), trans) for _ in range(4)]
         assert len(step.history[trans]) == 3
         assert all(h is s for h, s in zip(step.history[trans], sols[1:]))
+
+
+def test_reference_slot_hit_applies_no_step_map(monkeypatch):
+    """A hit compares the exact inputs (dt, nu, alpha) only: neither the
+    step map nor the reduced maps are applied."""
+    grid, ops, rng, alpha, *_ = _step_case(29, n=8)
+    lu = ops.reference_lu(0.05, 1.0, alpha)
+
+    class Unused:
+        def __matmul__(self, x):
+            raise AssertionError("map applied on a slot hit")
+
+    for name in ("_step_map", "_reduced_map", "_reduced_mirror"):
+        monkeypatch.setattr(ops, name, Unused())
+    assert ops.reference_lu(0.05, 1.0, alpha.copy()) is lu
