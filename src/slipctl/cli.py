@@ -120,7 +120,6 @@ class RunConfig:
             self.max_iters = cfg.getint("optimizer", "max_iters", fallback=100)
             self.armijo_c1 = cfg.getfloat("optimizer", "armijo_c1", fallback=1e-4)
             self.max_backtracks = cfg.getint("optimizer", "max_backtracks", fallback=30)
-            self.probe_count = cfg.getint("optimizer", "probe_count", fallback=8)
             self.out_dir = out_override or cfg.get("output", "directory", fallback="out")
             self.cadence = cfg.getint("output", "snapshot_cadence", fallback=1)
             self.seed = int(seed_override if seed_override is not None
@@ -133,6 +132,10 @@ class RunConfig:
             raise ConfigError("invalid numeric value: %s" % exc)
         if self.nt < 1:
             raise ConfigError("nt must be at least 1")
+        if not self.nu > 0:
+            raise ConfigError("nu must be positive: the state equation is viscous")
+        if self.cadence < 1:
+            raise ConfigError("snapshot_cadence must be at least 1")
         if self.radius <= 0:
             raise ConfigError("R must be positive")
         if not self.p_exponent > 2:
@@ -341,7 +344,6 @@ def cmd_optimize(rc: RunConfig):
                       friction=friction, nu=rc.nu, tol=rc.tol,
                       max_iters=rc.max_iters, armijo_c1=rc.armijo_c1,
                       max_backtracks=rc.max_backtracks,
-                      probe_count=rc.probe_count, seed=rc.seed,
                       grid=rc.grid, time_grid=rc.time_grid)
     payload = report.to_dict()
     payload["config_hash"] = rc.config_hash()
@@ -377,8 +379,7 @@ def cmd_grad_check(rc: RunConfig, corrupt_adjoint=False):
         adj_dd = grad.pair(d.a, d.b)
         if corrupt_adjoint:
             adj_dd *= 1.01  # test hook: deliberately broken pairing
-        fd = fd_gradient_oracle(ctrl, (d.a, d.b), [2e-3, 1e-3], params,
-                                prob.y0, prob.friction, rc.nu, engine=engine)
+        fd = fd_gradient_oracle(engine, ctrl, (d.a, d.b), [2e-3, 1e-3])
         rich, bound = fd["richardson"], fd["round_off"]
         # the Richardson estimate is known to GRAD_CHECK_TOL only above
         # bound / GRAD_CHECK_TOL: a difference within its round-off bound

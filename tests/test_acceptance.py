@@ -85,8 +85,7 @@ def recovery():
     traj_star = solve_state(StateProblem(grid, tg, y0, c_star, validate=False))
     params = CostParams(y_d=traj_star.y, lam1=0.0, lam2=0.0, radius=50.0)
 
-    probe = optimize(y0, params, grid=grid, time_grid=tg, tol=np.inf,
-                     max_iters=1, seed=5)
+    probe = optimize(y0, params, grid=grid, time_grid=tg, tol=np.inf, max_iters=1)
     res0 = probe.iterations[0]["residual"]
 
     admissibility = {"max_mean": 0.0, "max_excess": 0.0, "count": 0}
@@ -100,8 +99,7 @@ def recovery():
 
     t0 = time.perf_counter()
     rep = optimize(y0, params, grid=grid, time_grid=tg,
-                   tol=0.98e-4 * res0, max_iters=260, seed=5,
-                   iterate_callback=audit)
+                   tol=0.98e-4 * res0, max_iters=260, iterate_callback=audit)
     elapsed = time.perf_counter() - t0
     return {"report": rep, "res0": res0, "elapsed": elapsed,
             "admissibility": admissibility}
@@ -238,8 +236,7 @@ def test_07_gradient_validation(desk):
             d = random_admissible_control(grid, tg, np.random.default_rng(500 + seed),
                                           amplitude=1.0)
             adj_val = grad.pair(d.a, d.b)
-            fd = fd_gradient_oracle(prob.controls, (d.a, d.b), [2e-3, 1e-3],
-                                    params, np.zeros(grid.ops.N), engine=engine)
+            fd = fd_gradient_oracle(engine, prob.controls, (d.a, d.b), [2e-3, 1e-3])
             worst = max(worst, abs(adj_val - fd["richardson"])
                         / max(abs(adj_val), abs(fd["richardson"]), 1e-300))
         assert worst <= 1e-6

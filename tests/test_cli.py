@@ -377,6 +377,12 @@ def test_runconfig_validation(tmp_path):
     rc = RunConfig(write_config(tmp_path, bad3, name="bad3.ini"))
     with pytest.raises(ConfigError):
         rc.friction()
+    bad4 = BASE_CONFIG.replace("directory = {out}", "directory = {out}\nsnapshot_cadence = 0")
+    with pytest.raises(ConfigError, match="snapshot_cadence"):
+        RunConfig(write_config(tmp_path, bad4, name="bad4.ini"))
+    bad5 = BASE_CONFIG.replace("nu = 1.0", "nu = -1.0")
+    with pytest.raises(ConfigError, match="nu"):
+        RunConfig(write_config(tmp_path, bad5, name="bad5.ini"))
 
 
 @pytest.mark.parametrize("text", [
@@ -418,6 +424,23 @@ def test_rejected_run_writes_no_output(tmp_path, command):
     config.resolved claims it ran."""
     cfg = write_config(tmp_path, BASE_CONFIG.replace("alpha = constant:1.0",
                                                      "alpha = constant:abc"))
+    out = tmp_path / "rejected"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new", [
+    ("directory = {out}", "directory = {out}\nsnapshot_cadence = 0"),
+    ("directory = {out}", "directory = {out}\nsnapshot_cadence = -1"),
+    ("nu = 1.0", "nu = -1.0"),
+    ("nu = 1.0", "nu = 0.0"),
+], ids=["zero_cadence", "negative_cadence", "negative_nu", "zero_nu"])
+@pytest.mark.parametrize("command", ["solve", "optimize", "grad-check"])
+def test_out_of_range_value_writes_no_output(tmp_path, command, old, new):
+    """A snapshot cadence below 1 or a viscosity that is not positive is a
+    config error (exit 1) raised before the output directory is made, not
+    a traceback or a solver failure after it."""
+    cfg = write_config(tmp_path, BASE_CONFIG.replace(old, new))
     out = tmp_path / "rejected"
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
