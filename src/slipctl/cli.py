@@ -6,8 +6,9 @@ per-wall term lists (polynomial/trigonometric in the normalized wall
 coordinate, with an optional time factor), so runs are reproducible
 bit-for-bit from the file plus the seed.
 
-Exit codes: 0 ok, 1 config or usage error, 2 solver failure, 3 budget
-exhausted, 4 check failed.
+Exit codes: 0 ok, 1 config or usage error, 2 solver failure, 3 optimize
+ended without converging (iteration budget exhausted or line search
+failed), 4 check failed.
 """
 
 import argparse
@@ -24,7 +25,7 @@ from . import __version__
 from .adjoint_solver import duality_residual
 from .control_opt import (CostParams, GradientEngine, fd_gradient_oracle,
                           optimize, random_admissible_control)
-from .errors import ConfigError, IncompatibleFlux, SlipctlError
+from .errors import ConfigError, IncompatibleFlux, InitialStateError, SlipctlError
 from .fields import (BoundaryControl, FrictionField, divergence, face_vector,
                      sample_faces, save_boundary_table, write_snapshot)
 from .lifting import discrete_curl, solve_neumann_lifting
@@ -276,11 +277,13 @@ class RunConfig:
         try:
             return StateProblem(self.grid, self.time_grid, self.initial_state(),
                                 ctrl, friction, self.nu)
-        except ValueError as exc:
+        except InitialStateError as exc:
             raise ConfigError(
                 "%s (the initial state must be divergence-free with normal "
                 "trace matching a at t = 0; with the rest state use a time "
                 "factor vanishing at 0, e.g. poly:0:1)" % exc)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
 
 
 def _write_json(path, payload):

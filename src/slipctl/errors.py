@@ -20,3 +20,7 @@ class SolverDivergence(SlipctlError):
 class BaseTrajectoryMissing(SlipctlError):
     """Linearized/adjoint solve requested without a complete base state trajectory."""
 
+
+class InitialStateError(ValueError):
+    """The initial velocity is not divergence-free, or its normal trace does
+    not match the normal control at t = 0."""

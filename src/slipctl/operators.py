@@ -27,6 +27,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import SolverDivergence
 
@@ -42,6 +43,12 @@ REFINE_MAX_STEPS = 20
 # bytes of step data a state sweep keeps for the later sweeps around its
 # trajectory (StepStore): 62 KB a step at 16x16, 1.0 MB at 64x64
 STEP_STORE_BYTES = 32 * 2 ** 20
+# every step factors its own R by a LAPACK band LU, without a reference,
+# where the reduced step's n * kl^2 is below this bound (see
+# DiscreteOperators.band); measured crossover of the gradient time on
+# square grids, demo physics, nt = 32: 20x20 (521,284) inside, 22x22
+# (777,924) outside
+BAND_BOUND = 6e5
 _EPS = np.finfo(float).eps
 
 
@@ -73,6 +80,7 @@ class DiscreteOperators:
         self._build_reduced_map()
         self._reference = None
         self._neumann = None
+        self._band = None
 
     # -- indexing ----------------------------------------------------------
 
@@ -371,6 +379,22 @@ class DiscreteOperators:
             self._reference = (key, _factor(R0))
         return self._reference[1]
 
+    def band(self):
+        """The band layout of the reduced step pattern where its n * kl^2 is
+        below BAND_BOUND, else None; made on first use and kept.
+
+        In the x-major order of the interior vertices R couples vertices at
+        most two columns apart, so kl = ku = 2 (ny - 1): the rule reads the
+        grid's dimensions, and above the bound no index array is built.
+        """
+        nx, ny = self._iv.shape[0], self._iu.shape[1]
+        n, kl = (nx - 1) * (ny - 1), 2 * (ny - 1)
+        if n * kl * kl >= BAND_BOUND:
+            return None
+        if self._band is None:
+            self._band = _Band(self.reduced_indptr, self.reduced_indices, kl)
+        return self._band
+
     def neumann(self):
         """The interior gradient grad (CSR), the pinned Neumann Laplacian
         L_pin (CSC) and its LU, made on first use and kept.
@@ -464,9 +488,10 @@ class DiscreteOperators:
         return self.Mbc @ a_nodes
 
 
-def _factor(A, what="step matrix"):
+def _factor(A, what="step matrix", into=None):
     """SuperLU factor of a CSC matrix with a symmetric pattern: minimum
-    degree ordering on the pattern of A^T + A, in symmetric mode.
+    degree ordering on the pattern of A^T + A, in symmetric mode.  Given a
+    _BandLU slot on A's pattern (into), A's band LU written there instead.
 
     Both matrices factored here have symmetric patterns, and the reduced
     reference step and the Neumann matrix are symmetric.  Symmetric mode
@@ -477,10 +502,73 @@ def _factor(A, what="step matrix"):
     on the reduced reference step and from 220,612 to 126,514 on the
     Neumann matrix).
     """
+    if into is not None:
+        return into.factor(A, what)
     try:
         return spla.splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverDivergence("%s factorization failed: %s" % (what, exc))
+
+
+class _Band:
+    """LAPACK general band storage of a square sparse pattern with kl = ku
+    (Golub & Van Loan, Matrix Computations, 4th ed., 4.3; dgbtrf's layout).
+
+    Entry (i, j) of the matrix is entry (2 kl + i - j, j) of a (3 kl + 1, n)
+    Fortran array; its first kl rows take the fill of partial pivoting.  pos
+    is the flat position of each entry of the pattern, given as the CSR
+    arrays (indptr, indices).  A factor takes size floats: the band array,
+    then its n int32 pivots.
+    """
+
+    def __init__(self, indptr, indices, kl):
+        n = indptr.size - 1
+        self.n, self.kl, self.ldab = n, kl, 3 * kl + 1
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        self.pos = indices.astype(np.intp) * self.ldab + (2 * kl + rows - indices)
+        self.size = n * self.ldab + (n + 1) // 2
+        self.nbytes = 8 * self.size
+
+    def slots(self, count):
+        """count factor slots, the rows of one preallocated buffer."""
+        return [_BandLU(self, row) for row in np.empty((count, self.size))]
+
+
+class _BandLU:
+    """The band LU of one matrix on a _Band layout, in place in a slot of
+    size floats, with SuperLU's solve(b, trans).
+
+    factor(A) takes A as CSC, whose arrays are those of A^T as CSR, and
+    factors A^T: a StepSolver passes R^T (R_T), so its forward solves with
+    R go through dgbtrs without transposition, the faster kernel (11
+    against 16 us a solve at 16x16).
+    """
+
+    def __init__(self, band, row):
+        n, ldab = band.n, band.ldab
+        self.band = band
+        self.flat = row[:n * ldab]
+        self.ab = self.flat.reshape(n, ldab).T      # a Fortran (ldab, n) view
+        self.piv = row[n * ldab:].view(np.int32)[:n]
+
+    def factor(self, A, what="step matrix"):
+        """Write the band LU into the slot; an exactly zero pivot raises
+        SolverDivergence."""
+        kl = self.band.kl
+        self.flat[:] = 0.0
+        self.flat[self.band.pos] = A.data
+        # ab is Fortran-contiguous, so overwrite_ab factors it in place
+        _, piv, info = dgbtrf(self.ab, kl, kl, overwrite_ab=1)
+        if info > 0:
+            raise SolverDivergence("%s factorization failed: band factor is exactly "
+                                   "singular (pivot %d)" % (what, info))
+        self.piv[:] = piv
+        return self
+
+    def solve(self, b, trans="N"):
+        """x with A x = b, or A^T x = b if trans is "T"."""
+        kl = self.band.kl
+        return dgbtrs(self.ab, kl, kl, b, self.piv, trans=int(trans == "N"))[0]
 
 
 def _step_key(dt, nu, alpha_nodes):
@@ -634,50 +722,82 @@ def _extrapolate(hist):
 
 
 class StepStore:
-    """The step matrices L_k and R_k of a state sweep, kept for the tangent
-    and adjoint sweeps around its trajectory.
+    """The steps of a state sweep, kept for the tangent and adjoint sweeps
+    around its trajectory.
 
     Step k of all three sweeps has the same L(alpha_k, y_{k-1}) and
-    R = Ci^T L Ci (the adjoint solves with their transposes).  The state
-    sweep keeps the data arrays StepSolver.step assembled for the last steps
-    that fit in STEP_STORE_BYTES, from step first on, as the rows of two
-    preallocated (steps, nnz) arrays: the adjoint sweep, which runs
-    backwards, reads those first.  A later sweep loads step k instead of
-    assembling it only when its operators are the store's and its
-    (dt, nu, alpha_k) are bitwise the ones the step was assembled at; its
-    advecting field is the trajectory's own y_{k-1}.
+    R = Ci^T L Ci (the adjoint solves with their transposes).  The store
+    takes the bytes the data arrays of L and R take for the last steps that
+    fit in STEP_STORE_BYTES, and keeps the last steps that fit in them, from
+    step first on, as the rows of one preallocated buffer: the adjoint
+    sweep, which runs backwards, reads those first.
+
+    Which data a row holds follows the sweeps' solve regime (see
+    StateProblem.step_solver).  Above BAND_BOUND, where they refine against
+    a reference, a row holds the data arrays StepSolver.step assembled for L
+    and R.  Under it, where every step is factored by a band LU, a row is
+    the slot that step's factor was written into, in place, and a later
+    sweep loading it assembles only L: at 16x16 a factor takes 164,704
+    bytes against 62,280 for the data, so 12 of 32 steps are kept.
+
+    A later sweep loads step k instead of assembling (and factoring) it only
+    when its operators are the store's and its (dt, nu, alpha_k) are bitwise
+    the ones the step was assembled at, and a kept factor only when that
+    sweep factors its steps too; its advecting field is the trajectory's own
+    y_{k-1}.
     """
 
     def __init__(self, ops, nt):
         nnz = ops.step_indices.size, ops.reduced_indices.size
-        n = min(nt, STEP_STORE_BYTES // (8 * sum(nnz)))
+        per_step = 8 * sum(nnz)
+        nbytes = min(nt, STEP_STORE_BYTES // per_step) * per_step
         self.ops = ops
+        self.band = ops.band()
+        if self.band is None:
+            n = nbytes // per_step
+            # both in one allocation: in a loop of solves on one grid, malloc
+            # then serves each store from the memory the last one freed, where
+            # two allocations went back to the system and were faulted in
+            # again on every solve (~1,200 page faults per 64x64, nt = 4 state
+            # solve)
+            buf = np.empty((n, sum(nnz)))
+            self.L, self.R = buf[:, :nnz[0]], buf[:, nnz[0]:]
+        else:
+            n = min(nt, nbytes // self.band.nbytes)
+            self.lu = self.band.slots(n)
         self.first = nt + 1 - n
-        # both in one allocation: in a loop of solves on one grid, malloc
-        # then serves each store from the memory the last one freed, where
-        # two allocations went back to the system and were faulted in again
-        # on every solve (~1,200 page faults per 64x64, nt = 4 state solve)
-        buf = np.empty((n, sum(nnz)))
-        self.L, self.R = buf[:, :nnz[0]], buf[:, nnz[0]:]
         self.keys = [None] * n
 
+    def slot(self, k):
+        """The band factor slot of step k, or None if the store keeps no
+        factor of it."""
+        i = k - self.first
+        return self.lu[i] if self.band is not None and i >= 0 else None
+
     def keep(self, k, step, alpha_nodes):
-        """Keep the data of step k, just assembled by step at alpha."""
+        """Keep step k, just assembled (and factored, into slot(k)) by step
+        at alpha."""
         i = k - self.first
         if i >= 0:
-            self.L[i] = step.L.data
-            self.R[i] = step.R.data
+            if self.band is None:
+                self.L[i] = step.L.data
+                self.R[i] = step.R.data
             self.keys[i] = _step_key(step.dt, step.nu, alpha_nodes)
 
     def load(self, k, step, alpha_nodes):
-        """Fill step's L and R with the data of step k, if kept at step's
-        operators, dt and nu and at alpha; returns whether it did."""
+        """Fill step's L and R with the data of step k, or set its factor to
+        step k's kept factor, if kept at step's operators, dt and nu and at
+        alpha; returns whether it did."""
         i = -1 if k is None else k - self.first
         if (not 0 <= i < len(self.keys) or step.ops is not self.ops
+                or (self.band is not None and step.ref is not None)
                 or self.keys[i] != _step_key(step.dt, step.nu, alpha_nodes)):
             return False
-        step.L.data[:] = self.L[i]
-        step.R.data[:] = self.R[i]
+        if self.band is None:
+            step.L.data[:] = self.L[i]
+            step.R.data[:] = self.R[i]
+        else:
+            step.lu = self.lu[i]
         return True
 
 
@@ -710,45 +830,53 @@ class StepSolver:
     LINEAR_RESIDUAL_TOL.  A single step is a pass of one row.
 
     One solver serves a whole sweep at fixed (dt, nu).  It holds the step
-    matrix L, R and |R| (for the round-off floor) and their transposes,
-    which share the data arrays; step(alpha, w) refills that data in place
-    for the next step, so no sparse matrix is built per step.  The tangent
-    and adjoint sweeps pass the StepStore of their base trajectory as
-    steps: step() inside at(k, ...) then loads L and R of step k from it,
-    where it holds them at the same (dt, nu, alpha), instead of assembling
-    them.  Call step() (or at()) before solving.
+    matrix L and R and their transposes, which share the data arrays;
+    step(alpha, w) refills that data in place for the next step, so no
+    sparse matrix is built per step.  The tangent and adjoint sweeps pass
+    the StepStore of their base trajectory as steps: step() inside
+    at(k, ...) then loads step k from it, where it holds that step at the
+    same (dt, nu, alpha), instead of assembling it; the state sweep passes
+    the StepStore it fills as keep.  Call step() (or at()) before solving.
 
-    Given the LU of an advection-free reduced step (the sweeps pass the
-    problem's reference factor, see DiscreteOperators.reference_lu), each
-    solve is refined iteratively against the current step's own R, which
-    replaces a factorization per step.  The reference is symmetric and is
-    applied in both directions through SuperLU's transposed kernel.
-    Refinement starts from the polynomial extrapolation of the sweep's last
-    three accepted psi in that direction (history; seed() starts the
-    forward one), if that guess's residual is below |rhs|, and from zero
-    otherwise.  When refinement does not reach round-off, the step factors
-    its own R and solves directly; the next step() goes back to the
-    reference.  Without a reference (lu=None) every step factors its own R.
+    Without a reference (lu=None) every step factors its own R and solves
+    directly; on grids under BAND_BOUND the factor is a LAPACK band LU (see
+    DiscreteOperators.band), written into one slot the solver holds or, in
+    the state sweep, into the store's slot for the step.
+
+    Given the LU of an advection-free reduced step (the sweeps above the
+    bound pass the problem's reference factor, see
+    DiscreteOperators.reference_lu), each solve is refined iteratively
+    against the current step's own R, which replaces a factorization per
+    step; the solver then also holds |R| (for the round-off floor).  The
+    reference is symmetric and is applied in both directions through
+    SuperLU's transposed kernel.  Refinement starts from the polynomial
+    extrapolation of the sweep's last three accepted psi in that direction
+    (history; seed() starts the forward one), if that guess's residual is
+    below |rhs|, and from zero otherwise.  When refinement does not reach
+    round-off, the step factors its own R and solves directly; the next
+    step() goes back to the reference.
     """
 
-    def __init__(self, ops, dt, nu, lu=None, sweep="step", steps=None):
+    def __init__(self, ops, dt, nu, lu=None, sweep="step", steps=None, keep=None):
         self.ops = ops
         self.dt, self.nu = dt, nu
         self.sweep = sweep
-        self.steps = steps
+        self.steps, self.keep = steps, keep
         self.F, self.C = ops.free_idx, ops.cons_idx
         self.ref = lu
         self.lu = None
+        band = ops.band()
+        self._own = None if band is None else band.slots(1)[0]
         self.neumann = ops.neumann()[2]
         # sources [alpha; w; 1/dt; nu] of the step map
         self._src = np.concatenate([np.zeros(ops.n_boundary + ops.N), [1.0 / dt, nu]])
         self.L = sp.csr_matrix((np.zeros(ops.step_indices.size), ops.step_indices,
                                 ops.step_indptr), shape=(ops.N, ops.N))
-        n = ops.reduced_indptr.size - 1
-        self.R, self.abs_R = (
-            sp.csr_matrix((np.zeros(ops.reduced_indices.size), ops.reduced_indices,
-                           ops.reduced_indptr), shape=(n, n)) for _ in range(2))
-        self.LT, self.R_T, self.abs_R_T = self.L.T, self.R.T, self.abs_R.T
+        self.R = self._reduced()
+        self.LT, self.R_T = self.L.T, self.R.T
+        if lu is not None:
+            self.abs_R = self._reduced()
+            self.abs_R_T = self.abs_R.T
         # accepted psi of the forward and the transposed solves, oldest first
         self.history = ([], [])
         # per direction, the steps solved since the last pressures(), in
@@ -759,24 +887,54 @@ class StepSolver:
         self.pending = ([], [])
         self.k = None
 
+    def _reduced(self):
+        """A zero matrix on the reduced step pattern."""
+        ops = self.ops
+        n = ops.reduced_indptr.size - 1
+        return sp.csr_matrix((np.zeros(ops.reduced_indices.size), ops.reduced_indices,
+                              ops.reduced_indptr), shape=(n, n))
+
     def seed(self, y_vec):
-        """Start the forward history at the stream function of velocity y_vec."""
-        self.history[0][:] = [self.ops.stream_function(y_vec)]
+        """Start the forward history at the stream function of velocity
+        y_vec, if the solver refines."""
+        if self.ref is not None:
+            self.history[0][:] = [self.ops.stream_function(y_vec)]
 
     def step(self, alpha_nodes, w_adv_vec):
-        """Refill L and R with the step at (alpha, w), loaded from steps if
-        it holds the current step k there, assembled otherwise; returns self."""
-        if self.steps is None or not self.steps.load(self.k, self, alpha_nodes):
-            ops, src, nb = self.ops, self._src, self.ops.n_boundary
+        """Refill L and R with the step at (alpha, w) and set its factor;
+        returns self.
+
+        L and R are loaded from steps if it holds the current step k there,
+        and assembled otherwise; where steps holds step k's band factor, that
+        is the step's factor and only L is assembled.  Refining, the factor
+        is the reference; otherwise the step's own R is factored, into
+        keep's slot for step k if keep has one.  keep then keeps the step.
+        """
+        kept = self.steps is not None and self.steps.load(self.k, self, alpha_nodes)
+        factored = kept and self.steps.band is not None
+        ops = self.ops
+        if not kept or factored:
+            src, nb = self._src, ops.n_boundary
             src[:nb] = alpha_nodes
             src[nb:-2] = w_adv_vec
             self.L.data[:] = ops._step_map @ src
+        if not kept:
             ops.reduced_data(self.L.data, out=self.R.data)
-        np.abs(self.R.data, out=self.abs_R.data)
-        # R_T is R^T as CSC, so its factor solves with R through the
-        # transposed kernel
-        self.lu = _factor(self.R_T) if self.ref is None else self.ref
+        if self.ref is not None:
+            np.abs(self.R.data, out=self.abs_R.data)
+            self.lu = self.ref
+        elif not factored:
+            self.lu = self._factor(None if self.keep is None else self.keep.slot(self.k))
+        if self.keep is not None:
+            self.keep.keep(self.k, self, alpha_nodes)
         return self
+
+    def _factor(self, slot=None):
+        """The step's own factor of R: a band LU in slot, or in the solver's
+        own slot, on grids under BAND_BOUND, SuperLU's above.  R_T is R^T as
+        CSC, so a SuperLU factor solves with R through the transposed
+        kernel."""
+        return _factor(self.R_T, into=self._own if slot is None else slot)
 
     @contextlib.contextmanager
     def at(self, k, alpha_nodes, w_adv_vec):
@@ -832,7 +990,11 @@ class StepSolver:
         return sol
 
     def _solve(self, rhs, trans=False):
-        """psi with R psi = rhs, or R^T psi = rhs if trans."""
+        """psi with R psi = rhs, or R^T psi = rhs if trans: on the step's own
+        factor without a reference, else refined and kept in the history."""
+        mode = "N" if trans else "T"
+        if self.ref is None:
+            return self.lu.solve(rhs, trans=mode)
         if trans:
             big, abs_big = self.R_T, self.abs_R_T
         else:
@@ -841,8 +1003,8 @@ class StepSolver:
                                                                  abs_big, trans)
         if sol is None:
             if self.lu is self.ref:
-                self.lu = _factor(self.R_T)
-            sol = self.lu.solve(rhs, trans="N" if trans else "T")
+                self.lu = self._factor()
+            sol = self.lu.solve(rhs, trans=mode)
         hist = self.history[trans]
         hist.append(sol)
         del hist[:-3]

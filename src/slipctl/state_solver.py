@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import SolverDivergence
+from .errors import InitialStateError, SolverDivergence
 from .fields import (BoundaryControl, FrictionField, StateTrajectory,
                      divergence, face_l2, hp_norm)
 from .operators import StepSolver, StepStore
@@ -39,32 +39,35 @@ class StateProblem:
         scale = max(1.0, float(np.abs(self.y0).max()))
         div0 = np.abs(divergence(self.grid, self.y0)).max()
         if div0 > DIV_TOL * scale:
-            raise ValueError("initial velocity is not divergence-free: %.3e" % div0)
+            raise InitialStateError("initial velocity is not divergence-free: %.3e" % div0)
         mism = np.abs(self.grid.ops.Tn @ self.y0 - self.controls.a[0]).max()
         if mism > 1e-9 * scale:
-            raise ValueError("initial normal trace does not match a(0): %.3e" % mism)
+            raise InitialStateError("initial normal trace does not match a(0): %.3e" % mism)
         self.controls.check_flux()
         n = hp_norm(self.controls)
         if n > self.controls.radius * (1 + 1e-9):
             raise ValueError("controls leave the admissible ball: %.3e > %.3e"
                              % (n, self.controls.radius))
 
-    def step_solver(self, sweep, steps=None):
-        """The StepSolver of one sweep ("state", "linearized" or "adjoint"),
-        on the problem's reference step factor: step 1 without advection;
+    def step_solver(self, sweep, steps=None, keep=None):
+        """The StepSolver of one sweep ("state", "linearized" or "adjoint");
         steps is the StepStore of the base trajectory of a tangent or
-        adjoint sweep, if it has one.
+        adjoint sweep, if it has one, and keep the StepStore a state sweep
+        fills.
 
-        The factor depends on (dt, nu, alpha[1]) only, not on y0 or the
-        controls, so the state, tangent and adjoint sweeps of every control
-        share it.
+        On grids under operators.BAND_BOUND every step factors its own R
+        by a band LU.  Above it the steps refine against the problem's
+        reference step factor: step 1 without advection, which depends on
+        (dt, nu, alpha[1]) only, not on y0 or the controls, so the state,
+        tangent and adjoint sweeps of every control share it.
         """
-        ops, dt = self.grid.ops, self.time_grid.dt
-        try:
-            lu = ops.reference_lu(dt, self.nu, self.friction.alpha[1])
-        except SolverDivergence as exc:
-            raise SolverDivergence("%s step 1 (reference factor): %s" % (sweep, exc))
-        return StepSolver(ops, dt, self.nu, lu, sweep, steps)
+        ops, dt, lu = self.grid.ops, self.time_grid.dt, None
+        if ops.band() is None:
+            try:
+                lu = ops.reference_lu(dt, self.nu, self.friction.alpha[1])
+            except SolverDivergence as exc:
+                raise SolverDivergence("%s step 1 (reference factor): %s" % (sweep, exc))
+        return StepSolver(ops, dt, self.nu, lu, sweep, steps, keep)
 
     def content_hash(self):
         h = hashlib.sha256()
@@ -82,9 +85,10 @@ def solve_state(problem: StateProblem) -> StateTrajectory:
     The march solves the velocities, each step guarded on its divergence;
     the pressures of all steps, and every step's full residual check,
     follow in one pass (StepSolver.pressures) before the trajectory is
-    returned.  The trajectory carries the step matrices the march assembled
-    (a StepStore, up to STEP_STORE_BYTES), so the tangent and adjoint sweeps
-    around it assemble each step only where the store does not hold it.
+    returned.  The trajectory carries the step matrices the march assembled,
+    or on grids under BAND_BOUND the band factors it made (a StepStore, up
+    to STEP_STORE_BYTES), so the tangent and adjoint sweeps around it
+    assemble (and factor) each step only where the store does not hold it.
     """
     g, tg = problem.grid, problem.time_grid
     ops = g.ops
@@ -92,13 +96,12 @@ def solve_state(problem: StateProblem) -> StateTrajectory:
     y = np.empty((tg.nt + 1, ops.N))
     y[0] = problem.y0
     lifts, loads = ops.boundary_lift(ctrl.a[1:]), ops.b_load(ctrl.b[1:])
-    solver = problem.step_solver("state")
-    solver.seed(y[0])
     steps = StepStore(ops, tg.nt)
+    solver = problem.step_solver("state", keep=steps)
+    solver.seed(y[0])
     for k in range(1, tg.nt + 1):
         rhs = ops.Wvec * y[k - 1] / tg.dt + loads[k - 1]
         with solver.at(k, fric.alpha[k], y[k - 1]) as step:
-            steps.keep(k, step, fric.alpha[k])
             y[k] = step.solve(rhs, lifts[k - 1])
             dv = np.abs(step.div).max()
             if dv > 1e-9 * max(1.0, face_l2(g, y[k])):

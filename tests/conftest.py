@@ -2,27 +2,33 @@ import numpy as np
 import pytest
 
 
-class _SpluSpy:
-    """Stands in for scipy.sparse.linalg in slipctl.operators; counts splu calls."""
+class _FactorSpy:
+    """Stands in for slipctl.operators._factor; counts factorizations, by
+    SuperLU or band LU alike."""
 
-    def __init__(self, module):
-        self._module = module
+    def __init__(self, factor):
+        self._factor = factor
         self.calls = 0
 
-    def splu(self, *args, **kwargs):
+    def __call__(self, *args, **kwargs):
         self.calls += 1
-        return self._module.splu(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self._module, name)
+        return self._factor(*args, **kwargs)
 
 
 @pytest.fixture
-def splu_spy(monkeypatch):
+def factor_spy(monkeypatch):
     from slipctl import operators
-    spy = _SpluSpy(operators.spla)
-    monkeypatch.setattr(operators, "spla", spy)
+    spy = _FactorSpy(operators._factor)
+    monkeypatch.setattr(operators, "_factor", spy)
     return spy
+
+
+@pytest.fixture
+def refining(monkeypatch):
+    """The refinement side of the band rule on every grid (BAND_BOUND = 0):
+    the sweeps refine against the reference factor, as above the bound."""
+    from slipctl import operators
+    monkeypatch.setattr(operators, "BAND_BOUND", 0)
 
 
 @pytest.fixture

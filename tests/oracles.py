@@ -73,6 +73,7 @@ class ReferenceOperators(DiscreteOperators):
         self._build_reduced_map()
         self._reference = None
         self._neumann = None
+        self._band = None
 
     def _build_divergence(self, g):
         nx, ny = g.nx, g.ny

@@ -17,8 +17,7 @@ from slipctl.control_opt import random_admissible_control
 from oracles import continuum_normal_kernel, step_solve
 
 
-@pytest.fixture
-def setup():
+def _setup():
     grid = build_grid(8, 8, 1.0, 1.0)
     tg = TimeGrid(0.5, 8)
     rng = np.random.default_rng(21)
@@ -26,6 +25,20 @@ def setup():
     prob = StateProblem(grid, tg, np.zeros(grid.ops.N), ctrl, validate=False)
     traj = solve_state(prob)
     return grid, tg, prob, traj
+
+
+@pytest.fixture
+def setup():
+    """An 8x8 problem and its trajectory: under the band rule's bound, so
+    every step factors its own R."""
+    return _setup()
+
+
+@pytest.fixture
+def refined_setup(refining):
+    """setup on the refinement side of the band rule: its sweeps refine
+    against the reference factor, as on every grid above the bound."""
+    return _setup()
 
 
 def random_source(grid, tg, seed):
@@ -200,26 +213,26 @@ def test_export_kernels_csv(tmp_path, setup):
         assert lines[1] == "%.17g,%.17g,%.17g" % (t1, grid.boundary_s[0], kern[1, 0])
 
 
-def test_sweeps_share_one_reference_factor(setup, splu_spy):
+def test_sweeps_share_one_reference_factor(refined_setup, factor_spy):
     """Once a problem's reference factor is in the slot, a state solve, an
     adjoint sweep and a tangent sweep at other controls factor nothing."""
-    grid, tg, prob, traj = setup
+    grid, tg, prob, traj = refined_setup
     rng = np.random.default_rng(31)
     ctrl = random_admissible_control(grid, tg, rng, amplitude=0.3)
     other = StateProblem(grid, tg, prob.y0, ctrl, prob.friction, validate=False)
-    splu_spy.calls = 0
+    factor_spy.calls = 0
     for p in (prob, other):
         base = solve_state(p)
         solve_adjoint(AdjointProblem(p, base, random_source(grid, tg, 32)))
         d = random_admissible_control(grid, tg, rng, amplitude=0.3)
         solve_linearized(LinearizedProblem(p, base, d.a, d.b))
-    assert splu_spy.calls == 0
+    assert factor_spy.calls == 0
 
 
-def test_sweeps_bitwise_equal_for_cold_warm_and_fresh_slots(setup):
+def test_sweeps_bitwise_equal_for_cold_warm_and_fresh_slots(refined_setup):
     """The reference factor is a pure function of the problem: a cold slot,
     a warm one and a fresh grid with the same key give the same bits."""
-    grid, tg, prob, traj = setup
+    grid, tg, prob, traj = refined_setup
     U = random_source(grid, tg, 33)
 
     def run(p):
@@ -249,8 +262,8 @@ def _sweep_outputs(p, U, d):
     return [t.y, adj.p, z, adj.kernel_b], [t.p, adj.pi, adj.kernel_a]
 
 
-def test_one_solver_per_sweep_matches_a_fresh_solver_per_step(setup, monkeypatch,
-                                                               splu_spy):
+def test_one_solver_per_sweep_matches_a_fresh_solver_per_step(refined_setup, monkeypatch,
+                                                               factor_spy):
     """Each sweep builds one StepSolver, refreshes it in place and recovers
     its pressures in one pass after the march.  A fresh StepSolver per step,
     handed the sweep's solution history, with every step's pressures
@@ -260,7 +273,7 @@ def test_one_solver_per_sweep_matches_a_fresh_solver_per_step(setup, monkeypatch
     single solves do.
     The large controls make most steps fall back to their own factor, and in
     the adjoint sweep a fallback is followed by refined steps."""
-    grid, tg, prob, traj = setup
+    grid, tg, prob, traj = refined_setup
     rng = np.random.default_rng(36)
     ctrl = random_admissible_control(grid, tg, rng, amplitude=10.0)
     p = StateProblem(grid, tg, prob.y0, ctrl, prob.friction, validate=False)
@@ -287,19 +300,19 @@ def test_one_solver_per_sweep_matches_a_fresh_solver_per_step(setup, monkeypatch
         return np.concatenate(out)
 
     monkeypatch.setattr(StepSolver, "__init__", counting_init)
-    splu_spy.calls = 0
+    factor_spy.calls = 0
     marched, passed = _sweep_outputs(p, U, d)
     assert built == ["state", "adjoint", "linearized"]
-    fallbacks = splu_spy.calls
+    fallbacks = factor_spy.calls
     assert fallbacks > 0
 
     monkeypatch.setattr(StepSolver, "at", fresh_at)
     monkeypatch.setattr(StepSolver, "pressures", per_step_pressures)
     built.clear()
-    splu_spy.calls = 0
+    factor_spy.calls = 0
     fresh_marched, fresh_passed = _sweep_outputs(p, U, d)
     assert len(built) == 3 * (tg.nt + 1)
-    assert splu_spy.calls == fallbacks
+    assert factor_spy.calls == fallbacks
     assert all(np.array_equal(x, y) for x, y in zip(marched, fresh_marched))
     assert len(passed) == len(fresh_passed)
     for x, y in zip(passed, fresh_passed):
@@ -349,12 +362,12 @@ def test_residual_failure_names_the_first_step_in_marching_order(setup, monkeypa
             run()
 
 
-def test_reference_factor_failure_names_its_sweep(setup, monkeypatch):
+def test_reference_factor_failure_names_its_sweep(refined_setup, monkeypatch):
     """A reference step that fails to factor is reported with its sweep and
     step, as a failure inside the step loop is."""
     from slipctl import operators
     from slipctl.errors import SolverDivergence
-    grid, tg, prob, traj = setup
+    grid, tg, prob, traj = refined_setup
     d = random_admissible_control(grid, tg, np.random.default_rng(34), amplitude=0.3)
     sweeps = {
         "state": lambda: solve_state(prob),
@@ -409,7 +422,8 @@ def _bits_equal(xs, ys):
 
 
 @pytest.mark.parametrize("amplitude", [0.3, 10.0])
-def test_later_sweeps_read_the_state_sweeps_steps(setup, monkeypatch, tmp_path, amplitude):
+def test_later_sweeps_read_the_state_sweeps_steps(refined_setup, monkeypatch, tmp_path,
+                                                  amplitude):
     """The adjoint and tangent sweeps around a solved trajectory assemble no
     step: they load the state sweep's L_k and R_k.  A copy of the
     trajectory without them, built from its arrays or read back from disk,
@@ -417,7 +431,7 @@ def test_later_sweeps_read_the_state_sweeps_steps(setup, monkeypatch, tmp_path, 
     most steps fall back to their own factor)."""
     from slipctl.fields import StateTrajectory
     from slipctl.state_solver import load_trajectory, save_trajectory
-    grid, tg, prob, _ = setup
+    grid, tg, prob, _ = refined_setup
     ctrl = random_admissible_control(grid, tg, np.random.default_rng(41), amplitude=amplitude)
     p = StateProblem(grid, tg, prob.y0, ctrl, prob.friction, validate=False)
     traj = solve_state(p)
@@ -440,13 +454,13 @@ def test_later_sweeps_read_the_state_sweeps_steps(setup, monkeypatch, tmp_path, 
 
 
 @pytest.mark.parametrize("change", ["nu", "alpha"])
-def test_store_is_read_only_at_its_dt_nu_and_alpha(setup, monkeypatch, change):
+def test_store_is_read_only_at_its_dt_nu_and_alpha(refined_setup, monkeypatch, change):
     """Paired with a problem of another viscosity, the later sweeps read no
     kept step; with the friction changed at one step, they assemble that
     step alone.  Either way they give the bits of a trajectory without
     kept steps."""
     from slipctl.fields import FrictionField, StateTrajectory
-    grid, tg, prob, traj = setup
+    grid, tg, prob, traj = refined_setup
     nu, alpha = prob.nu, prob.friction.alpha.copy()
     if change == "nu":
         nu, assembled = 0.7, tg.nt
@@ -466,12 +480,12 @@ def test_store_is_read_only_at_its_dt_nu_and_alpha(setup, monkeypatch, change):
     assert _bits_equal(mixed, _later_sweeps(other, bare, U, d))
 
 
-def test_capped_store_keeps_the_last_steps(setup, monkeypatch):
+def test_capped_store_keeps_the_last_steps(refined_setup, monkeypatch):
     """With room for K steps, the state sweep keeps steps nt-K+1..nt; each
     later sweep loads those K and assembles the other nt-K, with the bits
     of a full store."""
     from slipctl import operators
-    grid, tg, prob, traj = setup
+    grid, tg, prob, traj = refined_setup
     ops = grid.ops
     K = 3
     per_step = 8 * (ops.step_indices.size + ops.reduced_indices.size)
@@ -486,3 +500,70 @@ def test_capped_store_keeps_the_last_steps(setup, monkeypatch):
     out = _later_sweeps(prob, capped, U, d)
     assert [s.calls for s in spies.values()] == [2 * (tg.nt - K)] * 3
     assert _bits_equal(out, _later_sweeps(prob, traj, U, d))
+
+
+def test_singular_band_factor_names_its_sweep_and_step(setup, monkeypatch):
+    """A step whose R is exactly singular (zeroed at step 3) fails its band
+    factorization; the sweep reports it with its name and the step."""
+    from slipctl.errors import SolverDivergence
+    from slipctl.fields import StateTrajectory
+    grid, tg, prob, traj = setup
+    real = StepSolver._factor
+
+    def singular_at_step_3(self, slot=None):
+        if self.k == 3:
+            self.R.data[:] = 0.0
+        return real(self, slot)
+
+    monkeypatch.setattr(StepSolver, "_factor", singular_at_step_3)
+    bare = StateTrajectory(grid, tg, traj.y, traj.p, traj.config_hash)   # factors every step
+    d = random_admissible_control(grid, tg, np.random.default_rng(48), amplitude=0.3)
+    sweeps = {
+        "state": lambda: solve_state(prob),
+        "adjoint": lambda: solve_adjoint(AdjointProblem(prob, bare, random_source(grid, tg, 49))),
+        "linearized": lambda: solve_linearized(LinearizedProblem(prob, bare, d.a, d.b)),
+    }
+    for name, run in sweeps.items():
+        with pytest.raises(SolverDivergence, match=r"^%s step 3: step matrix factorization "
+                           r"failed: band factor is exactly singular" % name):
+            run()
+
+
+def test_band_store_keeps_factors_within_the_step_data_bytes(monkeypatch, factor_spy):
+    """At 16x16, nt = 32 the state sweep factors every step, and keeps the
+    band factors of its last 12 steps, in place in one buffer no larger than
+    the step data of all 32 steps (1,992,960 bytes).  The adjoint and tangent
+    sweeps solve those 12 with the kept factors, assembling only L, and
+    factor the other 20; a trajectory without kept factors, which factors
+    every step, gives the same bits."""
+    from slipctl.fields import StateTrajectory
+    grid, tg = build_grid(16, 16, 1.0, 1.0), TimeGrid(0.5, 32)
+    ops = grid.ops
+    ctrl = random_admissible_control(grid, tg, np.random.default_rng(50), amplitude=0.5)
+    prob = StateProblem(grid, tg, np.zeros(ops.N), ctrl, validate=False)
+    ops.neumann()                       # the grid's Neumann factor, made once
+    factor_spy.calls = 0
+    traj = solve_state(prob)
+    assert factor_spy.calls == tg.nt
+    steps, K = traj.steps, 12
+    assert steps.first == tg.nt - K + 1 and len(steps.lu) == K
+    buf = steps.lu[0].flat.base
+    assert all(lu.flat.base is buf for lu in steps.lu)
+    data_bytes = tg.nt * 8 * (ops.step_indices.size + ops.reduced_indices.size)
+    assert data_bytes == 1992960
+    assert buf.nbytes == K * ops.band().nbytes <= data_bytes < (K + 1) * ops.band().nbytes
+
+    U = random_source(grid, tg, 51)
+    d = random_admissible_control(grid, tg, np.random.default_rng(52), amplitude=0.3)
+    spies = _spy_step_maps(monkeypatch, ops)
+    factor_spy.calls = 0
+    adj = solve_adjoint(AdjointProblem(prob, traj, U))
+    assert factor_spy.calls == tg.nt - K
+    z = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
+    assert factor_spy.calls == 2 * (tg.nt - K)
+    assert [s.calls for s in spies.values()] == [2 * tg.nt] + [2 * (tg.nt - K)] * 2
+    stored = [adj.p, adj.pi, adj.kernel_a, adj.kernel_b, z]
+    factor_spy.calls = 0
+    bare = StateTrajectory(grid, tg, traj.y, traj.p, traj.config_hash)
+    assert _bits_equal(stored, _later_sweeps(prob, bare, U, d))
+    assert factor_spy.calls == 2 * tg.nt

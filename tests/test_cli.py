@@ -3,6 +3,7 @@ import logging
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from slipctl.cli import (EXIT_BUDGET, EXIT_CHECK, EXIT_CONFIG, EXIT_OK,
@@ -476,3 +477,71 @@ def test_grad_check_byte_identical(tmp_path):
         assert main(["grad-check", "--config", cfg, "--out", out]) == EXIT_OK
     _assert_same_bytes(out1, out2, ("gradcheck.csv", "gradcheck.json",
                                     "kernels_normal.csv", "kernels_tangent.csv"))
+
+
+HINT = "the initial state must be divergence-free"
+
+
+@pytest.mark.parametrize("command", ["solve", "grad-check"])
+def test_controls_outside_the_ball_are_not_blamed_on_the_initial_state(tmp_path, caplog,
+                                                                       command):
+    """configs/demo.ini with R = 0.7 puts its controls outside the admissible
+    ball: exit 1 naming the ball, without the initial-state hint."""
+    demo = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "demo.ini")
+    with open(demo) as fh:
+        text = fh.read()
+    assert "R = 50.0" in text
+    cfg = tmp_path / "ball.ini"
+    cfg.write_text(text.replace("R = 50.0", "R = 0.7"))
+    with caplog.at_level(logging.ERROR, logger="slipctl"):
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    messages = [r.getMessage() for r in caplog.records]
+    assert any("controls leave the admissible ball" in m for m in messages)
+    assert not any(HINT in m for m in messages)
+
+
+def _divergent_state(rc):
+    """The rest state with one interior u face set: its two cells diverge."""
+    y = np.zeros(rc.grid.ops.N)
+    y[rc.grid.ops.free_idx[0]] = 1.0
+    return y
+
+
+@pytest.mark.parametrize("initial, message", [
+    (_divergent_state, "initial velocity is not divergence-free"),
+    (None, "initial normal trace does not match a(0)"),
+], ids=["divergent", "normal_trace"])
+def test_initial_state_errors_carry_the_hint(tmp_path, monkeypatch, caplog, initial, message):
+    """A divergent initial state, and one whose normal trace misses a(0),
+    exit 1 with the initial-state hint."""
+    text = BASE_CONFIG
+    if initial is None:
+        text = text.replace("a.tmod = poly:0:1", "a.tmod = const:1")
+    else:
+        monkeypatch.setattr(RunConfig, "initial_state", initial)
+    cfg = write_config(tmp_path, text)
+    with caplog.at_level(logging.ERROR, logger="slipctl"):
+        code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert any(message in m and HINT in m for m in (r.getMessage() for r in caplog.records))
+
+
+def test_singular_band_factor_is_solver_exit(tmp_path, monkeypatch, caplog):
+    """An exactly singular step (R zeroed at step 3) on the 8x8 band side
+    ends solve with EXIT_SOLVER and a log line naming the sweep and step."""
+    from slipctl.operators import StepSolver
+    real = StepSolver._factor
+
+    def singular_at_step_3(self, slot=None):
+        if self.k == 3:
+            self.R.data[:] = 0.0
+        return real(self, slot)
+
+    monkeypatch.setattr(StepSolver, "_factor", singular_at_step_3)
+    cfg = write_config(tmp_path)
+    with caplog.at_level(logging.ERROR, logger="slipctl"):
+        code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == EXIT_SOLVER
+    assert any("state step 3: step matrix factorization failed: band factor is exactly "
+               "singular" in r.getMessage() for r in caplog.records)

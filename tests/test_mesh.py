@@ -101,7 +101,7 @@ def test_integrate_shape_errors():
         integrate_interior(g, np.ones((3, 3)))
 
 
-def test_grid_operators_freed_by_reference_count():
+def test_grid_operators_freed_by_reference_count(refining):
     """Grid and operators hold no cycle: with the collector off, dropping
     the last reference to a grid that has solved frees its operators."""
     import gc

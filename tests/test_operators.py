@@ -356,7 +356,7 @@ def _rel(x, ref):
     return np.linalg.norm(x - ref) / np.linalg.norm(ref)
 
 
-def test_refined_solves_match_direct_lu(splu_spy):
+def test_refined_solves_match_direct_lu(factor_spy):
     """Forward and transpose solves refined against the factor of a nearby
     step (w = 0) agree with the step's own LU, without factoring it."""
     from slipctl.operators import StepSolver
@@ -364,16 +364,16 @@ def test_refined_solves_match_direct_lu(splu_spy):
     w = rng.standard_normal(ops.N)
     ref_lu = ops.reference_lu(0.05, 1.0, np.ones(grid.n_boundary))
     direct = StepSolver(ops, 0.05, 1.0).step(alpha, w)
-    splu_spy.calls = 0
+    factor_spy.calls = 0
     refined = StepSolver(ops, 0.05, 1.0, lu=ref_lu).step(alpha, w)
     for got, want in zip(step_solve(refined, rhs, a) + step_solve_transpose(refined, rhs_t),
                          step_solve(direct, rhs, a) + step_solve_transpose(direct, rhs_t)):
         assert _rel(got, want) <= 1e-12
-    assert splu_spy.calls == 0
+    assert factor_spy.calls == 0
     assert refined.lu is ref_lu
 
 
-def test_far_reference_falls_back_to_own_factor(splu_spy):
+def test_far_reference_falls_back_to_own_factor(factor_spy):
     """Refinement against a far factor (dt x 100, alpha x 300, no
     advection) misses the residual guard; the step then factors its own
     matrix and still meets it."""
@@ -384,12 +384,12 @@ def test_far_reference_falls_back_to_own_factor(splu_spy):
     far = ops.reference_lu(5.0, 1.0, 300.0 * alpha)
     for transpose in (False, True):
         step = StepSolver(ops, 0.05, 1.0, lu=far).step(alpha, w)
-        splu_spy.calls = 0
+        factor_spy.calls = 0
         if transpose:
             got, want = step_solve_transpose(step, rhs_t), step_solve_transpose(direct, rhs_t)
         else:
             got, want = step_solve(step, rhs, a), step_solve(direct, rhs, a)
-        assert splu_spy.calls == 1
+        assert factor_spy.calls == 1
         assert step.lu is not far
         for x, y in zip(got, want):
             assert _rel(x, y) <= 1e-12
@@ -565,7 +565,7 @@ def test_workspace_views_follow_every_step():
     assembly of that step's matrices."""
     from slipctl.operators import StepSolver
     grid, ops, rng, *_ = _step_case(29, n=8)
-    step = StepSolver(ops, 0.05, 1.0)
+    step = StepSolver(ops, 0.05, 1.0, lu=ops.reference_lu(0.05, 1.0, np.ones(grid.n_boundary)))
     for scale in (1.0, 0.0, 5.0):
         alpha = rng.uniform(0.5, 1.5, grid.n_boundary)
         w = scale * rng.standard_normal(ops.N)
@@ -599,7 +599,7 @@ def _reduced_lu(ops, dt, nu, alpha):
     return _CountingLU(_factor(reduced_matrix(ops, data).tocsc()))
 
 
-def test_fallback_lasts_one_step(splu_spy):
+def test_fallback_lasts_one_step(factor_spy):
     """A step that falls back keeps its own factor for that step only (its
     transposed solve reuses it); the next step() refines against the
     reference again.  With the far reference of
@@ -616,19 +616,19 @@ def test_fallback_lasts_one_step(splu_spy):
               + step_solve_transpose(direct, rhs_t))
              for alpha_k, w_k in ((alpha, w), (far_alpha, far_w), (alpha, w))]
     step = StepSolver(ops, 5.0, 1.0, lu=far)
-    splu_spy.calls = 0
+    factor_spy.calls = 0
     for (at, want), factors in zip(cases, (1, 1, 2)):
         step.step(*at)
         assert step.lu is far
         solves = far.solves
         got = step_solve(step, rhs, a) + step_solve_transpose(step, rhs_t)
         assert far.solves > solves
-        assert splu_spy.calls == factors
+        assert factor_spy.calls == factors
         for x, y in zip(got, want):
             assert _rel(x, y) <= 1e-12
 
 
-def test_slowly_converging_reference_reaches_round_off(splu_spy):
+def test_slowly_converging_reference_reaches_round_off(factor_spy):
     """Against a moderately far reference (no advection, 0.7 times the
     step's dt) refinement needs over ten corrections; it is still accepted
     only at round-off, and the answer matches the step's own LU to
@@ -640,10 +640,10 @@ def test_slowly_converging_reference_reaches_round_off(splu_spy):
     b = rng.standard_normal(direct.R.shape[0])
     for trans in (False, True):
         ref = _reduced_lu(ops, 0.035, 1.0, alpha)
-        splu_spy.calls = 0
+        factor_spy.calls = 0
         step = StepSolver(ops, 0.05, 1.0, lu=ref).step(alpha, w)
         got, want = step._solve(b, trans), direct._solve(b, trans)
-        assert splu_spy.calls == 0
+        assert factor_spy.calls == 0
         assert ref.solves >= 10
         big = step.R_T if trans else step.R
         round_off = np.finfo(float).eps * np.linalg.norm(abs(big) @ abs(got) + abs(b))
@@ -665,7 +665,7 @@ class _StalledLU(_CountingLU):
         return super().solve(rhs, trans) + self.err
 
 
-def test_stalled_refinement_is_accepted_only_within_the_bound(splu_spy):
+def test_stalled_refinement_is_accepted_only_within_the_bound(factor_spy):
     """A correction that fails to halve the residual ends refinement: the
     solve is accepted if the residual is within the round-off bound, above
     REFINE_TARGET times it, and otherwise the step factors its own matrix."""
@@ -681,20 +681,20 @@ def test_stalled_refinement_is_accepted_only_within_the_bound(splu_spy):
     err /= np.linalg.norm(R @ err)
     for scale in (0.8, 2.0):
         ref = _StalledLU(direct.lu, scale * floor * err)
-        splu_spy.calls = 0
+        factor_spy.calls = 0
         step = StepSolver(ops, 0.05, 1.0, lu=ref).step(alpha, w)
         got = step._solve(b)
         assert ref.solves == 2
         res = np.linalg.norm(R @ got - b)
         if scale < 1.0:
-            assert splu_spy.calls == 0
+            assert factor_spy.calls == 0
             assert REFINE_TARGET * floor < res <= floor
         else:
-            assert splu_spy.calls == 1
+            assert factor_spy.calls == 1
             assert res <= floor
 
 
-def test_hopeless_reference_falls_back_at_once(splu_spy):
+def test_hopeless_reference_falls_back_at_once(factor_spy):
     """Against the advection-free factor at 2.5 times the step's dt, the
     corrections settle at cutting the residual by about 0.38: each halves
     it, but REFINE_MAX_STEPS of them cannot reach round-off.  The step sees
@@ -707,10 +707,10 @@ def test_hopeless_reference_falls_back_at_once(splu_spy):
     b = rng.standard_normal(direct.R.shape[0])
     for trans in (False, True):
         ref = _reduced_lu(ops, 0.125, 1.0, alpha)
-        splu_spy.calls = 0
+        factor_spy.calls = 0
         step = StepSolver(ops, 0.05, 1.0, lu=ref).step(alpha, w)
         assert _rel(step._solve(b, trans), direct._solve(b, trans)) == 0.0
-        assert splu_spy.calls == 1
+        assert factor_spy.calls == 1
         assert ref.solves <= 8
 
 
@@ -725,15 +725,15 @@ def test_own_factor_solves_once():
     assert step.lu.solves == 2
 
 
-def test_reference_slot_keyed_by_exact_matrix(splu_spy):
+def test_reference_slot_keyed_by_exact_matrix(factor_spy):
     """A hit returns the stored factor; a change of the matrix refactors."""
     grid, ops, rng, alpha, *_ = _step_case(19, n=8)
     lu = ops.reference_lu(0.05, 1.0, alpha)
     assert ops.reference_lu(0.05, 1.0, alpha.copy()) is lu
-    assert splu_spy.calls == 1
+    assert factor_spy.calls == 1
     alpha[5] += 1e-9
     assert ops.reference_lu(0.05, 1.0, alpha) is not lu
-    assert splu_spy.calls == 2
+    assert factor_spy.calls == 2
 
 
 def test_reference_slot_hit_builds_no_matrix(monkeypatch):
@@ -753,18 +753,18 @@ def test_reference_slot_hit_builds_no_matrix(monkeypatch):
     assert built == []
 
 
-def test_refined_solves_use_the_transposed_kernel(splu_spy):
+def test_refined_solves_use_the_transposed_kernel(factor_spy):
     """Every reference solve of a refined forward or transposed solve goes
     through SuperLU's transposed kernel."""
     from slipctl.operators import StepSolver
     grid, ops, rng, alpha, a, rhs, rhs_t = _step_case(13)
     ref = _CountingLU(ops.reference_lu(0.05, 1.0, np.ones(grid.n_boundary)))
     step = StepSolver(ops, 0.05, 1.0, lu=ref).step(alpha, rng.standard_normal(ops.N))
-    splu_spy.calls = 0          # after the grid's Neumann factor
+    factor_spy.calls = 0          # after the grid's Neumann factor
     step_solve(step, rhs, a)
     forward = ref.solves
     step_solve_transpose(step, rhs_t)
-    assert splu_spy.calls == 0
+    assert factor_spy.calls == 0
     assert 0 < forward < ref.solves
     assert ref.trans == ["T"] * ref.solves
 
@@ -781,16 +781,16 @@ def _refined_step(seed):
     return ref, direct, step, rng.standard_normal(direct.R.shape[0])
 
 
-def test_history_at_the_solution_is_accepted_after_one_solve(splu_spy):
+def test_history_at_the_solution_is_accepted_after_one_solve(factor_spy):
     """Started from a history that holds the step's exact solution, a
     refined solve is accepted after one reference solve."""
     for trans in (False, True):
         ref, direct, step, b = _refined_step(43)
         exact = direct._solve(b, trans)
         step.history[trans][:] = [exact]
-        splu_spy.calls = 0
+        factor_spy.calls = 0
         got = step._solve(b, trans)
-        assert splu_spy.calls == 0
+        assert factor_spy.calls == 0
         assert ref.solves == 1
         assert _rel(got, exact) <= 1e-13
 
@@ -811,7 +811,7 @@ def test_guess_no_better_than_zero_is_ignored():
         assert ref.solves == solves
 
 
-def test_steady_shear_sweep_refines_once_per_step(monkeypatch):
+def test_steady_shear_sweep_refines_once_per_step(refining, monkeypatch):
     """The state sweep seeds its history with y0, so a steady shear start
     is accepted after one reference solve per step, although the reference
     has no advection and every step is advected by the profile."""
@@ -843,7 +843,8 @@ def test_history_keeps_the_last_three_solutions():
     """Each direction's history holds its last three accepted solutions."""
     from slipctl.operators import StepSolver
     grid, ops, rng, alpha, *_ = _step_case(59, n=8)
-    step = StepSolver(ops, 0.05, 1.0).step(alpha, rng.standard_normal(ops.N))
+    ref = ops.reference_lu(0.05, 1.0, alpha)
+    step = StepSolver(ops, 0.05, 1.0, lu=ref).step(alpha, rng.standard_normal(ops.N))
     n = step.R.shape[0]
     for trans in (False, True):
         sols = [step._solve(rng.standard_normal(n), trans) for _ in range(4)]
@@ -864,3 +865,63 @@ def test_reference_slot_hit_applies_no_step_map(monkeypatch):
     for name in ("_step_map", "_reduced_map", "_reduced_mirror"):
         monkeypatch.setattr(ops, name, Unused())
     assert ops.reference_lu(0.05, 1.0, alpha.copy()) is lu
+
+
+def _advected_step(n):
+    """Step nt/2 of an n x n, nt = 16 trajectory at nu = 0.01 under random
+    admissible controls of amplitude 3 (the workloads' amplitude 0.5, x3 and
+    more), stepped on a StepSolver without a reference."""
+    from slipctl.control_opt import random_admissible_control
+    from slipctl.operators import StepSolver
+    from slipctl.state_solver import StateProblem, solve_state
+    grid, tg = build_grid(n, n, 1.0, 1.0), TimeGrid(0.5, 16)
+    ctrl = random_admissible_control(grid, tg, np.random.default_rng(n), amplitude=3.0)
+    prob = StateProblem(grid, tg, np.zeros(grid.ops.N), ctrl, nu=0.01, validate=False)
+    y = solve_state(prob).y
+    k = tg.nt // 2
+    return StepSolver(grid.ops, tg.dt, 0.01).step(prob.friction.alpha[k], y[k - 1])
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_band_solves_match_superlu_at_round_off(n):
+    """Under the bound a step's own factor is a band LU.  Its solves with R
+    and with R^T agree with SuperLU's factor of the same advected step to
+    1e-12 relative, and leave a residual within eps * || |M| |x| + |b| ||."""
+    from slipctl.operators import _BandLU, _factor
+    step = _advected_step(n)
+    assert isinstance(step.lu, _BandLU)
+    slu = _factor(step.R_T)
+    rng = np.random.default_rng(n + 1)
+    eps = np.finfo(float).eps
+    for M, mode in ((step.R, "T"), (step.R_T, "N")):
+        b = rng.standard_normal(M.shape[0])
+        x = step.lu.solve(b, trans=mode)
+        assert _rel(x, slu.solve(b, trans=mode)) <= 1e-12
+        floor = eps * np.linalg.norm(abs(M) @ abs(x) + abs(b))
+        assert np.linalg.norm(b - M @ x) <= floor
+
+
+@pytest.mark.parametrize("n, banded", [(16, True), (20, True), (22, False), (32, False),
+                                       (64, False)])
+def test_band_rule_factors_small_grids_and_refines_above(n, banded):
+    """The rule n kl^2 < BAND_BOUND, read off the grid's dimensions, picks
+    band LUs without a reference up to 20x20 and refinement against the
+    reference from 22x22; above the bound no band index array is built.
+    Under it the reduced pattern lies in the band kl = 2 (ny - 1)."""
+    from slipctl.fields import BoundaryControl
+    from slipctl.operators import _BandLU
+    from slipctl.state_solver import StateProblem
+    grid, tg = build_grid(n, n, 1.0, 1.0), TimeGrid(0.5, 4)
+    ops = grid.ops
+    assert (ops.band() is not None) is banded
+    assert (ops._band is not None) is banded
+    if n > 32:
+        return                  # the 64x64 reference factor is not needed
+    solver = StateProblem(grid, tg, np.zeros(ops.N), BoundaryControl(grid, tg),
+                          validate=False).step_solver("state")
+    assert (solver.ref is None) is banded
+    solver.step(np.ones(grid.n_boundary), np.zeros(ops.N))
+    assert isinstance(solver.lu, _BandLU) is banded
+    if banded:
+        rows = np.repeat(np.arange(ops.band().n), np.diff(ops.reduced_indptr))
+        assert np.abs(rows - ops.reduced_indices).max() == ops.band().kl == 2 * (n - 1)
