@@ -113,9 +113,10 @@ class StateTrajectory:
     step (row k-1 belongs to step k).
 
     steps is the operators.StepStore of the sweep that solved y, or None:
-    the tangent and adjoint sweeps around y read its step matrices instead
-    of assembling them.  Only solve_state makes one; a trajectory built
-    from arrays, or read back from disk, has none, and its sweeps assemble.
+    the tangent and adjoint sweeps around y read its step matrices L_k and
+    R_k instead of assembling them (and factor R_k where they factor every
+    step).  Only solve_state makes one; a trajectory built from arrays, or
+    read back from disk, has none, and its sweeps assemble.
     """
 
     def __init__(self, grid, time_grid, y, p, config_hash="", steps=None):

@@ -491,7 +491,7 @@ class DiscreteOperators:
 def _factor(A, what="step matrix", into=None):
     """SuperLU factor of a CSC matrix with a symmetric pattern: minimum
     degree ordering on the pattern of A^T + A, in symmetric mode.  Given a
-    _BandLU slot on A's pattern (into), A's band LU written there instead.
+    _BandLU on A's pattern (into), A's band LU written there instead.
 
     Both matrices factored here have symmetric patterns, and the reduced
     reference step and the Neumann matrix are symmetric.  Symmetric mode
@@ -517,8 +517,7 @@ class _Band:
     Entry (i, j) of the matrix is entry (2 kl + i - j, j) of a (3 kl + 1, n)
     Fortran array; its first kl rows take the fill of partial pivoting.  pos
     is the flat position of each entry of the pattern, given as the CSR
-    arrays (indptr, indices).  A factor takes size floats: the band array,
-    then its n int32 pivots.
+    arrays (indptr, indices).
     """
 
     def __init__(self, indptr, indices, kl):
@@ -526,17 +525,11 @@ class _Band:
         self.n, self.kl, self.ldab = n, kl, 3 * kl + 1
         rows = np.repeat(np.arange(n), np.diff(indptr))
         self.pos = indices.astype(np.intp) * self.ldab + (2 * kl + rows - indices)
-        self.size = n * self.ldab + (n + 1) // 2
-        self.nbytes = 8 * self.size
-
-    def slots(self, count):
-        """count factor slots, the rows of one preallocated buffer."""
-        return [_BandLU(self, row) for row in np.empty((count, self.size))]
 
 
 class _BandLU:
-    """The band LU of one matrix on a _Band layout, in place in a slot of
-    size floats, with SuperLU's solve(b, trans).
+    """The band LU of one matrix on a _Band layout, in place in a buffer of
+    its own, with SuperLU's solve(b, trans).
 
     factor(A) takes A as CSC, whose arrays are those of A^T as CSR, and
     factors A^T: a StepSolver passes R^T (R_T), so its forward solves with
@@ -544,25 +537,23 @@ class _BandLU:
     against 16 us a solve at 16x16).
     """
 
-    def __init__(self, band, row):
-        n, ldab = band.n, band.ldab
+    def __init__(self, band):
         self.band = band
-        self.flat = row[:n * ldab]
-        self.ab = self.flat.reshape(n, ldab).T      # a Fortran (ldab, n) view
-        self.piv = row[n * ldab:].view(np.int32)[:n]
+        self.flat = np.empty(band.n * band.ldab)
+        self.ab = self.flat.reshape(band.n, band.ldab).T      # a Fortran (ldab, n) view
+        self.piv = None
 
     def factor(self, A, what="step matrix"):
-        """Write the band LU into the slot; an exactly zero pivot raises
+        """Write the band LU into the buffer; an exactly zero pivot raises
         SolverDivergence."""
         kl = self.band.kl
         self.flat[:] = 0.0
         self.flat[self.band.pos] = A.data
         # ab is Fortran-contiguous, so overwrite_ab factors it in place
-        _, piv, info = dgbtrf(self.ab, kl, kl, overwrite_ab=1)
+        _, self.piv, info = dgbtrf(self.ab, kl, kl, overwrite_ab=1)
         if info > 0:
             raise SolverDivergence("%s factorization failed: band factor is exactly "
                                    "singular (pivot %d)" % (what, info))
-        self.piv[:] = piv
         return self
 
     def solve(self, b, trans="N"):
@@ -722,82 +713,51 @@ def _extrapolate(hist):
 
 
 class StepStore:
-    """The steps of a state sweep, kept for the tangent and adjoint sweeps
-    around its trajectory.
+    """The step matrices L_k and R_k of a state sweep, kept for the tangent
+    and adjoint sweeps around its trajectory.
 
     Step k of all three sweeps has the same L(alpha_k, y_{k-1}) and
-    R = Ci^T L Ci (the adjoint solves with their transposes).  The store
-    takes the bytes the data arrays of L and R take for the last steps that
-    fit in STEP_STORE_BYTES, and keeps the last steps that fit in them, from
-    step first on, as the rows of one preallocated buffer: the adjoint
-    sweep, which runs backwards, reads those first.
-
-    Which data a row holds follows the sweeps' solve regime (see
-    StateProblem.step_solver).  Above BAND_BOUND, where they refine against
-    a reference, a row holds the data arrays StepSolver.step assembled for L
-    and R.  Under it, where every step is factored by a band LU, a row is
-    the slot that step's factor was written into, in place, and a later
-    sweep loading it assembles only L: at 16x16 a factor takes 164,704
-    bytes against 62,280 for the data, so 12 of 32 steps are kept.
-
-    A later sweep loads step k instead of assembling (and factoring) it only
-    when its operators are the store's and its (dt, nu, alpha_k) are bitwise
-    the ones the step was assembled at, and a kept factor only when that
-    sweep factors its steps too; its advecting field is the trajectory's own
-    y_{k-1}.
+    R = Ci^T L Ci (the adjoint solves with their transposes).  The state
+    sweep keeps the data arrays StepSolver.step assembled for the last steps
+    that fit in STEP_STORE_BYTES, from step first on, as the rows of one
+    preallocated buffer: the adjoint sweep, which runs backwards, reads
+    those first.  The same rows serve both solve regimes: a later sweep
+    that factors its steps factors each loaded R itself.  A later sweep
+    loads step k instead of assembling it only when its operators are the
+    store's and its (dt, nu, alpha_k) are bitwise the ones the step was
+    assembled at; its advecting field is the trajectory's own y_{k-1}.
     """
 
     def __init__(self, ops, nt):
         nnz = ops.step_indices.size, ops.reduced_indices.size
-        per_step = 8 * sum(nnz)
-        nbytes = min(nt, STEP_STORE_BYTES // per_step) * per_step
+        n = min(nt, STEP_STORE_BYTES // (8 * sum(nnz)))
         self.ops = ops
-        self.band = ops.band()
-        if self.band is None:
-            n = nbytes // per_step
-            # both in one allocation: in a loop of solves on one grid, malloc
-            # then serves each store from the memory the last one freed, where
-            # two allocations went back to the system and were faulted in
-            # again on every solve (~1,200 page faults per 64x64, nt = 4 state
-            # solve)
-            buf = np.empty((n, sum(nnz)))
-            self.L, self.R = buf[:, :nnz[0]], buf[:, nnz[0]:]
-        else:
-            n = min(nt, nbytes // self.band.nbytes)
-            self.lu = self.band.slots(n)
         self.first = nt + 1 - n
+        # both in one allocation: in a loop of solves on one grid, malloc
+        # then serves each store from the memory the last one freed, where
+        # two allocations went back to the system and were faulted in again
+        # on every solve (~1,200 page faults per 64x64, nt = 4 state solve)
+        buf = np.empty((n, sum(nnz)))
+        self.L, self.R = buf[:, :nnz[0]], buf[:, nnz[0]:]
         self.keys = [None] * n
 
-    def slot(self, k):
-        """The band factor slot of step k, or None if the store keeps no
-        factor of it."""
-        i = k - self.first
-        return self.lu[i] if self.band is not None and i >= 0 else None
-
     def keep(self, k, step, alpha_nodes):
-        """Keep step k, just assembled (and factored, into slot(k)) by step
-        at alpha."""
+        """Keep the data of step k, just assembled by step at alpha."""
         i = k - self.first
         if i >= 0:
-            if self.band is None:
-                self.L[i] = step.L.data
-                self.R[i] = step.R.data
+            self.L[i] = step.L.data
+            self.R[i] = step.R.data
             self.keys[i] = _step_key(step.dt, step.nu, alpha_nodes)
 
     def load(self, k, step, alpha_nodes):
-        """Fill step's L and R with the data of step k, or set its factor to
-        step k's kept factor, if kept at step's operators, dt and nu and at
-        alpha; returns whether it did."""
+        """Fill step's L and R with the data of step k, if kept at step's
+        operators, dt and nu and at alpha; returns whether it did."""
         i = -1 if k is None else k - self.first
         if (not 0 <= i < len(self.keys) or step.ops is not self.ops
-                or (self.band is not None and step.ref is not None)
                 or self.keys[i] != _step_key(step.dt, step.nu, alpha_nodes)):
             return False
-        if self.band is None:
-            step.L.data[:] = self.L[i]
-            step.R.data[:] = self.R[i]
-        else:
-            step.lu = self.lu[i]
+        step.L.data[:] = self.L[i]
+        step.R.data[:] = self.R[i]
         return True
 
 
@@ -834,14 +794,14 @@ class StepSolver:
     step(alpha, w) refills that data in place for the next step, so no
     sparse matrix is built per step.  The tangent and adjoint sweeps pass
     the StepStore of their base trajectory as steps: step() inside
-    at(k, ...) then loads step k from it, where it holds that step at the
-    same (dt, nu, alpha), instead of assembling it; the state sweep passes
-    the StepStore it fills as keep.  Call step() (or at()) before solving.
+    at(k, ...) then loads L and R of step k from it, where it holds that
+    step at the same (dt, nu, alpha), instead of assembling them; the state
+    sweep passes the StepStore it fills as keep.  Call step() (or at())
+    before solving.
 
     Without a reference (lu=None) every step factors its own R and solves
     directly; on grids under BAND_BOUND the factor is a LAPACK band LU (see
-    DiscreteOperators.band), written into one slot the solver holds or, in
-    the state sweep, into the store's slot for the step.
+    DiscreteOperators.band), written into one buffer the solver holds.
 
     Given the LU of an advection-free reduced step (the sweeps above the
     bound pass the problem's reference factor, see
@@ -866,7 +826,7 @@ class StepSolver:
         self.ref = lu
         self.lu = None
         band = ops.band()
-        self._own = None if band is None else band.slots(1)[0]
+        self._own = None if band is None else _BandLU(band)
         self.neumann = ops.neumann()[2]
         # sources [alpha; w; 1/dt; nu] of the step map
         self._src = np.concatenate([np.zeros(ops.n_boundary + ops.N), [1.0 / dt, nu]])
@@ -905,36 +865,30 @@ class StepSolver:
         returns self.
 
         L and R are loaded from steps if it holds the current step k there,
-        and assembled otherwise; where steps holds step k's band factor, that
-        is the step's factor and only L is assembled.  Refining, the factor
-        is the reference; otherwise the step's own R is factored, into
-        keep's slot for step k if keep has one.  keep then keeps the step.
+        and assembled otherwise.  Refining, the factor is the reference;
+        otherwise the step's own R is factored.  keep then keeps the step.
         """
-        kept = self.steps is not None and self.steps.load(self.k, self, alpha_nodes)
-        factored = kept and self.steps.band is not None
         ops = self.ops
-        if not kept or factored:
+        if self.steps is None or not self.steps.load(self.k, self, alpha_nodes):
             src, nb = self._src, ops.n_boundary
             src[:nb] = alpha_nodes
             src[nb:-2] = w_adv_vec
             self.L.data[:] = ops._step_map @ src
-        if not kept:
             ops.reduced_data(self.L.data, out=self.R.data)
         if self.ref is not None:
             np.abs(self.R.data, out=self.abs_R.data)
             self.lu = self.ref
-        elif not factored:
-            self.lu = self._factor(None if self.keep is None else self.keep.slot(self.k))
+        else:
+            self.lu = self._factor()
         if self.keep is not None:
             self.keep.keep(self.k, self, alpha_nodes)
         return self
 
-    def _factor(self, slot=None):
-        """The step's own factor of R: a band LU in slot, or in the solver's
-        own slot, on grids under BAND_BOUND, SuperLU's above.  R_T is R^T as
-        CSC, so a SuperLU factor solves with R through the transposed
-        kernel."""
-        return _factor(self.R_T, into=self._own if slot is None else slot)
+    def _factor(self):
+        """The step's own factor of R: a band LU in the solver's buffer on
+        grids under BAND_BOUND, SuperLU's above.  R_T is R^T as CSC, so a
+        SuperLU factor solves with R through the transposed kernel."""
+        return _factor(self.R_T, into=self._own)
 
     @contextlib.contextmanager
     def at(self, k, alpha_nodes, w_adv_vec):

@@ -56,10 +56,11 @@ class StateProblem:
         fills.
 
         On grids under operators.BAND_BOUND every step factors its own R
-        by a band LU.  Above it the steps refine against the problem's
-        reference step factor: step 1 without advection, which depends on
-        (dt, nu, alpha[1]) only, not on y0 or the controls, so the state,
-        tangent and adjoint sweeps of every control share it.
+        by a band LU, whether the solver assembled R or read it from steps.
+        Above it the steps refine against the problem's reference step
+        factor: step 1 without advection, which depends on (dt, nu,
+        alpha[1]) only, not on y0 or the controls, so the state, tangent and
+        adjoint sweeps of every control share it.
         """
         ops, dt, lu = self.grid.ops, self.time_grid.dt, None
         if ops.band() is None:
@@ -85,10 +86,9 @@ def solve_state(problem: StateProblem) -> StateTrajectory:
     The march solves the velocities, each step guarded on its divergence;
     the pressures of all steps, and every step's full residual check,
     follow in one pass (StepSolver.pressures) before the trajectory is
-    returned.  The trajectory carries the step matrices the march assembled,
-    or on grids under BAND_BOUND the band factors it made (a StepStore, up
-    to STEP_STORE_BYTES), so the tangent and adjoint sweeps around it
-    assemble (and factor) each step only where the store does not hold it.
+    returned.  The trajectory carries the step matrices the march assembled
+    (a StepStore, up to STEP_STORE_BYTES), so the tangent and adjoint sweeps
+    around it assemble each step only where the store does not hold it.
     """
     g, tg = problem.grid, problem.time_grid
     ops = g.ops
@@ -224,13 +224,17 @@ def save_trajectory(directory, trajectory: StateTrajectory, cadence=1):
 
 
 def load_trajectory(directory):
-    """Read back a trajectory directory written with cadence 1."""
+    """Read back a trajectory directory written with cadence 1; any other
+    cadence left slices out, and is a ValueError."""
     import json
     import os
     from .fields import read_payload
     from .mesh import TimeGrid, build_grid
     with open(os.path.join(directory, "manifest.json")) as fh:
         man = json.load(fh)
+    if man.get("cadence", 1) != 1:
+        raise ValueError("trajectory written with snapshot cadence %r; only cadence 1 "
+                         "keeps every slice" % man["cadence"])
     grid = build_grid(man["nx"], man["ny"], man["Lx"], man["Ly"])
     tg = TimeGrid(man["T"], man["nt"])
     y = [read_payload(os.path.join(directory, "y_%04d.snap" % k), grid)[0]

@@ -41,6 +41,12 @@ def refined_setup(refining):
     return _setup()
 
 
+@pytest.fixture(params=["setup", "refined_setup"])
+def either_setup(request):
+    """setup, then refined_setup: both sides of the band rule."""
+    return request.getfixturevalue(request.param)
+
+
 def random_source(grid, tg, seed):
     rng = np.random.default_rng(seed)
     return np.array([face_vector(grid, rng.standard_normal(grid.shape_u),
@@ -422,16 +428,16 @@ def _bits_equal(xs, ys):
 
 
 @pytest.mark.parametrize("amplitude", [0.3, 10.0])
-def test_later_sweeps_read_the_state_sweeps_steps(refined_setup, monkeypatch, tmp_path,
+def test_later_sweeps_read_the_state_sweeps_steps(either_setup, monkeypatch, tmp_path,
                                                   amplitude):
     """The adjoint and tangent sweeps around a solved trajectory assemble no
     step: they load the state sweep's L_k and R_k.  A copy of the
     trajectory without them, built from its arrays or read back from disk,
-    assembles every step and gives the same bits (at the larger controls
-    most steps fall back to their own factor)."""
+    assembles every step and gives the same bits (refining, at the larger
+    controls most steps fall back to their own factor)."""
     from slipctl.fields import StateTrajectory
     from slipctl.state_solver import load_trajectory, save_trajectory
-    grid, tg, prob, _ = refined_setup
+    grid, tg, prob, _ = either_setup
     ctrl = random_admissible_control(grid, tg, np.random.default_rng(41), amplitude=amplitude)
     p = StateProblem(grid, tg, prob.y0, ctrl, prob.friction, validate=False)
     traj = solve_state(p)
@@ -454,13 +460,13 @@ def test_later_sweeps_read_the_state_sweeps_steps(refined_setup, monkeypatch, tm
 
 
 @pytest.mark.parametrize("change", ["nu", "alpha"])
-def test_store_is_read_only_at_its_dt_nu_and_alpha(refined_setup, monkeypatch, change):
+def test_store_is_read_only_at_its_dt_nu_and_alpha(either_setup, monkeypatch, change):
     """Paired with a problem of another viscosity, the later sweeps read no
     kept step; with the friction changed at one step, they assemble that
     step alone.  Either way they give the bits of a trajectory without
     kept steps."""
     from slipctl.fields import FrictionField, StateTrajectory
-    grid, tg, prob, traj = refined_setup
+    grid, tg, prob, traj = either_setup
     nu, alpha = prob.nu, prob.friction.alpha.copy()
     if change == "nu":
         nu, assembled = 0.7, tg.nt
@@ -469,7 +475,7 @@ def test_store_is_read_only_at_its_dt_nu_and_alpha(refined_setup, monkeypatch, c
         assembled = 1
     other = StateProblem(grid, tg, prob.y0, prob.controls,
                          FrictionField(grid, tg, alpha), nu, validate=False)
-    other.step_solver("state")          # its reference factor, into the slot
+    other.step_solver("state")          # its reference factor, if it refines
     U = random_source(grid, tg, 44)
     d = random_admissible_control(grid, tg, np.random.default_rng(45), amplitude=0.3)
 
@@ -480,12 +486,12 @@ def test_store_is_read_only_at_its_dt_nu_and_alpha(refined_setup, monkeypatch, c
     assert _bits_equal(mixed, _later_sweeps(other, bare, U, d))
 
 
-def test_capped_store_keeps_the_last_steps(refined_setup, monkeypatch):
+def test_capped_store_keeps_the_last_steps(either_setup, monkeypatch):
     """With room for K steps, the state sweep keeps steps nt-K+1..nt; each
     later sweep loads those K and assembles the other nt-K, with the bits
     of a full store."""
     from slipctl import operators
-    grid, tg, prob, traj = refined_setup
+    grid, tg, prob, traj = either_setup
     ops = grid.ops
     K = 3
     per_step = 8 * (ops.step_indices.size + ops.reduced_indices.size)
@@ -510,10 +516,10 @@ def test_singular_band_factor_names_its_sweep_and_step(setup, monkeypatch):
     grid, tg, prob, traj = setup
     real = StepSolver._factor
 
-    def singular_at_step_3(self, slot=None):
+    def singular_at_step_3(self):
         if self.k == 3:
             self.R.data[:] = 0.0
-        return real(self, slot)
+        return real(self)
 
     monkeypatch.setattr(StepSolver, "_factor", singular_at_step_3)
     bare = StateTrajectory(grid, tg, traj.y, traj.p, traj.config_hash)   # factors every step
@@ -529,13 +535,12 @@ def test_singular_band_factor_names_its_sweep_and_step(setup, monkeypatch):
             run()
 
 
-def test_band_store_keeps_factors_within_the_step_data_bytes(monkeypatch, factor_spy):
-    """At 16x16, nt = 32 the state sweep factors every step, and keeps the
-    band factors of its last 12 steps, in place in one buffer no larger than
-    the step data of all 32 steps (1,992,960 bytes).  The adjoint and tangent
-    sweeps solve those 12 with the kept factors, assembling only L, and
-    factor the other 20; a trajectory without kept factors, which factors
-    every step, gives the same bits."""
+def test_band_store_keeps_every_step_of_16x16_by_32(monkeypatch, factor_spy):
+    """At 16x16, nt = 32 the state sweep factors every step and keeps the
+    L and R data of all 32 steps in one buffer of 1,992,960 bytes.  The
+    adjoint and tangent sweeps apply no step map and no reduced map: they
+    load each step and factor its R, and give the bits of a trajectory
+    without kept steps."""
     from slipctl.fields import StateTrajectory
     grid, tg = build_grid(16, 16, 1.0, 1.0), TimeGrid(0.5, 32)
     ops = grid.ops
@@ -545,25 +550,22 @@ def test_band_store_keeps_factors_within_the_step_data_bytes(monkeypatch, factor
     factor_spy.calls = 0
     traj = solve_state(prob)
     assert factor_spy.calls == tg.nt
-    steps, K = traj.steps, 12
-    assert steps.first == tg.nt - K + 1 and len(steps.lu) == K
-    buf = steps.lu[0].flat.base
-    assert all(lu.flat.base is buf for lu in steps.lu)
-    data_bytes = tg.nt * 8 * (ops.step_indices.size + ops.reduced_indices.size)
-    assert data_bytes == 1992960
-    assert buf.nbytes == K * ops.band().nbytes <= data_bytes < (K + 1) * ops.band().nbytes
+    steps = traj.steps
+    assert steps.first == 1 and len(steps.keys) == tg.nt
+    assert steps.L.base is steps.R.base and steps.L.base.nbytes == 1992960
 
     U = random_source(grid, tg, 51)
     d = random_admissible_control(grid, tg, np.random.default_rng(52), amplitude=0.3)
     spies = _spy_step_maps(monkeypatch, ops)
     factor_spy.calls = 0
     adj = solve_adjoint(AdjointProblem(prob, traj, U))
-    assert factor_spy.calls == tg.nt - K
+    assert factor_spy.calls == tg.nt
     z = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
-    assert factor_spy.calls == 2 * (tg.nt - K)
-    assert [s.calls for s in spies.values()] == [2 * tg.nt] + [2 * (tg.nt - K)] * 2
+    assert factor_spy.calls == 2 * tg.nt
+    assert [s.calls for s in spies.values()] == [0, 0, 0]
     stored = [adj.p, adj.pi, adj.kernel_a, adj.kernel_b, z]
     factor_spy.calls = 0
     bare = StateTrajectory(grid, tg, traj.y, traj.p, traj.config_hash)
     assert _bits_equal(stored, _later_sweeps(prob, bare, U, d))
     assert factor_spy.calls == 2 * tg.nt
+    assert [s.calls for s in spies.values()] == [2 * tg.nt] * 3

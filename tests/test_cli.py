@@ -293,6 +293,20 @@ def test_unreadable_target_file_is_blamed_on_y_d(tmp_path, caplog):
             assert any(spec in r.getMessage() for r in caplog.records)
 
 
+def test_target_file_at_a_sparser_cadence_is_blamed_on_its_cadence(tmp_path, caplog):
+    """A y_d = file: trajectory solved with snapshot_cadence = 4 lacks
+    slices: grad-check exits 1 with a message naming y_d and the cadence."""
+    text = BASE_CONFIG.replace("directory = {out}", "directory = {out}\nsnapshot_cadence = 4")
+    out = str(tmp_path / "solve_for_target")
+    assert main(["solve", "--config", write_config(tmp_path, text), "--out", out]) == EXIT_OK
+    spec = "y_d = file:%s" % os.path.join(out, "trajectory")
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("y_d = zero", spec), name="target.ini")
+    with caplog.at_level(logging.ERROR, logger="slipctl"):
+        code = main(["grad-check", "--config", cfg, "--out", str(tmp_path / "gc")])
+    assert code == EXIT_CONFIG
+    assert any(spec in m and "cadence 4" in m for m in (r.getMessage() for r in caplog.records))
+
+
 SHEAR_CONFIG = """
 [domain]
 nx = 12
@@ -533,10 +547,10 @@ def test_singular_band_factor_is_solver_exit(tmp_path, monkeypatch, caplog):
     from slipctl.operators import StepSolver
     real = StepSolver._factor
 
-    def singular_at_step_3(self, slot=None):
+    def singular_at_step_3(self):
         if self.k == 3:
             self.R.data[:] = 0.0
-        return real(self, slot)
+        return real(self)
 
     monkeypatch.setattr(StepSolver, "_factor", singular_at_step_3)
     cfg = write_config(tmp_path)

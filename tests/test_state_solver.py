@@ -251,6 +251,15 @@ def test_trajectory_roundtrip(tmp_path, grid, tg):
     assert back.p.tobytes() == traj.p.tobytes()
 
 
+def test_trajectory_at_a_sparser_cadence_is_refused_by_name(tmp_path, grid, tg):
+    """A trajectory saved every 4th slice is missing slices; reading it
+    back is a ValueError that names the cadence, not a missing file."""
+    save_trajectory(tmp_path / "traj", solve_state(random_problem(grid, tg, seed=12)), cadence=4)
+    assert not (tmp_path / "traj" / "y_0001.snap").exists()
+    with pytest.raises(ValueError, match="cadence 4"):
+        load_trajectory(tmp_path / "traj")
+
+
 def test_trajectory_snapshot_is_the_velocity_snapshot(tmp_path, grid, tg):
     """A y_####.snap payload is u at the u points, row-major, then v at the
     v points, row-major; a p_####.snap payload is the cell pressure."""
