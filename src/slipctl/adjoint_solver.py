@@ -77,10 +77,11 @@ def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
     The march solves the adjoint velocities lam_k; the adjoint pressures of
     all steps, every step's full residual check and the pressure-dependent
     pairing against f_k follow in one pass after it, before the trajectory
-    is returned.  Step k transposes the state sweep's step matrices, read
-    from the base trajectory's StepStore where it holds them, and the
-    products of the base state each step needs are formed for all steps
-    before the march.
+    is returned.  Step k transposes the state sweep's step, read from the
+    base trajectory's StepStore where it holds it (under the band bound
+    with the state sweep's band LU, solved transposed), and the products
+    of the base state each step needs are formed for all steps before the
+    march.
     """
     sp_ = problem.state_problem
     g, tg = sp_.grid, sp_.time_grid

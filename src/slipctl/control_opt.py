@@ -12,6 +12,7 @@ import numpy as np
 
 from .adjoint_solver import AdjointProblem, solve_adjoint
 from .fields import BoundaryControl, hp_norm
+from .operators import StepStore
 from .state_solver import StateProblem, solve_state
 
 _EPS = np.finfo(float).eps
@@ -91,7 +92,8 @@ class GradientEngine:
     Line searches and finite differences only revisit the controls they
     evaluated last, so one entry serves every reuse.  It is matched on the
     exact bytes of both control arrays; the cost parameters are fixed per
-    engine.
+    engine.  Its state solve keeps the steps of the march (a StepStore on
+    the trajectory) until gradient's adjoint sweep has read them.
     """
 
     def __init__(self, y0, params: CostParams, friction=None, nu=1.0):
@@ -106,14 +108,17 @@ class GradientEngine:
         self.state_seconds = 0.0
         self.adjoint_seconds = 0.0
 
-    def _entry(self, controls):
+    def entry(self, controls):
+        """The entry of the controls: their "problem", "trajectory" and cost
+        "J", solved unless they are the last ones, and after gradient also
+        their "gradient" and "adjoint"."""
         key = (controls.a.tobytes(), controls.b.tobytes())
         if key != self._last_key:
             self._last_key = self._last = None  # free the old solve before the new one
             prob = StateProblem(controls.grid, controls.time_grid, self.y0, controls,
                                 self.friction, self.nu, validate=False)
             t0 = time.perf_counter()
-            traj = solve_state(prob)
+            traj = solve_state(prob, StepStore(controls.grid.ops, controls.time_grid.nt))
             self.state_seconds += time.perf_counter() - t0
             self.state_solves += 1
             J = evaluate_cost(controls, traj, self.params)
@@ -122,20 +127,25 @@ class GradientEngine:
         return self._last
 
     def cost(self, controls):
-        return self._entry(controls)["J"]
+        return self.entry(controls)["J"]
 
     def cost_magnitude(self, controls):
         """evaluate_cost with magnitude=True at the controls' state solve."""
-        return evaluate_cost(controls, self._entry(controls)["trajectory"], self.params,
+        return evaluate_cost(controls, self.entry(controls)["trajectory"], self.params,
                              magnitude=True)
 
     def gradient(self, controls):
-        entry = self._entry(controls)
+        """The gradient at the controls and their entry.  The adjoint sweep
+        is the last reader of the trajectory's kept steps, so it drops them
+        (traj.steps is None after it): a tangent sweep around the
+        trajectory afterwards makes its steps again, with the same bits."""
+        entry = self.entry(controls)
         if "gradient" not in entry:
             prob, traj = entry["problem"], entry["trajectory"]
             g = controls.grid
             t0 = time.perf_counter()
             adj = solve_adjoint(AdjointProblem(prob, traj, self.params.misfit(traj)))
+            traj.steps = None
             self.adjoint_seconds += time.perf_counter() - t0
             self.adjoint_solves += 1
             ga = np.zeros_like(controls.a)

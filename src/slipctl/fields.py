@@ -113,10 +113,12 @@ class StateTrajectory:
     step (row k-1 belongs to step k).
 
     steps is the operators.StepStore of the sweep that solved y, or None:
-    the tangent and adjoint sweeps around y read its step matrices L_k and
-    R_k instead of assembling them (and factor R_k where they factor every
-    step).  Only solve_state makes one; a trajectory built from arrays, or
-    read back from disk, has none, and its sweeps assemble.
+    the tangent and adjoint sweeps around y load its steps (L_k and the
+    band LU of R_k, or L_k and R_k above operators.BAND_BOUND) instead of
+    making them.  solve_state fills one only when its caller passes one,
+    and GradientEngine.gradient drops it after its adjoint sweep; a
+    trajectory built from arrays, or read back from disk, has none, and
+    its sweeps make every step.
     """
 
     def __init__(self, grid, time_grid, y, p, config_hash="", steps=None):

@@ -40,7 +40,8 @@ def solve_linearized(problem: LinearizedProblem):
 
     The first slice is identically zero; slice k satisfies z.n = f(t_k)
     strongly and the same implicit operator as the forward step k, read
-    from the base trajectory's StepStore where it holds that step.
+    from the base trajectory's StepStore where it holds that step (under
+    the band bound with the state sweep's band LU).
     """
     sp_, y = problem.state_problem, problem.base.y
     tg, ops = sp_.time_grid, sp_.grid.ops

@@ -383,16 +383,20 @@ class DiscreteOperators:
         """The band layout of the reduced step pattern where its n * kl^2 is
         below BAND_BOUND, else None; made on first use and kept.
 
-        In the x-major order of the interior vertices R couples vertices at
-        most two columns apart, so kl = ku = 2 (ny - 1): the rule reads the
-        grid's dimensions, and above the bound no index array is built.
+        R couples interior vertices at most two columns or two rows apart.
+        The band numbers them along the shorter side: x-major, their order
+        in Ci, where ny <= nx, so kl = ku = 2 (ny - 1), and y-major where
+        ny > nx, so kl = ku = 2 (nx - 1).  The rule reads the grid's
+        dimensions, and above the bound no index array is built.
         """
         nx, ny = self._iv.shape[0], self._iu.shape[1]
-        n, kl = (nx - 1) * (ny - 1), 2 * (ny - 1)
+        n, kl = (nx - 1) * (ny - 1), 2 * (min(nx, ny) - 1)
         if n * kl * kl >= BAND_BOUND:
             return None
         if self._band is None:
-            self._band = _Band(self.reduced_indptr, self.reduced_indices, kl)
+            # perm[j]: the vertex at band position j
+            perm = np.arange(n).reshape(nx - 1, ny - 1).T.ravel() if ny > nx else None
+            self._band = _Band(self.reduced_indptr, self.reduced_indices, kl, perm)
         return self._band
 
     def neumann(self):
@@ -512,24 +516,30 @@ def _factor(A, what="step matrix", into=None):
 
 class _Band:
     """LAPACK general band storage of a square sparse pattern with kl = ku
-    (Golub & Van Loan, Matrix Computations, 4th ed., 4.3; dgbtrf's layout).
+    (Golub & Van Loan, Matrix Computations, 4th ed., 4.3; dgbtrf's layout),
+    in the order perm: band position j holds row and column perm[j] of the
+    matrix (None: the matrix's own order).
 
-    Entry (i, j) of the matrix is entry (2 kl + i - j, j) of a (3 kl + 1, n)
-    Fortran array; its first kl rows take the fill of partial pivoting.  pos
-    is the flat position of each entry of the pattern, given as the CSR
-    arrays (indptr, indices).
+    Entry (i, j) of the reordered matrix is entry (2 kl + i - j, j) of a
+    (3 kl + 1, n) Fortran array; its first kl rows take the fill of partial
+    pivoting.  pos is the flat position of each entry of the pattern, given
+    as the CSR arrays (indptr, indices).
     """
 
-    def __init__(self, indptr, indices, kl):
+    def __init__(self, indptr, indices, kl, perm=None):
         n = indptr.size - 1
-        self.n, self.kl, self.ldab = n, kl, 3 * kl + 1
-        rows = np.repeat(np.arange(n), np.diff(indptr))
-        self.pos = indices.astype(np.intp) * self.ldab + (2 * kl + rows - indices)
+        self.n, self.kl, self.ldab, self.perm = n, kl, 3 * kl + 1, perm
+        rows, cols = np.repeat(np.arange(n), np.diff(indptr)), indices.astype(np.intp)
+        if perm is not None:
+            at = np.empty(n, dtype=np.intp)
+            at[perm] = np.arange(n)
+            rows, cols = at[rows], at[cols]
+        self.pos = cols * self.ldab + (2 * kl + rows - cols)
 
 
 class _BandLU:
-    """The band LU of one matrix on a _Band layout, in place in a buffer of
-    its own, with SuperLU's solve(b, trans).
+    """The band LU of one matrix on a _Band layout, in place in its buffer
+    flat (one of its own if not given), with SuperLU's solve(b, trans).
 
     factor(A) takes A as CSC, whose arrays are those of A^T as CSR, and
     factors A^T: a StepSolver passes R^T (R_T), so its forward solves with
@@ -537,9 +547,9 @@ class _BandLU:
     against 16 us a solve at 16x16).
     """
 
-    def __init__(self, band):
+    def __init__(self, band, flat=None):
         self.band = band
-        self.flat = np.empty(band.n * band.ldab)
+        self.flat = np.empty(band.n * band.ldab) if flat is None else flat
         self.ab = self.flat.reshape(band.n, band.ldab).T      # a Fortran (ldab, n) view
         self.piv = None
 
@@ -558,8 +568,12 @@ class _BandLU:
 
     def solve(self, b, trans="N"):
         """x with A x = b, or A^T x = b if trans is "T"."""
-        kl = self.band.kl
-        return dgbtrs(self.ab, kl, kl, b, self.piv, trans=int(trans == "N"))[0]
+        kl, perm = self.band.kl, self.band.perm
+        if perm is None:
+            return dgbtrs(self.ab, kl, kl, b, self.piv, trans=int(trans == "N"))[0]
+        x = np.empty_like(b)
+        x[perm] = dgbtrs(self.ab, kl, kl, b[perm], self.piv, trans=int(trans == "N"))[0]
+        return x
 
 
 def _step_key(dt, nu, alpha_nodes):
@@ -713,51 +727,79 @@ def _extrapolate(hist):
 
 
 class StepStore:
-    """The step matrices L_k and R_k of a state sweep, kept for the tangent
-    and adjoint sweeps around its trajectory.
+    """The steps of a state sweep, kept for the tangent and adjoint sweeps
+    around its trajectory.
 
     Step k of all three sweeps has the same L(alpha_k, y_{k-1}) and
     R = Ci^T L Ci (the adjoint solves with their transposes).  The state
-    sweep keeps the data arrays StepSolver.step assembled for the last steps
-    that fit in STEP_STORE_BYTES, from step first on, as the rows of one
-    preallocated buffer: the adjoint sweep, which runs backwards, reads
-    those first.  The same rows serve both solve regimes: a later sweep
-    that factors its steps factors each loaded R itself.  A later sweep
-    loads step k instead of assembling it only when its operators are the
-    store's and its (dt, nu, alpha_k) are bitwise the ones the step was
-    assembled at; its advecting field is the trajectory's own y_{k-1}.
+    sweep keeps each step in a row of one preallocated buffer: the data of
+    L and, on grids under BAND_BOUND, the band LU of R, which the sweep's
+    StepSolver writes there in place (dgbtrf's array; the pivots stay on
+    the row's _BandLU); above the bound, where the steps refine against a reference
+    factor, the data of R.  A later sweep that loads step k solves with
+    L and that very factor, with no R assembled and nothing factored, or
+    refines with the loaded L and R.  The rows hold the last steps that
+    fit in STEP_STORE_BYTES, from step first on: the adjoint sweep, which
+    runs backwards, reads those first.  A later sweep loads step k instead
+    of making it only when its operators are the store's and its
+    (dt, nu, alpha_k) are bitwise the ones the step was made at; its
+    advecting field is the trajectory's own y_{k-1}.
     """
 
     def __init__(self, ops, nt):
-        nnz = ops.step_indices.size, ops.reduced_indices.size
-        n = min(nt, STEP_STORE_BYTES // (8 * sum(nnz)))
+        band = ops.band()
+        nl = ops.step_indices.size
+        nr = ops.reduced_indices.size if band is None else band.n * band.ldab
+        n = min(nt, STEP_STORE_BYTES // (8 * (nl + nr)))
         self.ops = ops
         self.first = nt + 1 - n
-        # both in one allocation: in a loop of solves on one grid, malloc
-        # then serves each store from the memory the last one freed, where
-        # two allocations went back to the system and were faulted in again
-        # on every solve (~1,200 page faults per 64x64, nt = 4 state solve)
-        buf = np.empty((n, sum(nnz)))
-        self.L, self.R = buf[:, :nnz[0]], buf[:, nnz[0]:]
+        # one allocation: in a loop of solves on one grid, malloc then
+        # serves each store from the memory the last one freed, where
+        # separate allocations went back to the system and were faulted in
+        # again on every solve (~1,200 page faults per 64x64, nt = 4 state
+        # solve)
+        buf = np.empty((n, nl + nr))
+        self.L = buf[:, :nl]
+        if band is None:
+            self.R, self.lu = buf[:, nl:], None
+        else:
+            self.R, self.lu = None, [_BandLU(band, row) for row in buf[:, nl:]]
         self.keys = [None] * n
 
+    def _row(self, k):
+        """The row that keeps step k, or None."""
+        i = -1 if k is None else k - self.first
+        return i if 0 <= i < len(self.keys) else None
+
+    def factor_into(self, k):
+        """The _BandLU on the row that keeps step k, or None (no such row,
+        or above the bound)."""
+        i = self._row(k)
+        return None if i is None or self.lu is None else self.lu[i]
+
     def keep(self, k, step, alpha_nodes):
-        """Keep the data of step k, just assembled by step at alpha."""
-        i = k - self.first
-        if i >= 0:
+        """Keep step k, just made by step at alpha; under the bound its
+        factor is already in the row (factor_into)."""
+        i = self._row(k)
+        if i is not None:
             self.L[i] = step.L.data
-            self.R[i] = step.R.data
+            if self.lu is None:
+                self.R[i] = step.R.data
             self.keys[i] = _step_key(step.dt, step.nu, alpha_nodes)
 
     def load(self, k, step, alpha_nodes):
-        """Fill step's L and R with the data of step k, if kept at step's
+        """Fill step's L with the data of step k and set step.lu to its band
+        LU (under the bound) or fill step's R (above it), if kept at step's
         operators, dt and nu and at alpha; returns whether it did."""
-        i = -1 if k is None else k - self.first
-        if (not 0 <= i < len(self.keys) or step.ops is not self.ops
+        i = self._row(k)
+        if (i is None or step.ops is not self.ops
                 or self.keys[i] != _step_key(step.dt, step.nu, alpha_nodes)):
             return False
         step.L.data[:] = self.L[i]
-        step.R.data[:] = self.R[i]
+        if self.lu is None:
+            step.R.data[:] = self.R[i]
+        else:
+            step.lu = self.lu[i]
         return True
 
 
@@ -794,14 +836,17 @@ class StepSolver:
     step(alpha, w) refills that data in place for the next step, so no
     sparse matrix is built per step.  The tangent and adjoint sweeps pass
     the StepStore of their base trajectory as steps: step() inside
-    at(k, ...) then loads L and R of step k from it, where it holds that
-    step at the same (dt, nu, alpha), instead of assembling them; the state
-    sweep passes the StepStore it fills as keep.  Call step() (or at())
-    before solving.
+    at(k, ...) then loads step k from it, where it holds that step at the
+    same (dt, nu, alpha), instead of making it; the state sweep passes the
+    StepStore it fills, if any, as keep.  Call step() (or at()) before
+    solving.
 
-    Without a reference (lu=None) every step factors its own R and solves
-    directly; on grids under BAND_BOUND the factor is a LAPACK band LU (see
-    DiscreteOperators.band), written into one buffer the solver holds.
+    Without a reference (lu=None) every step solves directly on a factor
+    of its R; on grids under BAND_BOUND that is a LAPACK band LU (see
+    DiscreteOperators.band).  The state sweep factors each step into the
+    row of keep that keeps it, or into one buffer the solver holds; a
+    later sweep solves a loaded step with the state sweep's factor and
+    factors only the steps it assembles.
 
     Given the LU of an advection-free reduced step (the sweeps above the
     bound pass the problem's reference factor, see
@@ -864,11 +909,13 @@ class StepSolver:
         """Refill L and R with the step at (alpha, w) and set its factor;
         returns self.
 
-        L and R are loaded from steps if it holds the current step k there,
-        and assembled otherwise.  Refining, the factor is the reference;
-        otherwise the step's own R is factored.  keep then keeps the step.
+        The step is loaded from steps if it holds the current step k there,
+        and L and R are assembled otherwise.  Refining, the factor is the
+        reference; otherwise it is the loaded band LU, or the step's own R
+        is factored.  keep then keeps the step.
         """
         ops = self.ops
+        self.lu = None
         if self.steps is None or not self.steps.load(self.k, self, alpha_nodes):
             src, nb = self._src, ops.n_boundary
             src[:nb] = alpha_nodes
@@ -878,17 +925,21 @@ class StepSolver:
         if self.ref is not None:
             np.abs(self.R.data, out=self.abs_R.data)
             self.lu = self.ref
-        else:
+        elif self.lu is None:
             self.lu = self._factor()
         if self.keep is not None:
             self.keep.keep(self.k, self, alpha_nodes)
         return self
 
     def _factor(self):
-        """The step's own factor of R: a band LU in the solver's buffer on
-        grids under BAND_BOUND, SuperLU's above.  R_T is R^T as CSC, so a
-        SuperLU factor solves with R through the transposed kernel."""
-        return _factor(self.R_T, into=self._own)
+        """The step's own factor of R: on grids under BAND_BOUND a band LU,
+        written into the row of keep that keeps step k if there is one,
+        else into the solver's buffer; SuperLU's above.  R_T is R^T as CSC,
+        so a SuperLU factor solves with R through the transposed kernel."""
+        into = self._own
+        if into is not None and self.keep is not None:
+            into = self.keep.factor_into(self.k) or into
+        return _factor(self.R_T, into=into)
 
     @contextlib.contextmanager
     def at(self, k, alpha_nodes, w_adv_vec):

@@ -55,12 +55,14 @@ class StateProblem:
         adjoint sweep, if it has one, and keep the StepStore a state sweep
         fills.
 
-        On grids under operators.BAND_BOUND every step factors its own R
-        by a band LU, whether the solver assembled R or read it from steps.
-        Above it the steps refine against the problem's reference step
-        factor: step 1 without advection, which depends on (dt, nu,
-        alpha[1]) only, not on y0 or the controls, so the state, tangent and
-        adjoint sweeps of every control share it.
+        On grids under operators.BAND_BOUND every step solves on a band LU
+        of its own R: the state sweep factors it, into keep where keep
+        holds the step, and a later sweep reads it from steps where steps
+        holds the step and factors the R it assembled otherwise.  Above it
+        the steps refine against the problem's reference step factor: step
+        1 without advection, which depends on (dt, nu, alpha[1]) only, not
+        on y0 or the controls, so the state, tangent and adjoint sweeps of
+        every control share it.
         """
         ops, dt, lu = self.grid.ops, self.time_grid.dt, None
         if ops.band() is None:
@@ -80,15 +82,18 @@ class StateProblem:
         return h.hexdigest()[:16]
 
 
-def solve_state(problem: StateProblem) -> StateTrajectory:
+def solve_state(problem: StateProblem, steps: StepStore = None) -> StateTrajectory:
     """March the state forward; the full trajectory is kept for the adjoint.
 
     The march solves the velocities, each step guarded on its divergence;
     the pressures of all steps, and every step's full residual check,
     follow in one pass (StepSolver.pressures) before the trajectory is
-    returned.  The trajectory carries the step matrices the march assembled
-    (a StepStore, up to STEP_STORE_BYTES), so the tangent and adjoint sweeps
-    around it assemble each step only where the store does not hold it.
+    returned.  steps, a StepStore(ops, nt) that a caller passes where
+    tangent or adjoint sweeps around the trajectory follow, is filled with
+    the steps the march made (L and, under operators.BAND_BOUND, the band
+    LU of R, factored in place there; above it, R) and carried by the
+    trajectory: those sweeps then load each step it holds instead of
+    assembling, and factoring, it again.  Without one nothing is kept.
     """
     g, tg = problem.grid, problem.time_grid
     ops = g.ops
@@ -96,7 +101,6 @@ def solve_state(problem: StateProblem) -> StateTrajectory:
     y = np.empty((tg.nt + 1, ops.N))
     y[0] = problem.y0
     lifts, loads = ops.boundary_lift(ctrl.a[1:]), ops.b_load(ctrl.b[1:])
-    steps = StepStore(ops, tg.nt)
     solver = problem.step_solver("state", keep=steps)
     solver.seed(y[0])
     for k in range(1, tg.nt + 1):

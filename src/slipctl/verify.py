@@ -19,6 +19,7 @@ from .fields import (BoundaryControl, FrictionField, components, divergence,
                      strain_l2)
 from .linearized_solver import LinearizedProblem, gateaux_discrepancy, solve_linearized
 from .mesh import TimeGrid, build_grid
+from .operators import StepStore
 from .state_solver import (StateProblem, energy_bound_report,
                            energy_identity_residual, solve_state)
 from .control_opt import balanced_direction, random_admissible_control
@@ -204,8 +205,10 @@ def _suite_problem(grid, tg, rng, amplitude=0.3):
 
 
 def _solved_suite_problem(grid, tg, rng):
+    """A suite problem and its trajectory, with the steps kept for the
+    tangent and adjoint sweeps around it."""
     prob = _suite_problem(grid, tg, rng)
-    return prob, solve_state(prob)
+    return prob, solve_state(prob, StepStore(grid.ops, tg.nt))
 
 
 def _line_item(name, bound, chash, measure):
@@ -296,7 +299,8 @@ def run_estimate_suite(config):
 
     def lipschitz():
         """Lipschitz continuity of the control-to-state map."""
-        prob, traj = _solved_suite_problem(grid, tg, rng)
+        prob = _suite_problem(grid, tg, rng)
+        traj = solve_state(prob)
         d = random_admissible_control(grid, tg, rng, amplitude=1.0)
         ratios = []
         for delta in (1e-1, 1e-2, 1e-3):

@@ -24,6 +24,21 @@ def factor_spy(monkeypatch):
 
 
 @pytest.fixture
+def factor_log(monkeypatch):
+    """The (sweep, step) of every factorization of a step's own R
+    (StepSolver._factor), in order."""
+    from slipctl.operators import StepSolver
+    real, log = StepSolver._factor, []
+
+    def recording(self):
+        log.append((self.sweep, self.k))
+        return real(self)
+
+    monkeypatch.setattr(StepSolver, "_factor", recording)
+    return log
+
+
+@pytest.fixture
 def refining(monkeypatch):
     """The refinement side of the band rule on every grid (BAND_BOUND = 0):
     the sweeps refine against the reference factor, as above the bound."""

@@ -10,7 +10,7 @@ from slipctl.fields import (BoundaryControl, divergence, face_l2, face_vector,
 from slipctl.linearized_solver import (LinearizedProblem, adjoint_step_apply,
                                        linearized_step_apply, solve_linearized)
 from slipctl.mesh import TimeGrid, build_grid
-from slipctl.operators import StepSolver
+from slipctl.operators import StepSolver, StepStore
 from slipctl.state_solver import StateProblem, solve_state
 from slipctl.control_opt import random_admissible_control
 
@@ -23,14 +23,15 @@ def _setup():
     rng = np.random.default_rng(21)
     ctrl = random_admissible_control(grid, tg, rng, amplitude=0.3)
     prob = StateProblem(grid, tg, np.zeros(grid.ops.N), ctrl, validate=False)
-    traj = solve_state(prob)
+    traj = solve_state(prob, StepStore(grid.ops, tg.nt))
     return grid, tg, prob, traj
 
 
 @pytest.fixture
 def setup():
-    """An 8x8 problem and its trajectory: under the band rule's bound, so
-    every step factors its own R."""
+    """An 8x8 problem and its trajectory, with the steps kept for the later
+    sweeps: under the band rule's bound, so every step solves on a band LU
+    of its own R."""
     return _setup()
 
 
@@ -430,8 +431,9 @@ def _bits_equal(xs, ys):
 @pytest.mark.parametrize("amplitude", [0.3, 10.0])
 def test_later_sweeps_read_the_state_sweeps_steps(either_setup, monkeypatch, tmp_path,
                                                   amplitude):
-    """The adjoint and tangent sweeps around a solved trajectory assemble no
-    step: they load the state sweep's L_k and R_k.  A copy of the
+    """The adjoint and tangent sweeps around a trajectory solved with a
+    StepStore assemble no step: they load the state sweep's L_k and its
+    band LU of R_k, or L_k and R_k where they refine.  A copy of the
     trajectory without them, built from its arrays or read back from disk,
     assembles every step and gives the same bits (refining, at the larger
     controls most steps fall back to their own factor)."""
@@ -440,7 +442,7 @@ def test_later_sweeps_read_the_state_sweeps_steps(either_setup, monkeypatch, tmp
     grid, tg, prob, _ = either_setup
     ctrl = random_admissible_control(grid, tg, np.random.default_rng(41), amplitude=amplitude)
     p = StateProblem(grid, tg, prob.y0, ctrl, prob.friction, validate=False)
-    traj = solve_state(p)
+    traj = solve_state(p, StepStore(grid.ops, tg.nt))
     U = random_source(grid, tg, 42)
     d = random_admissible_control(grid, tg, np.random.default_rng(43), amplitude=0.3)
     save_trajectory(tmp_path / "traj", traj)
@@ -490,22 +492,47 @@ def test_capped_store_keeps_the_last_steps(either_setup, monkeypatch):
     """With room for K steps, the state sweep keeps steps nt-K+1..nt; each
     later sweep loads those K and assembles the other nt-K, with the bits
     of a full store."""
-    from slipctl import operators
     grid, tg, prob, traj = either_setup
-    ops = grid.ops
     K = 3
-    per_step = 8 * (ops.step_indices.size + ops.reduced_indices.size)
-    monkeypatch.setattr(operators, "STEP_STORE_BYTES", K * per_step + per_step // 2)
-    capped = solve_state(prob)
+    capped = _capped_solve(monkeypatch, prob, K)
     assert capped.steps.first == tg.nt - K + 1
     assert _bits_equal([capped.y, capped.p], [traj.y, traj.p])
     U = random_source(grid, tg, 46)
     d = random_admissible_control(grid, tg, np.random.default_rng(47), amplitude=0.3)
 
-    spies = _spy_step_maps(monkeypatch, ops)
+    spies = _spy_step_maps(monkeypatch, grid.ops)
     out = _later_sweeps(prob, capped, U, d)
     assert [s.calls for s in spies.values()] == [2 * (tg.nt - K)] * 3
     assert _bits_equal(out, _later_sweeps(prob, traj, U, d))
+
+
+def _capped_solve(monkeypatch, prob, K):
+    """The trajectory of prob solved with a StepStore that has room for K
+    steps and a half."""
+    from slipctl import operators
+    ops, nt = prob.grid.ops, prob.time_grid.nt
+    band = ops.band()
+    per_step = 8 * (ops.step_indices.size
+                    + (ops.reduced_indices.size if band is None else band.n * band.ldab))
+    monkeypatch.setattr(operators, "STEP_STORE_BYTES", K * per_step + per_step // 2)
+    return solve_state(prob, StepStore(ops, nt))
+
+
+def test_capped_band_store_factors_the_steps_it_does_not_cover(setup, monkeypatch,
+                                                               factor_log):
+    """Under the band bound, with room for K steps, the state sweep factors
+    every step and the later sweeps factor exactly the nt-K steps the store
+    does not keep, each once, in marching order."""
+    grid, tg, prob, traj = setup
+    K = 3
+    capped = _capped_solve(monkeypatch, prob, K)
+    assert factor_log == [("state", k) for k in range(1, tg.nt + 1)]
+    factor_log.clear()
+    d = random_admissible_control(grid, tg, np.random.default_rng(53), amplitude=0.3)
+    _later_sweeps(prob, capped, random_source(grid, tg, 54), d)
+    uncovered = list(range(1, tg.nt - K + 1))
+    assert factor_log == ([("adjoint", k) for k in uncovered[::-1]]
+                          + [("linearized", k) for k in uncovered])
 
 
 def test_singular_band_factor_names_its_sweep_and_step(setup, monkeypatch):
@@ -525,7 +552,8 @@ def test_singular_band_factor_names_its_sweep_and_step(setup, monkeypatch):
     bare = StateTrajectory(grid, tg, traj.y, traj.p, traj.config_hash)   # factors every step
     d = random_admissible_control(grid, tg, np.random.default_rng(48), amplitude=0.3)
     sweeps = {
-        "state": lambda: solve_state(prob),
+        # the state sweep factors step 3 into the store's row for it
+        "state": lambda: solve_state(prob, StepStore(grid.ops, tg.nt)),
         "adjoint": lambda: solve_adjoint(AdjointProblem(prob, bare, random_source(grid, tg, 49))),
         "linearized": lambda: solve_linearized(LinearizedProblem(prob, bare, d.a, d.b)),
     }
@@ -536,11 +564,12 @@ def test_singular_band_factor_names_its_sweep_and_step(setup, monkeypatch):
 
 
 def test_band_store_keeps_every_step_of_16x16_by_32(monkeypatch, factor_spy):
-    """At 16x16, nt = 32 the state sweep factors every step and keeps the
-    L and R data of all 32 steps in one buffer of 1,992,960 bytes.  The
-    adjoint and tangent sweeps apply no step map and no reduced map: they
-    load each step and factor its R, and give the bits of a trajectory
-    without kept steps."""
+    """At 16x16, nt = 32 the state sweep factors every step into its store,
+    which keeps L's data and the band LU of R of all 32 steps in one buffer
+    of 6,561,536 bytes.  The adjoint and tangent sweeps apply no step map
+    and no reduced map and factor nothing: they solve each step on the
+    state sweep's factor, and give the bits of a trajectory without kept
+    steps, whose sweeps factor every step."""
     from slipctl.fields import StateTrajectory
     grid, tg = build_grid(16, 16, 1.0, 1.0), TimeGrid(0.5, 32)
     ops = grid.ops
@@ -548,23 +577,20 @@ def test_band_store_keeps_every_step_of_16x16_by_32(monkeypatch, factor_spy):
     prob = StateProblem(grid, tg, np.zeros(ops.N), ctrl, validate=False)
     ops.neumann()                       # the grid's Neumann factor, made once
     factor_spy.calls = 0
-    traj = solve_state(prob)
+    traj = solve_state(prob, StepStore(ops, tg.nt))
     assert factor_spy.calls == tg.nt
     steps = traj.steps
-    assert steps.first == 1 and len(steps.keys) == tg.nt
-    assert steps.L.base is steps.R.base and steps.L.base.nbytes == 1992960
+    assert steps.first == 1 and len(steps.keys) == tg.nt and steps.R is None
+    assert all(lu.flat.base is steps.L.base for lu in steps.lu)
+    assert steps.L.base.nbytes == 6561536
 
     U = random_source(grid, tg, 51)
     d = random_admissible_control(grid, tg, np.random.default_rng(52), amplitude=0.3)
     spies = _spy_step_maps(monkeypatch, ops)
     factor_spy.calls = 0
-    adj = solve_adjoint(AdjointProblem(prob, traj, U))
-    assert factor_spy.calls == tg.nt
-    z = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
-    assert factor_spy.calls == 2 * tg.nt
+    stored = _later_sweeps(prob, traj, U, d)
+    assert factor_spy.calls == 0
     assert [s.calls for s in spies.values()] == [0, 0, 0]
-    stored = [adj.p, adj.pi, adj.kernel_a, adj.kernel_b, z]
-    factor_spy.calls = 0
     bare = StateTrajectory(grid, tg, traj.y, traj.p, traj.config_hash)
     assert _bits_equal(stored, _later_sweeps(prob, bare, U, d))
     assert factor_spy.calls == 2 * tg.nt

@@ -543,7 +543,9 @@ def test_initial_state_errors_carry_the_hint(tmp_path, monkeypatch, caplog, init
 
 def test_singular_band_factor_is_solver_exit(tmp_path, monkeypatch, caplog):
     """An exactly singular step (R zeroed at step 3) on the 8x8 band side
-    ends solve with EXIT_SOLVER and a log line naming the sweep and step."""
+    ends solve, whose state sweep factors into the solver's own buffer, and
+    grad-check, whose state sweep factors into its step store, with
+    EXIT_SOLVER and a log line naming the sweep and step."""
     from slipctl.operators import StepSolver
     real = StepSolver._factor
 
@@ -554,8 +556,33 @@ def test_singular_band_factor_is_solver_exit(tmp_path, monkeypatch, caplog):
 
     monkeypatch.setattr(StepSolver, "_factor", singular_at_step_3)
     cfg = write_config(tmp_path)
-    with caplog.at_level(logging.ERROR, logger="slipctl"):
-        code = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert code == EXIT_SOLVER
-    assert any("state step 3: step matrix factorization failed: band factor is exactly "
-               "singular" in r.getMessage() for r in caplog.records)
+    for command in ("solve", "grad-check"):
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="slipctl"):
+            code = main([command, "--config", cfg, "--out", str(tmp_path / command)])
+        assert code == EXIT_SOLVER
+        assert any("state step 3: step matrix factorization failed: band factor is exactly "
+                   "singular" in r.getMessage() for r in caplog.records)
+
+
+def test_solve_keeps_no_steps_and_grad_check_factors_each_step_once(tmp_path, monkeypatch,
+                                                                   factor_log):
+    """solve builds no StepStore: no sweep reads its steps.  In grad-check
+    (8x8, nt = 6, 3 directions) only the state sweeps factor, once per
+    step: the gradient's and the 12 of the finite differences.  Its
+    adjoint sweep and the duality check's tangent sweeps solve on the
+    factors of the gradient's state sweep."""
+    from slipctl.operators import StepStore
+    real_store, stores = StepStore.__init__, []
+
+    def store(self, *args):
+        stores.append(args)
+        real_store(self, *args)
+
+    monkeypatch.setattr(StepStore, "__init__", store)
+    cfg = write_config(tmp_path)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "solve")]) == EXIT_OK
+    assert stores == [] and [sweep for sweep, _ in factor_log] == ["state"] * 6
+    factor_log.clear()
+    assert main(["grad-check", "--config", cfg, "--out", str(tmp_path / "gc")]) == EXIT_OK
+    assert [sweep for sweep, _ in factor_log] == ["state"] * (6 * 13)

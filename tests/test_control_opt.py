@@ -282,6 +282,56 @@ def test_optimize_records_state_and_adjoint_time(small):
     assert rep.wall_clock["state"] + rep.wall_clock["adjoint"] <= rep.wall_clock["total"]
 
 
+def test_gradient_factors_each_band_step_once(monkeypatch, factor_spy, factor_log):
+    """A 16x16, nt = 32 gradient makes 32 band factorizations, all in the
+    state sweep; its adjoint sweep solves on them.  Without the kept steps
+    the adjoint sweep factors the 32 again, and every array of the state
+    and adjoint solves and the gradient are the same bits."""
+    from slipctl import control_opt
+    grid, tg = build_grid(16, 16, 1.0, 1.0), TimeGrid(0.5, 32)
+    assert grid.ops.band() is not None
+    ctrl = random_admissible_control(grid, tg, np.random.default_rng(4), amplitude=0.5)
+    target = np.tile(face_vector(grid, 0.1 * np.ones(grid.shape_u),
+                                 np.zeros(grid.shape_v)), (tg.nt + 1, 1))
+    params = CostParams(y_d=target, lam1=0.05, lam2=0.02)
+    grid.ops.neumann()                  # the grid's Neumann factor, made once
+
+    def arrays():
+        grad, entry = GradientEngine(np.zeros(grid.ops.N), params).gradient(ctrl)
+        traj, adj = entry["trajectory"], entry["adjoint"]
+        return [traj.y, traj.p, adj.p, adj.pi, adj.kernel_a, adj.kernel_b, grad.ga, grad.gb]
+
+    factor_spy.calls = 0
+    kept = arrays()
+    assert factor_spy.calls == tg.nt
+    assert [sweep for sweep, _ in factor_log] == ["state"] * tg.nt
+    factor_log.clear()
+    monkeypatch.setattr(control_opt, "StepStore", lambda ops, nt: None)
+    bare = arrays()
+    assert [sweep for sweep, _ in factor_log] == ["state"] * tg.nt + ["adjoint"] * tg.nt
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(kept, bare))
+
+
+def test_gradient_drops_the_kept_steps_after_its_adjoint_sweep(small):
+    """The engine's state solve keeps its steps until the gradient's adjoint
+    sweep has read them; a tangent sweep around the trajectory then makes
+    its steps again, with the bits of one that read them."""
+    from slipctl.linearized_solver import LinearizedProblem, solve_linearized
+    grid, tg = small
+    rng = np.random.default_rng(5)
+    ctrl = random_admissible_control(grid, tg, rng, amplitude=0.4)
+    d = random_admissible_control(grid, tg, rng, amplitude=0.3)
+    engine = GradientEngine(np.zeros(grid.ops.N), CostParams(lam1=0.05, lam2=0.02))
+    entry = engine.entry(ctrl)
+    prob, traj = entry["problem"], entry["trajectory"]
+    assert traj.steps is not None
+    before = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
+    engine.gradient(ctrl)
+    assert traj.steps is None and engine.entry(ctrl) is entry
+    after = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
+    assert before.tobytes() == after.tobytes()
+
+
 _GRADIENTS_16X32_RSS = """
 import numpy as np
 from slipctl.control_opt import CostParams, GradientEngine, random_admissible_control
