@@ -114,7 +114,7 @@ class StateTrajectory:
 
     steps is the operators.StepStore of the sweep that solved y, or None:
     the tangent and adjoint sweeps around y load its steps (L_k and the
-    band LU of R_k, or L_k and R_k above operators.BAND_BOUND) instead of
+    band LU of R_k, or L_k and R_k, see StepStore) instead of
     making them.  solve_state fills one only when its caller passes one,
     and GradientEngine.gradient drops it after its adjoint sweep; a
     trajectory built from arrays, or read back from disk, has none, and

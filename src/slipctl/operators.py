@@ -43,6 +43,11 @@ REFINE_MAX_STEPS = 20
 # bytes of step data a state sweep keeps for the later sweeps around its
 # trajectory (StepStore): 62 KB a step at 16x16, 1.0 MB at 64x64
 STEP_STORE_BYTES = 32 * 2 ** 20
+# bytes a StepStore may take when its rows keep band LUs: 205 KB a step at
+# 16x16, 395 KB at 20x20 (3.3x and 4.0x the step data); a store that would
+# take more keeps the step data, so the factors add at most this to a
+# process of ~77 MB at 16x16
+BAND_STORE_BYTES = 8 * 2 ** 20
 # every step factors its own R by a LAPACK band LU, without a reference,
 # where the reduced step's n * kl^2 is below this bound (see
 # DiscreteOperators.band); measured crossover of the gradient time on
@@ -383,20 +388,16 @@ class DiscreteOperators:
         """The band layout of the reduced step pattern where its n * kl^2 is
         below BAND_BOUND, else None; made on first use and kept.
 
-        R couples interior vertices at most two columns or two rows apart.
-        The band numbers them along the shorter side: x-major, their order
-        in Ci, where ny <= nx, so kl = ku = 2 (ny - 1), and y-major where
-        ny > nx, so kl = ku = 2 (nx - 1).  The rule reads the grid's
-        dimensions, and above the bound no index array is built.
+        In the x-major order of the interior vertices R couples vertices at
+        most two columns apart, so kl = ku = 2 (ny - 1): the rule reads the
+        grid's dimensions, and above the bound no index array is built.
         """
         nx, ny = self._iv.shape[0], self._iu.shape[1]
-        n, kl = (nx - 1) * (ny - 1), 2 * (min(nx, ny) - 1)
+        n, kl = (nx - 1) * (ny - 1), 2 * (ny - 1)
         if n * kl * kl >= BAND_BOUND:
             return None
         if self._band is None:
-            # perm[j]: the vertex at band position j
-            perm = np.arange(n).reshape(nx - 1, ny - 1).T.ravel() if ny > nx else None
-            self._band = _Band(self.reduced_indptr, self.reduced_indices, kl, perm)
+            self._band = _Band(self.reduced_indptr, self.reduced_indices, kl)
         return self._band
 
     def neumann(self):
@@ -516,25 +517,19 @@ def _factor(A, what="step matrix", into=None):
 
 class _Band:
     """LAPACK general band storage of a square sparse pattern with kl = ku
-    (Golub & Van Loan, Matrix Computations, 4th ed., 4.3; dgbtrf's layout),
-    in the order perm: band position j holds row and column perm[j] of the
-    matrix (None: the matrix's own order).
+    (Golub & Van Loan, Matrix Computations, 4th ed., 4.3; dgbtrf's layout).
 
-    Entry (i, j) of the reordered matrix is entry (2 kl + i - j, j) of a
-    (3 kl + 1, n) Fortran array; its first kl rows take the fill of partial
-    pivoting.  pos is the flat position of each entry of the pattern, given
-    as the CSR arrays (indptr, indices).
+    Entry (i, j) of the matrix is entry (2 kl + i - j, j) of a (3 kl + 1, n)
+    Fortran array; its first kl rows take the fill of partial pivoting.  pos
+    is the flat position of each entry of the pattern, given as the CSR
+    arrays (indptr, indices).
     """
 
-    def __init__(self, indptr, indices, kl, perm=None):
+    def __init__(self, indptr, indices, kl):
         n = indptr.size - 1
-        self.n, self.kl, self.ldab, self.perm = n, kl, 3 * kl + 1, perm
-        rows, cols = np.repeat(np.arange(n), np.diff(indptr)), indices.astype(np.intp)
-        if perm is not None:
-            at = np.empty(n, dtype=np.intp)
-            at[perm] = np.arange(n)
-            rows, cols = at[rows], at[cols]
-        self.pos = cols * self.ldab + (2 * kl + rows - cols)
+        self.n, self.kl, self.ldab = n, kl, 3 * kl + 1
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        self.pos = indices.astype(np.intp) * self.ldab + (2 * kl + rows - indices)
 
 
 class _BandLU:
@@ -568,12 +563,8 @@ class _BandLU:
 
     def solve(self, b, trans="N"):
         """x with A x = b, or A^T x = b if trans is "T"."""
-        kl, perm = self.band.kl, self.band.perm
-        if perm is None:
-            return dgbtrs(self.ab, kl, kl, b, self.piv, trans=int(trans == "N"))[0]
-        x = np.empty_like(b)
-        x[perm] = dgbtrs(self.ab, kl, kl, b[perm], self.piv, trans=int(trans == "N"))[0]
-        return x
+        kl = self.band.kl
+        return dgbtrs(self.ab, kl, kl, b, self.piv, trans=int(trans == "N"))[0]
 
 
 def _step_key(dt, nu, alpha_nodes):
@@ -732,25 +723,29 @@ class StepStore:
 
     Step k of all three sweeps has the same L(alpha_k, y_{k-1}) and
     R = Ci^T L Ci (the adjoint solves with their transposes).  The state
-    sweep keeps each step in a row of one preallocated buffer: the data of
-    L and, on grids under BAND_BOUND, the band LU of R, which the sweep's
-    StepSolver writes there in place (dgbtrf's array; the pivots stay on
-    the row's _BandLU); above the bound, where the steps refine against a reference
-    factor, the data of R.  A later sweep that loads step k solves with
-    L and that very factor, with no R assembled and nothing factored, or
-    refines with the loaded L and R.  The rows hold the last steps that
-    fit in STEP_STORE_BYTES, from step first on: the adjoint sweep, which
-    runs backwards, reads those first.  A later sweep loads step k instead
-    of making it only when its operators are the store's and its
-    (dt, nu, alpha_k) are bitwise the ones the step was made at; its
-    advecting field is the trajectory's own y_{k-1}.
+    sweep keeps the last steps whose data fit in STEP_STORE_BYTES, from
+    step first on (the adjoint sweep, which runs backwards, reads those
+    first), each in a row of one preallocated buffer: the data of L and of
+    R, or, on grids under BAND_BOUND where those rows as band rows take at
+    most BAND_STORE_BYTES, the data of L and the band LU of R, which the
+    sweep's StepSolver writes there in place (dgbtrf's array; the pivots
+    stay on the row's _BandLU).  A later sweep that loads step k solves
+    with L and that very factor, with no R assembled and nothing factored,
+    or factors or refines with the loaded L and R.  Either way a store
+    keeps the same steps.  A later sweep loads step k instead of making it
+    only when its operators are the store's, its (dt, nu, alpha_k) are
+    bitwise the ones the step was made at and, for a band LU, it does not
+    refine; its advecting field is the trajectory's own y_{k-1}.
     """
 
     def __init__(self, ops, nt):
-        band = ops.band()
-        nl = ops.step_indices.size
-        nr = ops.reduced_indices.size if band is None else band.n * band.ldab
+        nl, nr = ops.step_indices.size, ops.reduced_indices.size
         n = min(nt, STEP_STORE_BYTES // (8 * (nl + nr)))
+        band = ops.band()
+        if band is not None and 8 * n * (nl + band.n * band.ldab) <= BAND_STORE_BYTES:
+            nr = band.n * band.ldab
+        else:
+            band = None
         self.ops = ops
         self.first = nt + 1 - n
         # one allocation: in a loop of solves on one grid, malloc then
@@ -773,7 +768,7 @@ class StepStore:
 
     def factor_into(self, k):
         """The _BandLU on the row that keeps step k, or None (no such row,
-        or above the bound)."""
+        or the rows keep R)."""
         i = self._row(k)
         return None if i is None or self.lu is None else self.lu[i]
 
@@ -789,10 +784,12 @@ class StepStore:
 
     def load(self, k, step, alpha_nodes):
         """Fill step's L with the data of step k and set step.lu to its band
-        LU (under the bound) or fill step's R (above it), if kept at step's
-        operators, dt and nu and at alpha; returns whether it did."""
+        LU or fill step's R, if kept at step's operators, dt and nu and at
+        alpha, and, for a band LU, step does not refine; returns whether it
+        did."""
         i = self._row(k)
         if (i is None or step.ops is not self.ops
+                or (self.lu is not None and step.ref is not None)
                 or self.keys[i] != _step_key(step.dt, step.nu, alpha_nodes)):
             return False
         step.L.data[:] = self.L[i]
@@ -844,9 +841,10 @@ class StepSolver:
     Without a reference (lu=None) every step solves directly on a factor
     of its R; on grids under BAND_BOUND that is a LAPACK band LU (see
     DiscreteOperators.band).  The state sweep factors each step into the
-    row of keep that keeps it, or into one buffer the solver holds; a
-    later sweep solves a loaded step with the state sweep's factor and
-    factors only the steps it assembles.
+    row of keep that keeps it, where keep's rows hold band LUs, or into
+    one buffer the solver holds; a later sweep solves a loaded step with
+    the state sweep's factor where the store holds one and factors the
+    other steps' R.
 
     Given the LU of an advection-free reduced step (the sweeps above the
     bound pass the problem's reference factor, see

@@ -90,8 +90,9 @@ def solve_state(problem: StateProblem, steps: StepStore = None) -> StateTrajecto
     follow in one pass (StepSolver.pressures) before the trajectory is
     returned.  steps, a StepStore(ops, nt) that a caller passes where
     tangent or adjoint sweeps around the trajectory follow, is filled with
-    the steps the march made (L and, under operators.BAND_BOUND, the band
-    LU of R, factored in place there; above it, R) and carried by the
+    the steps the march made (L and, under operators.BAND_BOUND where the
+    store's band rows fit in BAND_STORE_BYTES, the band LU of R, factored
+    in place there; otherwise R) and carried by the
     trajectory: those sweeps then load each step it holds instead of
     assembling, and factoring, it again.  Without one nothing is kept.
     """

@@ -507,13 +507,11 @@ def test_capped_store_keeps_the_last_steps(either_setup, monkeypatch):
 
 
 def _capped_solve(monkeypatch, prob, K):
-    """The trajectory of prob solved with a StepStore that has room for K
-    steps and a half."""
+    """The trajectory of prob solved with a StepStore whose step data have
+    room for K steps and a half."""
     from slipctl import operators
     ops, nt = prob.grid.ops, prob.time_grid.nt
-    band = ops.band()
-    per_step = 8 * (ops.step_indices.size
-                    + (ops.reduced_indices.size if band is None else band.n * band.ldab))
+    per_step = 8 * (ops.step_indices.size + ops.reduced_indices.size)
     monkeypatch.setattr(operators, "STEP_STORE_BYTES", K * per_step + per_step // 2)
     return solve_state(prob, StepStore(ops, nt))
 
@@ -533,6 +531,66 @@ def test_capped_band_store_factors_the_steps_it_does_not_cover(setup, monkeypatc
     uncovered = list(range(1, tg.nt - K + 1))
     assert factor_log == ([("adjoint", k) for k in uncovered[::-1]]
                           + [("linearized", k) for k in uncovered])
+
+
+@pytest.mark.parametrize("n, nt, banded", [(16, 40, True), (16, 41, False), (20, 21, True),
+                                           (20, 22, False), (20, 96, False)])
+def test_band_store_keeps_factors_only_within_its_bytes(n, nt, banded):
+    """A store keeps band LUs where they take at most BAND_STORE_BYTES (40
+    steps at 16x16, 21 at 20x20) and L and R otherwise; either way it keeps
+    every step whose L and R fit in STEP_STORE_BYTES, here all of them."""
+    from slipctl.operators import BAND_STORE_BYTES
+    ops = build_grid(n, n, 1.0, 1.0).ops
+    band, steps = ops.band(), StepStore(ops, nt)
+    assert steps.first == 1 and len(steps.keys) == nt
+    assert (steps.lu is not None) is banded and (steps.R is None) is banded
+    row = 8 * (ops.step_indices.size + band.n * band.ldab)
+    if banded:
+        assert steps.L.base.nbytes == nt * row <= BAND_STORE_BYTES
+    else:
+        assert nt * row > BAND_STORE_BYTES
+        assert steps.L.base.nbytes == 8 * nt * (ops.step_indices.size
+                                                 + ops.reduced_indices.size)
+
+
+def test_band_store_over_its_bytes_keeps_the_step_data(setup, monkeypatch, factor_log):
+    """Where the band LUs would take more than BAND_STORE_BYTES, the store
+    keeps L and R of the same steps: the later sweeps assemble no step and
+    factor each one, with the bits of a store of band LUs."""
+    from slipctl import operators
+    grid, tg, prob, traj = setup
+    monkeypatch.setattr(operators, "BAND_STORE_BYTES", 0)
+    data = solve_state(prob, StepStore(grid.ops, tg.nt))
+    assert data.steps.lu is None and data.steps.first == 1
+    assert _bits_equal([data.y, data.p], [traj.y, traj.p])
+    U = random_source(grid, tg, 55)
+    d = random_admissible_control(grid, tg, np.random.default_rng(56), amplitude=0.3)
+    spies = _spy_step_maps(monkeypatch, grid.ops)
+    factor_log.clear()
+    out = _later_sweeps(prob, data, U, d)
+    assert [s.calls for s in spies.values()] == [0, 0, 0]
+    assert factor_log == ([("adjoint", k) for k in range(tg.nt, 0, -1)]
+                          + [("linearized", k) for k in range(1, tg.nt + 1)])
+    assert _bits_equal(out, _later_sweeps(prob, traj, U, d))
+
+
+def test_refining_sweeps_load_no_band_lu(setup, monkeypatch):
+    """Sweeps that refine (the band rule's bound lowered after the state
+    sweep kept band LUs) load no step from that store: they assemble every
+    step and give the bits of a trajectory without kept steps."""
+    from slipctl import operators
+    from slipctl.fields import StateTrajectory
+    grid, tg, prob, traj = setup
+    assert traj.steps.lu is not None
+    monkeypatch.setattr(operators, "BAND_BOUND", 0)
+    prob.step_solver("state")           # the reference factor, made once
+    U = random_source(grid, tg, 57)
+    d = random_admissible_control(grid, tg, np.random.default_rng(58), amplitude=0.3)
+    spies = _spy_step_maps(monkeypatch, grid.ops)
+    out = _later_sweeps(prob, traj, U, d)
+    assert [s.calls for s in spies.values()] == [2 * tg.nt] * 3
+    bare = StateTrajectory(grid, tg, traj.y, traj.p, traj.config_hash)
+    assert _bits_equal(out, _later_sweeps(prob, bare, U, d))
 
 
 def test_singular_band_factor_names_its_sweep_and_step(setup, monkeypatch):

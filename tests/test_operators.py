@@ -867,15 +867,14 @@ def test_reference_slot_hit_applies_no_step_map(monkeypatch):
     assert ops.reference_lu(0.05, 1.0, alpha.copy()) is lu
 
 
-def _advected_step(n, ny=None):
-    """Step nt/2 of an n x ny (ny = n if not given), nt = 16 trajectory at
-    nu = 0.01 under random admissible controls of amplitude 3 (the
-    workloads' amplitude 0.5, x3 and more), stepped on a StepSolver
-    without a reference."""
+def _advected_step(n):
+    """Step nt/2 of an n x n, nt = 16 trajectory at nu = 0.01 under random
+    admissible controls of amplitude 3 (the workloads' amplitude 0.5, x3 and
+    more), stepped on a StepSolver without a reference."""
     from slipctl.control_opt import random_admissible_control
     from slipctl.operators import StepSolver
     from slipctl.state_solver import StateProblem, solve_state
-    grid, tg = build_grid(n, n if ny is None else ny, 1.0, 1.0), TimeGrid(0.5, 16)
+    grid, tg = build_grid(n, n, 1.0, 1.0), TimeGrid(0.5, 16)
     ctrl = random_admissible_control(grid, tg, np.random.default_rng(n), amplitude=3.0)
     prob = StateProblem(grid, tg, np.zeros(grid.ops.N), ctrl, nu=0.01, validate=False)
     y = solve_state(prob).y
@@ -888,29 +887,11 @@ def test_band_solves_match_superlu_at_round_off(n):
     """Under the bound a step's own factor is a band LU.  Its solves with R
     and with R^T agree with SuperLU's factor of the same advected step to
     1e-12 relative, and leave a residual within eps * || |M| |x| + |b| ||."""
-    _assert_band_solves_match_superlu(_advected_step(n), n + 1)
-
-
-def test_tall_grid_band_runs_along_the_shorter_side():
-    """On a tall grid the band numbers the interior vertices y-major: a 4x9
-    grid gets kl = 6, as its 9x4 mirror does, where their x-major order
-    gives 16.  Its band solves, which permute b and x, match SuperLU as
-    the square grids' do."""
-    from slipctl.operators import BAND_BOUND
-    step = _advected_step(4, 9)
-    band = step.ops.band()
-    assert band.kl == build_grid(9, 4, 1.0, 1.0).ops.band().kl == 6
-    assert band.n * 16 ** 2 < BAND_BOUND and band.perm is not None
-    rows = np.repeat(np.arange(band.n), np.diff(step.ops.reduced_indptr))
-    assert np.abs(rows - step.ops.reduced_indices).max() == 16
-    _assert_band_solves_match_superlu(step, 10)
-
-
-def _assert_band_solves_match_superlu(step, seed):
     from slipctl.operators import _BandLU, _factor
+    step = _advected_step(n)
     assert isinstance(step.lu, _BandLU)
     slu = _factor(step.R_T)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(n + 1)
     eps = np.finfo(float).eps
     for M, mode in ((step.R, "T"), (step.R_T, "N")):
         b = rng.standard_normal(M.shape[0])
