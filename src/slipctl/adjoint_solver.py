@@ -15,8 +15,11 @@ p.tau, and they feed the cost gradient directly.
 import numpy as np
 
 from .errors import BaseTrajectoryMissing
-from .fields import StateTrajectory, face_l2, save_boundary_table
+from .fields import StateTrajectory, dissipation, dot, save_boundary_table, sup_face_l2, time_sum
 from .state_solver import StateProblem
+
+# the exactness contract's bound on duality_residual
+DUALITY_TOL = 1e-9
 
 
 class AdjointProblem:
@@ -139,15 +142,9 @@ def duality_residual(z, adjoint: AdjointTrajectory, source, f, g_dir,
     """
     if base_hash is not None and adjoint.config_hash != base_hash:
         raise ValueError("adjoint and linearized solves use different base trajectories")
-    tg = adjoint.time_grid
-    ops = adjoint.grid.ops
-    dt = tg.dt
-    lhs = 0.0
-    for k in range(1, tg.nt + 1):
-        lhs += dt * np.dot(ops.Wvec * source[k], z[k])
-    rhs = 0.0
-    for k in range(1, tg.nt + 1):
-        rhs += np.dot(adjoint.kernel_a[k], f[k]) + np.dot(adjoint.kernel_b[k], g_dir[k])
+    lhs = time_sum(adjoint.time_grid.dt, adjoint.grid.ops.Wvec, source, z)
+    rhs = (dot(adjoint.kernel_a[1:].ravel(), np.ravel(f[1:]))
+           + dot(adjoint.kernel_b[1:].ravel(), np.ravel(g_dir[1:])))
     denom = abs(lhs) + abs(rhs) + np.finfo(float).eps
     return abs(lhs - rhs) / denom
 
@@ -159,19 +156,11 @@ def adjoint_energy_check(adjoint: AdjointTrajectory, source, friction):
     dissipation of p against the space-time L2 norm of the source, given as
     face vectors of shape (nt+1, N).
     """
-    g, tg = adjoint.grid, adjoint.time_grid
-    ops = g.ops
-    dt = tg.dt
-    sup_sq = max(face_l2(g, p) ** 2 for p in adjoint.p)
-    diss = 0.0
-    fric = 0.0
-    usq = 0.0
-    for k in range(1, tg.nt + 1):
-        pv = adjoint.p[k - 1]
-        diss += dt * 0.5 * np.dot(pv, ops.A_strain @ pv)
-        fric += dt * np.dot(ops.w_gamma * friction.alpha[k], (ops.Ttau @ pv) ** 2)
-        usq += dt * np.dot(ops.Wvec * source[k], source[k])
+    g, dt = adjoint.grid, adjoint.time_grid.dt
+    usq = time_sum(dt, g.ops.Wvec, source, source)
     if usq == 0.0:
         return 0.0
-    return (sup_sq + diss + fric) / usq
+    # step k dissipates the adjoint velocity p[k-1] with the friction of slice k
+    diss = dissipation(g, dt, adjoint.p[:-1], friction.alpha[1:], strain=0.5)
+    return (sup_face_l2(g, adjoint.p) ** 2 + diss) / usq
 

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .adjoint_solver import duality_residual
+from .adjoint_solver import DUALITY_TOL, duality_residual
 from .control_opt import (CostParams, GradientEngine, fd_gradient_oracle,
                           optimize, random_admissible_control)
 from .errors import ConfigError, IncompatibleFlux, InitialStateError, SlipctlError
@@ -414,7 +414,7 @@ def cmd_grad_check(rc: RunConfig, corrupt_adjoint=False):
     for i, (ad, fd, _, err) in enumerate(results):
         print("%-10d %22.15e %22.15e %12.3e" % (i, ad, fd, err))
     print("max duality residual: %.3e" % max_dres)
-    ok = max_err <= GRAD_CHECK_TOL and max_dres <= 1e-9
+    ok = max_err <= GRAD_CHECK_TOL and max_dres <= DUALITY_TOL
     return EXIT_OK if ok else EXIT_CHECK
 
 

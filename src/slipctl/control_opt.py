@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from .adjoint_solver import AdjointProblem, solve_adjoint
-from .fields import BoundaryControl, hp_norm
+from .fields import BoundaryControl, hp_norm, slice_sum, time_sum, zero_mean
 from .operators import StepStore
 from .state_solver import StateProblem, solve_state
 
@@ -45,23 +45,16 @@ def evaluate_cost(controls: BoundaryControl, trajectory, params: CostParams,
     cost of the values the misfit is formed from, which sets the round-off
     of J (the penalties are sums of squares and cancel nothing).
     """
-    g, tg = controls.grid, controls.time_grid
-    ops = g.ops
-    dt = tg.dt
+    g, dt = controls.grid, controls.time_grid.dt
     if not magnitude:
         misfit = params.misfit(trajectory)
     elif params.y_d is None:
         misfit = np.abs(trajectory.y)
     else:
         misfit = np.abs(trajectory.y) + np.abs(params.y_d)
-    J = 0.0
-    for k in range(1, tg.nt + 1):
-        diff = misfit[k]
-        J += 0.5 * dt * np.dot(ops.Wvec * diff, diff)
-        pen = (0.5 * params.lam1 * controls.a[k] ** 2
-               + 0.5 * params.lam2 * controls.b[k] ** 2)
-        J += dt * np.dot(g.boundary_weight, pen)
-    return float(J)
+    wg, a, b = g.boundary_weight, controls.a, controls.b
+    return 0.5 * (time_sum(dt, g.ops.Wvec, misfit, misfit)
+                  + params.lam1 * time_sum(dt, wg, a, a) + params.lam2 * time_sum(dt, wg, b, b))
 
 
 class ControlGradient:
@@ -75,12 +68,8 @@ class ControlGradient:
 
     def pair(self, f, g_dir):
         """L2(Gamma_T) pairing of the gradient with a direction."""
-        dt = self.time_grid.dt
-        wg = self.grid.boundary_weight
-        acc = 0.0
-        for k in range(1, self.time_grid.nt + 1):
-            acc += dt * np.dot(wg, self.ga[k] * f[k] + self.gb[k] * g_dir[k])
-        return float(acc)
+        dt, wg = self.time_grid.dt, self.grid.boundary_weight
+        return time_sum(dt, wg, self.ga, f) + time_sum(dt, wg, self.gb, g_dir)
 
     def norm(self):
         return float(np.sqrt(self.pair(self.ga, self.gb)))
@@ -150,10 +139,9 @@ class GradientEngine:
             self.adjoint_solves += 1
             ga = np.zeros_like(controls.a)
             gb = np.zeros_like(controls.b)
-            ga[1:] = adj.normal_kernel[1:] + self.params.lam1 * controls.a[1:]
-            gb[1:] = adj.tangent_kernel[1:] + self.params.lam2 * controls.b[1:]
             # admissible variations of a carry no boundary mean
-            ga[1:] -= (ga[1:] @ g.boundary_weight)[:, None] / g.loop_length
+            ga[1:] = zero_mean(g, adj.normal_kernel[1:] + self.params.lam1 * controls.a[1:])
+            gb[1:] = adj.tangent_kernel[1:] + self.params.lam2 * controls.b[1:]
             entry["gradient"] = ControlGradient(g, controls.time_grid, ga, gb)
             entry["adjoint"] = adj
         return entry["gradient"], entry
@@ -197,9 +185,8 @@ def fd_gradient_oracle(engine, controls, direction, eps_list):
 
 def project_admissible(controls: BoundaryControl) -> BoundaryControl:
     """Closest admissible point: per-slice zero-mean a, then radial ball scaling."""
-    g = controls.grid
     out = controls.copy()
-    out.a = out.a - (out.a @ g.boundary_weight)[:, None] / g.loop_length
+    out.a = zero_mean(out.grid, out.a)
     n = hp_norm(out)
     if n > out.radius:
         scale = out.radius / n
@@ -224,7 +211,7 @@ def random_admissible_control(grid, time_grid, rng, p_exponent=4.0, radius=1e6,
                    + rng.normal() * np.cos(2 * np.pi * k * s)[None, :]) * np.sin(np.pi * k * t + k)
     a *= amplitude
     b *= amplitude
-    a -= (a @ grid.boundary_weight)[:, None] / grid.loop_length
+    a = zero_mean(grid, a)
     a[0] = 0.0
     ctrl = BoundaryControl(grid, time_grid, a, b, p_exponent, radius)
     return project_admissible(ctrl)
@@ -299,7 +286,7 @@ class OptimizationReport:
 
 def optimize(y0, params: CostParams, controls0=None, friction=None, nu=1.0,
              tol=1e-8, max_iters=100, armijo_c1=1e-4, max_backtracks=30,
-             grid=None, time_grid=None, iterate_callback=None) -> OptimizationReport:
+             grid=None, time_grid=None) -> OptimizationReport:
     """Projected gradient with Armijo backtracking over the admissible set.
 
     The initial trial step doubles after each accepted iterate and falls
@@ -339,9 +326,9 @@ def optimize(y0, params: CostParams, controls0=None, friction=None, nu=1.0,
                 da = c.a - prev[0]; db = c.b - prev[1]
                 dga = grad.ga - prev[2]; dgb = grad.gb - prev[3]
                 wg = c.grid.boundary_weight
-                ss = float(((da * da + db * db) @ wg).sum())
-                sy = float(((da * dga + db * dgb) @ wg).sum())
-                yy = float(((dga * dga + dgb * dgb) @ wg).sum())
+                ss = slice_sum(wg, da, da) + slice_sum(wg, db, db)
+                sy = slice_sum(wg, da, dga) + slice_sum(wg, db, dgb)
+                yy = slice_sum(wg, dga, dga) + slice_sum(wg, dgb, dgb)
                 # alternate the two secant step lengths
                 bb = ss / sy if (it % 2 == 0 and sy > 0) else (
                     sy / yy if yy > 0 else np.nan)
@@ -366,8 +353,6 @@ def optimize(y0, params: CostParams, controls0=None, friction=None, nu=1.0,
                     float(abs(J_trial - J - pred) / max(abs(pred), 1e-300)))
                 projected_flag = hp_norm(trial) >= trial.radius * (1 - 1e-12)
                 c = trial
-                if iterate_callback is not None:
-                    iterate_callback(it, c)
                 sigma_prev = sigma
                 report.iterations[-1]["step"] = sigma
                 report.iterations[-1]["projected"] = projected_flag

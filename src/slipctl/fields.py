@@ -4,8 +4,13 @@ A velocity is one face vector: u on the vertical faces then v on the
 horizontal faces, each row-major, length ops.N.  A pressure is one cell
 vector (row-major, length ncell), and boundary scalars sit at wall-edge
 midpoints in loop order.  This module alone knows the u/v layout
-(face_vector, sample_faces, components).  All quadratures here are the same
-ones used inside the solvers, so energy identities close to round-off.
+(face_vector, sample_faces, components), and it is the one home of the
+space-time quadrature that the cost, the gradient pairing, the energy
+identity and the duality check share with the adjoint: dot, slice_sum,
+time_sum, sup_face_l2, dissipation and zero_mean, each one np.einsum in
+numpy's own loops, whose bits, unlike a BLAS dot's of over ~10,000
+entries, do not depend on the thread count.  Sparse products, hp_norm's
+Fourier product (one thread's dot per entry), SuperLU and LAPACK use BLAS.
 """
 
 import json
@@ -73,7 +78,7 @@ class BoundaryControl:
 
     def flux_residuals(self):
         """Net boundary flux of a per time slice (all must vanish)."""
-        return self.a @ self.grid.boundary_weight
+        return np.einsum("i,ki->k", self.grid.boundary_weight, self.a)
 
     def check_flux(self):
         res = np.abs(self.flux_residuals()).max()
@@ -136,6 +141,45 @@ class StateTrajectory:
 
 
 # ---------------------------------------------------------------------------
+# space-time quadrature
+
+
+def dot(x, y):
+    """x . y of two vectors, without BLAS."""
+    return float(np.einsum("i,i->", x, y))
+
+
+def slice_sum(w, x, y):
+    """sum over every row k and entry i of w[i] x[k, i] y[k, i]."""
+    return float(np.einsum("i,ki,ki->", w, x, y))
+
+
+def time_sum(dt, w, x, y):
+    """The time rule: dt times the sum over the slices k = 1..nt of
+    sum_i w[i] x[k, i] y[k, i]; slice 0 carries no weight."""
+    return dt * slice_sum(w, x[1:], y[1:])
+
+
+def sup_face_l2(grid, y):
+    """max over the rows y[k] of face_l2(grid, y[k])."""
+    return float(np.sqrt(np.einsum("i,ki,ki->k", grid.ops.Wvec, y, y).max()))
+
+
+def dissipation(grid, dt, y, alpha, strain=1.0):
+    """dt times the sum over the rows k of y and alpha of strain * y_k .
+    A_strain y_k + sum_e w_e alpha[k, e] (Ttau y_k)_e^2."""
+    ops = grid.ops
+    t = (ops.Ttau @ y.T).T
+    return dt * (strain * float(np.einsum("ki,ki->", y, (ops.A_strain @ y.T).T))
+                 + float(np.einsum("i,ki,ki,ki->", ops.w_gamma, alpha, t, t)))
+
+
+def zero_mean(grid, a):
+    """Boundary rows a less their boundary mean, row by row."""
+    return a - np.einsum("i,ki->k", grid.boundary_weight, a)[:, None] / grid.loop_length
+
+
+# ---------------------------------------------------------------------------
 # differential operators and norms
 
 
@@ -147,31 +191,29 @@ def divergence(grid, y):
 
 def face_l2(grid, vec):
     """Quadrature-weighted L2 norm of a face vector (u then v)."""
-    return float(np.sqrt(np.dot(grid.ops.Wvec, vec * vec)))
+    return float(np.sqrt(np.einsum("i,i,i->", grid.ops.Wvec, vec, vec)))
 
 
 def h1_seminorm(grid, y):
     """Discrete ||grad y||_{L2} with the staggered gradient samples."""
     ops = grid.ops
-    acc = np.dot(ops.w_cell, (ops.Gxu_cell @ y) ** 2)
-    acc += np.dot(ops.w_cell, (ops.Gyv_cell @ y) ** 2)
-    acc += np.dot(ops.w_vert, (ops.Gyu_vert @ y) ** 2)
-    acc += np.dot(ops.w_vert, (ops.Gxv_vert @ y) ** 2)
+    acc = dot(ops.w_cell, (ops.Gxu_cell @ y) ** 2)
+    acc += dot(ops.w_cell, (ops.Gyv_cell @ y) ** 2)
+    acc += dot(ops.w_vert, (ops.Gyu_vert @ y) ** 2)
+    acc += dot(ops.w_vert, (ops.Gxv_vert @ y) ** 2)
     return float(np.sqrt(acc))
 
 
 def strain_l2(grid, y):
     """||D(y)||_{L2}: Frobenius norm of the strain with vertex quadrature."""
-    return float(np.sqrt(0.5 * np.dot(y, grid.ops.A_strain @ y)))
+    return float(np.sqrt(0.5 * dot(y, grid.ops.A_strain @ y)))
 
 
 def spatial_mean(grid, y):
     """Component-wise interior integral of the velocity."""
-    ops = grid.ops
     nu = (grid.nx + 1) * grid.ny
-    wu = np.dot(ops.Wvec[:nu], y[:nu])
-    wv = np.dot(ops.Wvec[nu:], y[nu:])
-    return np.array([wu, wv])
+    w = grid.ops.Wvec
+    return np.array([dot(w[:nu], y[:nu]), dot(w[nu:], y[nu:])])
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +246,7 @@ def hp_norm(control: BoundaryControl):
     theta[0] *= 0.5
     theta[-1] *= 0.5
 
-    lp = ((a * a) ** (0.5 * p) @ grid.boundary_weight) ** (1.0 / p)
+    lp = np.einsum("ki,i->k", (a * a) ** (0.5 * p), grid.boundary_weight) ** (1.0 / p)
     i, j, ker2 = grid.gagliardo_pairs(p)
     semi = np.empty(a.shape[0])
     rows = max(1, _GAGLIARDO_BLOCK // i.size)
@@ -213,17 +255,16 @@ def hp_norm(control: BoundaryControl):
         d -= np.take(a[k:k + rows], j, axis=1)
         d *= d
         d **= 0.5 * p
-        semi[k:k + rows] = d @ ker2
+        semi[k:k + rows] = np.einsum("ki,i->k", d, ker2)
     semi **= 1.0 / p
-    term1 = np.sqrt(np.dot(theta, (lp + semi) ** 2))
+    term1 = np.sqrt(dot(theta, (lp + semi) ** 2))
 
     F, mu, mult = grid.fourier_matrix()
     c = ((a[1:] - a[:-1]) / dt) @ F.T
-    term2 = np.sqrt(dt * ((c.real ** 2 + c.imag ** 2) @ (mult * mu)).sum()
+    term2 = np.sqrt(dt * np.einsum("ki,i->", c.real ** 2 + c.imag ** 2, mult * mu)
                     / grid.loop_length)
 
-    bsq = (control.b ** 2) @ grid.boundary_weight
-    term3 = np.sqrt(float(np.dot(theta, bsq)))
+    term3 = np.sqrt(np.einsum("k,ki,ki,i->", theta, control.b, control.b, grid.boundary_weight))
     return float(term1 + term2 + term3)
 
 

@@ -13,7 +13,7 @@ to recover pressures.
 import numpy as np
 
 from .errors import IncompatibleFlux, SolverDivergence
-from .fields import components
+from .fields import components, dot
 from .mesh import integrate_boundary
 
 FLUX_TOL = 1e-10
@@ -39,8 +39,9 @@ def solve_neumann_lifting(grid, a_nodes):
     bc = ops.bc_vec(a_nodes)
     rhs = -(grid.cell_area * (ops.Dmat @ bc))[1:]
     sol = lu.solve(rhs)
-    res = np.linalg.norm(L_pin @ sol - rhs)
-    if not np.isfinite(res) or res > RESIDUAL_TOL * max(1.0, np.linalg.norm(rhs)):
+    res = L_pin @ sol - rhs
+    res = np.sqrt(dot(res, res))
+    if not np.isfinite(res) or res > RESIDUAL_TOL * max(1.0, np.sqrt(dot(rhs, rhs))):
         raise SolverDivergence("Neumann solve residual %.3e above tolerance" % res)
     h = np.concatenate([[0.0], sol])
     h -= h.mean()

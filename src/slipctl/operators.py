@@ -30,6 +30,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import SolverDivergence
+from .fields import dot
 
 LINEAR_RESIDUAL_TOL = 1e-9
 # iterative refinement against a nearby factor (StepSolver._refine): a solve
@@ -98,7 +99,6 @@ class DiscreteOperators:
         constrained[self._iu[nx, :]] = True
         constrained[self._iv[:, 0]] = True
         constrained[self._iv[:, ny]] = True
-        self.constrained = constrained
         self.free = ~constrained
         self.free_idx = np.flatnonzero(self.free)
         self.cons_idx = np.flatnonzero(constrained)
@@ -199,9 +199,9 @@ class DiscreteOperators:
         ex, ey, ex1, ey1 = _eye(nx), _eye(ny), _eye(nx + 1), _eye(ny + 1)
         # the matrix-free advection derivatives apply the stacks G = [Gx; Gy]
         # and P = [Px; Py] and their transposes (CSC views on the same
-        # arrays), one product for both components; Gx, Gy, Px and Py are
-        # views on the rows of the stacks.  Gx, Gy: centred derivative of
-        # each component at its own points, one-sided at the ends
+        # arrays), one product for both components.  Gx, Gy: centred
+        # derivative of each component at its own points, one-sided at the
+        # ends
         self.G = _csr([_tensor(iu, _centred(nx + 1, hx), ey), _tensor(iv, _centred(nx, hx), ey1),
                        _tensor(iu, ex1, _centred(ny, hy)), _tensor(iv, ex, _centred(ny + 1, hy))],
                       self.N)
@@ -211,8 +211,6 @@ class DiscreteOperators:
         self.P = _csr([_tensor(iu, ex1, ey), _tensor(iu, _two(rx, rx + 1, 0.5, 0.5), _node(ny)),
                        _tensor(iv, _node(nx), _two(ry, ry + 1, 0.5, 0.5)), _tensor(iv, ex, ey1)],
                       self.N)
-        self.Gx, self.Gy = _row_blocks(self.G, (self.N, self.N))
-        self.Px, self.Py = _row_blocks(self.P, (self.N, self.N))
         self.GT, self.PT = self.G.T, self.P.T
 
     def _build_step_map(self):
@@ -703,9 +701,8 @@ def _node(n):
 
 
 def _norm(x):
-    """Euclidean norm of a vector: sqrt(x . x), as np.linalg.norm computes
-    it, without that function's dispatch."""
-    return math.sqrt(x @ x)
+    """Euclidean norm of a vector: sqrt(x . x), summed without BLAS."""
+    return math.sqrt(dot(x, x))
 
 
 def _extrapolate(hist):
@@ -1030,7 +1027,7 @@ class StepSolver:
         m[C] = 0.0
         y = lift + dy
         self.div = ops.Dmat @ y
-        self.pending[0].append((self.k, r @ r, self.div @ self.div, m, y[C]))
+        self.pending[0].append((self.k, dot(r, r), dot(self.div, self.div), m, y[C]))
         return y
 
     def solve_transpose(self, rhs_free):
@@ -1046,7 +1043,7 @@ class StepSolver:
         m = r - self.LT_lam             # rhs - L^T lam on the free rows
         m[C] = 0.0
         div = ops.cell_area * (ops.Dmat @ lam)
-        self.pending[1].append((self.k, r @ r, div @ div, m, None))
+        self.pending[1].append((self.k, dot(r, r), dot(div, div), m, None))
         return lam
 
     def pressures(self, trans=False):

@@ -12,15 +12,15 @@ import time
 
 import numpy as np
 
-from .adjoint_solver import (AdjointProblem, adjoint_energy_check,
+from .adjoint_solver import (DUALITY_TOL, AdjointProblem, adjoint_energy_check,
                              duality_residual, solve_adjoint)
-from .fields import (BoundaryControl, FrictionField, components, divergence,
-                     face_l2, face_vector, h1_seminorm, hp_norm, spatial_mean,
-                     strain_l2)
+from .fields import (BoundaryControl, FrictionField, components, dissipation, divergence,
+                     dot, face_l2, face_vector, h1_seminorm, hp_norm, spatial_mean,
+                     strain_l2, sup_face_l2)
 from .linearized_solver import LinearizedProblem, gateaux_discrepancy, solve_linearized
 from .mesh import TimeGrid, build_grid
 from .operators import StepStore
-from .state_solver import (StateProblem, energy_bound_report,
+from .state_solver import (ENERGY_TOL, StateProblem, energy_bound_report,
                            energy_identity_residual, solve_state)
 from .control_opt import balanced_direction, random_admissible_control
 
@@ -141,7 +141,7 @@ def check_trace(grid, samples, config_hash=""):
         centered = _subtract_mean(grid, y)
         tn = grid.ops.Tn @ centered
         tt = grid.ops.Ttau @ centered
-        lhs = float(np.sqrt(np.dot(grid.boundary_weight, tn * tn + tt * tt)))
+        lhs = float(np.sqrt(dot(grid.boundary_weight, tn * tn + tt * tt)))
         scale = max(1.0, face_l2(grid, y))
         if lhs <= ZERO_LHS_TOL * scale:
             trivial += 1
@@ -293,7 +293,7 @@ def run_estimate_suite(config):
                        for i in range(len(rows) - 1))
         cstar = fit_energy_bound_constant(rows)
         passed = all(np.isfinite(ratios)) and monotone and np.isfinite(cstar) and \
-            max(r["energy_residual"] for r in rows) <= 1e-8
+            max(r["energy_residual"] for r in rows) <= ENERGY_TOL
         return ratios, passed, {"rows": rows, "monotone": monotone,
                                 "fitted_constant": cstar}
 
@@ -309,7 +309,7 @@ def run_estimate_suite(config):
             ctrl2.b = ctrl2.b + delta * d.b
             prob2 = StateProblem(grid, tg, prob.y0, ctrl2, prob.friction, validate=False)
             traj2 = solve_state(prob2)
-            dist = max(face_l2(grid, traj2.y[k] - traj.y[k]) for k in range(tg.nt + 1))
+            dist = sup_face_l2(grid, traj2.y - traj.y)
             dctrl = BoundaryControl(grid, tg, delta * d.a, delta * d.b)
             ratios.append(dist / hp_norm(dctrl))
         return ratios, np.all(np.isfinite(ratios)) and max(ratios) <= 2.0 * min(ratios), None
@@ -318,16 +318,11 @@ def run_estimate_suite(config):
         """Linearized energy estimate; directions drawn up front."""
         prob, traj = _solved_suite_problem(grid, tg, rng)
         dirs = [balanced_direction(grid, tg, rng) for _ in range(nfield)]
-        ops = grid.ops
         ratios = []
         for d in dirs:
             z = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
-            lhs = max(face_l2(grid, zk) ** 2 for zk in z)
-            for k in range(1, tg.nt + 1):
-                zv = z[k]
-                lhs += tg.dt * 0.5 * float(zv @ (ops.A_strain @ zv))
-                lhs += tg.dt * float(np.dot(ops.w_gamma * prob.friction.alpha[k],
-                                            (ops.Ttau @ zv) ** 2))
+            lhs = (sup_face_l2(grid, z) ** 2
+                   + dissipation(grid, tg.dt, z[1:], prob.friction.alpha[1:], strain=0.5))
             ratios.append(lhs / hp_norm(d) ** 2)
         return ratios, np.all(np.isfinite(ratios)) and max(ratios) <= 3.0 * min(ratios), None
 
@@ -362,7 +357,7 @@ def run_estimate_suite(config):
             adj = solve_adjoint(AdjointProblem(prob, traj, U))
             residuals.append(duality_residual(z, adj, U, d.a, d.b,
                                               base_hash=traj.config_hash))
-        return residuals, max(residuals) <= 1e-9, {"tolerance": 1e-9}
+        return residuals, max(residuals) <= DUALITY_TOL, {"tolerance": DUALITY_TOL}
 
     def refinement_drift():
         """Inequality constants must drift mildly under one refinement."""
@@ -383,7 +378,7 @@ def run_estimate_suite(config):
              ("linearized_energy", 3.0, linearized_energy),
              ("adjoint_energy", 3.0, adjoint_energy),
              ("gateaux_limit", np.inf, gateaux_limit),
-             ("duality", 1e-9, duality)]
+             ("duality", DUALITY_TOL, duality)]
     if config.get("refine", False):
         items.append(("refinement_drift", 0.5, refinement_drift))
     for name, bound, measure in items:

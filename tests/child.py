@@ -1,4 +1,5 @@
-"""Scripts run on slipctl in a fresh interpreter, for the peak-RSS tests."""
+"""Scripts run on slipctl in a fresh interpreter, for the peak-RSS and
+BLAS thread-count tests."""
 
 import os
 import subprocess
@@ -15,13 +16,13 @@ def peak_kib():
 """
 
 
-def run_child(script):
+def run_child(script, threads=1):
     """Standard output of a script run on this package in a fresh interpreter
-    with one BLAS thread; the script can call peak_kib(), its own peak RSS
-    in KiB."""
+    with the given number of BLAS threads; the script can call peak_kib(),
+    its own peak RSS in KiB."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(slipctl.__file__)))
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
+    n = str(threads)
+    env = dict(os.environ, OMP_NUM_THREADS=n, OPENBLAS_NUM_THREADS=n, MKL_NUM_THREADS=n,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", PEAK_KIB + script], env=env, check=True,
                           capture_output=True, text=True, timeout=600).stdout

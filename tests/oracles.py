@@ -189,12 +189,9 @@ class ReferenceOperators(DiscreteOperators):
         Py = sp.bmat([[sp.csr_matrix((NU, NU)), v_at_u], [None, sp.eye(NV)]], format="csr")
         # the matrix-free advection derivatives apply the stacks G = [Gx; Gy]
         # and P = [Px; Py] and their transposes (CSC views on the same
-        # arrays), one product for both components; Gx, Gy, Px and Py are
-        # views on the rows of the stacks
+        # arrays), one product for both components
         self.G = sp.vstack([Gx, Gy], format="csr")
         self.P = sp.vstack([Px, Py], format="csr")
-        self.Gx, self.Gy = _row_blocks(self.G, (self.N, self.N))
-        self.Px, self.Py = _row_blocks(self.P, (self.N, self.N))
         self.GT, self.PT = self.G.T, self.P.T
 
     def _build_step_map(self):

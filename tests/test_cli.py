@@ -1,3 +1,4 @@
+import configparser
 import json
 import logging
 import os
@@ -9,6 +10,11 @@ import pytest
 from slipctl.cli import (EXIT_BUDGET, EXIT_CHECK, EXIT_CONFIG, EXIT_OK,
                          EXIT_SOLVER, RunConfig, main)
 from slipctl.errors import ConfigError, IncompatibleFlux, SolverDivergence
+
+from child import run_child
+
+DEMO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs",
+                    "demo.ini")
 
 BASE_CONFIG = """
 [domain]
@@ -238,6 +244,44 @@ def test_determinism_byte_identical(tmp_path):
     assert main(["verify", "--config", cfg, "--out", out1]) == EXIT_OK
     assert main(["verify", "--config", cfg, "--out", out2]) == EXIT_OK
     _assert_same_bytes(out1, out2, ("verify.json",))
+
+
+def _files(root):
+    """Paths of the files under root, relative to it, sorted."""
+    return sorted(os.path.relpath(os.path.join(d, f), root)
+                  for d, _, names in os.walk(root) for f in names)
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The demo physics on 72x72 cells (10,512 faces: OpenBLAS splits a dot
+    product of more than about 10,000 entries between threads), nt = 2, a
+    nonzero target and 2 optimize iterations: solve and optimize in fresh
+    interpreters under one and under two BLAS threads write the same bytes,
+    the wall-clock record timings.json aside."""
+    cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cfg.read(DEMO)
+    cfg["domain"]["nx"] = cfg["domain"]["ny"] = "72"
+    cfg["time"]["nt"] = "2"
+    cfg["target"]["y_d"] = "stream:1:0.2"
+    cfg["optimizer"]["max_iters"] = "2"
+    path = tmp_path / "demo72.ini"
+    with open(path, "w") as fh:
+        cfg.write(fh)
+    outs = []
+    for threads in (1, 2):
+        run = tmp_path / ("threads%d" % threads)
+        run.mkdir()
+        # the same relative --out in both runs, so config.resolved compares too
+        codes = run_child("import os\nfrom slipctl.cli import main\nos.chdir(%r)\n"
+                          "print(main(['solve', '--config', %r, '--out', 'out']),\n"
+                          "      main(['optimize', '--config', %r, '--out', 'out']))"
+                          % (str(run), str(path), str(path)), threads=threads)
+        assert codes.split() == [str(EXIT_OK), str(EXIT_BUDGET)]
+        outs.append(str(run / "out"))
+    names = [n for n in _files(outs[0]) if n != "timings.json"]
+    assert "solve.json" in names and "report.json" in names
+    assert names == [n for n in _files(outs[1]) if n != "timings.json"]
+    _assert_same_bytes(*outs, names)
 
 
 def test_target_from_file(tmp_path):

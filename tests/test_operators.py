@@ -13,7 +13,7 @@ import scipy.sparse as sp
 
 from slipctl.fields import components, face_vector
 from slipctl.mesh import TimeGrid, build_grid
-from slipctl.operators import DiscreteOperators
+from slipctl.operators import DiscreteOperators, _row_blocks
 
 from child import run_child
 from oracles import (ReferenceOperators, SaddleStep, fric_matrix, reduced_matrix,
@@ -57,11 +57,19 @@ def _advection_part(ops, w, dt=0.05, nu=1.0, alpha=1.3):
     return ops.step_matrix(dt, nu, a, w) - ops.step_matrix(dt, nu, a, np.zeros(ops.N))
 
 
+def _rows(stack):
+    """The two N-row blocks of an advection stack, as CSR views: Gx and Gy
+    of G, Px and Py of P."""
+    n = stack.shape[1]
+    return _row_blocks(stack, (n, n))
+
+
 def _step_matrix_oracle(ops, dt, nu, alpha_nodes, w_vec):
     """Term-by-term sp.diags assembly of the step operator, the reference."""
-    wx = ops.Px @ w_vec
-    wy = ops.Py @ w_vec
-    Nmat = sp.diags(ops.Wvec * wx) @ ops.Gx + sp.diags(ops.Wvec * wy) @ ops.Gy
+    (Gx, Gy), (Px, Py) = _rows(ops.G), _rows(ops.P)
+    wx = Px @ w_vec
+    wy = Py @ w_vec
+    Nmat = sp.diags(ops.Wvec * wx) @ Gx + sp.diags(ops.Wvec * wy) @ Gy
     wn = ops.Tn @ w_vec
     S_n = ops.Tn.T @ sp.diags(0.5 * ops.w_gamma * wn) @ ops.Tn
     return (sp.diags(ops.Wvec / dt) + nu * ops.A_strain
@@ -146,19 +154,20 @@ def test_stacked_advection_products_sum_as_per_component_products(shape):
     P = [Px; Py] and T = [Tn; Ttau] in one product each, and still round
     exactly like the per-component products summed in order."""
     ops = build_grid(*shape).ops
+    (Gx, Gy), (Px, Py) = _rows(ops.G), _rows(ops.P)
     rng = np.random.default_rng(4)
     W, wg = ops.Wvec, ops.w_gamma
     for _ in range(3):
         y, w, lam = (rng.standard_normal(ops.N) for _ in range(3))
         y[ops.cons_idx[::3]] = 0.0
-        wx, wy = ops.Px @ w, ops.Py @ w
+        wx, wy = Px @ w, Py @ w
         an = wg * (ops.Tn @ w)
-        cross = (0.5 * (W * (wx * (ops.Gx @ y) + wy * (ops.Gy @ y))
-                        - (ops.Gx.T @ (W * wx * y) + ops.Gy.T @ (W * wy * y)))
+        cross = (0.5 * (W * (wx * (Gx @ y) + wy * (Gy @ y))
+                        - (Gx.T @ (W * wx * y) + Gy.T @ (W * wy * y)))
                  + 0.5 * (ops.Mbc @ (an * (ops.Tn @ y)) + ops.Ttau.T @ (an * (ops.Ttau @ y))))
         assert np.array_equal(ops.apply_adv_cross(y, w), cross)
-        x1 = ops.Px.T @ (W * (ops.Gx @ y) * lam) + ops.Py.T @ (W * (ops.Gy @ y) * lam)
-        x2 = ops.Px.T @ (W * y * (ops.Gx @ lam)) + ops.Py.T @ (W * y * (ops.Gy @ lam))
+        x1 = Px.T @ (W * (Gx @ y) * lam) + Py.T @ (W * (Gy @ y) * lam)
+        x2 = Px.T @ (W * y * (Gx @ lam)) + Py.T @ (W * y * (Gy @ lam))
         xs = ops.Mbc @ (wg * (ops.Tn @ y) * (ops.Tn @ lam)
                         + wg * (ops.Ttau @ y) * (ops.Ttau @ lam))
         assert np.array_equal(ops.apply_adv_cross_T(y, lam), 0.5 * (x1 - x2) + 0.5 * xs)
@@ -166,7 +175,7 @@ def test_stacked_advection_products_sum_as_per_component_products(shape):
 
 def test_component_operators_are_views_on_the_stacks(grid):
     ops = grid.ops
-    for stack, parts in ((ops.G, (ops.Gx, ops.Gy)), (ops.P, (ops.Px, ops.Py)),
+    for stack, parts in ((ops.G, _rows(ops.G)), (ops.P, _rows(ops.P)),
                          (ops.T, (ops.Tn, ops.Ttau))):
         assert _same_arrays(sp.vstack(parts, format="csr"), stack, "csr")
         for m in parts:
@@ -231,15 +240,16 @@ def test_advection_stencils_match_hand_stencils(grid):
     u, v = rng.standard_normal(grid.shape_u), rng.standard_normal(grid.shape_v)
     y = face_vector(grid, u, v)
     hx, hy = grid.hx, grid.hy
+    (Gx, Gy), (Px, Py) = _rows(ops.G), _rows(ops.P)
     # centred differences, one-sided at the ends
-    for G, h, axis in ((ops.Gx, hx, 0), (ops.Gy, hy, 1)):
+    for G, h, axis in ((Gx, hx, 0), (Gy, hy, 1)):
         got_u, got_v = components(grid, G @ y)
         assert np.allclose(got_u, np.gradient(u, h, axis=axis))
         assert np.allclose(got_v, np.gradient(v, h, axis=axis))
-    px_u, px_v = components(grid, ops.Px @ y)
+    px_u, px_v = components(grid, Px @ y)
     assert np.array_equal(px_u, u)
     assert np.allclose(px_v, _node_average(0.5 * (u[1:, :] + u[:-1, :]), 1))
-    py_u, py_v = components(grid, ops.Py @ y)
+    py_u, py_v = components(grid, Py @ y)
     assert np.array_equal(py_v, v)
     assert np.allclose(py_u, _node_average(0.5 * (v[:, 1:] + v[:, :-1]), 0))
 
