@@ -82,7 +82,9 @@ class GradientEngine:
     evaluated last, so one entry serves every reuse.  It is matched on the
     exact bytes of both control arrays; the cost parameters are fixed per
     engine.  Its state solve keeps the steps of the march (a StepStore on
-    the trajectory) until gradient's adjoint sweep has read them.
+    the trajectory) until gradient's adjoint sweep has read them, unless
+    the caller says no gradient will follow (keep_steps=False, the
+    finite-difference costs).
     """
 
     def __init__(self, y0, params: CostParams, friction=None, nu=1.0):
@@ -97,17 +99,20 @@ class GradientEngine:
         self.state_seconds = 0.0
         self.adjoint_seconds = 0.0
 
-    def entry(self, controls):
+    def entry(self, controls, keep_steps=True):
         """The entry of the controls: their "problem", "trajectory" and cost
         "J", solved unless they are the last ones, and after gradient also
-        their "gradient" and "adjoint"."""
+        their "gradient" and "adjoint".  A solve keeps its steps for the
+        adjoint sweep only if keep_steps; a gradient of an entry solved
+        without them makes its steps again, with the same bits."""
         key = (controls.a.tobytes(), controls.b.tobytes())
         if key != self._last_key:
             self._last_key = self._last = None  # free the old solve before the new one
             prob = StateProblem(controls.grid, controls.time_grid, self.y0, controls,
                                 self.friction, self.nu, validate=False)
             t0 = time.perf_counter()
-            traj = solve_state(prob, StepStore(controls.grid.ops, controls.time_grid.nt))
+            steps = StepStore(controls.grid.ops, controls.time_grid.nt) if keep_steps else None
+            traj = solve_state(prob, steps)
             self.state_seconds += time.perf_counter() - t0
             self.state_solves += 1
             J = evaluate_cost(controls, traj, self.params)
@@ -115,8 +120,8 @@ class GradientEngine:
             self._last_key = key
         return self._last
 
-    def cost(self, controls):
-        return self.entry(controls)["J"]
+    def cost(self, controls, keep_steps=True):
+        return self.entry(controls, keep_steps)["J"]
 
     def cost_magnitude(self, controls):
         """evaluate_cost with magnitude=True at the controls' state solve."""
@@ -151,7 +156,8 @@ def fd_gradient_oracle(engine, controls, direction, eps_list):
     """Central-difference directional derivatives with Richardson extrapolation.
 
     The costs are engine.cost, so the estimate is of the same cost, initial
-    state, friction and viscosity as engine.gradient.  direction is an
+    state, friction and viscosity as engine.gradient; no gradient follows
+    them, so their state solves keep no steps.  direction is an
     (f, g) pair of arrays shaped like the controls; f must be zero-mean per
     slice with the initial slice untouched.
 
@@ -166,7 +172,8 @@ def fd_gradient_oracle(engine, controls, direction, eps_list):
     for eps in eps_list:
         cp = controls.copy(); cp.a = cp.a + eps * f; cp.b = cp.b + eps * g_dir
         cm = controls.copy(); cm.a = cm.a - eps * f; cm.b = cm.b - eps * g_dir
-        (jp, mp), (jm, mm) = ((engine.cost(c), engine.cost_magnitude(c)) for c in (cp, cm))
+        (jp, mp), (jm, mm) = ((engine.cost(c, keep_steps=False), engine.cost_magnitude(c))
+                              for c in (cp, cm))
         estimates.append((float(eps), float((jp - jm) / (2 * eps))))
         noise[float(eps)] = _EPS * max(mp, mm) / eps
     est = sorted(estimates, key=lambda t: t[0])

@@ -27,7 +27,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrs
 
 from .errors import SolverDivergence
 from .fields import dot
@@ -55,6 +55,13 @@ BAND_STORE_BYTES = 8 * 2 ** 20
 # square grids, demo physics, nt = 32: 20x20 (521,284) inside, 22x22
 # (777,924) outside
 BAND_BOUND = 6e5
+# the reference of the refining sweeps solves R0 by sine transforms and a
+# wall capacitance matrix (_SineLU) where the grid has at least this many
+# interior vertices, and on a SuperLU factor below it; measured crossover
+# of the gradient time on square grids, demo physics, nt = 32 (sine over
+# SuperLU, medians of 10 alternations): 48x48 0.88, 52x52 1.04, 56x56
+# (3,025) 1.05 outside, 60x60 (3,481) 0.90 inside
+SINE_BOUND = 3200
 _EPS = np.finfo(float).eps
 
 
@@ -359,17 +366,21 @@ class DiscreteOperators:
         return out
 
     def reference_lu(self, dt, nu, alpha_nodes):
-        """LU of the advection-free reduced step matrix R0 at (dt, nu, alpha),
-        kept in a one-entry slot.
+        """Direct solver of the advection-free reduced step matrix R0 at
+        (dt, nu, alpha), kept in a one-entry slot.
 
         Without advection the step operator is symmetric, and so is R0, bit
-        for bit (see _build_reduced_map): its CSR arrays are also its CSC
-        arrays, and StepSolver solves with R0 in both directions through
-        SuperLU's transposed kernel, the faster of its two.
+        for bit (see _build_reduced_map), so StepSolver solves with R0 in
+        both directions through one kernel.  On grids of at least
+        SINE_BOUND interior vertices the solver is a _SineLU: two sine
+        transforms and the LU of a capacitance matrix on the two outer
+        rings of vertices, unless R0 has not that structure.  Otherwise it
+        is SuperLU's factor of R0; its CSR arrays are also its CSC arrays,
+        and its transposed kernel is the faster of its two.
 
         The slot is keyed by the exact bits of (dt, nu, alpha), which fix
-        R0's entries bit for bit, so a hit returns the same factor a fresh
-        factorization would, and no result depends on what was solved
+        R0's entries bit for bit, so a hit returns the same solver a fresh
+        construction would, and no result depends on what was solved
         before.  A hit compares the key only; R0 is assembled just to be
         factored.
         """
@@ -379,7 +390,9 @@ class DiscreteOperators:
                 [alpha_nodes, np.zeros(self.N), [1.0 / dt, nu]]))
             n = self.reduced_indptr.size - 1
             R0 = sp.csc_matrix((data, self.reduced_indices, self.reduced_indptr), shape=(n, n))
-            self._reference = (key, _factor(R0))
+            nx, ny = self._iv.shape[0], self._iu.shape[1]
+            sine = _SineLU(nx - 1, ny - 1) if n >= SINE_BOUND else None
+            self._reference = (key, _factor(R0, into=sine))
         return self._reference[1]
 
     def band(self):
@@ -492,13 +505,16 @@ class DiscreteOperators:
 
 
 def _factor(A, what="step matrix", into=None):
-    """SuperLU factor of a CSC matrix with a symmetric pattern: minimum
-    degree ordering on the pattern of A^T + A, in symmetric mode.  Given a
-    _BandLU on A's pattern (into), A's band LU written there instead.
+    """Factor of a CSC matrix A with a symmetric pattern, with SuperLU's
+    solve(b, trans).  Given into, a _BandLU on A's pattern or a _SineLU of
+    A's grid, the factor is made there: A's band LU written into its
+    buffer, or the sine-capacitance solve of the symmetric A, unless the
+    _SineLU refuses A's structure.  Otherwise it is SuperLU's, with minimum
+    degree ordering on the pattern of A^T + A, in symmetric mode.
 
-    Both matrices factored here have symmetric patterns, and the reduced
-    reference step and the Neumann matrix are symmetric.  Symmetric mode
-    makes SuperLU prefer the diagonal of the reordered matrix as pivot,
+    Both matrices factored by SuperLU have symmetric patterns, and the
+    reduced reference step and the Neumann matrix are symmetric.  Symmetric
+    mode makes SuperLU prefer the diagonal of the reordered matrix as pivot,
     which keeps that structure, and minimum degree on A^T + A then stores
     fewer entries than the default COLAMD ordering, so every triangular
     solve reads less (at 64x64, L + U falls from 573,891 to 402,604 entries
@@ -506,11 +522,214 @@ def _factor(A, what="step matrix", into=None):
     Neumann matrix).
     """
     if into is not None:
-        return into.factor(A, what)
+        lu = into.factor(A, what)
+        if lu is not None:
+            return lu
     try:
         return spla.splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverDivergence("%s factorization failed: %s" % (what, exc))
+
+
+class _SineLU:
+    """A direct solver of the advection-free reduced step R0 on the (mx, my)
+    interior vertices by sine transforms and a wall capacitance matrix
+    (Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971), with
+    SuperLU's solve(b, trans) interface.
+
+    factor(R0) splits R0 = S + P_B E P_B^T.  S is R0's interior stencil,
+    read off the middle vertex and closed by odd reflection across the
+    boundary vertices, so the orthonormal 2-D DST-I Phi diagonalizes it:
+    S = Phi diag(lam) Phi.  B (ring, x-major within its two parts) holds
+    the two outer rings of vertices, where the walls' one-sided stencils
+    and the friction put R0's corrections E.  With C = P_B^T S^-1 P_B, built
+    block by block by batches of DST-Is, a solve is
+
+        x0 = S^-1 b,   z = (I + E C)^-1 E x0_B,   x = x0 - S^-1 P_B z:
+
+    one forward DST-I, the values on B by thin products with the 1-D sine
+    matrices, z on the LU of the capacitance matrix I + E C (|B| = 488 at
+    64x64, 1000 at 128x128), the rings' correction subtracted in transform
+    space and one inverse DST-I.  No step's bits follow the BLAS thread
+    count: the transforms are pocketfft's, the thin products small enough
+    that OpenBLAS computes them on one thread, and the capacitance matrix
+    is factored by SuperLU, not LAPACK's threaded dgetrf, and solved by
+    dgetrs (two triangular solves).
+
+    factor() refuses, returning None, a matrix whose stencil reaches past
+    two vertices or is not even in both directions, or whose E has an entry
+    outside B x B (a grid with no vertex outside B).
+    """
+
+    def __init__(self, mx, my):
+        self.mx, self.my = mx, my
+
+    def factor(self, A, what="step matrix"):
+        """Self, with the solve of the symmetric A set up, or None if A has
+        not this structure; a singular capacitance system raises
+        SolverDivergence."""
+        mx, my = self.mx, self.my
+        ring = np.zeros((mx, my), dtype=bool)
+        ring[:2] = ring[-2:] = ring[:, :2] = ring[:, -2:] = True
+        if ring.all():
+            return None
+        A = A.tocsr()
+        # the stencil of the middle vertex, on offsets |dx|, |dy| <= 2
+        mid = (mx // 2) * my + my // 2
+        cols, vals = (a[A.indptr[mid]:A.indptr[mid + 1]] for a in (A.indices, A.data))
+        cols = cols[vals != 0.0]
+        dx, dy = cols // my - mx // 2, cols % my - my // 2
+        if max(np.abs(dx).max(), np.abs(dy).max()) > 2:
+            return None
+        st = np.zeros((5, 5))
+        st[dx + 2, dy + 2] = vals[vals != 0.0]
+        if not (np.array_equal(st, st[::-1]) and np.array_equal(st, st[:, ::-1])):
+            return None
+        E = (A - _odd_stencil(st, mx, my)).tocoo()
+        ring = ring.ravel()
+        if not (ring[E.row].all() and ring[E.col].all()):
+            return None
+        # the eigenvalues of S, sum_pq st[p, q] cos(p t) cos(q u) over the
+        # modes (t, u), as a polynomial in sin^2(t / 2) and sin^2(u / 2)
+        # whose coefficients are summed exactly: the sum of cosines cancels
+        # to ~eps sum|st| in the smooth modes, where lam is smallest, and
+        # the solve's error there, which the residual hardly shows, grew
+        # with it (1.4e-10 against 4e-13 relative at 96x96)
+        c = _sin2_coefficients(st[2:, 2:])
+        sx2, sy2 = (np.sin(np.pi * np.arange(1, m + 1) / (2 * m + 2)) ** 2 for m in (mx, my))
+        lam = sum(c[a, b] * sx2[:, None] ** a * sy2 ** b for a, b in np.ndindex(3, 3))
+        if not np.all(np.isfinite(lam) & (lam != 0.0)):
+            return None
+        self.inv_lam = 1.0 / lam
+        # B in two parts: the rows rx (every y) and, of the other rows ox,
+        # the columns ry; each x-major
+        rx, ry = np.array([0, 1, mx - 2, mx - 1]), np.array([0, 1, my - 2, my - 1])
+        ox = np.arange(2, mx - 2)
+        sx, sy = _sine_matrix(mx), _sine_matrix(my)
+        self.sx_r, self.sx_o, self.sy_r = sx[rx], sx[ox], sy[ry]
+        self.sx_rT, self.sx_oT, self.sy_rT = (np.ascontiguousarray(m.T) for m in
+                                              (self.sx_r, self.sx_o, self.sy_r))
+        self.sy, self.nr = sy, 4 * my
+        self.ring = b = np.concatenate([(rx[:, None] * my + np.arange(my)).ravel(),
+                                        (ox[:, None] * my + ry).ravel()])
+        where = np.empty(mx * my, dtype=np.intp)
+        where[b] = np.arange(b.size)
+        E = sp.csr_matrix((E.data, (where[E.row], where[E.col])), shape=(b.size, b.size))
+        # the capacitance matrix M = I + E C; its C-order array is the CSC
+        # arrays of M^T, whose partial-pivoting LU by SuperLU, P M^T = L U,
+        # unlike LAPACK's, does not follow the BLAS thread count.  So
+        # M z = y is z = P^T (L U)^-T y, by dgetrs with L and U in one array
+        m = b.size
+        M = E @ self._capacitance()
+        M.flat[::m + 1] += 1.0
+        Mt = sp.csc_matrix((M.ravel(), np.tile(np.arange(m, dtype=np.int32), m),
+                            np.arange(0, m * m + 1, m, dtype=np.int32)), shape=(m, m))
+        try:
+            lu = spla.splu(Mt, permc_spec="NATURAL", diag_pivot_thresh=1.0)
+        except RuntimeError as exc:
+            raise SolverDivergence("%s factorization failed: capacitance matrix: %s"
+                                   % (what, exc))
+        del M, Mt
+        # L's unit diagonal overwritten by U's
+        self.lu = np.empty((m, m), order="F")
+        flat = self.lu.reshape(-1, order="F")
+        for f in (lu.L, lu.U):
+            cols = np.repeat(np.arange(m, dtype=np.int32), np.diff(f.indptr))
+            flat[f.indices + m * cols] = f.data
+        self.piv, self.perm, self.E = np.arange(m, dtype=np.int32), lu.perm_r, E
+        return self
+
+    def _capacitance(self):
+        """C = P_B^T S^-1 P_B, block by block.  S^-1 couples vertices (i, j)
+        and (k, l) by sum_pq sx[i, p] sx[k, p] sy[j, q] sy[l, q] inv[p, q],
+        with inv = 1 / lam, so each block is a batch of 2-D DST-Is, laid out
+        in B's order."""
+        inv, mx, my, nr = self.inv_lam, self.mx, self.my, self.nr
+        sxr, syr, no = self.sx_r, self.sy_r, mx - 4
+        C = np.empty((nr + 4 * no,) * 2)
+
+        def block(rows, cols, shape):
+            """C[rows, cols] as a view of the given shape."""
+            view = C[rows, cols].view()
+            view.shape = shape              # raises rather than copy
+            return view
+
+        # rows a, b with rows: the DST of diag(w[a, b]), (a, j, b, l)
+        w = np.einsum("ap,bp,pq->aqb", sxr, sxr, inv)
+        C[:nr, :nr] = _dstn(w[..., None] * np.eye(my)[:, None, :], (1, 3)).reshape(nr, nr)
+        # rows a with columns c of the other rows: the DST of
+        # sx[a, p] inv[p, q] sy[c, q], (a, j, k, c)
+        ro = _dstn(sxr[:, None, :, None] * inv.T[None, :, :, None] * syr.T[None, :, None, :],
+                   (1, 2))
+        block(slice(None, nr), slice(nr, None), (4, my, no, 4))[...] = ro[:, :, 2:-2]
+        C[nr:, :nr] = C[:nr, nr:].T
+        # columns c, d of the other rows with each other: (i, c, k, d)
+        v = np.einsum("cq,dq,pq->pcd", syr, syr, inv)
+        oo = _dstn(v[:, :, None, :] * np.eye(mx)[:, None, :, None], (0, 2))
+        block(slice(nr, None), slice(nr, None), (no, 4, no, 4))[...] = oo[2:-2, :, 2:-2]
+        return C
+
+    def solve(self, b, trans="N"):
+        """x with A x = b; A is symmetric, so trans changes nothing."""
+        sy, inv_lam = self.sy, self.inv_lam
+        xh = _dstn(b.reshape(self.mx, self.my))
+        xh *= inv_lam
+        x0 = np.concatenate([(self.sx_r @ xh @ sy).ravel(),
+                             (self.sx_o @ (xh @ self.sy_rT)).ravel()])
+        z = dgetrs(self.lu, self.piv, self.E @ x0, trans=1)[0][self.perm]
+        xh -= (self.sx_rT @ (z[:self.nr].reshape(4, -1) @ sy)
+               + (self.sx_oT @ z[self.nr:].reshape(-1, 4)) @ self.sy_r) * inv_lam
+        return _dstn(xh).ravel()
+
+
+def _dstn(a, axes=None):
+    """The orthonormal DST-I of a over axes (pocketfft's, which calls no
+    BLAS).  scipy.fft is imported at the first call: it adds ~3.5 MB to the
+    process, which grids below SINE_BOUND never need."""
+    from scipy import fft
+    return fft.dstn(a, type=1, norm="ortho", axes=axes)
+
+
+def _sin2_coefficients(quarter):
+    """c with sum_pq m_p m_q q[p, q] cos(p t) cos(q u) = sum_ab c[a, b]
+    sin^2(t / 2)^a sin^2(u / 2)^b for an even stencil, quarter[p, q] its
+    coefficient at offsets (+-p, +-q), p, q <= 2, counted m_0 = 1 and
+    m_1 = m_2 = 2 times.  cos(p t) is 1, 1 - 2 s and 1 - 8 s + 8 s^2 in
+    s = sin^2(t / 2); every term is a stencil entry times a power of two,
+    so each coefficient is the correctly rounded sum (math.fsum)."""
+    t = np.array([[1, 0, 0], [2, -4, 0], [2, -16, 16]])
+    return np.array([[math.fsum((quarter * np.outer(t[:, a], t[:, b])).ravel())
+                      for b in range(3)] for a in range(3)])
+
+
+def _sine_matrix(m):
+    """The orthonormal DST-I matrix of m points, symmetric and its own
+    inverse: entry (i, k) is sqrt(2 / (m + 1)) sin(pi (i + 1)(k + 1) / (m + 1))."""
+    k = np.arange(1, m + 1)
+    # the angle reduced mod 2 pi in integers first: sin of pi i k / (m + 1)
+    # itself would lose ~ i k eps of accuracy
+    return math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * m + 2)) / (m + 1))
+
+
+def _odd_stencil(st, mx, my):
+    """CSR matrix of the (5, 5) stencil st, entry (dx + 2, dy + 2) the
+    coefficient of x[i + dx, j + dy], on the (mx, my) x-major points,
+    reading x past its ends by odd reflection across the zero points -1
+    and m: x[-1 - k] = -x[k - 1] and x[m + k] = -x[m - k]."""
+    def reflect(m):
+        """The point and sign read for x[i + d], a row per d = -2..2."""
+        j = np.arange(m) + np.arange(-2, 3)[:, None]
+        sign = np.where((j < -1) | (j > m), -1.0, 1.0)
+        j = np.where(j < -1, -2 - j, np.where(j > m, 2 * m - j, j))
+        return j, np.where((j >= 0) & (j < m), sign, 0.0)
+
+    (ci, si), (cj, sj) = reflect(mx), reflect(my)
+    p, q = np.nonzero(st)
+    v = st[p, q][:, None, None] * si[p][:, :, None] * sj[q][:, None, :]
+    keep = v != 0.0
+    rows = np.broadcast_to(np.arange(mx * my).reshape(mx, my), v.shape)
+    cols = ci[p][:, :, None] * my + cj[q][:, None, :]
+    return sp.csr_matrix((v[keep], (rows[keep], cols[keep])), shape=(mx * my,) * 2)
 
 
 class _Band:
@@ -843,13 +1062,13 @@ class StepSolver:
     the state sweep's factor where the store holds one and factors the
     other steps' R.
 
-    Given the LU of an advection-free reduced step (the sweeps above the
-    bound pass the problem's reference factor, see
+    Given a direct solver of an advection-free reduced step (the sweeps
+    above the bound pass the problem's reference, see
     DiscreteOperators.reference_lu), each solve is refined iteratively
     against the current step's own R, which replaces a factorization per
     step; the solver then also holds |R| (for the round-off floor).  The
-    reference is symmetric and is applied in both directions through
-    SuperLU's transposed kernel.  Refinement starts from the polynomial
+    reference is symmetric and is applied in both directions through one
+    kernel, solve(b, trans="T").  Refinement starts from the polynomial
     extrapolation of the sweep's last three accepted psi in that direction
     (history; seed() starts the forward one), if that guess's residual is
     below |rhs|, and from zero otherwise.  When refinement does not reach

@@ -4,7 +4,7 @@ import pytest
 
 class _FactorSpy:
     """Stands in for slipctl.operators._factor; counts factorizations, by
-    SuperLU or band LU alike."""
+    SuperLU, band LU or sine-capacitance reference alike."""
 
     def __init__(self, factor):
         self._factor = factor
@@ -44,6 +44,15 @@ def refining(monkeypatch):
     the sweeps refine against the reference factor, as above the bound."""
     from slipctl import operators
     monkeypatch.setattr(operators, "BAND_BOUND", 0)
+
+
+@pytest.fixture
+def sine_reference(monkeypatch):
+    """The sine-capacitance reference (operators._SineLU) on every grid
+    where R0 has its structure (SINE_BOUND = 0), and SuperLU's where the
+    construction refuses R0, as above and below the bound."""
+    from slipctl import operators
+    monkeypatch.setattr(operators, "SINE_BOUND", 0)
 
 
 @pytest.fixture

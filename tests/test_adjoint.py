@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from slipctl.adjoint_solver import (AdjointProblem,
                                     adjoint_energy_check,
@@ -40,6 +41,16 @@ def refined_setup(refining):
     """setup on the refinement side of the band rule: its sweeps refine
     against the reference factor, as on every grid above the bound."""
     return _setup()
+
+
+@pytest.fixture
+def sine_setup(refining, sine_reference):
+    """refined_setup with the sine-capacitance reference (8x8 has a vertex
+    outside the two outer rings)."""
+    from slipctl.operators import _SineLU
+    out = _setup()
+    assert isinstance(out[0].ops._reference[1], _SineLU)
+    return out
 
 
 @pytest.fixture(params=["setup", "refined_setup"])
@@ -220,25 +231,38 @@ def test_export_kernels_csv(tmp_path, setup):
         assert lines[1] == "%.17g,%.17g,%.17g" % (t1, grid.boundary_s[0], kern[1, 0])
 
 
-def test_sweeps_share_one_reference_factor(refined_setup, factor_spy):
-    """Once a problem's reference factor is in the slot, a state solve, an
-    adjoint sweep and a tangent sweep at other controls factor nothing."""
-    grid, tg, prob, traj = refined_setup
+def test_sweeps_share_one_reference_factor(sine_setup, factor_spy, monkeypatch):
+    """Once a problem's reference is in the slot, a state solve, an adjoint
+    sweep and a tangent sweep at other controls construct no reference and
+    factor nothing."""
+    from slipctl.operators import _SineLU
+    grid, tg, prob, traj = sine_setup
     rng = np.random.default_rng(31)
     ctrl = random_admissible_control(grid, tg, rng, amplitude=0.3)
     other = StateProblem(grid, tg, prob.y0, ctrl, prob.friction, validate=False)
+    ref = grid.ops._reference[1]
+    built, real = [], _SineLU.factor
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(_SineLU, "factor", counting)
     factor_spy.calls = 0
     for p in (prob, other):
         base = solve_state(p)
         solve_adjoint(AdjointProblem(p, base, random_source(grid, tg, 32)))
         d = random_admissible_control(grid, tg, rng, amplitude=0.3)
         solve_linearized(LinearizedProblem(p, base, d.a, d.b))
-    assert factor_spy.calls == 0
+    assert built == [] and factor_spy.calls == 0
+    assert grid.ops._reference[1] is ref
 
 
-def test_sweeps_bitwise_equal_for_cold_warm_and_fresh_slots(refined_setup):
-    """The reference factor is a pure function of the problem: a cold slot,
-    a warm one and a fresh grid with the same key give the same bits."""
+def test_sweeps_bitwise_equal_for_cold_warm_and_fresh_slots(refined_setup, monkeypatch):
+    """The reference is a pure function of the problem: a cold slot, a warm
+    one and a fresh grid with the same key give the same bits, with
+    SuperLU's reference and with the sine-capacitance one."""
+    from slipctl import operators
     grid, tg, prob, traj = refined_setup
     U = random_source(grid, tg, 33)
 
@@ -247,16 +271,21 @@ def test_sweeps_bitwise_equal_for_cold_warm_and_fresh_slots(refined_setup):
         adj = solve_adjoint(AdjointProblem(p, t, U))
         return [t.y, t.p, adj.kernel_a, adj.kernel_b]
 
-    warm = run(prob)
-    grid.ops._reference = None
-    cold = run(prob)
-    g2 = build_grid(8, 8, 1.0, 1.0)
-    c = prob.controls
-    fresh = run(StateProblem(g2, tg, np.zeros(g2.ops.N),
-                             BoundaryControl(g2, tg, c.a, c.b, c.p_exponent, c.radius),
-                             validate=False))
-    for other in (cold, fresh):
-        assert all(np.array_equal(x, y) for x, y in zip(warm, other))
+    for kind, bound in ((spla.SuperLU, operators.SINE_BOUND), (operators._SineLU, 0)):
+        monkeypatch.setattr(operators, "SINE_BOUND", bound)
+        grid.ops._reference = None
+        run(prob)                   # fills the slot with this kind of reference
+        assert isinstance(grid.ops._reference[1], kind)
+        warm = run(prob)
+        grid.ops._reference = None
+        cold = run(prob)
+        g2 = build_grid(8, 8, 1.0, 1.0)
+        c = prob.controls
+        fresh = run(StateProblem(g2, tg, np.zeros(g2.ops.N),
+                                 BoundaryControl(g2, tg, c.a, c.b, c.p_exponent, c.radius),
+                                 validate=False))
+        for other in (cold, fresh):
+            assert all(np.array_equal(x, y) for x, y in zip(warm, other))
 
 
 def _sweep_outputs(p, U, d):
@@ -369,12 +398,14 @@ def test_residual_failure_names_the_first_step_in_marching_order(setup, monkeypa
             run()
 
 
-def test_reference_factor_failure_names_its_sweep(refined_setup, monkeypatch):
-    """A reference step that fails to factor is reported with its sweep and
-    step, as a failure inside the step loop is."""
+def test_reference_factor_failure_names_its_sweep(sine_setup, monkeypatch):
+    """A reference whose construction fails (here the LU of the sine
+    reference's capacitance matrix, of the |B| = 40 vertices of the two
+    outer rings at 8x8) is reported with its sweep and step, as a failure
+    inside the step loop is."""
     from slipctl import operators
     from slipctl.errors import SolverDivergence
-    grid, tg, prob, traj = refined_setup
+    grid, tg, prob, traj = sine_setup
     d = random_admissible_control(grid, tg, np.random.default_rng(34), amplitude=0.3)
     sweeps = {
         "state": lambda: solve_state(prob),
@@ -383,8 +414,11 @@ def test_reference_factor_failure_names_its_sweep(refined_setup, monkeypatch):
         "linearized": lambda: solve_linearized(LinearizedProblem(prob, traj, d.a, d.b)),
     }
 
+    shapes = []
+
     class Singular:
-        def splu(self, *args, **kwargs):
+        def splu(self, A, *args, **kwargs):
+            shapes.append(A.shape)
             raise RuntimeError("Factor is exactly singular")
 
     grid.ops._reference = None
@@ -393,6 +427,7 @@ def test_reference_factor_failure_names_its_sweep(refined_setup, monkeypatch):
         with pytest.raises(SolverDivergence, match=r"^%s step 1 \(reference factor\): "
                            "step matrix factorization failed" % name):
             run()
+    assert shapes == [(40, 40)] * 3
 
 
 class _CountingMap:

@@ -630,3 +630,35 @@ def test_solve_keeps_no_steps_and_grad_check_factors_each_step_once(tmp_path, mo
     factor_log.clear()
     assert main(["grad-check", "--config", cfg, "--out", str(tmp_path / "gc")]) == EXIT_OK
     assert [sweep for sweep, _ in factor_log] == ["state"] * (6 * 13)
+
+
+def test_grad_check_keeps_the_steps_of_the_base_control_only(tmp_path, monkeypatch):
+    """A 3-direction grad-check builds one StepStore, for the base control,
+    whose tangent and adjoint sweeps read it; its 12 finite-difference
+    costs keep no steps.  gradcheck.csv and gradcheck.json are byte for
+    byte those of a run whose finite-difference costs keep their steps."""
+    from slipctl import control_opt
+    from slipctl.operators import StepStore
+    real_store, stores = StepStore.__init__, []
+
+    def store(self, *args):
+        stores.append(args)
+        real_store(self, *args)
+
+    monkeypatch.setattr(StepStore, "__init__", store)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "gc"
+    assert main(["grad-check", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert len(stores) == 1
+
+    real_entry = control_opt.GradientEngine.entry
+
+    def keeping(self, controls, keep_steps=True):
+        return real_entry(self, controls)
+
+    monkeypatch.setattr(control_opt.GradientEngine, "entry", keeping)
+    stores.clear()
+    kept = tmp_path / "kept"
+    assert main(["grad-check", "--config", cfg, "--out", str(kept)]) == EXIT_OK
+    assert len(stores) == 13
+    _assert_same_bytes(str(out), str(kept), ["gradcheck.csv", "gradcheck.json"])

@@ -1,0 +1,91 @@
+"""The exactness contract on a matrix of small problems, on every solve path.
+
+Each row of the matrix (grid, domain, time steps, viscosity, friction and
+control amplitude) is checked on the three ways a step is solved: the band
+side (a band LU of every step), refinement against SuperLU's reference
+(BAND_BOUND = 0) and refinement against the sine-capacitance reference
+(BAND_BOUND = SINE_BOUND = 0).  The contract's bounds are the program's:
+the energy identity closes to ENERGY_TOL, the duality residual of three
+direction/source pairs is within DUALITY_TOL and the adjoint gradient of
+a nonzero target, against Richardson differences in two directions, is
+within GRAD_CHECK_TOL.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse.linalg as spla
+
+from slipctl import operators
+from slipctl.adjoint_solver import (DUALITY_TOL, AdjointProblem, duality_residual,
+                                    solve_adjoint)
+from slipctl.cli import GRAD_CHECK_TOL
+from slipctl.control_opt import (CostParams, GradientEngine, fd_gradient_oracle,
+                                 random_admissible_control)
+from slipctl.fields import FrictionField
+from slipctl.linearized_solver import LinearizedProblem, solve_linearized
+from slipctl.mesh import TimeGrid, build_grid
+from slipctl.operators import StepStore
+from slipctl.state_solver import ENERGY_TOL, StateProblem, energy_identity_residual, solve_state
+
+# nx, ny, Lx, Ly, nt, nu, friction random in (t, s), control amplitude
+ROWS = {
+    "8x8": (8, 8, 1.0, 1.0, 8, 1.0, False, 0.3),
+    "12x5": (12, 5, 2.0, 0.5, 6, 1.0, True, 1.0),
+    "5x13": (5, 13, 0.5, 2.0, 6, 0.05, True, 1.0),
+    "16x16": (16, 16, 1.0, 1.0, 16, 0.01, True, 3.0),
+    "10x7": (10, 7, 1.3, 0.9, 10, 0.01, False, 10.0),
+    "4x4": (4, 4, 1.0, 1.0, 5, 1e-3, True, 3.0),
+}
+
+
+@pytest.fixture(params=["band", "superlu", "sine"])
+def path(request, monkeypatch):
+    if request.param != "band":
+        monkeypatch.setattr(operators, "BAND_BOUND", 0)
+    if request.param == "sine":
+        monkeypatch.setattr(operators, "SINE_BOUND", 0)
+    return request.param
+
+
+@pytest.mark.parametrize("row", ROWS)
+def test_contract_matrix(row, path):
+    nx, ny, Lx, Ly, nt, nu, random_friction, amplitude = ROWS[row]
+    grid, tg = build_grid(nx, ny, Lx, Ly), TimeGrid(0.5, nt)
+    ops = grid.ops
+    rng = np.random.default_rng(nx * 100 + ny)
+    alpha = rng.uniform(0.5, 1.5, (nt + 1, grid.n_boundary)) if random_friction else None
+    friction = FrictionField(grid, tg, alpha)
+    ctrl = random_admissible_control(grid, tg, rng, amplitude=amplitude)
+    y0 = np.zeros(ops.N)
+    prob = StateProblem(grid, tg, y0, ctrl, friction, nu=nu, validate=False)
+    traj = solve_state(prob, StepStore(ops, nt))
+
+    # the path taken: the sine reference wherever a vertex lies outside
+    # the two outer rings, SuperLU's where its construction refuses R0
+    ref = None if ops._reference is None else ops._reference[1]
+    if path == "band":
+        assert ref is None
+    elif path == "sine" and min(nx, ny) >= 6:
+        assert isinstance(ref, operators._SineLU)
+    else:
+        assert isinstance(ref, spla.SuperLU)
+
+    assert energy_identity_residual(traj, prob).max() <= ENERGY_TOL
+
+    for _ in range(3):
+        d = random_admissible_control(grid, tg, rng, amplitude=1.0)
+        z = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
+        U = rng.standard_normal((nt + 1, ops.N))
+        adj = solve_adjoint(AdjointProblem(prob, traj, U))
+        assert duality_residual(z, adj, U, d.a, d.b, base_hash=traj.config_hash) <= DUALITY_TOL
+
+    y_d = 0.3 * rng.standard_normal((nt + 1, ops.N))
+    engine = GradientEngine(y0, CostParams(y_d=y_d, lam1=1e-3, lam2=1e-3), friction, nu)
+    grad, _ = engine.gradient(ctrl)
+    for _ in range(2):
+        d = random_admissible_control(grid, tg, rng, amplitude=1.0)
+        adj_dd = grad.pair(d.a, d.b)
+        fd = fd_gradient_oracle(engine, ctrl, (d.a, d.b), [2e-3, 1e-3])
+        rich = fd["richardson"]
+        denom = max(abs(adj_dd), abs(rich), fd["round_off"] / GRAD_CHECK_TOL)
+        assert abs(adj_dd - rich) / denom <= GRAD_CHECK_TOL

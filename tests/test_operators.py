@@ -406,21 +406,112 @@ def test_far_reference_falls_back_to_own_factor(factor_spy):
 
 
 @pytest.mark.parametrize("shape", [(7, 5, 1.2, 0.8), (9, 4, 1.0, 1.0), (16, 16, 1.0, 1.0)])
-def test_reference_is_symmetric(shape):
+def test_reference_is_symmetric(shape, monkeypatch):
     """Without advection the step operator is exactly symmetric, and the
     reduced map adds the mirrored terms of R0 = Ci^T L Ci in the same
     order, so R0 - R0^T is exactly zero; a solve through the transposed
-    kernel then matches the plain one."""
+    kernel then matches the plain one.  So it does with the bound of the
+    sine-capacitance reference at 0: it solves R0 at 16x16, and SuperLU's
+    factor does on the grids with no vertex outside the two outer rings,
+    whose R0 its construction refuses."""
+    import scipy.sparse.linalg as spla
+    from slipctl import operators
     grid = build_grid(*shape)
     ops = grid.ops
     rng = np.random.default_rng(41)
+    sine = operators._SineLU if shape[0] == 16 else spla.SuperLU
+    kinds = ((spla.SuperLU, operators.SINE_BOUND), (sine, 0))
     for dt, nu in ((0.05, 1.0), (0.0137, 0.01)):
         alpha = rng.uniform(0.2, 2.0, grid.n_boundary)
         R0 = reduced_matrix(ops, ops.step_matrix(dt, nu, alpha, np.zeros(ops.N)).data)
         assert (R0 - R0.T).count_nonzero() == 0
-        lu = ops.reference_lu(dt, nu, alpha)
-        b = rng.standard_normal(R0.shape[0])
-        assert _rel(lu.solve(b, trans="T"), lu.solve(b)) <= 1e-13
+        for kind, bound in kinds:
+            monkeypatch.setattr(operators, "SINE_BOUND", bound)
+            ops._reference = None
+            lu = ops.reference_lu(dt, nu, alpha)
+            assert isinstance(lu, kind)
+            b = rng.standard_normal(R0.shape[0])
+            assert _rel(lu.solve(b, trans="T"), lu.solve(b)) <= 1e-13
+            assert np.linalg.norm(R0 @ lu.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("shape", [(24, 24, 1.0, 1.0), (30, 48, 1.0, 1.6), (48, 30, 1.3, 1.0)])
+def test_sine_reference_matches_superlu(shape):
+    """The sine-capacitance solve of R0 matches SuperLU's to 1e-12 relative
+    and leaves a residual within 4x of SuperLU's round-off floor, on square
+    and non-square grids, with random friction and nu down to 1e-3.  B is
+    the two outer rings of interior vertices."""
+    from slipctl.operators import _SineLU, _factor
+    grid = build_grid(*shape)
+    ops = grid.ops
+    mx, my = shape[0] - 1, shape[1] - 1
+    rng = np.random.default_rng(shape[0] * shape[1])
+    eps = np.finfo(float).eps
+    for dt, nu in ((0.5 / 32, 1.0), (0.0137, 0.01), (0.05, 1e-3)):
+        alpha = rng.uniform(0.0, 3.0, grid.n_boundary)
+        R0 = reduced_matrix(ops, ops.step_matrix(dt, nu, alpha, np.zeros(ops.N)).data).tocsc()
+        sine = _SineLU(mx, my).factor(R0)
+        assert sine.ring.size == 4 * (mx + my) - 16
+        slu = _factor(R0)
+        for _ in range(2):
+            b = rng.standard_normal(R0.shape[0])
+            x = sine.solve(b)
+            assert _rel(x, slu.solve(b, trans="T")) <= 1e-12
+            floor = eps * np.linalg.norm(abs(R0) @ abs(x) + abs(b))
+            assert np.linalg.norm(b - R0 @ x) <= 4 * floor
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="needs a long double wider than double")
+def test_sine_reference_eigenvalues_are_exact_in_the_smooth_modes():
+    """The eigenvalues of S match the sum over its stencil of
+    st cos(p t) cos(q u) evaluated in long double to 1e-12 relative, in
+    every mode.  That sum in double cancels to ~eps sum|st| in the smooth
+    modes (2e-11 relative at 48x48), where the solve's error hardly shows
+    in its residual."""
+    from slipctl.operators import _SineLU
+    ops = build_grid(48, 48, 1.0, 1.0).ops
+    R0 = reduced_matrix(ops, ops.step_matrix(0.125, 1.0, np.ones(ops.n_boundary),
+                                             np.zeros(ops.N)).data)
+    m, mid = 47, 23 * 47 + 23
+    cols = R0.indices[R0.indptr[mid]:R0.indptr[mid + 1]]
+    st = np.zeros((5, 5), dtype=np.longdouble)
+    st[cols // m - 21, cols % m - 21] = R0.data[R0.indptr[mid]:R0.indptr[mid + 1]]
+    theta = (np.longdouble(np.pi) / (m + 1)
+             * np.outer(np.arange(-2, 3), np.arange(1, m + 1)).astype(np.longdouble))
+    lam = np.cos(theta).T @ st @ np.cos(theta)
+    sine = _SineLU(m, m).factor(R0.tocsc())
+    assert np.abs(1.0 / sine.inv_lam / lam - 1.0).max() <= 1e-12
+
+
+def test_sine_reference_refuses_other_structure():
+    """The construction refuses, returning None, a matrix whose E = R0 - S
+    has an entry outside the two outer rings (the reference then factors
+    R0 with SuperLU), a stencil that is not even, and a grid with no vertex
+    outside the rings."""
+    import scipy.sparse.linalg as spla
+    from slipctl.operators import _SineLU, _factor
+    ops = build_grid(16, 16, 1.0, 1.0).ops
+    R0 = reduced_matrix(ops, ops.step_matrix(0.05, 1.0, np.ones(ops.n_boundary),
+                                             np.zeros(ops.N)).data).tocsc()
+    assert isinstance(_SineLU(15, 15).factor(R0), _SineLU)
+    # vertices (4, 6) and (5, 6), two and three rows in from the walls: an
+    # entry of E between them, and one between (4, 6) and (1, 6) on a ring
+    for i, j in ((4 * 15 + 6, 5 * 15 + 6), (4 * 15 + 6, 1 * 15 + 6)):
+        A = R0.tolil()
+        A[i, j] += 1.0
+        A[j, i] += 1.0
+        assert _SineLU(15, 15).factor(A.tocsc()) is None
+        assert isinstance(_factor(A.tocsc(), into=_SineLU(15, 15)), spla.SuperLU)
+    # an odd stencil: R0 plus a skew coupling of every vertex to its
+    # neighbours in y, which leaves the middle row uneven in dy
+    skew = sp.kron(sp.eye(15), sp.diags([1.0, -1.0], [1, -1], shape=(15, 15)))
+    assert _SineLU(15, 15).factor((R0 + skew).tocsc()) is None
+    for nx, ny in ((5, 13), (12, 5), (4, 4)):
+        o = build_grid(nx, ny, 1.0, 1.0).ops
+        A = reduced_matrix(o, o.step_matrix(0.05, 1.0, np.ones(o.n_boundary),
+                                            np.zeros(o.N)).data).tocsc()
+        assert _SineLU(nx - 1, ny - 1).factor(A) is None
 
 
 @pytest.mark.parametrize("shape", [(7, 5, 1.2, 0.8), (4, 9, 1.0, 2.0), (16, 16, 1.0, 1.0)])
