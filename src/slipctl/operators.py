@@ -57,11 +57,17 @@ BAND_STORE_BYTES = 8 * 2 ** 20
 BAND_BOUND = 6e5
 # the reference of the refining sweeps solves R0 by sine transforms and a
 # wall capacitance matrix (_SineLU) where the grid has at least this many
-# interior vertices, and on a SuperLU factor below it; measured crossover
-# of the gradient time on square grids, demo physics, nt = 32 (sine over
-# SuperLU, medians of 10 alternations): 48x48 0.88, 52x52 1.04, 56x56
-# (3,025) 1.05 outside, 60x60 (3,481) 0.90 inside
-SINE_BOUND = 3200
+# interior vertices, and on a SuperLU factor below it; measured on square
+# grids, demo physics, nt = 32, sine over SuperLU, gradient time (medians
+# of 10-16 alternations) and one solve: 32x32 1.00-1.04 and 1.16, 34x34
+# 1.00 and 1.08, 36x36 (1,225) 1.04-1.06 and 0.97 outside; 38x38 (1,369)
+# 0.91 and 0.93, 40x40 0.87 and 0.83, 48x48 0.83-0.91 and 0.67 inside
+SINE_BOUND = 1300
+# OpenBLAS computes a matrix product of at most this many multiply-adds on
+# one thread, whatever its thread count (_mm)
+_ONE_THREAD = 2 ** 18
+# terms of the inner index that one product sums in _SineLU's last product
+_SUM_BLOCK = 16
 _EPS = np.finfo(float).eps
 
 
@@ -540,20 +546,25 @@ class _SineLU:
     factor(R0) splits R0 = S + P_B E P_B^T.  S is R0's interior stencil,
     read off the middle vertex and closed by odd reflection across the
     boundary vertices, so the orthonormal 2-D DST-I Phi diagonalizes it:
-    S = Phi diag(lam) Phi.  B (ring, x-major within its two parts) holds
-    the two outer rings of vertices, where the walls' one-sided stencils
-    and the friction put R0's corrections E.  With C = P_B^T S^-1 P_B, built
-    block by block by batches of DST-Is, a solve is
+    S = Phi diag(lam) Phi, Phi x = sx x sy for the symmetric 1-D sine
+    matrices sx, sy.  B (ring, x-major within its two parts) holds the two
+    outer rings of vertices, where the walls' one-sided stencils and the
+    friction put R0's corrections E.  With C = P_B^T S^-1 P_B, built block
+    by block from the sine matrices, a solve is
 
         x0 = S^-1 b,   z = (I + E C)^-1 E x0_B,   x = x0 - S^-1 P_B z:
 
-    one forward DST-I, the values on B by thin products with the 1-D sine
+    one forward DST-I, the values on B by thin products with the sine
     matrices, z on the LU of the capacitance matrix I + E C (|B| = 488 at
     64x64, 1000 at 128x128), the rings' correction subtracted in transform
-    space and one inverse DST-I.  No step's bits follow the BLAS thread
-    count: the transforms are pocketfft's, the thin products small enough
-    that OpenBLAS computes them on one thread, and the capacitance matrix
-    is factored by SuperLU, not LAPACK's threaded dgetrf, and solved by
+    space and one inverse DST-I.  The transforms are matrix products:
+    O(m^3) against an FFT's O(m^2 log m), but on grids up to 128x128 they
+    are the faster (at 64x64 under half of pocketfft's time), and they
+    import no FFT module.  The last product sums its inner index in blocks
+    (_last), which keeps the solve's backward error near SuperLU's.  No
+    bits follow the BLAS thread count: every product goes through _mm,
+    which keeps each BLAS call on one thread; the capacitance matrix is
+    factored by SuperLU, not LAPACK's threaded dgetrf, and solved by
     dgetrs (two triangular solves).
 
     factor() refuses, returning None, a matrix whose stencil reaches past
@@ -605,11 +616,11 @@ class _SineLU:
         # the columns ry; each x-major
         rx, ry = np.array([0, 1, mx - 2, mx - 1]), np.array([0, 1, my - 2, my - 1])
         ox = np.arange(2, mx - 2)
-        sx, sy = _sine_matrix(mx), _sine_matrix(my)
+        self.sx, self.sy = sx, sy = _sine_matrix(mx), _sine_matrix(my)
         self.sx_r, self.sx_o, self.sy_r = sx[rx], sx[ox], sy[ry]
         self.sx_rT, self.sx_oT, self.sy_rT = (np.ascontiguousarray(m.T) for m in
                                               (self.sx_r, self.sx_o, self.sy_r))
-        self.sy, self.nr = sy, 4 * my
+        self.nr = 4 * my
         self.ring = b = np.concatenate([(rx[:, None] * my + np.arange(my)).ravel(),
                                         (ox[:, None] * my + ry).ravel()])
         where = np.empty(mx * my, dtype=np.intp)
@@ -630,64 +641,82 @@ class _SineLU:
             raise SolverDivergence("%s factorization failed: capacitance matrix: %s"
                                    % (what, exc))
         del M, Mt
-        # L's unit diagonal overwritten by U's
+        # L's unit diagonal overwritten by U's; perm_r is copied, since the
+        # array SuperLU hands out keeps its whole factor alive
         self.lu = np.empty((m, m), order="F")
         flat = self.lu.reshape(-1, order="F")
         for f in (lu.L, lu.U):
             cols = np.repeat(np.arange(m, dtype=np.int32), np.diff(f.indptr))
             flat[f.indices + m * cols] = f.data
-        self.piv, self.perm, self.E = np.arange(m, dtype=np.int32), lu.perm_r, E
+        self.piv, self.perm, self.E = np.arange(m, dtype=np.int32), lu.perm_r.copy(), E
         return self
 
     def _capacitance(self):
         """C = P_B^T S^-1 P_B, block by block.  S^-1 couples vertices (i, j)
         and (k, l) by sum_pq sx[i, p] sx[k, p] sy[j, q] sy[l, q] inv[p, q],
-        with inv = 1 / lam, so each block is a batch of 2-D DST-Is, laid out
-        in B's order."""
+        with inv = 1 / lam: each block is one sum by einsum and products
+        with the sine matrices, laid out in B's order."""
         inv, mx, my, nr = self.inv_lam, self.mx, self.my, self.nr
-        sxr, syr, no = self.sx_r, self.sy_r, mx - 4
+        sxr, syr, sy, no = self.sx_r, self.sy_r, self.sy, mx - 4
         C = np.empty((nr + 4 * no,) * 2)
-
-        def block(rows, cols, shape):
-            """C[rows, cols] as a view of the given shape."""
-            view = C[rows, cols].view()
-            view.shape = shape              # raises rather than copy
-            return view
-
-        # rows a, b with rows: the DST of diag(w[a, b]), (a, j, b, l)
-        w = np.einsum("ap,bp,pq->aqb", sxr, sxr, inv)
-        C[:nr, :nr] = _dstn(w[..., None] * np.eye(my)[:, None, :], (1, 3)).reshape(nr, nr)
-        # rows a with columns c of the other rows: the DST of
-        # sx[a, p] inv[p, q] sy[c, q], (a, j, k, c)
-        ro = _dstn(sxr[:, None, :, None] * inv.T[None, :, :, None] * syr.T[None, :, None, :],
-                   (1, 2))
-        block(slice(None, nr), slice(nr, None), (4, my, no, 4))[...] = ro[:, :, 2:-2]
+        # rows a, b with rows: sum_q sy[j, q] w[a, b, q] sy[l, q], (a, j, b, l)
+        w = np.einsum("ap,bp,pq->abq", sxr, sxr, inv)
+        C[:nr, :nr] = _mm((sy[None, :, None, :] * w[:, None]).reshape(-1, my),
+                          sy).reshape(nr, nr)
+        # rows a with columns c of the other rows: sum_q sy[j, q] syr[c, q]
+        # sum_p sxr[a, p] inv[p, q] sx[k, p], (a, j, k, c) from (j, a, k, c)
+        y = _mm((sxr[:, None, :] * inv.T).reshape(-1, mx), self.sx_oT).reshape(4, my, no)
+        z = (y.transpose(1, 0, 2)[..., None] * syr.T[:, None, None, :]).reshape(my, -1)
+        C[:nr, nr:] = _mm(sy, z).reshape(my, 4, -1).transpose(1, 0, 2).reshape(nr, -1)
         C[nr:, :nr] = C[:nr, nr:].T
-        # columns c, d of the other rows with each other: (i, c, k, d)
-        v = np.einsum("cq,dq,pq->pcd", syr, syr, inv)
-        oo = _dstn(v[:, :, None, :] * np.eye(mx)[:, None, :, None], (0, 2))
-        block(slice(nr, None), slice(nr, None), (no, 4, no, 4))[...] = oo[2:-2, :, 2:-2]
+        # columns c, d of the other rows with each other: sum_p sx[i, p]
+        # v[c, d, p] sx[k, p], (i, c, k, d) from (i, c, d, k)
+        v = np.einsum("cq,dq,pq->cdp", syr, syr, inv)
+        oo = _mm((self.sx_o[:, None, None, :] * v).reshape(-1, mx), self.sx_oT)
+        C[nr:, nr:] = oo.reshape(no, 4, 4, no).transpose(0, 1, 3, 2).reshape(4 * no, -1)
         return C
+
+    def _last(self, w):
+        """w @ sy, the last product of a solve, in blocks of _SUM_BLOCK
+        terms of its inner index, one _mm each, added in order.  One
+        product sums each entry in a chain of my terms, and in the last
+        product that rounding set the solve's backward error: 0.72 of the
+        round-off floor at 64x64 against 0.45 so and SuperLU's 0.32.  The
+        refinement's reference solves per step follow it (5.92 against
+        5.68 and 5.67 a step at 64x64, nt = 4)."""
+        sy = self.sy
+        out = _mm(w[:, :_SUM_BLOCK], sy[:_SUM_BLOCK])
+        for i in range(_SUM_BLOCK, self.my, _SUM_BLOCK):
+            out += _mm(w[:, i:i + _SUM_BLOCK], sy[i:i + _SUM_BLOCK])
+        return out
 
     def solve(self, b, trans="N"):
         """x with A x = b; A is symmetric, so trans changes nothing."""
-        sy, inv_lam = self.sy, self.inv_lam
-        xh = _dstn(b.reshape(self.mx, self.my))
+        sx, sy, inv_lam = self.sx, self.sy, self.inv_lam
+        xh = _mm(_mm(sx, b.reshape(self.mx, self.my)), sy)
         xh *= inv_lam
-        x0 = np.concatenate([(self.sx_r @ xh @ sy).ravel(),
-                             (self.sx_o @ (xh @ self.sy_rT)).ravel()])
+        x0 = np.concatenate([_mm(_mm(self.sx_r, xh), sy).ravel(),
+                             _mm(self.sx_o, _mm(xh, self.sy_rT)).ravel()])
         z = dgetrs(self.lu, self.piv, self.E @ x0, trans=1)[0][self.perm]
-        xh -= (self.sx_rT @ (z[:self.nr].reshape(4, -1) @ sy)
-               + (self.sx_oT @ z[self.nr:].reshape(-1, 4)) @ self.sy_r) * inv_lam
-        return _dstn(xh).ravel()
+        xh -= (_mm(self.sx_rT, _mm(z[:self.nr].reshape(4, -1), sy))
+               + _mm(_mm(self.sx_oT, z[self.nr:].reshape(-1, 4)), self.sy_r)) * inv_lam
+        return self._last(_mm(sx, xh)).ravel()
 
 
-def _dstn(a, axes=None):
-    """The orthonormal DST-I of a over axes (pocketfft's, which calls no
-    BLAS).  scipy.fft is imported at the first call: it adds ~3.5 MB to the
-    process, which grids below SINE_BOUND never need."""
-    from scipy import fft
-    return fft.dstn(a, type=1, norm="ortho", axes=axes)
+def _mm(a, b):
+    """a @ b of 2-D arrays, in blocks of a's rows of at most _ONE_THREAD
+    multiply-adds each: OpenBLAS computes such a product on one thread and
+    splits a larger one between threads, which changed its last bits under
+    1 and 2 threads (a 127x127 square product did).  A row whose product
+    alone is past the bound (b larger than 512 x 512) is not split."""
+    m, (k, n) = a.shape[0], b.shape
+    rows = max(1, _ONE_THREAD // (k * n))
+    if rows >= m:
+        return a @ b
+    out = np.empty((m, n))
+    for i in range(0, m, rows):
+        np.matmul(a[i:i + rows], b, out=out[i:i + rows])
+    return out
 
 
 def _sin2_coefficients(quarter):

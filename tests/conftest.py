@@ -47,15 +47,6 @@ def refining(monkeypatch):
 
 
 @pytest.fixture
-def sine_reference(monkeypatch):
-    """The sine-capacitance reference (operators._SineLU) on every grid
-    where R0 has its structure (SINE_BOUND = 0), and SuperLU's where the
-    construction refuses R0, as above and below the bound."""
-    from slipctl import operators
-    monkeypatch.setattr(operators, "SINE_BOUND", 0)
-
-
-@pytest.fixture
 def stokes_slip_solve():
     """One implicit step of the linearized (Picard) slip system, solved on
     the step's own factor: (grid, advecting, y_prev, a_next, b_next,

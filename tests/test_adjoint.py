@@ -43,14 +43,15 @@ def refined_setup(refining):
     return _setup()
 
 
-@pytest.fixture
-def sine_setup(refining, sine_reference):
-    """refined_setup with the sine-capacitance reference (8x8 has a vertex
-    outside the two outer rings)."""
-    from slipctl.operators import _SineLU
-    out = _setup()
-    assert isinstance(out[0].ops._reference[1], _SineLU)
-    return out
+def _each_reference(monkeypatch, grid):
+    """Yield, with an empty slot, SuperLU's reference type and then the
+    sine-capacitance one, with SINE_BOUND set so that reference_lu builds
+    that type on grid (8x8 has a vertex outside the two outer rings)."""
+    from slipctl import operators
+    for kind, bound in ((spla.SuperLU, operators.SINE_BOUND), (operators._SineLU, 0)):
+        monkeypatch.setattr(operators, "SINE_BOUND", bound)
+        grid.ops._reference = None
+        yield kind
 
 
 @pytest.fixture(params=["setup", "refined_setup"])
@@ -231,16 +232,13 @@ def test_export_kernels_csv(tmp_path, setup):
         assert lines[1] == "%.17g,%.17g,%.17g" % (t1, grid.boundary_s[0], kern[1, 0])
 
 
-def test_sweeps_share_one_reference_factor(sine_setup, factor_spy, monkeypatch):
+def test_sweeps_share_one_reference_factor(refined_setup, factor_spy, monkeypatch):
     """Once a problem's reference is in the slot, a state solve, an adjoint
     sweep and a tangent sweep at other controls construct no reference and
-    factor nothing."""
+    factor nothing, with SuperLU's reference and with the sine-capacitance
+    one."""
     from slipctl.operators import _SineLU
-    grid, tg, prob, traj = sine_setup
-    rng = np.random.default_rng(31)
-    ctrl = random_admissible_control(grid, tg, rng, amplitude=0.3)
-    other = StateProblem(grid, tg, prob.y0, ctrl, prob.friction, validate=False)
-    ref = grid.ops._reference[1]
+    grid, tg, prob, traj = refined_setup
     built, real = [], _SineLU.factor
 
     def counting(self, *args, **kwargs):
@@ -248,21 +246,28 @@ def test_sweeps_share_one_reference_factor(sine_setup, factor_spy, monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(_SineLU, "factor", counting)
-    factor_spy.calls = 0
-    for p in (prob, other):
-        base = solve_state(p)
-        solve_adjoint(AdjointProblem(p, base, random_source(grid, tg, 32)))
-        d = random_admissible_control(grid, tg, rng, amplitude=0.3)
-        solve_linearized(LinearizedProblem(p, base, d.a, d.b))
-    assert built == [] and factor_spy.calls == 0
-    assert grid.ops._reference[1] is ref
+    for kind in _each_reference(monkeypatch, grid):
+        rng = np.random.default_rng(31)
+        ctrl = random_admissible_control(grid, tg, rng, amplitude=0.3)
+        other = StateProblem(grid, tg, prob.y0, ctrl, prob.friction, validate=False)
+        solve_state(prob)           # fills the slot with this kind of reference
+        ref = grid.ops._reference[1]
+        assert isinstance(ref, kind)
+        del built[:]
+        factor_spy.calls = 0
+        for p in (prob, other):
+            base = solve_state(p)
+            solve_adjoint(AdjointProblem(p, base, random_source(grid, tg, 32)))
+            d = random_admissible_control(grid, tg, rng, amplitude=0.3)
+            solve_linearized(LinearizedProblem(p, base, d.a, d.b))
+        assert built == [] and factor_spy.calls == 0
+        assert grid.ops._reference[1] is ref
 
 
 def test_sweeps_bitwise_equal_for_cold_warm_and_fresh_slots(refined_setup, monkeypatch):
     """The reference is a pure function of the problem: a cold slot, a warm
     one and a fresh grid with the same key give the same bits, with
     SuperLU's reference and with the sine-capacitance one."""
-    from slipctl import operators
     grid, tg, prob, traj = refined_setup
     U = random_source(grid, tg, 33)
 
@@ -271,9 +276,7 @@ def test_sweeps_bitwise_equal_for_cold_warm_and_fresh_slots(refined_setup, monke
         adj = solve_adjoint(AdjointProblem(p, t, U))
         return [t.y, t.p, adj.kernel_a, adj.kernel_b]
 
-    for kind, bound in ((spla.SuperLU, operators.SINE_BOUND), (operators._SineLU, 0)):
-        monkeypatch.setattr(operators, "SINE_BOUND", bound)
-        grid.ops._reference = None
+    for kind in _each_reference(monkeypatch, grid):
         run(prob)                   # fills the slot with this kind of reference
         assert isinstance(grid.ops._reference[1], kind)
         warm = run(prob)
@@ -398,14 +401,14 @@ def test_residual_failure_names_the_first_step_in_marching_order(setup, monkeypa
             run()
 
 
-def test_reference_factor_failure_names_its_sweep(sine_setup, monkeypatch):
-    """A reference whose construction fails (here the LU of the sine
-    reference's capacitance matrix, of the |B| = 40 vertices of the two
-    outer rings at 8x8) is reported with its sweep and step, as a failure
-    inside the step loop is."""
+def test_reference_factor_failure_names_its_sweep(refined_setup, monkeypatch):
+    """A reference whose construction fails is reported with its sweep and
+    step, as a failure inside the step loop is: SuperLU's factorization of
+    R0 (49 interior vertices at 8x8), and the LU of the sine reference's
+    capacitance matrix (the |B| = 40 vertices of the two outer rings)."""
     from slipctl import operators
     from slipctl.errors import SolverDivergence
-    grid, tg, prob, traj = sine_setup
+    grid, tg, prob, traj = refined_setup
     d = random_admissible_control(grid, tg, np.random.default_rng(34), amplitude=0.3)
     sweeps = {
         "state": lambda: solve_state(prob),
@@ -421,13 +424,14 @@ def test_reference_factor_failure_names_its_sweep(sine_setup, monkeypatch):
             shapes.append(A.shape)
             raise RuntimeError("Factor is exactly singular")
 
-    grid.ops._reference = None
     monkeypatch.setattr(operators, "spla", Singular())
-    for name, run in sweeps.items():
-        with pytest.raises(SolverDivergence, match=r"^%s step 1 \(reference factor\): "
-                           "step matrix factorization failed" % name):
-            run()
-    assert shapes == [(40, 40)] * 3
+    for kind, n in zip(_each_reference(monkeypatch, grid), (49, 40)):
+        del shapes[:]
+        for name, run in sweeps.items():
+            with pytest.raises(SolverDivergence, match=r"^%s step 1 \(reference factor\): "
+                               "step matrix factorization failed" % name):
+                run()
+        assert shapes == [(n, n)] * 3
 
 
 class _CountingMap:

@@ -514,6 +514,31 @@ def test_sine_reference_refuses_other_structure():
         assert _SineLU(nx - 1, ny - 1).factor(A) is None
 
 
+_SINE_128 = """
+import hashlib
+import numpy as np
+import scipy.sparse as sp
+from slipctl.mesh import build_grid
+from slipctl.operators import _SineLU
+ops = build_grid(128, 128, 1.0, 1.0).ops
+alpha = np.random.default_rng(5).uniform(0.5, 2.0, ops.n_boundary)
+data = ops.reduced_data(ops.step_matrix(0.5 / 32, 0.01, alpha, np.zeros(ops.N)).data)
+n = ops.reduced_indptr.size - 1
+R0 = sp.csc_matrix((data, ops.reduced_indices, ops.reduced_indptr), shape=(n, n))
+lu = _SineLU(127, 127).factor(R0)
+x = lu.solve(np.random.default_rng(6).standard_normal(n))
+print(hashlib.sha256(lu.lu.tobytes() + x.tobytes()).hexdigest())
+"""
+
+
+def test_sine_reference_bits_do_not_follow_the_blas_thread_count():
+    """At 128x128 the sine reference's capacitance LU and a solve have the
+    same bits under 1 and 2 BLAS threads: its 127 x 127 square products,
+    which OpenBLAS would split between threads, are made in row blocks
+    that each stay on one thread (_mm)."""
+    assert run_child(_SINE_128, threads=1) == run_child(_SINE_128, threads=2)
+
+
 @pytest.mark.parametrize("shape", [(7, 5, 1.2, 0.8), (4, 9, 1.0, 2.0), (16, 16, 1.0, 1.0)])
 def test_curl_is_annihilated_by_the_divergence(shape):
     """D C = 0 as a matrix product: every entry of Dmat @ curl, and so of
