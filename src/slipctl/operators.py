@@ -44,16 +44,16 @@ REFINE_MAX_STEPS = 20
 # bytes of step data a state sweep keeps for the later sweeps around its
 # trajectory (StepStore): 62 KB a step at 16x16, 1.0 MB at 64x64
 STEP_STORE_BYTES = 32 * 2 ** 20
-# bytes a StepStore may take when its rows keep band LUs: 205 KB a step at
-# 16x16, 395 KB at 20x20 (3.3x and 4.0x the step data); a store that would
-# take more keeps the step data, so the factors add at most this to a
-# process of ~77 MB at 16x16
+# bytes a StepStore may take when its rows keep band LUs: 212 KB a step at
+# 16x16 (kl = 32, ku = 30), 395 KB at 20x20 (kl = ku = 38), 3.4x and 4.0x
+# the step data; a store that would take more keeps the step data, so the
+# factors add at most this to a process of ~77 MB at 16x16
 BAND_STORE_BYTES = 8 * 2 ** 20
 # every step factors its own R by a LAPACK band LU, without a reference,
-# where the reduced step's n * kl^2 is below this bound (see
-# DiscreteOperators.band); measured crossover of the gradient time on
-# square grids, demo physics, nt = 32: 20x20 (521,284) inside, 22x22
-# (777,924) outside
+# where the reduced step's n * ku^2, with ku its bandwidth, is below this
+# bound (see DiscreteOperators.band); measured crossover of the gradient
+# time on square grids, demo physics, nt = 32: 20x20 (521,284) inside,
+# 22x22 (777,924) outside
 BAND_BOUND = 6e5
 # the reference of the refining sweeps solves R0 by sine transforms and a
 # wall capacitance matrix (_SineLU) where the grid has at least this many
@@ -66,6 +66,14 @@ SINE_BOUND = 1300
 # OpenBLAS computes a matrix product of at most this many multiply-adds on
 # one thread, whatever its thread count (_mm)
 _ONE_THREAD = 2 ** 18
+# dgbtrf factors every band under BAND_BOUND one column at a time: LAPACK's
+# ilaenv gives it block size 1 for ku <= 64, so it runs the unblocked
+# dgbtf2, whose update of each column is a dger of its kl rows below the
+# pivot.  OpenBLAS's x86-64 dger kernel updates whole blocks of this many
+# rows in vector code and the rest one row at a time, so a band with
+# ku < 2 _GER_ROWS declares kl = ku rounded up to a multiple of _GER_ROWS
+# (see DiscreteOperators.band); padding kl = 34 to 48 (18x18) was slower
+_GER_ROWS = 16
 # terms of the inner index that one product sums in _SineLU's last product
 _SUM_BLOCK = 16
 _EPS = np.finfo(float).eps
@@ -402,19 +410,26 @@ class DiscreteOperators:
         return self._reference[1]
 
     def band(self):
-        """The band layout of the reduced step pattern where its n * kl^2 is
+        """The band layout of the reduced step pattern where its n * ku^2 is
         below BAND_BOUND, else None; made on first use and kept.
 
         In the x-major order of the interior vertices R couples vertices at
-        most two columns apart, so kl = ku = 2 (ny - 1): the rule reads the
-        grid's dimensions, and above the bound no index array is built.
+        most two columns apart, so both its bandwidths are ku = 2 (ny - 1):
+        the rule reads the grid's dimensions, and above the bound no index
+        array is built.  The layout keeps the upper bandwidth ku and
+        declares the lower bandwidth kl = ku rounded up to a multiple of
+        _GER_ROWS where ku < 2 _GER_ROWS, else ku: the added subdiagonals
+        are structural zeros that let each column update run at full vector
+        width (at 16x16, kl = 32 for ku = 30, a factorization takes 0.12
+        instead of 0.17 ms; _BandLU says which solves keep their bits).
         """
         nx, ny = self._iv.shape[0], self._iu.shape[1]
-        n, kl = (nx - 1) * (ny - 1), 2 * (ny - 1)
-        if n * kl * kl >= BAND_BOUND:
+        n, ku = (nx - 1) * (ny - 1), 2 * (ny - 1)
+        if n * ku * ku >= BAND_BOUND:
             return None
         if self._band is None:
-            self._band = _Band(self.reduced_indptr, self.reduced_indices, kl)
+            kl = ku if ku >= 2 * _GER_ROWS else -(-ku // _GER_ROWS) * _GER_ROWS
+            self._band = _Band(self.reduced_indptr, self.reduced_indices, ku, kl)
         return self._band
 
     def neumann(self):
@@ -762,20 +777,21 @@ def _odd_stencil(st, mx, my):
 
 
 class _Band:
-    """LAPACK general band storage of a square sparse pattern with kl = ku
+    """LAPACK general band storage of a square sparse pattern with upper
+    bandwidth ku and declared lower bandwidth kl, at least the pattern's
     (Golub & Van Loan, Matrix Computations, 4th ed., 4.3; dgbtrf's layout).
 
-    Entry (i, j) of the matrix is entry (2 kl + i - j, j) of a (3 kl + 1, n)
-    Fortran array; its first kl rows take the fill of partial pivoting.  pos
-    is the flat position of each entry of the pattern, given as the CSR
-    arrays (indptr, indices).
+    Entry (i, j) of the matrix is entry (kl + ku + i - j, j) of an
+    (ldab, n) Fortran array, ldab = 2 kl + ku + 1; its first kl rows take
+    the fill of partial pivoting.  pos is the flat position of each entry
+    of the pattern, given as the CSR arrays (indptr, indices).
     """
 
-    def __init__(self, indptr, indices, kl):
+    def __init__(self, indptr, indices, ku, kl):
         n = indptr.size - 1
-        self.n, self.kl, self.ldab = n, kl, 3 * kl + 1
+        self.n, self.ku, self.kl, self.ldab = n, ku, kl, 2 * kl + ku + 1
         rows = np.repeat(np.arange(n), np.diff(indptr))
-        self.pos = indices.astype(np.intp) * self.ldab + (2 * kl + rows - indices)
+        self.pos = indices.astype(np.intp) * self.ldab + (kl + ku + rows - indices)
 
 
 class _BandLU:
@@ -785,7 +801,10 @@ class _BandLU:
     factor(A) takes A as CSC, whose arrays are those of A^T as CSR, and
     factors A^T: a StepSolver passes R^T (R_T), so its forward solves with
     R go through dgbtrs without transposition, the faster kernel (11
-    against 16 us a solve at 16x16).
+    against 16 us a solve at 16x16).  On a layout whose declared kl exceeds
+    the pattern's, the factor has the same pivots as on the pattern's own
+    bandwidth and the solves with A^T give the same bits; the solves with
+    A, whose sums run over the kl declared rows, agree to round-off.
     """
 
     def __init__(self, band, flat=None):
@@ -797,11 +816,11 @@ class _BandLU:
     def factor(self, A, what="step matrix"):
         """Write the band LU into the buffer; an exactly zero pivot raises
         SolverDivergence."""
-        kl = self.band.kl
+        band = self.band
         self.flat[:] = 0.0
-        self.flat[self.band.pos] = A.data
+        self.flat[band.pos] = A.data
         # ab is Fortran-contiguous, so overwrite_ab factors it in place
-        _, self.piv, info = dgbtrf(self.ab, kl, kl, overwrite_ab=1)
+        _, self.piv, info = dgbtrf(self.ab, band.kl, band.ku, overwrite_ab=1)
         if info > 0:
             raise SolverDivergence("%s factorization failed: band factor is exactly "
                                    "singular (pivot %d)" % (what, info))
@@ -809,8 +828,8 @@ class _BandLU:
 
     def solve(self, b, trans="N"):
         """x with A x = b, or A^T x = b if trans is "T"."""
-        kl = self.band.kl
-        return dgbtrs(self.ab, kl, kl, b, self.piv, trans=int(trans == "N"))[0]
+        band = self.band
+        return dgbtrs(self.ab, band.kl, band.ku, b, self.piv, trans=int(trans == "N"))[0]
 
 
 def _step_key(dt, nu, alpha_nodes):

@@ -572,18 +572,20 @@ def test_capped_band_store_factors_the_steps_it_does_not_cover(setup, monkeypatc
                           + [("linearized", k) for k in uncovered])
 
 
-@pytest.mark.parametrize("n, nt, banded", [(16, 40, True), (16, 41, False), (20, 21, True),
-                                           (20, 22, False), (20, 96, False)])
+@pytest.mark.parametrize("n, nt, banded", [(16, 39, True), (16, 40, False), (16, 41, False),
+                                           (20, 21, True), (20, 22, False), (20, 96, False)])
 def test_band_store_keeps_factors_only_within_its_bytes(n, nt, banded):
-    """A store keeps band LUs where they take at most BAND_STORE_BYTES (40
-    steps at 16x16, 21 at 20x20) and L and R otherwise; either way it keeps
-    every step whose L and R fit in STEP_STORE_BYTES, here all of them."""
+    """A store keeps band LUs where they take at most BAND_STORE_BYTES (39
+    steps at 16x16, whose band rows take 212,248 bytes, 21 at 20x20) and L
+    and R otherwise; either way it keeps every step whose L and R fit in
+    STEP_STORE_BYTES, here all of them."""
     from slipctl.operators import BAND_STORE_BYTES
     ops = build_grid(n, n, 1.0, 1.0).ops
     band, steps = ops.band(), StepStore(ops, nt)
     assert steps.first == 1 and len(steps.keys) == nt
     assert (steps.lu is not None) is banded and (steps.R is None) is banded
     row = 8 * (ops.step_indices.size + band.n * band.ldab)
+    assert row == {16: 212248, 20: 395192}[n]
     if banded:
         assert steps.L.base.nbytes == nt * row <= BAND_STORE_BYTES
     else:
@@ -663,7 +665,7 @@ def test_singular_band_factor_names_its_sweep_and_step(setup, monkeypatch):
 def test_band_store_keeps_every_step_of_16x16_by_32(monkeypatch, factor_spy):
     """At 16x16, nt = 32 the state sweep factors every step into its store,
     which keeps L's data and the band LU of R of all 32 steps in one buffer
-    of 6,561,536 bytes.  The adjoint and tangent sweeps apply no step map
+    of 6,791,936 bytes.  The adjoint and tangent sweeps apply no step map
     and no reduced map and factor nothing: they solve each step on the
     state sweep's factor, and give the bits of a trajectory without kept
     steps, whose sweeps factor every step."""
@@ -679,7 +681,7 @@ def test_band_store_keeps_every_step_of_16x16_by_32(monkeypatch, factor_spy):
     steps = traj.steps
     assert steps.first == 1 and len(steps.keys) == tg.nt and steps.R is None
     assert all(lu.flat.base is steps.L.base for lu in steps.lu)
-    assert steps.L.base.nbytes == 6561536
+    assert steps.L.base.nbytes == 6791936
 
     U = random_source(grid, tg, 51)
     d = random_admissible_control(grid, tg, np.random.default_rng(52), amplitude=0.3)

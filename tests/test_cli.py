@@ -252,36 +252,57 @@ def _files(root):
                   for d, _, names in os.walk(root) for f in names)
 
 
+def _same_bytes_under_one_and_two_blas_threads(tmp_path, settings, commands, codes):
+    """Run commands on the demo config with settings {(section, key): value}
+    in fresh interpreters under one and under two BLAS threads; each run
+    exits with codes and both write the same files with the same bytes, the
+    wall-clock record timings.json aside.  Returns the files compared."""
+    cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cfg.read(DEMO)
+    for (section, key), value in settings.items():
+        cfg[section][key] = value
+    path = tmp_path / "demo.ini"
+    with open(path, "w") as fh:
+        cfg.write(fh)
+    calls = ", ".join("main([%r, '--config', %r, '--out', 'out'])" % (c, str(path))
+                      for c in commands)
+    outs = []
+    for threads in (1, 2):
+        run = tmp_path / ("threads%d" % threads)
+        run.mkdir()
+        # the same relative --out in both runs, so config.resolved compares too
+        out = run_child("import os\nfrom slipctl.cli import main\nos.chdir(%r)\nprint(%s)"
+                        % (str(run), calls), threads=threads)
+        # the exit codes, after the table grad-check prints
+        assert out.splitlines()[-1].split() == [str(c) for c in codes]
+        outs.append(str(run / "out"))
+    names = [n for n in _files(outs[0]) if n != "timings.json"]
+    assert names == [n for n in _files(outs[1]) if n != "timings.json"]
+    _assert_same_bytes(*outs, names)
+    return names
+
+
 def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     """The demo physics on 72x72 cells (10,512 faces: OpenBLAS splits a dot
     product of more than about 10,000 entries between threads), nt = 2, a
     nonzero target and 2 optimize iterations: solve and optimize in fresh
     interpreters under one and under two BLAS threads write the same bytes,
     the wall-clock record timings.json aside."""
-    cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    cfg.read(DEMO)
-    cfg["domain"]["nx"] = cfg["domain"]["ny"] = "72"
-    cfg["time"]["nt"] = "2"
-    cfg["target"]["y_d"] = "stream:1:0.2"
-    cfg["optimizer"]["max_iters"] = "2"
-    path = tmp_path / "demo72.ini"
-    with open(path, "w") as fh:
-        cfg.write(fh)
-    outs = []
-    for threads in (1, 2):
-        run = tmp_path / ("threads%d" % threads)
-        run.mkdir()
-        # the same relative --out in both runs, so config.resolved compares too
-        codes = run_child("import os\nfrom slipctl.cli import main\nos.chdir(%r)\n"
-                          "print(main(['solve', '--config', %r, '--out', 'out']),\n"
-                          "      main(['optimize', '--config', %r, '--out', 'out']))"
-                          % (str(run), str(path), str(path)), threads=threads)
-        assert codes.split() == [str(EXIT_OK), str(EXIT_BUDGET)]
-        outs.append(str(run / "out"))
-    names = [n for n in _files(outs[0]) if n != "timings.json"]
+    names = _same_bytes_under_one_and_two_blas_threads(
+        tmp_path, {("domain", "nx"): "72", ("domain", "ny"): "72", ("time", "nt"): "2",
+                   ("target", "y_d"): "stream:1:0.2", ("optimizer", "max_iters"): "2"},
+        ("solve", "optimize"), (EXIT_OK, EXIT_BUDGET))
     assert "solve.json" in names and "report.json" in names
-    assert names == [n for n in _files(outs[1]) if n != "timings.json"]
-    _assert_same_bytes(*outs, names)
+
+
+def test_band_factored_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The demo on its 16x16 cells with nt = 4, whose steps solve on band LUs
+    (dgbtrf and dgbtrs call BLAS): solve and grad-check in fresh
+    interpreters under one and under two BLAS threads write the same bytes,
+    the wall-clock record timings.json aside."""
+    names = _same_bytes_under_one_and_two_blas_threads(
+        tmp_path, {("time", "nt"): "4"}, ("solve", "grad-check"), (EXIT_OK, EXIT_OK))
+    assert "solve.json" in names and "gradcheck.json" in names
 
 
 def test_target_from_file(tmp_path):

@@ -993,15 +993,16 @@ def test_reference_slot_hit_applies_no_step_map(monkeypatch):
     assert ops.reference_lu(0.05, 1.0, alpha.copy()) is lu
 
 
-def _advected_step(n):
-    """Step nt/2 of an n x n, nt = 16 trajectory at nu = 0.01 under random
-    admissible controls of amplitude 3 (the workloads' amplitude 0.5, x3 and
-    more), stepped on a StepSolver without a reference."""
+def _advected_step(n, ny=None):
+    """Step nt/2 of an n x n (n x ny), nt = 16 trajectory at nu = 0.01 under
+    random admissible controls of amplitude 3 (the workloads' amplitude 0.5,
+    x3 and more), stepped on a StepSolver without a reference."""
     from slipctl.control_opt import random_admissible_control
     from slipctl.operators import StepSolver
     from slipctl.state_solver import StateProblem, solve_state
-    grid, tg = build_grid(n, n, 1.0, 1.0), TimeGrid(0.5, 16)
-    ctrl = random_admissible_control(grid, tg, np.random.default_rng(n), amplitude=3.0)
+    grid, tg = build_grid(n, ny or n, 1.0, 1.0), TimeGrid(0.5, 16)
+    seed = n if ny is None else (n, ny)
+    ctrl = random_admissible_control(grid, tg, np.random.default_rng(seed), amplitude=3.0)
     prob = StateProblem(grid, tg, np.zeros(grid.ops.N), ctrl, nu=0.01, validate=False)
     y = solve_state(prob).y
     k = tg.nt // 2
@@ -1027,13 +1028,42 @@ def test_band_solves_match_superlu_at_round_off(n):
         assert np.linalg.norm(b - M @ x) <= floor
 
 
+@pytest.mark.parametrize("nx, ny, kl, ldab", [(8, 8, 16, 47), (16, 16, 32, 95), (20, 8, 16, 47),
+                                              (64, 8, 16, 47), (40, 12, 32, 87), (9, 9, 16, 49),
+                                              (8, 20, 38, 115)])
+def test_padded_band_lu_agrees_with_the_true_bandwidth(nx, ny, kl, ldab):
+    """A band layout with ku = 2 (ny - 1) < 32 declares kl = ku rounded up
+    to a multiple of 16, and keeps the layout kl = ku, ldab = 3 kl + 1
+    otherwise (9x9, the tall 8x20).
+    Its band LU of an advected step has the pivots of the LU on the true
+    bandwidth, its solves with R give the same bits, and its solves with
+    R^T agree within 32 ulps of the largest entry (at most 6 measured)."""
+    from slipctl.operators import _Band, _BandLU
+    step = _advected_step(nx, ny)
+    ops = step.ops
+    band = ops.band()
+    assert (band.ku, band.kl, band.ldab) == (2 * (ny - 1), kl, ldab)
+    true = _Band(ops.reduced_indptr, ops.reduced_indices, band.ku, band.ku)
+    lu, ref = _BandLU(band).factor(step.R_T), _BandLU(true).factor(step.R_T)
+    assert np.array_equal(lu.piv, ref.piv)
+    b = np.random.default_rng(nx * ny).standard_normal(band.n)
+    assert np.array_equal(lu.solve(b, trans="T"), ref.solve(b, trans="T"))
+    x, x_ref = lu.solve(b), ref.solve(b)
+    eps = np.finfo(float).eps
+    assert np.abs(x - x_ref).max() <= 32 * eps * np.abs(x_ref).max()
+    M = step.R_T
+    assert np.linalg.norm(b - M @ x) <= eps * np.linalg.norm(abs(M) @ abs(x) + abs(b))
+
+
 @pytest.mark.parametrize("n, banded", [(16, True), (20, True), (22, False), (32, False),
                                        (64, False)])
 def test_band_rule_factors_small_grids_and_refines_above(n, banded):
-    """The rule n kl^2 < BAND_BOUND, read off the grid's dimensions, picks
+    """The rule n ku^2 < BAND_BOUND, read off the grid's dimensions, picks
     band LUs without a reference up to 20x20 and refinement against the
     reference from 22x22; above the bound no band index array is built.
-    Under it the reduced pattern lies in the band kl = 2 (ny - 1)."""
+    Under it the reduced pattern lies in the band ku = 2 (ny - 1), and the
+    layout declares the lower bandwidth kl = 32 at 16x16 and kl = ku at
+    20x20."""
     from slipctl.fields import BoundaryControl
     from slipctl.operators import _BandLU
     from slipctl.state_solver import StateProblem
@@ -1049,5 +1079,7 @@ def test_band_rule_factors_small_grids_and_refines_above(n, banded):
     solver.step(np.ones(grid.n_boundary), np.zeros(ops.N))
     assert isinstance(solver.lu, _BandLU) is banded
     if banded:
-        rows = np.repeat(np.arange(ops.band().n), np.diff(ops.reduced_indptr))
-        assert np.abs(rows - ops.reduced_indices).max() == ops.band().kl == 2 * (n - 1)
+        band = ops.band()
+        rows = np.repeat(np.arange(band.n), np.diff(ops.reduced_indptr))
+        assert np.abs(rows - ops.reduced_indices).max() == band.ku == 2 * (n - 1)
+        assert band.kl == max(2 * (n - 1), 32)
