@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import BaseTrajectoryMissing
 from .fields import StateTrajectory, dissipation, dot, save_boundary_table, sup_face_l2, time_sum
+from .operators import _mv
 from .state_solver import StateProblem
 
 # the exactness contract's bound on duality_residual
@@ -111,7 +112,7 @@ def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
         with solver.at(k, sp_.friction.alpha[k], yvec[k - 1]) as step:
             lam_full = step.solve_transpose(rhs_full[ops.free_idx])
         lt_wall[k - 1] = step.LT_lam[C]
-        t_lam = ops.T @ lam_full                  # [Tn; Ttau] lam
+        t_lam = _mv(ops.T, lam_full)              # [Tn; Ttau] lam
         kernel_b[k] = ops.w_gamma * t_lam[g.n_boundary:]
 
         # pairing of f_{k-1} through the frozen-advection derivative of step k

@@ -28,6 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrs
+from scipy.sparse import _sparsetools
 
 from .errors import SolverDivergence
 from .fields import dot
@@ -77,6 +78,11 @@ _GER_ROWS = 16
 # terms of the inner index that one product sums in _SineLU's last product
 _SUM_BLOCK = 16
 _EPS = np.finfo(float).eps
+_F64 = np.dtype(np.float64)
+# the compiled kernels that A @ x ends in for a CSR or CSC matrix A, of a
+# vector and of a block of vectors (_mv)
+_MATVEC = {fmt: (getattr(_sparsetools, fmt + "_matvec"), getattr(_sparsetools, fmt + "_matvecs"))
+           for fmt in ("csr", "csc")}
 
 
 class DiscreteOperators:
@@ -292,22 +298,20 @@ class DiscreteOperators:
 
     def _build_reduced_map(self):
         """Fixed CSR pattern of the reduced step matrix R = Ci^T L Ci and the
-        sparse map onto its data from the step data L.data.
+        sparse map onto its data from the step data L.data, a row per entry
+        of R in R's order, so that reduced_data is one product.
 
         Entry (a, b) of R sums Ci[i, a] * Ci[j, b] * L[i, j] over the step
         entries (i, j), and R[b, a] sums the same coefficients times the
-        mirrored entries L[j, i].  So one map Q, a row per entry a <= b of
-        R, gives both: R[a, b] = Q @ L.data at reduced_upper, and R[b, a] at
-        reduced_lower from the same rows with the mirrored columns
-        (_reduced_mirror, sharing Q's data), summed in the same order; R is
-        exactly symmetric whenever L is (no advection).
+        mirrored entries L[j, i].  So the rows of the entries a <= b, one
+        term per step entry in increasing order (Q), give the rows below
+        the diagonal too: row (b, a) is row (a, b) with the mirrored
+        columns, summed in the same order, and R is exactly symmetric
+        whenever L is (no advection).
         Interior vertices are keyed by their offset (dx, dy), |dx|, |dy| <= 3.
         """
         N, C = self.N, self.Ci
         nnz = self.step_indices.size
-        # the step pattern is symmetric: mirror[s] is the position of (j, i)
-        mirror = sp.csr_matrix((np.arange(nnz, dtype=np.int32), self.step_indices,
-                                self.step_indptr), shape=(N, N)).T.tocsr().data
         # vertex k of each face (-1: none) and its curl coefficient, k = 0, 1
         vert, cf = np.full((2, N), -1, dtype=np.int32), np.zeros((2, N))
         for k in (0, 1):
@@ -323,23 +327,46 @@ class DiscreteOperators:
             a, b = vert[ka][i], vert[kb][j]
             q = np.flatnonzero((a >= 0) & (a <= b)).astype(np.int32)
             terms.append((q, a[q], b[q], cf[ka][i[q]] * cf[kb][j[q]]))
-        del i, a, b
+        del i, j, a, b
         q, va, vb, coef = (np.concatenate(t) for t in zip(*terms))
         del terms
         nx, ny = self._iv.shape[0], self._iu.shape[1]
         xy = np.add.outer(7 * np.arange(nx - 1), np.arange(ny - 1)).ravel()
         up_indptr, up_indices, pos = _keyed_pattern(va, vb, xy, xy + 24, 49)
         del va, vb
-        # a row of Q holds one term per step entry, sorted by the conversion
-        Q = self._reduced_map = sp.csr_matrix((coef, (pos, q)), shape=(up_indices.size, nnz))
-        self._reduced_mirror = sp.csr_matrix((Q.data, mirror[Q.indices], Q.indptr), shape=Q.shape)
-        del q, coef, pos, mirror
-        # R's pattern: the entries a <= b and their mirrors
+        # the conversion sorts each row of Q by step entry
+        Q = sp.csr_matrix((coef, (pos, q)), shape=(up_indices.size, nnz))
+        del q, coef, pos
+        # R's pattern: the entries a <= b and their mirrors, and the row of Q
+        # that each entry reads (a diagonal entry is both)
         a = np.repeat(np.arange(xy.size, dtype=np.int32), np.diff(up_indptr))
         self.reduced_indptr, self.reduced_indices, pos = _keyed_pattern(
             np.concatenate([a, up_indices]), np.concatenate([up_indices, a]), xy, xy + 24, 49)
-        self.reduced_upper, self.reduced_lower = (x.astype(np.intp)
-                                                  for x in (pos[:a.size], pos[a.size:]))
+        src = np.empty(self.reduced_indices.size, dtype=np.int32)
+        src[pos] = np.tile(np.arange(a.size, dtype=np.int32), 2)
+        del a, up_indices, pos
+        # the map, on int32 index arrays: row e is row src[e] of Q; each of
+        # Q's arrays is freed once gathered
+        count = np.diff(Q.indptr)[src]
+        indptr = np.zeros(src.size + 1, dtype=np.int32)
+        np.cumsum(count, out=indptr[1:])
+        take = np.repeat(Q.indptr[:-1][src] - indptr[:-1], count)
+        take += np.arange(indptr[-1], dtype=np.int32)
+        q_data, q_indices = Q.data, Q.indices
+        del Q
+        data = q_data[take]
+        del q_data
+        cols = q_indices[take]
+        del q_indices, take
+        # below the diagonal the mirrored columns; the step pattern is
+        # symmetric, and mirror[s] is the position of (j, i)
+        row = np.repeat(np.arange(xy.size, dtype=np.int32), np.diff(self.reduced_indptr))
+        lower = np.repeat(row > self.reduced_indices, count)
+        del row, count
+        mirror = sp.csr_matrix((np.arange(nnz, dtype=np.int32), self.step_indices,
+                                self.step_indptr), shape=(N, N)).T.tocsr().data
+        cols[lower] = mirror[cols[lower]]
+        self._reduced_map = sp.csr_matrix((data, cols, indptr), shape=(src.size, nnz))
 
     def _pattern(self, rows, cols):
         """_keyed_pattern of face pairs.  No operator couples faces more than
@@ -349,8 +376,9 @@ class DiscreteOperators:
                              (np.indices(self._iu.shape), np.indices(self._iv.shape))])
         return _keyed_pattern(rows, cols, xy, xy + 25 * (np.arange(self.N) >= self.NU) + 12, 50)
 
-    def step_matrix(self, dt, nu, alpha_nodes, w_vec):
-        """The implicit step operator W/dt + nu*A_strain + Fric(alpha) + K(w).
+    def step_matrix(self, dt, nu, alpha_nodes, w_vec, out=None):
+        """The implicit step operator W/dt + nu*A_strain + Fric(alpha) + K(w);
+        given out, a step_matrix, its data is overwritten and out returned.
 
         K(w) is the skew-symmetrized advection 0.5*(N - N^T) plus half the
         boundary flux form; the tangential half of that flux is folded into
@@ -362,22 +390,21 @@ class DiscreteOperators:
         The operator is affine in (alpha, w) and linear in (1/dt, nu), so it
         is stored on one fixed pattern (the union of all terms, explicit zeros
         included) whose data is one sparse mat-vec M @ [alpha; w; 1/dt; nu],
-        with M built once per grid.  StepSolver refills its workspace from
-        this data.
+        with M built once per grid.  StepSolver refills its workspace with
+        this data, and a loop over steps can refill one matrix (out).
         """
         data = self._step_map @ np.concatenate([alpha_nodes, w_vec, [1.0 / dt, nu]])
-        return sp.csr_matrix((data, self.step_indices, self.step_indptr),
-                             shape=(self.N, self.N))
+        if out is None:
+            return sp.csr_matrix((data, self.step_indices, self.step_indptr),
+                                 shape=(self.N, self.N))
+        out.data[:] = data
+        return out
 
     def reduced_data(self, data, out=None):
-        """Data of R = Ci^T L Ci from step_matrix data, into out if given."""
-        if out is None:
-            out = np.empty(self.reduced_indices.size)
-        out[self.reduced_lower] = self._reduced_mirror @ data
-        # written last: the diagonal, where both index arrays meet, from L
-        # itself rather than from its mirror
-        out[self.reduced_upper] = self._reduced_map @ data
-        return out
+        """Data of R = Ci^T L Ci from step_matrix data, into out if given:
+        one product with the map of _build_reduced_map, a row per entry of
+        R in its order."""
+        return _mv(self._reduced_map, data, out)
 
     def reference_lu(self, dt, nu, alpha_nodes):
         """Direct solver of the advection-free reduced step matrix R0 at
@@ -490,13 +517,13 @@ class DiscreteOperators:
         N, nb, W = self.N, self.n_boundary, self.Wvec
         g_y, t_y = self.state_products(y_vec) if y_products is None else y_products
         g_y = g_y.reshape(2, N)                          # Gx y, Gy y
-        w_xy = (self.P @ w_vec).reshape(2, N)            # Px w, Py w
+        w_xy = _mv(self.P, w_vec).reshape(2, N)          # Px w, Py w
         n_wy = W * (w_xy[0] * g_y[0] + w_xy[1] * g_y[1])
         # columns Gx^T (W wx y), Gy^T (W wy y)
-        nt_wy = self.GT @ _split_columns(W * w_xy * y_vec)
-        an = self.w_gamma * (self.Tn @ w_vec)
+        nt_wy = _mv(self.GT, _split_columns(W * w_xy * y_vec))
+        an = self.w_gamma * _mv(self.Tn, w_vec)
         # columns Tn^T (an Tn y), Ttau^T (an Ttau y)
-        s_wy = self.TT @ _split_columns(an * t_y.reshape(2, nb))
+        s_wy = _mv(self.TT, _split_columns(an * t_y.reshape(2, nb)))
         return 0.5 * (n_wy - (nt_wy[:, 0] + nt_wy[:, 1])) + 0.5 * (s_wy[:, 0] + s_wy[:, 1])
 
     def apply_adv_cross_T(self, y_vec, lam_vec, y_products=None, t_lam=None):
@@ -505,14 +532,14 @@ class DiscreteOperators:
         N, nb, W = self.N, self.n_boundary, self.Wvec
         g_y, t_y = self.state_products(y_vec) if y_products is None else y_products
         if t_lam is None:
-            t_lam = self.T @ lam_vec                     # [Tn; Ttau] lam
-        g_y, g_lam = g_y.reshape(2, N), (self.G @ lam_vec).reshape(2, N)
+            t_lam = _mv(self.T, lam_vec)                 # [Tn; Ttau] lam
+        g_y, g_lam = g_y.reshape(2, N), _mv(self.G, lam_vec).reshape(2, N)
         # Px^T (.) + Py^T (.) of both terms in one product; the sum is exact,
         # since Px^T is nonzero only in the u rows and Py^T only in the v rows
-        x = self.PT @ np.stack([W * g_y * lam_vec, W * y_vec * g_lam],
-                               axis=-1).reshape(2 * N, 2)
+        x = _mv(self.PT, np.stack([W * g_y * lam_vec, W * y_vec * g_lam],
+                                  axis=-1).reshape(2 * N, 2))
         tw = self.w_gamma * t_y.reshape(2, nb)
-        xst = self.Mbc @ (tw[0] * t_lam[:nb] + tw[1] * t_lam[nb:])
+        xst = _mv(self.Mbc, tw[0] * t_lam[:nb] + tw[1] * t_lam[nb:])
         return 0.5 * (x[:, 0] - x[:, 1]) + 0.5 * xst
 
     def b_load(self, b_nodes):
@@ -712,7 +739,7 @@ class _SineLU:
         xh *= inv_lam
         x0 = np.concatenate([_mm(_mm(self.sx_r, xh), sy).ravel(),
                              _mm(self.sx_o, _mm(xh, self.sy_rT)).ravel()])
-        z = dgetrs(self.lu, self.piv, self.E @ x0, trans=1)[0][self.perm]
+        z = dgetrs(self.lu, self.piv, _mv(self.E, x0), trans=1)[0][self.perm]
         xh -= (_mm(self.sx_rT, _mm(z[:self.nr].reshape(4, -1), sy))
                + _mm(_mm(self.sx_oT, z[self.nr:].reshape(-1, 4)), self.sy_r)) * inv_lam
         return self._last(_mm(sx, xh)).ravel()
@@ -731,6 +758,34 @@ def _mm(a, b):
     out = np.empty((m, n))
     for i in range(0, m, rows):
         np.matmul(a[i:i + rows], b, out=out[i:i + rows])
+    return out
+
+
+def _mv(A, x, out=None):
+    """A @ x of a CSR or CSC matrix A and a float64 vector or (n, k) block
+    x, into out if given, by the compiled kernel that A @ x itself calls
+    (csr_matvec, csc_matvec or their block forms), so every result has the
+    bits of A @ x.  It skips the dispatch around the kernel, which at 16x16
+    costs more than the product (scipy 1.17.1 on a 2-core x86-64 host:
+    Dmat @ y 6.4-9.0 us, _mv 3.9 us, the bare kernel 2.6 us).  The kernel
+    checks no length, so a wrong shape or dtype raises ValueError here; a
+    block's out must be C-contiguous."""
+    m, n = A.shape
+    shape = (m,) + x.shape[1:]
+    if (x.dtype != _F64 or A.data.dtype != _F64 or x.shape[:1] != (n,) or x.ndim > 2
+            or out is not None and (out.dtype != _F64 or out.shape != shape
+                                    or x.ndim == 2 and not out.flags.c_contiguous)):
+        raise ValueError("_mv: a %s float64 vector or block of %d rows and out of shape %s "
+                         "expected" % (A.format, n, shape))
+    if out is None:
+        out = np.zeros(shape)
+    else:
+        out.fill(0.0)               # the kernels add to out
+    vec, vecs = _MATVEC[A.format]
+    if x.ndim == 1:
+        vec(m, n, A.indptr, A.indices, A.data, x, out)
+    else:
+        vecs(m, n, x.shape[1], A.indptr, A.indices, A.data, x.ravel(), out.ravel())
     return out
 
 
@@ -1094,13 +1149,15 @@ class StepSolver:
 
     One solver serves a whole sweep at fixed (dt, nu).  It holds the step
     matrix L and R and their transposes, which share the data arrays;
-    step(alpha, w) refills that data in place for the next step, so no
-    sparse matrix is built per step.  The tangent and adjoint sweeps pass
-    the StepStore of their base trajectory as steps: step() inside
-    at(k, ...) then loads step k from it, where it holds that step at the
-    same (dt, nu, alpha), instead of making it; the state sweep passes the
-    StepStore it fills, if any, as keep.  Call step() (or at()) before
-    solving.
+    step(alpha, w) refills that data in place for the next step, one
+    product with the step map into L's data and one with the reduced map
+    into R's, so no sparse matrix is built per step.  Every sparse product
+    of a step goes through _mv, straight to scipy's compiled kernel.  The
+    tangent and adjoint sweeps pass the StepStore of their base trajectory
+    as steps: step() inside at(k, ...) then loads step k from it, where it
+    holds that step at the same (dt, nu, alpha), instead of making it; the
+    state sweep passes the StepStore it fills, if any, as keep.  Call
+    step() (or at()) before solving.
 
     Without a reference (lu=None) every step solves directly on a factor
     of its R; on grids under BAND_BOUND that is a LAPACK band LU (see
@@ -1182,7 +1239,7 @@ class StepSolver:
             src, nb = self._src, ops.n_boundary
             src[:nb] = alpha_nodes
             src[nb:-2] = w_adv_vec
-            self.L.data[:] = ops._step_map @ src
+            _mv(ops._step_map, src, out=self.L.data)
             ops.reduced_data(self.L.data, out=self.R.data)
         if self.ref is not None:
             np.abs(self.R.data, out=self.abs_R.data)
@@ -1234,21 +1291,21 @@ class StepSolver:
         sol, hist = None, self.history[trans]
         if hist:
             guess = _extrapolate(hist)
-            res = rhs - big @ guess
+            res = rhs - _mv(big, guess)
             if _norm(res) < rhs_norm:
                 sol = self.ref.solve(res, trans="T")
                 sol += guess
         if sol is None:
             sol = self.ref.solve(rhs, trans="T")
-        floor = _EPS * _norm(abs_big @ abs(sol) + abs(rhs))
+        floor = _EPS * _norm(_mv(abs_big, abs(sol)) + abs(rhs))
         target = REFINE_TARGET * floor
-        res = rhs - big @ sol
+        res = rhs - _mv(big, sol)
         rn0 = rn = _norm(res)
         k = 0
         while not rn <= target:
             k += 1
             sol += self.ref.solve(res, trans="T")
-            np.subtract(rhs, big @ sol, out=res)
+            np.subtract(rhs, _mv(big, sol), out=res)
             rn, last = _norm(res), rn
             if not rn <= REFINE_RATE * last:
                 return sol if rn <= floor else None
@@ -1287,13 +1344,13 @@ class StepSolver:
         put into the wall cells.
         """
         ops, C = self.ops, self.C
-        r = rhs_mom_full - self.L @ lift
+        r = rhs_mom_full - _mv(self.L, lift)
         r[C] = 0.0
-        dy = ops.Ci @ self._solve(ops.CiT @ r)
-        m = r - self.L @ dy             # rhs_mom - L y on the free rows
+        dy = _mv(ops.Ci, self._solve(_mv(ops.CiT, r)))
+        m = r - _mv(self.L, dy)         # rhs_mom - L y on the free rows
         m[C] = 0.0
         y = lift + dy
-        self.div = ops.Dmat @ y
+        self.div = _mv(ops.Dmat, y)
         self.pending[0].append((self.k, dot(r, r), dot(self.div, self.div), m, y[C]))
         return y
 
@@ -1305,11 +1362,11 @@ class StepSolver:
         ops, C = self.ops, self.C
         r = np.zeros(ops.N)
         r[self.F] = rhs_free
-        lam = ops.Ci @ self._solve(ops.CiT @ r, trans=True)
-        self.LT_lam = self.LT @ lam
+        lam = _mv(ops.Ci, self._solve(_mv(ops.CiT, r), trans=True))
+        self.LT_lam = _mv(self.LT, lam)
         m = r - self.LT_lam             # rhs - L^T lam on the free rows
         m[C] = 0.0
-        div = ops.cell_area * (ops.Dmat @ lam)
+        div = ops.cell_area * _mv(ops.Dmat, lam)
         self.pending[1].append((self.k, dot(r, r), dot(div, div), m, None))
         return lam
 

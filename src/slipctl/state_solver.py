@@ -117,8 +117,9 @@ def solve_state(problem: StateProblem, steps: StepStore = None) -> StateTrajecto
                            steps=steps)
 
 
-def energy_identity_terms(trajectory: StateTrajectory, problem: StateProblem, k):
-    """Named terms of the discrete energy balance over step k (1-based).
+def energy_identity_terms(trajectory: StateTrajectory, problem: StateProblem, k, L=None):
+    """Named terms of the discrete energy balance over step k (1-based); L
+    is step k's step_matrix, if the caller made it.
 
     Interior terms are quadratures of the solution (kinetic increment,
     numerical dissipation, strain and friction dissipation, advective
@@ -145,12 +146,14 @@ def energy_identity_terms(trajectory: StateTrajectory, problem: StateProblem, k)
     friction = dot(ops.w_gamma * alpha, t_tau_sq)
     an = ops.w_gamma * (ops.Tn @ w_adv)
     adv_flux = 0.5 * dot(an, (ops.Tn @ y) ** 2 + t_tau_sq)
-    Gp = -(g.cell_area) * (ops.Dmat.T @ p)
+    Gp = -(g.cell_area) * (ops.DmatT @ p)
     pressure_work = dot(y, Gp)
     load = ops.b_load(b)
     slip_work = -dot(y, load)
 
-    R = ops.step_matrix(dt, problem.nu, alpha, w_adv) @ y - W * yo / dt + Gp - load
+    if L is None:
+        L = ops.step_matrix(dt, problem.nu, alpha, w_adv)
+    R = L @ y - W * yo / dt + Gp - load
     C = ops.cons_idx
     boundary_supply = -dot(y[C], R[C])
 
@@ -169,10 +172,13 @@ def energy_identity_terms(trajectory: StateTrajectory, problem: StateProblem, k)
 
 
 def energy_identity_residual(trajectory: StateTrajectory, problem: StateProblem):
-    """Per-step relative imbalance of the discrete energy identity."""
-    out = np.zeros(trajectory.time_grid.nt)
-    for k in range(1, trajectory.time_grid.nt + 1):
-        terms = energy_identity_terms(trajectory, problem, k)
+    """Per-step relative imbalance of the discrete energy identity; the
+    steps' operators are one step_matrix, refilled at every step."""
+    ops, tg, y = trajectory.grid.ops, trajectory.time_grid, trajectory.y
+    out, L = np.zeros(tg.nt), None
+    for k in range(1, tg.nt + 1):
+        L = ops.step_matrix(tg.dt, problem.nu, problem.friction.alpha[k], y[k - 1], out=L)
+        terms = energy_identity_terms(trajectory, problem, k, L)
         imbalance = terms.pop("imbalance")
         scale = max(max(abs(v) for v in terms.values()), 1e-30)
         out[k - 1] = abs(imbalance) / scale

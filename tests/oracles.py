@@ -253,9 +253,11 @@ class ReferenceOperators(DiscreteOperators):
         self.loop_vertex = i * (ny + 1) + j
 
     def _build_reduced_map(self):
-        """Pattern of R = Ci^T L Ci and the map Q, a row per entry a <= b,
-        by sorting: every term (a, b, step entry) of R is listed, and the
-        rows of Q and the pattern of R are the distinct (a, b) in order."""
+        """Pattern of R = Ci^T L Ci and its map, a row per entry of R, by
+        sorting: every term (a, b, step entry) of an entry a <= b of R is
+        listed, and again at (b, a) with the mirrored step entry where
+        a < b; the pattern is the distinct (row, col) in order, and a row
+        of the map holds its terms ordered by the unmirrored step entry."""
         N, C = self.N, self.Ci.tocoo()
         rows = np.repeat(np.arange(N), np.diff(self.step_indptr))
         cols = self.step_indices
@@ -271,21 +273,19 @@ class ReferenceOperators(DiscreteOperators):
                     if va <= vb:
                         a.append(va); b.append(vb); src.append(s_); coef.append(ca * cb)
         a, b, src, coef = (np.array(x) for x in (a, b, src, coef))
-        n = self.Ci.shape[1]
-        upper, pos = np.unique(a * n + b, return_inverse=True)
-        order = np.lexsort((src, pos))
+        n, off = self.Ci.shape[1], a != b
+        key = np.concatenate([a * n + b, b[off] * n + a[off]])
+        col = np.concatenate([src, mirror[src[off]]])
+        order_by = np.concatenate([src, src[off]])
+        coef = np.concatenate([coef, coef[off]])
+        pattern, pos = np.unique(key, return_inverse=True)
+        order = np.lexsort((order_by, pos))
         self._reduced_map = sp.csr_matrix(
-            (coef[order], src[order].astype(np.int32),
-             np.searchsorted(pos[order], np.arange(upper.size + 1)).astype(np.int32)),
-            shape=(upper.size, rows.size))
-        Q = self._reduced_map
-        self._reduced_mirror = sp.csr_matrix((Q.data, mirror[Q.indices], Q.indptr), shape=Q.shape)
-        ua, ub = np.divmod(upper, n)
-        pattern = np.unique(np.concatenate([upper, ub * n + ua]))
+            (coef[order], col[order].astype(np.int32),
+             np.searchsorted(pos[order], np.arange(pattern.size + 1)).astype(np.int32)),
+            shape=(pattern.size, rows.size))
         self.reduced_indices = (pattern % n).astype(np.int32)
         self.reduced_indptr = np.searchsorted(pattern, np.arange(n + 1) * n).astype(np.int32)
-        self.reduced_upper = np.searchsorted(pattern, upper)
-        self.reduced_lower = np.searchsorted(pattern, ub * n + ua)
 
 
 class SaddleStep:

@@ -435,24 +435,27 @@ def test_reference_factor_failure_names_its_sweep(refined_setup, monkeypatch):
 
 
 class _CountingMap:
-    """Stands in for one of the sparse maps of DiscreteOperators; counts its
-    products."""
+    """Counts the products with one of the sparse maps of DiscreteOperators
+    (the matrix m itself) through operators._mv."""
 
     def __init__(self, m):
         self.m, self.calls = m, 0
 
-    def __matmul__(self, x):
-        self.calls += 1
-        return self.m @ x
-
 
 def _spy_step_maps(monkeypatch, ops):
-    """Count the products with the step map and the two reduced maps, the
-    maps a step assembly applies once each."""
-    spies = {name: _CountingMap(getattr(ops, name))
-             for name in ("_step_map", "_reduced_map", "_reduced_mirror")}
-    for name, spy in spies.items():
-        monkeypatch.setattr(ops, name, spy)
+    """Count the products with the step map and the reduced map, the maps a
+    step assembly applies once each through operators._mv."""
+    from slipctl import operators
+    spies = {name: _CountingMap(getattr(ops, name)) for name in ("_step_map", "_reduced_map")}
+    real = operators._mv
+
+    def counting(A, x, out=None):
+        for spy in spies.values():
+            if A is spy.m:
+                spy.calls += 1
+        return real(A, x, out)
+
+    monkeypatch.setattr(operators, "_mv", counting)
     return spies
 
 
@@ -491,10 +494,10 @@ def test_later_sweeps_read_the_state_sweeps_steps(either_setup, monkeypatch, tmp
 
     spies = _spy_step_maps(monkeypatch, grid.ops)
     stored = _later_sweeps(p, traj, U, d)
-    assert [s.calls for s in spies.values()] == [0, 0, 0]
+    assert [s.calls for s in spies.values()] == [0, 0]
     for t in bare:
         assembled = _later_sweeps(p, t, U, d)
-        assert [s.calls for s in spies.values()] == [2 * tg.nt] * 3
+        assert [s.calls for s in spies.values()] == [2 * tg.nt] * 2
         assert _bits_equal(stored, assembled)
         for s in spies.values():
             s.calls = 0
@@ -522,7 +525,7 @@ def test_store_is_read_only_at_its_dt_nu_and_alpha(either_setup, monkeypatch, ch
 
     spies = _spy_step_maps(monkeypatch, grid.ops)
     mixed = _later_sweeps(other, traj, U, d)
-    assert [s.calls for s in spies.values()] == [2 * assembled] * 3
+    assert [s.calls for s in spies.values()] == [2 * assembled] * 2
     bare = StateTrajectory(grid, tg, traj.y, traj.p, traj.config_hash)
     assert _bits_equal(mixed, _later_sweeps(other, bare, U, d))
 
@@ -541,7 +544,7 @@ def test_capped_store_keeps_the_last_steps(either_setup, monkeypatch):
 
     spies = _spy_step_maps(monkeypatch, grid.ops)
     out = _later_sweeps(prob, capped, U, d)
-    assert [s.calls for s in spies.values()] == [2 * (tg.nt - K)] * 3
+    assert [s.calls for s in spies.values()] == [2 * (tg.nt - K)] * 2
     assert _bits_equal(out, _later_sweeps(prob, traj, U, d))
 
 
@@ -609,7 +612,7 @@ def test_band_store_over_its_bytes_keeps_the_step_data(setup, monkeypatch, facto
     spies = _spy_step_maps(monkeypatch, grid.ops)
     factor_log.clear()
     out = _later_sweeps(prob, data, U, d)
-    assert [s.calls for s in spies.values()] == [0, 0, 0]
+    assert [s.calls for s in spies.values()] == [0, 0]
     assert factor_log == ([("adjoint", k) for k in range(tg.nt, 0, -1)]
                           + [("linearized", k) for k in range(1, tg.nt + 1)])
     assert _bits_equal(out, _later_sweeps(prob, traj, U, d))
@@ -629,7 +632,7 @@ def test_refining_sweeps_load_no_band_lu(setup, monkeypatch):
     d = random_admissible_control(grid, tg, np.random.default_rng(58), amplitude=0.3)
     spies = _spy_step_maps(monkeypatch, grid.ops)
     out = _later_sweeps(prob, traj, U, d)
-    assert [s.calls for s in spies.values()] == [2 * tg.nt] * 3
+    assert [s.calls for s in spies.values()] == [2 * tg.nt] * 2
     bare = StateTrajectory(grid, tg, traj.y, traj.p, traj.config_hash)
     assert _bits_equal(out, _later_sweeps(prob, bare, U, d))
 
@@ -689,8 +692,44 @@ def test_band_store_keeps_every_step_of_16x16_by_32(monkeypatch, factor_spy):
     factor_spy.calls = 0
     stored = _later_sweeps(prob, traj, U, d)
     assert factor_spy.calls == 0
-    assert [s.calls for s in spies.values()] == [0, 0, 0]
+    assert [s.calls for s in spies.values()] == [0, 0]
     bare = StateTrajectory(grid, tg, traj.y, traj.p, traj.config_hash)
     assert _bits_equal(stored, _later_sweeps(prob, bare, U, d))
     assert factor_spy.calls == 2 * tg.nt
-    assert [s.calls for s in spies.values()] == [2 * tg.nt] * 3
+    assert [s.calls for s in spies.values()] == [2 * tg.nt] * 2
+
+
+@pytest.mark.parametrize("band", [True, False])
+def test_step_loops_make_no_sparse_matmul(monkeypatch, band):
+    """A 16x16 state, tangent and adjoint sweep makes as many scipy
+    __matmul__ (and __rmatmul__) calls at nt = 4 as at nt = 8: every sparse
+    product inside a step loop goes through operators._mv, band-factored
+    or refining (the band rule's bound lowered)."""
+    import scipy.sparse as sp
+    from slipctl import operators
+    if not band:
+        monkeypatch.setattr(operators, "BAND_BOUND", 0)
+    calls = []
+    for name in ("__matmul__", "__rmatmul__"):
+        real = getattr(sp._base._spbase, name)
+
+        def counting(self, other, real=real):
+            calls.append(1)
+            return real(self, other)
+
+        monkeypatch.setattr(sp._base._spbase, name, counting)
+
+    def count(nt):
+        grid, tg = build_grid(16, 16, 1.0, 1.0), TimeGrid(0.5, nt)
+        rng = np.random.default_rng(nt)
+        ctrl, d = (random_admissible_control(grid, tg, rng, amplitude=amp) for amp in (0.5, 0.3))
+        prob = StateProblem(grid, tg, np.zeros(grid.ops.N), ctrl, validate=False)
+        U = random_source(grid, tg, nt)
+        del calls[:]
+        traj = solve_state(prob)
+        solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
+        solve_adjoint(AdjointProblem(prob, traj, U))
+        assert (grid.ops.band() is None) is not band
+        return len(calls)
+
+    assert 0 < count(4) == count(8)

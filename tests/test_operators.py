@@ -978,9 +978,60 @@ def test_history_keeps_the_last_three_solutions():
         assert all(h is s for h, s in zip(step.history[trans], sols[1:]))
 
 
+def test_mv_has_the_bits_of_the_product(monkeypatch):
+    """operators._mv gives the bits of A @ x on every matrix a step loop
+    multiplies (a refining step's, and the sine reference's E): vectors and
+    (n, 2) blocks, contiguous or not, with exact and negative zeros, into a
+    new array or into out."""
+    from slipctl import operators
+    from slipctl.operators import StepSolver, _mv
+    monkeypatch.setattr(operators, "SINE_BOUND", 0)
+    grid, ops, rng, alpha, *_ = _step_case(61)
+    ref = ops.reference_lu(0.05, 1.0, alpha)
+    step = StepSolver(ops, 0.05, 1.0, lu=ref).step(alpha, rng.standard_normal(ops.N))
+    mats = {"csr": [ops._step_map, ops._reduced_map, step.L, step.R, step.abs_R, ops.Ci,
+                    ops.Dmat, ops.P, ops.G, ops.T, ops.Tn, ops.Mbc, ref.E],
+            "csc": [ops.CiT, step.LT, step.R_T, step.abs_R_T, ops.GT, ops.PT, ops.TT]}
+    for fmt, group in mats.items():
+        for A in group:
+            assert A.format == fmt
+            block = rng.standard_normal((A.shape[1], 4))
+            block[::5] = 0.0
+            block[::7] = -0.0
+            for x in (block[:, 0].copy(), block[:, 1], block[:, :2].copy(), block[:, ::2],
+                      np.asfortranarray(block[:, 2:])):
+                want = (A @ x).tobytes()
+                assert _mv(A, x).tobytes() == want
+                out = np.full(A.shape[:1] + x.shape[1:], np.nan)
+                assert _mv(A, x, out) is out and out.tobytes() == want
+
+
+def test_mv_rejects_a_wrong_shape_or_dtype():
+    """A vector or block of the wrong length, dimension or dtype, or an out
+    of the wrong shape or dtype (or a block's out not C-contiguous), raises
+    ValueError before the kernel, which checks none of them."""
+    from slipctl.operators import _mv
+    ops = build_grid(7, 5, 1.2, 0.8).ops
+    for A in (ops.Dmat, ops.DmatT):
+        (m, n), x = A.shape, np.ones(A.shape[1])
+        for bad in (x[1:], np.ones(n + 1), np.ones((n + 1, 2)), np.ones((n, 2, 1)), x[0],
+                    x.astype(np.float32), x.astype(np.int64), x.astype(complex)):
+            with pytest.raises(ValueError):
+                _mv(A, bad)
+        for out in (np.zeros(m - 1), np.zeros(m + 1), np.zeros((m, 1)),
+                    np.zeros(m, dtype=np.float32)):
+            with pytest.raises(ValueError):
+                _mv(A, x, out)
+        with pytest.raises(ValueError):
+            _mv(A, np.ones((n, 2)), np.zeros((2, m)).T)
+        assert _mv(A, x).tobytes() == (A @ x).tobytes()
+
+
 def test_reference_slot_hit_applies_no_step_map(monkeypatch):
     """A hit compares the exact inputs (dt, nu, alpha) only: neither the
-    step map nor the reduced maps are applied."""
+    step map nor the reduced map is applied, by a product or through
+    operators._mv."""
+    from slipctl import operators
     grid, ops, rng, alpha, *_ = _step_case(29, n=8)
     lu = ops.reference_lu(0.05, 1.0, alpha)
 
@@ -988,8 +1039,17 @@ def test_reference_slot_hit_applies_no_step_map(monkeypatch):
         def __matmul__(self, x):
             raise AssertionError("map applied on a slot hit")
 
-    for name in ("_step_map", "_reduced_map", "_reduced_mirror"):
-        monkeypatch.setattr(ops, name, Unused())
+    unused = [Unused(), Unused()]
+    for name, m in zip(("_step_map", "_reduced_map"), unused):
+        monkeypatch.setattr(ops, name, m)
+    real = operators._mv
+
+    def mv(A, x, out=None):
+        if any(A is m for m in unused):
+            raise AssertionError("map applied on a slot hit")
+        return real(A, x, out)
+
+    monkeypatch.setattr(operators, "_mv", mv)
     assert ops.reference_lu(0.05, 1.0, alpha.copy()) is lu
 
 
