@@ -185,8 +185,7 @@ def fd_gradient_oracle(engine, controls, direction, eps_list):
         round_off = (r * noise[e2] + noise[e1]) / (r - 1.0)
     else:
         richardson, round_off = est[0][1], noise[est[0][0]]
-    best_eps = min(estimates, key=lambda t: abs(t[1] - richardson))[0]
-    return {"estimates": estimates, "richardson": float(richardson), "best_eps": best_eps,
+    return {"estimates": estimates, "richardson": float(richardson),
             "round_off": float(round_off)}
 
 

@@ -42,13 +42,13 @@ LINEAR_RESIDUAL_TOL = 1e-9
 REFINE_TARGET = 0.5
 REFINE_RATE = 0.5
 REFINE_MAX_STEPS = 20
-# bytes of step data a state sweep keeps for the later sweeps around its
-# trajectory (StepStore): 62 KB a step at 16x16, 1.0 MB at 64x64
+# bytes of step data (L and R) a state sweep keeps for the later sweeps
+# around its trajectory above BAND_BOUND (StepStore): 1.0 MB a step at 64x64
 STEP_STORE_BYTES = 32 * 2 ** 20
-# bytes a StepStore may take when its rows keep band LUs: 212 KB a step at
-# 16x16 (kl = 32, ku = 30), 395 KB at 20x20 (kl = ku = 38), 3.4x and 4.0x
-# the step data; a store that would take more keeps the step data, so the
-# factors add at most this to a process of ~77 MB at 16x16
+# bytes a StepStore keeps under BAND_BOUND, whose rows hold L and a band LU:
+# 212 KB a step at 16x16 (kl = 32, ku = 30, 39 steps), 395 KB at 20x20
+# (kl = ku = 38, 21 steps); the later sweeps factor the steps before those,
+# so the store adds at most this to a process of ~77 MB at 16x16
 BAND_STORE_BYTES = 8 * 2 ** 20
 # every step factors its own R by a LAPACK band LU, without a reference,
 # where the reduced step's n * ku^2, with ku its bandwidth, is below this
@@ -1042,29 +1042,29 @@ class StepStore:
 
     Step k of all three sweeps has the same L(alpha_k, y_{k-1}) and
     R = Ci^T L Ci (the adjoint solves with their transposes).  The state
-    sweep keeps the last steps whose data fit in STEP_STORE_BYTES, from
+    sweep keeps the last steps whose rows fit in the store's bytes, from
     step first on (the adjoint sweep, which runs backwards, reads those
-    first), each in a row of one preallocated buffer: the data of L and of
-    R, or, on grids under BAND_BOUND where those rows as band rows take at
-    most BAND_STORE_BYTES, the data of L and the band LU of R, which the
-    sweep's StepSolver writes there in place (dgbtrf's array; the pivots
-    stay on the row's _BandLU).  A later sweep that loads step k solves
-    with L and that very factor, with no R assembled and nothing factored,
-    or factors or refines with the loaded L and R.  Either way a store
-    keeps the same steps.  A later sweep loads step k instead of making it
-    only when its operators are the store's, its (dt, nu, alpha_k) are
-    bitwise the ones the step was made at and, for a band LU, it does not
-    refine; its advecting field is the trajectory's own y_{k-1}.
+    first), each in a row of one preallocated buffer.  The grid picks the
+    row: under BAND_BOUND it holds the data of L and the band LU of R,
+    which the sweep's StepSolver writes there in place (dgbtrf's array; the
+    pivots stay on the row's _BandLU), within BAND_STORE_BYTES; above it,
+    the data of L and of R, within STEP_STORE_BYTES.  A later sweep that
+    loads step k solves with L and that very factor, with no R assembled
+    and nothing factored, or refines with the loaded L and R; it makes the
+    steps before first itself.  A later sweep loads step k instead of
+    making it only when its operators are the store's, its (dt, nu,
+    alpha_k) are bitwise the ones the step was made at and, for a band LU,
+    it does not refine; its advecting field is the trajectory's own y_{k-1}.
     """
 
     def __init__(self, ops, nt):
         nl, nr = ops.step_indices.size, ops.reduced_indices.size
-        n = min(nt, STEP_STORE_BYTES // (8 * (nl + nr)))
         band = ops.band()
-        if band is not None and 8 * n * (nl + band.n * band.ldab) <= BAND_STORE_BYTES:
-            nr = band.n * band.ldab
+        if band is None:
+            n = min(nt, STEP_STORE_BYTES // (8 * (nl + nr)))
         else:
-            band = None
+            nr = band.n * band.ldab
+            n = min(nt, BAND_STORE_BYTES // (8 * (nl + nr)))
         self.ops = ops
         self.first = nt + 1 - n
         # one allocation: in a loop of solves on one grid, malloc then
@@ -1162,10 +1162,9 @@ class StepSolver:
     Without a reference (lu=None) every step solves directly on a factor
     of its R; on grids under BAND_BOUND that is a LAPACK band LU (see
     DiscreteOperators.band).  The state sweep factors each step into the
-    row of keep that keeps it, where keep's rows hold band LUs, or into
-    one buffer the solver holds; a later sweep solves a loaded step with
-    the state sweep's factor where the store holds one and factors the
-    other steps' R.
+    row of keep that keeps it, or into one buffer the solver holds; a
+    later sweep solves a loaded step with the state sweep's factor and
+    factors the other steps' R into that buffer.
 
     Given a direct solver of an advection-free reduced step (the sweeps
     above the bound pass the problem's reference, see

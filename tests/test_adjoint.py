@@ -548,14 +548,26 @@ def test_capped_store_keeps_the_last_steps(either_setup, monkeypatch):
     assert _bits_equal(out, _later_sweeps(prob, traj, U, d))
 
 
+def _store_row(ops):
+    """The name of the budget of a StepStore on ops and the bytes of one of
+    its rows: BAND_STORE_BYTES and L with a band LU under the band bound,
+    STEP_STORE_BYTES and L with R above it."""
+    band = ops.band()
+    if band is None:
+        return "STEP_STORE_BYTES", 8 * (ops.step_indices.size + ops.reduced_indices.size)
+    return "BAND_STORE_BYTES", 8 * (ops.step_indices.size + band.n * band.ldab)
+
+
 def _capped_solve(monkeypatch, prob, K):
-    """The trajectory of prob solved with a StepStore whose step data have
-    room for K steps and a half."""
+    """The trajectory of prob solved with a StepStore whose budget has room
+    for K rows and a half."""
     from slipctl import operators
     ops, nt = prob.grid.ops, prob.time_grid.nt
-    per_step = 8 * (ops.step_indices.size + ops.reduced_indices.size)
-    monkeypatch.setattr(operators, "STEP_STORE_BYTES", K * per_step + per_step // 2)
-    return solve_state(prob, StepStore(ops, nt))
+    budget, row = _store_row(ops)
+    monkeypatch.setattr(operators, budget, K * row + row // 2)
+    steps = StepStore(ops, nt)
+    assert (steps.lu is None) is (ops.band() is None) and len(steps.keys) == K
+    return solve_state(prob, steps)
 
 
 def test_capped_band_store_factors_the_steps_it_does_not_cover(setup, monkeypatch,
@@ -575,44 +587,64 @@ def test_capped_band_store_factors_the_steps_it_does_not_cover(setup, monkeypatc
                           + [("linearized", k) for k in uncovered])
 
 
-@pytest.mark.parametrize("n, nt, banded", [(16, 39, True), (16, 40, False), (16, 41, False),
-                                           (20, 21, True), (20, 22, False), (20, 96, False)])
-def test_band_store_keeps_factors_only_within_its_bytes(n, nt, banded):
-    """A store keeps band LUs where they take at most BAND_STORE_BYTES (39
-    steps at 16x16, whose band rows take 212,248 bytes, 21 at 20x20) and L
-    and R otherwise; either way it keeps every step whose L and R fit in
-    STEP_STORE_BYTES, here all of them."""
+@pytest.mark.parametrize("n, nt, whole", [(16, 39, True), (16, 40, False), (16, 41, False),
+                                         (20, 21, True), (20, 22, False), (20, 96, False),
+                                         (16, 400, False)])
+def test_band_store_keeps_factors_only_within_its_bytes(n, nt, whole):
+    """Under the band bound a store keeps band LUs, and only of the last
+    steps whose rows take at most BAND_STORE_BYTES: 39 steps at 16x16,
+    whose band rows take 212,248 bytes, 21 at 20x20.  It keeps every step
+    (whole) only for a horizon within those; a longer one keeps no L and R
+    of the steps before them."""
     from slipctl.operators import BAND_STORE_BYTES
     ops = build_grid(n, n, 1.0, 1.0).ops
     band, steps = ops.band(), StepStore(ops, nt)
-    assert steps.first == 1 and len(steps.keys) == nt
-    assert (steps.lu is not None) is banded and (steps.R is None) is banded
+    kept = min(nt, {16: 39, 20: 21}[n])
+    assert steps.first == nt + 1 - kept and len(steps.keys) == len(steps.lu) == kept
+    assert steps.R is None and (steps.first == 1) is whole
     row = 8 * (ops.step_indices.size + band.n * band.ldab)
     assert row == {16: 212248, 20: 395192}[n]
-    if banded:
-        assert steps.L.base.nbytes == nt * row <= BAND_STORE_BYTES
-    else:
-        assert nt * row > BAND_STORE_BYTES
-        assert steps.L.base.nbytes == 8 * nt * (ops.step_indices.size
-                                                 + ops.reduced_indices.size)
+    assert steps.L.base.nbytes == kept * row <= BAND_STORE_BYTES
 
 
-def test_band_store_over_its_bytes_keeps_the_step_data(setup, monkeypatch, factor_log):
-    """Where the band LUs would take more than BAND_STORE_BYTES, the store
-    keeps L and R of the same steps: the later sweeps assemble no step and
-    factor each one, with the bits of a store of band LUs."""
+@pytest.mark.parametrize("n", [8, 16, 20, 22, 32, 64])
+def test_store_stays_within_the_bytes_of_its_row_format(n):
+    """At every horizon a store takes at most BAND_STORE_BYTES where its
+    grid is under the band bound (rows of L and a band LU) and at most
+    STEP_STORE_BYTES above it (rows of L and R), and keeps the last steps
+    that fit."""
+    from slipctl import operators
+    ops = build_grid(n, n, 1.0, 1.0).ops
+    budget, row = _store_row(ops)
+    assert (budget == "BAND_STORE_BYTES") is (n < 22)
+    budget = getattr(operators, budget)
+    for nt in (1, 2, 21, 39, 40, 64, 96, 400, 5000):
+        steps = StepStore(ops, nt)
+        kept = min(nt, budget // row)
+        assert (steps.R is None) is (n < 22)
+        assert steps.first == nt + 1 - kept and len(steps.keys) == kept
+        assert steps.L.base.nbytes == kept * row <= budget
+
+
+def test_band_store_without_room_keeps_no_step(setup, monkeypatch, factor_log):
+    """A band store with no room for a row (BAND_STORE_BYTES = 0) keeps no
+    step: the later sweeps assemble and factor each step once, each in its
+    marching order, with the bits of a store of band LUs."""
     from slipctl import operators
     grid, tg, prob, traj = setup
     monkeypatch.setattr(operators, "BAND_STORE_BYTES", 0)
+    factor_log.clear()
     data = solve_state(prob, StepStore(grid.ops, tg.nt))
-    assert data.steps.lu is None and data.steps.first == 1
+    assert data.steps.keys == data.steps.lu == [] and data.steps.first == tg.nt + 1
+    assert data.steps.L.base.nbytes == 0
+    assert factor_log == [("state", k) for k in range(1, tg.nt + 1)]
     assert _bits_equal([data.y, data.p], [traj.y, traj.p])
     U = random_source(grid, tg, 55)
     d = random_admissible_control(grid, tg, np.random.default_rng(56), amplitude=0.3)
     spies = _spy_step_maps(monkeypatch, grid.ops)
     factor_log.clear()
     out = _later_sweeps(prob, data, U, d)
-    assert [s.calls for s in spies.values()] == [0, 0]
+    assert [s.calls for s in spies.values()] == [2 * tg.nt] * 2
     assert factor_log == ([("adjoint", k) for k in range(tg.nt, 0, -1)]
                           + [("linearized", k) for k in range(1, tg.nt + 1)])
     assert _bits_equal(out, _later_sweeps(prob, traj, U, d))

@@ -305,6 +305,46 @@ def test_band_factored_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path
     assert "solve.json" in names and "gradcheck.json" in names
 
 
+def test_grad_check_with_a_capped_band_store_writes_the_same_bytes(tmp_path, monkeypatch):
+    """The demo on 8x8 cells (nt = 32): grad-check with room for 3 band rows
+    in BAND_STORE_BYTES, whose store keeps steps 30-32 and whose later
+    sweeps factor the other 29, writes the bytes of a run whose store keeps
+    all 32, the wall-clock record timings.json aside."""
+    from slipctl import operators
+    from slipctl.mesh import build_grid
+    cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cfg.read(DEMO)
+    cfg["domain"]["nx"] = cfg["domain"]["ny"] = "8"
+    path = tmp_path / "demo.ini"
+    with open(path, "w") as fh:
+        cfg.write(fh)
+    real_store, firsts = operators.StepStore.__init__, []
+
+    def store(self, ops, nt):
+        real_store(self, ops, nt)
+        firsts.append(self.first)
+
+    monkeypatch.setattr(operators.StepStore, "__init__", store)
+    outs = []
+    for capped in (False, True):
+        if capped:
+            ops = build_grid(8, 8, 1.0, 1.0).ops
+            band = ops.band()
+            row = 8 * (ops.step_indices.size + band.n * band.ldab)
+            monkeypatch.setattr(operators, "BAND_STORE_BYTES", 3 * row)
+        run = tmp_path / ("capped" if capped else "default")
+        run.mkdir()
+        monkeypatch.chdir(run)
+        # the same relative --out in both runs, so config.resolved compares too
+        assert main(["grad-check", "--config", str(path), "--out", "out"]) == EXIT_OK
+        outs.append(str(run / "out"))
+    assert firsts == [1, 30]
+    names = [n for n in _files(outs[0]) if n != "timings.json"]
+    assert "gradcheck.json" in names and names == [n for n in _files(outs[1])
+                                                   if n != "timings.json"]
+    _assert_same_bytes(*outs, names)
+
+
 def test_target_from_file(tmp_path):
     cfg = write_config(tmp_path)
     out = str(tmp_path / "solve_for_target")
