@@ -26,9 +26,9 @@ from .adjoint_solver import DUALITY_TOL, duality_residual
 from .control_opt import (CostParams, GradientEngine, fd_gradient_oracle,
                           optimize, random_admissible_control)
 from .errors import ConfigError, IncompatibleFlux, InitialStateError, SlipctlError
-from .fields import (BoundaryControl, FrictionField, divergence, face_vector,
-                     sample_faces, save_boundary_table, write_snapshot)
-from .lifting import discrete_curl, solve_neumann_lifting
+from .fields import (BoundaryControl, FrictionField, face_vector, sample_faces,
+                     save_boundary_table, write_snapshot)
+from .lifting import solve_neumann_lifting
 from .linearized_solver import LinearizedProblem, solve_linearized
 from .mesh import WALL_NAMES, TimeGrid, build_grid, integrate_boundary
 from .state_solver import (StateProblem, energy_identity_residual,
@@ -191,7 +191,7 @@ class RunConfig:
         b = b_t[:, None] * b_prof[None, :]
         ctrl = BoundaryControl(self.grid, self.time_grid, a, b,
                                self.p_exponent, self.radius)
-        flux = np.abs(ctrl.flux_residuals()).max()
+        flux = np.abs(integrate_boundary(self.grid, a)).max()
         if flux > 1e-10 * max(1.0, np.abs(a).max()):
             raise ConfigError(
                 "normal control a has net boundary flux %.3e: the injection-"
@@ -441,8 +441,8 @@ def cmd_lift(rc: RunConfig):
     _write_json(os.path.join(rc.out_dir, "lift.json"), {
         "config_hash": rc.config_hash(),
         "flux": float(integrate_boundary(rc.grid, a_final)),
-        "max_divergence": float(np.abs(divergence(rc.grid, grad)).max()),
-        "max_curl": float(np.abs(discrete_curl(rc.grid, grad)).max())})
+        "max_divergence": float(np.abs(rc.grid.ops.Dmat @ grad).max()),
+        "max_curl": float(np.abs(rc.grid.ops.CiT @ grad).max())})
     log.info("lifting solve complete")
     return EXIT_OK
 

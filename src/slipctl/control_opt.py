@@ -21,12 +21,12 @@ _EPS = np.finfo(float).eps
 class CostParams:
     """Target trajectory, penalty weights and admissible-set metadata."""
 
-    def __init__(self, y_d=None, lam1=0.0, lam2=0.0, radius=1e6, p_exponent=4.0):
+    def __init__(self, y_d, lam1=0.0, lam2=0.0, radius=1e6, p_exponent=4.0):
         if lam1 < 0 or lam2 < 0:
             raise ValueError("penalty weights must be nonnegative")
         if radius <= 0:
             raise ValueError("admissible radius must be positive")
-        self.y_d = y_d           # face vectors of shape (nt+1, N), or None (zero target)
+        self.y_d = y_d           # face vectors of shape (nt+1, N)
         self.lam1 = float(lam1)
         self.lam2 = float(lam2)
         self.radius = float(radius)
@@ -34,7 +34,7 @@ class CostParams:
 
     def misfit(self, trajectory):
         """Tracking misfit y - y_d as face vectors of shape (nt+1, N)."""
-        return trajectory.y if self.y_d is None else trajectory.y - self.y_d
+        return trajectory.y - self.y_d
 
 
 def evaluate_cost(controls: BoundaryControl, trajectory, params: CostParams,
@@ -46,12 +46,10 @@ def evaluate_cost(controls: BoundaryControl, trajectory, params: CostParams,
     of J (the penalties are sums of squares and cancel nothing).
     """
     g, dt = controls.grid, controls.time_grid.dt
-    if not magnitude:
-        misfit = params.misfit(trajectory)
-    elif params.y_d is None:
-        misfit = np.abs(trajectory.y)
-    else:
+    if magnitude:
         misfit = np.abs(trajectory.y) + np.abs(params.y_d)
+    else:
+        misfit = params.misfit(trajectory)
     wg, a, b = g.boundary_weight, controls.a, controls.b
     return 0.5 * (time_sum(dt, g.ops.Wvec, misfit, misfit)
                   + params.lam1 * time_sum(dt, wg, a, a) + params.lam2 * time_sum(dt, wg, b, b))
@@ -328,18 +326,17 @@ def optimize(y0, params: CostParams, controls0=None, friction=None, nu=1.0,
             sigma = 2.0 * J / max(gnorm ** 2, 1e-300)
         else:
             sigma = 2.0 * sigma_prev
-            if prev is not None:
-                da = c.a - prev[0]; db = c.b - prev[1]
-                dga = grad.ga - prev[2]; dgb = grad.gb - prev[3]
-                wg = c.grid.boundary_weight
-                ss = slice_sum(wg, da, da) + slice_sum(wg, db, db)
-                sy = slice_sum(wg, da, dga) + slice_sum(wg, db, dgb)
-                yy = slice_sum(wg, dga, dga) + slice_sum(wg, dgb, dgb)
-                # alternate the two secant step lengths
-                bb = ss / sy if (it % 2 == 0 and sy > 0) else (
-                    sy / yy if yy > 0 else np.nan)
-                if np.isfinite(bb) and bb > 0:
-                    sigma = bb
+            da = c.a - prev[0]; db = c.b - prev[1]
+            dga = grad.ga - prev[2]; dgb = grad.gb - prev[3]
+            wg = c.grid.boundary_weight
+            ss = slice_sum(wg, da, da) + slice_sum(wg, db, db)
+            sy = slice_sum(wg, da, dga) + slice_sum(wg, db, dgb)
+            yy = slice_sum(wg, dga, dga) + slice_sum(wg, dgb, dgb)
+            # alternate the two secant step lengths
+            bb = ss / sy if (it % 2 == 0 and sy > 0) else (
+                sy / yy if yy > 0 else np.nan)
+            if np.isfinite(bb) and bb > 0:
+                sigma = bb
         prev = (c.a.copy(), c.b.copy(), grad.ga.copy(), grad.gb.copy())
 
         accepted = False

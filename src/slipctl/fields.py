@@ -7,10 +7,13 @@ midpoints in loop order.  This module alone knows the u/v layout
 (face_vector, sample_faces, components), and it is the one home of the
 space-time quadrature that the cost, the gradient pairing, the energy
 identity and the duality check share with the adjoint: dot, slice_sum,
-time_sum, sup_face_l2, dissipation and zero_mean, each one np.einsum in
-numpy's own loops, whose bits, unlike a BLAS dot's of over ~10,000
-entries, do not depend on the thread count.  Sparse products, hp_norm's
-Fourier product (one thread's dot per entry), SuperLU and LAPACK use BLAS.
+time_sum, sup_face_l2 and dissipation, each one np.einsum in numpy's own
+loops, whose bits, unlike a BLAS dot's of over ~10,000 entries, do not
+depend on the thread count; boundary integrals, zero_mean's and the
+control checks' included, are mesh.integrate_boundary's, one such einsum.
+The divergence and curl are the solver's own matrices, ops.Dmat and
+ops.CiT.  Sparse products, hp_norm's Fourier product (one thread's dot
+per entry), SuperLU and LAPACK use BLAS.
 """
 
 import json
@@ -18,7 +21,7 @@ import json
 import numpy as np
 
 from .errors import IncompatibleFlux
-from .mesh import Grid
+from .mesh import Grid, integrate_boundary
 
 DEFAULT_ALPHA_MIN = 1e-3
 # hp_norm forms the Gagliardo pair differences for blocks of time slices of
@@ -76,12 +79,8 @@ class BoundaryControl:
         return BoundaryControl(self.grid, self.time_grid, self.a.copy(), self.b.copy(),
                                self.p_exponent, self.radius)
 
-    def flux_residuals(self):
-        """Net boundary flux of a per time slice (all must vanish)."""
-        return np.einsum("i,ki->k", self.grid.boundary_weight, self.a)
-
     def check_flux(self):
-        res = np.abs(self.flux_residuals()).max()
+        res = np.abs(integrate_boundary(self.grid, self.a)).max()
         scale = max(1.0, np.abs(self.a).max())
         if res > 1e-10 * scale:
             raise IncompatibleFlux(
@@ -176,17 +175,11 @@ def dissipation(grid, dt, y, alpha, strain=1.0):
 
 def zero_mean(grid, a):
     """Boundary rows a less their boundary mean, row by row."""
-    return a - np.einsum("i,ki->k", grid.boundary_weight, a)[:, None] / grid.loop_length
+    return a - integrate_boundary(grid, a)[:, None] / grid.loop_length
 
 
 # ---------------------------------------------------------------------------
-# differential operators and norms
-
-
-def divergence(grid, y):
-    """MAC cell divergence (u_{i+1,j}-u_{i,j})/hx + (v_{i,j+1}-v_{i,j})/hy."""
-    u, v = components(grid, y)
-    return (u[1:, :] - u[:-1, :]) / grid.hx + (v[:, 1:] - v[:, :-1]) / grid.hy
+# norms
 
 
 def face_l2(grid, vec):
@@ -246,7 +239,7 @@ def hp_norm(control: BoundaryControl):
     theta[0] *= 0.5
     theta[-1] *= 0.5
 
-    lp = np.einsum("ki,i->k", (a * a) ** (0.5 * p), grid.boundary_weight) ** (1.0 / p)
+    lp = integrate_boundary(grid, (a * a) ** (0.5 * p)) ** (1.0 / p)
     i, j, ker2 = grid.gagliardo_pairs(p)
     semi = np.empty(a.shape[0])
     rows = max(1, _GAGLIARDO_BLOCK // i.size)

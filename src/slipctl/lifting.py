@@ -13,7 +13,7 @@ to recover pressures.
 import numpy as np
 
 from .errors import IncompatibleFlux, SolverDivergence
-from .fields import components, dot
+from .fields import dot
 from .mesh import integrate_boundary
 
 FLUX_TOL = 1e-10
@@ -47,10 +47,3 @@ def solve_neumann_lifting(grid, a_nodes):
     h -= h.mean()
     return h, grad @ h + bc
 
-
-def discrete_curl(grid, y):
-    """Vorticity samples at interior vertices: dv/dx - du/dy."""
-    u, v = components(grid, y)
-    dvdx = (v[1:, 1:-1] - v[:-1, 1:-1]) / grid.hx
-    dudy = (u[1:-1, 1:] - u[1:-1, :-1]) / grid.hy
-    return dvdx - dudy

@@ -28,10 +28,10 @@ class LinearizedProblem:
             raise ValueError("direction arrays must have shape (nt+1, n_boundary)")
         if base is None or len(base.y) != tg.nt + 1:
             raise BaseTrajectoryMissing("complete base trajectory required")
-        for k in range(tg.nt + 1):
-            flux = integrate_boundary(grid, self.f[k])
-            if abs(flux) > 1e-10 * max(1.0, np.abs(self.f).max()):
-                raise ValueError("direction f has net flux %.3e at slice %d" % (flux, k))
+        flux = integrate_boundary(grid, self.f)
+        bad = np.flatnonzero(np.abs(flux) > 1e-10 * max(1.0, np.abs(self.f).max()))
+        if bad.size:
+            raise ValueError("direction f has net flux %.3e at slice %d" % (flux[bad[0]], bad[0]))
 
 
 def solve_linearized(problem: LinearizedProblem):

@@ -166,12 +166,18 @@ def build_grid(nx, ny, Lx, Ly):
 
 
 def integrate_boundary(grid, f):
-    """Quadrature of a boundary sample vector over the closed loop.
+    """Quadrature of boundary samples over the closed loop: the midpoint rule
+    per wall edge, exact for data constant on each edge.
 
-    Midpoint rule per wall edge; exact for data constant on each edge.
+    f is one sample vector, whose integral is returned as a float, or a
+    block whose last axis holds the samples, one integral per row.  The sum
+    is one np.einsum in numpy's own loops, not a BLAS dot, so its bits do
+    not depend on the thread count, and each row of a block is summed with
+    the bits of that row alone.
     """
     f = np.asarray(f, dtype=float)
-    if f.shape != (grid.n_boundary,):
+    if f.shape[-1:] != (grid.n_boundary,):
         raise ValueError(
             "expected %d boundary samples, got shape %r" % (grid.n_boundary, f.shape))
-    return float(np.dot(grid.boundary_weight, f))
+    out = np.einsum("i,...i->...", grid.boundary_weight, f)
+    return float(out) if out.ndim == 0 else out

@@ -62,7 +62,14 @@ BAND_BOUND = 6e5
 # grids, demo physics, nt = 32, sine over SuperLU, gradient time (medians
 # of 10-16 alternations) and one solve: 32x32 1.00-1.04 and 1.16, 34x34
 # 1.00 and 1.08, 36x36 (1,225) 1.04-1.06 and 0.97 outside; 38x38 (1,369)
-# 0.91 and 0.93, 40x40 0.87 and 0.83, 48x48 0.83-0.91 and 0.67 inside
+# 0.91 and 0.93, 40x40 0.87 and 0.83, 48x48 0.83-0.91 and 0.67 inside.
+# SuperLU stays below it because the sine reference is slower there: with
+# y_d = stream:1:0.2 and lambda = 1e-4, both references interleaved in one
+# process (medians of 4 processes), nt = 32, nu = 1: 22x22 1.20, 26x26 1.12,
+# 30x30 1.05, 34x34 1.02; nu = 0.01: 1.28, 1.17, 1.08, 1.00; nt = 8, nu = 1:
+# 22x22 1.19, 24x24 1.15, 28x28 1.08, 32x32 1.02, 36x36 0.98; one solve,
+# SuperLU and sine: 22x22 28 and 46 us, 34x34 74 and 70 us, 64x64 390 and
+# 221 us
 SINE_BOUND = 1300
 # OpenBLAS computes a matrix product of at most this many multiply-adds on
 # one thread, whatever its thread count (_mm)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InitialStateError, SolverDivergence
 from .fields import (BoundaryControl, FrictionField, StateTrajectory,
-                     dissipation, divergence, dot, face_l2, hp_norm, sup_face_l2)
+                     dissipation, dot, face_l2, hp_norm, sup_face_l2)
 from .operators import StepSolver, StepStore
 
 DIV_TOL = 1e-10
@@ -39,7 +39,7 @@ class StateProblem:
 
     def validate(self):
         scale = max(1.0, float(np.abs(self.y0).max()))
-        div0 = np.abs(divergence(self.grid, self.y0)).max()
+        div0 = np.abs(self.grid.ops.Dmat @ self.y0).max()
         if div0 > DIV_TOL * scale:
             raise InitialStateError("initial velocity is not divergence-free: %.3e" % div0)
         mism = np.abs(self.grid.ops.Tn @ self.y0 - self.controls.a[0]).max()
@@ -117,71 +117,60 @@ def solve_state(problem: StateProblem, steps: StepStore = None) -> StateTrajecto
                            steps=steps)
 
 
-def energy_identity_terms(trajectory: StateTrajectory, problem: StateProblem, k, L=None):
-    """Named terms of the discrete energy balance over step k (1-based); L
-    is step k's step_matrix, if the caller made it.
+def energy_identity_terms(trajectory: StateTrajectory, problem: StateProblem):
+    """Named terms of the discrete energy balance of every step, a list of
+    dicts in step order (entry k - 1 is step k).
 
     Interior terms are quadratures of the solution (kinetic increment,
     numerical dissipation, strain and friction dissipation, advective
     boundary flux, slip work, pressure work); the boundary supply collects
     the work done through the wall-normal faces.  Their sum vanishes for
-    the implemented scheme up to the linear-solve residual.
+    the implemented scheme up to the linear-solve residual.  Each product
+    of the trajectory is one product of its (nt, .) block, a row per step
+    with the bits of that step's product alone; per step only the step
+    matrix is refilled and applied.
     """
     g, tg = trajectory.grid, trajectory.time_grid
     ops = g.ops
     dt = tg.dt
-    y = trajectory.y[k]
-    yo = trajectory.y[k - 1]
-    p = trajectory.p[k - 1]
-    w_adv = yo
-    alpha = problem.friction.alpha[k]
-    b = problem.controls.b[k]
+    Y, alpha = trajectory.y, problem.friction.alpha
 
-    W = ops.Wvec
-    kinetic = (dot(W, y * y) - dot(W, yo * yo)) / (2 * dt)
-    numdiss = dot(W, (y - yo) ** 2) / (2 * dt)
-    strain = problem.nu * dot(y, ops.A_strain @ y)
-    # y . Fric(alpha) y = sum(w_gamma alpha (Ttau y)^2)
-    t_tau_sq = (ops.Ttau @ y) ** 2
-    friction = dot(ops.w_gamma * alpha, t_tau_sq)
-    an = ops.w_gamma * (ops.Tn @ w_adv)
-    adv_flux = 0.5 * dot(an, (ops.Tn @ y) ** 2 + t_tau_sq)
-    Gp = -(g.cell_area) * (ops.DmatT @ p)
-    pressure_work = dot(y, Gp)
-    load = ops.b_load(b)
-    slip_work = -dot(y, load)
+    def rows(M, X):
+        return np.ascontiguousarray((M @ X.T).T)
 
-    if L is None:
-        L = ops.step_matrix(dt, problem.nu, alpha, w_adv)
-    R = L @ y - W * yo / dt + Gp - load
-    C = ops.cons_idx
-    boundary_supply = -dot(y[C], R[C])
-
-    terms = {
-        "kinetic_increment": kinetic,
-        "numerical_dissipation": numdiss,
-        "strain_dissipation": strain,
-        "friction_dissipation": friction,
-        "advective_boundary_flux": adv_flux,
-        "pressure_work": pressure_work,
-        "slip_work": slip_work,
-        "boundary_supply": boundary_supply,
-    }
-    terms["imbalance"] = sum(terms.values())
-    return terms
+    strain_y, tn_y = rows(ops.A_strain, Y[1:]), rows(ops.Tn, Y[1:])
+    tau_sq = rows(ops.Ttau, Y[1:]) ** 2
+    an = ops.w_gamma * rows(ops.Tn, Y[:-1])
+    Gp = -(g.cell_area) * rows(ops.DmatT, trajectory.p)
+    load = ops.b_load(problem.controls.b[1:])
+    W, C = ops.Wvec, ops.cons_idx
+    out, L = [], None
+    for k in range(1, tg.nt + 1):
+        y, yo, i = Y[k], Y[k - 1], k - 1
+        L = ops.step_matrix(dt, problem.nu, alpha[k], yo, out=L)
+        R = L @ y - W * yo / dt + Gp[i] - load[i]
+        terms = {
+            "kinetic_increment": (dot(W, y * y) - dot(W, yo * yo)) / (2 * dt),
+            "numerical_dissipation": dot(W, (y - yo) ** 2) / (2 * dt),
+            "strain_dissipation": problem.nu * dot(y, strain_y[i]),
+            # y . Fric(alpha) y = sum(w_gamma alpha (Ttau y)^2)
+            "friction_dissipation": dot(ops.w_gamma * alpha[k], tau_sq[i]),
+            "advective_boundary_flux": 0.5 * dot(an[i], tn_y[i] ** 2 + tau_sq[i]),
+            "pressure_work": dot(y, Gp[i]),
+            "slip_work": -dot(y, load[i]),
+            "boundary_supply": -dot(y[C], R[C]),
+        }
+        terms["imbalance"] = sum(terms.values())
+        out.append(terms)
+    return out
 
 
 def energy_identity_residual(trajectory: StateTrajectory, problem: StateProblem):
-    """Per-step relative imbalance of the discrete energy identity; the
-    steps' operators are one step_matrix, refilled at every step."""
-    ops, tg, y = trajectory.grid.ops, trajectory.time_grid, trajectory.y
-    out, L = np.zeros(tg.nt), None
-    for k in range(1, tg.nt + 1):
-        L = ops.step_matrix(tg.dt, problem.nu, problem.friction.alpha[k], y[k - 1], out=L)
-        terms = energy_identity_terms(trajectory, problem, k, L)
+    """Per-step relative imbalance of the discrete energy identity."""
+    out = np.zeros(trajectory.time_grid.nt)
+    for i, terms in enumerate(energy_identity_terms(trajectory, problem)):
         imbalance = terms.pop("imbalance")
-        scale = max(max(abs(v) for v in terms.values()), 1e-30)
-        out[k - 1] = abs(imbalance) / scale
+        out[i] = abs(imbalance) / max(max(abs(v) for v in terms.values()), 1e-30)
     return out
 
 

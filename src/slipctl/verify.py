@@ -14,11 +14,10 @@ import numpy as np
 
 from .adjoint_solver import (DUALITY_TOL, AdjointProblem, adjoint_energy_check,
                              duality_residual, solve_adjoint)
-from .fields import (BoundaryControl, FrictionField, components, dissipation, divergence,
-                     dot, face_l2, face_vector, h1_seminorm, hp_norm, spatial_mean,
-                     strain_l2, sup_face_l2)
+from .fields import (BoundaryControl, FrictionField, components, dissipation, face_l2,
+                     face_vector, h1_seminorm, hp_norm, spatial_mean, strain_l2, sup_face_l2)
 from .linearized_solver import LinearizedProblem, gateaux_discrepancy, solve_linearized
-from .mesh import TimeGrid, build_grid
+from .mesh import TimeGrid, build_grid, integrate_boundary
 from .operators import StepStore
 from .state_solver import (ENERGY_TOL, StateProblem, energy_bound_report,
                            energy_identity_residual, solve_state)
@@ -141,7 +140,7 @@ def check_trace(grid, samples, config_hash=""):
         centered = _subtract_mean(grid, y)
         tn = grid.ops.Tn @ centered
         tt = grid.ops.Ttau @ centered
-        lhs = float(np.sqrt(dot(grid.boundary_weight, tn * tn + tt * tt)))
+        lhs = float(np.sqrt(integrate_boundary(grid, tn * tn + tt * tt)))
         scale = max(1.0, face_l2(grid, y))
         if lhs <= ZERO_LHS_TOL * scale:
             trivial += 1
@@ -157,7 +156,7 @@ def check_korn(grid, samples, config_hash=""):
     """Full H1 norm against the strain norm on the discrete slip space."""
     ratios, trivial = [], 0
     for y in samples:
-        dv = np.abs(divergence(grid, y)).max()
+        dv = np.abs(grid.ops.Dmat @ y).max()
         vn = np.abs(grid.ops.Tn @ y).max()
         scale = max(1.0, np.abs(y).max())
         if dv > 1e-9 * scale or vn > 1e-9 * scale:

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from slipctl.errors import IncompatibleFlux, SolverDivergence
-from slipctl.fields import (BoundaryControl, FrictionField, components,
+from slipctl.fields import (BoundaryControl, FrictionField, components, dot,
                             face_l2, sample_faces)
 from slipctl.lifting import solve_neumann_lifting
 from slipctl.mesh import WALL_BOTTOM, WALL_LEFT, WALL_RIGHT, WALL_TOP
@@ -405,6 +405,33 @@ def time_lifting(grid, a_slices):
             raise type(exc)("time slice %d: %s" % (k, exc))
         out.append((h, grad))
     return out
+
+
+def energy_terms_of_step(trajectory, problem, k):
+    """The terms of energy_identity_terms for step k alone, each product of
+    the trajectory made for that step (the per-step form the block products
+    replace)."""
+    ops, dt = trajectory.grid.ops, trajectory.time_grid.dt
+    y, yo, p = trajectory.y[k], trajectory.y[k - 1], trajectory.p[k - 1]
+    alpha, W = problem.friction.alpha[k], ops.Wvec
+    t_tau_sq = (ops.Ttau @ y) ** 2
+    an = ops.w_gamma * (ops.Tn @ yo)
+    Gp = -(trajectory.grid.cell_area) * (ops.DmatT @ p)
+    load = ops.b_load(problem.controls.b[k])
+    R = ops.step_matrix(dt, problem.nu, alpha, yo) @ y - W * yo / dt + Gp - load
+    C = ops.cons_idx
+    terms = {
+        "kinetic_increment": (dot(W, y * y) - dot(W, yo * yo)) / (2 * dt),
+        "numerical_dissipation": dot(W, (y - yo) ** 2) / (2 * dt),
+        "strain_dissipation": problem.nu * dot(y, ops.A_strain @ y),
+        "friction_dissipation": dot(ops.w_gamma * alpha, t_tau_sq),
+        "advective_boundary_flux": 0.5 * dot(an, (ops.Tn @ y) ** 2 + t_tau_sq),
+        "pressure_work": dot(y, Gp),
+        "slip_work": -dot(y, load),
+        "boundary_supply": -dot(y[C], R[C]),
+    }
+    terms["imbalance"] = sum(terms.values())
+    return terms
 
 
 def trajectory_sup_l2(trajectory):

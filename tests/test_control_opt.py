@@ -37,7 +37,7 @@ def test_cost_examples(small):
 
     # boundary penalty only: b == 1, lambda2 = 2 on the unit square over T=1
     ctrl_b = BoundaryControl(grid, tg1, b=np.ones((tg1.nt + 1, grid.n_boundary)))
-    params2 = CostParams(lam2=2.0)
+    params2 = CostParams(y_d=np.zeros((tg1.nt + 1, grid.ops.N)), lam2=2.0)
     assert evaluate_cost(ctrl_b, traj, params2) == pytest.approx(4.0, rel=1e-12)
 
     # perfect tracking with zero controls costs nothing
@@ -94,7 +94,8 @@ def test_engine_keeps_only_the_latest_solve(small):
     rng = np.random.default_rng(21)
     ctrl_a = random_admissible_control(grid, tg, rng, amplitude=0.3)
     ctrl_b = random_admissible_control(grid, tg, rng, amplitude=0.3)
-    engine = GradientEngine(np.zeros(grid.ops.N), CostParams(lam1=0.1, lam2=0.1))
+    params = CostParams(y_d=np.zeros((tg.nt + 1, grid.ops.N)), lam1=0.1, lam2=0.1)
+    engine = GradientEngine(np.zeros(grid.ops.N), params)
     gc.disable()
     try:
         J_a = engine.cost(ctrl_a)
@@ -114,7 +115,7 @@ def test_engine_keeps_only_the_latest_solve(small):
 def test_fd_oracle_zero_direction_and_descent(small):
     grid, tg = small
     ctrl = random_admissible_control(grid, tg, np.random.default_rng(3), amplitude=0.3)
-    params = CostParams(y_d=None, lam1=0.0, lam2=0.0)
+    params = CostParams(y_d=np.zeros((tg.nt + 1, grid.ops.N)), lam1=0.0, lam2=0.0)
     engine = GradientEngine(np.zeros(grid.ops.N), params)
     zero_dir = (np.zeros_like(ctrl.a), np.zeros_like(ctrl.b))
     fd = fd_gradient_oracle(engine, ctrl, zero_dir, [1e-2, 1e-3])
@@ -179,7 +180,7 @@ def test_optimality_residual_zero_at_stationary_point(small):
 def test_gradient_slices_have_zero_boundary_mean(small):
     grid, tg = small
     ctrl = random_admissible_control(grid, tg, np.random.default_rng(8), amplitude=0.4)
-    params = CostParams(y_d=None, lam1=0.1)
+    params = CostParams(y_d=np.zeros((tg.nt + 1, grid.ops.N)), lam1=0.1)
     grad = GradientEngine(np.zeros(grid.ops.N), params).gradient(ctrl)[0]
     assert np.abs(grad.ga @ grid.boundary_weight).max() < 1e-12
 
@@ -321,7 +322,8 @@ def test_gradient_drops_the_kept_steps_after_its_adjoint_sweep(small):
     rng = np.random.default_rng(5)
     ctrl = random_admissible_control(grid, tg, rng, amplitude=0.4)
     d = random_admissible_control(grid, tg, rng, amplitude=0.3)
-    engine = GradientEngine(np.zeros(grid.ops.N), CostParams(lam1=0.05, lam2=0.02))
+    params = CostParams(y_d=np.zeros((tg.nt + 1, grid.ops.N)), lam1=0.05, lam2=0.02)
+    engine = GradientEngine(np.zeros(grid.ops.N), params)
     entry = engine.entry(ctrl)
     prob, traj = entry["problem"], entry["trajectory"]
     assert traj.steps is not None

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slipctl.fields import BoundaryControl, divergence, face_l2
+from slipctl.fields import BoundaryControl, face_l2
 from slipctl.linearized_solver import (LinearizedProblem, gateaux_discrepancy,
                                        solve_linearized)
 from slipctl.mesh import TimeGrid, build_grid
@@ -54,7 +54,7 @@ def test_slices_satisfy_constraints(setup):
     z = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
     assert face_l2(grid, z[0]) == 0.0
     for k in range(1, tg.nt + 1):
-        assert np.abs(divergence(grid, z[k])).max() < 1e-9
+        assert np.abs(grid.ops.Dmat @ z[k]).max() < 1e-9
         assert np.abs(grid.ops.Tn @ z[k] - d.a[k]).max() < 1e-12
 
 
@@ -125,6 +125,11 @@ def test_direction_flux_validated(setup):
     grid, tg, prob, traj = setup
     f = np.ones((tg.nt + 1, grid.n_boundary))
     with pytest.raises(ValueError, match="net flux"):
+        LinearizedProblem(prob, traj, f, np.zeros_like(f))
+    # the error names the first slice with net flux, and its signed value
+    f = np.zeros((tg.nt + 1, grid.n_boundary))
+    f[3], f[5] = -0.5, 1.0
+    with pytest.raises(ValueError, match=r"net flux -2\.000e\+00 at slice 3$"):
         LinearizedProblem(prob, traj, f, np.zeros_like(f))
 
 

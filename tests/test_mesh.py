@@ -83,6 +83,20 @@ def test_integrate_boundary_linearity_and_orientation():
         float(np.dot(g.boundary_weight[order], f1[order])), rel=1e-14)
 
 
+def test_integrate_boundary_of_a_block_has_the_bits_of_its_rows():
+    """A (nt + 1, n_boundary) block integrates row by row with the bits of
+    each row integrated alone and of the "i,ki->k" einsum."""
+    g = build_grid(6, 5, 1.5, 0.7)
+    a = np.random.default_rng(1).standard_normal((9, g.n_boundary))
+    block = integrate_boundary(g, a)
+    rows = [integrate_boundary(g, row) for row in a]
+    assert all(type(r) is float for r in rows)
+    assert block.shape == (9,)
+    assert block.tobytes() == np.array(rows).tobytes()
+    assert block.tobytes() == np.einsum("i,ki->k", g.boundary_weight, a).tobytes()
+    assert integrate_boundary(g, a[:1]).shape == (1,)
+
+
 def test_integrate_interior_examples():
     g = build_grid(4, 4, 1.0, 1.0)
     assert integrate_interior(g, np.ones(g.shape_p)) == pytest.approx(1.0)
@@ -97,6 +111,8 @@ def test_integrate_shape_errors():
     g = build_grid(4, 4, 1.0, 1.0)
     with pytest.raises(ValueError):
         integrate_boundary(g, np.ones(7))
+    with pytest.raises(ValueError):
+        integrate_boundary(g, np.ones((3, 7)))
     with pytest.raises(ValueError):
         integrate_interior(g, np.ones((3, 3)))
 

@@ -35,15 +35,6 @@ def test_strain_form_symmetric_psd(grid):
         assert x @ (A @ x) >= -1e-12
 
 
-def test_divergence_matrix_matches_field_op(grid):
-    ops = grid.ops
-    rng = np.random.default_rng(1)
-    y = face_vector(grid, rng.standard_normal(grid.shape_u),
-                    rng.standard_normal(grid.shape_v))
-    from slipctl.fields import divergence
-    assert np.allclose((ops.Dmat @ y).reshape(grid.shape_p), divergence(grid, y))
-
-
 def test_wall_normal_faces_roundtrip(grid):
     ops = grid.ops
     rng = np.random.default_rng(2)

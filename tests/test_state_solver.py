@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from slipctl.fields import (BoundaryControl, FrictionField, StateTrajectory,
-                            divergence, face_l2, hp_norm, read_snapshot,
-                            sample_faces)
+                            face_l2, hp_norm, read_snapshot, sample_faces)
 from slipctl.mesh import TimeGrid, build_grid
 from slipctl.state_solver import (StateProblem, energy_bound_report,
                                   energy_identity_residual,
@@ -11,7 +10,7 @@ from slipctl.state_solver import (StateProblem, energy_bound_report,
                                   save_trajectory, solve_state)
 from slipctl.control_opt import random_admissible_control
 
-from oracles import shear_oracle, trajectory_sup_l2
+from oracles import energy_terms_of_step, shear_oracle, trajectory_sup_l2
 
 
 @pytest.fixture
@@ -66,10 +65,25 @@ def test_energy_identity_random_controls(grid, tg):
     traj = solve_state(prob)
     res = energy_identity_residual(traj, prob)
     assert res.max() < 1e-8
-    terms = energy_identity_terms(traj, prob, tg.nt)
-    assert terms["strain_dissipation"] >= 0
-    assert terms["friction_dissipation"] >= 0
-    assert terms["numerical_dissipation"] >= 0
+    for terms in energy_identity_terms(traj, prob):
+        assert terms["strain_dissipation"] >= 0
+        assert terms["friction_dissipation"] >= 0
+        assert terms["numerical_dissipation"] >= 0
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 1.0), (7, 9, 1.2), (24, 24, 1.0)])
+def test_energy_terms_have_the_bits_of_per_step_products(shape):
+    """The block products of energy_identity_terms give every step the bits
+    of that step's own products, on a band grid and a refining one."""
+    nx, ny, Lx = shape
+    g, tg = build_grid(nx, ny, Lx, 1.0), TimeGrid(0.5, 5)
+    ctrl = random_admissible_control(g, tg, np.random.default_rng(7), amplitude=0.5)
+    alpha = 1.0 + np.random.default_rng(8).random((tg.nt + 1, g.n_boundary))
+    prob = StateProblem(g, tg, np.zeros(g.ops.N), ctrl, FrictionField(g, tg, alpha),
+                        nu=0.05, validate=False)
+    traj = solve_state(prob)
+    for k, terms in enumerate(energy_identity_terms(traj, prob), start=1):
+        assert terms == energy_terms_of_step(traj, prob, k)
 
 
 def test_energy_identity_null_and_shear(grid, tg):
@@ -86,7 +100,7 @@ def test_divergence_and_wall_flux_every_slice(grid, tg):
     traj = solve_state(prob)
     for k in range(tg.nt + 1):
         y = traj.y[k]
-        assert np.abs(divergence(grid, y)).max() < 1e-9
+        assert np.abs(grid.ops.Dmat @ y).max() < 1e-9
         assert np.abs(grid.ops.Tn @ y - prob.controls.a[k]).max() < 1e-12
 
 
@@ -94,7 +108,7 @@ def test_global_mass_balance(grid, tg):
     prob = random_problem(grid, tg, seed=4)
     traj = solve_state(prob)
     for k in range(1, tg.nt + 1):
-        total_div = divergence(grid, traj.y[k]).sum() * grid.cell_area
+        total_div = (grid.ops.Dmat @ traj.y[k]).sum() * grid.cell_area
         flux = np.dot(grid.boundary_weight, prob.controls.a[k])
         assert abs(total_div) < 1e-10
         assert abs(flux) < 1e-10
@@ -202,7 +216,7 @@ def test_larger_grid_smoke():
     prob = StateProblem(grid, tg, np.zeros(grid.ops.N), ctrl, validate=False)
     traj = solve_state(prob)
     assert energy_identity_residual(traj, prob).max() < 1e-8
-    assert max(np.abs(divergence(grid, y)).max() for y in traj.y) < 1e-9
+    assert max(np.abs(grid.ops.Dmat @ y).max() for y in traj.y) < 1e-9
 
 
 def test_potential_flow_steady_oracle():
