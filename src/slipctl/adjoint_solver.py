@@ -78,60 +78,61 @@ class AdjointTrajectory:
 def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
     """Backward transpose sweep k = nt..1 around the stored base state.
 
-    The march solves the adjoint velocities lam_k; the adjoint pressures of
-    all steps, every step's full residual check and the pressure-dependent
-    pairing against f_k follow in one pass after it, before the trajectory
-    is returned.  Step k transposes the state sweep's step, read from the
-    base trajectory's StepStore where it holds it (under the band bound
-    with the state sweep's band LU, solved transposed), and the products
-    of the base state each step needs are formed for all steps before the
-    march.
+    The march keeps only the recurrence: each step forms its right-hand
+    side in place, solves the adjoint velocity lam_k and applies the
+    frozen-advection derivative to it, writing lam_k, L^T lam_k, T lam_k
+    and X(y_k)^T lam_k into rows of preallocated blocks.  What depends on
+    the base state alone, dt W U_k and the factors of apply_adv_cross_T, is
+    formed for all steps before the march.  After it come, as block
+    operations, the adjoint pressures of all steps with every step's full
+    residual check (StepSolver.pressures), the velocities p, the kernels
+    and the pairing against f_k, before the trajectory is returned.  Step
+    k transposes the state sweep's step, read from the base trajectory's
+    StepStore where it holds it (under the band bound with the state
+    sweep's band LU, solved transposed).
     """
     sp_ = problem.state_problem
     g, tg = sp_.grid, sp_.time_grid
     ops = g.ops
-    dt = tg.dt
-    yvec, U = problem.base.y, problem.source
-    C = ops.cons_idx
+    dt, nt, nb = tg.dt, tg.nt, g.n_boundary
+    yvec, U, alpha = problem.base.y, problem.source, sp_.friction.alpha
+    W, C = ops.Wvec, ops.cons_idx
 
-    nslice = tg.nt + 1
-    kernel_a = np.zeros((nslice, g.n_boundary))
-    kernel_b = np.zeros((nslice, g.n_boundary))
-    p = np.zeros((nslice, ops.N))
-    lt_wall = np.empty((tg.nt, C.size))     # the wall rows of L^T lam_k, k = 1..nt
-
-    g_y, t_y = ops.state_products(yvec[1:])   # rows k = 1..nt
+    # row k - 1 is step k; lam and cross have a zero row nt, the terms of
+    # step nt + 1 in step nt's right-hand side
+    rhs = dt * (W * U[1:])
+    lam, cross = np.zeros((nt + 1, ops.N)), np.zeros((nt + 1, ops.N))
+    lt_lam, t_lam = np.empty((nt, ops.N)), np.empty((nt, 2 * nb))
+    w_g_y, w_y, w_t_y = ops.adjoint_factors(yvec[1:])
     solver = sp_.step_solver("adjoint", problem.base.steps)
-    # Tn is a signed permutation, one entry per row: Tn @ x is the gather
-    # sign * x[face], and adding 0.0 turns a -0.0 into 0.0, as the product does
-    face, sign = ops.Tn.indices, ops.Tn.data
-    lam_next = np.zeros(ops.N)   # lambda_{k+1}, extended by zero on the walls
-    cross_next = np.zeros(ops.N)  # X(y_{k+1})^T lambda_{k+1}
-    for k in range(tg.nt, 0, -1):
-        rhs_full = dt * (ops.Wvec * U[k]) + ops.Wvec * lam_next / dt - cross_next
-        with solver.at(k, sp_.friction.alpha[k], yvec[k - 1]) as step:
-            lam_full = step.solve_transpose(rhs_full[ops.free_idx])
-        lt_wall[k - 1] = step.LT_lam[C]
-        t_lam = _mv(ops.T, lam_full)              # [Tn; Ttau] lam
-        kernel_b[k] = ops.w_gamma * t_lam[g.n_boundary:]
-
-        # pairing of f_{k-1} through the frozen-advection derivative of step k
-        cross = ops.apply_adv_cross_T(yvec[k], lam_full, (g_y[k - 1], t_y[k - 1]), t_lam)
-        if k >= 2:
-            kernel_a[k - 1] -= sign * cross[face] + 0.0
-
-        p[k - 1] = lam_full / dt
-        lam_next = lam_full
-        cross_next = cross
+    for k in range(nt, 0, -1):
+        i = k - 1
+        # dt W U_k + W lam_{k+1} / dt - X(y_{k+1})^T lam_{k+1}, wall rows +0.0
+        r = rhs[i]
+        r += W * lam[k] / dt
+        r -= cross[k]
+        r[C] = 0.0
+        with solver.at(k, alpha[k], yvec[i]) as step:
+            step.solve_transpose(r, lam[i], lt_lam[i])
+        _mv(ops.T, lam[i], t_lam[i])               # [Tn; Ttau] lam
+        ops.apply_adv_cross_T(yvec[k], lam[i], (w_g_y[i], w_y[i], w_t_y[i]), t_lam[i], cross[i])
 
     q = solver.pressures(trans=True)[::-1]             # rows k = 1..nt
+    kernel_a = np.zeros((nt + 1, nb))
+    kernel_b = np.zeros((nt + 1, nb))
+    kernel_b[1:] = ops.w_gamma * t_lam[:, nb:]
+    # pairing of f_{k-1} through the frozen-advection derivative of step k,
+    # k >= 2: Tn is a signed permutation, one entry per row, so Tn @ x is
+    # the gather sign * x[face], and adding 0.0 turns a -0.0 into 0.0, as
+    # the product does
+    kernel_a[1:nt] -= ops.Tn.data * cross[1:nt, ops.Tn.indices] + 0.0
     # pairing against f_k: direct cost term, implicit coupling, divergence,
-    # on the wall faces C; (Tn @ x)[wall_node] = wall_sign * x[C], and adding
-    # 0.0 turns a -0.0 into 0.0, as the product does
-    pair = dt * (ops.Wvec[C] * U[1:, C]) - lt_wall - (ops.DcT @ q.T).T
+    # on the wall faces C; (Tn @ x)[wall_node] = wall_sign * x[C]
+    pair = dt * (W[C] * U[1:, C]) - lt_lam[:, C] - (ops.DcT @ q.T).T
     kernel_a[1:, ops.wall_node] += ops.wall_sign * pair + 0.0
     pi = -q / (dt * g.cell_area)
-    return AdjointTrajectory(g, tg, p, pi, kernel_a, kernel_b, problem.base.config_hash)
+    lam /= dt                                          # p_{k-1} = lam_k / dt
+    return AdjointTrajectory(g, tg, lam, pi, kernel_a, kernel_b, problem.base.config_hash)
 
 
 def duality_residual(z, adjoint: AdjointTrajectory, source, f, g_dir,

@@ -14,9 +14,8 @@ import numpy as np
 
 from .errors import IncompatibleFlux, SolverDivergence
 from .fields import dot
-from .mesh import integrate_boundary
+from .mesh import net_flux_violation
 
-FLUX_TOL = 1e-10
 RESIDUAL_TOL = 1e-10
 
 
@@ -29,12 +28,11 @@ def solve_neumann_lifting(grid, a_nodes):
     """
     ops = grid.ops
     a_nodes = np.asarray(a_nodes, dtype=float)
-    flux = integrate_boundary(grid, a_nodes)
-    scale = max(1.0, float(np.abs(a_nodes).max()))
-    if abs(flux) > FLUX_TOL * scale:
+    bad = net_flux_violation(grid, a_nodes)
+    if bad is not None:
         raise IncompatibleFlux(
             "net boundary flux %.3e violates the zero-mean compatibility "
-            "condition on the normal data" % flux)
+            "condition on the normal data" % bad[1])
     grad, L_pin, lu = ops.neumann()
     bc = ops.bc_vec(a_nodes)
     rhs = -(grid.cell_area * (ops.Dmat @ bc))[1:]

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import BaseTrajectoryMissing
 from .fields import StateTrajectory, sup_face_l2
-from .mesh import integrate_boundary
+from .mesh import net_flux_violation
 from .state_solver import StateProblem, solve_state
 
 
@@ -28,10 +28,10 @@ class LinearizedProblem:
             raise ValueError("direction arrays must have shape (nt+1, n_boundary)")
         if base is None or len(base.y) != tg.nt + 1:
             raise BaseTrajectoryMissing("complete base trajectory required")
-        flux = integrate_boundary(grid, self.f)
-        bad = np.flatnonzero(np.abs(flux) > 1e-10 * max(1.0, np.abs(self.f).max()))
-        if bad.size:
-            raise ValueError("direction f has net flux %.3e at slice %d" % (flux[bad[0]], bad[0]))
+        bad = net_flux_violation(grid, self.f)
+        if bad is not None:
+            slice_, flux = bad
+            raise ValueError("direction f has net flux %.3e at slice %d" % (flux, slice_))
 
 
 def solve_linearized(problem: LinearizedProblem):
@@ -80,7 +80,9 @@ def linearized_step_apply(step, y_new_vec, xi_free):
 def adjoint_step_apply(step, y_new_vec, eta_free):
     """Transpose of linearized_step_apply under the Euclidean pairing."""
     ops = step.ops
-    lam_full = step.solve_transpose(eta_free)
+    rhs = np.zeros(ops.N)
+    rhs[ops.free_idx] = eta_free
+    lam_full = step.solve_transpose(rhs)
     step.pressures(trans=True)
     out_full = ops.Wvec * lam_full / step.dt - ops.apply_adv_cross_T(y_new_vec, lam_full)
     return out_full[ops.free_idx]

@@ -12,6 +12,9 @@ import numpy as np
 
 WALL_BOTTOM, WALL_RIGHT, WALL_TOP, WALL_LEFT = 0, 1, 2, 3
 WALL_NAMES = ("bottom", "right", "top", "left")
+# normal boundary data carries no net flux where the integral of every
+# slice is within FLUX_TOL times max(1, max |a|) (net_flux_violation)
+FLUX_TOL = 1e-10
 
 
 class Grid:
@@ -181,3 +184,17 @@ def integrate_boundary(grid, f):
             "expected %d boundary samples, got shape %r" % (grid.n_boundary, f.shape))
     out = np.einsum("i,...i->...", grid.boundary_weight, f)
     return float(out) if out.ndim == 0 else out
+
+
+def net_flux_violation(grid, a):
+    """The first slice of the normal data a whose net flux is not zero, and
+    that flux, signed, as (slice, flux); None if every slice carries none.
+
+    a is one sample vector (slice 0) or a block, a slice per row.  The
+    flux of each slice is integrate_boundary's, and it is zero within
+    FLUX_TOL times max(1, max |a|), the largest sample of the whole of a.
+    """
+    a = np.asarray(a, dtype=float)
+    flux = np.atleast_1d(integrate_boundary(grid, a))
+    bad = np.flatnonzero(np.abs(flux) > FLUX_TOL * max(1.0, float(np.abs(a).max())))
+    return (int(bad[0]), float(flux[bad[0]])) if bad.size else None

@@ -533,21 +533,41 @@ class DiscreteOperators:
         s_wy = _mv(self.TT, _split_columns(an * t_y.reshape(2, nb)))
         return 0.5 * (n_wy - (nt_wy[:, 0] + nt_wy[:, 1])) + 0.5 * (s_wy[:, 0] + s_wy[:, 1])
 
-    def apply_adv_cross_T(self, y_vec, lam_vec, y_products=None, t_lam=None):
-        """Matrix-free X(y)^T lam; y_products is state_products(y_vec) and
-        t_lam is T @ lam_vec, if the caller formed them."""
-        N, nb, W = self.N, self.n_boundary, self.Wvec
-        g_y, t_y = self.state_products(y_vec) if y_products is None else y_products
+    def adjoint_factors(self, y):
+        """The factors of the state that apply_adv_cross_T multiplies lam's
+        products by: (W * (G y), W * y, w_gamma * (T y)) of a face vector y,
+        shaped (2, N), (N,) and (2, n_boundary), or of every row of an
+        (n, N) block, a leading axis per row, each bit for bit the factors
+        of that row alone (see state_products)."""
+        g_y, t_y = self.state_products(y)
+        lead = y.shape[:-1]
+        g_y, t_y = g_y.reshape(lead + (2, self.N)), t_y.reshape(lead + (2, self.n_boundary))
+        g_y *= self.Wvec
+        t_y *= self.w_gamma
+        return g_y, self.Wvec * y, t_y
+
+    def apply_adv_cross_T(self, y_vec, lam_vec, factors=None, t_lam=None, out=None):
+        """Matrix-free X(y)^T lam, into out if given; factors is
+        adjoint_factors(y_vec) and t_lam is T @ lam_vec, if the caller
+        formed them."""
+        N, nb = self.N, self.n_boundary
+        w_g_y, w_y, w_t_y = self.adjoint_factors(y_vec) if factors is None else factors
         if t_lam is None:
             t_lam = _mv(self.T, lam_vec)                 # [Tn; Ttau] lam
-        g_y, g_lam = g_y.reshape(2, N), _mv(self.G, lam_vec).reshape(2, N)
+        g_lam = _mv(self.G, lam_vec).reshape(2, N)
         # Px^T (.) + Py^T (.) of both terms in one product; the sum is exact,
         # since Px^T is nonzero only in the u rows and Py^T only in the v rows
-        x = _mv(self.PT, np.stack([W * g_y * lam_vec, W * y_vec * g_lam],
-                                  axis=-1).reshape(2 * N, 2))
-        tw = self.w_gamma * t_y.reshape(2, nb)
-        xst = _mv(self.Mbc, tw[0] * t_lam[:nb] + tw[1] * t_lam[nb:])
-        return 0.5 * (x[:, 0] - x[:, 1]) + 0.5 * xst
+        terms = np.empty((2, N, 2))
+        np.multiply(w_g_y, lam_vec, out=terms[..., 0])
+        np.multiply(w_y, g_lam, out=terms[..., 1])
+        x = _mv(self.PT, terms.reshape(2 * N, 2))
+        xst = _mv(self.Mbc, w_t_y[0] * t_lam[:nb] + w_t_y[1] * t_lam[nb:])
+        # 0.5 (x[:, 0] - x[:, 1]) + 0.5 xst, each operation rounded as written
+        out = np.subtract(x[:, 0], x[:, 1], out=out)
+        out *= 0.5
+        xst *= 0.5
+        out += xst
+        return out
 
     def b_load(self, b_nodes):
         """Momentum load of the tangential stress data, integrated form; an
@@ -1142,17 +1162,24 @@ class StepSolver:
     R = Ci^T L Ci, of one unknown per interior vertex.
 
     The time recurrence reads only the velocities, so a step (solve or
-    solve_transpose) ends with its velocity: it keeps for the pass the
-    momentum residual without the pressure term and the squared norms of
-    its data and of the velocity's divergence (a forward step also keeps
-    that divergence as div, which the state sweep's guard reads).
-    The sweep-level pass, pressures(), runs once after the march, before
-    the sweep returns.  It recovers the pressures of all the steps solved
-    since the last pass from those residuals by the normal equations of G,
-    in one multi-right-hand-side solve with the Neumann factor of
-    DiscreteOperators.neumann, shifts them to mean zero, and checks every
-    step's full residual, momentum with pressure and divergence, against
-    LINEAR_RESIDUAL_TOL.  A single step is a pass of one row.
+    solve_transpose) ends with its velocity and computes nothing for the
+    pass: it keeps a pending row of references to arrays it made anyway.
+    A forward step keeps its data r (the momentum data after the lift, zero
+    on the wall rows), L dy, the divergence of its velocity (also kept as
+    div, which the state sweep's guard reads) and the lift, whose wall
+    rows are the wall data; a transposed step keeps its data r, L^T lam and
+    lam.  The sweep-level pass, pressures(), runs once after the march,
+    before the sweep returns.  It stacks those rows into blocks, a row per
+    step, and forms from them in block products the squared norms of the
+    data and of the divergence (the transposed divergence first), the
+    momentum residuals without the pressure term, m = r - L dy or
+    r - L^T lam with zero wall rows, and the divergence the wall data put
+    into the wall cells.  It recovers the pressures of all those steps from
+    m by the normal equations of G, in one multi-right-hand-side solve with
+    the Neumann factor of DiscreteOperators.neumann, shifts them to mean
+    zero, and checks every step's full residual, momentum with pressure and
+    divergence, against LINEAR_RESIDUAL_TOL.  A single step is a pass of
+    one row.
 
     One solver serves a whole sweep at fixed (dt, nu).  It holds the step
     matrix L and R and their transposes, which share the data arrays;
@@ -1192,7 +1219,7 @@ class StepSolver:
         self.dt, self.nu = dt, nu
         self.sweep = sweep
         self.steps, self.keep = steps, keep
-        self.F, self.C = ops.free_idx, ops.cons_idx
+        self.C = ops.cons_idx
         self.ref = lu
         self.lu = None
         band = ops.band()
@@ -1209,11 +1236,9 @@ class StepSolver:
             self.abs_R_T = self.abs_R.T
         # accepted psi of the forward and the transposed solves, oldest first
         self.history = ([], [])
-        # per direction, the steps solved since the last pressures(), in
-        # solve order: (step number, |rhs|^2, |divergence|^2, momentum
-        # residual without the pressure term, wall-normal velocities); of the
-        # full-length vectors only the residuals are kept, one trajectory's
-        # worth for a sweep
+        # per direction, the pending rows of the steps solved since the last
+        # pressures(), in solve order: (step number, r, L dy, divergence,
+        # lift) forward, (step number, r, L^T lam, lam, None) transposed
         self.pending = ([], [])
         self.k = None
 
@@ -1349,31 +1374,25 @@ class StepSolver:
         momentum rows left after the lift, and the divergence the wall data
         put into the wall cells.
         """
-        ops, C = self.ops, self.C
+        ops = self.ops
         r = rhs_mom_full - _mv(self.L, lift)
-        r[C] = 0.0
+        r[self.C] = 0.0
         dy = _mv(ops.Ci, self._solve(_mv(ops.CiT, r)))
-        m = r - _mv(self.L, dy)         # rhs_mom - L y on the free rows
-        m[C] = 0.0
         y = lift + dy
         self.div = _mv(ops.Dmat, y)
-        self.pending[0].append((self.k, dot(r, r), dot(self.div, self.div), m, y[C]))
+        self.pending[0].append((self.k, r, _mv(self.L, dy), self.div, lift))
         return y
 
-    def solve_transpose(self, rhs_free):
-        """Adjoint step: lam of Big^T (lam, q) = (rhs_free, 0), with Big the
-        step's velocity-pressure system on the free faces; q follows in
-        pressures(trans=True).  Keeps L^T lam as LT_lam, whose wall rows the
-        adjoint pairing reads."""
-        ops, C = self.ops, self.C
-        r = np.zeros(ops.N)
-        r[self.F] = rhs_free
-        lam = _mv(ops.Ci, self._solve(_mv(ops.CiT, r), trans=True))
-        self.LT_lam = _mv(self.LT, lam)
-        m = r - self.LT_lam             # rhs - L^T lam on the free rows
-        m[C] = 0.0
-        div = ops.cell_area * _mv(ops.Dmat, lam)
-        self.pending[1].append((self.k, dot(r, r), dot(div, div), m, None))
+    def solve_transpose(self, rhs, out=None, lt_out=None):
+        """Adjoint step: lam of Big^T (lam, q) = (rhs[F], 0), with Big the
+        step's velocity-pressure system on the free faces F; q follows in
+        pressures(trans=True).  rhs is full-length with its wall rows +0.0.
+        lam, zero on the wall rows, is written into out and L^T lam into
+        lt_out, where given; the pass reads rhs, lam and L^T lam, so none of
+        them may change before it."""
+        ops = self.ops
+        lam = _mv(ops.Ci, self._solve(_mv(ops.CiT, rhs), trans=True), out)
+        self.pending[1].append((self.k, rhs, _mv(self.LT, lam, lt_out), lam, None))
         return lam
 
     def pressures(self, trans=False):
@@ -1384,18 +1403,34 @@ class StepSolver:
         the first failing step in solve order, which is marching order.
         """
         ops, area = self.ops, self.ops.cell_area
-        k, rhs_sq, div_sq, m, wall = zip(*self.pending[trans])
+        k, r, lr, div, lift = zip(*self.pending[trans])
         self.pending[trans].clear()
-        rhs_sq, div_sq = np.array(rhs_sq), np.array(div_sq)
-        m = np.column_stack(m)          # a column per step
+        # squared norms of the rows of a block, each summed as dot sums one
+        # vector; numpy's iterator splits a row of over 8,192 entries at its
+        # buffer (64x64 and up), whose sum then differs from dot's in its
+        # last bits
+        m = np.stack(r)
+        del r
+        rhs_sq = np.einsum("ki,ki->k", m, m)
+        # the momentum residuals without the pressure term, rhs - L y (or
+        # rhs - L^T lam) on the free rows, computed in the block of r
+        m -= np.stack(lr)
+        del lr
+        m = np.ascontiguousarray(m.T)   # a column per step
+        m[self.C] = 0.0
         if trans:
+            # a transposed row keeps lam, whose divergence is cell_area Dmat lam
+            div = np.ascontiguousarray((ops.Dmat @ np.stack(div).T).T)
+            div *= area
             x = self._pressure(-area * (ops.Dmat @ m))
             m -= ops.DmatT @ x.T
         else:
+            div = np.stack(div)
             x = self._pressure(ops.Dmat @ m)
             m += area * (ops.DmatT @ x.T)
             # the divergence the wall data put into the wall cells
-            rhs_sq += np.square(ops.Dc @ np.column_stack(wall)).sum(axis=0)
+            rhs_sq += np.square(ops.Dc @ np.stack(lift)[:, self.C].T).sum(axis=0)
+        div_sq = np.einsum("ki,ki->k", div, div)
         m[self.C] = 0.0
         rel = (np.sqrt(np.einsum("ij,ij->j", m, m) + div_sq)
                / np.maximum(np.sqrt(rhs_sq), 1e-30))

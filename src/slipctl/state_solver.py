@@ -111,7 +111,8 @@ def solve_state(problem: StateProblem, steps: StepStore = None) -> StateTrajecto
         with solver.at(k, fric.alpha[k], y[k - 1]) as step:
             y[k] = step.solve(rhs, lifts[k - 1])
             dv = np.abs(step.div).max()
-            if dv > 1e-9 * max(1.0, face_l2(g, y[k])):
+            # the bound is at least 1e-9, so the norm is formed only past it
+            if dv > 1e-9 and dv > 1e-9 * max(1.0, face_l2(g, y[k])):
                 raise SolverDivergence("divergence %.3e" % dv)
     return StateTrajectory(g, tg, y, solver.pressures(), config_hash=problem.content_hash(),
                            steps=steps)

@@ -4,19 +4,22 @@ Each one evaluates something slipctl computes another way (or from field
 quantities instead of the assembled operators), so a test can check the
 two against each other.  Nothing in slipctl calls them.  step_solve and
 step_solve_transpose run one StepSolver step and its one-row pressure pass,
-as a single-step caller does.
+as a single-step caller does; step_solve_transpose gives it the data on
+the free faces.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from slipctl.adjoint_solver import AdjointTrajectory
 from slipctl.errors import IncompatibleFlux, SolverDivergence
 from slipctl.fields import (BoundaryControl, FrictionField, components, dot,
                             face_l2, sample_faces)
 from slipctl.lifting import solve_neumann_lifting
 from slipctl.mesh import WALL_BOTTOM, WALL_LEFT, WALL_RIGHT, WALL_TOP
-from slipctl.operators import DiscreteOperators, _row_blocks
+from slipctl.operators import (LINEAR_RESIDUAL_TOL, DiscreteOperators, StepSolver, _mv,
+                               _row_blocks)
 
 
 def reduced_matrix(ops, data):
@@ -34,8 +37,11 @@ def step_solve(step, rhs_mom_full, a_nodes):
 
 
 def step_solve_transpose(step, rhs_free):
-    """(lam, q) of one transposed step, as step_solve."""
-    lam = step.solve_transpose(rhs_free)
+    """(lam, q) of one transposed step with data rhs_free on the free faces,
+    as step_solve."""
+    rhs = np.zeros(step.ops.N)
+    rhs[step.ops.free_idx] = rhs_free
+    lam = step.solve_transpose(rhs)
     return lam, step.pressures(trans=True)[0]
 
 
@@ -498,3 +504,113 @@ def continuum_normal_kernel(adjoint, base, k):
     dpn[sl(1)] = (pu[nx, :] - pu[nx - 1, :]) / g.hx
     dpn[sl(3)] = ((pu[1, :] - pu[0, :]) / g.hx)[::-1]
     return pi_b - py - 2.0 * dpn
+
+
+class PerStepSolver(StepSolver):
+    """StepSolver with the per-step bookkeeping that the block pass
+    replaces: each step forms its momentum residual without the pressure
+    term, the squared norms of its data and of its velocity's divergence
+    and its wall data as it is solved, and the pass stacks only those.
+    solve_transpose takes the data on the free faces, and keeps L^T lam as
+    LT_lam for solve_adjoint_per_step."""
+
+    def solve(self, rhs_mom_full, lift):
+        ops, C = self.ops, self.C
+        r = rhs_mom_full - _mv(self.L, lift)
+        r[C] = 0.0
+        dy = _mv(ops.Ci, self._solve(_mv(ops.CiT, r)))
+        m = r - _mv(self.L, dy)         # rhs_mom - L y on the free rows
+        m[C] = 0.0
+        y = lift + dy
+        self.div = _mv(ops.Dmat, y)
+        self.pending[0].append((self.k, dot(r, r), dot(self.div, self.div), m, y[C]))
+        return y
+
+    def solve_transpose(self, rhs_free):
+        ops, C = self.ops, self.C
+        r = np.zeros(ops.N)
+        r[ops.free_idx] = rhs_free
+        lam = _mv(ops.Ci, self._solve(_mv(ops.CiT, r), trans=True))
+        self.LT_lam = _mv(self.LT, lam)
+        m = r - self.LT_lam             # rhs - L^T lam on the free rows
+        m[C] = 0.0
+        div = ops.cell_area * _mv(ops.Dmat, lam)
+        self.pending[1].append((self.k, dot(r, r), dot(div, div), m, None))
+        return lam
+
+    def pressures(self, trans=False):
+        ops, area = self.ops, self.ops.cell_area
+        k, rhs_sq, div_sq, m, wall = zip(*self.pending[trans])
+        self.pending[trans].clear()
+        rhs_sq, div_sq = np.array(rhs_sq), np.array(div_sq)
+        m = np.column_stack(m)          # a column per step
+        if trans:
+            x = self._pressure(-area * (ops.Dmat @ m))
+            m -= ops.DmatT @ x.T
+        else:
+            x = self._pressure(ops.Dmat @ m)
+            m += area * (ops.DmatT @ x.T)
+            rhs_sq += np.square(ops.Dc @ np.column_stack(wall)).sum(axis=0)
+        m[self.C] = 0.0
+        rel = (np.sqrt(np.einsum("ij,ij->j", m, m) + div_sq)
+               / np.maximum(np.sqrt(rhs_sq), 1e-30))
+        bad = np.flatnonzero(~np.isfinite(rel) | (rel > LINEAR_RESIDUAL_TOL))
+        if bad.size:
+            i = bad[0]
+            msg = "%s step residual %.3e above tolerance" % ("adjoint" if trans else "linear",
+                                                            rel[i])
+            raise SolverDivergence(msg if k[i] is None else
+                                   "%s step %d: %s" % (self.sweep, k[i], msg))
+        return x
+
+
+def adv_cross_T_of_step(ops, y_vec, lam_vec, g_y, t_y, t_lam):
+    """X(y)^T lam from the state products (g_y, t_y) = state_products(y)
+    and t_lam = T lam, every product of y weighted within the step."""
+    N, nb, W = ops.N, ops.n_boundary, ops.Wvec
+    g_y, g_lam = g_y.reshape(2, N), _mv(ops.G, lam_vec).reshape(2, N)
+    x = _mv(ops.PT, np.stack([W * g_y * lam_vec, W * y_vec * g_lam],
+                             axis=-1).reshape(2 * N, 2))
+    tw = ops.w_gamma * t_y.reshape(2, nb)
+    xst = _mv(ops.Mbc, tw[0] * t_lam[:nb] + tw[1] * t_lam[nb:])
+    return 0.5 * (x[:, 0] - x[:, 1]) + 0.5 * xst
+
+
+def solve_adjoint_per_step(problem):
+    """solve_adjoint with every product of the march's results made in
+    the step that produced them: the right-hand side gathered on the free
+    faces, and p, kernel_b, the advection part of kernel_a and the wall
+    rows of L^T lam written step by step.  Its step solver must be a
+    PerStepSolver (see StateProblem.step_solver)."""
+    sp_ = problem.state_problem
+    g, tg = sp_.grid, sp_.time_grid
+    ops = g.ops
+    dt = tg.dt
+    yvec, U = problem.base.y, problem.source
+    C = ops.cons_idx
+    nslice = tg.nt + 1
+    kernel_a = np.zeros((nslice, g.n_boundary))
+    kernel_b = np.zeros((nslice, g.n_boundary))
+    p = np.zeros((nslice, ops.N))
+    lt_wall = np.empty((tg.nt, C.size))
+    g_y, t_y = ops.state_products(yvec[1:])
+    solver = sp_.step_solver("adjoint", problem.base.steps)
+    face, sign = ops.Tn.indices, ops.Tn.data
+    lam_next, cross_next = np.zeros(ops.N), np.zeros(ops.N)
+    for k in range(tg.nt, 0, -1):
+        rhs_full = dt * (ops.Wvec * U[k]) + ops.Wvec * lam_next / dt - cross_next
+        with solver.at(k, sp_.friction.alpha[k], yvec[k - 1]) as step:
+            lam_full = step.solve_transpose(rhs_full[ops.free_idx])
+        lt_wall[k - 1] = step.LT_lam[C]
+        t_lam = _mv(ops.T, lam_full)
+        kernel_b[k] = ops.w_gamma * t_lam[g.n_boundary:]
+        cross = adv_cross_T_of_step(ops, yvec[k], lam_full, g_y[k - 1], t_y[k - 1], t_lam)
+        if k >= 2:
+            kernel_a[k - 1] -= sign * cross[face] + 0.0
+        p[k - 1] = lam_full / dt
+        lam_next, cross_next = lam_full, cross
+    q = solver.pressures(trans=True)[::-1]
+    pair = dt * (ops.Wvec[C] * U[1:, C]) - lt_wall - (ops.DcT @ q.T).T
+    kernel_a[1:, ops.wall_node] += ops.wall_sign * pair + 0.0
+    pi = -q / (dt * g.cell_area)
+    return AdjointTrajectory(g, tg, p, pi, kernel_a, kernel_b, problem.base.config_hash)

@@ -8,14 +8,15 @@ side (a band LU of every step), refinement against SuperLU's reference
 the energy identity closes to ENERGY_TOL, the duality residual of three
 direction/source pairs is within DUALITY_TOL and the adjoint gradient of
 a nonzero target, against Richardson differences in two directions, is
-within GRAD_CHECK_TOL.
+within GRAD_CHECK_TOL.  On each path the block products of the sweeps'
+passes also give the bits of the per-step bookkeeping they replace.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from slipctl import operators
+from slipctl import operators, state_solver
 from slipctl.adjoint_solver import (DUALITY_TOL, AdjointProblem, duality_residual,
                                     solve_adjoint)
 from slipctl.cli import GRAD_CHECK_TOL
@@ -26,6 +27,8 @@ from slipctl.linearized_solver import LinearizedProblem, solve_linearized
 from slipctl.mesh import TimeGrid, build_grid
 from slipctl.operators import StepStore
 from slipctl.state_solver import ENERGY_TOL, StateProblem, energy_identity_residual, solve_state
+
+from oracles import PerStepSolver, solve_adjoint_per_step
 
 # nx, ny, Lx, Ly, nt, nu, friction random in (t, s), control amplitude
 ROWS = {
@@ -89,3 +92,41 @@ def test_contract_matrix(row, path):
         rich = fd["richardson"]
         denom = max(abs(adj_dd), abs(rich), fd["round_off"] / GRAD_CHECK_TOL)
         assert abs(adj_dd - rich) / denom <= GRAD_CHECK_TOL
+
+
+@pytest.mark.parametrize("nt", [1, 2])
+def test_block_pass_has_the_bits_of_per_step_bookkeeping(nt, path, monkeypatch):
+    """The state, tangent and adjoint sweeps, whose passes and adjoint
+    kernels are block products around the march, give the bits of the
+    per-step bookkeeping (oracles.PerStepSolver and solve_adjoint_per_step):
+    state y and p, tangent z, adjoint p, pi, kernel_a and kernel_b.  At
+    nt = 1 and 2 the blocks have one and two rows."""
+    nx, ny, Lx, Ly, _, nu, _, amplitude = ROWS["10x7"]
+    # dt = 0.3 / nt, not a power of two, so that a division by dt rounds
+    grid, tg = build_grid(nx, ny, Lx, Ly), TimeGrid(0.3, nt)
+    ops = grid.ops
+    rng = np.random.default_rng(nt)
+    friction = FrictionField(grid, tg, rng.uniform(0.5, 1.5, (nt + 1, grid.n_boundary)))
+    ctrl, d = (random_admissible_control(grid, tg, rng, amplitude=a) for a in (amplitude, 1.0))
+    U = rng.standard_normal((nt + 1, ops.N))
+    prob = StateProblem(grid, tg, np.zeros(ops.N), ctrl, friction, nu=nu, validate=False)
+
+    def sweeps(adjoint):
+        traj = solve_state(prob, StepStore(ops, nt))
+        z = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
+        adj = adjoint(AdjointProblem(prob, traj, U))
+        return [traj.y, traj.p, z, adj.p, adj.pi, adj.kernel_a, adj.kernel_b]
+
+    blocks = sweeps(solve_adjoint)
+    built = []
+
+    class Counted(PerStepSolver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.sweep)
+
+    monkeypatch.setattr(state_solver, "StepSolver", Counted)
+    per_step = sweeps(solve_adjoint_per_step)
+    assert built == ["state", "linearized", "adjoint"]
+    for got, want in zip(blocks, per_step):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slipctl.mesh import TimeGrid, build_grid, integrate_boundary
+from slipctl.mesh import FLUX_TOL, TimeGrid, build_grid, integrate_boundary, net_flux_violation
 
 from oracles import integrate_interior
 
@@ -95,6 +95,28 @@ def test_integrate_boundary_of_a_block_has_the_bits_of_its_rows():
     assert block.tobytes() == np.array(rows).tobytes()
     assert block.tobytes() == np.einsum("i,ki->k", g.boundary_weight, a).tobytes()
     assert integrate_boundary(g, a[:1]).shape == (1,)
+
+
+def test_net_flux_violation_names_the_first_slice_and_its_signed_flux():
+    """net_flux_violation returns the first slice whose net flux passes
+    FLUX_TOL times max(1, max |a|) over the whole block, with that flux
+    signed, and None where no slice does; one vector is slice 0."""
+    g = build_grid(8, 4, 2.0, 1.0)
+    a = np.zeros((5, g.n_boundary))
+    assert net_flux_violation(g, a) is None
+    a[3, 0] = -1.0                     # edge weight 0.25: flux -0.25
+    a[4, 0] = 2.0
+    assert net_flux_violation(g, a) == (3, -0.25)
+    assert net_flux_violation(g, a[4]) == (0, 0.5)
+    # a flux within the tolerance of the block's largest sample passes,
+    # scaled by that sample, not by the slice's own
+    a = np.zeros((2, g.n_boundary))
+    a[0, 0] = 8e-10
+    assert net_flux_violation(g, a) == (0, 0.25 * 8e-10)
+    a[1, 1:3] = [1e3, -1e3]
+    assert FLUX_TOL < 0.25 * 8e-10 <= FLUX_TOL * 1e3
+    assert net_flux_violation(g, a) is None
+    assert net_flux_violation(g, a[0]) == (0, 0.25 * 8e-10)
 
 
 def test_integrate_interior_examples():

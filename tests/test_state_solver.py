@@ -123,6 +123,46 @@ def test_determinism_bit_identical(grid, tg):
     assert t1.config_hash == t2.config_hash
 
 
+@pytest.mark.parametrize("between", [True, False])
+def test_divergence_guard_bound(grid, tg, monkeypatch, between):
+    """The state sweep's guard lets a step pass whose divergence lies
+    between 1e-9 and 1e-9 |y_k|, and raises 'state step k: divergence ...'
+    for one above that bound before step k + 1 is made.  The divergence the
+    guard reads (step.div) is replaced after the solve; the residual check
+    keeps the step's own."""
+    from slipctl.errors import SolverDivergence
+    from slipctl.operators import StepSolver
+    prob = random_problem(grid, tg, seed=7, amplitude=20.0)
+    k = 3
+    want = solve_state(prob)
+    norm = face_l2(grid, want.y[k])
+    assert norm > 2.0
+    dv = 1e-9 * (1.0 + norm) / 2 if between else 2e-9 * norm
+    real_step, real_solve, made = StepSolver.step, StepSolver.solve, []
+
+    def step(self, alpha, w):
+        made.append(self.k)
+        return real_step(self, alpha, w)
+
+    def solve(self, rhs, lift):
+        y = real_solve(self, rhs, lift)
+        if self.k == k:
+            self.div = self.div.copy()
+            self.div[0] = dv
+        return y
+
+    monkeypatch.setattr(StepSolver, "step", step)
+    monkeypatch.setattr(StepSolver, "solve", solve)
+    if between:
+        got = solve_state(prob)
+        assert np.array_equal(got.y, want.y) and np.array_equal(got.p, want.p)
+        assert made == list(range(1, tg.nt + 1))
+    else:
+        with pytest.raises(SolverDivergence, match=r"^state step 3: divergence %.3e$" % dv):
+            solve_state(prob)
+        assert made == [1, 2, 3]
+
+
 def test_energy_bound_monotone_under_scaling(grid, tg):
     base = random_problem(grid, tg, seed=6)
     lhs = []
