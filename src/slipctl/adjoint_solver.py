@@ -15,7 +15,7 @@ p.tau, and they feed the cost gradient directly.
 import numpy as np
 
 from .errors import BaseTrajectoryMissing
-from .fields import StateTrajectory, dissipation, dot, save_boundary_table, sup_face_l2, time_sum
+from .fields import StateTrajectory, dissipation, dot, save_boundary_table, sup_face_l2
 from .operators import _mv
 from .state_solver import StateProblem
 
@@ -52,10 +52,8 @@ class AdjointTrajectory:
         self.config_hash = config_hash
 
     def _point_density(self, integrated):
-        dt = self.time_grid.dt
-        wg = self.grid.boundary_weight
         out = np.zeros_like(integrated)
-        out[1:] = integrated[1:] / (dt * wg[None, :])
+        self.time_grid.density(integrated[1:], self.grid.boundary_weight, out=out[1:])
         return out
 
     @property
@@ -94,13 +92,13 @@ def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
     sp_ = problem.state_problem
     g, tg = sp_.grid, sp_.time_grid
     ops = g.ops
-    dt, nt, nb = tg.dt, tg.nt, g.n_boundary
+    nt, nb = tg.nt, g.n_boundary
     yvec, U, alpha = problem.base.y, problem.source, sp_.friction.alpha
     W, C = ops.Wvec, ops.cons_idx
 
     # row k - 1 is step k; lam and cross have a zero row nt, the terms of
     # step nt + 1 in step nt's right-hand side
-    rhs = dt * (W * U[1:])
+    rhs = tg.weigh(W * U[1:])
     lam, cross = np.zeros((nt + 1, ops.N)), np.zeros((nt + 1, ops.N))
     lt_lam, t_lam = np.empty((nt, ops.N)), np.empty((nt, 2 * nb))
     w_g_y, w_y, w_t_y = ops.adjoint_factors(yvec[1:])
@@ -109,7 +107,7 @@ def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
         i = k - 1
         # dt W U_k + W lam_{k+1} / dt - X(y_{k+1})^T lam_{k+1}, wall rows +0.0
         r = rhs[i]
-        r += W * lam[k] / dt
+        r += tg.explicit(W, lam[k])
         r -= cross[k]
         r[C] = 0.0
         with solver.at(k, alpha[k], yvec[i]) as step:
@@ -128,10 +126,10 @@ def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
     kernel_a[1:nt] -= ops.Tn.data * cross[1:nt, ops.Tn.indices] + 0.0
     # pairing against f_k: direct cost term, implicit coupling, divergence,
     # on the wall faces C; (Tn @ x)[wall_node] = wall_sign * x[C]
-    pair = dt * (W[C] * U[1:, C]) - lt_lam[:, C] - (ops.DcT @ q.T).T
+    pair = tg.weigh(W[C] * U[1:, C]) - lt_lam[:, C] - (ops.DcT @ q.T).T
     kernel_a[1:, ops.wall_node] += ops.wall_sign * pair + 0.0
-    pi = -q / (dt * g.cell_area)
-    lam /= dt                                          # p_{k-1} = lam_k / dt
+    pi = tg.density(-q, g.cell_area)
+    tg.density(lam, out=lam)                           # p_{k-1} = lam_k / dt
     return AdjointTrajectory(g, tg, lam, pi, kernel_a, kernel_b, problem.base.config_hash)
 
 
@@ -144,7 +142,7 @@ def duality_residual(z, adjoint: AdjointTrajectory, source, f, g_dir,
     """
     if base_hash is not None and adjoint.config_hash != base_hash:
         raise ValueError("adjoint and linearized solves use different base trajectories")
-    lhs = time_sum(adjoint.time_grid.dt, adjoint.grid.ops.Wvec, source, z)
+    lhs = adjoint.time_grid.time_sum(adjoint.grid.ops.Wvec, source, z)
     rhs = (dot(adjoint.kernel_a[1:].ravel(), np.ravel(f[1:]))
            + dot(adjoint.kernel_b[1:].ravel(), np.ravel(g_dir[1:])))
     denom = abs(lhs) + abs(rhs) + np.finfo(float).eps
@@ -158,11 +156,11 @@ def adjoint_energy_check(adjoint: AdjointTrajectory, source, friction):
     dissipation of p against the space-time L2 norm of the source, given as
     face vectors of shape (nt+1, N).
     """
-    g, dt = adjoint.grid, adjoint.time_grid.dt
-    usq = time_sum(dt, g.ops.Wvec, source, source)
+    g, tg = adjoint.grid, adjoint.time_grid
+    usq = tg.time_sum(g.ops.Wvec, source, source)
     if usq == 0.0:
         return 0.0
     # step k dissipates the adjoint velocity p[k-1] with the friction of slice k
-    diss = dissipation(g, dt, adjoint.p[:-1], friction.alpha[1:], strain=0.5)
+    diss = dissipation(g, tg, adjoint.p[:-1], friction.alpha[1:], strain=0.5)
     return (sup_face_l2(g, adjoint.p) ** 2 + diss) / usq
 

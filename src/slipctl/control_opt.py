@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from .adjoint_solver import AdjointProblem, solve_adjoint
-from .fields import BoundaryControl, hp_norm, slice_sum, time_sum, zero_mean
+from .fields import BoundaryControl, hp_norm, slice_sum, zero_mean
 from .operators import StepStore
 from .state_solver import StateProblem, solve_state
 
@@ -45,14 +45,14 @@ def evaluate_cost(controls: BoundaryControl, trajectory, params: CostParams,
     cost of the values the misfit is formed from, which sets the round-off
     of J (the penalties are sums of squares and cancel nothing).
     """
-    g, dt = controls.grid, controls.time_grid.dt
+    g, tg = controls.grid, controls.time_grid
     if magnitude:
         misfit = np.abs(trajectory.y) + np.abs(params.y_d)
     else:
         misfit = params.misfit(trajectory)
     wg, a, b = g.boundary_weight, controls.a, controls.b
-    return 0.5 * (time_sum(dt, g.ops.Wvec, misfit, misfit)
-                  + params.lam1 * time_sum(dt, wg, a, a) + params.lam2 * time_sum(dt, wg, b, b))
+    return 0.5 * (tg.time_sum(g.ops.Wvec, misfit, misfit)
+                  + params.lam1 * tg.time_sum(wg, a, a) + params.lam2 * tg.time_sum(wg, b, b))
 
 
 class ControlGradient:
@@ -66,8 +66,8 @@ class ControlGradient:
 
     def pair(self, f, g_dir):
         """L2(Gamma_T) pairing of the gradient with a direction."""
-        dt, wg = self.time_grid.dt, self.grid.boundary_weight
-        return time_sum(dt, wg, self.ga, f) + time_sum(dt, wg, self.gb, g_dir)
+        tg, wg = self.time_grid, self.grid.boundary_weight
+        return tg.time_sum(wg, self.ga, f) + tg.time_sum(wg, self.gb, g_dir)
 
     def norm(self):
         return float(np.sqrt(self.pair(self.ga, self.gb)))

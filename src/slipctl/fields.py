@@ -5,12 +5,13 @@ horizontal faces, each row-major, length ops.N.  A pressure is one cell
 vector (row-major, length ncell), and boundary scalars sit at wall-edge
 midpoints in loop order.  This module alone knows the u/v layout
 (face_vector, sample_faces, components), and it is the one home of the
-space-time quadrature that the cost, the gradient pairing, the energy
-identity and the duality check share with the adjoint: dot, slice_sum,
-time_sum, sup_face_l2 and dissipation, each one np.einsum in numpy's own
-loops, whose bits, unlike a BLAS dot's of over ~10,000 entries, do not
-depend on the thread count; boundary integrals, zero_mean's and the
-control checks' included, are mesh.integrate_boundary's, one such einsum.
+space quadrature that the cost, the gradient pairing, the energy identity
+and the duality check share with the adjoint: dot, slice_sum, sup_face_l2
+and dissipation, each one np.einsum in numpy's own loops, whose bits,
+unlike a BLAS dot's of over ~10,000 entries, do not depend on the thread
+count; boundary integrals, zero_mean's and the control checks' included,
+are mesh.integrate_boundary's, one such einsum.  The time rule is
+mesh.TimeGrid's, which also weighs dissipation's sum.
 The divergence and curl are the solver's own matrices, ops.Dmat and
 ops.CiT.  Sparse products, hp_norm's Fourier product (one thread's dot
 per entry), SuperLU and LAPACK use BLAS.
@@ -152,24 +153,18 @@ def slice_sum(w, x, y):
     return float(np.einsum("i,ki,ki->", w, x, y))
 
 
-def time_sum(dt, w, x, y):
-    """The time rule: dt times the sum over the slices k = 1..nt of
-    sum_i w[i] x[k, i] y[k, i]; slice 0 carries no weight."""
-    return dt * slice_sum(w, x[1:], y[1:])
-
-
 def sup_face_l2(grid, y):
     """max over the rows y[k] of face_l2(grid, y[k])."""
     return float(np.sqrt(np.einsum("i,ki,ki->k", grid.ops.Wvec, y, y).max()))
 
 
-def dissipation(grid, dt, y, alpha, strain=1.0):
-    """dt times the sum over the rows k of y and alpha of strain * y_k .
-    A_strain y_k + sum_e w_e alpha[k, e] (Ttau y_k)_e^2."""
+def dissipation(grid, time_grid, y, alpha, strain=1.0):
+    """time_grid.weigh of the sum over the rows k of y and alpha of
+    strain * y_k . A_strain y_k + sum_e w_e alpha[k, e] (Ttau y_k)_e^2."""
     ops = grid.ops
     t = (ops.Ttau @ y.T).T
-    return dt * (strain * float(np.einsum("ki,ki->", y, (ops.A_strain @ y.T).T))
-                 + float(np.einsum("i,ki,ki,ki->", ops.w_gamma, alpha, t, t)))
+    return time_grid.weigh(strain * float(np.einsum("ki,ki->", y, (ops.A_strain @ y.T).T))
+                           + float(np.einsum("i,ki,ki,ki->", ops.w_gamma, alpha, t, t)))
 
 
 def zero_mean(grid, a):
@@ -214,6 +209,9 @@ def spatial_mean(grid, y):
 
 def hp_norm(control: BoundaryControl):
     """Discrete control norm: three-term sum mirroring the admissible space.
+
+    Its time quadrature (trapezoid weights, forward differences of a) is
+    the norm's own, part of the admissible set, not the time scheme's.
 
     term 1: time-L2 of the W_p^{1-1/p}(Gamma) surrogate of a: the L_p norm
             plus the Gagliardo seminorm.  For fractional order s = 1-1/p the

@@ -45,13 +45,12 @@ def solve_linearized(problem: LinearizedProblem):
     """
     sp_, y = problem.state_problem, problem.base.y
     tg, ops = sp_.time_grid, sp_.grid.ops
-    dt = tg.dt
     z = np.zeros((tg.nt + 1, ops.N))
     lifts, loads = ops.boundary_lift(problem.f[1:]), ops.b_load(problem.g[1:])
     g_y, t_y = ops.state_products(y[1:])     # rows k = 1..nt
     solver = sp_.step_solver("linearized", problem.base.steps)
     for k in range(1, tg.nt + 1):
-        rhs = (ops.Wvec * z[k - 1] / dt
+        rhs = (tg.explicit(ops.Wvec, z[k - 1])
                - ops.apply_adv_cross(y[k], z[k - 1], (g_y[k - 1], t_y[k - 1]))
                + loads[k - 1])
         with solver.at(k, sp_.friction.alpha[k], y[k - 1]) as step:
@@ -60,31 +59,32 @@ def solve_linearized(problem: LinearizedProblem):
     return z
 
 
-def linearized_step_apply(step, y_new_vec, xi_free):
+def linearized_step_apply(step, time_grid, y_new_vec, xi_free):
     """One homogeneous tangent step on the free unknowns: xi -> z_f.
 
-    step is a StepSolver already stepped at (alpha, w) of the step; y_new_vec
-    is the state it produced.  This is the single-step propagator L whose
-    transpose the adjoint sweep applies; used directly by the
-    transpose-exactness checks.
+    step is a StepSolver already stepped at (alpha, w) of the step, with
+    time_grid's step length; y_new_vec is the state it produced.  This is
+    the single-step propagator L whose transpose the adjoint sweep applies;
+    used directly by the transpose-exactness checks.
     """
     ops = step.ops
     xi_full = np.zeros(ops.N)
     xi_full[ops.free_idx] = xi_free
-    rhs = ops.Wvec * xi_full / step.dt - ops.apply_adv_cross(y_new_vec, xi_full)
+    rhs = time_grid.explicit(ops.Wvec, xi_full) - ops.apply_adv_cross(y_new_vec, xi_full)
     z_vec = step.solve(rhs, np.zeros(ops.N))      # the lift of zero wall data
     step.pressures()
     return z_vec[ops.free_idx]
 
 
-def adjoint_step_apply(step, y_new_vec, eta_free):
+def adjoint_step_apply(step, time_grid, y_new_vec, eta_free):
     """Transpose of linearized_step_apply under the Euclidean pairing."""
     ops = step.ops
     rhs = np.zeros(ops.N)
     rhs[ops.free_idx] = eta_free
     lam_full = step.solve_transpose(rhs)
     step.pressures(trans=True)
-    out_full = ops.Wvec * lam_full / step.dt - ops.apply_adv_cross_T(y_new_vec, lam_full)
+    out_full = (time_grid.explicit(ops.Wvec, lam_full)
+                - ops.apply_adv_cross_T(y_new_vec, lam_full))
     return out_full[ops.free_idx]
 
 

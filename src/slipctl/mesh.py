@@ -146,7 +146,11 @@ class Grid:
 
 
 class TimeGrid:
-    """Uniform partition of [0, T] into nt steps."""
+    """Uniform partition of [0, T] into nt steps, and the one home of the
+    time scheme, backward Euler with the rectangle rule over the slices
+    1..nt: a step's explicit part and its transpose, the time rule and its
+    weights, and the energy identity's time terms.  operators takes dt only
+    as the implicit step's length; hp_norm's time quadrature is its own."""
 
     def __init__(self, T, nt):
         if nt < 1:
@@ -159,6 +163,30 @@ class TimeGrid:
 
     def times(self):
         return np.linspace(0.0, self.T, self.nt + 1)
+
+    def explicit(self, W, y):
+        """W y / dt, a step's explicit part from the previous slice (or
+        slices) y; W is diagonal, so this is its transpose too."""
+        return W * y / self.dt
+
+    def weigh(self, x):
+        """dt x: x times the time rule's weight of a slice."""
+        return self.dt * x
+
+    def density(self, x, w=1.0, out=None):
+        """x / (dt w), into out if given: x per unit time and weight w."""
+        return np.divide(x, self.dt * w, out=out)
+
+    def time_sum(self, w, x, y):
+        """The time rule: dt times slice_sum over the slices k = 1..nt."""
+        from .fields import slice_sum
+        return self.weigh(slice_sum(w, x[1:], y[1:]))
+
+    def energy_terms(self, W, y, yo):
+        """A step's kinetic increment and numerical dissipation from y, yo."""
+        from .fields import dot
+        return {"kinetic_increment": (dot(W, y * y) - dot(W, yo * yo)) / (2 * self.dt),
+                "numerical_dissipation": dot(W, (y - yo) ** 2) / (2 * self.dt)}
 
     def __repr__(self):
         return "TimeGrid(T=%g, nt=%d)" % (self.T, self.nt)

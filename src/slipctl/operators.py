@@ -383,9 +383,8 @@ class DiscreteOperators:
                              (np.indices(self._iu.shape), np.indices(self._iv.shape))])
         return _keyed_pattern(rows, cols, xy, xy + 25 * (np.arange(self.N) >= self.NU) + 12, 50)
 
-    def step_matrix(self, dt, nu, alpha_nodes, w_vec, out=None):
-        """The implicit step operator W/dt + nu*A_strain + Fric(alpha) + K(w);
-        given out, a step_matrix, its data is overwritten and out returned.
+    def step_matrix(self, dt, nu, alpha_nodes, w_vec):
+        """The implicit step operator W/dt + nu*A_strain + Fric(alpha) + K(w).
 
         K(w) is the skew-symmetrized advection 0.5*(N - N^T) plus half the
         boundary flux form; the tangential half of that flux is folded into
@@ -398,13 +397,25 @@ class DiscreteOperators:
         is stored on one fixed pattern (the union of all terms, explicit zeros
         included) whose data is one sparse mat-vec M @ [alpha; w; 1/dt; nu],
         with M built once per grid.  StepSolver refills its workspace with
-        this data, and a loop over steps can refill one matrix (out).
+        this data.
         """
         data = self._step_map @ np.concatenate([alpha_nodes, w_vec, [1.0 / dt, nu]])
-        if out is None:
-            return sp.csr_matrix((data, self.step_indices, self.step_indptr),
-                                 shape=(self.N, self.N))
-        out.data[:] = data
+        return sp.csr_matrix((data, self.step_indices, self.step_indptr), shape=(self.N, self.N))
+
+    def step_products(self, dt, nu, alpha_nodes, w, y, rows):
+        """The entries rows of step_matrix(dt, nu, alpha_k, w_k) @ y_k for
+        each row k of the blocks alpha_nodes, w and y, a row per step with
+        the bits of that product: one product of the step map's rows that
+        hold those entries with the block of sources, then a CSR per step."""
+        pos = sp.csr_matrix((np.arange(self.step_indices.size), self.step_indices,
+                             self.step_indptr), shape=(self.N, self.N))[rows]
+        src = np.vstack([alpha_nodes.T, w.T, np.full(len(y), 1.0 / dt), np.full(len(y), nu)])
+        data = np.ascontiguousarray(_mv(self._step_map[pos.data], src).T)
+        M = sp.csr_matrix((data[0], pos.indices, pos.indptr), shape=pos.shape)
+        out = np.empty((len(y), rows.size))
+        for k, y_k in enumerate(y):
+            M.data = data[k]
+            _mv(M, y_k, out[k])
         return out
 
     def reduced_data(self, data, out=None):

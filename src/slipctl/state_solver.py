@@ -107,7 +107,7 @@ def solve_state(problem: StateProblem, steps: StepStore = None) -> StateTrajecto
     solver = problem.step_solver("state", keep=steps)
     solver.seed(y[0])
     for k in range(1, tg.nt + 1):
-        rhs = ops.Wvec * y[k - 1] / tg.dt + loads[k - 1]
+        rhs = tg.explicit(ops.Wvec, y[k - 1]) + loads[k - 1]
         with solver.at(k, fric.alpha[k], y[k - 1]) as step:
             y[k] = step.solve(rhs, lifts[k - 1])
             dv = np.abs(step.div).max()
@@ -128,12 +128,12 @@ def energy_identity_terms(trajectory: StateTrajectory, problem: StateProblem):
     the work done through the wall-normal faces.  Their sum vanishes for
     the implemented scheme up to the linear-solve residual.  Each product
     of the trajectory is one product of its (nt, .) block, a row per step
-    with the bits of that step's product alone; per step only the step
-    matrix is refilled and applied.
+    with the bits of that step's product alone; the boundary supply reads
+    only the wall rows C of the step residual, and so of L_k y_k
+    (operators.step_products).
     """
     g, tg = trajectory.grid, trajectory.time_grid
     ops = g.ops
-    dt = tg.dt
     Y, alpha = trajectory.y, problem.friction.alpha
 
     def rows(M, X):
@@ -145,22 +145,22 @@ def energy_identity_terms(trajectory: StateTrajectory, problem: StateProblem):
     Gp = -(g.cell_area) * rows(ops.DmatT, trajectory.p)
     load = ops.b_load(problem.controls.b[1:])
     W, C = ops.Wvec, ops.cons_idx
-    out, L = [], None
+    # wall rows of the step residual L_k y_k - W y_{k-1} / dt + G p_k - load_k
+    R = (ops.step_products(tg.dt, problem.nu, alpha[1:], Y[:-1], Y[1:], C)
+         - tg.explicit(W[C], Y[:-1, C]) + Gp[:, C] - load[:, C])
+    out = []
     for k in range(1, tg.nt + 1):
         y, yo, i = Y[k], Y[k - 1], k - 1
-        L = ops.step_matrix(dt, problem.nu, alpha[k], yo, out=L)
-        R = L @ y - W * yo / dt + Gp[i] - load[i]
-        terms = {
-            "kinetic_increment": (dot(W, y * y) - dot(W, yo * yo)) / (2 * dt),
-            "numerical_dissipation": dot(W, (y - yo) ** 2) / (2 * dt),
+        terms = tg.energy_terms(W, y, yo)
+        terms.update({
             "strain_dissipation": problem.nu * dot(y, strain_y[i]),
             # y . Fric(alpha) y = sum(w_gamma alpha (Ttau y)^2)
             "friction_dissipation": dot(ops.w_gamma * alpha[k], tau_sq[i]),
             "advective_boundary_flux": 0.5 * dot(an[i], tn_y[i] ** 2 + tau_sq[i]),
             "pressure_work": dot(y, Gp[i]),
             "slip_work": -dot(y, load[i]),
-            "boundary_supply": -dot(y[C], R[C]),
-        }
+            "boundary_supply": -dot(y[C], R[i]),
+        })
         terms["imbalance"] = sum(terms.values())
         out.append(terms)
     return out
@@ -184,7 +184,7 @@ def energy_bound_report(problem: StateProblem, trajectory: StateTrajectory):
     """
     g, y = problem.grid, trajectory.y
     lhs = (sup_face_l2(g, y) ** 2
-           + dissipation(g, problem.time_grid.dt, y[1:], problem.friction.alpha[1:]))
+           + dissipation(g, problem.time_grid, y[1:], problem.friction.alpha[1:]))
     hp = hp_norm(problem.controls)
     rhs_base = face_l2(g, problem.y0) ** 2 + hp ** 2 + 1.0
     return {"lhs": lhs, "data": rhs_base, "hp": hp}

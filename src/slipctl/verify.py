@@ -321,7 +321,7 @@ def run_estimate_suite(config):
         for d in dirs:
             z = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
             lhs = (sup_face_l2(grid, z) ** 2
-                   + dissipation(grid, tg.dt, z[1:], prob.friction.alpha[1:], strain=0.5))
+                   + dissipation(grid, tg, z[1:], prob.friction.alpha[1:], strain=0.5))
             ratios.append(lhs / hp_norm(d) ** 2)
         return ratios, np.all(np.isfinite(ratios)) and max(ratios) <= 3.0 * min(ratios), None
 

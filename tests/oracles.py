@@ -15,7 +15,7 @@ import scipy.sparse.linalg as spla
 from slipctl.adjoint_solver import AdjointTrajectory
 from slipctl.errors import IncompatibleFlux, SolverDivergence
 from slipctl.fields import (BoundaryControl, FrictionField, components, dot,
-                            face_l2, sample_faces)
+                            face_l2, hp_norm, sample_faces, sup_face_l2)
 from slipctl.lifting import solve_neumann_lifting
 from slipctl.mesh import WALL_BOTTOM, WALL_LEFT, WALL_RIGHT, WALL_TOP
 from slipctl.operators import (LINEAR_RESIDUAL_TOL, DiscreteOperators, StepSolver, _mv,
@@ -438,6 +438,64 @@ def energy_terms_of_step(trajectory, problem, k):
     }
     terms["imbalance"] = sum(terms.values())
     return terms
+
+
+# backward Euler's time rule written out with dt, for the cost, the gradient
+# pairing, the duality residual and the energy estimates
+
+
+def be_time_sum(dt, w, x, y):
+    """dt times the sum over the slices k = 1..nt of sum_i w[i] x[k, i] y[k, i]."""
+    return dt * float(np.einsum("i,ki,ki->", w, x[1:], y[1:]))
+
+
+def be_dissipation(grid, dt, y, alpha, strain=1.0):
+    """dt times the sum over the rows k of strain * y_k . A_strain y_k +
+    sum_e w_e alpha[k, e] (Ttau y_k)_e^2."""
+    ops = grid.ops
+    t = (ops.Ttau @ y.T).T
+    return dt * (strain * float(np.einsum("ki,ki->", y, (ops.A_strain @ y.T).T))
+                 + float(np.einsum("i,ki,ki,ki->", ops.w_gamma, alpha, t, t)))
+
+
+def be_cost(controls, trajectory, params):
+    """evaluate_cost of the tracking misfit."""
+    dt, wg = controls.time_grid.dt, controls.grid.boundary_weight
+    m, a, b = trajectory.y - params.y_d, controls.a, controls.b
+    return 0.5 * (be_time_sum(dt, controls.grid.ops.Wvec, m, m)
+                  + params.lam1 * be_time_sum(dt, wg, a, a)
+                  + params.lam2 * be_time_sum(dt, wg, b, b))
+
+
+def be_pair(grad, f, g):
+    """ControlGradient.pair."""
+    dt, wg = grad.time_grid.dt, grad.grid.boundary_weight
+    return be_time_sum(dt, wg, grad.ga, f) + be_time_sum(dt, wg, grad.gb, g)
+
+
+def be_duality_residual(z, adjoint, source, f, g):
+    """duality_residual."""
+    lhs = be_time_sum(adjoint.time_grid.dt, adjoint.grid.ops.Wvec, source, z)
+    rhs = (dot(adjoint.kernel_a[1:].ravel(), np.ravel(f[1:]))
+           + dot(adjoint.kernel_b[1:].ravel(), np.ravel(g[1:])))
+    return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + np.finfo(float).eps)
+
+
+def be_adjoint_energy(adjoint, source, friction):
+    """adjoint_energy_check of a nonzero source."""
+    g, dt = adjoint.grid, adjoint.time_grid.dt
+    diss = be_dissipation(g, dt, adjoint.p[:-1], friction.alpha[1:], strain=0.5)
+    return ((sup_face_l2(g, adjoint.p) ** 2 + diss)
+            / be_time_sum(dt, g.ops.Wvec, source, source))
+
+
+def be_energy_bound(problem, trajectory):
+    """energy_bound_report."""
+    g, y = problem.grid, trajectory.y
+    lhs = (sup_face_l2(g, y) ** 2
+           + be_dissipation(g, problem.time_grid.dt, y[1:], problem.friction.alpha[1:]))
+    hp = hp_norm(problem.controls)
+    return {"lhs": lhs, "data": face_l2(g, problem.y0) ** 2 + hp ** 2 + 1.0, "hp": hp}
 
 
 def trajectory_sup_l2(trajectory):

@@ -202,8 +202,8 @@ def test_05_transpose_exactness():
         for _ in range(20):
             xi = rng.standard_normal(ops.free_idx.size)
             eta = rng.standard_normal(ops.free_idx.size)
-            lhs = np.dot(linearized_step_apply(step, yk[4], xi), eta)
-            rhs = np.dot(xi, adjoint_step_apply(step, yk[4], eta))
+            lhs = np.dot(linearized_step_apply(step, tg, yk[4], xi), eta)
+            rhs = np.dot(xi, adjoint_step_apply(step, tg, yk[4], eta))
             worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300))
         assert worst <= 1e-10
 

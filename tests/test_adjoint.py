@@ -106,8 +106,8 @@ def test_transpose_exactness_single_step(setup):
     for _ in range(20):
         xi = rng.standard_normal(ops.free_idx.size)
         eta = rng.standard_normal(ops.free_idx.size)
-        lhs = np.dot(linearized_step_apply(step, yk[4], xi), eta)
-        rhs = np.dot(xi, adjoint_step_apply(step, yk[4], eta))
+        lhs = np.dot(linearized_step_apply(step, tg, yk[4], xi), eta)
+        rhs = np.dot(xi, adjoint_step_apply(step, tg, yk[4], eta))
         assert abs(lhs - rhs) <= 1e-10 * (abs(lhs) + abs(rhs) + 1e-30)
 
 

@@ -9,7 +9,9 @@ the energy identity closes to ENERGY_TOL, the duality residual of three
 direction/source pairs is within DUALITY_TOL and the adjoint gradient of
 a nonzero target, against Richardson differences in two directions, is
 within GRAD_CHECK_TOL.  On each path the block products of the sweeps'
-passes also give the bits of the per-step bookkeeping they replace.
+passes also give the bits of the per-step bookkeeping they replace, and at
+a dt that is not a power of two the quantities of the time rule have the
+bits of backward Euler written out.
 """
 
 import numpy as np
@@ -17,18 +19,20 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from slipctl import operators, state_solver
-from slipctl.adjoint_solver import (DUALITY_TOL, AdjointProblem, duality_residual,
-                                    solve_adjoint)
+from slipctl.adjoint_solver import (DUALITY_TOL, AdjointProblem, adjoint_energy_check,
+                                    duality_residual, solve_adjoint)
 from slipctl.cli import GRAD_CHECK_TOL
-from slipctl.control_opt import (CostParams, GradientEngine, fd_gradient_oracle,
-                                 random_admissible_control)
+from slipctl.control_opt import (CostParams, GradientEngine, evaluate_cost,
+                                 fd_gradient_oracle, random_admissible_control)
 from slipctl.fields import FrictionField
 from slipctl.linearized_solver import LinearizedProblem, solve_linearized
 from slipctl.mesh import TimeGrid, build_grid
 from slipctl.operators import StepStore
-from slipctl.state_solver import ENERGY_TOL, StateProblem, energy_identity_residual, solve_state
+from slipctl.state_solver import (ENERGY_TOL, StateProblem, energy_bound_report,
+                                  energy_identity_residual, solve_state)
 
-from oracles import PerStepSolver, solve_adjoint_per_step
+from oracles import (PerStepSolver, be_adjoint_energy, be_cost, be_duality_residual,
+                     be_energy_bound, be_pair, solve_adjoint_per_step)
 
 # nx, ny, Lx, Ly, nt, nu, friction random in (t, s), control amplitude
 ROWS = {
@@ -130,3 +134,28 @@ def test_block_pass_has_the_bits_of_per_step_bookkeeping(nt, path, monkeypatch):
     assert built == ["state", "linearized", "adjoint"]
     for got, want in zip(blocks, per_step):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_time_rule_has_the_bits_of_backward_euler_written_out():
+    """At dt = 0.1, not a power of two, the cost, the gradient pairing, the
+    duality residual, the adjoint energy ratio and the energy bound report
+    equal, with ==, backward Euler's time rule written out with dt."""
+    nx, ny, Lx, Ly, _, nu, _, amplitude = ROWS["10x7"]
+    grid, tg = build_grid(nx, ny, Lx, Ly), TimeGrid(0.3, 3)
+    ops, shape = grid.ops, (tg.nt + 1, grid.n_boundary)
+    rng = np.random.default_rng(17)
+    friction = FrictionField(grid, tg, rng.uniform(0.5, 1.5, shape))
+    ctrl, d = (random_admissible_control(grid, tg, rng, amplitude=a) for a in (amplitude, 1.0))
+    U = rng.standard_normal((tg.nt + 1, ops.N))
+    params = CostParams(y_d=0.3 * rng.standard_normal(U.shape), lam1=1e-3, lam2=2e-3)
+    prob = StateProblem(grid, tg, np.zeros(ops.N), ctrl, friction, nu=nu, validate=False)
+    traj = solve_state(prob, StepStore(ops, tg.nt))
+    z = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
+    adj = solve_adjoint(AdjointProblem(prob, traj, U))
+    grad, _ = GradientEngine(prob.y0, params, friction, nu).gradient(ctrl)
+
+    assert evaluate_cost(ctrl, traj, params) == be_cost(ctrl, traj, params)
+    assert grad.pair(d.a, d.b) == be_pair(grad, d.a, d.b)
+    assert duality_residual(z, adj, U, d.a, d.b) == be_duality_residual(z, adj, U, d.a, d.b)
+    assert adjoint_energy_check(adj, U, friction) == be_adjoint_energy(adj, U, friction)
+    assert energy_bound_report(prob, traj) == be_energy_bound(prob, traj)
