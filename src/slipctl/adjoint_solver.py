@@ -85,9 +85,8 @@ def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
     operations, the adjoint pressures of all steps with every step's full
     residual check (StepSolver.pressures), the velocities p, the kernels
     and the pairing against f_k, before the trajectory is returned.  Step
-    k transposes the state sweep's step, read from the base trajectory's
-    StepStore where it holds it (under the band bound with the state
-    sweep's band LU, solved transposed).
+    k transposes the state sweep's step, read in place from the base
+    trajectory's StepStore where it holds it.
     """
     sp_ = problem.state_problem
     g, tg = sp_.grid, sp_.time_grid

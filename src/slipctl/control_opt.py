@@ -79,9 +79,9 @@ class GradientEngine:
     Line searches and finite differences only revisit the controls they
     evaluated last, so one entry serves every reuse.  It is matched on the
     exact bytes of both control arrays; the cost parameters are fixed per
-    engine.  Its state solve keeps the steps of the march (a StepStore on
-    the trajectory) until gradient's adjoint sweep has read them, unless
-    the caller says no gradient will follow (keep_steps=False, the
+    engine.  Its state solve keeps its steps in a StepStore on the
+    trajectory until gradient's adjoint sweep has read them, unless the
+    caller says no gradient will follow (keep_steps=False, the
     finite-difference costs).
     """
 

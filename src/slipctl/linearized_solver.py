@@ -39,9 +39,8 @@ def solve_linearized(problem: LinearizedProblem):
     StateTrajectory's y.
 
     The first slice is identically zero; slice k satisfies z.n = f(t_k)
-    strongly and the same implicit operator as the forward step k, read
-    from the base trajectory's StepStore where it holds that step (under
-    the band bound with the state sweep's band LU).
+    strongly and the same implicit operator as the forward step k, read in
+    place from the base trajectory's StepStore where it holds that step.
     """
     sp_, y = problem.state_problem, problem.base.y
     tg, ops = sp_.time_grid, sp_.grid.ops

@@ -1076,23 +1076,26 @@ def _extrapolate(hist):
 
 class StepStore:
     """The steps of a state sweep, kept for the tangent and adjoint sweeps
-    around its trajectory.
+    around its trajectory: a table of rows that the sweeps' StepSolvers
+    make and read in place.
 
     Step k of all three sweeps has the same L(alpha_k, y_{k-1}) and
-    R = Ci^T L Ci (the adjoint solves with their transposes).  The state
-    sweep keeps the last steps whose rows fit in the store's bytes, from
-    step first on (the adjoint sweep, which runs backwards, reads those
-    first), each in a row of one preallocated buffer.  The grid picks the
-    row: under BAND_BOUND it holds the data of L and the band LU of R,
-    which the sweep's StepSolver writes there in place (dgbtrf's array; the
-    pivots stay on the row's _BandLU), within BAND_STORE_BYTES; above it,
-    the data of L and of R, within STEP_STORE_BYTES.  A later sweep that
-    loads step k solves with L and that very factor, with no R assembled
-    and nothing factored, or refines with the loaded L and R; it makes the
-    steps before first itself.  A later sweep loads step k instead of
-    making it only when its operators are the store's, its (dt, nu,
-    alpha_k) are bitwise the ones the step was made at and, for a band LU,
-    it does not refine; its advecting field is the trajectory's own y_{k-1}.
+    R = Ci^T L Ci (the adjoint solves with their transposes).  The store
+    has a row for each of the last steps that fit in its bytes, from step
+    first on (the adjoint sweep, which runs backwards, reads those first),
+    all in one preallocated buffer.  The grid picks the row format: under
+    BAND_BOUND a row holds the data of L and the band LU of R (dgbtrf's
+    array on the row's _BandLU, which also holds the pivots), within
+    BAND_STORE_BYTES; above it, the data of L and of R, within
+    STEP_STORE_BYTES.  The state sweep (StepSolver's keep) assembles step
+    k straight into its row, band-factors R into the row's _BandLU, and
+    then sets the row's key, the exact bits of its (dt, nu, alpha_k).  A
+    later sweep (StepSolver's steps) reads the row in place, with no
+    assembly, no factorization and no copy, only where its operators are
+    the store's, its (dt, nu, alpha_k) match the key and, for a band LU, it
+    does not refine; its advecting field is the trajectory's own y_{k-1}.
+    It solves with L and that very factor, or refines with L and R, and
+    makes the steps before first, and any step it does not read, itself.
     """
 
     def __init__(self, ops, nt):
@@ -1118,43 +1121,10 @@ class StepStore:
             self.R, self.lu = None, [_BandLU(band, row) for row in buf[:, nl:]]
         self.keys = [None] * n
 
-    def _row(self, k):
+    def row(self, k):
         """The row that keeps step k, or None."""
         i = -1 if k is None else k - self.first
         return i if 0 <= i < len(self.keys) else None
-
-    def factor_into(self, k):
-        """The _BandLU on the row that keeps step k, or None (no such row,
-        or the rows keep R)."""
-        i = self._row(k)
-        return None if i is None or self.lu is None else self.lu[i]
-
-    def keep(self, k, step, alpha_nodes):
-        """Keep step k, just made by step at alpha; under the bound its
-        factor is already in the row (factor_into)."""
-        i = self._row(k)
-        if i is not None:
-            self.L[i] = step.L.data
-            if self.lu is None:
-                self.R[i] = step.R.data
-            self.keys[i] = _step_key(step.dt, step.nu, alpha_nodes)
-
-    def load(self, k, step, alpha_nodes):
-        """Fill step's L with the data of step k and set step.lu to its band
-        LU or fill step's R, if kept at step's operators, dt and nu and at
-        alpha, and, for a band LU, step does not refine; returns whether it
-        did."""
-        i = self._row(k)
-        if (i is None or step.ops is not self.ops
-                or (self.lu is not None and step.ref is not None)
-                or self.keys[i] != _step_key(step.dt, step.nu, alpha_nodes)):
-            return False
-        step.L.data[:] = self.L[i]
-        if self.lu is None:
-            step.R.data[:] = self.R[i]
-        else:
-            step.lu = self.lu[i]
-        return True
 
 
 class StepSolver:
@@ -1194,22 +1164,21 @@ class StepSolver:
 
     One solver serves a whole sweep at fixed (dt, nu).  It holds the step
     matrix L and R and their transposes, which share the data arrays;
-    step(alpha, w) refills that data in place for the next step, one
-    product with the step map into L's data and one with the reduced map
-    into R's, so no sparse matrix is built per step.  Every sparse product
-    of a step goes through _mv, straight to scipy's compiled kernel.  The
-    tangent and adjoint sweeps pass the StepStore of their base trajectory
-    as steps: step() inside at(k, ...) then loads step k from it, where it
-    holds that step at the same (dt, nu, alpha), instead of making it; the
-    state sweep passes the StepStore it fills, if any, as keep.  Call
-    step() (or at()) before solving.
+    step(alpha, w) fills that data for the next step, one product with the
+    step map into L's data and one with the reduced map into R's, so no
+    sparse matrix is built per step.  Every sparse product of a step goes
+    through _mv, straight to scipy's compiled kernel.  The state sweep
+    passes the StepStore it fills, if any, as keep, and the tangent and
+    adjoint sweeps pass the StepStore of their base trajectory as steps:
+    step() inside at(k, ...) then points the data of L and R at the
+    store's row for step k, which it makes or reads there (see StepStore),
+    and at the solver's own arrays for every other step.  Call step() (or
+    at()) before solving.
 
     Without a reference (lu=None) every step solves directly on a factor
     of its R; on grids under BAND_BOUND that is a LAPACK band LU (see
-    DiscreteOperators.band).  The state sweep factors each step into the
-    row of keep that keeps it, or into one buffer the solver holds; a
-    later sweep solves a loaded step with the state sweep's factor and
-    factors the other steps' R into that buffer.
+    DiscreteOperators.band), in the store's row for step k or in one
+    buffer the solver holds.
 
     Given a direct solver of an advection-free reduced step (the sweeps
     above the bound pass the problem's reference, see
@@ -1229,7 +1198,13 @@ class StepSolver:
         self.ops = ops
         self.dt, self.nu = dt, nu
         self.sweep = sweep
-        self.steps, self.keep = steps, keep
+        # the store a sweep makes rows of (keep) or reads them from (steps);
+        # not one on other operators, nor one of band LUs for a refining
+        # sweep
+        store = steps if keep is None else keep
+        if store is not None and (store.ops is not ops or lu is not None and store.lu is not None):
+            store = None
+        self.store, self.keeps = store, keep is not None
         self.C = ops.cons_idx
         self.ref = lu
         self.lu = None
@@ -1242,6 +1217,8 @@ class StepSolver:
                                 ops.step_indptr), shape=(ops.N, ops.N))
         self.R = self._reduced()
         self.LT, self.R_T = self.L.T, self.R.T
+        self._data = (self.L.data, self.R.data)
+        self._into = self._own
         if lu is not None:
             self.abs_R = self._reduced()
             self.abs_R_T = self.abs_R.T
@@ -1267,40 +1244,52 @@ class StepSolver:
             self.history[0][:] = [self.ops.stream_function(y_vec)]
 
     def step(self, alpha_nodes, w_adv_vec):
-        """Refill L and R with the step at (alpha, w) and set its factor;
-        returns self.
+        """Point L and R at the data of the step at (alpha, w), made or read
+        there, and set its factor; returns self.
 
-        The step is loaded from steps if it holds the current step k there,
-        and L and R are assembled otherwise.  Refining, the factor is the
-        reference; otherwise it is the loaded band LU, or the step's own R
-        is factored.  keep then keeps the step.
+        The data is the store's row for the current step k where the sweep
+        keeps that step, or reads it made at its (dt, nu, alpha), and the
+        solver's own arrays otherwise; only a row read is not assembled.
+        Refining, the factor is the reference; otherwise it is the read
+        band LU, or the step's own R is factored.  A kept step's key is set
+        once it is made.
         """
-        ops = self.ops
-        self.lu = None
-        if self.steps is None or not self.steps.load(self.k, self, alpha_nodes):
+        ops, store = self.ops, self.store
+        i = None if store is None else store.row(self.k)
+        if i is not None:
+            key = _step_key(self.dt, self.nu, alpha_nodes)
+            if not self.keeps and store.keys[i] != key:
+                i = None
+        if i is None:
+            L, R = self._data
+        else:
+            L, R = store.L[i], self._data[1] if store.R is None else store.R[i]
+        self.L.data = self.LT.data = L
+        self.R.data = self.R_T.data = R
+        band_row = i is not None and store.lu is not None
+        self._into = store.lu[i] if band_row else self._own
+        self.lu = self._into if band_row and not self.keeps else None
+        if i is None or self.keeps:
             src, nb = self._src, ops.n_boundary
             src[:nb] = alpha_nodes
             src[nb:-2] = w_adv_vec
-            _mv(ops._step_map, src, out=self.L.data)
-            ops.reduced_data(self.L.data, out=self.R.data)
+            _mv(ops._step_map, src, out=L)
+            ops.reduced_data(L, out=R)
         if self.ref is not None:
-            np.abs(self.R.data, out=self.abs_R.data)
+            np.abs(R, out=self.abs_R.data)
             self.lu = self.ref
         elif self.lu is None:
             self.lu = self._factor()
-        if self.keep is not None:
-            self.keep.keep(self.k, self, alpha_nodes)
+        if i is not None and self.keeps:
+            store.keys[i] = key
         return self
 
     def _factor(self):
         """The step's own factor of R: on grids under BAND_BOUND a band LU,
-        written into the row of keep that keeps step k if there is one,
-        else into the solver's buffer; SuperLU's above.  R_T is R^T as CSC,
-        so a SuperLU factor solves with R through the transposed kernel."""
-        into = self._own
-        if into is not None and self.keep is not None:
-            into = self.keep.factor_into(self.k) or into
-        return _factor(self.R_T, into=into)
+        written into the store's row for step k if the step is there, else
+        into the solver's buffer; SuperLU's above.  R_T is R^T as CSC, so a
+        SuperLU factor solves with R through the transposed kernel."""
+        return _factor(self.R_T, into=self._into)
 
     @contextlib.contextmanager
     def at(self, k, alpha_nodes, w_adv_vec):

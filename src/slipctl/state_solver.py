@@ -38,6 +38,16 @@ class StateProblem:
             self.validate()
 
     def validate(self):
+        self.validate_initial_state()
+        self.controls.check_flux()
+        n = hp_norm(self.controls)
+        if n > self.controls.radius * (1 + 1e-9):
+            raise ValueError("controls leave the admissible ball: %.3e > %.3e"
+                             % (n, self.controls.radius))
+
+    def validate_initial_state(self):
+        """The initial state is divergence-free (to DIV_TOL) and its normal
+        trace is a(0) (to 1e-9), relative to max(1, max|y0|)."""
         scale = max(1.0, float(np.abs(self.y0).max()))
         div0 = np.abs(self.grid.ops.Dmat @ self.y0).max()
         if div0 > DIV_TOL * scale:
@@ -45,26 +55,18 @@ class StateProblem:
         mism = np.abs(self.grid.ops.Tn @ self.y0 - self.controls.a[0]).max()
         if mism > 1e-9 * scale:
             raise InitialStateError("initial normal trace does not match a(0): %.3e" % mism)
-        self.controls.check_flux()
-        n = hp_norm(self.controls)
-        if n > self.controls.radius * (1 + 1e-9):
-            raise ValueError("controls leave the admissible ball: %.3e > %.3e"
-                             % (n, self.controls.radius))
 
     def step_solver(self, sweep, steps=None, keep=None):
         """The StepSolver of one sweep ("state", "linearized" or "adjoint");
         steps is the StepStore of the base trajectory of a tangent or
         adjoint sweep, if it has one, and keep the StepStore a state sweep
-        fills.
+        fills (see operators.StepStore).
 
         On grids under operators.BAND_BOUND every step solves on a band LU
-        of its own R: the state sweep factors it, into keep where keep
-        holds the step, and a later sweep reads it from steps where steps
-        holds the step and factors the R it assembled otherwise.  Above it
-        the steps refine against the problem's reference step factor: step
-        1 without advection, which depends on (dt, nu, alpha[1]) only, not
-        on y0 or the controls, so the state, tangent and adjoint sweeps of
-        every control share it.
+        of its own R.  Above it the steps refine against the problem's
+        reference step factor: step 1 without advection, which depends on
+        (dt, nu, alpha[1]) only, not on y0 or the controls, so the state,
+        tangent and adjoint sweeps of every control share it.
         """
         ops, dt, lu = self.grid.ops, self.time_grid.dt, None
         if ops.band() is None:
@@ -91,12 +93,9 @@ def solve_state(problem: StateProblem, steps: StepStore = None) -> StateTrajecto
     the pressures of all steps, and every step's full residual check,
     follow in one pass (StepSolver.pressures) before the trajectory is
     returned.  steps, a StepStore(ops, nt) that a caller passes where
-    tangent or adjoint sweeps around the trajectory follow, is filled with
-    the last steps the march made that fit in it (L and, under
-    operators.BAND_BOUND, the band LU of R, factored in place there;
-    otherwise R) and carried by the trajectory: those sweeps then load each
-    step it holds instead of assembling, and factoring, it again.  Without
-    one nothing is kept.
+    tangent or adjoint sweeps around the trajectory follow, is filled by
+    the march (see operators.StepStore) and carried by the trajectory.
+    Without one nothing is kept.
     """
     g, tg = problem.grid, problem.time_grid
     ops = g.ops

@@ -91,9 +91,7 @@ def random_solenoidal_field(grid, rng):
             c = 1.0 / (kx * kx + ky * ky)
             psi += c * rng.normal() * np.sin(np.pi * kx * X / grid.Lx) \
                 * np.sin(np.pi * ky * Y / grid.Ly)
-    u = (psi[:, 1:] - psi[:, :-1]) / grid.hy
-    v = -(psi[1:, :] - psi[:-1, :]) / grid.hx
-    return face_vector(grid, u, v)
+    return grid.ops.curl @ psi.ravel()
 
 
 def _cell_speed_norm(grid, y, q):

@@ -764,3 +764,50 @@ def test_step_loops_make_no_sparse_matmul(monkeypatch, band):
         return len(calls)
 
     assert 0 < count(4) == count(8)
+
+
+def test_sweeps_make_and_read_kept_steps_in_the_store_rows(either_setup, monkeypatch):
+    """The state sweep assembles each kept step straight into its store
+    row, and the adjoint and tangent sweeps around the trajectory solve on
+    that row in place: at every step the data of L and L^T, and of R and
+    R^T where the rows keep R (above the band bound), is the row's memory,
+    the factor is the row's band LU where the rows keep one, and the state
+    sweep's product with the step map writes into the row."""
+    from slipctl import operators
+    grid, tg, prob, _ = either_setup
+    ops = grid.ops
+    real_step, real_mv, seen, outs = StepSolver.step, operators._mv, [], []
+
+    def recording_step(self, alpha_nodes, w_adv_vec):
+        real_step(self, alpha_nodes, w_adv_vec)
+        seen.append((self.sweep, self.k, self.L.data, self.LT.data, self.R.data,
+                     self.R_T.data, self.lu))
+        return self
+
+    def recording_mv(A, x, out=None):
+        if A is ops._step_map:
+            outs.append(out)
+        return real_mv(A, x, out)
+
+    monkeypatch.setattr(StepSolver, "step", recording_step)
+    monkeypatch.setattr(operators, "_mv", recording_mv)
+    traj = solve_state(prob, StepStore(ops, tg.nt))
+    steps = traj.steps
+    assert steps.first == 1 and len(outs) == tg.nt
+    assert all(np.shares_memory(out, row) for out, row in zip(outs, steps.L))
+    outs.clear()
+    U = random_source(grid, tg, 59)
+    d = random_admissible_control(grid, tg, np.random.default_rng(60), amplitude=0.3)
+    _later_sweeps(prob, traj, U, d)
+    assert outs == []
+    assert [(sweep, k) for sweep, k, *_ in seen] == (
+        [("state", k) for k in range(1, tg.nt + 1)]
+        + [("adjoint", k) for k in range(tg.nt, 0, -1)]
+        + [("linearized", k) for k in range(1, tg.nt + 1)])
+    for sweep, k, L, LT, R, R_T, lu in seen:
+        i = k - steps.first
+        assert np.shares_memory(L, steps.L[i]) and np.shares_memory(LT, steps.L[i])
+        if steps.R is None:
+            assert lu is steps.lu[i]
+        else:
+            assert np.shares_memory(R, steps.R[i]) and np.shares_memory(R_T, steps.R[i])

@@ -646,6 +646,36 @@ def test_initial_state_errors_carry_the_hint(tmp_path, monkeypatch, caplog, init
     assert any(message in m and HINT in m for m in (r.getMessage() for r in caplog.records))
 
 
+def _uniform_flow_config(tmp_path, name, speed):
+    """BASE_CONFIG with the uniform flow u = 3 as its initial state and the
+    steady wall data a = speed on the right wall and -speed on the left."""
+    text = BASE_CONFIG
+    for old, new in (("a.bottom = sin:1:0.2\n", ""), ("a.tmod = poly:0:1\n", ""),
+                     ("a.right = sin:1:0.1", "a.right = const:%s\na.left = const:-%s"
+                      % (speed, speed)),
+                     ("[target]", "[initial]\nstate = shear:3:0\n\n[target]")):
+        assert old in text
+        text = text.replace(old, new)
+    return write_config(tmp_path, text, name)
+
+
+@pytest.mark.parametrize("command", ["solve", "grad-check", "optimize"])
+def test_every_command_checks_the_initial_trace_relative_to_the_state(tmp_path, caplog,
+                                                                      command):
+    """A uniform flow of speed 3 whose normal trace a(0) misses by 1.5e-9,
+    within 1e-9 max(1, max|y0|), passes every command's initial-state
+    check; a miss of 1e-4 fails each with the initial-state hint."""
+    ok = _uniform_flow_config(tmp_path, "ok.ini", "3.0000000015")
+    code = main([command, "--config", ok, "--out", str(tmp_path / "ok")])
+    assert code in (EXIT_OK, EXIT_BUDGET)
+    bad = _uniform_flow_config(tmp_path, "bad.ini", "3.0001")
+    with caplog.at_level(logging.ERROR, logger="slipctl"):
+        code = main([command, "--config", bad, "--out", str(tmp_path / "bad")])
+    assert code == EXIT_CONFIG
+    assert any("initial normal trace does not match a(0)" in m and HINT in m
+               for m in (r.getMessage() for r in caplog.records))
+
+
 def test_singular_band_factor_is_solver_exit(tmp_path, monkeypatch, caplog):
     """An exactly singular step (R zeroed at step 3) on the 8x8 band side
     ends solve, whose state sweep factors into the solver's own buffer, and
