@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BaseTrajectoryMissing
 from .fields import StateTrajectory, dissipation, dot, save_boundary_table, sup_face_l2
-from .operators import _mv
+from .operators import _kmv
 from .state_solver import StateProblem
 
 # the exactness contract's bound on duality_residual
@@ -111,7 +111,7 @@ def solve_adjoint(problem: AdjointProblem) -> AdjointTrajectory:
         r[C] = 0.0
         with solver.at(k, alpha[k], yvec[i]) as step:
             step.solve_transpose(r, lam[i], lt_lam[i])
-        _mv(ops.T, lam[i], t_lam[i])               # [Tn; Ttau] lam
+        _kmv(ops.T, lam[i], t_lam[i])              # [Tn; Ttau] lam
         ops.apply_adv_cross_T(yvec[k], lam[i], (w_g_y[i], w_y[i], w_t_y[i]), t_lam[i], cross[i])
 
     q = solver.pressures(trans=True)[::-1]             # rows k = 1..nt

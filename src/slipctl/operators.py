@@ -22,6 +22,7 @@ wall-normal coordinate exact steady states of the stepper.
 """
 
 import contextlib
+import copy
 import math
 
 import numpy as np
@@ -45,6 +46,13 @@ REFINE_MAX_STEPS = 20
 # bytes of step data (L and R) a state sweep keeps for the later sweeps
 # around its trajectory above BAND_BOUND (StepStore): 1.0 MB a step at 64x64
 STEP_STORE_BYTES = 32 * 2 ** 20
+# bytes of the rows a StepSolver's steps keep for its residual pass, per
+# direction (see StepSolver): a forward step writes 2 N + ncell + its wall
+# faces' values, 11 KB at 16x16, 43 KB at 32x32 and 168 KB at 64x64, so a
+# chunk holds up to 372, 97 and 24 steps.  One 64x64, nt = 256 gradient
+# peaked at 361 MB with every step's rows pending (VmHWM, one BLAS thread),
+# at 327 MB with 8 MB chunks and at 319 MB with 4 MB and with 2 MB chunks
+PASS_BYTES = 4 * 2 ** 20
 # bytes a StepStore keeps under BAND_BOUND, whose rows hold L and a band LU:
 # 212 KB a step at 16x16 (kl = 32, ku = 30, 39 steps), 395 KB at 20x20
 # (kl = ku = 38, 21 steps); the later sweeps factor the steps before those,
@@ -98,7 +106,9 @@ class DiscreteOperators:
     No reference to the grid is kept: the grid owns its operators, and
     without a cycle between them both are freed by reference count.  The
     mutable members are the reference-factor slot (see reference_lu) and
-    the Neumann factor, made on first use (see neumann).
+    what is made on first use and kept: the step solvers' templates (see
+    workspace), the band layout (see band) and the Neumann factor (see
+    neumann).
     """
 
     def __init__(self, grid):
@@ -118,6 +128,7 @@ class DiscreteOperators:
         self._build_step_map()
         self._build_curl(grid)
         self._build_reduced_map()
+        self._workspace = None
         self._reference = None
         self._neumann = None
         self._band = None
@@ -477,6 +488,21 @@ class DiscreteOperators:
             self._band = _Band(self.reduced_indptr, self.reduced_indices, ku, kl)
         return self._band
 
+    def workspace(self):
+        """The step solvers' templates, made on first use and kept: (L, L^T)
+        on the step pattern and (R, R^T) on the reduced one, each transpose
+        a CSC view on its matrix's arrays.  A StepSolver takes shallow
+        copies of them on data arrays of its own (_on_data), so no solver
+        builds or checks a pattern."""
+        if self._workspace is None:
+            n = self.reduced_indptr.size - 1
+            L = sp.csr_matrix((np.zeros(self.step_indices.size), self.step_indices,
+                               self.step_indptr), shape=(self.N, self.N))
+            R = sp.csr_matrix((np.zeros(self.reduced_indices.size), self.reduced_indices,
+                               self.reduced_indptr), shape=(n, n))
+            self._workspace = ((L, L.T), (R, R.T))
+        return self._workspace
+
     def neumann(self):
         """The interior gradient grad (CSR), the pinned Neumann Laplacian
         L_pin (CSC) and its LU, made on first use and kept.
@@ -533,15 +559,16 @@ class DiscreteOperators:
         """Matrix-free X(y) w = K(w) y (derivative of advection in w);
         y_products is state_products(y_vec), if the caller formed it."""
         N, nb, W = self.N, self.n_boundary, self.Wvec
+        _vectors(N, w_vec)
         g_y, t_y = self.state_products(y_vec) if y_products is None else y_products
         g_y = g_y.reshape(2, N)                          # Gx y, Gy y
-        w_xy = _mv(self.P, w_vec).reshape(2, N)          # Px w, Py w
+        w_xy = _kmv(self.P, w_vec).reshape(2, N)          # Px w, Py w
         n_wy = W * (w_xy[0] * g_y[0] + w_xy[1] * g_y[1])
         # columns Gx^T (W wx y), Gy^T (W wy y)
-        nt_wy = _mv(self.GT, _split_columns(W * w_xy * y_vec))
-        an = self.w_gamma * _mv(self.Tn, w_vec)
+        nt_wy = _kmv(self.GT, _split_columns(W * w_xy * y_vec))
+        an = self.w_gamma * _kmv(self.Tn, w_vec)
         # columns Tn^T (an Tn y), Ttau^T (an Ttau y)
-        s_wy = _mv(self.TT, _split_columns(an * t_y.reshape(2, nb)))
+        s_wy = _kmv(self.TT, _split_columns(an * t_y.reshape(2, nb)))
         return 0.5 * (n_wy - (nt_wy[:, 0] + nt_wy[:, 1])) + 0.5 * (s_wy[:, 0] + s_wy[:, 1])
 
     def adjoint_factors(self, y):
@@ -562,17 +589,18 @@ class DiscreteOperators:
         adjoint_factors(y_vec) and t_lam is T @ lam_vec, if the caller
         formed them."""
         N, nb = self.N, self.n_boundary
+        _vectors(N, lam_vec)
         w_g_y, w_y, w_t_y = self.adjoint_factors(y_vec) if factors is None else factors
         if t_lam is None:
-            t_lam = _mv(self.T, lam_vec)                 # [Tn; Ttau] lam
-        g_lam = _mv(self.G, lam_vec).reshape(2, N)
+            t_lam = _kmv(self.T, lam_vec)                 # [Tn; Ttau] lam
+        g_lam = _kmv(self.G, lam_vec).reshape(2, N)
         # Px^T (.) + Py^T (.) of both terms in one product; the sum is exact,
         # since Px^T is nonzero only in the u rows and Py^T only in the v rows
         terms = np.empty((2, N, 2))
         np.multiply(w_g_y, lam_vec, out=terms[..., 0])
         np.multiply(w_y, g_lam, out=terms[..., 1])
-        x = _mv(self.PT, terms.reshape(2 * N, 2))
-        xst = _mv(self.Mbc, w_t_y[0] * t_lam[:nb] + w_t_y[1] * t_lam[nb:])
+        x = _kmv(self.PT, terms.reshape(2 * N, 2))
+        xst = _kmv(self.Mbc, w_t_y[0] * t_lam[:nb] + w_t_y[1] * t_lam[nb:])
         # 0.5 (x[:, 0] - x[:, 1]) + 0.5 xst, each operation rounded as written
         out = np.subtract(x[:, 0], x[:, 1], out=out)
         out *= 0.5
@@ -777,7 +805,7 @@ class _SineLU:
         xh *= inv_lam
         x0 = np.concatenate([_mm(_mm(self.sx_r, xh), sy).ravel(),
                              _mm(self.sx_o, _mm(xh, self.sy_rT)).ravel()])
-        z = dgetrs(self.lu, self.piv, _mv(self.E, x0), trans=1)[0][self.perm]
+        z = dgetrs(self.lu, self.piv, _kmv(self.E, x0), trans=1)[0][self.perm]
         xh -= (_mm(self.sx_rT, _mm(z[:self.nr].reshape(4, -1), sy))
                + _mm(_mm(self.sx_oT, z[self.nr:].reshape(-1, 4)), self.sy_r)) * inv_lam
         return self._last(_mm(sx, xh)).ravel()
@@ -815,8 +843,17 @@ def _mv(A, x, out=None):
                                     or x.ndim == 2 and not out.flags.c_contiguous)):
         raise ValueError("_mv: a %s float64 vector or block of %d rows and out of shape %s "
                          "expected" % (A.format, n, shape))
+    return _kmv(A, x, out)
+
+
+def _kmv(A, x, out=None):
+    """_mv without its checks, for the products inside a step loop, whose
+    matrices, shapes and dtypes are fixed when the sweep starts: the checks
+    cost ~0.7 us a call, a third of a 16x16 product (~450 calls a state
+    plus adjoint sweep at nt = 32)."""
+    m, n = A.shape
     if out is None:
-        out = np.zeros(shape)
+        out = np.zeros((m,) + x.shape[1:])
     else:
         out.fill(0.0)               # the kernels add to out
     vec, vecs = _MATVEC[A.format]
@@ -825,6 +862,17 @@ def _mv(A, x, out=None):
     else:
         vecs(m, n, x.shape[1], A.indptr, A.indices, A.data, x.ravel(), out.ravel())
     return out
+
+
+def _vectors(n, *xs):
+    """Raise ValueError unless each x given (not None) is a float64 vector
+    of n entries: the check of a step's inputs that an unchecked kernel
+    (_kmv) reads or writes, made once per call where _mv would make it per
+    product."""
+    for x in xs:
+        if x is not None and (x.dtype != _F64 or x.shape != (n,)):
+            raise ValueError("a float64 vector of %d entries expected, not %s %s"
+                             % (n, x.dtype, x.shape))
 
 
 def _sin2_coefficients(quarter):
@@ -1143,37 +1191,45 @@ class StepSolver:
     R = Ci^T L Ci, of one unknown per interior vertex.
 
     The time recurrence reads only the velocities, so a step (solve or
-    solve_transpose) ends with its velocity and computes nothing for the
-    pass: it keeps a pending row of references to arrays it made anyway.
-    A forward step keeps its data r (the momentum data after the lift, zero
-    on the wall rows), L dy, the divergence of its velocity (also kept as
-    div, which the state sweep's guard reads) and the lift, whose wall
-    rows are the wall data; a transposed step keeps its data r, L^T lam and
-    lam.  The sweep-level pass, pressures(), runs once after the march,
-    before the sweep returns.  It stacks those rows into blocks, a row per
-    step, and forms from them in block products the squared norms of the
-    data and of the divergence (the transposed divergence first), the
-    momentum residuals without the pressure term, m = r - L dy or
-    r - L^T lam with zero wall rows, and the divergence the wall data put
-    into the wall cells.  It recovers the pressures of all those steps from
-    m by the normal equations of G, in one multi-right-hand-side solve with
-    the Neumann factor of DiscreteOperators.neumann, shifts them to mean
-    zero, and checks every step's full residual, momentum with pressure and
-    divergence, against LINEAR_RESIDUAL_TOL.  A single step is a pass of
-    one row.
+    solve_transpose) ends with its velocity and computes nothing else for
+    the residual pass.  A forward step writes its rows for the pass
+    straight into preallocated chunk blocks (_PassRows): its data r (the
+    momentum data after the lift, zero on the wall rows), L dy, the
+    divergence of its velocity (also div, which the state sweep's guard
+    reads) and the lift's wall rows, the wall data.  A transposed step
+    keeps references to its data r, L^T lam and lam, which the pass reads
+    in place where they are rows of the caller's blocks (solve_adjoint's).
+    A chunk holds min(nt, PASS_BYTES / the bytes of a forward step's rows)
+    steps in either direction.  The pass runs on a full chunk once the
+    step that fills it leaves at(), and on the rest in pressures(), once
+    after the march, before the sweep returns; its memory does not grow
+    with nt.  It forms in block products the squared norms of the data
+    and of the divergence (the transposed divergence first), the momentum
+    residuals without the pressure term, m = r - L dy or r - L^T lam with
+    zero wall rows, and the divergence the wall data put into the wall
+    cells.  It recovers the pressures of the chunk's steps from m by the
+    normal equations of G, in one multi-right-hand-side solve with the
+    Neumann factor of DiscreteOperators.neumann, shifts them to mean zero,
+    and checks every step's full residual, momentum with pressure and
+    divergence, against LINEAR_RESIDUAL_TOL.  pressures() returns the
+    pressures of every step passed since its last call.  A single step is
+    a pass of one row.
 
     One solver serves a whole sweep at fixed (dt, nu).  It holds the step
-    matrix L and R and their transposes, which share the data arrays;
-    step(alpha, w) fills that data for the next step, one product with the
-    step map into L's data and one with the reduced map into R's, so no
-    sparse matrix is built per step.  Every sparse product of a step goes
-    through _mv, straight to scipy's compiled kernel.  The state sweep
-    passes the StepStore it fills, if any, as keep, and the tangent and
-    adjoint sweeps pass the StepStore of their base trajectory as steps:
-    step() inside at(k, ...) then points the data of L and R at the
-    store's row for step k, which it makes or reads there (see StepStore),
-    and at the solver's own arrays for every other step.  Call step() (or
-    at()) before solving.
+    matrix L and R and their transposes, shallow copies of the grid's
+    templates (DiscreteOperators.workspace) on data arrays of its own,
+    shared by each matrix and its transpose; step(alpha, w) fills that
+    data for the next step, one product with the step map into L's data
+    and one with the reduced map into R's, so no sparse matrix is built
+    per step.  Every sparse product of a step goes straight to scipy's
+    compiled kernel through _kmv, without _mv's per-product checks: solve,
+    solve_transpose and the advection products check their inputs once
+    per call.  The state sweep passes the StepStore it fills, if any, as
+    keep, and the tangent and adjoint sweeps pass the StepStore of their
+    base trajectory as steps: step() inside at(k, ...) then points the
+    data of L and R at the store's row for step k, which it makes or reads
+    there (see StepStore), and at the solver's own arrays for every other
+    step.  Call step() (or at()) before solving.
 
     Without a reference (lu=None) every step solves directly on a factor
     of its R; on grids under BAND_BOUND that is a LAPACK band LU (see
@@ -1194,7 +1250,7 @@ class StepSolver:
     step() goes back to the reference.
     """
 
-    def __init__(self, ops, dt, nu, lu=None, sweep="step", steps=None, keep=None):
+    def __init__(self, ops, dt, nu, lu=None, sweep="step", steps=None, keep=None, nt=1):
         self.ops = ops
         self.dt, self.nu = dt, nu
         self.sweep = sweep
@@ -1211,31 +1267,23 @@ class StepSolver:
         band = ops.band()
         self._own = None if band is None else _BandLU(band)
         self.neumann = ops.neumann()[2]
-        # sources [alpha; w; 1/dt; nu] of the step map
+        # sources [alpha; w; 1/dt; nu] of the step map, and the bytes of
+        # (dt, nu) that begin the key of every step (_step_key)
         self._src = np.concatenate([np.zeros(ops.n_boundary + ops.N), [1.0 / dt, nu]])
-        self.L = sp.csr_matrix((np.zeros(ops.step_indices.size), ops.step_indices,
-                                ops.step_indptr), shape=(ops.N, ops.N))
-        self.R = self._reduced()
-        self.LT, self.R_T = self.L.T, self.R.T
+        self._key = _step_key(dt, nu, ())
+        (L, LT), (R, R_T) = ops.workspace()
+        self.L, self.LT = _on_data(L, LT, np.zeros(ops.step_indices.size))
+        self.R, self.R_T = _on_data(R, R_T, np.zeros(ops.reduced_indices.size))
         self._data = (self.L.data, self.R.data)
         self._into = self._own
         if lu is not None:
-            self.abs_R = self._reduced()
-            self.abs_R_T = self.abs_R.T
+            self.abs_R, self.abs_R_T = _on_data(R, R_T, np.zeros(ops.reduced_indices.size))
+        # a step's work vectors: Ci^T of its data, and dy
+        self._ci_rhs, self._dy = np.empty(R.shape[0]), np.empty(ops.N)
         # accepted psi of the forward and the transposed solves, oldest first
         self.history = ([], [])
-        # per direction, the pending rows of the steps solved since the last
-        # pressures(), in solve order: (step number, r, L dy, divergence,
-        # lift) forward, (step number, r, L^T lam, lam, None) transposed
-        self.pending = ([], [])
+        self.pending = _PassRows(ops, nt)
         self.k = None
-
-    def _reduced(self):
-        """A zero matrix on the reduced step pattern."""
-        ops = self.ops
-        n = ops.reduced_indptr.size - 1
-        return sp.csr_matrix((np.zeros(ops.reduced_indices.size), ops.reduced_indices,
-                              ops.reduced_indptr), shape=(n, n))
 
     def seed(self, y_vec):
         """Start the forward history at the stream function of velocity
@@ -1257,7 +1305,7 @@ class StepSolver:
         ops, store = self.ops, self.store
         i = None if store is None else store.row(self.k)
         if i is not None:
-            key = _step_key(self.dt, self.nu, alpha_nodes)
+            key = self._key + np.asarray(alpha_nodes, dtype=float).tobytes()
             if not self.keeps and store.keys[i] != key:
                 i = None
         if i is None:
@@ -1273,8 +1321,8 @@ class StepSolver:
             src, nb = self._src, ops.n_boundary
             src[:nb] = alpha_nodes
             src[nb:-2] = w_adv_vec
-            _mv(ops._step_map, src, out=L)
-            ops.reduced_data(L, out=R)
+            _kmv(ops._step_map, src, L)
+            _kmv(ops._reduced_map, L, R)
         if self.ref is not None:
             np.abs(R, out=self.abs_R.data)
             self.lu = self.ref
@@ -1296,15 +1344,18 @@ class StepSolver:
         """Step k of the sweep: step(alpha, w), the solves in the block
         numbered k, and a SolverDivergence raised in the block reported as
         '<sweep> step k: ...', unless a step solved before it fails its
-        residual check, which is reported instead, as the pass would."""
+        residual check, which is reported instead, as the pass would.  A
+        chunk the block fills is passed once it ends."""
         self.k = k
         try:
             yield self.step(alpha_nodes, w_adv_vec)
         except SolverDivergence as exc:
-            for trans, rows in enumerate(self.pending):
-                if rows:
-                    self.pressures(trans)
+            for trans in (False, True):
+                self._pass(trans)
             raise SolverDivergence("%s step %d: %s" % (self.sweep, k, exc))
+        for trans in (False, True):
+            if len(self.pending.steps[trans]) == self.pending.size:
+                self._pass(trans)
 
     def _refine(self, rhs, rhs_norm, big, abs_big, trans):
         """Solution refined against the reference factor, or None.
@@ -1322,21 +1373,21 @@ class StepSolver:
         sol, hist = None, self.history[trans]
         if hist:
             guess = _extrapolate(hist)
-            res = rhs - _mv(big, guess)
+            res = rhs - _kmv(big, guess)
             if _norm(res) < rhs_norm:
                 sol = self.ref.solve(res, trans="T")
                 sol += guess
         if sol is None:
             sol = self.ref.solve(rhs, trans="T")
-        floor = _EPS * _norm(_mv(abs_big, abs(sol)) + abs(rhs))
+        floor = _EPS * _norm(_kmv(abs_big, abs(sol)) + abs(rhs))
         target = REFINE_TARGET * floor
-        res = rhs - _mv(big, sol)
+        res = rhs - _kmv(big, sol)
         rn0 = rn = _norm(res)
         k = 0
         while not rn <= target:
             k += 1
             sol += self.ref.solve(res, trans="T")
-            np.subtract(rhs, _mv(big, sol), out=res)
+            np.subtract(rhs, _kmv(big, sol), out=res)
             rn, last = _norm(res), rn
             if not rn <= REFINE_RATE * last:
                 return sol if rn <= floor else None
@@ -1369,69 +1420,93 @@ class StepSolver:
         """Forward/linearized step: the velocity y with the wall data of
         lift = boundary_lift(a).  rhs_mom_full excludes boundary coupling.
 
-        Its pressure and residual check follow in pressures(); the residual
+        Its pressure and residual check follow in the pass; the residual
         is relative to the data of the system for (y - lift, p): the
         momentum rows left after the lift, and the divergence the wall data
         put into the wall cells.
         """
-        ops = self.ops
-        r = rhs_mom_full - _mv(self.L, lift)
+        ops, rows = self.ops, self.pending
+        _vectors(ops.N, lift)
+        if len(rows.steps[0]) == rows.size:
+            self._pass(False)
+        r, lr, div, wall = rows.forward()
+        _kmv(self.L, lift, r)
+        np.subtract(rhs_mom_full, r, out=r)
         r[self.C] = 0.0
-        dy = _mv(ops.Ci, self._solve(_mv(ops.CiT, r)))
+        dy = _kmv(ops.Ci, self._solve(_kmv(ops.CiT, r, self._ci_rhs)), self._dy)
         y = lift + dy
-        self.div = _mv(ops.Dmat, y)
-        self.pending[0].append((self.k, r, _mv(self.L, dy), self.div, lift))
+        _kmv(self.L, dy, lr)
+        self.div = _kmv(ops.Dmat, y, div)
+        lift.take(self.C, out=wall)
+        rows.steps[0].append(self.k)
         return y
 
     def solve_transpose(self, rhs, out=None, lt_out=None):
         """Adjoint step: lam of Big^T (lam, q) = (rhs[F], 0), with Big the
         step's velocity-pressure system on the free faces F; q follows in
-        pressures(trans=True).  rhs is full-length with its wall rows +0.0.
-        lam, zero on the wall rows, is written into out and L^T lam into
-        lt_out, where given; the pass reads rhs, lam and L^T lam, so none of
-        them may change before it."""
-        ops = self.ops
-        lam = _mv(ops.Ci, self._solve(_mv(ops.CiT, rhs), trans=True), out)
-        self.pending[1].append((self.k, rhs, _mv(self.LT, lam, lt_out), lam, None))
+        the pass (pressures(trans=True)).  rhs is full-length with its wall
+        rows +0.0.  lam, zero on the wall rows, is written into out and
+        L^T lam into lt_out, where given; the pass reads rhs, lam and
+        L^T lam, so none of them may change before it."""
+        ops, rows = self.ops, self.pending
+        _vectors(ops.N, rhs, out, lt_out)
+        if len(rows.steps[1]) == rows.size:
+            self._pass(True)
+        lam = _kmv(ops.Ci, self._solve(_kmv(ops.CiT, rhs, self._ci_rhs), trans=True), out)
+        rows.steps[1].append((self.k, rhs, _kmv(self.LT, lam, lt_out), lam))
         return lam
 
     def pressures(self, trans=False):
-        """The sweep-level pass over the steps solved since the last pass
-        (transposed ones if trans): their pressures p (q if trans), a row
-        per step in solve order, once every step's full residual is within
-        LINEAR_RESIDUAL_TOL of its data.  Otherwise SolverDivergence names
-        the first failing step in solve order, which is marching order.
-        """
-        ops, area = self.ops, self.ops.cell_area
-        k, r, lr, div, lift = zip(*self.pending[trans])
-        self.pending[trans].clear()
+        """The pressures p (q if trans) of the steps solved since the last
+        call, a row per step in solve order, once the pass has checked
+        every step's residual (see _pass)."""
+        self._pass(trans)
+        done = self.pending.done[trans]
+        x = done[0] if len(done) == 1 else np.concatenate(done)
+        done.clear()
+        return x
+
+    def _pass(self, trans):
+        """The pass over the rows of the steps solved since the last pass
+        (transposed ones if trans): their pressures, kept for pressures(),
+        once every step's full residual is within LINEAR_RESIDUAL_TOL of
+        its data.  Otherwise SolverDivergence names the first failing step
+        in solve order, which is marching order."""
+        rows = self.pending
+        steps = rows.steps[trans]
+        if not steps:
+            return
+        ops, area, C = self.ops, self.ops.cell_area, self.C
+        if trans:
+            k, r, lr, lam = zip(*steps)
+            r, lr, lam = _block(r), _block(lr), _block(lam)
+        else:
+            k = tuple(steps)
+            r, lr, div, wall = (b[:len(k)] for b in rows.blocks)
+        steps.clear()
         # squared norms of the rows of a block, each summed as dot sums one
         # vector; numpy's iterator splits a row of over 8,192 entries at its
         # buffer (64x64 and up), whose sum then differs from dot's in its
         # last bits
-        m = np.stack(r)
-        del r
-        rhs_sq = np.einsum("ki,ki->k", m, m)
+        rhs_sq = np.einsum("ki,ki->k", r, r)
         # the momentum residuals without the pressure term, rhs - L y (or
-        # rhs - L^T lam) on the free rows, computed in the block of r
-        m -= np.stack(lr)
-        del lr
-        m = np.ascontiguousarray(m.T)   # a column per step
-        m[self.C] = 0.0
+        # rhs - L^T lam) on the free rows, a column per step
+        m = np.empty(r.shape[::-1])
+        np.subtract(r.T, lr.T, out=m)
+        m[C] = 0.0
         if trans:
-            # a transposed row keeps lam, whose divergence is cell_area Dmat lam
-            div = np.ascontiguousarray((ops.Dmat @ np.stack(div).T).T)
+            # the divergence of lam, cell_area Dmat lam, a row per step
+            div = np.ascontiguousarray(_mv(ops.Dmat, np.ascontiguousarray(lam.T)).T)
             div *= area
-            x = self._pressure(-area * (ops.Dmat @ m))
-            m -= ops.DmatT @ x.T
+            x = self._pressure(-area * _mv(ops.Dmat, m))
+            m -= _mv(ops.DmatT, np.ascontiguousarray(x.T))
         else:
-            div = np.stack(div)
-            x = self._pressure(ops.Dmat @ m)
-            m += area * (ops.DmatT @ x.T)
+            x = self._pressure(_mv(ops.Dmat, m))
+            m += area * _mv(ops.DmatT, np.ascontiguousarray(x.T))
             # the divergence the wall data put into the wall cells
-            rhs_sq += np.square(ops.Dc @ np.stack(lift)[:, self.C].T).sum(axis=0)
+            rhs_sq += np.square(_mv(ops.Dc, np.ascontiguousarray(wall.T))).sum(axis=0)
         div_sq = np.einsum("ki,ki->k", div, div)
-        m[self.C] = 0.0
+        m[C] = 0.0
         rel = (np.sqrt(np.einsum("ij,ij->j", m, m) + div_sq)
                / np.maximum(np.sqrt(rhs_sq), 1e-30))
         bad = np.flatnonzero(~np.isfinite(rel) | (rel > LINEAR_RESIDUAL_TOL))
@@ -1441,7 +1516,7 @@ class StepSolver:
                                                             rel[i])
             raise SolverDivergence(msg if k[i] is None else
                                    "%s step %d: %s" % (self.sweep, k[i], msg))
-        return x
+        rows.done[trans].append(x)
 
     def _pressure(self, rhs_cells):
         """Mean-zero rows x, one per column of rhs_cells, with
@@ -1450,3 +1525,54 @@ class StepSolver:
         x[:, 1:] = self.neumann.solve(rhs_cells[1:]).T
         x -= x.sum(axis=1, keepdims=True) / x.shape[1]   # the row means, without mean's dispatch
         return x
+
+
+class _PassRows:
+    """The rows that the steps of a StepSolver keep for its residual pass,
+    and the pressures of the steps passed since its last pressures(), per
+    direction.  A chunk holds size steps, min(nt, PASS_BYTES over the
+    bytes of a forward step's rows).  The forward rows (r, L dy, div and
+    the lift's wall rows) are rows of blocks, one allocation made on the
+    first forward step; steps lists the step numbers forward and
+    (k, r, L^T lam, lam) transposed."""
+
+    def __init__(self, ops, nt):
+        self.widths = (ops.N, ops.N, ops.ncell, ops.cons_idx.size)
+        self.size = max(1, min(nt, PASS_BYTES // (8 * sum(self.widths))))
+        self.blocks = None
+        self.steps, self.done = ([], []), ([], [])
+
+    def forward(self):
+        """The rows (r, L dy, div, wall) of the next forward step."""
+        if self.blocks is None:
+            ends = np.cumsum((0,) + self.widths) * self.size
+            buf = np.empty(ends[-1])
+            self.blocks = [buf[a:b].reshape(self.size, -1) for a, b in zip(ends[:-1], ends[1:])]
+        j = len(self.steps[0])
+        return [b[j] for b in self.blocks]
+
+
+def _block(rows):
+    """The 1-D arrays rows, of one length, as the rows of one read-only
+    array: a view where they are equally spaced rows of one buffer (the
+    rows of a caller's block in marching order, forwards or backwards),
+    else a stacked copy."""
+    first = rows[0]
+    if len(rows) == 1:
+        return first[None]
+    at = [r.__array_interface__["data"][0] for r in rows]
+    step = at[1] - at[0]
+    if (first.base is not None and all(r.base is first.base for r in rows)
+            and first.flags.c_contiguous and abs(step) >= first.nbytes
+            and at == list(range(at[0], at[0] + step * len(rows), step))):
+        return np.lib.stride_tricks.as_strided(first, (len(rows), first.size),
+                                               (step, first.itemsize), writeable=False)
+    return np.stack(rows)
+
+
+def _on_data(m, mT, data):
+    """Shallow copies of a template matrix and its transpose (see
+    DiscreteOperators.workspace) on the one data array data."""
+    m, mT = copy.copy(m), copy.copy(mT)
+    m.data = mT.data = data
+    return m, mT

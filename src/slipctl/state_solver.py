@@ -74,7 +74,7 @@ class StateProblem:
                 lu = ops.reference_lu(dt, self.nu, self.friction.alpha[1])
             except SolverDivergence as exc:
                 raise SolverDivergence("%s step 1 (reference factor): %s" % (sweep, exc))
-        return StepSolver(ops, dt, self.nu, lu, sweep, steps, keep)
+        return StepSolver(ops, dt, self.nu, lu, sweep, steps, keep, self.time_grid.nt)
 
     def content_hash(self):
         h = hashlib.sha256()

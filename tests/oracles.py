@@ -77,6 +77,7 @@ class ReferenceOperators(DiscreteOperators):
         self._build_step_map()
         self._build_curl(grid)
         self._build_reduced_map()
+        self._workspace = None
         self._reference = None
         self._neumann = None
         self._band = None
@@ -570,7 +571,11 @@ class PerStepSolver(StepSolver):
     term, the squared norms of its data and of its velocity's divergence
     and its wall data as it is solved, and the pass stacks only those.
     solve_transpose takes the data on the free faces, and keeps L^T lam as
-    LT_lam for solve_adjoint_per_step."""
+    LT_lam for solve_adjoint_per_step.  Its rows are lists of its own."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rows = ([], [])
 
     def solve(self, rhs_mom_full, lift):
         ops, C = self.ops, self.C
@@ -581,7 +586,7 @@ class PerStepSolver(StepSolver):
         m[C] = 0.0
         y = lift + dy
         self.div = _mv(ops.Dmat, y)
-        self.pending[0].append((self.k, dot(r, r), dot(self.div, self.div), m, y[C]))
+        self.rows[0].append((self.k, dot(r, r), dot(self.div, self.div), m, y[C]))
         return y
 
     def solve_transpose(self, rhs_free):
@@ -593,13 +598,13 @@ class PerStepSolver(StepSolver):
         m = r - self.LT_lam             # rhs - L^T lam on the free rows
         m[C] = 0.0
         div = ops.cell_area * _mv(ops.Dmat, lam)
-        self.pending[1].append((self.k, dot(r, r), dot(div, div), m, None))
+        self.rows[1].append((self.k, dot(r, r), dot(div, div), m, None))
         return lam
 
     def pressures(self, trans=False):
         ops, area = self.ops, self.ops.cell_area
-        k, rhs_sq, div_sq, m, wall = zip(*self.pending[trans])
-        self.pending[trans].clear()
+        k, rhs_sq, div_sq, m, wall = zip(*self.rows[trans])
+        self.rows[trans].clear()
         rhs_sq, div_sq = np.array(rhs_sq), np.array(div_sq)
         m = np.column_stack(m)          # a column per step
         if trans:

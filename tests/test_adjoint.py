@@ -304,11 +304,11 @@ def test_one_solver_per_sweep_matches_a_fresh_solver_per_step(refined_setup, mon
                                                                factor_spy):
     """Each sweep builds one StepSolver, refreshes it in place and recovers
     its pressures in one pass after the march.  A fresh StepSolver per step,
-    handed the sweep's solution history, with every step's pressures
-    recovered by a pass of its own (the per-step single solves), gives the
-    bits of the marched arrays, and the pressures and kernel_a to 1e-13
-    relative: a multi-right-hand-side Neumann solve need not round as
-    single solves do.
+    handed the sweep's solution history and pass rows, with every step's
+    pressures recovered by a pass of its own (a pass budget of one row, so
+    single solves), gives the bits of the marched arrays, and the pressures
+    and kernel_a to 1e-13 relative: a multi-right-hand-side Neumann solve
+    need not round as single solves do.
     The large controls make most steps fall back to their own factor, and in
     the adjoint sweep a fallback is followed by refined steps."""
     grid, tg, prob, traj = refined_setup
@@ -318,8 +318,9 @@ def test_one_solver_per_sweep_matches_a_fresh_solver_per_step(refined_setup, mon
     U = random_source(grid, tg, 37)
     d = random_admissible_control(grid, tg, rng, amplitude=0.3)
 
+    from slipctl import operators
     built = []
-    real_init, real_at, real_pressures = StepSolver.__init__, StepSolver.at, StepSolver.pressures
+    real_init, real_at = StepSolver.__init__, StepSolver.at
 
     def counting_init(self, *args, **kwargs):
         real_init(self, *args, **kwargs)
@@ -330,13 +331,6 @@ def test_one_solver_per_sweep_matches_a_fresh_solver_per_step(refined_setup, mon
         fresh.history, fresh.pending = self.history, self.pending
         return real_at(fresh, k, alpha, w)
 
-    def per_step_pressures(self, trans=False):
-        rows, out = list(self.pending[trans]), []
-        for row in rows:
-            self.pending[trans][:] = [row]
-            out.append(real_pressures(self, trans))
-        return np.concatenate(out)
-
     monkeypatch.setattr(StepSolver, "__init__", counting_init)
     factor_spy.calls = 0
     marched, passed = _sweep_outputs(p, U, d)
@@ -345,7 +339,7 @@ def test_one_solver_per_sweep_matches_a_fresh_solver_per_step(refined_setup, mon
     assert fallbacks > 0
 
     monkeypatch.setattr(StepSolver, "at", fresh_at)
-    monkeypatch.setattr(StepSolver, "pressures", per_step_pressures)
+    monkeypatch.setattr(operators, "PASS_BYTES", 1)
     built.clear()
     factor_spy.calls = 0
     fresh_marched, fresh_passed = _sweep_outputs(p, U, d)
@@ -435,7 +429,8 @@ def test_reference_factor_failure_names_its_sweep(refined_setup, monkeypatch):
 
 class _CountingMap:
     """Counts the products with one of the sparse maps of DiscreteOperators
-    (the matrix m itself) through operators._mv."""
+    (the matrix m itself) through operators._kmv, the kernel call that
+    operators._mv also ends in."""
 
     def __init__(self, m):
         self.m, self.calls = m, 0
@@ -443,10 +438,10 @@ class _CountingMap:
 
 def _spy_step_maps(monkeypatch, ops):
     """Count the products with the step map and the reduced map, the maps a
-    step assembly applies once each through operators._mv."""
+    step assembly applies once each through operators._kmv."""
     from slipctl import operators
     spies = {name: _CountingMap(getattr(ops, name)) for name in ("_step_map", "_reduced_map")}
-    real = operators._mv
+    real = operators._kmv
 
     def counting(A, x, out=None):
         for spy in spies.values():
@@ -454,7 +449,7 @@ def _spy_step_maps(monkeypatch, ops):
                 spy.calls += 1
         return real(A, x, out)
 
-    monkeypatch.setattr(operators, "_mv", counting)
+    monkeypatch.setattr(operators, "_kmv", counting)
     return spies
 
 
@@ -734,7 +729,7 @@ def test_band_store_keeps_every_step_of_16x16_by_32(monkeypatch, factor_spy):
 def test_step_loops_make_no_sparse_matmul(monkeypatch, band):
     """A 16x16 state, tangent and adjoint sweep makes as many scipy
     __matmul__ (and __rmatmul__) calls at nt = 4 as at nt = 8: every sparse
-    product inside a step loop goes through operators._mv, band-factored
+    product inside a step loop goes through operators._kmv, band-factored
     or refining (the band rule's bound lowered)."""
     import scipy.sparse as sp
     from slipctl import operators
@@ -776,7 +771,7 @@ def test_sweeps_make_and_read_kept_steps_in_the_store_rows(either_setup, monkeyp
     from slipctl import operators
     grid, tg, prob, _ = either_setup
     ops = grid.ops
-    real_step, real_mv, seen, outs = StepSolver.step, operators._mv, [], []
+    real_step, real_mv, seen, outs = StepSolver.step, operators._kmv, [], []
 
     def recording_step(self, alpha_nodes, w_adv_vec):
         real_step(self, alpha_nodes, w_adv_vec)
@@ -790,7 +785,7 @@ def test_sweeps_make_and_read_kept_steps_in_the_store_rows(either_setup, monkeyp
         return real_mv(A, x, out)
 
     monkeypatch.setattr(StepSolver, "step", recording_step)
-    monkeypatch.setattr(operators, "_mv", recording_mv)
+    monkeypatch.setattr(operators, "_kmv", recording_mv)
     traj = solve_state(prob, StepStore(ops, tg.nt))
     steps = traj.steps
     assert steps.first == 1 and len(outs) == tg.nt
