@@ -2,12 +2,12 @@
 
 Solves the cell-centered Neumann problem for a potential whose gradient is
 the divergence-free lifting of the prescribed wall-normal velocity.  The
-potential is determined up to a constant, so cell 0 is pinned to zero and
-its row dropped (the rows sum to the net wall flux, which is checked to be
-zero); the factored Laplacian stays symmetric and sparse, and the potential
-is shifted to mean zero after the solve.  The matrix and its factor are the
-grid's shared ones (DiscreteOperators.neumann), which the step solves use
-to recover pressures.
+potential is determined up to a constant, so cell 0 is pinned and its row
+dropped (the rows sum to the net wall flux, which is checked to be zero).
+The solve is the grid's cosine-transform solver of that pinned Laplacian
+(DiscreteOperators.neumann), which the step solves also use to recover
+pressures; it gives the potential shifted to mean zero, and no factor of
+the Laplacian is made.  The residual is checked on the pinned system.
 """
 
 import numpy as np
@@ -33,15 +33,12 @@ def solve_neumann_lifting(grid, a_nodes):
         raise IncompatibleFlux(
             "net boundary flux %.3e violates the zero-mean compatibility "
             "condition on the normal data" % bad[1])
-    grad, L_pin, lu = ops.neumann()
+    grad, L_pin, neumann = ops.neumann()
     bc = ops.bc_vec(a_nodes)
-    rhs = -(grid.cell_area * (ops.Dmat @ bc))[1:]
-    sol = lu.solve(rhs)
-    res = L_pin @ sol - rhs
+    rhs = -(grid.cell_area * (ops.Dmat @ bc))
+    h = neumann.solve(rhs[None])[0]
+    res = L_pin @ (h[1:] - h[0]) - rhs[1:]
     res = np.sqrt(dot(res, res))
-    if not np.isfinite(res) or res > RESIDUAL_TOL * max(1.0, np.sqrt(dot(rhs, rhs))):
+    if not np.isfinite(res) or res > RESIDUAL_TOL * max(1.0, np.sqrt(dot(rhs[1:], rhs[1:]))):
         raise SolverDivergence("Neumann solve residual %.3e above tolerance" % res)
-    h = np.concatenate([[0.0], sol])
-    h -= h.mean()
     return h, grad @ h + bc
-

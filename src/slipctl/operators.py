@@ -21,7 +21,6 @@ extrapolated boundary traces; this makes profiles linear in the
 wall-normal coordinate exact steady states of the stepper.
 """
 
-import contextlib
 import copy
 import math
 
@@ -107,8 +106,8 @@ class DiscreteOperators:
     without a cycle between them both are freed by reference count.  The
     mutable members are the reference-factor slot (see reference_lu) and
     what is made on first use and kept: the step solvers' templates (see
-    workspace), the band layout (see band) and the Neumann factor (see
-    neumann).
+    workspace), the band layout (see band) and the Neumann matrix with its
+    cosine-transform solver (see neumann).
     """
 
     def __init__(self, grid):
@@ -429,11 +428,11 @@ class DiscreteOperators:
             _mv(M, y_k, out[k])
         return out
 
-    def reduced_data(self, data, out=None):
-        """Data of R = Ci^T L Ci from step_matrix data, into out if given:
-        one product with the map of _build_reduced_map, a row per entry of
-        R in its order."""
-        return _mv(self._reduced_map, data, out)
+    def reduced_data(self, data):
+        """Data of R = Ci^T L Ci from step_matrix data: one product with the
+        map of _build_reduced_map, a row per entry of R in its order (a
+        StepSolver's step makes the same product into R's data)."""
+        return _mv(self._reduced_map, data)
 
     def reference_lu(self, dt, nu, alpha_nodes):
         """Direct solver of the advection-free reduced step matrix R0 at
@@ -505,19 +504,24 @@ class DiscreteOperators:
 
     def neumann(self):
         """The interior gradient grad (CSR), the pinned Neumann Laplacian
-        L_pin (CSC) and its LU, made on first use and kept.
+        L_pin (CSC) and its cosine-transform solver (_CosineNeumann), made
+        on first use and kept.
 
         grad = -Dmat^T on the free faces and zero on the wall faces maps a
         cell potential to its face gradient.  L_pin = cell_area Dmat grad
         without cell 0's row and column, which is -Gf^T W_f^-1 Gf for
         Gf = -cell_area Df^T and W_f = cell_area on the free faces: the
         normal equations of the pressure gradient.  The step solves recover
-        pressures from it, and lifting solves its potential with it.
+        pressures from it, and lifting solves its potential with it, both
+        through the cosine solver; no factor of L_pin is made.
         """
         if self._neumann is None:
             grad = -(sp.diags(self.free.astype(float)) @ self.DmatT).tocsr()
-            L = ((self.cell_area * self.Dmat) @ grad).tocsc()[1:, 1:]
-            self._neumann = (grad, L, _factor(L, "Neumann matrix"))
+            L = ((self.cell_area * self.Dmat) @ grad).tocsr()
+            nx, ny = self._iv.shape[0], self._iu.shape[1]
+            # the couplings of cell 0 to its neighbours in x and in y
+            cosine = _CosineNeumann(nx, ny, L[0, ny], L[0, 1])
+            self._neumann = (grad, L[1:, 1:].tocsc(), cosine)
         return self._neumann
 
     def boundary_lift(self, a_nodes):
@@ -562,7 +566,7 @@ class DiscreteOperators:
         _vectors(N, w_vec)
         g_y, t_y = self.state_products(y_vec) if y_products is None else y_products
         g_y = g_y.reshape(2, N)                          # Gx y, Gy y
-        w_xy = _kmv(self.P, w_vec).reshape(2, N)          # Px w, Py w
+        w_xy = _kmv(self.P, w_vec).reshape(2, N)         # Px w, Py w
         n_wy = W * (w_xy[0] * g_y[0] + w_xy[1] * g_y[1])
         # columns Gx^T (W wx y), Gy^T (W wy y)
         nt_wy = _kmv(self.GT, _split_columns(W * w_xy * y_vec))
@@ -592,7 +596,7 @@ class DiscreteOperators:
         _vectors(N, lam_vec)
         w_g_y, w_y, w_t_y = self.adjoint_factors(y_vec) if factors is None else factors
         if t_lam is None:
-            t_lam = _kmv(self.T, lam_vec)                 # [Tn; Ttau] lam
+            t_lam = _kmv(self.T, lam_vec)                # [Tn; Ttau] lam
         g_lam = _kmv(self.G, lam_vec).reshape(2, N)
         # Px^T (.) + Py^T (.) of both terms in one product; the sum is exact,
         # since Px^T is nonzero only in the u rows and Py^T only in the v rows
@@ -626,14 +630,13 @@ def _factor(A, what="step matrix", into=None):
     _SineLU refuses A's structure.  Otherwise it is SuperLU's, with minimum
     degree ordering on the pattern of A^T + A, in symmetric mode.
 
-    Both matrices factored by SuperLU have symmetric patterns, and the
-    reduced reference step and the Neumann matrix are symmetric.  Symmetric
+    The matrices factored by SuperLU, reduced steps, have symmetric
+    patterns, and the advection-free reference is symmetric.  Symmetric
     mode makes SuperLU prefer the diagonal of the reordered matrix as pivot,
     which keeps that structure, and minimum degree on A^T + A then stores
     fewer entries than the default COLAMD ordering, so every triangular
     solve reads less (at 64x64, L + U falls from 573,891 to 402,604 entries
-    on the reduced reference step and from 220,612 to 126,514 on the
-    Neumann matrix).
+    on the reduced reference step).
     """
     if into is not None:
         lu = into.factor(A, what)
@@ -811,6 +814,57 @@ class _SineLU:
         return self._last(_mm(sx, xh)).ravel()
 
 
+class _CosineNeumann:
+    """Solves with the pinned Neumann Laplacian of an (nx, ny) cell grid
+    by the orthonormal 2-D DCT-II, which diagonalizes the cell-centred
+    Neumann Laplacian exactly (Schumann & Sweet, J. Comput. Phys. 75,
+    1988): the full Laplacian, with couplings wx in x and wy in y, is
+    Phi^T diag(lam) Phi for Phi x = cx x cy^T, cx and cy the DCT-II
+    matrices, and lam[p, q] = -(4 wx sin^2(pi p / 2 nx)
+    + 4 wy sin^2(pi q / 2 ny)), zero only at p = q = 0, the constants.
+
+    The pinned system L_pin s = b[1:] drops cell 0's row, which is minus
+    the sum of the others, so its solution s, with x = [0; s], solves the
+    full system with b[0] replaced by -sum(b[1:]); shifted to mean zero,
+    x is that system's pseudo-inverse solution, which the transforms give
+    with lam's zero mode dropped.
+
+    The transforms are matrix products through _mm, so no bits follow the
+    BLAS thread count, and under OpenBLAS each row of a block gets the
+    bits of its own solve (the tests check both), so the residual pass's
+    chunks do not change them.  One solve, one BLAS thread, against
+    scipy.fft's DCT and SuperLU's factor of L_pin: 67 / 129 / 147 us at
+    16x16 with 32 right-hand sides, 227 / 231 / 496 us at 64x64 with 4;
+    from 128x128 the FFT is the faster (2.1 / 0.96 / 2.6 ms with 4).
+    """
+
+    def __init__(self, nx, ny, wx, wy):
+        self.nx, self.ny = nx, ny
+        self.cx, self.cy = _cosine_matrix(nx), _cosine_matrix(ny)
+        self.cxT, self.cyT = np.ascontiguousarray(self.cx.T), np.ascontiguousarray(self.cy.T)
+        sx, sy = (np.sin(np.pi * np.arange(n) / (2 * n)) ** 2 for n in (nx, ny))
+        lam = -4.0 * (wx * sx[:, None] + wy * sy)
+        lam[0, 0] = np.inf
+        # 1 / lam in the (q, p) order of the transformed rows
+        self.inv_lam = np.ascontiguousarray((1.0 / lam).T)
+
+    def solve(self, b):
+        """The mean-zero rows x, a row per row of the (k, ncell) block b,
+        with L_pin (x - x[0])[1:] = b[1:]: the pinned solutions shifted to
+        mean zero."""
+        k, nx, ny = b.shape[0], self.nx, self.ny
+        t = b.copy()
+        t[:, 0] = -t[:, 1:].sum(axis=1)
+        # x-major cells (i, j): transform j, then i, on the last axis
+        t = _mm(t.reshape(k * nx, ny), self.cyT)
+        t = _mm(t.reshape(k, nx, ny).transpose(0, 2, 1).reshape(k * ny, nx), self.cxT)
+        t = t.reshape(k, ny, nx)
+        t *= self.inv_lam
+        t = _mm(t.reshape(k * ny, nx), self.cx)
+        t = _mm(t.reshape(k, ny, nx).transpose(0, 2, 1).reshape(k * nx, ny), self.cy)
+        return t.reshape(k, nx * ny)
+
+
 def _mm(a, b):
     """a @ b of 2-D arrays, in blocks of a's rows of at most _ONE_THREAD
     multiply-adds each: OpenBLAS computes such a product on one thread and
@@ -885,6 +939,16 @@ def _sin2_coefficients(quarter):
     t = np.array([[1, 0, 0], [2, -4, 0], [2, -16, 16]])
     return np.array([[math.fsum((quarter * np.outer(t[:, a], t[:, b])).ravel())
                       for b in range(3)] for a in range(3)])
+
+
+def _cosine_matrix(n):
+    """The orthonormal DCT-II matrix of n points: entry (p, i) is
+    sqrt((2 - [p = 0]) / n) cos(pi p (2 i + 1) / (2 n))."""
+    p, i = np.arange(n)[:, None], np.arange(n)
+    # the angle reduced mod 2 pi in integers first, as in _sine_matrix
+    c = math.sqrt(2.0 / n) * np.cos(np.pi * ((p * (2 * i + 1)) % (4 * n)) / (2 * n))
+    c[0] = math.sqrt(1.0 / n)
+    return c
 
 
 def _sine_matrix(m):
@@ -1208,10 +1272,12 @@ class StepSolver:
     residuals without the pressure term, m = r - L dy or r - L^T lam with
     zero wall rows, and the divergence the wall data put into the wall
     cells.  It recovers the pressures of the chunk's steps from m by the
-    normal equations of G, in one multi-right-hand-side solve with the
-    Neumann factor of DiscreteOperators.neumann, shifts them to mean zero,
-    and checks every step's full residual, momentum with pressure and
-    divergence, against LINEAR_RESIDUAL_TOL.  pressures() returns the
+    normal equations of G, the pinned Neumann matrix of
+    DiscreteOperators.neumann, in one cosine-transform solve of all their
+    right-hand sides, which gives each step's pressure with the bits of
+    its own solve, shifted to mean zero; so the chunks do not change the
+    bits.  It checks every step's full residual, momentum with pressure
+    and divergence, against LINEAR_RESIDUAL_TOL.  pressures() returns the
     pressures of every step passed since its last call.  A single step is
     a pass of one row.
 
@@ -1339,23 +1405,37 @@ class StepSolver:
         SuperLU factor solves with R through the transposed kernel."""
         return _factor(self.R_T, into=self._into)
 
-    @contextlib.contextmanager
     def at(self, k, alpha_nodes, w_adv_vec):
-        """Step k of the sweep: step(alpha, w), the solves in the block
-        numbered k, and a SolverDivergence raised in the block reported as
-        '<sweep> step k: ...', unless a step solved before it fails its
-        residual check, which is reported instead, as the pass would.  A
-        chunk the block fills is passed once it ends."""
+        """Step k of the sweep, a context manager: step(alpha, w), the
+        solves in the block numbered k, and a SolverDivergence raised in
+        either reported as '<sweep> step k: ...', unless a step solved
+        before it fails its residual check, which is reported instead, as
+        the pass would.  A chunk the block fills is passed once it ends."""
         self.k = k
         try:
-            yield self.step(alpha_nodes, w_adv_vec)
+            self.step(alpha_nodes, w_adv_vec)
         except SolverDivergence as exc:
-            for trans in (False, True):
-                self._pass(trans)
-            raise SolverDivergence("%s step %d: %s" % (self.sweep, k, exc))
+            self._fail(exc)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if kind is None:
+            for trans, steps in enumerate(self.pending.steps):
+                if len(steps) == self.pending.size:
+                    self._pass(trans)
+        elif issubclass(kind, SolverDivergence):
+            self._fail(exc)
+        return False
+
+    def _fail(self, exc):
+        """Raise the SolverDivergence exc of step k as '<sweep> step k: ...',
+        after the passes over the steps solved before it."""
         for trans in (False, True):
-            if len(self.pending.steps[trans]) == self.pending.size:
-                self._pass(trans)
+            self._pass(trans)
+        raise SolverDivergence("%s step %d: %s" % (self.sweep, self.k, exc))
 
     def _refine(self, rhs, rhs_norm, big, abs_big, trans):
         """Solution refined against the reference factor, or None.
@@ -1520,11 +1600,8 @@ class StepSolver:
 
     def _pressure(self, rhs_cells):
         """Mean-zero rows x, one per column of rhs_cells, with
-        L_pin x[1:] = rhs_cells[1:] and x[0] = 0 before the shift."""
-        x = np.zeros(rhs_cells.shape[::-1])
-        x[:, 1:] = self.neumann.solve(rhs_cells[1:]).T
-        x -= x.sum(axis=1, keepdims=True) / x.shape[1]   # the row means, without mean's dispatch
-        return x
+        L_pin (x - x[0])[1:] = rhs_cells[1:]."""
+        return self.neumann.solve(np.ascontiguousarray(rhs_cells.T))
 
 
 class _PassRows:
@@ -1533,13 +1610,14 @@ class _PassRows:
     direction.  A chunk holds size steps, min(nt, PASS_BYTES over the
     bytes of a forward step's rows).  The forward rows (r, L dy, div and
     the lift's wall rows) are rows of blocks, one allocation made on the
-    first forward step; steps lists the step numbers forward and
-    (k, r, L^T lam, lam) transposed."""
+    first forward step, and rows holds their views, a tuple per step;
+    steps lists the step numbers forward and (k, r, L^T lam, lam)
+    transposed."""
 
     def __init__(self, ops, nt):
         self.widths = (ops.N, ops.N, ops.ncell, ops.cons_idx.size)
         self.size = max(1, min(nt, PASS_BYTES // (8 * sum(self.widths))))
-        self.blocks = None
+        self.blocks = self.rows = None
         self.steps, self.done = ([], []), ([], [])
 
     def forward(self):
@@ -1548,8 +1626,8 @@ class _PassRows:
             ends = np.cumsum((0,) + self.widths) * self.size
             buf = np.empty(ends[-1])
             self.blocks = [buf[a:b].reshape(self.size, -1) for a, b in zip(ends[:-1], ends[1:])]
-        j = len(self.steps[0])
-        return [b[j] for b in self.blocks]
+            self.rows = list(zip(*self.blocks))
+        return self.rows[len(self.steps[0])]
 
 
 def _block(rows):

@@ -394,6 +394,71 @@ def test_residual_failure_names_the_first_step_in_marching_order(setup, monkeypa
             run()
 
 
+@pytest.mark.parametrize("path", ["band", "sine"])
+def test_chunked_pass_has_the_bits_of_one_pass(monkeypatch, path):
+    """The residual pass run on chunks of 3 and of 1 steps (PASS_BYTES set
+    to that many forward rows) gives the bits of one pass over all nt = 7
+    steps: state y and p, tangent z, and adjoint p, pi and both kernels,
+    band-factored and refining against the sine reference.  A failing
+    residual check (steps 3 and 5 solved off by 1e-6 relative) names the
+    same step, the first in marching order, with the same message, in
+    every sweep."""
+    from slipctl import operators
+    from slipctl.errors import SolverDivergence
+    if path == "sine":
+        monkeypatch.setattr(operators, "BAND_BOUND", 0)
+        monkeypatch.setattr(operators, "SINE_BOUND", 0)
+    grid, tg = build_grid(10, 8, 1.2, 1.0), TimeGrid(0.5, 7)
+    ops = grid.ops
+    row = 8 * (2 * ops.N + ops.ncell + ops.cons_idx.size)
+    rng = np.random.default_rng(64)
+    ctrl, d = (random_admissible_control(grid, tg, rng, amplitude=a) for a in (1.0, 0.3))
+    prob = StateProblem(grid, tg, np.zeros(ops.N), ctrl, validate=False)
+    U = random_source(grid, tg, 65)
+    real_pass, real_solve, passes = StepSolver._pass, StepSolver._solve, []
+
+    def counting_pass(self, trans):
+        if self.pending.steps[trans]:
+            passes.append((self.sweep, len(self.pending.steps[trans])))
+        return real_pass(self, trans)
+
+    def off(self, rhs, trans=False):
+        sol = real_solve(self, rhs, trans)
+        return sol * (1.0 + 1e-6) if self.k in (3, 5) else sol
+
+    def sweeps(traj):
+        return (lambda: solve_state(prob, StepStore(ops, tg.nt)),
+                lambda: solve_adjoint(AdjointProblem(prob, traj, U)),
+                lambda: solve_linearized(LinearizedProblem(prob, traj, d.a, d.b)))
+
+    monkeypatch.setattr(StepSolver, "_pass", counting_pass)
+    got = {}
+    for rows in (tg.nt, 3, 1):
+        monkeypatch.setattr(operators, "PASS_BYTES", rows * row)
+        del passes[:]
+        traj = solve_state(prob, StepStore(ops, tg.nt))
+        adjoint = solve_adjoint(AdjointProblem(prob, traj, U))
+        tangent = solve_linearized(LinearizedProblem(prob, traj, d.a, d.b))
+        assert passes == [(sweep, min(rows, tg.nt - i)) for sweep in ("state", "adjoint", "linearized")
+                          for i in range(0, tg.nt, rows)]
+        arrays = [traj.y, traj.p, tangent, adjoint.p, adjoint.pi, adjoint.kernel_a,
+                  adjoint.kernel_b]
+        monkeypatch.setattr(StepSolver, "_solve", off)
+        messages = []
+        for run in sweeps(traj):
+            with pytest.raises(SolverDivergence) as info:
+                run()
+            messages.append(str(info.value))
+        monkeypatch.setattr(StepSolver, "_solve", real_solve)
+        got[rows] = arrays, messages
+    arrays, messages = got[tg.nt]
+    assert [m.split(":")[0] for m in messages] == ["state step 3", "adjoint step 5",
+                                                   "linearized step 3"]
+    for rows in (3, 1):
+        assert _bits_equal(got[rows][0], arrays)
+        assert got[rows][1] == messages
+
+
 def test_reference_factor_failure_names_its_sweep(refined_setup, monkeypatch):
     """A reference whose construction fails is reported with its sweep and
     step, as a failure inside the step loop is: SuperLU's factorization of

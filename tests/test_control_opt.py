@@ -394,3 +394,35 @@ GRADIENT_64X4_RSS_CEILING_MB = 150.0
 def test_gradient_64x4_peak_rss_under_ceiling():
     peak_mb = int(run_child(_GRADIENT_64X4).split()[-1]) / 1024.0    # KiB
     assert peak_mb < GRADIENT_64X4_RSS_CEILING_MB
+
+
+_GRADIENT_64X256 = """
+import numpy as np
+from slipctl.control_opt import CostParams, GradientEngine, random_admissible_control
+from slipctl.fields import face_vector
+from slipctl.mesh import TimeGrid, build_grid
+grid = build_grid(64, 64, 1.0, 1.0)
+tg = TimeGrid(0.5, 256)
+ctrl = random_admissible_control(grid, tg, np.random.default_rng(0), amplitude=0.4)
+target = np.tile(face_vector(grid, 0.1 * np.ones(grid.shape_u),
+                             np.zeros(grid.shape_v)), (tg.nt + 1, 1))
+engine = GradientEngine(np.zeros(grid.ops.N), CostParams(y_d=target, lam1=0.05, lam2=0.02))
+grad, _ = engine.gradient(ctrl)
+assert np.isfinite(grad.ga).all() and np.isfinite(grad.gb).all()
+print(peak_kib())
+"""
+
+# One 64x64, nt = 256 gradient peaked at 309 MB (child's VmHWM, Linux,
+# numpy 2.4, scipy 1.17, one BLAS thread) when every step computed its
+# residual check itself, at 361 MB when the sweeps kept every step's rows
+# for one pass after the march, and at 319 MB with the pass on chunks of
+# PASS_BYTES of rows.  The ceiling is the first plus one (nt, N) block of
+# 17 MB: the pass's memory does not grow with nt.
+GRADIENT_64X256_RSS_CEILING_MB = 326.0
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM")
+def test_gradient_64x256_peak_rss_under_ceiling():
+    peak_mb = int(run_child(_GRADIENT_64X256).split()[-1]) / 1024.0    # KiB
+    assert peak_mb < GRADIENT_64X256_RSS_CEILING_MB

@@ -624,18 +624,66 @@ def test_step_solves_match_the_saddle_oracle(shape, nu, w_scale):
 @pytest.mark.parametrize("shape", [(7, 5, 1.2, 0.8), (16, 16, 1.0, 1.0)])
 def test_neumann_matrix_is_the_pressure_normal_equations(shape):
     """The shared Neumann matrix is -Gf^T W_f^-1 Gf with cell 0 pinned, for
-    the pressure gradient Gf = -cell_area Df^T on the free faces."""
+    the pressure gradient Gf = -cell_area Df^T on the free faces; the grid
+    keeps it with its cosine-transform solver, and factors nothing."""
+    from slipctl.operators import _CosineNeumann
     grid = build_grid(*shape)
     ops = grid.ops
     F = ops.free_idx
     Gf = -grid.cell_area * ops.Dmat[:, F].T
     want = -(Gf.T @ sp.diags(1.0 / ops.Wvec[F]) @ Gf).tocsc()[1:, 1:]
-    grad, L, lu = ops.neumann()
-    assert ops.neumann()[2] is lu
+    grad, L, cosine = ops.neumann()
+    assert ops.neumann()[2] is cosine and isinstance(cosine, _CosineNeumann)
     assert abs(L - want).max() <= 1e-15 * abs(want).max()
     want_grad = -ops.Dmat.T.toarray()
     want_grad[ops.cons_idx] = 0.0
     assert np.array_equal(grad.toarray(), want_grad)
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 1.0, 1.0), (24, 40, 1.3, 0.7), (64, 64, 1.0, 1.0)])
+def test_cosine_neumann_solve_matches_superlu(shape):
+    """The cosine-transform solve of the pinned Neumann matrix agrees with
+    SuperLU's factor of it, shifted to mean zero, to 1e-12 relative, on
+    right-hand sides Dmat m of face vectors m with zero wall rows (the
+    pass's), and both leave a residual within 4x of the round-off floor
+    eps * || |L_pin| |s| + |b| ||.  A block of right-hand sides gives each
+    row's single solve bit for bit."""
+    from slipctl.operators import _factor
+    ops = build_grid(*shape).ops
+    _, L, cosine = ops.neumann()
+    rng = np.random.default_rng(shape[0] * shape[1])
+    m = rng.standard_normal((ops.N, 3))
+    m[ops.cons_idx] = 0.0
+    b = np.ascontiguousarray((ops.Dmat @ m).T)
+    x = cosine.solve(b)
+    s = _factor(L, "Neumann matrix").solve(np.ascontiguousarray(b[:, 1:].T)).T
+    want = np.hstack([np.zeros((3, 1)), s])
+    want -= want.mean(axis=1, keepdims=True)
+    eps = np.finfo(float).eps
+    for i, (x_i, want_i, b_i) in enumerate(zip(x, want, b)):
+        assert np.linalg.norm(x_i - want_i) <= 1e-12 * np.linalg.norm(want_i)
+        for sol in (x_i[1:] - x_i[0], want_i[1:] - want_i[0]):
+            floor = eps * np.linalg.norm(abs(L) @ abs(sol) + abs(b_i[1:]))
+            assert np.linalg.norm(L @ sol - b_i[1:]) <= 4 * floor
+        assert cosine.solve(b[i:i + 1]).tobytes() == x_i.tobytes()
+
+
+_COSINE_128 = """
+import hashlib
+import numpy as np
+from slipctl.mesh import build_grid
+ops = build_grid(128, 128, 1.0, 1.0).ops
+b = np.random.default_rng(7).standard_normal((4, ops.ncell))
+print(hashlib.sha256(ops.neumann()[2].solve(b).tobytes()).hexdigest())
+"""
+
+
+def test_cosine_neumann_bits_do_not_follow_the_blas_thread_count():
+    """At 128x128 the cosine-transform Neumann solve of four right-hand
+    sides has the same bits under 1 and 2 BLAS threads: its products, of
+    (512, 128) blocks with the 128 x 128 transform matrices, are made in
+    row blocks that each stay on one thread (_mm)."""
+    assert run_child(_COSINE_128, threads=1) == run_child(_COSINE_128, threads=2)
 
 
 def _demo_reduced(ops, nu=1.0, w=None):
