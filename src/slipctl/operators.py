@@ -51,6 +51,8 @@ STEP_STORE_BYTES = 32 * 2 ** 20
 # chunk holds up to 372, 97 and 24 steps.  One 64x64, nt = 256 gradient
 # peaked at 361 MB with every step's rows pending (VmHWM, one BLAS thread),
 # at 327 MB with 8 MB chunks and at 319 MB with 4 MB and with 2 MB chunks
+# when the pass read the transposed rows in place, and at 324 MB with 4 MB
+# chunks whose transposed rows it stacks
 PASS_BYTES = 4 * 2 ** 20
 # bytes a StepStore keeps under BAND_BOUND, whose rows hold L and a band LU:
 # 212 KB a step at 16x16 (kl = 32, ku = 30, 39 steps), 395 KB at 20x20
@@ -1261,17 +1263,16 @@ class StepSolver:
     momentum data after the lift, zero on the wall rows), L dy, the
     divergence of its velocity (also div, which the state sweep's guard
     reads) and the lift's wall rows, the wall data.  A transposed step
-    keeps references to its data r, L^T lam and lam, which the pass reads
-    in place where they are rows of the caller's blocks (solve_adjoint's).
-    A chunk holds min(nt, PASS_BYTES / the bytes of a forward step's rows)
-    steps in either direction.  The pass runs on a full chunk once the
-    step that fills it leaves at(), and on the rest in pressures(), once
-    after the march, before the sweep returns; its memory does not grow
-    with nt.  It forms in block products the squared norms of the data
-    and of the divergence (the transposed divergence first), the momentum
-    residuals without the pressure term, m = r - L dy or r - L^T lam with
-    zero wall rows, and the divergence the wall data put into the wall
-    cells.  It recovers the pressures of the chunk's steps from m by the
+    keeps references to its data r, L^T lam and lam, which the pass
+    stacks.  A chunk holds min(nt, PASS_BYTES / the bytes of a forward
+    step's rows) steps in either direction.  The pass runs on a full chunk
+    once the step that fills it leaves at(), and on the rest in
+    pressures(), once after the march, before the sweep returns; its
+    memory does not grow with nt.  It forms in block products the squared
+    norms of the data and of the divergence (the transposed divergence
+    first), the momentum residuals without the pressure term,
+    m = r - L dy or r - L^T lam with zero wall rows, and the divergence the
+    wall data put into the wall cells.  It recovers the pressures of the chunk's steps from m by the
     normal equations of G, the pinned Neumann matrix of
     DiscreteOperators.neumann, in one cosine-transform solve of all their
     right-hand sides, which gives each step's pressure with the bits of
@@ -1559,7 +1560,7 @@ class StepSolver:
         ops, area, C = self.ops, self.ops.cell_area, self.C
         if trans:
             k, r, lr, lam = zip(*steps)
-            r, lr, lam = _block(r), _block(lr), _block(lam)
+            r, lr, lam = np.stack(r), np.stack(lr), np.stack(lam)
         else:
             k = tuple(steps)
             r, lr, div, wall = (b[:len(k)] for b in rows.blocks)
@@ -1628,24 +1629,6 @@ class _PassRows:
             self.blocks = [buf[a:b].reshape(self.size, -1) for a, b in zip(ends[:-1], ends[1:])]
             self.rows = list(zip(*self.blocks))
         return self.rows[len(self.steps[0])]
-
-
-def _block(rows):
-    """The 1-D arrays rows, of one length, as the rows of one read-only
-    array: a view where they are equally spaced rows of one buffer (the
-    rows of a caller's block in marching order, forwards or backwards),
-    else a stacked copy."""
-    first = rows[0]
-    if len(rows) == 1:
-        return first[None]
-    at = [r.__array_interface__["data"][0] for r in rows]
-    step = at[1] - at[0]
-    if (first.base is not None and all(r.base is first.base for r in rows)
-            and first.flags.c_contiguous and abs(step) >= first.nbytes
-            and at == list(range(at[0], at[0] + step * len(rows), step))):
-        return np.lib.stride_tricks.as_strided(first, (len(rows), first.size),
-                                               (step, first.itemsize), writeable=False)
-    return np.stack(rows)
 
 
 def _on_data(m, mT, data):

@@ -571,11 +571,17 @@ class PerStepSolver(StepSolver):
     term, the squared norms of its data and of its velocity's divergence
     and its wall data as it is solved, and the pass stacks only those.
     solve_transpose takes the data on the free faces, and keeps L^T lam as
-    LT_lam for solve_adjoint_per_step.  Its rows are lists of its own."""
+    LT_lam for solve_adjoint_per_step.  Its rows are lists of its own, and
+    a step that fails inside at() first passes the rows of the steps
+    solved before it."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.rows = ([], [])
+
+    def _pass(self, trans):
+        if self.rows[trans]:
+            self.pressures(trans)
 
     def solve(self, rhs_mom_full, lift):
         ops, C = self.ops, self.C

@@ -136,6 +136,31 @@ def test_block_pass_has_the_bits_of_per_step_bookkeeping(nt, path, monkeypatch):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("solver", ["block", "per-step"])
+def test_a_failing_step_is_reported_after_the_steps_before_it(solver, monkeypatch):
+    """A solve that raises at step 5 of a state sweep whose step 3 was
+    solved off by 1e-6 relative is reported as step 3's residual failure,
+    by the block pass and by oracles.PerStepSolver alike."""
+    from slipctl.errors import SolverDivergence
+    nx, ny, Lx, Ly, _, nu, _, amplitude = ROWS["10x7"]
+    grid, tg = build_grid(nx, ny, Lx, Ly), TimeGrid(0.3, 6)
+    ctrl = random_admissible_control(grid, tg, np.random.default_rng(5), amplitude=amplitude)
+    prob = StateProblem(grid, tg, np.zeros(grid.ops.N), ctrl, nu=nu, validate=False)
+    real_solve = operators.StepSolver._solve
+
+    def off(self, rhs, trans=False):
+        if self.k == 5:
+            raise SolverDivergence("refused")
+        sol = real_solve(self, rhs, trans)
+        return sol * (1.0 + 1e-6) if self.k == 3 else sol
+
+    monkeypatch.setattr(operators.StepSolver, "_solve", off)
+    if solver == "per-step":
+        monkeypatch.setattr(state_solver, "StepSolver", PerStepSolver)
+    with pytest.raises(SolverDivergence, match="^state step 3: linear step residual"):
+        solve_state(prob)
+
+
 def test_time_rule_has_the_bits_of_backward_euler_written_out():
     """At dt = 0.1, not a power of two, the cost, the gradient pairing, the
     duality residual, the adjoint energy ratio and the energy bound report

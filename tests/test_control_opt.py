@@ -415,7 +415,7 @@ print(peak_kib())
 # One 64x64, nt = 256 gradient peaked at 309 MB (child's VmHWM, Linux,
 # numpy 2.4, scipy 1.17, one BLAS thread) when every step computed its
 # residual check itself, at 361 MB when the sweeps kept every step's rows
-# for one pass after the march, and at 319 MB with the pass on chunks of
+# for one pass after the march, and at 324 MB with the pass on chunks of
 # PASS_BYTES of rows.  The ceiling is the first plus one (nt, N) block of
 # 17 MB: the pass's memory does not grow with nt.
 GRADIENT_64X256_RSS_CEILING_MB = 326.0
