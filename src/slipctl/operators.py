@@ -1272,12 +1272,12 @@ class StepSolver:
     norms of the data and of the divergence (the transposed divergence
     first), the momentum residuals without the pressure term,
     m = r - L dy or r - L^T lam with zero wall rows, and the divergence the
-    wall data put into the wall cells.  It recovers the pressures of the chunk's steps from m by the
-    normal equations of G, the pinned Neumann matrix of
-    DiscreteOperators.neumann, in one cosine-transform solve of all their
-    right-hand sides, which gives each step's pressure with the bits of
-    its own solve, shifted to mean zero; so the chunks do not change the
-    bits.  It checks every step's full residual, momentum with pressure
+    wall data put into the wall cells.  It recovers the pressures of the
+    chunk's steps from m by the normal equations of G, the pinned Neumann
+    matrix of DiscreteOperators.neumann, in one cosine-transform solve of
+    all their right-hand sides, which gives each step's pressure with the
+    bits of its own solve, shifted to mean zero; so the chunks do not
+    change the bits.  It checks every step's full residual, momentum with pressure
     and divergence, against LINEAR_RESIDUAL_TOL.  pressures() returns the
     pressures of every step passed since its last call.  A single step is
     a pass of one row.
